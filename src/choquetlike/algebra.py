@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable
 
 from .errors import BadParameter, KindMismatch, ScaleOutOfRange
@@ -20,7 +19,7 @@ from .order import (
     Vector, elements_equal, grid_elements, require_same_carrier, unit_grid,
     zero_element,
 )
-from .reporting import GridSpec, LawReport, failed_report, passed_report
+from .reporting import GridSpec, LawReport, run_law
 
 
 @dataclass(frozen=True)
@@ -134,43 +133,34 @@ def scale_for(kind: str) -> MultiplicationOp:
 # ---------------------------------------------------------------------------
 
 def check_commutativity(op: AdditionOp, grid: GridSpec) -> LawReport:
-    start = perf_counter()
     elems = grid_elements(grid)
-    checked = 0
-    for x, z in itertools.combinations_with_replacement(elems, 2):
-        checked += 1
-        if not elements_equal(add(op, x, z), add(op, z, x)):
-            return failed_report("commutativity", {"x": x, "z": z},
-                                 checked, perf_counter() - start, op=op.name)
-    return passed_report("commutativity", checked, perf_counter() - start, op=op.name)
+    return run_law("commutativity", (
+        None if elements_equal(add(op, x, z), add(op, z, x)) else {"x": x, "z": z}
+        for x, z in itertools.combinations_with_replacement(elems, 2)), op=op.name)
 
 
 def check_associativity(op: AdditionOp, grid: GridSpec) -> LawReport:
-    start = perf_counter()
     elems = grid_elements(grid)
-    checked = 0
-    for x, y, z in itertools.product(elems, repeat=3):
-        checked += 1
-        if not elements_equal(add(op, add(op, x, y), z), add(op, x, add(op, y, z))):
-            return failed_report("associativity", {"x": x, "y": y, "z": z},
-                                 checked, perf_counter() - start, op=op.name)
-    return passed_report("associativity", checked, perf_counter() - start, op=op.name)
+    return run_law("associativity", (
+        None if elements_equal(add(op, add(op, x, y), z), add(op, x, add(op, y, z)))
+        else {"x": x, "y": y, "z": z}
+        for x, y, z in itertools.product(elems, repeat=3)), op=op.name)
 
 
 def check_cancellation(op: AdditionOp, grid: GridSpec) -> LawReport:
     """x1 + v = x2 + v must force x1 = x2 for all grid triples."""
-    start = perf_counter()
     elems = grid_elements(grid)
-    checked = 0
-    for x1, x2 in itertools.combinations(elems, 2):
-        for v in elems:
-            checked += 1
-            if elements_equal(add(op, x1, v), add(op, x2, v)):
-                return failed_report("cancellation", {
-                    "x1": x1, "x2": x2, "v": v,
-                    "sum": add(op, x1, v),
-                }, checked, perf_counter() - start, op=op.name)
-    return passed_report("cancellation", checked, perf_counter() - start, op=op.name)
+
+    def cases():
+        for x1, x2 in itertools.combinations(elems, 2):
+            for v in elems:
+                s = add(op, x1, v)
+                if elements_equal(s, add(op, x2, v)):
+                    yield {"x1": x1, "x2": x2, "v": v, "sum": s}
+                else:
+                    yield None
+
+    return run_law("cancellation", cases(), op=op.name)
 
 
 def check_compatibility(op: AdditionOp, order: AdmissibleOrder, strict: bool,
@@ -178,91 +168,72 @@ def check_compatibility(op: AdditionOp, order: AdmissibleOrder, strict: bool,
     """Adding a common element on both sides must preserve the order
     (strictly, when ``strict``).
 
-    Side assertions embody the standard lemmas: a passing strict check
-    implies the weak one, and a passing weak check plus cancellation
-    implies the strict one. Their violation would indicate a broken
-    comparator or operation and raises ``RuntimeError``.
+    One scan over the pairs x1 <= x2 decides both forms. Side assertions
+    embody the standard lemmas: a passing strict check implies the weak
+    one, and a passing weak check plus cancellation implies the strict
+    one. Their violation would indicate a broken comparator or operation
+    and raises ``RuntimeError``.
     """
-    start = perf_counter()
-    law = "compatibility-strict" if strict else "compatibility"
-    result = _compat_scan(op, order, strict, grid)
-    checked = result[1]
-    if result[0] is not None:
-        return failed_report(law, result[0], checked, perf_counter() - start, op=op.name)
+    elems = grid_elements(grid)
 
-    if strict:
-        weak_witness, n2 = _compat_scan(op, order, False, grid)
-        checked += n2
-        if weak_witness is not None:
+    def cases():
+        other_fails = False
+        for x1, x2 in itertools.product(elems, repeat=2):
+            c = order.compare(x1, x2)
+            if c > 0:
+                continue
+            for v in elems:
+                lhs, rhs = add(op, x1, v), add(op, x2, v)
+                cs = order.compare(lhs, rhs)
+                weak_holds, strict_holds = cs <= 0, c == 0 or cs < 0
+                if not (strict_holds if strict else weak_holds):
+                    yield {"x1": x1, "x2": x2, "v": v, "lhs": lhs, "rhs": rhs}
+                else:
+                    other_fails |= not (weak_holds if strict else strict_holds)
+                    yield None
+        if other_fails and strict:
             raise RuntimeError("strict compatibility passed but weak failed; "
                                "comparator or operation is inconsistent")
-    else:
-        cancel = check_cancellation(op, grid)
-        checked += cancel.checked
-        if cancel.passed:
-            strict_witness, n2 = _compat_scan(op, order, True, grid)
-            checked += n2
-            if strict_witness is not None:
-                raise RuntimeError("weak compatibility plus cancellation passed "
-                                   "but strict compatibility failed")
-    return passed_report(law, checked, perf_counter() - start, op=op.name,
-                         order=order.spec_string())
+        elif other_fails and check_cancellation(op, grid).passed:
+            raise RuntimeError("weak compatibility plus cancellation passed "
+                               "but strict compatibility failed")
 
-
-def _compat_scan(op, order, strict, grid):
-    elems = grid_elements(grid)
-    checked = 0
-    for x1, x2 in itertools.product(elems, repeat=2):
-        c = order.compare(x1, x2)
-        if c > 0 or (strict and c == 0):
-            continue
-        for v in elems:
-            checked += 1
-            cs = order.compare(add(op, x1, v), add(op, x2, v))
-            if cs > 0 or (strict and cs == 0):
-                return {"x1": x1, "x2": x2, "v": v,
-                        "lhs": add(op, x1, v), "rhs": add(op, x2, v)}, checked
-    return None, checked
+    return run_law("compatibility-strict" if strict else "compatibility", cases(),
+                   op=op.name, order=order.spec_string())
 
 
 def check_distributivity(mul: MultiplicationOp, addop: AdditionOp, side: str,
                          grid: GridSpec) -> LawReport:
     """Right: (c1+c2) * x = c1*x + c2*x for c1+c2 <= 1.
     Left: c * (x+z) = c*x + c*z whenever x+z stays in the bounded set."""
-    start = perf_counter()
+    if side not in ("left", "right"):
+        raise BadParameter(f"side must be 'left' or 'right', got {side!r}")
     elems = grid_elements(grid)
     coeffs = unit_grid(grid.m)
-    checked = 0
-    if side == "right":
+
+    def right():
         for c1, c2 in itertools.combinations_with_replacement(coeffs, 2):
             if c1 + c2 > 1.0 + TOL:
                 continue
             for x in elems:
-                checked += 1
                 lhs = scale(mul, c1 + c2, x)
                 rhs = add(addop, scale(mul, c1, x), scale(mul, c2, x))
-                if not elements_equal(lhs, rhs):
-                    return failed_report("distributivity-right", {
-                        "c1": c1, "c2": c2, "x": x, "lhs": lhs, "rhs": rhs,
-                    }, checked, perf_counter() - start, mul=mul.name, add=addop.name)
-        return passed_report("distributivity-right", checked, perf_counter() - start,
-                             mul=mul.name, add=addop.name)
-    if side == "left":
+                yield None if elements_equal(lhs, rhs) else {
+                    "c1": c1, "c2": c2, "x": x, "lhs": lhs, "rhs": rhs}
+
+    def left():
         for x, z in itertools.combinations_with_replacement(elems, 2):
             s = add(addop, x, z)
             if not s.in_unit:
                 continue
             for c in coeffs:
-                checked += 1
                 lhs = scale(mul, c, s)
                 rhs = add(addop, scale(mul, c, x), scale(mul, c, z))
-                if not elements_equal(lhs, rhs):
-                    return failed_report("distributivity-left", {
-                        "c": c, "x": x, "z": z, "lhs": lhs, "rhs": rhs,
-                    }, checked, perf_counter() - start, mul=mul.name, add=addop.name)
-        return passed_report("distributivity-left", checked, perf_counter() - start,
-                             mul=mul.name, add=addop.name)
-    raise BadParameter(f"side must be 'left' or 'right', got {side!r}")
+                yield None if elements_equal(lhs, rhs) else {
+                    "c": c, "x": x, "z": z, "lhs": lhs, "rhs": rhs}
+
+    return run_law(f"distributivity-{side}", right() if side == "right" else left(),
+                   mul=mul.name, add=addop.name)
 
 
 def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
@@ -270,10 +241,8 @@ def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
     """Exchange inequality for weighted sums:
     (b1*u1) + (b2*v2) <= (b1*u2) + (b2*v1) whenever b2 <= b1, u1 <= u2,
     v1 <= v2, and u1+v2 = u2+v1 stays in the bounded set."""
-    start = perf_counter()
     elems = grid_elements(grid)
     coeffs = unit_grid(grid.m)
-    checked = 0
 
     upairs = [(u1, u2) for u1, u2 in itertools.product(elems, repeat=2)
               if order.leq(u1, u2)]
@@ -284,27 +253,25 @@ def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
         key = tuple(round(a - b, 9) for a, b in zip(v2.components, v1.components))
         by_diff.setdefault(key, []).append((v1, v2))
 
-    for u1, u2 in upairs:
-        key = tuple(round(a - b, 9) for a, b in zip(u2.components, u1.components))
-        for v1, v2 in by_diff.get(key, ()):
-            cross = add(addop, u1, v2)
-            if not cross.in_unit:
-                continue
-            for b1 in coeffs:
-                for b2 in coeffs:
-                    if b2 > b1 + TOL:
-                        continue
-                    checked += 1
-                    lhs = add(addop, scale(mul, b1, u1), scale(mul, b2, v2))
-                    rhs = add(addop, scale(mul, b1, u2), scale(mul, b2, v1))
-                    if order.compare(lhs, rhs) > 0:
-                        return failed_report("c1", {
+    def cases():
+        for u1, u2 in upairs:
+            key = tuple(round(a - b, 9) for a, b in zip(u2.components, u1.components))
+            for v1, v2 in by_diff.get(key, ()):
+                cross = add(addop, u1, v2)
+                if not cross.in_unit:
+                    continue
+                for b1 in coeffs:
+                    for b2 in coeffs:
+                        if b2 > b1 + TOL:
+                            continue
+                        lhs = add(addop, scale(mul, b1, u1), scale(mul, b2, v2))
+                        rhs = add(addop, scale(mul, b1, u2), scale(mul, b2, v1))
+                        yield None if order.compare(lhs, rhs) <= 0 else {
                             "b1": b1, "b2": b2, "u1": u1, "u2": u2,
-                            "v1": v1, "v2": v2, "lhs": lhs, "rhs": rhs,
-                        }, checked, perf_counter() - start,
-                            mul=mul.name, add=addop.name, order=order.spec_string())
-    return passed_report("c1", checked, perf_counter() - start,
-                         mul=mul.name, add=addop.name, order=order.spec_string())
+                            "v1": v1, "v2": v2, "lhs": lhs, "rhs": rhs}
+
+    return run_law("c1", cases(), mul=mul.name, add=addop.name,
+                   order=order.spec_string())
 
 
 def check_closure(op: AdditionOp, grid: GridSpec) -> LawReport:
@@ -313,28 +280,21 @@ def check_closure(op: AdditionOp, grid: GridSpec) -> LawReport:
     The shipped componentwise additions are not closed; this predicate is
     exposed rather than assumed anywhere.
     """
-    start = perf_counter()
     elems = grid_elements(grid)
-    checked = 0
-    for x, z in itertools.combinations_with_replacement(elems, 2):
-        checked += 1
-        s = add(op, x, z)
-        if not s.in_unit:
-            return failed_report("closure", {"x": x, "z": z, "sum": s},
-                                 checked, perf_counter() - start, op=op.name)
-    return passed_report("closure", checked, perf_counter() - start, op=op.name)
+
+    def cases():
+        for x, z in itertools.combinations_with_replacement(elems, 2):
+            s = add(op, x, z)
+            yield None if s.in_unit else {"x": x, "z": z, "sum": s}
+
+    return run_law("closure", cases(), op=op.name)
 
 
 def check_zero_sum(op: AdditionOp, grid: GridSpec) -> LawReport:
     """u + v equal to the least element must force u = v = least element."""
-    start = perf_counter()
     elems = grid_elements(grid)
     zero = zero_element(grid.kind, grid.dim)
-    checked = 0
-    for u, v in itertools.combinations_with_replacement(elems, 2):
-        checked += 1
-        if elements_equal(add(op, u, v), zero):
-            if not (elements_equal(u, zero) and elements_equal(v, zero)):
-                return failed_report("zero-sum", {"u": u, "v": v},
-                                     checked, perf_counter() - start, op=op.name)
-    return passed_report("zero-sum", checked, perf_counter() - start, op=op.name)
+    return run_law("zero-sum", (
+        {"u": u, "v": v} if elements_equal(add(op, u, v), zero)
+        and not (elements_equal(u, zero) and elements_equal(v, zero)) else None
+        for u, v in itertools.combinations_with_replacement(elems, 2)), op=op.name)

@@ -73,14 +73,26 @@ class Capacity:
 
     @staticmethod
     def from_json(obj: dict) -> "Capacity":
+        if not isinstance(obj, dict):
+            raise BadParameter(f"a capacity is a JSON object, got {type(obj).__name__}")
         kind = obj.get("kind", "table")
         n = int(obj["n"])
         if kind == "table":
-            entries = [(e["subset"], float(e["value"])) for e in obj["entries"]]
+            entries = [_table_entry(e) for e in obj["entries"]]
             return capacity_from_table(n, entries,
                                        complete=bool(obj.get("complete", False)))
         params = {k: v for k, v in obj.items() if k not in ("n", "kind")}
         return capacity_family(kind, n, **params)
+
+
+def _table_entry(entry) -> tuple[list, float]:
+    """The (subset, value) pair of one capacity table entry."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("subset"), list)
+            and all(isinstance(i, int) for i in entry["subset"])
+            and isinstance(entry.get("value"), (int, float))):
+        raise BadParameter(f"capacity entry {entry!r} needs a list of element "
+                           "numbers as subset and a number as value")
+    return entry["subset"], float(entry["value"])
 
 
 def _validate(n: int, values) -> None:

@@ -26,7 +26,7 @@ from .dissimilarity import (
     check_dissimilarity, check_telescoping, resolve_dissimilarity,
     takac_counterexample,
 )
-from .errors import ChoquetlikeError, NoWitnessFound
+from .errors import BadParameter, ChoquetlikeError, NoWitnessFound
 from .operator import AggregationInput, choquet_aggregate, kernel_catalog
 from .order import (
     INTERVAL, SCALAR, VECTOR, AlphaBeta, ScalarUsual, VectorLex,
@@ -129,6 +129,8 @@ def cmd_verify(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise BadParameter(f"a config is a JSON object, got {type(config).__name__}")
     if args.grid is not None:
         config["grid"] = args.grid
     config.setdefault("seed", args.seed)
@@ -280,13 +282,15 @@ def suite_takac(config) -> list[LawReport]:
         witness = takac_counterexample(alpha, beta, m_d, delta_d, grid)
         report = LawReport(
             law="takac-telescoping", verdict="fail",
-            witness=witness.to_json(), checked=0,
+            witness=witness.to_json(), checked=witness.checked,
+            elapsed=witness.elapsed,
             detail={"alpha": alpha, "beta": beta, "Md": m_d,
                     "delta_d": delta_d,
                     "note": "expected negative result: the width-based "
                             "construction cannot telescope"})
     except NoWitnessFound as exc:
         report = LawReport(law="takac-telescoping", verdict="pass",
+                           checked=exc.checked, elapsed=exc.elapsed,
                            detail={"note": str(exc)})
     return [report]
 

@@ -13,8 +13,7 @@ scalars.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from time import perf_counter
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .algebra import IV_PLUS, AdditionOp, add
@@ -24,9 +23,9 @@ from .errors import (
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, AlphaBeta, Element,
     Interval, Scalar, Vector, VectorLex, elements_equal, grid_elements,
-    k_alpha, one_element, zero_element,
+    k_alpha, one_element, unit_grid, zero_element,
 )
-from .reporting import GridSpec, LawReport, failed_report, passed_report
+from .reporting import GridSpec, LawReport, run_law
 
 
 @dataclass(frozen=True)
@@ -236,48 +235,34 @@ def check_dissimilarity(d: DissimilarityFn, order: AdmissibleOrder,
                         grid: GridSpec) -> LawReport:
     """Grid check of the dissimilarity axioms: symmetry, maximality at the
     bounds, a vanishing diagonal, and growth along order chains."""
-    start = perf_counter()
     elems = order.sort(grid_elements(grid))
-    dim = grid.dim
-    zero = zero_element(grid.kind, dim)
-    one = one_element(grid.kind, dim)
-    checked = 0
+    zero = zero_element(grid.kind, grid.dim)
+    one = one_element(grid.kind, grid.dim)
 
-    boundary = d(zero, one)
-    checked += 1
-    if not elements_equal(boundary, one):
-        return failed_report("dissimilarity", {
-            "violation": "boundary", "value": boundary, "expected": one,
-        }, checked, perf_counter() - start, d=d.name)
+    def cases():
+        boundary = d(zero, one)
+        yield None if elements_equal(boundary, one) else {
+            "violation": "boundary", "value": boundary, "expected": one}
+        for x in elems:
+            diag = d(x, x)
+            yield None if elements_equal(diag, zero) else {
+                "violation": "diagonal", "x": x, "value": diag}
+        for x, z in itertools.combinations(elems, 2):
+            xz, zx = d(x, z), d(z, x)
+            yield None if elements_equal(xz, zx) else {
+                "violation": "symmetry", "x": x, "z": z, "xz": xz, "zx": zx}
+        # Elements are order-sorted, so chains x <= y <= z are index triples.
+        for i, j, k in itertools.combinations_with_replacement(range(len(elems)), 3):
+            x, y, z = elems[i], elems[j], elems[k]
+            d_xy, d_yz, d_xz = d(x, y), d(y, z), d(x, z)
+            if order.compare(d_xy, d_xz) > 0 or order.compare(d_yz, d_xz) > 0:
+                yield {"violation": "chain-monotonicity", "x": x, "y": y, "z": z,
+                       "d_xy": d_xy, "d_yz": d_yz, "d_xz": d_xz}
+            else:
+                yield None
 
-    for x in elems:
-        checked += 1
-        diag = d(x, x)
-        if not elements_equal(diag, zero):
-            return failed_report("dissimilarity", {
-                "violation": "diagonal", "x": x, "value": diag,
-            }, checked, perf_counter() - start, d=d.name)
-
-    for x, z in itertools.combinations(elems, 2):
-        checked += 1
-        if not elements_equal(d(x, z), d(z, x)):
-            return failed_report("dissimilarity", {
-                "violation": "symmetry", "x": x, "z": z,
-                "xz": d(x, z), "zx": d(z, x),
-            }, checked, perf_counter() - start, d=d.name)
-
-    # Elements are order-sorted, so chains x <= y <= z are index triples.
-    for i, j, k in itertools.combinations_with_replacement(range(len(elems)), 3):
-        x, y, z = elems[i], elems[j], elems[k]
-        checked += 1
-        if order.compare(d(x, y), d(x, z)) > 0 or order.compare(d(y, z), d(x, z)) > 0:
-            return failed_report("dissimilarity", {
-                "violation": "chain-monotonicity", "x": x, "y": y, "z": z,
-                "d_xy": d(x, y), "d_yz": d(y, z), "d_xz": d(x, z),
-            }, checked, perf_counter() - start, d=d.name)
-
-    return passed_report("dissimilarity", checked, perf_counter() - start,
-                         d=d.name, note=f"no counterexample at resolution m={grid.m}")
+    return run_law("dissimilarity", cases(), d=d.name,
+                   note=f"no counterexample at resolution m={grid.m}")
 
 
 def check_telescoping(d: DissimilarityFn, addop: AdditionOp,
@@ -287,22 +272,20 @@ def check_telescoping(d: DissimilarityFn, addop: AdditionOp,
     This identity is exactly what makes the capacity-weighted
     dissimilarity operator an aggregation function.
     """
-    start = perf_counter()
     elems = order.sort(grid_elements(grid))
     zero = zero_element(grid.kind, grid.dim)
-    checked = 0
-    for i, x1 in enumerate(elems):
-        d10 = d(x1, zero)
-        for x2 in elems[i:]:
-            checked += 1
-            lhs = add(addop, d10, d(x2, x1))
-            rhs = d(x2, zero)
-            if not elements_equal(lhs, rhs):
-                return failed_report("telescoping", {
-                    "x1": x1, "x2": x2, "lhs": lhs, "rhs": rhs,
-                }, checked, perf_counter() - start, d=d.name)
-    return passed_report("telescoping", checked, perf_counter() - start,
-                         d=d.name, note=f"no counterexample at resolution m={grid.m}")
+
+    def cases():
+        for i, x1 in enumerate(elems):
+            d10 = d(x1, zero)
+            for x2 in elems[i:]:
+                lhs = add(addop, d10, d(x2, x1))
+                rhs = d(x2, zero)
+                yield None if elements_equal(lhs, rhs) else {
+                    "x1": x1, "x2": x2, "lhs": lhs, "rhs": rhs}
+
+    return run_law("telescoping", cases(), d=d.name,
+                   note=f"no counterexample at resolution m={grid.m}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +308,10 @@ class TelescopingWitness:
     a12: float
     width_lhs: float
     width_rhs: float
+    # The search behind the witness, not part of it: the pairs it
+    # examined, this one included, and its time in seconds.
+    checked: int = field(default=0, compare=False)
+    elapsed: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -345,7 +332,8 @@ def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
     t1 < t2 on the grid; if that family telescopes exactly (it does for
     some parameter choices, e.g. the max/abs-diff pairing), the search
     widens to all grid interval pairs unless ``full_grid_fallback`` is
-    disabled. Returns the first witness in enumeration order; raises
+    disabled. Returns the first witness in enumeration order, with the
+    number of pairs examined up to it and the search time; raises
     ``NoWitnessFound`` when the grid is too coarse to exhibit one.
     """
     delta_fn = resolve_delta(delta_d)
@@ -356,7 +344,7 @@ def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
     d = takac_dissimilarity_fn(alpha, m_d, delta_d)
     pairs = []
 
-    ts = [v for v in grid.unit_values() if v > TOL]
+    ts = [v for v in unit_grid(grid.m, grid.bounds) if v > TOL]
     for t1, t2 in itertools.combinations(ts, 2):
         pairs.append((Interval(0.0, t1), Interval(0.0, t2)))
     if full_grid_fallback:
@@ -367,19 +355,28 @@ def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
                     pairs.append((x1, x2))
 
     zero = Interval(0.0, 0.0)
-    for x1, x2 in pairs:
-        z1 = d(x1, zero)
-        z12 = d(x2, x1)
-        z2 = d(x2, zero)
-        lhs = add(IV_PLUS, z1, z12)
-        if abs(lhs.lower - z2.lower) > tol or abs(lhs.upper - z2.upper) > tol:
-            ka1, ka2 = k_alpha(x1, alpha), k_alpha(x2, alpha)
-            return TelescopingWitness(
-                x1=x1, x2=x2, lhs=lhs, rhs=z2,
-                a1=delta_fn(ka1, 0.0), a2=delta_fn(ka2, 0.0),
-                a12=delta_fn(ka1, ka2),
-                width_lhs=z1.width + z12.width, width_rhs=z2.width,
-            )
-    raise NoWitnessFound(
-        "no telescoping violation at this resolution; the grid may be too "
-        "coarse or the parameters outside the construction's hypotheses")
+
+    def cases():
+        for x1, x2 in pairs:
+            z1 = d(x1, zero)
+            z12 = d(x2, x1)
+            z2 = d(x2, zero)
+            lhs = add(IV_PLUS, z1, z12)
+            if abs(lhs.lower - z2.lower) > tol or abs(lhs.upper - z2.upper) > tol:
+                ka1, ka2 = k_alpha(x1, alpha), k_alpha(x2, alpha)
+                yield TelescopingWitness(
+                    x1=x1, x2=x2, lhs=lhs, rhs=z2,
+                    a1=delta_fn(ka1, 0.0), a2=delta_fn(ka2, 0.0),
+                    a12=delta_fn(ka1, ka2),
+                    width_lhs=z1.width + z12.width, width_rhs=z2.width,
+                )
+            else:
+                yield None
+
+    search = run_law("takac-telescoping", cases())
+    if search.passed:
+        raise NoWitnessFound(
+            "no telescoping violation at this resolution; the grid may be too "
+            "coarse or the parameters outside the construction's hypotheses",
+            search.checked, search.elapsed)
+    return replace(search.witness, checked=search.checked, elapsed=search.elapsed)

@@ -58,7 +58,13 @@ class ReconstructionOutOfK(ChoquetlikeError):
 
 
 class NoWitnessFound(ChoquetlikeError):
-    """Counterexample search exhausted its grid without a violation."""
+    """Counterexample search exhausted its grid without a violation; carries
+    the number of cases it searched and its time in seconds."""
+
+    def __init__(self, message, checked=0, elapsed=0.0):
+        super().__init__(message)
+        self.checked = checked
+        self.elapsed = elapsed
 
 
 class HypothesisViolated(ChoquetlikeError):

@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
-from time import perf_counter
 from typing import Union
 
 from .errors import BadParameter, KindMismatch
-from .reporting import GridSpec, LawReport, failed_report, passed_report
+from .reporting import GridSpec, LawReport, run_law
 
 TOL = 1e-12
 
@@ -421,36 +420,27 @@ def check_admissibility(order: AdmissibleOrder, grid: GridSpec) -> LawReport:
     (equal implies componentwise equality), and transitivity over all
     grid triples. Fails with the violating pair or triple.
     """
-    start = perf_counter()
     elems = grid_elements(grid)
-    checked = 0
 
-    for x, z in itertools.product(elems, repeat=2):
-        checked += 1
-        cxz = order.compare(x, z)
-        czx = order.compare(z, x)
-        if cxz != -czx:
-            return failed_report("admissibility", {
-                "violation": "totality", "x": x, "z": z,
-                "compare_xz": _WORD[cxz], "compare_zx": _WORD[czx],
-            }, checked, perf_counter() - start, order=order.spec_string())
-        if cxz == 0 and not elements_equal(x, z):
-            return failed_report("admissibility", {
-                "violation": "antisymmetry", "x": x, "z": z,
-            }, checked, perf_counter() - start, order=order.spec_string())
-        if partial_leq(x, z) and cxz > 0:
-            return failed_report("admissibility", {
-                "violation": "refinement", "x": x, "z": z,
-                "partial": "leq", "total": _WORD[cxz],
-            }, checked, perf_counter() - start, order=order.spec_string())
+    def cases():
+        for x, z in itertools.product(elems, repeat=2):
+            cxz = order.compare(x, z)
+            czx = order.compare(z, x)
+            if cxz != -czx:
+                yield {"violation": "totality", "x": x, "z": z,
+                       "compare_xz": _WORD[cxz], "compare_zx": _WORD[czx]}
+            elif cxz == 0 and not elements_equal(x, z):
+                yield {"violation": "antisymmetry", "x": x, "z": z}
+            elif partial_leq(x, z) and cxz > 0:
+                yield {"violation": "refinement", "x": x, "z": z,
+                       "partial": "leq", "total": _WORD[cxz]}
+            else:
+                yield None
+        for x, y, z in itertools.product(elems, repeat=3):
+            if order.compare(x, y) <= 0 and order.compare(y, z) <= 0 and order.compare(x, z) > 0:
+                yield {"violation": "transitivity", "x": x, "y": y, "z": z}
+            else:
+                yield None
 
-    for x, y, z in itertools.product(elems, repeat=3):
-        checked += 1
-        if order.compare(x, y) <= 0 and order.compare(y, z) <= 0 and order.compare(x, z) > 0:
-            return failed_report("admissibility", {
-                "violation": "transitivity", "x": x, "y": y, "z": z,
-            }, checked, perf_counter() - start, order=order.spec_string())
-
-    return passed_report("admissibility", checked, perf_counter() - start,
-                         order=order.spec_string(),
-                         note=f"no counterexample at resolution m={grid.m}")
+    return run_law("admissibility", cases(), order=order.spec_string(),
+                   note=f"no counterexample at resolution m={grid.m}")

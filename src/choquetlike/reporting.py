@@ -8,7 +8,8 @@ proof over the full carrier; reports carry that caveat in ``detail``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from time import perf_counter
+from typing import Any, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,6 @@ class GridSpec:
         lo, hi = self.bounds
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")
-
-    def unit_values(self) -> list[float]:
-        """Grid points of [0, 1] at resolution m, filtered by bounds."""
-        lo, hi = self.bounds
-        return [i / self.m for i in range(self.m + 1) if lo - 1e-12 <= i / self.m <= hi + 1e-12]
 
 
 @dataclass
@@ -98,3 +94,23 @@ def passed_report(law: str, checked: int, elapsed: float, **detail) -> LawReport
 def failed_report(law: str, witness: dict, checked: int, elapsed: float, **detail) -> LawReport:
     return LawReport(law=law, verdict="fail", witness=witness, checked=checked,
                      elapsed=elapsed, detail=detail)
+
+
+def run_law(law: str, cases: Iterable[Optional[dict]], **detail) -> LawReport:
+    """Run one law check over its case enumeration.
+
+    ``cases`` yields ``None`` for each case that holds and a witness for
+    a violation. The report counts the cases examined up to and including
+    the first witness, and times the whole run; the enumeration is not
+    advanced past that witness. A ``note`` in ``detail`` qualifies a pass
+    (no counterexample at this resolution), so a failing report leaves
+    it out.
+    """
+    start = perf_counter()
+    checked = 0
+    for witness in cases:
+        checked += 1
+        if witness is not None:
+            detail.pop("note", None)
+            return failed_report(law, witness, checked, perf_counter() - start, **detail)
+    return passed_report(law, checked, perf_counter() - start, **detail)

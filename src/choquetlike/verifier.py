@@ -33,7 +33,7 @@ from .order import (
     SCALAR, TOL, AdmissibleOrder, Scalar, ScalarUsual, elements_equal,
     grid_elements, one_element, unit_grid, zero_element,
 )
-from .reporting import GridSpec, LawReport, failed_report, passed_report
+from .reporting import GridSpec, LawReport, failed_report, passed_report, run_law
 
 _RESOLUTION_NOTE = "pass = no counterexample found at resolution m={m}"
 _CAPACITY_NOTE = ("operator-level sweep quantifies over a finite capacity "
@@ -53,6 +53,24 @@ def _require(pre: LawReport, what: str):
             f"(witness: {pre.witness})")
 
 
+def _tagged(cases, **tag):
+    """A sub-check's cases, with ``tag`` added to its witness."""
+    for witness in cases:
+        yield witness if witness is None else dict(witness, **tag)
+
+
+def _nondecreasing(order, chain, H, context):
+    """One case per chain element: H must not decrease along the chain."""
+    prev_x = prev_v = None
+    for x in chain:
+        v = H(x)
+        if prev_v is not None and order.compare(prev_v, v) > 0:
+            yield dict(context, x=prev_x, x_next=x, value=prev_v, value_next=v)
+        else:
+            yield None
+        prev_x, prev_v = x, v
+
+
 # ---------------------------------------------------------------------------
 # Well-definedness
 # ---------------------------------------------------------------------------
@@ -66,68 +84,47 @@ def check_wd(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
     L(x1, x2, b1, c) + L(x1, x1, c, b2) over the appropriate (x, b)
     ranges; the ranges depend on whether n is 2, 3, or at least 4.
     """
+    return run_law("wd", _wd_cases(kernel, addop, order, n, grid), n=n,
+                   kernel=kernel.name, note=_RESOLUTION_NOTE.format(m=grid.m))
+
+
+def _wd_cases(kernel, addop, order, n, grid):
     if n < 2:
         raise BadParameter("well-definedness is defined for n >= 2")
     _require(check_cancellation(addop, grid), "addition cancellation")
-    start = perf_counter()
     elems = order.sort(grid_elements(grid))
     coeffs = unit_grid(grid.m)
     zero, _ = _bounds(grid)
-    checked = 0
 
     def constant_in_c(x1, x2, b1, b2, cs):
-        nonlocal checked
         base = None
         base_c = None
         for c in cs:
-            checked += 1
             val = add(addop, kernel.evaluate(x1, x2, b1, c),
                       kernel.evaluate(x1, x1, c, b2))
             if base is None:
                 base, base_c = val, c
-            elif not elements_equal(val, base):
-                return {"x1": x1, "x2": x2, "b1": b1, "b2": b2,
-                        "c": base_c, "value_at_c": base,
-                        "c_other": c, "value_at_c_other": val}
-        return None
+            yield None if elements_equal(val, base) else {
+                "x1": x1, "x2": x2, "b1": b1, "b2": b2,
+                "c": base_c, "value_at_c": base,
+                "c_other": c, "value_at_c_other": val}
 
-    def fail(witness):
-        return failed_report("wd", witness, checked, perf_counter() - start,
-                             n=n, kernel=kernel.name)
-
-    if n == 2:
+    if n <= 3:
+        # x against the least element over c >= b; the n = 2 regime pins b = 0.
         for x in elems:
-            w = constant_in_c(x, zero, 1.0, 0.0, coeffs)
-            if w:
-                return fail(w)
-    elif n == 3:
-        for x in elems:
-            for b in coeffs:
-                w = constant_in_c(x, zero, 1.0, b, [c for c in coeffs if c >= b - TOL])
-                if w:
-                    return fail(w)
-        for i, x2 in enumerate(elems):
-            for x1 in elems[i:]:  # x2 <= x1 under the order
-                for b in coeffs:
-                    w = constant_in_c(x1, x2, b, 0.0,
-                                      [c for c in coeffs if c <= b + TOL])
-                    if w:
-                        return fail(w)
-    else:
+            for b in [0.0] if n == 2 else coeffs:
+                yield from constant_in_c(x, zero, 1.0, b,
+                                         [c for c in coeffs if c >= b - TOL])
+    if n >= 3:
+        # x2 <= x1 over b2 <= c <= b1; the n = 3 regime pins b2 = 0.
         for i, x2 in enumerate(elems):
             for x1 in elems[i:]:
-                for b2 in coeffs:
+                for b2 in [0.0] if n == 3 else coeffs:
                     for b1 in coeffs:
                         if b1 < b2 - TOL:
                             continue
                         cs = [c for c in coeffs if b2 - TOL <= c <= b1 + TOL]
-                        w = constant_in_c(x1, x2, b1, b2, cs)
-                        if w:
-                            return fail(w)
-
-    return passed_report("wd", checked, perf_counter() - start, n=n,
-                         kernel=kernel.name,
-                         note=_RESOLUTION_NOTE.format(m=grid.m))
+                        yield from constant_in_c(x1, x2, b1, b2, cs)
 
 
 # ---------------------------------------------------------------------------
@@ -145,110 +142,57 @@ def check_monotonicity(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrde
     chain is checked on consecutive pairs, which is equivalent by
     transitivity.
     """
+    return run_law("monotonicity", _monotonicity_cases(kernel, addop, order, n, grid),
+                   n=n, kernel=kernel.name, note=_RESOLUTION_NOTE.format(m=grid.m))
+
+
+def _monotonicity_cases(kernel, addop, order, n, grid):
     if n < 2:
         raise BadParameter("monotonicity is defined for n >= 2")
     _require(check_compatibility(addop, order, True, grid), "strict compatibility")
-    start = perf_counter()
+    yield from _tagged(_wd_cases(kernel, addop, order, n, grid), condition="a:wd")
     elems = order.sort(grid_elements(grid))
     coeffs = unit_grid(grid.m)
-    zero, one = _bounds(grid)
-    checked = 0
+    zero, _ = _bounds(grid)
 
-    wd = check_wd(kernel, addop, order, n, grid)
-    checked += wd.checked
-    if not wd.passed:
-        return failed_report("monotonicity", dict(wd.witness, condition="a:wd"),
-                             checked, perf_counter() - start, n=n, kernel=kernel.name)
-
-    def nondecreasing(chain, H, context):
-        nonlocal checked
-        prev_x = prev_v = None
-        for x in chain:
-            v = H(x)
-            checked += 1
-            if prev_v is not None and order.compare(prev_v, v) > 0:
-                return dict(context, x=prev_x, x_next=x,
-                            value=prev_v, value_next=v)
-            prev_x, prev_v = x, v
-        return None
-
-    def scan_upper_tail():
-        # x in [u, 1] |-> L(x, u, b, 0): the common final condition.
-        for i, u in enumerate(elems):
-            for b in coeffs:
-                w = nondecreasing(
-                    elems[i:], lambda x: kernel.evaluate(x, u, b, 0.0),
-                    {"condition": "upper-tail", "u": u, "b": b})
-                if w:
-                    return w
-        return None
-
-    witness = None
-    if n == 2:
+    if n <= 3:
+        # x in [0, v] |-> L(x, 0, 1, b1) + L(v, x, b1, b2); the n = 2 regime
+        # pins b2 = 0.
+        weights = ([(b, 0.0) for b in coeffs] if n == 2
+                   else [(b1, b2) for b2, b1 in _weight_pairs(coeffs)])
         for j, v in enumerate(elems):
-            for b in coeffs:
-                witness = nondecreasing(
-                    elems[:j + 1],
-                    lambda x: add(addop, kernel.evaluate(x, zero, 1.0, b),
-                                  kernel.evaluate(v, x, b, 0.0)),
-                    {"condition": "b:lower-pair", "v": v, "b": b})
-                if witness:
-                    break
-            if witness:
-                break
-        witness = witness or scan_upper_tail()
-    elif n == 3:
-        for j, v in enumerate(elems):
-            for b2, b1 in _weight_pairs(coeffs):
-                witness = nondecreasing(
-                    elems[:j + 1],
+            for b1, b2 in weights:
+                named = {"b": b1} if n == 2 else {"b1": b1, "b2": b2}
+                yield from _nondecreasing(
+                    order, elems[:j + 1],
                     lambda x: add(addop, kernel.evaluate(x, zero, 1.0, b1),
                                   kernel.evaluate(v, x, b1, b2)),
-                    {"condition": "b:lower-pair", "v": v, "b1": b1, "b2": b2})
-                if witness:
-                    break
-            if witness:
-                break
-        if not witness:
-            witness = _scan_inner_pairs(elems, coeffs, order, addop, kernel,
-                                        nondecreasing, final_b3=True)
-        witness = witness or scan_upper_tail()
-    else:
-        witness = _scan_inner_pairs(elems, coeffs, order, addop, kernel,
-                                    nondecreasing, final_b3=False)
-        witness = witness or scan_upper_tail()
-
-    if witness:
-        return failed_report("monotonicity", witness, checked,
-                             perf_counter() - start, n=n, kernel=kernel.name)
-    return passed_report("monotonicity", checked, perf_counter() - start, n=n,
-                         kernel=kernel.name,
-                         note=_RESOLUTION_NOTE.format(m=grid.m))
+                    {"condition": "b:lower-pair", "v": v, **named})
+    if n >= 3:
+        # x in [u, v] |-> L(x, u, b1, b2) + L(v, x, b2, b3), over u <= v and
+        # non-increasing weight chains; the n = 3 regime pins b3 = 0.
+        for i, u in enumerate(elems):
+            for j in range(i, len(elems)):
+                v = elems[j]
+                for b2, b1 in _weight_pairs(coeffs):
+                    b3s = [0.0] if n == 3 else [b for b in coeffs if b <= b2 + TOL]
+                    for b3 in b3s:
+                        yield from _nondecreasing(
+                            order, elems[i:j + 1],
+                            lambda x: add(addop, kernel.evaluate(x, u, b1, b2),
+                                          kernel.evaluate(v, x, b2, b3)),
+                            {"condition": "inner-pair", "u": u, "v": v,
+                             "b1": b1, "b2": b2, "b3": b3})
+    # x in [u, 1] |-> L(x, u, b, 0): the common final condition.
+    for i, u in enumerate(elems):
+        for b in coeffs:
+            yield from _nondecreasing(
+                order, elems[i:], lambda x: kernel.evaluate(x, u, b, 0.0),
+                {"condition": "upper-tail", "u": u, "b": b})
 
 
 def _weight_pairs(coeffs):
     return [(b2, b1) for b2 in coeffs for b1 in coeffs if b1 >= b2 - TOL]
-
-
-def _scan_inner_pairs(elems, coeffs, order, addop, kernel, nondecreasing, final_b3):
-    """x in [u, v] |-> L(x, u, b1, b2) + L(v, x, b2, b3), over u <= v and
-    non-increasing weight chains; the n = 3 regime pins b3 = 0."""
-    for i, u in enumerate(elems):
-        for j in range(i, len(elems)):
-            v = elems[j]
-            chain = elems[i:j + 1]
-            for b2, b1 in _weight_pairs(coeffs):
-                b3s = [0.0] if final_b3 else [b for b in coeffs if b <= b2 + TOL]
-                for b3 in b3s:
-                    w = nondecreasing(
-                        chain,
-                        lambda x: add(addop, kernel.evaluate(x, u, b1, b2),
-                                      kernel.evaluate(v, x, b2, b3)),
-                        {"condition": "inner-pair", "u": u, "v": v,
-                         "b1": b1, "b2": b2, "b3": b3})
-                    if w:
-                        return w
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -260,39 +204,29 @@ def check_aggregation(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder
     """Aggregation-function characterization: monotonicity plus the two
     boundary sums over all non-increasing weight chains pinned at
     b1 = 1 and b_{n+1} = 0."""
-    start = perf_counter()
-    mono = check_monotonicity(kernel, addop, order, n, grid)
-    checked = mono.checked
-    if not mono.passed:
-        return failed_report("aggregation",
-                             dict(mono.witness, failed_condition="monotonicity"),
-                             checked, perf_counter() - start, n=n, kernel=kernel.name)
-
-    coeffs = unit_grid(grid.m)
     zero, one = _bounds(grid)
-    for mids in itertools.combinations_with_replacement(sorted(coeffs, reverse=True),
-                                                        n - 1):
-        b = (1.0,) + mids + (0.0,)
-        checked += 2
-        zsum = fold_add(addop, [kernel.evaluate(zero, zero, b[i], b[i + 1])
-                                for i in range(n)])
-        if not elements_equal(zsum, zero):
-            return failed_report("aggregation", {
-                "failed_condition": "zero-boundary", "b_chain": list(b),
-                "value": zsum, "expected": zero,
-            }, checked, perf_counter() - start, n=n, kernel=kernel.name)
-        terms = [kernel.evaluate(one, zero, b[0], b[1])]
-        terms += [kernel.evaluate(one, one, b[i], b[i + 1]) for i in range(1, n)]
-        osum = fold_add(addop, terms)
-        if not elements_equal(osum, one):
-            return failed_report("aggregation", {
-                "failed_condition": "one-boundary", "b_chain": list(b),
-                "value": osum, "expected": one,
-            }, checked, perf_counter() - start, n=n, kernel=kernel.name)
 
-    return passed_report("aggregation", checked, perf_counter() - start, n=n,
-                         kernel=kernel.name,
-                         note=_RESOLUTION_NOTE.format(m=grid.m))
+    def cases():
+        yield from _tagged(_monotonicity_cases(kernel, addop, order, n, grid),
+                           failed_condition="monotonicity")
+        coeffs = unit_grid(grid.m)
+        for mids in itertools.combinations_with_replacement(
+                sorted(coeffs, reverse=True), n - 1):
+            b = (1.0,) + mids + (0.0,)
+            zsum = fold_add(addop, [kernel.evaluate(zero, zero, b[i], b[i + 1])
+                                    for i in range(n)])
+            yield None if elements_equal(zsum, zero) else {
+                "failed_condition": "zero-boundary", "b_chain": list(b),
+                "value": zsum, "expected": zero}
+            terms = [kernel.evaluate(one, zero, b[0], b[1])]
+            terms += [kernel.evaluate(one, one, b[i], b[i + 1]) for i in range(1, n)]
+            osum = fold_add(addop, terms)
+            yield None if elements_equal(osum, one) else {
+                "failed_condition": "one-boundary", "b_chain": list(b),
+                "value": osum, "expected": one}
+
+    return run_law("aggregation", cases(), n=n, kernel=kernel.name,
+                   note=_RESOLUTION_NOTE.format(m=grid.m))
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +248,20 @@ def check_delta_decomposition(delta, grid: GridSpec) -> LawReport:
     if not pre.passed:
         raise HypothesisViolated(
             f"delta {name!r} is not a scalar dissimilarity: {pre.witness}")
-    start = perf_counter()
     coeffs = unit_grid(grid.m)
-    checked = 0
-    for b2 in coeffs:
-        for b1 in coeffs:
-            if b1 < b2 - TOL:
-                continue
-            checked += 1
-            lhs = delta_fn(b1, b2)
-            rhs = delta_fn(b1, 0.0) - delta_fn(b2, 0.0)
-            if abs(lhs - rhs) > TOL:
-                return failed_report("delta-decomposition", {
-                    "b1": b1, "b2": b2, "lhs": lhs, "rhs": rhs,
-                }, checked, perf_counter() - start, delta=name)
-    return passed_report("delta-decomposition", checked, perf_counter() - start,
-                         delta=name, note=_RESOLUTION_NOTE.format(m=grid.m))
+
+    def cases():
+        for b2 in coeffs:
+            for b1 in coeffs:
+                if b1 < b2 - TOL:
+                    continue
+                lhs = delta_fn(b1, b2)
+                rhs = delta_fn(b1, 0.0) - delta_fn(b2, 0.0)
+                yield None if abs(lhs - rhs) <= TOL else {
+                    "b1": b1, "b2": b2, "lhs": lhs, "rhs": rhs}
+
+    return run_law("delta-decomposition", cases(), delta=name,
+                   note=_RESOLUTION_NOTE.format(m=grid.m))
 
 
 def check_jensen_f(F, addop: AdditionOp, grid: GridSpec,
@@ -343,63 +275,40 @@ def check_jensen_f(F, addop: AdditionOp, grid: GridSpec,
     x -> F(x, b) (needs ``order``), a vanishing least element, and the
     n-term greatest-element sum over weight tuples summing to one.
     """
-    start = perf_counter()
     elems = grid_elements(grid)
     coeffs = unit_grid(grid.m)
     zero, one = _bounds(grid)
-    checked = 0
 
-    for x in elems:
-        for a, b in itertools.combinations_with_replacement(coeffs, 2):
-            mid = 0.5 * (a + b)
-            if min(abs(mid - c) for c in coeffs) > TOL:
-                continue
-            checked += 1
-            lhs = add(addop, F(x, a), F(x, b))
-            rhs = add(addop, F(x, mid), F(x, mid))
-            if not elements_equal(lhs, rhs):
-                return failed_report("jensen-f", {
+    def cases():
+        for x in elems:
+            for a, b in itertools.combinations_with_replacement(coeffs, 2):
+                mid = 0.5 * (a + b)
+                if min(abs(mid - c) for c in coeffs) > TOL:
+                    continue
+                lhs = add(addop, F(x, a), F(x, b))
+                rhs = add(addop, F(x, mid), F(x, mid))
+                yield None if elements_equal(lhs, rhs) else {
                     "failed_condition": "midpoint", "x": x, "a": a, "b": b,
-                    "lhs": lhs, "rhs": rhs,
-                }, checked, perf_counter() - start)
-
-    if order is not None:
-        ordered = order.sort(elems)
+                    "lhs": lhs, "rhs": rhs}
+        if order is not None:
+            ordered = order.sort(elems)
+            for b in coeffs:
+                yield from _nondecreasing(order, ordered, lambda x: F(x, b),
+                                          {"failed_condition": "monotone-in-x", "b": b})
         for b in coeffs:
-            prev = None
-            for x in ordered:
-                checked += 1
-                v = F(x, b)
-                if prev is not None and order.compare(prev[1], v) > 0:
-                    return failed_report("jensen-f", {
-                        "failed_condition": "monotone-in-x", "b": b,
-                        "x": prev[0], "x_next": x,
-                        "value": prev[1], "value_next": v,
-                    }, checked, perf_counter() - start)
-                prev = (x, v)
+            v = F(zero, b)
+            yield None if elements_equal(v, zero) else {
+                "failed_condition": "zero-boundary", "b": b, "value": v}
+        scaled = [round(c * grid.m) for c in coeffs]
+        for combo in itertools.combinations_with_replacement(scaled, n):
+            if sum(combo) != grid.m:
+                continue
+            bs = [c / grid.m for c in combo]
+            total = fold_add(addop, [F(one, b) for b in bs])
+            yield None if elements_equal(total, one) else {
+                "failed_condition": "one-boundary", "b_tuple": bs, "value": total}
 
-    for b in coeffs:
-        checked += 1
-        v = F(zero, b)
-        if not elements_equal(v, zero):
-            return failed_report("jensen-f", {
-                "failed_condition": "zero-boundary", "b": b, "value": v,
-            }, checked, perf_counter() - start)
-
-    scaled = [round(c * grid.m) for c in coeffs]
-    for combo in itertools.combinations_with_replacement(scaled, n):
-        if sum(combo) != grid.m:
-            continue
-        bs = [c / grid.m for c in combo]
-        checked += 1
-        total = fold_add(addop, [F(one, b) for b in bs])
-        if not elements_equal(total, one):
-            return failed_report("jensen-f", {
-                "failed_condition": "one-boundary", "b_tuple": bs, "value": total,
-            }, checked, perf_counter() - start, n=n)
-
-    return passed_report("jensen-f", checked, perf_counter() - start, n=n,
-                         note=_RESOLUTION_NOTE.format(m=grid.m))
+    return run_law("jensen-f", cases(), n=n, note=_RESOLUTION_NOTE.format(m=grid.m))
 
 
 # ---------------------------------------------------------------------------

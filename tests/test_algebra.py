@@ -84,6 +84,24 @@ class TestCompatibility:
         assert not ScalarUsual().lt(w["lhs"], w["rhs"])
 
 
+    def test_lemma_break_raises_and_weak_fails(self):
+        class Coarse(ScalarUsual):
+            """Calls every value up to 0.5 equal: not antisymmetric."""
+
+            def compare(self, x, z):
+                if x.value <= 0.5 and z.value <= 0.5:
+                    return 0
+                return super().compare(x, z)
+
+        # Strict compatibility holds, weak does not: the first lemma breaks.
+        with pytest.raises(RuntimeError):
+            check_compatibility(PLUS, Coarse(), True, SG)
+        report = check_compatibility(PLUS, Coarse(), False, SG)
+        assert not report.passed
+        w = report.witness
+        assert (w["x1"], w["x2"], w["v"]) == (Scalar(0.25), Scalar(0.0), Scalar(0.5))
+
+
 class TestDistributivity:
     @pytest.mark.parametrize("mul,addop,grid", [
         (TIMES, PLUS, SG), (IV_SCALE, IV_PLUS, IG), (VV_SCALE, VV_PLUS, VG)])

@@ -1,6 +1,7 @@
 """Dataset round-trips and the command-line front end."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +134,20 @@ class TestAggregateCommand:
         assert "error" in json.loads(capsys.readouterr().err)
 
 
+    @pytest.mark.parametrize("capacity", [
+        {"n": 2, "entries": [1, 2]},
+        {"n": 2, "entries": [{"subset": 1, "value": 0.5}]},
+        [{"n": 2, "kind": "cardinality"}],
+    ])
+    def test_malformed_capacity_exit_one(self, scalar_files, capsys, capacity):
+        data, cap, out = scalar_files
+        cap.write_text(json.dumps(capacity))
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "BadParameter"
+
+
 class TestVerifyCommand:
     def test_order_suite_passes(self, tmp_path):
         out = tmp_path / "order.json"
@@ -157,6 +172,19 @@ class TestVerifyCommand:
         assert reports[0]["verdict"] == "fail"
         assert reports[0]["witness"]["x1"] is not None
 
+    def test_takac_suite_counts_its_search(self, tmp_path):
+        out = tmp_path / "takac.json"
+        main(["verify", "--suite", "appendix-c", "--output", str(out)])
+        report = json.loads(out.read_text())[0]
+        assert report["checked"] > 0 and report["elapsed"] >= 0.0
+
+    def test_non_object_config_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        code = main(["verify", "--suite", "order", "--config", str(cfg)])
+        assert code == 1
+        assert "error" in json.loads(capsys.readouterr().err)
+
     def test_dissimilarity_suite(self, tmp_path):
         out = tmp_path / "dis.json"
         code = main(["verify", "--suite", "dissimilarity", "--grid", "4",
@@ -176,6 +204,19 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "appendix-c", "--config", str(cfg),
                      "--output", str(out)])
         assert code == 3
+
+    def test_all_suites_match_snapshot(self, tmp_path):
+        """Every report of ``verify --suite all --grid 2`` but its elapsed
+        time, key order included, against the stored snapshot."""
+        out = tmp_path / "all.json"
+        code = main(["verify", "--suite", "all", "--grid", "2",
+                     "--output", str(out)])
+        assert code == 3
+        reports = json.loads(out.read_text())
+        for rec in reports:
+            assert rec.pop("elapsed") >= 0.0
+        snapshot = Path(__file__).parent / "data" / "verify_all_grid2.json"
+        assert json.dumps(reports) == json.dumps(json.loads(snapshot.read_text()))
 
     def test_csv_report_format(self, tmp_path):
         out = tmp_path / "order.csv"

@@ -191,6 +191,15 @@ class TestCounterexampleSearch:
             takac_counterexample(0.5, 1.0, "max", "abs-diff",
                                  GridSpec("interval", 8), full_grid_fallback=False)
 
+    def test_search_counts_the_pairs_it_examined(self):
+        grid = GridSpec("interval", 8)
+        with pytest.raises(NoWitnessFound) as exc:
+            takac_counterexample(0.5, 1.0, "max", "abs-diff", grid,
+                                 full_grid_fallback=False)
+        assert exc.value.checked == 28  # every [0, t1], [0, t2] pair, t1 < t2
+        w = takac_counterexample(0.5, 1.0, "max", "abs-diff", grid)
+        assert w.checked > 28 and w.elapsed > 0.0  # the witness is past the family
+
     def test_min_pairing_fails_already_on_the_family(self):
         w = takac_counterexample(0.5, 1.0, "min", "abs-diff",
                                  GridSpec("interval", 8), full_grid_fallback=False)

@@ -12,6 +12,7 @@ from choquetlike import (
     check_wd, classical_kernel, elements_equal, grid_elements,
     kernel_catalog, oracle_crosscheck, scale, scale_for, zero_element,
 )
+from choquetlike.reporting import run_law
 
 XU = AlphaBeta(0.5, 1.0)
 SG = GridSpec("scalar", 4)
@@ -210,3 +211,25 @@ class TestReports:
     def test_pass_reports_carry_resolution_note(self):
         report = check_wd(classical_kernel("scalar"), PLUS, ScalarUsual(), 2, SG)
         assert "resolution" in report.detail["note"]
+
+
+class TestRunLaw:
+    def test_stops_at_the_first_witness_and_counts_it(self):
+        drawn = []
+
+        def cases():
+            for i in range(5):
+                drawn.append(i)
+                yield {"i": i} if i == 2 else None
+
+        report = run_law("demo", cases(), op="x", note="pass only")
+        assert not report.passed and report.witness == {"i": 2}
+        assert report.checked == 3
+        assert drawn == [0, 1, 2]  # never advanced past the witness
+        assert report.detail == {"op": "x"}
+
+    def test_passing_run_counts_every_case_and_keeps_detail_order(self):
+        report = run_law("demo", iter([None] * 4), b=1, a=2, note="n")
+        assert report.passed and report.witness is None
+        assert report.checked == 4 and report.elapsed >= 0.0
+        assert list(report.detail.items()) == [("b", 1), ("a", 2), ("note", "n")]
