@@ -10,7 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BadBoundary, BadParameter, MissingSubset, NotMonotone
+from .errors import (
+    BadBoundary, BadParameter, MissingSubset, NotMonotone, json_number,
+)
 
 MAX_N = 24
 _TOL = 1e-12
@@ -76,7 +78,7 @@ class Capacity:
         if not isinstance(obj, dict):
             raise BadParameter(f"a capacity is a JSON object, got {type(obj).__name__}")
         kind = obj.get("kind", "table")
-        n = int(obj["n"])
+        n = json_number(obj, "n", integral=True)
         if kind == "table":
             entries = [_table_entry(e) for e in obj["entries"]]
             return capacity_from_table(n, entries,
@@ -178,19 +180,19 @@ def capacity_family(kind: str, n: int, **params) -> Capacity:
     if kind == "cardinality":
         return Capacity(n, tuple(bin(m).count("1") / n for m in range(size)))
     if kind == "dirac":
-        i = int(params.get("i", 0))
+        i = json_number(params, "i", 0, integral=True)
         if not 1 <= i <= n:
             raise BadParameter(f"dirac index must lie in 1..{n}, got {i}")
         bit = 1 << (i - 1)
         return Capacity(n, tuple(1.0 if m & bit else 0.0 for m in range(size)))
     if kind == "top":
-        k = int(params.get("k", 0))
+        k = json_number(params, "k", 0, integral=True)
         if not 1 <= k <= n:
             raise BadParameter(f"top threshold must lie in 1..{n}, got {k}")
         return Capacity(n, tuple(1.0 if bin(m).count("1") >= k else 0.0
                                  for m in range(size)))
     if kind == "uniform-random":
-        seed = int(params.get("seed", 42))
+        seed = json_number(params, "seed", 42, integral=True)
         rng = random.Random(seed)
         raw = [rng.random() for _ in range(size)]
         mono = [0.0] * size

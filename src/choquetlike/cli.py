@@ -26,7 +26,7 @@ from .dissimilarity import (
     check_dissimilarity, check_telescoping, resolve_dissimilarity,
     takac_counterexample,
 )
-from .errors import BadParameter, ChoquetlikeError, NoWitnessFound
+from .errors import BadParameter, ChoquetlikeError, NoWitnessFound, json_number
 from .operator import AggregationInput, choquet_aggregate, kernel_catalog
 from .order import (
     INTERVAL, SCALAR, VECTOR, AlphaBeta, ScalarUsual, VectorLex,
@@ -49,8 +49,6 @@ def main(argv=None) -> int:
     agg.add_argument("--kernel", default="delta-scale",
                      help="kernel family name or JSON spec")
     agg.add_argument("--add", default=None, help="addition op name")
-    agg.add_argument("--seed", type=int, default=42,
-                     help="seed for permutation sampling on heavily tied rows")
     agg.add_argument("--output", default=None)
     agg.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -95,8 +93,7 @@ def cmd_aggregate(args) -> int:
     results = []
     any_inconsistent = False
     for row_id, row in zip(ds.row_ids(), ds.rows):
-        res = choquet_aggregate(AggregationInput(row, mu, order, addop), kernel,
-                                sample_seed=args.seed)
+        res = choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
         any_inconsistent |= not res.consistent
         results.append({
             "id": row_id,
@@ -131,6 +128,8 @@ def cmd_verify(args) -> int:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise BadParameter(f"a config is a JSON object, got {type(config).__name__}")
+        config.update({key: json_number(config, key, integral=key in ("grid", "n"))
+                       for key in ("grid", "n", "alpha", "beta") if key in config})
     if args.grid is not None:
         config["grid"] = args.grid
     config.setdefault("seed", args.seed)
@@ -170,8 +169,8 @@ def _write(path, text):
 
 
 def _grid(config, kind, default_m, n=None, dim=2):
-    m = int(config.get("grid", default_m))
-    return GridSpec(kind, m, n=n or int(config.get("n", 3)), dim=dim)
+    m = config.get("grid", default_m)
+    return GridSpec(kind, m, n=n or config.get("n", 3), dim=dim)
 
 
 def _carriers(config):
@@ -184,7 +183,7 @@ def _carriers(config):
 
 
 def suite_order(config) -> list[LawReport]:
-    m = int(config.get("grid", 4))
+    m = config.get("grid", 4)
     checks = [
         (ScalarUsual(), GridSpec(SCALAR, max(m, 8))),
         (AlphaBeta(0.5, 1.0), GridSpec(INTERVAL, m)),
@@ -196,7 +195,7 @@ def suite_order(config) -> list[LawReport]:
 
 
 def suite_algebra(config) -> list[LawReport]:
-    m = int(config.get("grid", 4))
+    m = config.get("grid", 4)
     reports = []
     for order, addop, mul, grid in [
         (ScalarUsual(), PLUS, TIMES, GridSpec(SCALAR, max(m, 8))),
@@ -227,19 +226,19 @@ def _good_kernels(config):
 
 
 def suite_wd(config) -> list[LawReport]:
-    n = int(config.get("n", 3))
+    n = config.get("n", 3)
     return [verifier.check_wd(kernel, addop, order, n, grid)
             for kernel, addop, order, grid in _good_kernels(config)]
 
 
 def suite_monotone(config) -> list[LawReport]:
-    n = int(config.get("n", 3))
+    n = config.get("n", 3)
     return [verifier.check_monotonicity(kernel, addop, order, n, grid)
             for kernel, addop, order, grid in _good_kernels(config)]
 
 
 def suite_aggregation(config) -> list[LawReport]:
-    n = int(config.get("n", 3))
+    n = config.get("n", 3)
     reports = []
     for order, addop, grid in _carriers(config):
         kernel = kernel_catalog("delta-scale", grid.kind, order)
@@ -255,8 +254,8 @@ def suite_aggregation(config) -> list[LawReport]:
 
 def suite_dissimilarity(config) -> list[LawReport]:
     reports = []
-    scalar_grid = GridSpec(SCALAR, int(config.get("grid", 8)))
-    iv_grid = GridSpec(INTERVAL, int(config.get("grid", 4)))
+    scalar_grid = GridSpec(SCALAR, config.get("grid", 8))
+    iv_grid = GridSpec(INTERVAL, config.get("grid", 4))
     xu = AlphaBeta(0.5, 1.0)
     d_scalar = resolve_dissimilarity("abs-diff", SCALAR)
     d_iv = resolve_dissimilarity("abs-diff", INTERVAL, xu)
@@ -273,11 +272,11 @@ def suite_takac(config) -> list[LawReport]:
     The telescoping identity is expected to fail here; the suite reports
     the witness as a failing law, so this suite deliberately exits 3.
     """
-    alpha = float(config.get("alpha", 0.5))
-    beta = float(config.get("beta", 1.0))
+    alpha = config.get("alpha", 0.5)
+    beta = config.get("beta", 1.0)
     m_d = config.get("Md", "max")
     delta_d = config.get("delta_d", "abs-diff")
-    grid = GridSpec(INTERVAL, int(config.get("grid", 8)))
+    grid = GridSpec(INTERVAL, config.get("grid", 8))
     try:
         witness = takac_counterexample(alpha, beta, m_d, delta_d, grid)
         report = LawReport(

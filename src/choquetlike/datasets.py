@@ -31,13 +31,16 @@ class Dataset:
             raise DatasetFormatError("dataset has no rows")
         n = len(self.rows[0])
         dim = dim_of(self.rows[0][0])
-        for row in self.rows:
+        for r, row in enumerate(self.rows):
             if len(row) != n:
                 raise DatasetFormatError("rows have differing arity")
-            for el in row:
+            for c, el in enumerate(row):
                 if el.kind != self.kind or dim_of(el) != dim:
                     raise DatasetFormatError(
                         "row element does not match the dataset carrier")
+                if not el.in_unit:
+                    raise DatasetFormatError(
+                        f"row {r}, column {c} (0-based): {el!r} lies outside [0, 1]")
         if self.ids is not None and len(self.ids) != len(self.rows):
             raise DatasetFormatError("ids do not match the number of rows")
 

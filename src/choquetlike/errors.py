@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that turns a
+wrongly typed JSON number into one of them."""
 
 
 class ChoquetlikeError(Exception):
@@ -38,7 +39,8 @@ class NotAdmissiblePermutation(ChoquetlikeError):
 
 
 class TooManyTies(ChoquetlikeError):
-    """Admissible-permutation set too large to materialize."""
+    """Admissible-permutation set too large to materialize, or a tie group
+    too large to decide consistency over."""
 
 
 class UnknownKernel(ChoquetlikeError):
@@ -78,3 +80,14 @@ class OracleDisagreement(ChoquetlikeError):
 
 class DatasetFormatError(ChoquetlikeError):
     """Dataset file failed to parse or validate."""
+
+
+def json_number(obj: dict, key: str, default=None, integral: bool = False):
+    """``obj[key]``, or ``default`` when absent, as an int if ``integral``
+    and as a float otherwise. Any other JSON value raises ``BadParameter``."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            integral and isinstance(value, float) and not value.is_integer()):
+        raise BadParameter(f"{key!r} must be {'an integer' if integral else 'a number'}, "
+                           f"got {value!r}")
+    return int(value) if integral else float(value)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Callable, Optional
@@ -37,7 +36,7 @@ from .order import (
 )
 
 MAX_MATERIALIZED_PERMUTATIONS = 10_000
-CONSISTENCY_SAMPLES = 1_000
+MAX_TIE_GROUP = 16
 
 GENERAL, CI, CII = "general", "ci", "cii"
 
@@ -155,18 +154,6 @@ class PermutationSet:
                 f"{self.count} admissible permutations exceed the limit {limit}")
         return list(self)
 
-    def sample(self, k: int, seed: int) -> list[tuple[int, ...]]:
-        rng = random.Random(seed)
-        out = []
-        for _ in range(k):
-            parts = []
-            for g in self.groups:
-                g = list(g)
-                rng.shuffle(g)
-                parts.extend(g)
-            out.append(tuple(parts))
-        return out
-
 
 def _order_sort(X, order: AdmissibleOrder) -> list[int]:
     # Indices sorted by the comparator, ties broken by original position.
@@ -183,7 +170,7 @@ def admissible_permutations(X, order: AdmissibleOrder) -> list[tuple[int, ...]]:
     """All 0-based permutations sigma with X[sigma[0]] <= ... <= X[sigma[-1]].
 
     Never empty. Materialization refuses above 10,000 permutations
-    (``TooManyTies``); use :class:`PermutationSet` to stream or sample.
+    (``TooManyTies``); use :class:`PermutationSet` to stream them.
     """
     return PermutationSet(X, order).materialize()
 
@@ -203,13 +190,13 @@ class AggregateResult:
     """Operator value plus the consistency report across admissible
     permutations. ``value`` always comes from the lexicographically first
     permutation so downstream tooling has a number to display;
-    ``consistent`` is the authoritative flag."""
+    ``consistent`` is the authoritative flag, decided exactly. ``checked``
+    counts the candidate permutations drawn; a row without ties has one."""
 
     value: Element
     consistent: bool
     in_unit: bool
     permutations: int
-    sampled: bool
     checked: int
     witness: Optional[dict] = None
 
@@ -246,24 +233,52 @@ def _eval_sorted(inp: AggregationInput, kernel: KernelL, sigma) -> Element:
     return acc
 
 
-def choquet_aggregate(inp: AggregationInput, kernel: KernelL,
-                      sample_seed: int = 42) -> AggregateResult:
-    """Evaluate over every admissible permutation and report consistency.
+def _tie_candidates(inp: AggregationInput, kernel: KernelL, perms: PermutationSet):
+    """Admissible permutations reaching every distinct value, by a walk over
+    the states of each tie group in ``first()`` order. A state (the inputs
+    placed so far) fixes the tail weights ahead, so it keeps one prefix per
+    distinct partial sum. The first time a state holds two, both are
+    completed in ``first()`` order and yielded at once (the addition may
+    still merge them); at the end, one prefix per distinct full value."""
+    X, first, full = inp.X, perms.first(), (1 << inp.n) - 1
+    values = (0.0,) + inp.mu.values[1:]  # the empty tail weighs 0, as in tail_values
+    states = {0: [((), None)]}  # placed mask -> [(prefix, partial sum)]
+    split = False
+    for group in perms.groups:
+        for _ in group:
+            reached = {}
+            for mask, entries in states.items():
+                for j in (j for j in group if not mask >> j & 1):
+                    b1, b2 = values[full & ~mask], values[full & ~(mask | 1 << j)]
+                    kept = reached.setdefault(mask | 1 << j, [])
+                    for prefix, acc in entries:
+                        prev = X[prefix[-1]] if prefix else inp.zero
+                        term = kernel.evaluate(X[j], prev, b1, b2)
+                        acc = term if acc is None else add(inp.addop, acc, term)
+                        if not any(elements_equal(acc, other) for _, other in kept):
+                            kept.append((prefix + (j,), acc))
+                            if len(kept) == 2 and not split:
+                                split = True
+                                yield from (p + tuple(i for i in first if i not in p)
+                                            for p, _ in kept)
+            states = reached
+    yield from (prefix for prefix, _ in states[full])
 
-    When the permutation set is too large to enumerate (above 10,000),
-    consistency is sampled over 1,000 deterministic pseudo-random
-    admissible permutations instead. Inconsistency is reported, never
-    raised; the witness carries two permutations and their values.
+
+def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult:
+    """Evaluate along the first admissible permutation and decide exactly
+    whether every admissible permutation gives that value: the candidates
+    of ``_tie_candidates`` are evaluated until one differs. A tie group of
+    more than ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``.
+    Inconsistency is reported, never raised; the witness carries two
+    permutations and their values.
     """
     perms = PermutationSet(inp.X, inp.order)
+    if max(map(len, perms.groups)) > MAX_TIE_GROUP:
+        raise TooManyTies(f"a tie group has more than {MAX_TIE_GROUP} inputs")
     first = perms.first()
     base = _eval_sorted(inp, kernel, first)
-
-    sampled = perms.count > MAX_MATERIALIZED_PERMUTATIONS
-    if sampled:
-        candidates = perms.sample(CONSISTENCY_SAMPLES, sample_seed)
-    else:
-        candidates = list(perms)
+    candidates = [first] if perms.count == 1 else _tie_candidates(inp, kernel, perms)
 
     consistent = True
     witness = None
@@ -281,7 +296,7 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL,
 
     return AggregateResult(value=base, consistent=consistent,
                            in_unit=base.in_unit, permutations=perms.count,
-                           sampled=sampled, checked=checked, witness=witness)
+                           checked=checked, witness=witness)
 
 
 # ---------------------------------------------------------------------------

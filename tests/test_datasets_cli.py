@@ -44,6 +44,15 @@ class TestDatasets:
         with pytest.raises(DatasetFormatError):
             parse_dataset('[[[0.1,0.2],[0.3,0.4]],[[0.1,0.2]]]', "interval")
 
+    @pytest.mark.parametrize("text,kind,where", [
+        ("0.1,0.2\n0.1,1.5\n", "scalar", "row 1, column 1"),
+        ("0.1,inf\n", "scalar", "row 0, column 1"),
+        ("[[[0.2, 0.4], [0.5, 1.2]]]", "interval", "row 0, column 1"),
+    ])
+    def test_out_of_range_inputs_rejected_on_load(self, text, kind, where):
+        with pytest.raises(DatasetFormatError, match=where):
+            parse_dataset(text, kind)
+
     def test_default_row_ids(self):
         ds = parse_dataset("0.5,0.5\n", "scalar")
         assert ds.row_ids() == ["0"]
@@ -138,6 +147,8 @@ class TestAggregateCommand:
         {"n": 2, "entries": [1, 2]},
         {"n": 2, "entries": [{"subset": 1, "value": 0.5}]},
         [{"n": 2, "kind": "cardinality"}],
+        {"n": None},
+        {"n": 2, "kind": "dirac", "i": None},
     ])
     def test_malformed_capacity_exit_one(self, scalar_files, capsys, capacity):
         data, cap, out = scalar_files
@@ -146,6 +157,24 @@ class TestAggregateCommand:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "BadParameter"
+
+
+    def test_tie_group_above_limit_exit_one(self, tmp_path, capsys):
+        data = tmp_path / "rows.csv"
+        data.write_text(",".join(["0.5"] * 17) + "\n")
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps({"n": 17, "kind": "cardinality"}))
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "TooManyTies"
+
+    def test_aggregate_has_no_seed_option(self, scalar_files, capsys):
+        data, cap, out = scalar_files
+        with pytest.raises(SystemExit):
+            main(["aggregate", "--input", str(data), "--capacity", str(cap),
+                  "--seed", "1"])
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -184,6 +213,15 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "order", "--config", str(cfg)])
         assert code == 1
         assert "error" in json.loads(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("config", [{"grid": None}, {"n": "3"}, {"alpha": [0.5]}])
+    def test_wrongly_typed_config_exit_one(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["verify", "--suite", "appendix-c", "--config", str(cfg)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "BadParameter"
 
     def test_dissimilarity_suite(self, tmp_path):
         out = tmp_path / "dis.json"

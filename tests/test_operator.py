@@ -6,13 +6,15 @@ import random
 import pytest
 
 from choquetlike import (
-    AggregationInput, AlphaBeta, BadParameter, IV_PLUS, Interval,
+    AggregationInput, AlphaBeta, BOUNDED_SUM, BadParameter, Capacity, IV_PLUS,
+    Interval, MIN_OP,
     KernelL, KernelRangeError, NotAdmissiblePermutation, PLUS, PermutationSet,
     Scalar, ScalarUsual, TooManyTies, UnknownKernel, VV_PLUS, Vector,
     VectorLex, admissible_permutations, capacity_family, capacity_from_table,
     choquet_aggregate, choquet_eval, classical_kernel, elements_equal,
     kernel_catalog, register_kernel, scale, scale_for, zero_element,
 )
+from choquetlike.operator import MAX_TIE_GROUP
 from oracles import classical_choquet_increments, mu_lookup
 
 XU = AlphaBeta(0.5, 1.0)
@@ -21,6 +23,11 @@ XU = AlphaBeta(0.5, 1.0)
 def scalar_input(values, mu):
     X = tuple(Scalar(v) for v in values)
     return AggregationInput(X, mu, ScalarUsual(), PLUS)
+
+
+def _b1_kernel(kind):
+    mul = scale_for(kind)
+    return KernelL("ci", lambda x, b1, b2: scale(mul, 0.4 * b1, x), "b1-x")
 
 
 class TestAdmissiblePermutations:
@@ -117,12 +124,32 @@ class TestChoquetAggregate:
             assert res.consistent
             assert res.value.value == pytest.approx(c, abs=1e-12)
 
-    def test_sampled_consistency_for_huge_tie_groups(self):
-        X = tuple(Scalar(0.5) for _ in range(8))
+    def test_all_tied_n8_decided_exactly(self):
         mu = capacity_family("uniform-random", 8, seed=1)
         res = choquet_aggregate(scalar_input([0.5] * 8, mu), classical_kernel("scalar"))
-        assert res.sampled and res.consistent
-        assert res.permutations == 40320 and res.checked == 1000
+        assert res.consistent and res.permutations == 40320
+        assert not hasattr(res, "sampled")
+
+    def test_inconsistent_all_tied_n12_witness_replays(self):
+        # Additive capacity with distinct weights: the b1 * x kernel sums
+        # tail weights that depend on the order within the tie group.
+        n = 12
+        weights = [(i + 1) / 78 for i in range(n)]
+        mu = Capacity(n, tuple(sum(w for i, w in enumerate(weights) if m >> i & 1)
+                               for m in range(1 << n)))
+        kernel = _b1_kernel("scalar")
+        inp = scalar_input([0.5] * n, mu)
+        res = choquet_aggregate(inp, kernel)
+        assert not res.consistent
+        w = res.witness
+        assert choquet_eval(inp, kernel, w["sigma_b"]).value == w["value_b"]
+        assert not elements_equal(w["value_a"], w["value_b"])
+
+    def test_tie_group_above_limit_raises(self):
+        mu = capacity_family("cardinality", MAX_TIE_GROUP + 1)
+        with pytest.raises(TooManyTies):
+            choquet_aggregate(scalar_input([0.5] * (MAX_TIE_GROUP + 1), mu),
+                              classical_kernel("scalar"))
 
     def test_boundary_rows(self):
         for mu in (capacity_family("cardinality", 3),
@@ -152,6 +179,67 @@ class TestChoquetAggregate:
             vs = choquet_aggregate(scalar_input(summed, mu), kernel).value.value
             assert vs == pytest.approx(va + vb, abs=1e-12)
         assert checked > 100
+
+
+class TestTieWalk:
+    """The exact consistency decision against plain enumeration: every
+    admissible permutation of ``PermutationSet`` evaluated with
+    ``choquet_eval``."""
+
+    @pytest.mark.parametrize("kind,addop,kernel", [
+        ("scalar", PLUS, "classical"), ("scalar", PLUS, "b-scale-d"),
+        ("scalar", PLUS, "sq-diff"), ("scalar", PLUS, "b1-x"),
+        ("scalar", MIN_OP, "classical"), ("scalar", MIN_OP, "b1-x"),
+        ("scalar", BOUNDED_SUM, "classical"), ("scalar", BOUNDED_SUM, "b-scale-d"),
+        ("scalar", BOUNDED_SUM, "sq-diff"), ("scalar", BOUNDED_SUM, "b1-x"),
+        ("interval", IV_PLUS, "classical"), ("interval", IV_PLUS, "b-scale-d"),
+        ("interval", IV_PLUS, "sq-diff"), ("interval", IV_PLUS, "b1-x"),
+    ])
+    def test_matches_enumeration(self, kind, addop, kernel):
+        order = ScalarUsual() if kind == "scalar" else XU
+        kernel = {
+            "classical": classical_kernel(kind),
+            "b-scale-d": kernel_catalog({"family": "b-scale-d", "d": "abs-diff"},
+                                        kind, order),
+            "sq-diff": kernel_catalog({"family": "delta-scale", "delta": "sq-diff"},
+                                      kind),
+            "b1-x": _b1_kernel(kind),
+        }[kernel]
+        rng = random.Random(f"{kind}-{addop.name}-{kernel.name}")
+        inconsistent = 0
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            levels = [_random_element(rng, kind) for _ in range(rng.randint(1, 3))]
+            X = tuple(rng.choice(levels) for _ in range(n))
+            mu = capacity_family("uniform-random", n, seed=rng.randint(0, 9999))
+            inp = AggregationInput(X, mu, order, addop)
+            perms = PermutationSet(X, order)
+            base = choquet_eval(inp, kernel, perms.first()).value
+            expected = all(elements_equal(choquet_eval(inp, kernel, s).value, base)
+                           for s in perms)
+            res = choquet_aggregate(inp, kernel)
+            assert res.consistent == expected
+            assert res.value.components == base.components
+            assert res.permutations == perms.count
+            if not res.consistent:
+                inconsistent += 1
+                w = res.witness
+                assert choquet_eval(inp, kernel, w["sigma_b"]).value == w["value_b"]
+        if kernel.name in ("delta-scale(sq-diff)", "b1-x") and addop is not MIN_OP:
+            assert inconsistent > 0
+
+    def test_bounded_sum_saturation_merges_split_partial_sums(self):
+        # Partial sums differ at depth 2, yet every permutation saturates at 1.
+        mu = capacity_from_table(3, [
+            ((), 0), ((1,), .7), ((2,), .7), ((3,), .8),
+            ((1, 2), .9), ((1, 3), .95), ((2, 3), .85), ((1, 2, 3), 1)])
+        X = (Scalar(1.0),) * 3
+        inp = AggregationInput(X, mu, ScalarUsual(), BOUNDED_SUM)
+        kernel = _b1_kernel("scalar")
+        assert {choquet_eval(inp, kernel, s).value.value
+                for s in PermutationSet(X, ScalarUsual())} == {1.0}
+        res = choquet_aggregate(inp, kernel)
+        assert res.consistent and res.value.value == 1.0 and res.checked > 1
 
 
 class TestEquivariance:
