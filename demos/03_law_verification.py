@@ -32,7 +32,7 @@ for name, check in (("well-defined", check_wd),
 
 # A kernel that consults only the first weight is order-sensitive: the
 # check fails and hands back the witness.
-first_weight = KernelL("ci", lambda x, b1, b2: Scalar(b1 * x.value), "first-weight")
+first_weight = KernelL(lambda x, prev, b1, b2: Scalar(b1 * x.value), "first-weight")
 report = check_wd(first_weight, PLUS, order, 2, grid)
 print("first-weight kernel well-defined:", report.verdict)
 print("  witness:", {k: getattr(v, "value", v) for k, v in report.witness.items()})

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BadParameter, KindMismatch, ScaleOutOfRange
+from .errors import BadParameter, KindMismatch, ScaleOutOfRange, lookup
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, Element, Interval, Scalar,
     Vector, elements_equal, grid_elements, require_same_carrier, unit_grid,
@@ -107,17 +107,11 @@ def register_multiplication(op: MultiplicationOp) -> MultiplicationOp:
 
 
 def resolve_addition(spec: str) -> AdditionOp:
-    try:
-        return _ADDITIONS[spec]
-    except KeyError:
-        raise BadParameter(f"unknown addition op: {spec!r}") from None
+    return lookup(_ADDITIONS, spec, "addition op")
 
 
 def resolve_multiplication(spec: str) -> MultiplicationOp:
-    try:
-        return _MULTIPLICATIONS[spec]
-    except KeyError:
-        raise BadParameter(f"unknown multiplication op: {spec!r}") from None
+    return lookup(_MULTIPLICATIONS, spec, "multiplication op")
 
 
 def addition_for(kind: str) -> AdditionOp:

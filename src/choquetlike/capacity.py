@@ -80,8 +80,11 @@ class Capacity:
         kind = obj.get("kind", "table")
         n = json_number(obj, "n", integral=True)
         if kind == "table":
-            entries = [_table_entry(e) for e in obj["entries"]]
-            return capacity_from_table(n, entries,
+            entries = obj.get("entries")
+            if not isinstance(entries, list):
+                raise BadParameter(
+                    f"a capacity table needs a list of entries, got {entries!r}")
+            return capacity_from_table(n, [_table_entry(e) for e in entries],
                                        complete=bool(obj.get("complete", False)))
         params = {k: v for k, v in obj.items() if k not in ("n", "kind")}
         return capacity_family(kind, n, **params)
@@ -90,10 +93,10 @@ class Capacity:
 def _table_entry(entry) -> tuple[list, float]:
     """The (subset, value) pair of one capacity table entry."""
     if not (isinstance(entry, dict) and isinstance(entry.get("subset"), list)
-            and all(isinstance(i, int) for i in entry["subset"])
+            and all(isinstance(i, int) and i >= 1 for i in entry["subset"])
             and isinstance(entry.get("value"), (int, float))):
         raise BadParameter(f"capacity entry {entry!r} needs a list of element "
-                           "numbers as subset and a number as value")
+                           "numbers (1 or more) as subset and a number as value")
     return entry["subset"], float(entry["value"])
 
 

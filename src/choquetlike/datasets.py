@@ -29,6 +29,8 @@ class Dataset:
     def __post_init__(self):
         if not self.rows:
             raise DatasetFormatError("dataset has no rows")
+        if not self.rows[0]:
+            raise DatasetFormatError("row 0 has no elements")
         n = len(self.rows[0])
         dim = dim_of(self.rows[0][0])
         for r, row in enumerate(self.rows):
@@ -79,7 +81,10 @@ def _parse_json(text: str, kind: str) -> Dataset:
         raise DatasetFormatError(f"bad JSON: {exc}") from exc
     ids = None
     if isinstance(obj, dict):
-        ids = tuple(str(i) for i in obj["ids"]) if "ids" in obj else None
+        if "ids" in obj:
+            if not isinstance(obj["ids"], list):
+                raise DatasetFormatError(f"ids must be a list, got {obj['ids']!r}")
+            ids = tuple(str(i) for i in obj["ids"])
         kind = obj.get("kind", kind)
         obj = obj.get("rows", [])
     if not isinstance(obj, list):

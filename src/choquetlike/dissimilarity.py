@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .algebra import IV_PLUS, AdditionOp, add
 from .errors import (
-    AlphaOutOfRange, BadParameter, NoWitnessFound, ReconstructionOutOfK,
+    AlphaOutOfRange, BadParameter, NoWitnessFound, ReconstructionOutOfK, lookup,
 )
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, AlphaBeta, Element,
@@ -65,10 +65,7 @@ _DELTAS: dict[str, Callable[[float, float], float]] = {
 def resolve_delta(spec) -> Callable[[float, float], float]:
     if callable(spec):
         return spec
-    try:
-        return _DELTAS[spec]
-    except KeyError:
-        raise BadParameter(f"unknown scalar dissimilarity: {spec!r}") from None
+    return lookup(_DELTAS, spec, "scalar dissimilarity")
 
 
 def delta_covers_unit_range(delta: Callable[[float, float], float],
@@ -136,6 +133,8 @@ def resolve_dissimilarity(spec: str, kind: str,
     vector variants of abs/sq-diff need the admissible order to project
     through.
     """
+    if not isinstance(spec, str):
+        raise BadParameter(f"a dissimilarity spec is a string, got {spec!r}")
     spec = spec.strip()
     if spec.startswith("takac:"):
         parts = spec.split(":")
@@ -173,10 +172,7 @@ _MEANS: dict[str, Callable[[float, float], float]] = {
 def resolve_symmetric_mean(spec) -> Callable[[float, float], float]:
     if callable(spec):
         return spec
-    try:
-        return _MEANS[spec]
-    except KeyError:
-        raise BadParameter(f"unknown symmetric aggregation: {spec!r}") from None
+    return lookup(_MEANS, spec, "symmetric aggregation")
 
 
 def lambda_alpha(x: Interval, alpha: float) -> float:

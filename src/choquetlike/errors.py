@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the check that turns a
-wrongly typed JSON number into one of them."""
+"""Exception types shared across the package, and the checks that turn a
+wrongly typed JSON number or an unknown name into one of them."""
 
 
 class ChoquetlikeError(Exception):
@@ -91,3 +91,11 @@ def json_number(obj: dict, key: str, default=None, integral: bool = False):
         raise BadParameter(f"{key!r} must be {'an integer' if integral else 'a number'}, "
                            f"got {value!r}")
     return int(value) if integral else float(value)
+
+
+def lookup(table: dict, spec, what: str):
+    """``table[spec]`` for a string key of ``table``. Any other spec raises
+    ``BadParameter`` naming ``what``."""
+    if isinstance(spec, str) and spec in table:
+        return table[spec]
+    raise BadParameter(f"unknown {what}: {spec!r}")

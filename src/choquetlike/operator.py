@@ -7,10 +7,8 @@ the inputs into a non-decreasing chain, the operator value is
     (+)_{i=1..n} L(x_{sigma(i)}, x_{sigma(i-1)}, b_i, b_{i+1})
 
 where x_{sigma(0)} is the least element, b_i is the capacity of the tail
-set {sigma(i), ..., sigma(n)}, and b_{n+1} = 0. Kernels may consult the
-current input, the previous input, and the two adjacent tail weights;
-the two classical specializations ignore the previous input ('ci') or
-the second weight ('cii').
+set {sigma(i), ..., sigma(n)}, and b_{n+1} = 0. Every kernel is called
+as L(current, previous, b1, b2) and may ignore any of its arguments.
 """
 
 from __future__ import annotations
@@ -21,53 +19,43 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Callable, Optional
 
-from .algebra import (
-    AdditionOp, MultiplicationOp, add, addition_for, scale, scale_for,
-)
+from .algebra import AdditionOp, add, addition_for, scale, scale_for
 from .capacity import Capacity, tail_values
 from .dissimilarity import DissimilarityFn, resolve_delta
 from .errors import (
     BadParameter, KernelRangeError, KindMismatch, NotAdmissiblePermutation,
-    TooManyTies, UnknownKernel,
+    TooManyTies, UnknownKernel, lookup,
 )
 from .order import (
-    TOL, AdmissibleOrder, Element, Interval, Vector, dim_of, elements_equal,
-    from_components, zero_like,
+    TOL, AdmissibleOrder, Element, dim_of, elements_equal, from_components,
+    zero_like,
 )
 
 MAX_MATERIALIZED_PERMUTATIONS = 10_000
 MAX_TIE_GROUP = 16
 
-GENERAL, CI, CII = "general", "ci", "cii"
-
 
 @dataclass(frozen=True)
 class KernelL:
-    """Kernel of the operator, tagged by which arguments it consumes.
-
-    'general' kernels receive (current, previous, b1, b2); 'ci' kernels
-    (current, b1, b2); 'cii' kernels (current, previous, b1). Outputs
-    must stay in the unit-bounded carrier; values beyond 1e-9 outside
-    raise, smaller overshoots are snapped.
+    """Kernel of the operator, always called as ``fn(current, previous,
+    b1, b2)``: the current input, the previous input of the chain (the
+    least element before the first), and the two adjacent tail weights.
+    A kernel may ignore any of them. Outputs must stay in the
+    unit-bounded carrier; values beyond 1e-9 outside raise, smaller
+    overshoots are snapped.
     """
 
-    tag: str
-    fn: Callable
+    fn: Callable[[Element, Element, float, float], Element]
     name: str
     family: str = "custom"
 
     def __post_init__(self):
-        if self.tag not in (GENERAL, CI, CII):
-            raise BadParameter(f"unknown kernel tag: {self.tag!r}")
+        if not callable(self.fn):
+            raise BadParameter(f"kernel {self.name!r} needs a callable "
+                               f"fn(current, previous, b1, b2), got {self.fn!r}")
 
     def evaluate(self, x1: Element, x2: Element, b1: float, b2: float) -> Element:
-        if self.tag == CI:
-            out = self.fn(x1, b1, b2)
-        elif self.tag == CII:
-            out = self.fn(x1, x2, b1)
-        else:
-            out = self.fn(x1, x2, b1, b2)
-        return _validate_unit(out, self.name)
+        return _validate_unit(self.fn(x1, x2, b1, b2), self.name)
 
 
 def _validate_unit(x: Element, kernel_name: str) -> Element:
@@ -303,56 +291,22 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
 # Kernel catalog
 # ---------------------------------------------------------------------------
 
-_CARRIER_FNS: dict[str, Callable[[Element], Element]] = {}
-
-
-def _register_carrier_fn(name):
-    def deco(fn):
-        _CARRIER_FNS[name] = fn
-        return fn
-    return deco
-
-
-@_register_carrier_fn("zero")
-def _cf_zero(x: Element) -> Element:
-    return zero_like(x)
-
-
-@_register_carrier_fn("identity")
-def _cf_identity(x: Element) -> Element:
-    return x
-
-
-@_register_carrier_fn("upper")
-def _cf_upper(x: Element) -> Element:
-    if isinstance(x, Interval):
-        return Interval(x.upper, x.upper)
-    if isinstance(x, Vector):
-        m = max(x.coords)
-        return Vector((m,) * dim_of(x))
-    return x
-
-
-@_register_carrier_fn("lower")
-def _cf_lower(x: Element) -> Element:
-    if isinstance(x, Interval):
-        return Interval(x.lower, x.lower)
-    if isinstance(x, Vector):
-        m = min(x.coords)
-        return Vector((m,) * dim_of(x))
-    return x
+_CARRIER_FNS: dict[str, Callable[[Element], Element]] = {
+    "zero": zero_like,
+    "identity": lambda x: x,
+    "upper": lambda x: from_components(x.kind, (max(x.components),) * dim_of(x)),
+    "lower": lambda x: from_components(x.kind, (min(x.components),) * dim_of(x)),
+}
 
 
 def resolve_carrier_fn(spec, kind: str) -> Callable[[Element], Element]:
     if callable(spec):
         return spec
-    if spec in _CARRIER_FNS:
-        return _CARRIER_FNS[spec]
     if isinstance(spec, str) and spec.startswith("scale:"):
         t = float(spec.split(":", 1)[1])
         mul = scale_for(kind)
         return lambda x: scale(mul, t, x)
-    raise BadParameter(f"unknown carrier function: {spec!r}")
+    return lookup(_CARRIER_FNS, spec, "carrier function")
 
 
 _KERNELS: dict[str, KernelL] = {}
@@ -363,33 +317,31 @@ def register_kernel(kernel: KernelL) -> KernelL:
     return kernel
 
 
-def delta_scale_kernel(delta, kind: str, mul: Optional[MultiplicationOp] = None,
-                       name: Optional[str] = None) -> KernelL:
+def delta_scale_kernel(delta, kind: str) -> KernelL:
     """Weight-difference kernel G(x, b1, b2) = delta(b1, b2) * x.
 
     With delta the plain difference this is the classical Choquet
     integrand lifted to the carrier.
     """
     delta_fn = resolve_delta(delta)
-    mul = mul or scale_for(kind)
-    label = name or (delta if isinstance(delta, str) else "custom")
-    return KernelL(CI, lambda x, b1, b2: scale(mul, delta_fn(b1, b2), x),
+    mul = scale_for(kind)
+    label = delta if isinstance(delta, str) else "custom"
+    return KernelL(lambda x, prev, b1, b2: scale(mul, delta_fn(b1, b2), x),
                    name=f"delta-scale({label})", family="delta-scale")
 
 
 def f_difference_kernel(F: Callable[[Element, float], Element],
                         name: str = "custom") -> KernelL:
     """Kernel G(x, b1, b2) = F(x, b1 - b2) for b1 >= b2."""
-    return KernelL(CI, lambda x, b1, b2: F(x, b1 - b2),
+    return KernelL(lambda x, prev, b1, b2: F(x, b1 - b2),
                    name=f"f-difference({name})", family="f-difference")
 
 
-def b_scale_d_kernel(d: DissimilarityFn, kind: str,
-                     mul: Optional[MultiplicationOp] = None) -> KernelL:
+def b_scale_d_kernel(d: DissimilarityFn, kind: str) -> KernelL:
     """Kernel G(x1, x2, b) = b * d(x1, x2): capacity-weighted dissimilarity
     to the previous input."""
-    mul = mul or scale_for(kind)
-    return KernelL(CII, lambda x1, x2, b: scale(mul, b, d(x1, x2)),
+    mul = scale_for(kind)
+    return KernelL(lambda x, prev, b1, b2: scale(mul, b1, d(x, prev)),
                    name=f"b-scale-d({d.name})", family="b-scale-d")
 
 
@@ -405,9 +357,8 @@ def affine_f_kernel(C, D, kind: str, name: Optional[str] = None) -> KernelL:
         return add(addop, scale(mul, a, C_fn(x)), D_fn(x))
 
     label = name or f"{C if isinstance(C, str) else 'C'},{D if isinstance(D, str) else 'D'}"
-    kernel = KernelL(CI, lambda x, b1, b2: F(x, b1 - b2),
-                     name=f"affine-F({label})", family="affine-F")
-    return kernel
+    return KernelL(lambda x, prev, b1, b2: F(x, b1 - b2),
+                   name=f"affine-F({label})", family="affine-F")
 
 
 def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> KernelL:
@@ -445,7 +396,7 @@ def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> 
         return affine_f_kernel(spec["C"], spec["D"], kind, name=spec.get("name"))
     if family == "custom":
         name = spec.get("name")
-        if name in _KERNELS:
+        if isinstance(name, str) and name in _KERNELS:
             return _KERNELS[name]
         raise UnknownKernel(f"no registered kernel named {name!r}")
     raise UnknownKernel(f"unknown kernel family: {family!r}")

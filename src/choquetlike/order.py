@@ -179,10 +179,6 @@ def zero_like(x: Element) -> Element:
     return zero_element(x.kind, dim_of(x))
 
 
-def one_like(x: Element) -> Element:
-    return one_element(x.kind, dim_of(x))
-
-
 def elements_equal(x: Element, z: Element, tol: float = TOL) -> bool:
     require_same_carrier(x, z)
     return all(abs(a - b) <= tol for a, b in zip(x.components, z.components))

@@ -44,9 +44,9 @@ def _battery(kind, order):
                        kind, order),
     ]
     bad = [
-        KernelL("ci", lambda x, b1, b2: scale(mul, b1, x), "first-weight"),
+        KernelL(lambda x, prev, b1, b2: scale(mul, b1, x), "first-weight"),
         kernel_catalog({"family": "delta-scale", "delta": "sq-diff"}, kind, order),
-        KernelL("cii", lambda x1, x2, b: scale(mul, b, x1), "b-times-current"),
+        KernelL(lambda x, prev, b1, b2: scale(mul, b1, x), "b-times-current"),
     ]
     return good, bad
 

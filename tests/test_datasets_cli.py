@@ -43,6 +43,10 @@ class TestDatasets:
             parse_dataset("[]", "interval")
         with pytest.raises(DatasetFormatError):
             parse_dataset('[[[0.1,0.2],[0.3,0.4]],[[0.1,0.2]]]', "interval")
+        with pytest.raises(DatasetFormatError):
+            parse_dataset('{"rows": [[[0.1, 0.2], [0.3, 0.4]]], "ids": 5}', "interval")
+        with pytest.raises(DatasetFormatError):
+            parse_dataset("[[]]", "interval")
 
     @pytest.mark.parametrize("text,kind,where", [
         ("0.1,0.2\n0.1,1.5\n", "scalar", "row 1, column 1"),
@@ -111,7 +115,7 @@ class TestAggregateCommand:
 
     def test_inconsistent_rows_exit_two(self, tmp_path):
         register_kernel(KernelL(
-            "ci", lambda x, b1, b2: Scalar(b1 * x.value), "cli-first-weight"))
+            lambda x, prev, b1, b2: Scalar(b1 * x.value), "cli-first-weight"))
         data = tmp_path / "rows.csv"
         data.write_text("0.5,0.5\n")
         cap = tmp_path / "cap.json"
@@ -149,6 +153,9 @@ class TestAggregateCommand:
         [{"n": 2, "kind": "cardinality"}],
         {"n": None},
         {"n": 2, "kind": "dirac", "i": None},
+        {"n": 2, "entries": 3},
+        {"n": 2, "entries": [{"subset": [0], "value": 0.5}]},
+        {"n": 2, "entries": [{"subset": [1, -1], "value": 0.5}]},
     ])
     def test_malformed_capacity_exit_one(self, scalar_files, capsys, capacity):
         data, cap, out = scalar_files
@@ -158,6 +165,21 @@ class TestAggregateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "BadParameter"
 
+
+    @pytest.mark.parametrize("spec,error", [
+        ({"family": "b-scale-d", "d": 3}, "BadParameter"),
+        ({"family": "delta-scale", "delta": [1]}, "BadParameter"),
+        ({"family": "delta-scale", "delta": {"a": 1}}, "BadParameter"),
+        ({"family": "affine-F", "C": [1], "D": "zero"}, "BadParameter"),
+        ({"family": "custom", "name": [1]}, "UnknownKernel"),
+    ])
+    def test_malformed_kernel_spec_exit_one(self, scalar_files, capsys, spec, error):
+        data, cap, out = scalar_files
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
+                     "--kernel", json.dumps(spec)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == error
 
     def test_tie_group_above_limit_exit_one(self, tmp_path, capsys):
         data = tmp_path / "rows.csv"
@@ -214,7 +236,8 @@ class TestVerifyCommand:
         assert code == 1
         assert "error" in json.loads(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("config", [{"grid": None}, {"n": "3"}, {"alpha": [0.5]}])
+    @pytest.mark.parametrize("config", [{"grid": None}, {"n": "3"}, {"alpha": [0.5]},
+                                        {"Md": [1]}, {"delta_d": [1]}])
     def test_wrongly_typed_config_exit_one(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

@@ -27,7 +27,7 @@ def scalar_input(values, mu):
 
 def _b1_kernel(kind):
     mul = scale_for(kind)
-    return KernelL("ci", lambda x, b1, b2: scale(mul, 0.4 * b1, x), "b1-x")
+    return KernelL(lambda x, prev, b1, b2: scale(mul, 0.4 * b1, x), "b1-x")
 
 
 class TestAdmissiblePermutations:
@@ -110,7 +110,7 @@ class TestChoquetAggregate:
         assert res.consistent and res.permutations == 2
 
     def test_first_weight_kernel_inconsistent_with_witness(self):
-        kernel = KernelL("ci", lambda x, b1, b2: Scalar(b1 * x.value), "b1-times-x")
+        kernel = KernelL(lambda x, prev, b1, b2: Scalar(b1 * x.value), "b1-times-x")
         mu = capacity_from_table(2, [((), 0), ((1,), 0.2), ((2,), 0.7), ((1, 2), 1)])
         res = choquet_aggregate(scalar_input((0.5, 0.5), mu), kernel)
         assert not res.consistent
@@ -280,15 +280,34 @@ def _random_element(rng, kind):
 class TestKernelCatalog:
     def test_delta_scale_is_current_only(self):
         k = kernel_catalog("delta-scale", "interval")
-        assert k.tag == "ci" and k.family == "delta-scale"
+        assert k.family == "delta-scale"
         out = k.evaluate(Interval(0.2, 0.4), Interval(0.9, 0.9), 1.0, 0.5)
         assert elements_equal(out, Interval(0.1, 0.2))  # previous input ignored
 
     def test_b_scale_d_is_previous_aware(self):
         k = kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "scalar")
-        assert k.tag == "cii"
         out = k.evaluate(Scalar(0.9), Scalar(0.4), 0.5, 0.0)
         assert out.value == pytest.approx(0.25)  # 0.5 * |0.9 - 0.4|
+        assert k.evaluate(Scalar(0.9), Scalar(0.4), 0.5, 0.3) == out  # b2 ignored
+
+    def test_custom_kernel_reads_all_four_arguments(self):
+        kernel = KernelL(
+            lambda x, prev, b1, b2: Scalar((b1 - b2) * (x.value + prev.value) / 2),
+            "mean-with-previous")
+        mu = capacity_from_table(3, [
+            ((), 0), ((1,), 0.1), ((2,), 0.3), ((3,), 0.2),
+            ((1, 2), 0.5), ((1, 3), 0.6), ((2, 3), 0.4), ((1, 2, 3), 1)])
+        res = choquet_aggregate(scalar_input((0.9, 0.2, 0.5), mu), kernel)
+        chain = (0.2, 0.5, 0.9)
+        prev = (0.0, 0.2, 0.5)
+        b = (1.0, 0.6, 0.1, 0.0)  # mu of {1, 2, 3}, {1, 3}, {1} and the empty tail
+        expected = sum((b[i] - b[i + 1]) * (chain[i] + prev[i]) / 2 for i in range(3))
+        assert res.consistent
+        assert res.value.value == pytest.approx(expected) == pytest.approx(0.285)
+
+    def test_old_tagged_form_is_refused(self):
+        with pytest.raises(BadParameter):
+            KernelL("ci", lambda x, b1, b2: x, "x")
 
     def test_affine_degenerate_instance(self):
         k = kernel_catalog({"family": "affine-F", "C": "upper", "D": "zero"},
@@ -297,8 +316,25 @@ class TestKernelCatalog:
         out = k.evaluate(Interval(0.2, 0.6), Interval(0, 0), 1.0, 0.5)
         assert elements_equal(out, Interval(0.3, 0.3))  # 0.5 * [u, u]
 
+    @pytest.mark.parametrize("kind", ["scalar", "interval", "vector"])
+    @pytest.mark.parametrize("C", ["zero", "identity", "upper", "lower"])
+    def test_affine_carrier_functions(self, kind, C):
+        x, expected = {
+            "scalar": (Scalar(0.3), {"zero": Scalar(0.0), "identity": Scalar(0.3),
+                                     "upper": Scalar(0.3), "lower": Scalar(0.3)}),
+            "interval": (Interval(0.2, 0.6), {
+                "zero": Interval(0.0, 0.0), "identity": Interval(0.2, 0.6),
+                "upper": Interval(0.6, 0.6), "lower": Interval(0.2, 0.2)}),
+            "vector": (Vector((0.7, 0.1)), {
+                "zero": Vector((0.0, 0.0)), "identity": Vector((0.7, 0.1)),
+                "upper": Vector((0.7, 0.7)), "lower": Vector((0.1, 0.1))}),
+        }[kind]
+        k = kernel_catalog({"family": "affine-F", "C": C, "D": "zero"}, kind)
+        out = k.evaluate(x, zero_element(kind, len(x.components)), 1.0, 0.0)
+        assert out == expected[C]  # F(x, 1) = C(x) + 0
+
     def test_custom_registry(self):
-        kernel = KernelL("cii", lambda x1, x2, b: scale(scale_for("scalar"), b, x1),
+        kernel = KernelL(lambda x, prev, b1, b2: scale(scale_for("scalar"), b1, x),
                          "b-times-current")
         register_kernel(kernel)
         assert kernel_catalog({"family": "custom", "name": "b-times-current"},
@@ -312,7 +348,7 @@ class TestKernelCatalog:
             kernel_catalog({"family": "custom", "name": "never-registered"}, "scalar")
 
     def test_kernel_output_validated_in_unit(self):
-        bad = KernelL("ci", lambda x, b1, b2: Scalar(1.5), "escapes")
+        bad = KernelL(lambda x, prev, b1, b2: Scalar(1.5), "escapes")
         with pytest.raises(KernelRangeError):
             bad.evaluate(Scalar(0.5), Scalar(0.0), 1.0, 0.0)
 

@@ -20,19 +20,16 @@ SG = GridSpec("scalar", 4)
 
 def first_weight_kernel(kind="scalar"):
     mul = scale_for(kind)
-    return KernelL("ci", lambda x, b1, b2: scale(mul, b1, x), "first-weight")
+    return KernelL(lambda x, prev, b1, b2: scale(mul, b1, x), "first-weight")
 
 
 def squared_gap_kernel():
-    return KernelL("cii",
-                   lambda x1, x2, b: Scalar(b * (x1.value - x2.value) ** 2),
+    return KernelL(lambda x, prev, b1, b2: Scalar(b1 * (x.value - prev.value) ** 2),
                    "b-times-squared-gap")
 
 
 def constant_zero_kernel(kind="scalar"):
-    return KernelL("general",
-                   lambda x1, x2, b1, b2: zero_element(kind),
-                   "constant-zero")
+    return KernelL(lambda x, prev, b1, b2: zero_element(kind), "constant-zero")
 
 
 class TestWellDefinedness:
