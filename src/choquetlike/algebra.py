@@ -48,9 +48,10 @@ def add(op: AdditionOp, x: Element, z: Element) -> Element:
 
 
 def scale(op: MultiplicationOp, c: float, x: Element) -> Element:
-    if not (-TOL <= c <= 1.0 + TOL):
-        raise ScaleOutOfRange(f"coefficient must lie in [0, 1], got {c}")
-    c = min(max(c, 0.0), 1.0)
+    if not 0.0 <= c <= 1.0:
+        if not (-TOL <= c <= 1.0 + TOL):
+            raise ScaleOutOfRange(f"coefficient must lie in [0, 1], got {c}")
+        c = min(max(c, 0.0), 1.0)
     if x.kind != op.kind:
         raise KindMismatch(f"operation {op.name!r} expects {op.kind} operands")
     return op.fn(c, x)
@@ -135,10 +136,14 @@ def check_commutativity(op: AdditionOp, grid: GridSpec) -> LawReport:
 
 def check_associativity(op: AdditionOp, grid: GridSpec) -> LawReport:
     elems = grid_elements(grid)
-    return run_law("associativity", (
-        None if elements_equal(add(op, add(op, x, y), z), add(op, x, add(op, y, z)))
-        else {"x": x, "y": y, "z": z}
-        for x, y, z in itertools.product(elems, repeat=3)), op=op.name)
+
+    def cases():
+        sums = [[add(op, x, y) for y in elems] for x in elems]  # sums[i][j] = x_i + x_j
+        for (i, x), (j, y), (k, z) in itertools.product(enumerate(elems), repeat=3):
+            yield None if elements_equal(add(op, sums[i][j], z), add(op, x, sums[j][k])) \
+                else {"x": x, "y": y, "z": z}
+
+    return run_law("associativity", cases(), op=op.name)
 
 
 def check_cancellation(op: AdditionOp, grid: GridSpec) -> LawReport:
@@ -238,31 +243,35 @@ def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
     elems = grid_elements(grid)
     coeffs = unit_grid(grid.m)
 
-    upairs = [(u1, u2) for u1, u2 in itertools.product(elems, repeat=2)
+    # Pairs of grid indices (i, j) with elems[i] <= elems[j].
+    upairs = [(i, j) for (i, u1), (j, u2) in itertools.product(enumerate(elems), repeat=2)
               if order.leq(u1, u2)]
     # Bucket pairs by the componentwise difference so the cross-sum
     # constraint u1+v2 = u2+v1 becomes a dictionary match.
     by_diff: dict[tuple, list] = {}
-    for v1, v2 in upairs:
-        key = tuple(round(a - b, 9) for a, b in zip(v2.components, v1.components))
-        by_diff.setdefault(key, []).append((v1, v2))
+    for i, j in upairs:
+        key = tuple(round(a - b, 9) for a, b in zip(elems[j].components,
+                                                    elems[i].components))
+        by_diff.setdefault(key, []).append((i, j))
 
     def cases():
-        for u1, u2 in upairs:
+        bpairs = [(b1, b2) for b1 in coeffs for b2 in coeffs if b2 <= b1 + TOL]
+        scaled = {b: [scale(mul, b, x) for x in elems] for b in coeffs}
+        for i1, i2 in upairs:
+            u1, u2 = elems[i1], elems[i2]
             key = tuple(round(a - b, 9) for a, b in zip(u2.components, u1.components))
-            for v1, v2 in by_diff.get(key, ()):
+            for j1, j2 in by_diff.get(key, ()):
+                v1, v2 = elems[j1], elems[j2]
                 cross = add(addop, u1, v2)
                 if not cross.in_unit:
                     continue
-                for b1 in coeffs:
-                    for b2 in coeffs:
-                        if b2 > b1 + TOL:
-                            continue
-                        lhs = add(addop, scale(mul, b1, u1), scale(mul, b2, v2))
-                        rhs = add(addop, scale(mul, b1, u2), scale(mul, b2, v1))
-                        yield None if order.compare(lhs, rhs) <= 0 else {
-                            "b1": b1, "b2": b2, "u1": u1, "u2": u2,
-                            "v1": v1, "v2": v2, "lhs": lhs, "rhs": rhs}
+                for b1, b2 in bpairs:
+                    s1, s2 = scaled[b1], scaled[b2]
+                    lhs = add(addop, s1[i1], s2[j2])
+                    rhs = add(addop, s1[i2], s2[j1])
+                    yield None if order.compare(lhs, rhs) <= 0 else {
+                        "b1": b1, "b2": b2, "u1": u1, "u2": u2,
+                        "v1": v1, "v2": v2, "lhs": lhs, "rhs": rhs}
 
     return run_law("c1", cases(), mul=mul.name, add=addop.name,
                    order=order.spec_string())

@@ -93,8 +93,10 @@ class Capacity:
 def _table_entry(entry) -> tuple[list, float]:
     """The (subset, value) pair of one capacity table entry."""
     if not (isinstance(entry, dict) and isinstance(entry.get("subset"), list)
-            and all(isinstance(i, int) and i >= 1 for i in entry["subset"])
-            and isinstance(entry.get("value"), (int, float))):
+            and all(isinstance(i, int) and not isinstance(i, bool) and i >= 1
+                    for i in entry["subset"])
+            and isinstance(entry.get("value"), (int, float))
+            and not isinstance(entry["value"], bool)):
         raise BadParameter(f"capacity entry {entry!r} needs a list of element "
                            "numbers (1 or more) as subset and a number as value")
     return entry["subset"], float(entry["value"])
@@ -218,14 +220,18 @@ def tail_values(mu: Capacity, sigma: tuple[int, ...]) -> tuple[float, ...]:
     the result is mu({sigma(i), ..., sigma(n-1)}), and the final entry is
     mu(empty) = 0. The output is non-increasing and starts at 1.
     """
-    n = mu.n
-    if sorted(sigma) != list(range(n)):
+    if sorted(sigma) != list(range(mu.n)):
         raise BadParameter("sigma must be a permutation of range(n)")
-    out = []
+    return tuple(_tail_weights(mu.values, sigma))
+
+
+def _tail_weights(values, sigma) -> list[float]:
+    """``tail_values`` without its permutation check: ``values`` is the
+    capacity table and ``sigma`` must already be a permutation."""
+    n = len(sigma)
+    out = [0.0] * (n + 1)
     mask = 0
     for i in range(n - 1, -1, -1):
         mask |= 1 << sigma[i]
-        out.append(mu.values[mask])
-    out.reverse()
-    out.append(0.0)
-    return tuple(out)
+        out[i] = values[mask]
+    return out

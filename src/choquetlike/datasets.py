@@ -16,8 +16,22 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DatasetFormatError
-from .order import SCALAR, Element, dim_of, element_from_json, element_to_json
+from .errors import DatasetFormatError, lookup
+from .order import (
+    INTERVAL, SCALAR, VECTOR, Element, dim_of, element_from_json, element_to_json,
+)
+
+_NUMBER = (int, float)  # JSON numbers: a bool has its own type and is refused
+
+# What a JSON cell of each carrier must be, and its description.
+_JSON_CELLS = {
+    SCALAR: (lambda cell: type(cell) in _NUMBER, "a number"),
+    INTERVAL: (lambda cell: type(cell) is list and len(cell) == 2
+               and type(cell[0]) in _NUMBER and type(cell[1]) in _NUMBER,
+               "a list of two numbers"),
+    VECTOR: (lambda cell: type(cell) is list
+             and all(type(v) in _NUMBER for v in cell), "a list of numbers"),
+}
 
 
 @dataclass(frozen=True)
@@ -89,12 +103,18 @@ def _parse_json(text: str, kind: str) -> Dataset:
         obj = obj.get("rows", [])
     if not isinstance(obj, list):
         raise DatasetFormatError("expected a list of rows")
+    is_cell, what = lookup(_JSON_CELLS, kind, "carrier kind")
+    rows = []
     try:
-        rows = tuple(tuple(element_from_json(kind, cell) for cell in row)
-                     for row in obj)
+        for r, row in enumerate(obj):
+            for c, cell in enumerate(row):
+                if not is_cell(cell):
+                    raise DatasetFormatError(
+                        f"row {r}, column {c} (0-based): {cell!r} is not {what}")
+            rows.append(tuple(element_from_json(kind, cell) for cell in row))
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"bad element: {exc}") from exc
-    return Dataset(kind, rows, ids)
+    return Dataset(kind, tuple(rows), ids)
 
 
 def load_dataset(path: str, kind: str) -> Dataset:

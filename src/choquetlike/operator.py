@@ -20,7 +20,7 @@ from functools import cmp_to_key
 from typing import Callable, Optional
 
 from .algebra import AdditionOp, add, addition_for, scale, scale_for
-from .capacity import Capacity, tail_values
+from .capacity import Capacity, _tail_weights
 from .dissimilarity import DissimilarityFn, resolve_delta
 from .errors import (
     BadParameter, KernelRangeError, KindMismatch, NotAdmissiblePermutation,
@@ -42,7 +42,10 @@ class KernelL:
     least element before the first), and the two adjacent tail weights.
     A kernel may ignore any of them. Outputs must stay in the
     unit-bounded carrier; values beyond 1e-9 outside raise, smaller
-    overshoots are snapped.
+    overshoots are snapped. ``evaluate`` also checks that the output lies
+    on the carrier of the current input (same ``kind`` and ``dim``) and
+    raises ``KindMismatch`` otherwise, so a fold over kernel outputs needs
+    no further carrier checks.
     """
 
     fn: Callable[[Element, Element, float, float], Element]
@@ -55,12 +58,16 @@ class KernelL:
                                f"fn(current, previous, b1, b2), got {self.fn!r}")
 
     def evaluate(self, x1: Element, x2: Element, b1: float, b2: float) -> Element:
-        return _validate_unit(self.fn(x1, x2, b1, b2), self.name)
+        out = _validate_unit(self.fn(x1, x2, b1, b2), self.name)
+        if out.kind != x1.kind or out.dim != x1.dim:
+            raise KindMismatch(f"kernel {self.name!r} produced {out!r} off the "
+                               f"carrier of its input {x1!r}")
+        return out
 
 
 def _validate_unit(x: Element, kernel_name: str) -> Element:
-    comps = x.components
-    if all(-TOL <= c <= 1.0 + TOL for c in comps):
+    comps = x.components  # never NaN: the element constructors refuse it
+    if -TOL <= min(comps) and max(comps) <= 1.0 + TOL:
         return x
     if all(-1e-9 <= c <= 1.0 + 1e-9 for c in comps):
         return from_components(x.kind, tuple(min(max(c, 0.0), 1.0) for c in comps))
@@ -82,9 +89,9 @@ class AggregationInput:
         object.__setattr__(self, "X", X)
         if len(X) < 2:
             raise BadParameter("aggregation needs at least two inputs")
-        kind, dim = X[0].kind, dim_of(X[0])
+        kind, dim = X[0].kind, X[0].dim
         for x in X[1:]:
-            if x.kind != kind or dim_of(x) != dim:
+            if x.kind != kind or x.dim != dim:
                 raise KindMismatch("all inputs must share carrier kind and dimension")
         if self.mu.n != len(X):
             raise BadParameter(f"capacity is on [{self.mu.n}] but there are "
@@ -144,14 +151,10 @@ class PermutationSet:
 
 
 def _order_sort(X, order: AdmissibleOrder) -> list[int]:
-    # Indices sorted by the comparator, ties broken by original position.
-    def cmp(i, j):
-        c = order.compare(X[i], X[j])
-        if c != 0:
-            return c
-        return -1 if i < j else (0 if i == j else 1)
-
-    return sorted(range(len(X)), key=cmp_to_key(cmp))
+    # Indices sorted by the comparator; the sort is stable, so ties keep
+    # their original positions.
+    key = cmp_to_key(order.compare)
+    return sorted(range(len(X)), key=lambda i: key(X[i]))
 
 
 def admissible_permutations(X, order: AdmissibleOrder) -> list[tuple[int, ...]]:
@@ -210,14 +213,20 @@ def choquet_eval(inp: AggregationInput, kernel: KernelL,
 
 
 def _eval_sorted(inp: AggregationInput, kernel: KernelL, sigma) -> Element:
-    X = inp.X
-    b = tail_values(inp.mu, sigma)
-    prev = inp.zero
-    acc = None
-    for i, pos in enumerate(sigma):
-        term = kernel.evaluate(X[pos], prev, b[i], b[i + 1])
-        acc = term if acc is None else add(inp.addop, acc, term)
-        prev = X[pos]
+    # The kernel keeps every term on the input carrier and the input ties
+    # the addition to it, so the terms are added without per-call checks;
+    # only the folded value's carrier is checked, once.
+    X, evaluate, plus = inp.X, kernel.evaluate, inp.addop.fn
+    b = _tail_weights(inp.mu.values, sigma)
+    prev = X[sigma[0]]
+    acc = evaluate(prev, inp.zero, b[0], b[1])
+    for i in range(1, len(sigma)):
+        x = X[sigma[i]]
+        acc = plus(acc, evaluate(x, prev, b[i], b[i + 1]))
+        prev = x
+    if acc.kind != prev.kind or acc.dim != prev.dim:
+        raise KindMismatch(f"addition {inp.addop.name!r} left the carrier of "
+                           f"the inputs: {acc!r}")
     return acc
 
 
@@ -228,7 +237,8 @@ def _tie_candidates(inp: AggregationInput, kernel: KernelL, perms: PermutationSe
     distinct partial sum. The first time a state holds two, both are
     completed in ``first()`` order and yielded at once (the addition may
     still merge them); at the end, one prefix per distinct full value."""
-    X, first, full = inp.X, perms.first(), (1 << inp.n) - 1
+    X, first, full, zero = inp.X, perms.first(), (1 << inp.n) - 1, inp.zero
+    evaluate, plus = kernel.evaluate, inp.addop.fn
     values = (0.0,) + inp.mu.values[1:]  # the empty tail weighs 0, as in tail_values
     states = {0: [((), None)]}  # placed mask -> [(prefix, partial sum)]
     split = False
@@ -240,9 +250,9 @@ def _tie_candidates(inp: AggregationInput, kernel: KernelL, perms: PermutationSe
                     b1, b2 = values[full & ~mask], values[full & ~(mask | 1 << j)]
                     kept = reached.setdefault(mask | 1 << j, [])
                     for prefix, acc in entries:
-                        prev = X[prefix[-1]] if prefix else inp.zero
-                        term = kernel.evaluate(X[j], prev, b1, b2)
-                        acc = term if acc is None else add(inp.addop, acc, term)
+                        prev = X[prefix[-1]] if prefix else zero
+                        term = evaluate(X[j], prev, b1, b2)
+                        acc = term if acc is None else plus(acc, term)
                         if not any(elements_equal(acc, other) for _, other in kept):
                             kept.append((prefix + (j,), acc))
                             if len(kept) == 2 and not split:

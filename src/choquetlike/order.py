@@ -39,14 +39,17 @@ def _check_component(v: float, what: str) -> float:
 
 @dataclass(frozen=True, slots=True)
 class Scalar:
+    """A nonnegative real; ``kind`` is ``SCALAR`` and ``dim`` is 1."""
+
     value: float
+    kind = SCALAR
+    dim = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _check_component(self.value, "scalar value"))
-
-    @property
-    def kind(self) -> str:
-        return SCALAR
+        v = self.value
+        if type(v) is float and v >= 0.0:
+            return
+        object.__setattr__(self, "value", _check_component(v, "scalar value"))
 
     @property
     def components(self) -> tuple[float, ...]:
@@ -62,22 +65,26 @@ class Scalar:
 
 @dataclass(frozen=True, slots=True)
 class Interval:
+    """A closed interval of nonnegative reals; ``kind`` is ``INTERVAL`` and
+    ``dim`` is 2."""
+
     lower: float
     upper: float
+    kind = INTERVAL
+    dim = 2
 
     def __post_init__(self):
-        lo = _check_component(self.lower, "interval lower endpoint")
-        hi = _check_component(self.upper, "interval upper endpoint")
+        lo, hi = self.lower, self.upper
+        if type(lo) is float and type(hi) is float and 0.0 <= lo <= hi:
+            return
+        lo = _check_component(lo, "interval lower endpoint")
+        hi = _check_component(hi, "interval upper endpoint")
         if hi < lo:
             if lo - hi > TOL:
                 raise BadParameter(f"interval endpoints out of order: [{lo}, {hi}]")
             hi = lo
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-
-    @property
-    def kind(self) -> str:
-        return INTERVAL
 
     @property
     def components(self) -> tuple[float, ...]:
@@ -97,17 +104,24 @@ class Interval:
 
 @dataclass(frozen=True, slots=True)
 class Vector:
+    """A point of [0, inf)^k, k >= 1; ``kind`` is ``VECTOR`` and ``dim`` is k."""
+
     coords: tuple[float, ...]
+    kind = VECTOR
 
     def __post_init__(self):
-        coords = tuple(_check_component(c, "vector coordinate") for c in self.coords)
+        coords = self.coords
+        if type(coords) is tuple and coords and all(
+                type(c) is float and c >= 0.0 for c in coords):
+            return
+        coords = tuple(_check_component(c, "vector coordinate") for c in coords)
         if not coords:
             raise BadParameter("vector needs at least one coordinate")
         object.__setattr__(self, "coords", coords)
 
     @property
-    def kind(self) -> str:
-        return VECTOR
+    def dim(self) -> int:
+        return len(self.coords)
 
     @property
     def components(self) -> tuple[float, ...]:
@@ -130,11 +144,11 @@ def kind_of(x: Element) -> str:
 
 def dim_of(x: Element) -> int:
     """Number of real components carried by the element."""
-    return len(x.components)
+    return x.dim
 
 
 def require_same_carrier(x: Element, z: Element) -> None:
-    if x.kind != z.kind or dim_of(x) != dim_of(z):
+    if x.kind != z.kind or x.dim != z.dim:
         raise KindMismatch(f"carrier mismatch: {x!r} vs {z!r}")
 
 
@@ -293,10 +307,13 @@ class AlphaBeta(AdmissibleOrder):
     def compare(self, x: Element, z: Element) -> int:
         if not isinstance(x, Interval) or not isinstance(z, Interval):
             raise KindMismatch("alpha-beta order compares intervals")
-        da = k_alpha(x, self.alpha) - k_alpha(z, self.alpha)
+        # k_alpha inline: both operands and both mixes are already checked.
+        a = self.alpha
+        da = ((1.0 - a) * x.lower + a * x.upper) - ((1.0 - a) * z.lower + a * z.upper)
         if abs(da) > TOL:
             return -1 if da < 0 else 1
-        db = k_alpha(x, self.beta) - k_alpha(z, self.beta)
+        b = self.beta
+        db = ((1.0 - b) * x.lower + b * x.upper) - ((1.0 - b) * z.lower + b * z.upper)
         if abs(db) > TOL:
             return -1 if db < 0 else 1
         return 0

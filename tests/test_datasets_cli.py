@@ -47,6 +47,17 @@ class TestDatasets:
             parse_dataset('{"rows": [[[0.1, 0.2], [0.3, 0.4]]], "ids": 5}', "interval")
         with pytest.raises(DatasetFormatError):
             parse_dataset("[[]]", "interval")
+        # A JSON cell is a number, or a list of numbers (two for an
+        # interval); strings, booleans and objects are refused where they sit.
+        for text, kind, where in (
+                ('[[{"0.1": 5, "0.2": 6}]]', "interval", "row 0, column 0"),
+                ('[[[0.1, 0.2], ["0.3", "0.4"]]]', "interval", "row 0, column 1"),
+                ('[[0.1, 0.2], ["0.5", true]]', "scalar", "row 1, column 0"),
+                ('[[[0.1, 0.2]], [[true, "0.5"]]]', "vector", "row 1, column 0"),
+                ('[[[0.1, 0.2], [0.3, 0.4, 0.5]]]', "interval", "row 0, column 1"),
+                ('[[0.5, false]]', "scalar", "row 0, column 1")):
+            with pytest.raises(DatasetFormatError, match=where):
+                parse_dataset(text, kind)
 
     @pytest.mark.parametrize("text,kind,where", [
         ("0.1,0.2\n0.1,1.5\n", "scalar", "row 1, column 1"),
@@ -156,6 +167,10 @@ class TestAggregateCommand:
         {"n": 2, "entries": 3},
         {"n": 2, "entries": [{"subset": [0], "value": 0.5}]},
         {"n": 2, "entries": [{"subset": [1, -1], "value": 0.5}]},
+        {"n": 1, "entries": [{"subset": [True], "value": True},
+                             {"subset": [], "value": False}]},
+        {"n": 1, "entries": [{"subset": [1], "value": 1},
+                             {"subset": [], "value": False}]},
     ])
     def test_malformed_capacity_exit_one(self, scalar_files, capsys, capacity):
         data, cap, out = scalar_files

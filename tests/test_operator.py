@@ -4,15 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choquetlike import (
     AggregationInput, AlphaBeta, BOUNDED_SUM, BadParameter, Capacity, IV_PLUS,
-    Interval, MIN_OP,
-    KernelL, KernelRangeError, NotAdmissiblePermutation, PLUS, PermutationSet,
-    Scalar, ScalarUsual, TooManyTies, UnknownKernel, VV_PLUS, Vector,
-    VectorLex, admissible_permutations, capacity_family, capacity_from_table,
-    choquet_aggregate, choquet_eval, classical_kernel, elements_equal,
-    kernel_catalog, register_kernel, scale, scale_for, zero_element,
+    Interval, MIN_OP, TIMES,
+    KernelL, KernelRangeError, KindMismatch, NotAdmissiblePermutation, PLUS,
+    PermutationSet, Scalar, ScalarUsual, TooManyTies, UnknownKernel, VV_PLUS,
+    Vector, VectorLex, add, admissible_permutations, capacity_family,
+    capacity_from_table, choquet_aggregate, choquet_eval, classical_kernel,
+    dim_of, elements_equal, k_alpha, kernel_catalog, register_kernel, scale,
+    scale_for, tail_values, zero_element,
 )
 from choquetlike.operator import MAX_TIE_GROUP
 from oracles import classical_choquet_increments, mu_lookup
@@ -240,6 +243,110 @@ class TestTieWalk:
                 for s in PermutationSet(X, ScalarUsual())} == {1.0}
         res = choquet_aggregate(inp, kernel)
         assert res.consistent and res.value.value == 1.0 and res.checked > 1
+
+
+def _reference_fold(inp, kernel, sigma):
+    """The operator along sigma from public calls only: ``tail_values``,
+    ``kernel.evaluate`` and a checked ``add`` per term."""
+    b = tail_values(inp.mu, sigma)
+    prev, acc = zero_element(inp.X[0].kind, dim_of(inp.X[0])), None
+    for i, pos in enumerate(sigma):
+        term = kernel.evaluate(inp.X[pos], prev, b[i], b[i + 1])
+        acc = term if acc is None else add(inp.addop, acc, term)
+        prev = inp.X[pos]
+    return acc
+
+
+def _bits(x):
+    return x.kind, tuple(c.hex() for c in x.components)
+
+
+_unit = st.floats(0.0, 1.0)
+_LEAN_CARRIERS = {
+    # kind: (order, additions, element strategy)
+    "scalar": (ScalarUsual(), (PLUS, MIN_OP, BOUNDED_SUM), _unit.map(Scalar)),
+    "interval": (XU, (IV_PLUS,), st.tuples(_unit, _unit).map(
+        lambda p: Interval(min(p), max(p)))),
+    "vector": (VectorLex((0, 1)), (VV_PLUS,), st.tuples(_unit, _unit).map(Vector)),
+}
+_LEAN_KERNELS = ("delta-scale", {"family": "delta-scale", "delta": "sq-diff"},
+                 {"family": "b-scale-d", "d": "abs-diff"},
+                 {"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1"})
+
+
+@st.composite
+def _lean_cases(draw):
+    kind = draw(st.sampled_from(sorted(_LEAN_CARRIERS)))
+    order, additions, elements = _LEAN_CARRIERS[kind]
+    levels = draw(st.lists(elements, min_size=1, max_size=3))
+    X = tuple(draw(st.lists(st.sampled_from(levels), min_size=2, max_size=5)))
+    mu = capacity_family("uniform-random", len(X), seed=draw(st.integers(0, 9999)))
+    inp = AggregationInput(X, mu, order, draw(st.sampled_from(additions)))
+    kernel = kernel_catalog(draw(st.sampled_from(_LEAN_KERNELS)), kind, order)
+    # A random admissible permutation: each tie group in a drawn order.
+    groups = PermutationSet(X, order).groups
+    sigma = tuple(i for g in groups for i in draw(st.permutations(g)))
+    return inp, kernel, sigma
+
+
+class TestLeanFold:
+    """The operator's fold adds kernel terms without per-term carrier checks;
+    it must give, bit for bit, what the checked public calls give."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_lean_cases())
+    def test_matches_the_checked_fold(self, case):
+        inp, kernel, sigma = case
+        expected = _bits(_reference_fold(inp, kernel, sigma))
+        assert _bits(choquet_eval(inp, kernel, sigma).value) == expected
+        first = PermutationSet(inp.X, inp.order).first()
+        assert _bits(choquet_aggregate(inp, kernel).value) == _bits(
+            _reference_fold(inp, kernel, first))
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, 0.9])  # first, middle, last term
+    def test_kernel_leaving_the_scalar_carrier_raises(self, bad):
+        kernel = KernelL(lambda x, prev, b1, b2: Interval(0.0, 0.0) if x.value == bad
+                         else scale(TIMES, b1 - b2, x), "interval-at")
+        inp = scalar_input((0.9, 0.1, 0.5), capacity_family("cardinality", 3))
+        with pytest.raises(KindMismatch):
+            choquet_aggregate(inp, kernel)
+        with pytest.raises(KindMismatch):
+            choquet_eval(inp, kernel, (1, 2, 0))
+
+    def test_kernel_output_of_another_dimension_raises(self):
+        kernel = KernelL(lambda x, prev, b1, b2: Vector((0.0,) * 3), "three-dims")
+        with pytest.raises(KindMismatch):
+            kernel.evaluate(Vector((0.2, 0.4)), Vector((0.0, 0.0)), 1.0, 0.5)
+
+
+class TestNearTolerance:
+    """Comparisons use an absolute tolerance of 1e-12, which is not
+    transitive for values spaced about that far apart."""
+
+    @pytest.mark.parametrize("kind,order", [("scalar", ScalarUsual()),
+                                            ("interval", XU)])
+    def test_first_permutation_is_the_index_stable_sort(self, kind, order):
+        rng = random.Random(f"stable-{kind}")
+        key = ((lambda x: (x.value,)) if kind == "scalar"
+               else (lambda x: (k_alpha(x, 0.5), k_alpha(x, 1.0))))
+        for _ in range(200):
+            levels = [_random_element(rng, kind) for _ in range(rng.randint(1, 3))]
+            levels += [zero_element(kind, 2)] if rng.random() < 0.3 else []
+            X = tuple(rng.choice(levels) for _ in range(rng.randint(2, 8)))
+            expected = tuple(sorted(range(len(X)), key=lambda i: (key(X[i]), i)))
+            assert PermutationSet(X, order).first() == expected
+
+    @pytest.mark.parametrize("spacing", [0.0, 2e-13, 5e-13, 1e-12, 2e-12, 3e-12])
+    def test_classical_value_near_tolerance(self, spacing):
+        rng = random.Random(f"near-{spacing}")
+        kernel = classical_kernel("scalar")
+        for _ in range(100):
+            n = rng.randint(2, 6)
+            base = rng.uniform(0.1, 0.9)
+            values = [base + rng.randint(0, 3) * spacing for _ in range(n)]
+            mu = capacity_family("uniform-random", n, seed=rng.randint(0, 9999))
+            got = choquet_aggregate(scalar_input(values, mu), kernel).value.value
+            assert abs(got - classical_choquet_increments(values, mu_lookup(mu))) <= 1e-9
 
 
 class TestEquivariance:

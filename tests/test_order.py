@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquetlike import (
-    AlphaBeta, BadParameter, GridSpec, Interval, KindMismatch, Scalar,
-    ScalarUsual, Vector, VectorLex, admissible_compare, check_admissibility,
-    elements_equal, grid_elements, k_alpha, parse_order, partial_leq,
+    INTERVAL, SCALAR, VECTOR, AlphaBeta, BadParameter, GridSpec, Interval,
+    KindMismatch, Scalar, ScalarUsual, Vector, VectorLex, admissible_compare,
+    check_admissibility, dim_of, elements_equal, grid_elements, k_alpha,
+    parse_order, partial_leq,
 )
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -35,6 +36,35 @@ class TestElements:
     def test_vector_nonempty(self):
         with pytest.raises(BadParameter):
             Vector(())
+
+    def test_constructors_normalize_or_refuse(self):
+        # Components that are not already nonnegative floats take the
+        # checked route: ints become floats, tiny negatives snap to 0.
+        assert Scalar(1).value == 1.0 and type(Scalar(1).value) is float
+        assert Scalar(-1e-13).value == 0.0
+        for bad in (float("nan"), -0.1):
+            with pytest.raises(BadParameter):
+                Scalar(bad)
+        assert Interval(0.5, 0.5 - 1e-13).components == (0.5, 0.5)
+        assert Interval(0, 1).components == (0.0, 1.0)
+        with pytest.raises(BadParameter):
+            Interval(0.6, 0.4)
+        with pytest.raises(BadParameter):
+            Interval(float("nan"), 0.4)
+        v = Vector([1, 0])
+        assert v.coords == (1.0, 0.0) and type(v.coords) is tuple
+        assert all(type(c) is float for c in v.coords)
+        assert Vector((0.2, -1e-13)).coords == (0.2, 0.0)
+        with pytest.raises(BadParameter):
+            Vector(())
+        with pytest.raises(BadParameter):
+            Vector((0.2, -0.1))
+
+    def test_kind_and_dim(self):
+        for x, kind, dim in ((Scalar(0.3), SCALAR, 1), (Interval(0.1, 0.2), INTERVAL, 2),
+                             (Vector((0.1,)), VECTOR, 1), (Vector((0.1, 0.2, 0.3)), VECTOR, 3)):
+            assert x.kind == kind and x.dim == dim_of(x) == dim == len(x.components)
+        assert Scalar.kind == SCALAR and Interval.kind == INTERVAL and Vector.kind == VECTOR
 
     def test_ambient_values_allowed(self):
         # Sums escape the unit-bounded set but remain valid elements.
