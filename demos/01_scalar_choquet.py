@@ -25,8 +25,8 @@ print("tail-set weights along sigma:", tail_values(mu, sigma))
 
 inp = AggregationInput(scores, mu, order, PLUS)
 kernel = classical_kernel("scalar")
-outcome = choquet_eval(inp, kernel, sigma)
-print("operator value:", outcome.value.value)      # 8/15 = 0.5333...
+value = choquet_eval(inp, kernel, sigma)
+print("operator value:", value.value)              # 8/15 = 0.5333...
 
 # The same number, written as the classic sorted sum:
 #   0.2 * 1 + (0.5 - 0.2) * 2/3 + (0.9 - 0.5) * 1/3

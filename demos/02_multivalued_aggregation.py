@@ -28,7 +28,7 @@ X = (Interval(0.2, 0.4), Interval(0.5, 0.7))
 mu = capacity_from_table(2, [((), 0), ((1,), 0.5), ((2,), 0.5), ((1, 2), 1)])
 res = choquet_aggregate(AggregationInput(X, mu, xu, IV_PLUS),
                         classical_kernel("interval"))
-print("interval fusion:", res.value.to_json(), "in unit range:", res.in_unit)
+print("interval fusion:", res.value.to_json(), "in unit range:", res.value.in_unit)
 
 # Vector-valued data under a lexicographic priority (coordinate 2 first).
 veclex = parse_order("veclex:2,1")

@@ -12,8 +12,7 @@ from .algebra import (
     AdditionOp, MultiplicationOp, add, addition_for, check_associativity,
     check_c1, check_cancellation, check_closure, check_commutativity,
     check_compatibility, check_distributivity, check_zero_sum, fold_add,
-    register_addition, register_multiplication, resolve_addition,
-    resolve_multiplication, scale, scale_for,
+    register_addition, resolve_addition, scale, scale_for,
 )
 from .capacity import (
     Capacity, capacity_family, capacity_from_table, mask_to_subset,
@@ -34,7 +33,7 @@ from .errors import (
     UnknownKernel,
 )
 from .operator import (
-    AggregateResult, AggregationInput, EvalOutcome, KernelL, PermutationSet,
+    AggregateResult, AggregationInput, KernelL, PermutationSet,
     admissible_permutations, affine_f_kernel, b_scale_d_kernel,
     choquet_aggregate, choquet_eval, classical_kernel, delta_scale_kernel,
     f_difference_kernel, kernel_catalog, register_kernel,
@@ -42,9 +41,8 @@ from .operator import (
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, AlphaBeta, Element,
     Interval, Scalar, ScalarUsual, Vector, VectorLex, admissible_compare,
-    check_admissibility, default_order, dim_of, element_from_json,
-    element_to_json, elements_equal, grid_elements, k_alpha, kind_of,
-    one_element, parse_order, partial_leq, unit_grid, zero_element,
+    check_admissibility, element_from_json, elements_equal, grid_elements,
+    k_alpha, one_element, parse_order, partial_leq, unit_grid, zero_element,
 )
 from .reporting import GridSpec, LawReport
 from .verifier import (

@@ -92,9 +92,6 @@ BOUNDED_SUM = AdditionOp("bounded-sum", SCALAR,
 _ADDITIONS: dict[str, AdditionOp] = {
     op.name: op for op in (PLUS, IV_PLUS, VV_PLUS, MIN_OP, BOUNDED_SUM)
 }
-_MULTIPLICATIONS: dict[str, MultiplicationOp] = {
-    op.name: op for op in (TIMES, IV_SCALE, VV_SCALE)
-}
 
 
 def register_addition(op: AdditionOp) -> AdditionOp:
@@ -102,17 +99,8 @@ def register_addition(op: AdditionOp) -> AdditionOp:
     return op
 
 
-def register_multiplication(op: MultiplicationOp) -> MultiplicationOp:
-    _MULTIPLICATIONS[op.name] = op
-    return op
-
-
 def resolve_addition(spec: str) -> AdditionOp:
     return lookup(_ADDITIONS, spec, "addition op")
-
-
-def resolve_multiplication(spec: str) -> MultiplicationOp:
-    return lookup(_MULTIPLICATIONS, spec, "multiplication op")
 
 
 def addition_for(kind: str) -> AdditionOp:

@@ -45,9 +45,6 @@ class Capacity:
                 f"expected {1 << self.n} subset values, got {len(self.values)}")
         _validate(self.n, self.values)
 
-    def value(self, mask: int) -> float:
-        return self.values[mask]
-
     def of_subset(self, items) -> float:
         return self.values[subset_to_mask(items)]
 

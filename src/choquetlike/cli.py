@@ -30,7 +30,7 @@ from .errors import BadParameter, ChoquetlikeError, NoWitnessFound, json_number
 from .operator import AggregationInput, choquet_aggregate, kernel_catalog
 from .order import (
     INTERVAL, SCALAR, VECTOR, AlphaBeta, ScalarUsual, VectorLex,
-    check_admissibility, element_to_json, parse_order,
+    check_admissibility, parse_order,
 )
 from .reporting import GridSpec, LawReport
 
@@ -97,9 +97,9 @@ def cmd_aggregate(args) -> int:
         any_inconsistent |= not res.consistent
         results.append({
             "id": row_id,
-            "value": element_to_json(res.value),
+            "value": res.value.to_json(),
             "consistent": res.consistent,
-            "in_K": res.in_unit,
+            "in_K": res.value.in_unit,
             "permutations": res.permutations,
         })
 
@@ -168,9 +168,8 @@ def _write(path, text):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _grid(config, kind, default_m, n=None, dim=2):
-    m = config.get("grid", default_m)
-    return GridSpec(kind, m, n=n or config.get("n", 3), dim=dim)
+def _grid(config, kind, default_m):
+    return GridSpec(kind, config.get("grid", default_m))
 
 
 def _carriers(config):

@@ -16,9 +16,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DatasetFormatError, lookup
+from .errors import BadParameter, DatasetFormatError, lookup
 from .order import (
-    INTERVAL, SCALAR, VECTOR, Element, dim_of, element_from_json, element_to_json,
+    INTERVAL, SCALAR, VECTOR, Element, element_from_json,
 )
 
 _NUMBER = (int, float)  # JSON numbers: a bool has its own type and is refused
@@ -46,12 +46,12 @@ class Dataset:
         if not self.rows[0]:
             raise DatasetFormatError("row 0 has no elements")
         n = len(self.rows[0])
-        dim = dim_of(self.rows[0][0])
+        dim = self.rows[0][0].dim
         for r, row in enumerate(self.rows):
             if len(row) != n:
                 raise DatasetFormatError("rows have differing arity")
             for c, el in enumerate(row):
-                if el.kind != self.kind or dim_of(el) != dim:
+                if el.kind != self.kind or el.dim != dim:
                     raise DatasetFormatError(
                         "row element does not match the dataset carrier")
                 if not el.in_unit:
@@ -76,15 +76,27 @@ def parse_dataset(text: str, kind: str) -> Dataset:
     return _parse_json(text, kind)
 
 
+def _refused_cell(r: int, cells, build) -> DatasetFormatError:
+    """The error for row ``r`` (counted as ``Dataset`` counts rows) once
+    ``build`` has refused one of its ``cells``: the first cell it refuses
+    again is named with its position."""
+    for c, cell in enumerate(cells):
+        try:
+            build(cell)
+        except (ValueError, OverflowError, BadParameter) as exc:
+            return DatasetFormatError(f"row {r}, column {c} (0-based): {exc}")
+
+
 def _parse_csv(text: str) -> Dataset:
     rows = []
-    try:
-        for record in csv.reader(io.StringIO(text)):
-            if not record or all(not c.strip() for c in record):
-                continue
+    for record in csv.reader(io.StringIO(text)):
+        if not record or all(not c.strip() for c in record):
+            continue
+        try:
             rows.append(tuple(element_from_json(SCALAR, float(c)) for c in record))
-    except ValueError as exc:
-        raise DatasetFormatError(f"bad CSV value: {exc}") from exc
+        except (ValueError, BadParameter) as exc:
+            raise _refused_cell(len(rows), record,
+                                lambda c: element_from_json(SCALAR, float(c))) from exc
     return Dataset(SCALAR, tuple(rows))
 
 
@@ -105,15 +117,18 @@ def _parse_json(text: str, kind: str) -> Dataset:
         raise DatasetFormatError("expected a list of rows")
     is_cell, what = lookup(_JSON_CELLS, kind, "carrier kind")
     rows = []
-    try:
-        for r, row in enumerate(obj):
+    for r, row in enumerate(obj):
+        try:
             for c, cell in enumerate(row):
                 if not is_cell(cell):
                     raise DatasetFormatError(
                         f"row {r}, column {c} (0-based): {cell!r} is not {what}")
             rows.append(tuple(element_from_json(kind, cell) for cell in row))
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"bad element: {exc}") from exc
+        except (OverflowError, BadParameter) as exc:
+            raise _refused_cell(r, row, lambda cell: element_from_json(kind, cell)) \
+                from exc
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"bad element: {exc}") from exc
     return Dataset(kind, tuple(rows), ids)
 
 
@@ -135,7 +150,7 @@ def serialize_dataset(ds: Dataset) -> str:
             writer.writerow([el.value for el in row])
         return out.getvalue()
     payload = {"kind": ds.kind,
-               "rows": [[element_to_json(el) for el in row] for row in ds.rows]}
+               "rows": [[el.to_json() for el in row] for row in ds.rows]}
     if ds.ids is not None:
         payload["ids"] = list(ds.ids)
     return json.dumps(payload, indent=2)

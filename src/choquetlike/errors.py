@@ -39,8 +39,8 @@ class NotAdmissiblePermutation(ChoquetlikeError):
 
 
 class TooManyTies(ChoquetlikeError):
-    """Admissible-permutation set too large to materialize, or a tie group
-    too large to decide consistency over."""
+    """A tie group has more than ``MAX_TIE_GROUP`` inputs, too many to
+    decide consistency over."""
 
 
 class UnknownKernel(ChoquetlikeError):

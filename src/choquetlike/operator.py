@@ -27,11 +27,9 @@ from .errors import (
     TooManyTies, UnknownKernel, lookup,
 )
 from .order import (
-    TOL, AdmissibleOrder, Element, dim_of, elements_equal, from_components,
-    zero_like,
+    TOL, AdmissibleOrder, Element, elements_equal, from_components, zero_like,
 )
 
-MAX_MATERIALIZED_PERMUTATIONS = 10_000
 MAX_TIE_GROUP = 16
 
 
@@ -129,7 +127,7 @@ class PermutationSet:
         idx = _order_sort(X, order)
         groups: list[list[int]] = [[idx[0]]]
         for i in idx[1:]:
-            if order.eq(X[groups[-1][0]], X[i]):
+            if order.compare(X[groups[-1][0]], X[i]) == 0:
                 groups[-1].append(i)
             else:
                 groups.append([i])
@@ -143,12 +141,6 @@ class PermutationSet:
     def first(self) -> tuple[int, ...]:
         return tuple(itertools.chain.from_iterable(self.groups))
 
-    def materialize(self, limit: int = MAX_MATERIALIZED_PERMUTATIONS) -> list[tuple[int, ...]]:
-        if self.count > limit:
-            raise TooManyTies(
-                f"{self.count} admissible permutations exceed the limit {limit}")
-        return list(self)
-
 
 def _order_sort(X, order: AdmissibleOrder) -> list[int]:
     # Indices sorted by the comparator; the sort is stable, so ties keep
@@ -158,12 +150,11 @@ def _order_sort(X, order: AdmissibleOrder) -> list[int]:
 
 
 def admissible_permutations(X, order: AdmissibleOrder) -> list[tuple[int, ...]]:
-    """All 0-based permutations sigma with X[sigma[0]] <= ... <= X[sigma[-1]].
-
-    Never empty. Materialization refuses above 10,000 permutations
-    (``TooManyTies``); use :class:`PermutationSet` to stream them.
+    """All 0-based permutations sigma with X[sigma[0]] <= ... <= X[sigma[-1]],
+    as a list: never empty, and ``k!`` long for a tie group of ``k`` inputs.
+    Use :class:`PermutationSet` to count or stream them instead.
     """
-    return PermutationSet(X, order).materialize()
+    return list(PermutationSet(X, order))
 
 
 # ---------------------------------------------------------------------------
@@ -171,34 +162,28 @@ def admissible_permutations(X, order: AdmissibleOrder) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EvalOutcome:
-    value: Element
-    in_unit: bool
-
-
-@dataclass(frozen=True)
 class AggregateResult:
     """Operator value plus the consistency report across admissible
     permutations. ``value`` always comes from the lexicographically first
     permutation so downstream tooling has a number to display;
     ``consistent`` is the authoritative flag, decided exactly. ``checked``
-    counts the candidate permutations drawn; a row without ties has one."""
+    counts the candidate permutations drawn; a row without ties has one.
+    ``value.in_unit`` says whether the fold stayed in the bounded set."""
 
     value: Element
     consistent: bool
-    in_unit: bool
     permutations: int
     checked: int
     witness: Optional[dict] = None
 
 
 def choquet_eval(inp: AggregationInput, kernel: KernelL,
-                 sigma: tuple[int, ...]) -> EvalOutcome:
-    """Evaluate the operator along one admissible permutation.
+                 sigma: tuple[int, ...]) -> Element:
+    """The operator value along one admissible permutation.
 
     Raises ``NotAdmissiblePermutation`` if sigma does not sort the inputs
     into a non-decreasing chain. The folded sum may leave the bounded
-    set; ``in_unit`` records membership.
+    set; its ``in_unit`` records membership.
     """
     X, order = inp.X, inp.order
     n = inp.n
@@ -208,8 +193,7 @@ def choquet_eval(inp: AggregationInput, kernel: KernelL,
         if order.compare(X[a], X[b]) > 0:
             raise NotAdmissiblePermutation(
                 f"inputs at positions {a} and {b} are out of order under sigma")
-    value = _eval_sorted(inp, kernel, sigma)
-    return EvalOutcome(value=value, in_unit=value.in_unit)
+    return _eval_sorted(inp, kernel, sigma)
 
 
 def _eval_sorted(inp: AggregationInput, kernel: KernelL, sigma) -> Element:
@@ -293,8 +277,8 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
             break
 
     return AggregateResult(value=base, consistent=consistent,
-                           in_unit=base.in_unit, permutations=perms.count,
-                           checked=checked, witness=witness)
+                           permutations=perms.count, checked=checked,
+                           witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +288,8 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
 _CARRIER_FNS: dict[str, Callable[[Element], Element]] = {
     "zero": zero_like,
     "identity": lambda x: x,
-    "upper": lambda x: from_components(x.kind, (max(x.components),) * dim_of(x)),
-    "lower": lambda x: from_components(x.kind, (min(x.components),) * dim_of(x)),
+    "upper": lambda x: from_components(x.kind, (max(x.components),) * x.dim),
+    "lower": lambda x: from_components(x.kind, (min(x.components),) * x.dim),
 }
 
 

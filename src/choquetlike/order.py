@@ -138,15 +138,6 @@ class Vector:
 Element = Union[Scalar, Interval, Vector]
 
 
-def kind_of(x: Element) -> str:
-    return x.kind
-
-
-def dim_of(x: Element) -> int:
-    """Number of real components carried by the element."""
-    return x.dim
-
-
 def require_same_carrier(x: Element, z: Element) -> None:
     if x.kind != z.kind or x.dim != z.dim:
         raise KindMismatch(f"carrier mismatch: {x!r} vs {z!r}")
@@ -190,16 +181,12 @@ def one_element(kind: str, dim: int = 1) -> Element:
 
 
 def zero_like(x: Element) -> Element:
-    return zero_element(x.kind, dim_of(x))
+    return zero_element(x.kind, x.dim)
 
 
 def elements_equal(x: Element, z: Element, tol: float = TOL) -> bool:
     require_same_carrier(x, z)
     return all(abs(a - b) <= tol for a, b in zip(x.components, z.components))
-
-
-def element_to_json(x: Element):
-    return x.to_json()
 
 
 def element_from_json(kind: str, obj) -> Element:
@@ -256,12 +243,6 @@ class AdmissibleOrder:
 
     def leq(self, x: Element, z: Element) -> bool:
         return self.compare(x, z) <= 0
-
-    def lt(self, x: Element, z: Element) -> bool:
-        return self.compare(x, z) < 0
-
-    def eq(self, x: Element, z: Element) -> bool:
-        return self.compare(x, z) == 0
 
     def sort(self, elems) -> list:
         return sorted(elems, key=cmp_to_key(self.compare))
@@ -344,7 +325,7 @@ class VectorLex(AdmissibleOrder):
     def compare(self, x: Element, z: Element) -> int:
         if not isinstance(x, Vector) or not isinstance(z, Vector):
             raise KindMismatch("lexicographic order compares vectors")
-        if dim_of(x) != self.dim or dim_of(z) != self.dim:
+        if x.dim != self.dim or z.dim != self.dim:
             raise KindMismatch("vector dimension does not match the order")
         for i in self.priority:
             d = x.coords[i] - z.coords[i]
@@ -383,16 +364,6 @@ def parse_order(spec: str) -> AdmissibleOrder:
         perm = tuple(int(p) - 1 for p in spec[len("veclex:"):].split(","))
         return VectorLex(perm)
     raise BadParameter(f"bad order spec: {spec!r}")
-
-
-def default_order(kind: str, dim: int = 2) -> AdmissibleOrder:
-    if kind == SCALAR:
-        return ScalarUsual()
-    if kind == INTERVAL:
-        return AlphaBeta(0.5, 1.0)  # Xu-Yager
-    if kind == VECTOR:
-        return VectorLex(tuple(range(dim)))
-    raise BadParameter(f"unknown carrier kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -330,10 +330,11 @@ def capacity_battery(n: int, seed: int = 42, randoms: int = 5) -> list[Capacity]
 
 def _value_table(kernel, addop, order, n, elems, caps):
     """For every input tuple and capacity: operator values across all
-    admissible permutations, reduced to (min, max, first, count)."""
+    admissible permutations, reduced to their (min, max) under the order,
+    each as a (value, sigma) pair."""
     table = {}
     for X in itertools.product(elems, repeat=n):
-        perms = PermutationSet(X, order).materialize(limit=10 ** 6)
+        perms = list(PermutationSet(X, order))
         per_cap = []
         for mu in caps:
             inp_mu = AggregationInput(X, mu, order, addop)
@@ -344,7 +345,7 @@ def _value_table(kernel, addop, order, n, elems, caps):
                     vmin = v
                 if order.compare(v[0], vmax[0]) > 0:
                     vmax = v
-            per_cap.append((vmin, vmax, values[0]))
+            per_cap.append((vmin, vmax))
         table[X] = per_cap
     return table
 
@@ -358,7 +359,7 @@ def brute_force_wd(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
     caps = capacity_battery(n, seed)
     checked = 0
     for X in itertools.product(elems, repeat=n):
-        perms = PermutationSet(X, order).materialize(limit=10 ** 6)
+        perms = list(PermutationSet(X, order))
         if len(perms) == 1:
             continue
         for mu in caps:
@@ -393,7 +394,7 @@ def brute_force_monotonicity(kernel: KernelL, addop: AdditionOp,
     for X, per_cap_x in table.items():
         for Z in itertools.product(*(upsets[x] for x in X)):
             per_cap_z = table[Z]
-            for mu, (_, xmax, _), (zmin, _, _) in zip(caps, per_cap_x, per_cap_z):
+            for mu, (_, xmax), (zmin, _) in zip(caps, per_cap_x, per_cap_z):
                 checked += 1
                 if order.compare(xmax[0], zmin[0]) > 0:
                     return failed_report("monotonicity-brute-force", {

@@ -80,8 +80,8 @@ class TestCompatibility:
         assert not report.passed
         w = report.witness
         # The witness replays: strictly ordered inputs, equal (or reversed) sums.
-        assert ScalarUsual().lt(w["x1"], w["x2"])
-        assert not ScalarUsual().lt(w["lhs"], w["rhs"])
+        assert ScalarUsual().compare(w["x1"], w["x2"]) < 0
+        assert not ScalarUsual().compare(w["lhs"], w["rhs"]) < 0
 
 
     def test_lemma_break_raises_and_weak_fails(self):

@@ -36,8 +36,6 @@ class TestDatasets:
 
     def test_malformed_inputs(self):
         with pytest.raises(DatasetFormatError):
-            parse_dataset("0.2,oops\n", "scalar")
-        with pytest.raises(DatasetFormatError):
             parse_dataset("[[0.2, 0.4], [0.5]]", "interval")
         with pytest.raises(DatasetFormatError):
             parse_dataset("[]", "interval")
@@ -55,7 +53,15 @@ class TestDatasets:
                 ('[[0.1, 0.2], ["0.5", true]]', "scalar", "row 1, column 0"),
                 ('[[[0.1, 0.2]], [[true, "0.5"]]]', "vector", "row 1, column 0"),
                 ('[[[0.1, 0.2], [0.3, 0.4, 0.5]]]', "interval", "row 0, column 1"),
-                ('[[0.5, false]]', "scalar", "row 0, column 1")):
+                ('[[0.5, false]]', "scalar", "row 0, column 1"),
+                # Cells the element constructors refuse, or no float can hold.
+                ("0.1,-0.5\n", "scalar", "row 0, column 1"),
+                ("0.1,nan\n", "scalar", "row 0, column 1"),
+                ("[[[0.5, 0.2]]]", "interval", "row 0, column 0"),
+                ("[[[0.1, -0.2]]]", "interval", "row 0, column 0"),
+                ("0.2,oops\n", "scalar", "row 0, column 1"),
+                ("0.1,0.2\n\n0.3,-0.5\n", "scalar", "row 1, column 1"),  # blank rows skipped
+                ("[[0.1, 0.2], [0.3, 1%s]]" % ("0" * 400), "scalar", "row 1, column 1")):
             with pytest.raises(DatasetFormatError, match=where):
                 parse_dataset(text, kind)
 

@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by its module
-(``__init__.py``, which re-exports, is exempt)."""
+(``__init__.py``, which re-exports, is exempt), and every module-level
+private name is used by some module of the package."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "choquetlike"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +34,53 @@ def test_detects_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level functions, classes and assignments named ``_name``
+    (dunders excepted), with their line numbers."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read, attributes taken, and names imported anywhere in a module."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    used = set().union(*map(referenced_names, sources.values()))
+    return [f"{module} line {line}: {name}" for module, source in sources.items()
+            for name, line in private_definitions(source).items() if name not in used]
+
+
+def test_detects_a_dead_private_name():
+    sources = {"a.py": "_TABLE = {}\n_KEPT = 1\n__all__ = []\n"
+                       "def _helper():\n    return _KEPT\n",
+               "b.py": "from a import _helper\n_helper()\n"}
+    assert dead_private_names(sources) == ["a.py line 1: _TABLE"]
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    assert dead_private_names(sources) == []

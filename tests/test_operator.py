@@ -14,7 +14,7 @@ from choquetlike import (
     PermutationSet, Scalar, ScalarUsual, TooManyTies, UnknownKernel, VV_PLUS,
     Vector, VectorLex, add, admissible_permutations, capacity_family,
     capacity_from_table, choquet_aggregate, choquet_eval, classical_kernel,
-    dim_of, elements_equal, k_alpha, kernel_catalog, register_kernel, scale,
+    elements_equal, k_alpha, kernel_catalog, register_kernel, scale,
     scale_for, tail_values, zero_element,
 )
 from choquetlike.operator import MAX_TIE_GROUP
@@ -56,8 +56,6 @@ class TestAdmissiblePermutations:
 
     def test_too_many_ties(self):
         X = tuple(Scalar(0.5) for _ in range(8))  # 8! = 40320 permutations
-        with pytest.raises(TooManyTies):
-            admissible_permutations(X, ScalarUsual())
         assert PermutationSet(X, ScalarUsual()).count == 40320
 
 
@@ -65,7 +63,7 @@ class TestChoquetEval:
     def test_classical_worked_instance(self):
         inp = scalar_input((0.2, 0.5, 0.9), capacity_family("cardinality", 3))
         out = choquet_eval(inp, classical_kernel("scalar"), (0, 1, 2))
-        assert out.value.value == pytest.approx(8 / 15, abs=1e-12)
+        assert out.value == pytest.approx(8 / 15, abs=1e-12)
         assert out.in_unit
 
     def test_agrees_with_both_textbook_forms_exhaustively(self):
@@ -84,7 +82,7 @@ class TestChoquetEval:
         mu = capacity_from_table(2, [((), 0), ((1,), 0.5), ((2,), 0.5), ((1, 2), 1)])
         inp = AggregationInput(X, mu, XU, IV_PLUS)
         out = choquet_eval(inp, classical_kernel("interval"), (0, 1))
-        assert elements_equal(out.value, Interval(0.35, 0.55))
+        assert elements_equal(out, Interval(0.35, 0.55))
 
     def test_rejects_inadmissible_permutation(self):
         inp = scalar_input((0.2, 0.9), capacity_family("cardinality", 2))
@@ -98,7 +96,7 @@ class TestChoquetEval:
         X = tuple(zero_element("interval") for _ in range(3))
         inp = AggregationInput(X, mu, XU, IV_PLUS)
         out = choquet_eval(inp, classical_kernel("interval"), (0, 1, 2))
-        assert elements_equal(out.value, Interval(0.0, 0.0))
+        assert elements_equal(out, Interval(0.0, 0.0))
 
 
 class TestChoquetAggregate:
@@ -145,7 +143,7 @@ class TestChoquetAggregate:
         res = choquet_aggregate(inp, kernel)
         assert not res.consistent
         w = res.witness
-        assert choquet_eval(inp, kernel, w["sigma_b"]).value == w["value_b"]
+        assert choquet_eval(inp, kernel, w["sigma_b"]) == w["value_b"]
         assert not elements_equal(w["value_a"], w["value_b"])
 
     def test_tie_group_above_limit_raises(self):
@@ -217,8 +215,8 @@ class TestTieWalk:
             mu = capacity_family("uniform-random", n, seed=rng.randint(0, 9999))
             inp = AggregationInput(X, mu, order, addop)
             perms = PermutationSet(X, order)
-            base = choquet_eval(inp, kernel, perms.first()).value
-            expected = all(elements_equal(choquet_eval(inp, kernel, s).value, base)
+            base = choquet_eval(inp, kernel, perms.first())
+            expected = all(elements_equal(choquet_eval(inp, kernel, s), base)
                            for s in perms)
             res = choquet_aggregate(inp, kernel)
             assert res.consistent == expected
@@ -227,7 +225,7 @@ class TestTieWalk:
             if not res.consistent:
                 inconsistent += 1
                 w = res.witness
-                assert choquet_eval(inp, kernel, w["sigma_b"]).value == w["value_b"]
+                assert choquet_eval(inp, kernel, w["sigma_b"]) == w["value_b"]
         if kernel.name in ("delta-scale(sq-diff)", "b1-x") and addop is not MIN_OP:
             assert inconsistent > 0
 
@@ -239,7 +237,7 @@ class TestTieWalk:
         X = (Scalar(1.0),) * 3
         inp = AggregationInput(X, mu, ScalarUsual(), BOUNDED_SUM)
         kernel = _b1_kernel("scalar")
-        assert {choquet_eval(inp, kernel, s).value.value
+        assert {choquet_eval(inp, kernel, s).value
                 for s in PermutationSet(X, ScalarUsual())} == {1.0}
         res = choquet_aggregate(inp, kernel)
         assert res.consistent and res.value.value == 1.0 and res.checked > 1
@@ -249,7 +247,7 @@ def _reference_fold(inp, kernel, sigma):
     """The operator along sigma from public calls only: ``tail_values``,
     ``kernel.evaluate`` and a checked ``add`` per term."""
     b = tail_values(inp.mu, sigma)
-    prev, acc = zero_element(inp.X[0].kind, dim_of(inp.X[0])), None
+    prev, acc = zero_element(inp.X[0].kind, inp.X[0].dim), None
     for i, pos in enumerate(sigma):
         term = kernel.evaluate(inp.X[pos], prev, b[i], b[i + 1])
         acc = term if acc is None else add(inp.addop, acc, term)
@@ -298,7 +296,7 @@ class TestLeanFold:
     def test_matches_the_checked_fold(self, case):
         inp, kernel, sigma = case
         expected = _bits(_reference_fold(inp, kernel, sigma))
-        assert _bits(choquet_eval(inp, kernel, sigma).value) == expected
+        assert _bits(choquet_eval(inp, kernel, sigma)) == expected
         first = PermutationSet(inp.X, inp.order).first()
         assert _bits(choquet_aggregate(inp, kernel).value) == _bits(
             _reference_fold(inp, kernel, first))
