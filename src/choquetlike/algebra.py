@@ -233,7 +233,7 @@ def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
 
     # Pairs of grid indices (i, j) with elems[i] <= elems[j].
     upairs = [(i, j) for (i, u1), (j, u2) in itertools.product(enumerate(elems), repeat=2)
-              if order.leq(u1, u2)]
+              if order.compare(u1, u2) <= 0]
     # Bucket pairs by the componentwise difference so the cross-sum
     # constraint u1+v2 = u2+v1 becomes a dictionary match.
     by_diff: dict[tuple, list] = {}

@@ -81,8 +81,10 @@ class Capacity:
             if not isinstance(entries, list):
                 raise BadParameter(
                     f"a capacity table needs a list of entries, got {entries!r}")
-            return capacity_from_table(n, [_table_entry(e) for e in entries],
-                                       complete=bool(obj.get("complete", False)))
+            complete = obj.get("complete", False)
+            if not isinstance(complete, bool):
+                raise BadParameter(f"'complete' must be true or false, got {complete!r}")
+            return capacity_from_table(n, [_table_entry(e) for e in entries], complete)
         params = {k: v for k, v in obj.items() if k not in ("n", "kind")}
         return capacity_family(kind, n, **params)
 
@@ -90,13 +92,11 @@ class Capacity:
 def _table_entry(entry) -> tuple[list, float]:
     """The (subset, value) pair of one capacity table entry."""
     if not (isinstance(entry, dict) and isinstance(entry.get("subset"), list)
-            and all(isinstance(i, int) and not isinstance(i, bool) and i >= 1
-                    for i in entry["subset"])
-            and isinstance(entry.get("value"), (int, float))
-            and not isinstance(entry["value"], bool)):
+            and all(isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= MAX_N
+                    for i in entry["subset"])):
         raise BadParameter(f"capacity entry {entry!r} needs a list of element "
-                           "numbers (1 or more) as subset and a number as value")
-    return entry["subset"], float(entry["value"])
+                           f"numbers (1 to {MAX_N}) as subset")
+    return entry["subset"], json_number(entry, "value")
 
 
 def _validate(n: int, values) -> None:

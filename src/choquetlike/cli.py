@@ -103,17 +103,9 @@ def cmd_aggregate(args) -> int:
             "permutations": res.permutations,
         })
 
-    if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["id", "value", "consistent", "in_K"])
-        for rec in results:
-            writer.writerow([rec["id"], json.dumps(rec["value"]),
-                             rec["consistent"], rec["in_K"]])
-        text = out.getvalue()
-    else:
-        text = json.dumps({"results": results}, indent=2)
-    _write(args.output, text)
+    _write(args, {"results": results}, ["id", "value", "consistent", "in_K"],
+           ([rec["id"], json.dumps(rec["value"]), rec["consistent"], rec["in_K"]]
+            for rec in results))
     return 2 if any_inconsistent else 0
 
 
@@ -132,7 +124,6 @@ def cmd_verify(args) -> int:
                        for key in ("grid", "n", "alpha", "beta") if key in config})
     if args.grid is not None:
         config["grid"] = args.grid
-    config.setdefault("seed", args.seed)
     config.setdefault("n", args.n)
 
     suites = {
@@ -146,23 +137,24 @@ def cmd_verify(args) -> int:
         tagged.extend((name, report) for report in suites[name](config))
 
     payload = [dict(report.to_json(), suite=name) for name, report in tagged]
-    if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["suite", "law", "verdict", "checked", "elapsed"])
-        for rec in payload:
-            writer.writerow([rec["suite"], rec["law"], rec["verdict"],
-                             rec["checked"], rec["elapsed"]])
-        text = out.getvalue()
-    else:
-        text = json.dumps(payload, indent=2)
-    _write(args.output, text)
+    columns = ["suite", "law", "verdict", "checked", "elapsed"]
+    _write(args, payload, columns, ([rec[c] for c in columns] for rec in payload))
     return 0 if all(report.passed for _, report in tagged) else 3
 
 
-def _write(path, text):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+def _write(args, obj, header, rows):
+    """Write ``obj`` as indented JSON, or ``header`` and ``rows`` as CSV
+    under ``--format csv``, to ``--output`` or else to stdout."""
+    if args.format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = out.getvalue()
+    else:
+        text = json.dumps(obj, indent=2)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")

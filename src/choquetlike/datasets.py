@@ -118,6 +118,8 @@ def _parse_json(text: str, kind: str) -> Dataset:
     is_cell, what = lookup(_JSON_CELLS, kind, "carrier kind")
     rows = []
     for r, row in enumerate(obj):
+        if type(row) is not list:
+            raise DatasetFormatError(f"row {r} (0-based): {row!r} is not a list of cells")
         try:
             for c, cell in enumerate(row):
                 if not is_cell(cell):
@@ -127,8 +129,6 @@ def _parse_json(text: str, kind: str) -> Dataset:
         except (OverflowError, BadParameter) as exc:
             raise _refused_cell(r, row, lambda cell: element_from_json(kind, cell)) \
                 from exc
-        except (TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"bad element: {exc}") from exc
     return Dataset(kind, tuple(rows), ids)
 
 

@@ -68,17 +68,16 @@ def resolve_delta(spec) -> Callable[[float, float], float]:
     return lookup(_DELTAS, spec, "scalar dissimilarity")
 
 
-def delta_covers_unit_range(delta: Callable[[float, float], float],
-                            samples: int = 64) -> bool:
+def delta_covers_unit_range(delta: Callable[[float, float], float]) -> bool:
     """Whether t -> delta(t, 0) sweeps [0, 1] over t in [0, 1].
 
     Checked as: endpoints hit 0 and 1, values stay in [0, 1], and the map
-    is non-decreasing on a sample grid. Of the shipped deltas only
-    ``abs-diff`` both satisfies this and is strictly monotone.
+    is non-decreasing on the grid {0, 1/64, ..., 1}. Of the shipped deltas
+    only ``abs-diff`` both satisfies this and is strictly monotone.
     """
     prev = None
-    for i in range(samples + 1):
-        v = delta(i / samples, 0.0)
+    for t in unit_grid(64):
+        v = delta(t, 0.0)
         if not (-TOL <= v <= 1.0 + TOL):
             return False
         if prev is not None and v < prev - TOL:
@@ -91,9 +90,11 @@ def delta_covers_unit_range(delta: Callable[[float, float], float],
 # Carrier-valued dissimilarities
 # ---------------------------------------------------------------------------
 
-def scalar_dissimilarity(name: str) -> DissimilarityFn:
-    delta = resolve_delta(name)
-    return DissimilarityFn(name, SCALAR,
+def scalar_dissimilarity(spec) -> DissimilarityFn:
+    """The scalar dissimilarity d(x, z) = delta(x, z) for a delta given by
+    name or as a callable; a callable is named ``custom``."""
+    delta = resolve_delta(spec)
+    return DissimilarityFn(spec if isinstance(spec, str) else "custom", SCALAR,
                            lambda x, z: Scalar(delta(x.value, z.value)))
 
 
@@ -319,8 +320,7 @@ class TelescopingWitness:
 
 
 def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
-                         grid: GridSpec, full_grid_fallback: bool = True,
-                         tol: float = 1e-9):
+                         grid: GridSpec, full_grid_fallback: bool = True):
     """Search for a telescoping violation of the width-based interval
     dissimilarity under the (alpha, beta)-order.
 
@@ -340,14 +340,14 @@ def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
     d = takac_dissimilarity_fn(alpha, m_d, delta_d)
     pairs = []
 
-    ts = [v for v in unit_grid(grid.m, grid.bounds) if v > TOL]
+    ts = unit_grid(grid.m)[1:]
     for t1, t2 in itertools.combinations(ts, 2):
         pairs.append((Interval(0.0, t1), Interval(0.0, t2)))
     if full_grid_fallback:
-        elems = grid_elements(GridSpec(INTERVAL, grid.m, bounds=grid.bounds))
+        elems = grid_elements(GridSpec(INTERVAL, grid.m))
         for x1 in elems:
             for x2 in elems:
-                if order.leq(x1, x2):
+                if order.compare(x1, x2) <= 0:
                     pairs.append((x1, x2))
 
     zero = Interval(0.0, 0.0)
@@ -358,7 +358,7 @@ def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
             z12 = d(x2, x1)
             z2 = d(x2, zero)
             lhs = add(IV_PLUS, z1, z12)
-            if abs(lhs.lower - z2.lower) > tol or abs(lhs.upper - z2.upper) > tol:
+            if abs(lhs.lower - z2.lower) > 1e-9 or abs(lhs.upper - z2.upper) > 1e-9:
                 ka1, ka2 = k_alpha(x1, alpha), k_alpha(x2, alpha)
                 yield TelescopingWitness(
                     x1=x1, x2=x2, lhs=lhs, rhs=z2,

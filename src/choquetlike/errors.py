@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the checks that turn a
 wrongly typed JSON number or an unknown name into one of them."""
 
+import sys
+
 
 class ChoquetlikeError(Exception):
     """Base class for all library errors."""
@@ -84,12 +86,15 @@ class DatasetFormatError(ChoquetlikeError):
 
 def json_number(obj: dict, key: str, default=None, integral: bool = False):
     """``obj[key]``, or ``default`` when absent, as an int if ``integral``
-    and as a float otherwise. Any other JSON value raises ``BadParameter``."""
+    and as a float otherwise. Any other JSON value, and a number beyond
+    the float range, raises ``BadParameter``."""
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
             integral and isinstance(value, float) and not value.is_integer()):
         raise BadParameter(f"{key!r} must be {'an integer' if integral else 'a number'}, "
                            f"got {value!r}")
+    if abs(value) > sys.float_info.max:
+        raise BadParameter(f"{key!r} lies beyond the float range")
     return int(value) if integral else float(value)
 
 

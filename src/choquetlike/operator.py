@@ -324,11 +324,11 @@ def delta_scale_kernel(delta, kind: str) -> KernelL:
                    name=f"delta-scale({label})", family="delta-scale")
 
 
-def f_difference_kernel(F: Callable[[Element, float], Element],
-                        name: str = "custom") -> KernelL:
-    """Kernel G(x, b1, b2) = F(x, b1 - b2) for b1 >= b2."""
+def f_difference_kernel(F: Callable[[Element, float], Element]) -> KernelL:
+    """Kernel G(x, b1, b2) = F(x, b1 - b2) for b1 >= b2, named
+    ``f-difference(custom)``; no JSON spec can carry F."""
     return KernelL(lambda x, prev, b1, b2: F(x, b1 - b2),
-                   name=f"f-difference({name})", family="f-difference")
+                   name="f-difference(custom)", family="f-difference")
 
 
 def b_scale_d_kernel(d: DissimilarityFn, kind: str) -> KernelL:
@@ -359,7 +359,6 @@ def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> 
     """Build a kernel from a JSON-style spec.
 
     Families: ``{"family": "delta-scale", "delta": "difference"}``,
-    ``{"family": "f-difference", "F": callable}``,
     ``{"family": "b-scale-d", "d": "abs-diff"}``,
     ``{"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1"}``,
     ``{"family": "custom", "name": "..."}``. A bare string is shorthand
@@ -372,11 +371,6 @@ def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> 
     family = spec.get("family")
     if family == "delta-scale":
         return delta_scale_kernel(spec.get("delta", "difference"), kind)
-    if family == "f-difference":
-        F = spec.get("F")
-        if not callable(F):
-            raise BadParameter("f-difference needs a callable F(x, a)")
-        return f_difference_kernel(F, name=spec.get("name", "custom"))
     if family == "b-scale-d":
         from .dissimilarity import resolve_dissimilarity
 

@@ -241,9 +241,6 @@ class AdmissibleOrder:
     def compare(self, x: Element, z: Element) -> int:
         raise NotImplementedError
 
-    def leq(self, x: Element, z: Element) -> bool:
-        return self.compare(x, z) <= 0
-
     def sort(self, elems) -> list:
         return sorted(elems, key=cmp_to_key(self.compare))
 
@@ -370,9 +367,9 @@ def parse_order(spec: str) -> AdmissibleOrder:
 # Grid enumeration
 # ---------------------------------------------------------------------------
 
-def unit_grid(m: int, bounds: tuple[float, float] = (0.0, 1.0)) -> list[float]:
-    lo, hi = bounds
-    return [i / m for i in range(m + 1) if lo - TOL <= i / m <= hi + TOL]
+def unit_grid(m: int) -> list[float]:
+    """The coefficients {0, 1/m, ..., 1}, in increasing order."""
+    return [i / m for i in range(m + 1)]
 
 
 def grid_elements(grid: GridSpec) -> list[Element]:
@@ -381,7 +378,7 @@ def grid_elements(grid: GridSpec) -> list[Element]:
     Interval grids enumerate only pairs with lower <= upper; vector grids
     are full coordinate products of dimension ``grid.dim``.
     """
-    vals = unit_grid(grid.m, grid.bounds)
+    vals = unit_grid(grid.m)
     if grid.kind == SCALAR:
         return [Scalar(v) for v in vals]
     if grid.kind == INTERVAL:

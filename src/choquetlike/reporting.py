@@ -17,25 +17,20 @@ class GridSpec:
     """Finite enumeration grid: components range over {0, 1/m, ..., 1}.
 
     ``kind`` selects the carrier ('scalar' | 'interval' | 'vector'),
-    ``n`` is the arity used by operator-level checks, ``dim`` the vector
-    dimension, and ``bounds`` optionally restricts components to a
-    subrange of [0, 1].
+    ``n`` is the arity used by operator-level checks and ``dim`` the
+    vector dimension. Every grid spans the whole of [0, 1].
     """
 
     kind: str
     m: int
     n: int = 3
     dim: int = 2
-    bounds: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("grid step denominator must be >= 1")
         if self.kind not in ("scalar", "interval", "vector"):
             raise ValueError(f"unknown carrier kind: {self.kind!r}")
-        lo, hi = self.bounds
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")
 
 
 @dataclass

@@ -24,13 +24,13 @@ from .algebra import (
     AdditionOp, add, check_cancellation, check_compatibility, fold_add,
 )
 from .capacity import Capacity, capacity_family
-from .dissimilarity import DissimilarityFn, check_dissimilarity, resolve_delta
+from .dissimilarity import check_dissimilarity, resolve_delta, scalar_dissimilarity
 from .errors import BadParameter, HypothesisViolated, OracleDisagreement
 from .operator import (
     AggregationInput, KernelL, PermutationSet, choquet_aggregate, _eval_sorted,
 )
 from .order import (
-    SCALAR, TOL, AdmissibleOrder, Scalar, ScalarUsual, elements_equal,
+    SCALAR, TOL, AdmissibleOrder, ScalarUsual, elements_equal,
     grid_elements, one_element, unit_grid, zero_element,
 )
 from .reporting import GridSpec, LawReport, failed_report, passed_report, run_law
@@ -38,12 +38,6 @@ from .reporting import GridSpec, LawReport, failed_report, passed_report, run_la
 _RESOLUTION_NOTE = "pass = no counterexample found at resolution m={m}"
 _CAPACITY_NOTE = ("operator-level sweep quantifies over a finite capacity "
                   "battery, not all capacities")
-
-
-def _bounds(grid: GridSpec):
-    zero = zero_element(grid.kind, grid.dim)
-    one = one_element(grid.kind, grid.dim)
-    return zero, one
 
 
 def _require(pre: LawReport, what: str):
@@ -94,7 +88,7 @@ def _wd_cases(kernel, addop, order, n, grid):
     _require(check_cancellation(addop, grid), "addition cancellation")
     elems = order.sort(grid_elements(grid))
     coeffs = unit_grid(grid.m)
-    zero, _ = _bounds(grid)
+    zero = zero_element(grid.kind, grid.dim)
 
     def constant_in_c(x1, x2, b1, b2, cs):
         base = None
@@ -153,7 +147,7 @@ def _monotonicity_cases(kernel, addop, order, n, grid):
     yield from _tagged(_wd_cases(kernel, addop, order, n, grid), condition="a:wd")
     elems = order.sort(grid_elements(grid))
     coeffs = unit_grid(grid.m)
-    zero, _ = _bounds(grid)
+    zero = zero_element(grid.kind, grid.dim)
 
     if n <= 3:
         # x in [0, v] |-> L(x, 0, 1, b1) + L(v, x, b1, b2); the n = 2 regime
@@ -204,7 +198,8 @@ def check_aggregation(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder
     """Aggregation-function characterization: monotonicity plus the two
     boundary sums over all non-increasing weight chains pinned at
     b1 = 1 and b_{n+1} = 0."""
-    zero, one = _bounds(grid)
+    zero = zero_element(grid.kind, grid.dim)
+    one = one_element(grid.kind, grid.dim)
 
     def cases():
         yield from _tagged(_monotonicity_cases(kernel, addop, order, n, grid),
@@ -241,13 +236,11 @@ def check_delta_decomposition(delta, grid: GridSpec) -> LawReport:
     Requires delta to be a scalar dissimilarity (checked on the grid).
     """
     delta_fn = resolve_delta(delta)
-    name = delta if isinstance(delta, str) else "custom"
-    d = DissimilarityFn(name, SCALAR,
-                        lambda x, z: Scalar(delta_fn(x.value, z.value)))
+    d = scalar_dissimilarity(delta)
     pre = check_dissimilarity(d, ScalarUsual(), GridSpec(SCALAR, grid.m))
     if not pre.passed:
         raise HypothesisViolated(
-            f"delta {name!r} is not a scalar dissimilarity: {pre.witness}")
+            f"delta {d.name!r} is not a scalar dissimilarity: {pre.witness}")
     coeffs = unit_grid(grid.m)
 
     def cases():
@@ -260,7 +253,7 @@ def check_delta_decomposition(delta, grid: GridSpec) -> LawReport:
                 yield None if abs(lhs - rhs) <= TOL else {
                     "b1": b1, "b2": b2, "lhs": lhs, "rhs": rhs}
 
-    return run_law("delta-decomposition", cases(), delta=name,
+    return run_law("delta-decomposition", cases(), delta=d.name,
                    note=_RESOLUTION_NOTE.format(m=grid.m))
 
 
@@ -277,7 +270,8 @@ def check_jensen_f(F, addop: AdditionOp, grid: GridSpec,
     """
     elems = grid_elements(grid)
     coeffs = unit_grid(grid.m)
-    zero, one = _bounds(grid)
+    zero = zero_element(grid.kind, grid.dim)
+    one = one_element(grid.kind, grid.dim)
 
     def cases():
         for x in elems:
@@ -420,28 +414,22 @@ def oracle_crosscheck(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder
     start = perf_counter()
     verdicts = {}
     checked = 0
-    if "wd" in laws:
-        cond = check_wd(kernel, addop, order, n, grid)
-        brute = brute_force_wd(kernel, addop, order, n, grid, seed)
+    for law, condition, brute_force, spot_check in [
+            ("wd", check_wd, brute_force_wd, _spot_check_consistency),
+            ("monotonicity", check_monotonicity, brute_force_monotonicity, None)]:
+        if law not in laws:
+            continue
+        cond = condition(kernel, addop, order, n, grid)
+        brute = brute_force(kernel, addop, order, n, grid, seed)
         checked += cond.checked + brute.checked
-        verdicts["wd"] = (cond.verdict, brute.verdict)
+        verdicts[law] = (cond.verdict, brute.verdict)
         if cond.verdict != brute.verdict:
             raise OracleDisagreement(
-                f"wd: condition-level says {cond.verdict} "
+                f"{law}: condition-level says {cond.verdict} "
                 f"(witness {cond.witness}), brute force says {brute.verdict} "
                 f"(witness {brute.witness})")
-        checked += _spot_check_consistency(kernel, addop, order, n, grid,
-                                           brute.verdict, seed)
-    if "monotonicity" in laws:
-        cond = check_monotonicity(kernel, addop, order, n, grid)
-        brute = brute_force_monotonicity(kernel, addop, order, n, grid, seed)
-        checked += cond.checked + brute.checked
-        verdicts["monotonicity"] = (cond.verdict, brute.verdict)
-        if cond.verdict != brute.verdict:
-            raise OracleDisagreement(
-                f"monotonicity: condition-level says {cond.verdict} "
-                f"(witness {cond.witness}), brute force says {brute.verdict} "
-                f"(witness {brute.witness})")
+        if spot_check is not None:
+            checked += spot_check(kernel, addop, order, n, grid, brute.verdict, seed)
     return passed_report("oracle-crosscheck", checked, perf_counter() - start,
                          n=n, kernel=kernel.name,
                          verdicts={k: {"condition": v[0], "brute_force": v[1]}

@@ -22,7 +22,8 @@ NAMES = [
     "table", "cardinality", "dirac", "top", "uniform-random",
     "scalar", "interval", "vector", "max", "min", "mean",
 ]
-LEAVES = (st.none() | st.booleans() | st.integers(-2, 4)
+# 10 ** 400 is a JSON integer no float can hold.
+LEAVES = (st.none() | st.booleans() | st.integers(-2, 4) | st.just(10 ** 400)
           | st.floats(-2, 4, allow_nan=False) | st.sampled_from(NAMES)
           | st.text(max_size=4))
 JSON_VALUES = st.recursive(
@@ -43,7 +44,9 @@ KERNELS = {"family": {}, "delta": {"family": "delta-scale"},
 CAPACITIES = {"n": TABLE, "kind": TABLE, "entries": TABLE,
               "i": {"n": 2, "kind": "dirac", "i": 1},
               "k": {"n": 2, "kind": "top", "k": 1},
-              "seed": {"n": 2, "kind": "uniform-random", "seed": 1}}
+              "seed": {"n": 2, "kind": "uniform-random", "seed": 1},
+              "complete": {"n": 2, "entries": [{"subset": [1], "value": 0.4}],
+                           "complete": True}}
 FUZZ = settings(deadline=None, max_examples=15)
 
 

@@ -1,5 +1,7 @@
 """Dataset round-trips and the command-line front end."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -61,7 +63,10 @@ class TestDatasets:
                 ("[[[0.1, -0.2]]]", "interval", "row 0, column 0"),
                 ("0.2,oops\n", "scalar", "row 0, column 1"),
                 ("0.1,0.2\n\n0.3,-0.5\n", "scalar", "row 1, column 1"),  # blank rows skipped
-                ("[[0.1, 0.2], [0.3, 1%s]]" % ("0" * 400), "scalar", "row 1, column 1")):
+                ("[[0.1, 0.2], [0.3, 1%s]]" % ("0" * 400), "scalar", "row 1, column 1"),
+                # A row that is not a list of cells.
+                ("[5]", "scalar", r"row 0 \(0-based\): 5 is not a list of cells"),
+                ("[[0.1, 0.2], 5]", "scalar", r"row 1 \(0-based\): 5 is not a list")):
             with pytest.raises(DatasetFormatError, match=where):
                 parse_dataset(text, kind)
 
@@ -126,9 +131,10 @@ class TestAggregateCommand:
         code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
                      "--output", str(out), "--format", "csv"])
         assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "id,value,consistent,in_K"
-        assert len(lines) == 4
+        assert out.read_bytes() == (b"id,value,consistent,in_K\r\n"
+                                    b"0,0.5333333333333333,True,True\r\n"
+                                    b"1,0.0,True,True\r\n"
+                                    b"2,0.5,True,True\r\n")
 
     def test_inconsistent_rows_exit_two(self, tmp_path):
         register_kernel(KernelL(
@@ -177,6 +183,10 @@ class TestAggregateCommand:
                              {"subset": [], "value": False}]},
         {"n": 1, "entries": [{"subset": [1], "value": 1},
                              {"subset": [], "value": False}]},
+        {"n": 2, "entries": [{"subset": [1], "value": int("9" * 400)}]},
+        {"n": 2, "entries": [{"subset": [int("9" * 400)], "value": 0.5}]},
+        {"n": 3, "entries": [{"subset": [1], "value": 0.4}], "complete": "false"},
+        {"n": 3, "entries": [{"subset": [1], "value": 0.4}], "complete": [0]},
     ])
     def test_malformed_capacity_exit_one(self, scalar_files, capsys, capacity):
         data, cap, out = scalar_files
@@ -258,7 +268,8 @@ class TestVerifyCommand:
         assert "error" in json.loads(capsys.readouterr().err)
 
     @pytest.mark.parametrize("config", [{"grid": None}, {"n": "3"}, {"alpha": [0.5]},
-                                        {"Md": [1]}, {"delta_d": [1]}])
+                                        {"Md": [1]}, {"delta_d": [1]},
+                                        {"alpha": int("9" * 400)}])
     def test_wrongly_typed_config_exit_one(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -301,8 +312,14 @@ class TestVerifyCommand:
         assert json.dumps(reports) == json.dumps(json.loads(snapshot.read_text()))
 
     def test_csv_report_format(self, tmp_path):
-        out = tmp_path / "order.csv"
-        code = main(["verify", "--suite", "order", "--grid", "2",
-                     "--output", str(out), "--format", "csv"])
-        assert code == 0
-        assert out.read_text().startswith("suite,law,verdict")
+        """Each CSV row carries the suite, law, verdict and ``checked`` of
+        the matching report in the JSON output of the same command."""
+        for suite, exit_code in (("order", 0), ("appendix-c", 3)):
+            argv = ["verify", "--suite", suite, "--grid", "2", "--output"]
+            assert main(argv + [str(tmp_path / "r.csv"), "--format", "csv"]) == exit_code
+            assert main(argv + [str(tmp_path / "r.json")]) == exit_code
+            header, *rows = csv.reader(io.StringIO((tmp_path / "r.csv").read_text()))
+            assert header == ["suite", "law", "verdict", "checked", "elapsed"]
+            reports = json.loads((tmp_path / "r.json").read_text())
+            assert [row[:4] for row in rows] == [
+                [r["suite"], r["law"], r["verdict"], str(r["checked"])] for r in reports]

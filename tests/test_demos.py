@@ -1,22 +1,61 @@
-"""Every demo script runs to completion."""
+"""Every demo script and every example in README.md runs."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from choquetlike import Capacity, kernel_catalog
+
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, re.S | re.M)
+
+
+def run_python(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+    run_python([str(demo)])
+
+
+@pytest.mark.parametrize("code", blocks("python"))
+def test_readme_python_block_runs(code):
+    run_python(["-c", code])
+
+
+def test_readme_json_examples_load():
+    """Each capacity of the README loads, and each kernel spec but the
+    placeholder ``custom`` one builds."""
+    decoder = json.JSONDecoder()
+    specs = []
+    for text in blocks("json"):
+        pos = 0
+        while text[pos:].strip():
+            pos += len(text[pos:]) - len(text[pos:].lstrip())
+            value, pos = decoder.raw_decode(text, pos)
+            specs.append(value)
+    kernels = [spec for spec in specs if "family" in spec]
+    capacities = [spec for spec in specs if "family" not in spec]
+    assert len(kernels) >= 4 and len(capacities) >= 5
+    for spec in capacities:
+        assert Capacity.from_json(spec).n == spec["n"]
+    for spec in kernels:
+        if spec["family"] != "custom":
+            assert kernel_catalog(spec, "scalar").family == spec["family"]

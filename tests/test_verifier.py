@@ -1,6 +1,7 @@
 """Condition-level law checks, brute-force sweeps, and their agreement."""
 
 import itertools
+import json
 
 import pytest
 
@@ -171,13 +172,27 @@ class TestBruteForceAndOracle:
         upsets = {e: elems[i:] for i, e in enumerate(elems)}
         for X in itertools.product(elems, repeat=2):
             for Z in itertools.product(*(upsets[x] for x in X)):
-                assert all(ScalarUsual().leq(x, z) for x, z in zip(X, Z))
+                assert all(ScalarUsual().compare(x, z) <= 0 for x, z in zip(X, Z))
 
     def test_oracle_agreement_good_and_bad(self):
         assert oracle_crosscheck(classical_kernel("scalar"), PLUS, ScalarUsual(),
                                  3, GridSpec("scalar", 2)).passed
         assert oracle_crosscheck(first_weight_kernel(), PLUS, ScalarUsual(),
                                  2, SG).passed
+
+    @pytest.mark.parametrize("kernel,n,grid,checked,verdict", [
+        (classical_kernel("scalar"), 3, GridSpec("scalar", 2), 3486, "pass"),
+        (first_weight_kernel(), 2, SG, 1020, "fail"),
+    ])
+    def test_crosscheck_report_is_pinned(self, kernel, n, grid, checked, verdict):
+        """Both laws, in either order: verdicts keyed wd then monotonicity,
+        and the summed case count, as first recorded."""
+        both = {"condition": verdict, "brute_force": verdict}
+        for laws in (("wd", "monotonicity"), ("monotonicity", "wd")):
+            report = oracle_crosscheck(kernel, PLUS, ScalarUsual(), n, grid, laws=laws)
+            assert json.dumps(report.detail["verdicts"]) == json.dumps(
+                {"wd": both, "monotonicity": both})
+            assert report.checked == checked
 
     def test_battery_composition(self):
         caps = capacity_battery(3)
