@@ -37,10 +37,13 @@ print("normalized width of [0.25, 0.75]:", lambda_alpha(x, 0.5))
 print("distance to the zero interval:", d(x, Interval(0, 0)).to_json())
 
 # Search for a telescoping violation. On the [0, t] family the max/abs
-# pairing happens to telescope exactly, so the search widens to the full
-# grid and finds a pair immediately.
-w = takac_counterexample(0.5, 1.0, "max", "abs-diff", GridSpec("interval", 8))
-print("\nwitness pair: x1 =", w.x1.to_json(), " x2 =", w.x2.to_json())
+# pairing happens to telescope exactly, so the search goes on over the
+# full grid and finds a pair there. It returns a law report whose
+# witness is the violating pair.
+report = takac_counterexample(0.5, 1.0, "max", "abs-diff", GridSpec("interval", 8))
+print("\nsearch:", report.verdict, "after", report.checked, "pairs")
+w = report.witness
+print("witness pair: x1 =", w.x1.to_json(), " x2 =", w.x2.to_json())
 print("d(x1, 0) + d(x2, x1) =", w.lhs.to_json())
 print("d(x2, 0)             =", w.rhs.to_json())
 print("alpha-mix images a1, a2, a12:", w.a1, w.a2, w.a12)

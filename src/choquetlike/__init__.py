@@ -28,7 +28,7 @@ from .dissimilarity import (
 from .errors import (
     AlphaOutOfRange, BadBoundary, BadParameter, ChoquetlikeError,
     DatasetFormatError, HypothesisViolated, KernelRangeError, KindMismatch,
-    MissingSubset, NoWitnessFound, NotAdmissiblePermutation, NotMonotone,
+    MissingSubset, NotAdmissiblePermutation, NotMonotone,
     OracleDisagreement, ReconstructionOutOfK, ScaleOutOfRange, TooManyTies,
     UnknownKernel,
 )

@@ -76,15 +76,17 @@ def parse_dataset(text: str, kind: str) -> Dataset:
     return _parse_json(text, kind)
 
 
-def _refused_cell(r: int, cells, build) -> DatasetFormatError:
-    """The error for row ``r`` (counted as ``Dataset`` counts rows) once
-    ``build`` has refused one of its ``cells``: the first cell it refuses
-    again is named with its position."""
+def _build_row(r: int, cells, build) -> tuple[Element, ...]:
+    """Row ``r`` (counted as ``Dataset`` counts rows), ``build`` applied to
+    each of its ``cells`` in turn; the first cell it refuses is named with
+    its position."""
+    row = []
     for c, cell in enumerate(cells):
         try:
-            build(cell)
+            row.append(build(cell))
         except (ValueError, OverflowError, BadParameter) as exc:
-            return DatasetFormatError(f"row {r}, column {c} (0-based): {exc}")
+            raise DatasetFormatError(f"row {r}, column {c} (0-based): {exc}") from exc
+    return tuple(row)
 
 
 def _parse_csv(text: str) -> Dataset:
@@ -92,11 +94,8 @@ def _parse_csv(text: str) -> Dataset:
     for record in csv.reader(io.StringIO(text)):
         if not record or all(not c.strip() for c in record):
             continue
-        try:
-            rows.append(tuple(element_from_json(SCALAR, float(c)) for c in record))
-        except (ValueError, BadParameter) as exc:
-            raise _refused_cell(len(rows), record,
-                                lambda c: element_from_json(SCALAR, float(c))) from exc
+        rows.append(_build_row(len(rows), record,
+                               lambda c: element_from_json(SCALAR, float(c))))
     return Dataset(SCALAR, tuple(rows))
 
 
@@ -116,19 +115,17 @@ def _parse_json(text: str, kind: str) -> Dataset:
     if not isinstance(obj, list):
         raise DatasetFormatError("expected a list of rows")
     is_cell, what = lookup(_JSON_CELLS, kind, "carrier kind")
+
+    def build(cell):
+        if not is_cell(cell):
+            raise BadParameter(f"{cell!r} is not {what}")
+        return element_from_json(kind, cell)
+
     rows = []
     for r, row in enumerate(obj):
         if type(row) is not list:
             raise DatasetFormatError(f"row {r} (0-based): {row!r} is not a list of cells")
-        try:
-            for c, cell in enumerate(row):
-                if not is_cell(cell):
-                    raise DatasetFormatError(
-                        f"row {r}, column {c} (0-based): {cell!r} is not {what}")
-            rows.append(tuple(element_from_json(kind, cell) for cell in row))
-        except (OverflowError, BadParameter) as exc:
-            raise _refused_cell(r, row, lambda cell: element_from_json(kind, cell)) \
-                from exc
+        rows.append(_build_row(r, row, build))
     return Dataset(kind, tuple(rows), ids)
 
 

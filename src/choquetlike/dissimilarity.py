@@ -13,12 +13,12 @@ scalars.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .algebra import IV_PLUS, AdditionOp, add
 from .errors import (
-    AlphaOutOfRange, BadParameter, NoWitnessFound, ReconstructionOutOfK, lookup,
+    AlphaOutOfRange, BadParameter, ReconstructionOutOfK, lookup,
 )
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, AlphaBeta, Element,
@@ -305,10 +305,6 @@ class TelescopingWitness:
     a12: float
     width_lhs: float
     width_rhs: float
-    # The search behind the witness, not part of it: the pairs it
-    # examined, this one included, and its time in seconds.
-    checked: int = field(default=0, compare=False)
-    elapsed: float = field(default=0.0, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -320,17 +316,17 @@ class TelescopingWitness:
 
 
 def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
-                         grid: GridSpec, full_grid_fallback: bool = True):
+                         grid: GridSpec) -> LawReport:
     """Search for a telescoping violation of the width-based interval
     dissimilarity under the (alpha, beta)-order.
 
-    The primary sweep walks the family x1 = [0, t1], x2 = [0, t2] with
-    t1 < t2 on the grid; if that family telescopes exactly (it does for
-    some parameter choices, e.g. the max/abs-diff pairing), the search
-    widens to all grid interval pairs unless ``full_grid_fallback`` is
-    disabled. Returns the first witness in enumeration order, with the
-    number of pairs examined up to it and the search time; raises
-    ``NoWitnessFound`` when the grid is too coarse to exhibit one.
+    The search walks the family x1 = [0, t1], x2 = [0, t2] with
+    0 < t1 < t2 on the grid, then every grid interval pair x1 <= x2 (the
+    family telescopes exactly for some parameters, e.g. max/abs-diff).
+    The report's witness is the first ``TelescopingWitness`` in that
+    order. A pass means no violation at this resolution: the grid may be
+    too coarse or the parameters outside the construction's hypotheses.
+    The detail names the parameters, passing or failing.
     """
     delta_fn = resolve_delta(delta_d)
     if not delta_covers_unit_range(delta_fn):
@@ -338,22 +334,20 @@ def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
             "delta_d must sweep [0, 1] against 0 for the search to apply")
     order = AlphaBeta(alpha, beta)
     d = takac_dissimilarity_fn(alpha, m_d, delta_d)
-    pairs = []
+    zero = Interval(0.0, 0.0)
 
-    ts = unit_grid(grid.m)[1:]
-    for t1, t2 in itertools.combinations(ts, 2):
-        pairs.append((Interval(0.0, t1), Interval(0.0, t2)))
-    if full_grid_fallback:
+    def pairs():
+        ts = unit_grid(grid.m)[1:]
+        for t1, t2 in itertools.combinations(ts, 2):
+            yield Interval(0.0, t1), Interval(0.0, t2)
         elems = grid_elements(GridSpec(INTERVAL, grid.m))
         for x1 in elems:
             for x2 in elems:
                 if order.compare(x1, x2) <= 0:
-                    pairs.append((x1, x2))
-
-    zero = Interval(0.0, 0.0)
+                    yield x1, x2
 
     def cases():
-        for x1, x2 in pairs:
+        for x1, x2 in pairs():
             z1 = d(x1, zero)
             z12 = d(x2, x1)
             z2 = d(x2, zero)
@@ -369,10 +363,5 @@ def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
             else:
                 yield None
 
-    search = run_law("takac-telescoping", cases())
-    if search.passed:
-        raise NoWitnessFound(
-            "no telescoping violation at this resolution; the grid may be too "
-            "coarse or the parameters outside the construction's hypotheses",
-            search.checked, search.elapsed)
-    return replace(search.witness, checked=search.checked, elapsed=search.elapsed)
+    return run_law("takac-telescoping", cases(), alpha=alpha, beta=beta, Md=m_d,
+                   delta_d=delta_d, note=f"no counterexample at resolution m={grid.m}")

@@ -61,16 +61,6 @@ class ReconstructionOutOfK(ChoquetlikeError):
     """Reconstructed interval leaves [0, 1] beyond numeric noise."""
 
 
-class NoWitnessFound(ChoquetlikeError):
-    """Counterexample search exhausted its grid without a violation; carries
-    the number of cases it searched and its time in seconds."""
-
-    def __init__(self, message, checked=0, elapsed=0.0):
-        super().__init__(message)
-        self.checked = checked
-        self.elapsed = elapsed
-
-
 class HypothesisViolated(ChoquetlikeError):
     """A premise of the requested check failed its grid pre-check, so the
     characterization does not apply and the check refuses to run."""

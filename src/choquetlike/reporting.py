@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterable, Optional
 
+MAX_GRID = 1000  # the largest step denominator a grid accepts
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -27,8 +29,9 @@ class GridSpec:
     dim: int = 2
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("grid step denominator must be >= 1")
+        if not 1 <= self.m <= MAX_GRID:
+            raise ValueError(f"grid step denominator must lie in [1, {MAX_GRID}], "
+                             f"got {self.m}")
         if self.kind not in ("scalar", "interval", "vector"):
             raise ValueError(f"unknown carrier kind: {self.kind!r}")
 
@@ -43,7 +46,7 @@ class LawReport:
 
     law: str
     verdict: str
-    witness: Optional[dict] = None
+    witness: Optional[Any] = None
     checked: int = 0
     elapsed: float = 0.0
     detail: dict = field(default_factory=dict)
@@ -78,20 +81,10 @@ def _jsonable(obj: Any) -> Any:
     to_json = getattr(obj, "to_json", None)
     if callable(to_json):
         return to_json()
-    return repr(obj)
+    return "custom" if callable(obj) else repr(obj)  # as custom kernels are named
 
 
-def passed_report(law: str, checked: int, elapsed: float, **detail) -> LawReport:
-    return LawReport(law=law, verdict="pass", witness=None, checked=checked,
-                     elapsed=elapsed, detail=detail)
-
-
-def failed_report(law: str, witness: dict, checked: int, elapsed: float, **detail) -> LawReport:
-    return LawReport(law=law, verdict="fail", witness=witness, checked=checked,
-                     elapsed=elapsed, detail=detail)
-
-
-def run_law(law: str, cases: Iterable[Optional[dict]], **detail) -> LawReport:
+def run_law(law: str, cases: Iterable[Optional[Any]], **detail) -> LawReport:
     """Run one law check over its case enumeration.
 
     ``cases`` yields ``None`` for each case that holds and a witness for
@@ -103,9 +96,12 @@ def run_law(law: str, cases: Iterable[Optional[dict]], **detail) -> LawReport:
     """
     start = perf_counter()
     checked = 0
+    witness = None
     for witness in cases:
         checked += 1
         if witness is not None:
             detail.pop("note", None)
-            return failed_report(law, witness, checked, perf_counter() - start, **detail)
-    return passed_report(law, checked, perf_counter() - start, **detail)
+            break
+    return LawReport(law=law, verdict="pass" if witness is None else "fail",
+                     witness=witness, checked=checked,
+                     elapsed=perf_counter() - start, detail=detail)

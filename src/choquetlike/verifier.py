@@ -33,7 +33,7 @@ from .order import (
     SCALAR, TOL, AdmissibleOrder, ScalarUsual, elements_equal,
     grid_elements, one_element, unit_grid, zero_element,
 )
-from .reporting import GridSpec, LawReport, failed_report, passed_report, run_law
+from .reporting import GridSpec, LawReport, run_law
 
 _RESOLUTION_NOTE = "pass = no counterexample found at resolution m={m}"
 _CAPACITY_NOTE = ("operator-level sweep quantifies over a finite capacity "
@@ -348,29 +348,27 @@ def brute_force_wd(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
                    n: int, grid: GridSpec, seed: int = 42) -> LawReport:
     """Direct multi-permutation consistency sweep: for every grid tuple and
     battery capacity, all admissible permutations must agree."""
-    start = perf_counter()
-    elems = grid_elements(grid)
-    caps = capacity_battery(n, seed)
-    checked = 0
-    for X in itertools.product(elems, repeat=n):
-        perms = list(PermutationSet(X, order))
-        if len(perms) == 1:
-            continue
-        for mu in caps:
-            inp = AggregationInput(X, mu, order, addop)
-            base_sigma = perms[0]
-            base = _eval_sorted(inp, kernel, base_sigma)
-            for sigma in perms[1:]:
-                checked += 1
-                val = _eval_sorted(inp, kernel, sigma)
-                if not elements_equal(val, base):
-                    return failed_report("wd-brute-force", {
+
+    def cases():
+        elems = grid_elements(grid)
+        caps = capacity_battery(n, seed)
+        for X in itertools.product(elems, repeat=n):
+            perms = list(PermutationSet(X, order))
+            if len(perms) == 1:
+                continue
+            for mu in caps:
+                inp = AggregationInput(X, mu, order, addop)
+                base_sigma = perms[0]
+                base = _eval_sorted(inp, kernel, base_sigma)
+                for sigma in perms[1:]:
+                    val = _eval_sorted(inp, kernel, sigma)
+                    yield None if elements_equal(val, base) else {
                         "X": list(X), "capacity": mu.to_json()["entries"],
                         "sigma_a": base_sigma, "value_a": base,
                         "sigma_b": sigma, "value_b": val,
-                    }, checked, perf_counter() - start, n=n, note=_CAPACITY_NOTE)
-    return passed_report("wd-brute-force", checked, perf_counter() - start, n=n,
-                         note=_CAPACITY_NOTE)
+                    }
+
+    return run_law("wd-brute-force", cases(), n=n, note=_CAPACITY_NOTE)
 
 
 def brute_force_monotonicity(kernel: KernelL, addop: AdditionOp,
@@ -379,26 +377,24 @@ def brute_force_monotonicity(kernel: KernelL, addop: AdditionOp,
     """Direct enumeration of the monotonicity condition: every
     componentwise-dominating pair of grid tuples, every pair of
     admissible permutations, every battery capacity."""
-    start = perf_counter()
-    elems = order.sort(grid_elements(grid))
-    caps = capacity_battery(n, seed)
-    table = _value_table(kernel, addop, order, n, elems, caps)
-    upsets = {e: elems[i:] for i, e in enumerate(elems)}
-    checked = 0
-    for X, per_cap_x in table.items():
-        for Z in itertools.product(*(upsets[x] for x in X)):
-            per_cap_z = table[Z]
-            for mu, (_, xmax), (zmin, _) in zip(caps, per_cap_x, per_cap_z):
-                checked += 1
-                if order.compare(xmax[0], zmin[0]) > 0:
-                    return failed_report("monotonicity-brute-force", {
+
+    def cases():
+        elems = order.sort(grid_elements(grid))
+        caps = capacity_battery(n, seed)
+        table = _value_table(kernel, addop, order, n, elems, caps)
+        upsets = {e: elems[i:] for i, e in enumerate(elems)}
+        for X, per_cap_x in table.items():
+            for Z in itertools.product(*(upsets[x] for x in X)):
+                per_cap_z = table[Z]
+                for mu, (_, xmax), (zmin, _) in zip(caps, per_cap_x, per_cap_z):
+                    yield None if order.compare(xmax[0], zmin[0]) <= 0 else {
                         "X": list(X), "Z": list(Z),
                         "capacity": mu.to_json()["entries"],
                         "sigma": xmax[1], "value_X": xmax[0],
                         "tau": zmin[1], "value_Z": zmin[0],
-                    }, checked, perf_counter() - start, n=n, note=_CAPACITY_NOTE)
-    return passed_report("monotonicity-brute-force", checked,
-                         perf_counter() - start, n=n, note=_CAPACITY_NOTE)
+                    }
+
+    return run_law("monotonicity-brute-force", cases(), n=n, note=_CAPACITY_NOTE)
 
 
 def oracle_crosscheck(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
@@ -430,11 +426,12 @@ def oracle_crosscheck(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder
                 f"(witness {brute.witness})")
         if spot_check is not None:
             checked += spot_check(kernel, addop, order, n, grid, brute.verdict, seed)
-    return passed_report("oracle-crosscheck", checked, perf_counter() - start,
-                         n=n, kernel=kernel.name,
-                         verdicts={k: {"condition": v[0], "brute_force": v[1]}
-                                   for k, v in verdicts.items()},
-                         note=_CAPACITY_NOTE)
+    return LawReport(law="oracle-crosscheck", verdict="pass", checked=checked,
+                     elapsed=perf_counter() - start,
+                     detail={"n": n, "kernel": kernel.name,
+                             "verdicts": {k: {"condition": v[0], "brute_force": v[1]}
+                                          for k, v in verdicts.items()},
+                             "note": _CAPACITY_NOTE})
 
 
 def _spot_check_consistency(kernel, addop, order, n, grid, brute_verdict, seed):

@@ -210,7 +210,7 @@ def test_criterion_7_takac_counterexample():
     started = time.perf_counter()
     failures = []
     witness = takac_counterexample(0.5, 1.0, "max", "abs-diff",
-                                   GridSpec("interval", 8))
+                                   GridSpec("interval", 8)).witness
     d = takac_dissimilarity_fn(0.5, "max", "abs-diff")
     zero = Interval(0, 0)
     lhs = add(IV_PLUS, d(witness.x1, zero), d(witness.x2, witness.x1))

@@ -78,9 +78,9 @@ class TestDeterminism:
         assert a.checked == b.checked
 
     def test_counterexample_search_is_reproducible(self):
-        w1 = takac_counterexample(0.5, 1.0, "max", "abs-diff", GridSpec("interval", 8))
-        w2 = takac_counterexample(0.5, 1.0, "max", "abs-diff", GridSpec("interval", 8))
-        assert w1 == w2
+        r1 = takac_counterexample(0.5, 1.0, "max", "abs-diff", GridSpec("interval", 8))
+        r2 = takac_counterexample(0.5, 1.0, "max", "abs-diff", GridSpec("interval", 8))
+        assert r1.witness == r2.witness and r1.checked == r2.checked
 
     def test_classical_kernel_full_battery_boundary(self):
         # Boundary rows stay pinned for every battery member.

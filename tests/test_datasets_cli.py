@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from choquetlike import (
-    Dataset, DatasetFormatError, Interval, KernelL, Scalar, Vector,
-    capacity_family, parse_dataset, register_kernel, serialize_dataset,
+    Dataset, DatasetFormatError, GridSpec, Interval, KernelL, Scalar, Vector,
+    capacity_family, dissimilarity, parse_dataset, register_kernel,
+    serialize_dataset,
 )
 from choquetlike.cli import main
+from choquetlike.reporting import MAX_GRID
 from oracles import classical_choquet_increments, mu_lookup
 
 
@@ -64,6 +66,9 @@ class TestDatasets:
                 ("0.2,oops\n", "scalar", "row 0, column 1"),
                 ("0.1,0.2\n\n0.3,-0.5\n", "scalar", "row 1, column 1"),  # blank rows skipped
                 ("[[0.1, 0.2], [0.3, 1%s]]" % ("0" * 400), "scalar", "row 1, column 1"),
+                # Of two bad cells in a row, the first in column order is named.
+                ('[[-0.5, "x"]]', "scalar", "row 0, column 0"),
+                ('[[[0.5, 0.2], ["a", 1]]]', "interval", "row 0, column 0"),
                 # A row that is not a list of cells.
                 ("[5]", "scalar", r"row 0 \(0-based\): 5 is not a list of cells"),
                 ("[[0.1, 0.2], 5]", "scalar", r"row 1 \(0-based\): 5 is not a list")):
@@ -259,6 +264,21 @@ class TestVerifyCommand:
         main(["verify", "--suite", "appendix-c", "--output", str(out)])
         report = json.loads(out.read_text())[0]
         assert report["checked"] > 0 and report["elapsed"] >= 0.0
+
+    def test_grid_above_max_exit_one(self, capsys, monkeypatch):
+        # Refused when the grid is specified, before any grid is built.
+        def never(*args):
+            raise AssertionError("a grid was built")
+        monkeypatch.setattr(dissimilarity, "unit_grid", never)
+        monkeypatch.setattr(dissimilarity, "grid_elements", never)
+        code = main(["verify", "--suite", "appendix-c", "--grid", "100000000"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert str(MAX_GRID) in err["error"]["message"]
+        GridSpec("interval", MAX_GRID)
+        with pytest.raises(ValueError):
+            GridSpec("interval", MAX_GRID + 1)
 
     def test_non_object_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,7 +5,7 @@ import pytest
 
 from choquetlike import (
     AlphaBeta, AlphaOutOfRange, BadParameter, DissimilarityFn, GridSpec,
-    IV_PLUS, Interval, NoWitnessFound, PLUS, ReconstructionOutOfK, Scalar,
+    IV_PLUS, Interval, PLUS, ReconstructionOutOfK, Scalar,
     ScalarUsual, VV_PLUS, VectorLex, add, check_dissimilarity,
     check_telescoping, delta_covers_unit_range, elements_equal, k_alpha,
     lambda_alpha, resolve_dissimilarity, takac_counterexample,
@@ -173,7 +173,9 @@ class TestTelescoping:
 
 class TestCounterexampleSearch:
     def test_max_abs_diff_witness_found_and_replays(self):
-        w = takac_counterexample(0.5, 1.0, "max", "abs-diff", GridSpec("interval", 8))
+        report = takac_counterexample(0.5, 1.0, "max", "abs-diff", GridSpec("interval", 8))
+        assert report.verdict == "fail"
+        w = report.witness
         d = takac_dissimilarity_fn(0.5, "max", "abs-diff")
         zero = Interval(0, 0)
         lhs = add(IV_PLUS, d(w.x1, zero), d(w.x2, w.x1))
@@ -186,29 +188,33 @@ class TestCounterexampleSearch:
 
     def test_restricted_family_telescopes_for_max_abs(self):
         # For the max/abs-diff pairing, the [0, t] family telescopes
-        # exactly; the witness only exists on the full grid.
-        with pytest.raises(NoWitnessFound):
-            takac_counterexample(0.5, 1.0, "max", "abs-diff",
-                                 GridSpec("interval", 8), full_grid_fallback=False)
+        # exactly; the witness only exists on the full grid, past the
+        # 28 family pairs of m = 8.
+        report = takac_counterexample(0.5, 1.0, "max", "abs-diff", GridSpec("interval", 8))
+        assert not report.passed and report.checked > 28 and report.elapsed > 0.0
 
     def test_search_counts_the_pairs_it_examined(self):
-        grid = GridSpec("interval", 8)
-        with pytest.raises(NoWitnessFound) as exc:
-            takac_counterexample(0.5, 1.0, "max", "abs-diff", grid,
-                                 full_grid_fallback=False)
-        assert exc.value.checked == 28  # every [0, t1], [0, t2] pair, t1 < t2
-        w = takac_counterexample(0.5, 1.0, "max", "abs-diff", grid)
-        assert w.checked > 28 and w.elapsed > 0.0  # the witness is past the family
+        # m = 1: no family pair (t1 < t2 needs two nonzero grid points),
+        # then the 6 grid pairs x1 <= x2 of [0, 0], [0, 1], [1, 1].
+        report = takac_counterexample(0.5, 1.0, "min", "abs-diff", GridSpec("interval", 1))
+        assert report.checked == 6 and report.elapsed >= 0.0
 
     def test_min_pairing_fails_already_on_the_family(self):
-        w = takac_counterexample(0.5, 1.0, "min", "abs-diff",
-                                 GridSpec("interval", 8), full_grid_fallback=False)
-        assert w.x1.lower == 0.0 and w.x2.lower == 0.0
+        report = takac_counterexample(0.5, 1.0, "min", "abs-diff", GridSpec("interval", 8))
+        assert not report.passed and report.checked <= 28
+        assert report.witness.x1.lower == 0.0 and report.witness.x2.lower == 0.0
 
     def test_degenerate_grid_has_no_family_witness(self):
-        with pytest.raises(NoWitnessFound):
-            takac_counterexample(0.5, 1.0, "max", "abs-diff",
-                                 GridSpec("interval", 1), full_grid_fallback=False)
+        # The min pairing finds no violation among the 6 pairs of m = 1.
+        report = takac_counterexample(0.5, 1.0, "min", "abs-diff", GridSpec("interval", 1))
+        assert report.passed and report.witness is None
+        # A pass names its parameters as a failing report does.
+        assert report.to_json()["detail"] == {
+            "alpha": 0.5, "beta": 1.0, "Md": "min", "delta_d": "abs-diff",
+            "note": "no counterexample at resolution m=1"}
+        # A function is named "custom", so the JSON is the same on every run.
+        report = takac_counterexample(0.5, 1.0, min, "abs-diff", GridSpec("interval", 1))
+        assert report.to_json()["detail"]["Md"] == "custom"
 
     def test_range_condition_enforced(self):
         with pytest.raises(BadParameter):

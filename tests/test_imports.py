@@ -1,6 +1,8 @@
 """Every module-level import in the package is used by its module
-(``__init__.py``, which re-exports, is exempt), and every module-level
-private name is used by some module of the package."""
+(``__init__.py``, which re-exports, is exempt), every module-level
+private name is used by some module of the package, and law reports are
+built in one place: ``reporting.run_law``, with ``oracle_crosscheck``,
+which adds up the reports of other checks, the one exception."""
 
 import ast
 from pathlib import Path
@@ -84,3 +86,31 @@ def test_detects_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in ALL_MODULES}
     assert dead_private_names(sources) == []
+
+
+def law_report_calls(sources: dict[str, str]) -> list[str]:
+    """Every call of ``LawReport``, by name or as an attribute, as
+    ``module:function`` for the top-level function or class around it,
+    or ``module`` at module level."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            where = f"{module}:{top.name}" if named else module
+            found += [where for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      == "LawReport"]
+    return found
+
+
+def test_detects_a_law_report_call():
+    sources = {"a.py": "def f():\n    return LawReport('x', 'pass')\n"
+                       "r = reporting.LawReport('y', 'fail')\n",
+               "b.py": "def g():\n    return run_law('x', [])\n"}
+    assert law_report_calls(sources) == ["a.py:f", "a.py"]
+
+
+def test_law_reports_come_from_run_law():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    assert law_report_calls(sources) == ["reporting.py:run_law",
+                                         "verifier.py:oracle_crosscheck"]

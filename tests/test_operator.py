@@ -14,8 +14,8 @@ from choquetlike import (
     PermutationSet, Scalar, ScalarUsual, TooManyTies, UnknownKernel, VV_PLUS,
     Vector, VectorLex, add, admissible_permutations, capacity_family,
     capacity_from_table, choquet_aggregate, choquet_eval, classical_kernel,
-    elements_equal, k_alpha, kernel_catalog, register_kernel, scale,
-    scale_for, tail_values, zero_element,
+    elements_equal, f_difference_kernel, k_alpha, kernel_catalog,
+    register_kernel, scale, scale_for, tail_values, zero_element,
 )
 from choquetlike.operator import MAX_TIE_GROUP
 from oracles import classical_choquet_increments, mu_lookup
@@ -437,6 +437,26 @@ class TestKernelCatalog:
         k = kernel_catalog({"family": "affine-F", "C": C, "D": "zero"}, kind)
         out = k.evaluate(x, zero_element(kind, len(x.components)), 1.0, 0.0)
         assert out == expected[C]  # F(x, 1) = C(x) + 0
+
+    def test_f_difference_with_scaling_is_the_classical_kernel(self):
+        # F(x, a) = a * x gives G = (b1 - b2) * x, and b1 >= b2 along every
+        # admissible chain, so the fold matches the classical kernel bit for bit.
+        kernel = f_difference_kernel(lambda x, a: scale(TIMES, a, x))
+        assert kernel.name == "f-difference(custom)"
+        x = Scalar(0.6)
+        assert (kernel.evaluate(x, Scalar(0.0), 0.7, 0.2)
+                == kernel.evaluate(x, Scalar(0.9), 0.7, 0.2))  # previous input ignored
+        classical = classical_kernel("scalar")
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            levels = [rng.random() for _ in range(rng.randint(1, n))]
+            inp = scalar_input([rng.choice(levels) for _ in range(n)],
+                               capacity_family("uniform-random", n,
+                                               seed=rng.randrange(1000)))
+            got, want = choquet_aggregate(inp, kernel), choquet_aggregate(inp, classical)
+            assert got.value.value.hex() == want.value.value.hex()
+            assert got.consistent and want.consistent
 
     def test_custom_registry(self):
         kernel = KernelL(lambda x, prev, b1, b2: scale(scale_for("scalar"), b1, x),

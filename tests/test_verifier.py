@@ -165,6 +165,7 @@ class TestBruteForceAndOracle:
         report = brute_force_wd(first_weight_kernel(), PLUS, ScalarUsual(), 2, SG)
         assert not report.passed
         assert report.witness["sigma_a"] != report.witness["sigma_b"]
+        assert report.detail == {"n": 2}  # a failing report drops the battery note
 
     def test_monotone_pair_generation_is_sound(self):
         # Sample pairs out of the sweep's enumeration scheme directly.
@@ -245,3 +246,5 @@ class TestRunLaw:
         assert report.passed and report.witness is None
         assert report.checked == 4 and report.elapsed >= 0.0
         assert list(report.detail.items()) == [("b", 1), ("a", 2), ("note", "n")]
+        empty = run_law("demo", iter([]))
+        assert empty.passed and empty.checked == 0
