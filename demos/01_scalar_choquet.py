@@ -6,7 +6,7 @@ classical discrete Choquet integral exactly.
 """
 
 from choquetlike import (
-    AggregationInput, PLUS, Scalar, ScalarUsual, admissible_permutations,
+    AggregationInput, PLUS, PermutationSet, Scalar, ScalarUsual,
     capacity_family, capacity_from_table, choquet_aggregate, choquet_eval,
     classical_kernel, tail_values,
 )
@@ -17,7 +17,7 @@ scores = (Scalar(0.2), Scalar(0.5), Scalar(0.9))
 mu = capacity_family("cardinality", 3)
 
 order = ScalarUsual()
-perms = admissible_permutations(scores, order)
+perms = list(PermutationSet(scores, order))
 print("admissible permutations:", perms)          # unique: values are distinct
 
 sigma = perms[0]

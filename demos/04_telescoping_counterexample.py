@@ -39,18 +39,18 @@ print("distance to the zero interval:", d(x, Interval(0, 0)).to_json())
 # Search for a telescoping violation. On the [0, t] family the max/abs
 # pairing happens to telescope exactly, so the search goes on over the
 # full grid and finds a pair there. It returns a law report whose
-# witness is the violating pair.
+# witness is a dict: the violating pair and its diagnostics.
 report = takac_counterexample(0.5, 1.0, "max", "abs-diff", GridSpec("interval", 8))
 print("\nsearch:", report.verdict, "after", report.checked, "pairs")
 w = report.witness
-print("witness pair: x1 =", w.x1.to_json(), " x2 =", w.x2.to_json())
-print("d(x1, 0) + d(x2, x1) =", w.lhs.to_json())
-print("d(x2, 0)             =", w.rhs.to_json())
-print("alpha-mix images a1, a2, a12:", w.a1, w.a2, w.a12)
-print("width equation lhs vs rhs:", w.width_lhs, "vs", w.width_rhs)
+print("witness pair: x1 =", w["x1"].to_json(), " x2 =", w["x2"].to_json())
+print("d(x1, 0) + d(x2, x1) =", w["lhs"].to_json())
+print("d(x2, 0)             =", w["rhs"].to_json())
+print("alpha-mix images a1, a2, a12:", w["a1"], w["a2"], w["a12"])
+print("width equation lhs vs rhs:", w["width_lhs"], "vs", w["width_rhs"])
 
 # Replay the witness through public operations: the gap is genuine.
 zero = Interval(0, 0)
-lhs = add(IV_PLUS, d(w.x1, zero), d(w.x2, w.x1))
-print("replayed gap:", max(abs(lhs.lower - w.rhs.lower),
-                           abs(lhs.upper - w.rhs.upper)))
+lhs = add(IV_PLUS, d(w["x1"], zero), d(w["x2"], w["x1"]))
+print("replayed gap:", max(abs(lhs.lower - w["rhs"].lower),
+                           abs(lhs.upper - w["rhs"].upper)))

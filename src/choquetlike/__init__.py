@@ -20,7 +20,7 @@ from .capacity import (
 )
 from .datasets import Dataset, load_dataset, parse_dataset, serialize_dataset
 from .dissimilarity import (
-    DissimilarityFn, TelescopingWitness, check_dissimilarity,
+    DissimilarityFn, check_dissimilarity,
     check_telescoping, delta_covers_unit_range, lambda_alpha,
     resolve_dissimilarity, takac_counterexample, takac_dissimilarity,
     takac_dissimilarity_fn,
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .operator import (
     AggregateResult, AggregationInput, KernelL, PermutationSet,
-    admissible_permutations, affine_f_kernel, b_scale_d_kernel,
+    affine_f_kernel, b_scale_d_kernel,
     choquet_aggregate, choquet_eval, classical_kernel, delta_scale_kernel,
     f_difference_kernel, kernel_catalog, register_kernel,
 )

@@ -58,7 +58,7 @@ def main(argv=None) -> int:
                               "aggregation", "dissimilarity", "appendix-c", "all"))
     ver.add_argument("--config", default=None)
     ver.add_argument("--grid", type=int, default=None, help="step denominator")
-    ver.add_argument("--n", type=int, default=3, help="operator arity")
+    ver.add_argument("--n", type=int, default=None, help="operator arity")
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--output", default=None)
     ver.add_argument("--format", choices=("json", "csv"), default="json")
@@ -124,7 +124,8 @@ def cmd_verify(args) -> int:
                        for key in ("grid", "n", "alpha", "beta") if key in config})
     if args.grid is not None:
         config["grid"] = args.grid
-    config.setdefault("n", args.n)
+    if args.n is not None:
+        config["n"] = args.n
 
     suites = {
         "order": suite_order, "algebra": suite_algebra, "wd": suite_wd,
@@ -160,16 +161,12 @@ def _write(args, obj, header, rows):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _grid(config, kind, default_m):
-    return GridSpec(kind, config.get("grid", default_m))
-
-
 def _carriers(config):
     """Default (order, addition, grid) triple per carrier."""
     return [
-        (ScalarUsual(), PLUS, _grid(config, SCALAR, 4)),
-        (AlphaBeta(0.5, 1.0), IV_PLUS, _grid(config, INTERVAL, 2)),
-        (VectorLex((0, 1)), VV_PLUS, _grid(config, VECTOR, 2)),
+        (ScalarUsual(), PLUS, GridSpec(SCALAR, config.get("grid", 4))),
+        (AlphaBeta(0.5, 1.0), IV_PLUS, GridSpec(INTERVAL, config.get("grid", 2))),
+        (VectorLex((0, 1)), VV_PLUS, GridSpec(VECTOR, config.get("grid", 2))),
     ]
 
 
@@ -236,7 +233,7 @@ def suite_aggregation(config) -> list[LawReport]:
         reports.append(verifier.check_aggregation(kernel, addop, order, n, grid))
     # Lexicographical interval order alongside the Xu-Yager default.
     lex = AlphaBeta(0.0, 1.0)
-    grid = _grid(config, INTERVAL, 2)
+    grid = GridSpec(INTERVAL, config.get("grid", 2))
     reports.append(verifier.check_aggregation(
         kernel_catalog("delta-scale", INTERVAL, lex), IV_PLUS, lex,
         n, grid))

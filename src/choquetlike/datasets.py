@@ -49,11 +49,13 @@ class Dataset:
         dim = self.rows[0][0].dim
         for r, row in enumerate(self.rows):
             if len(row) != n:
-                raise DatasetFormatError("rows have differing arity")
+                raise DatasetFormatError(
+                    f"row {r} (0-based): {len(row)} cells where row 0 has {n}")
             for c, el in enumerate(row):
                 if el.kind != self.kind or el.dim != dim:
                     raise DatasetFormatError(
-                        "row element does not match the dataset carrier")
+                        f"row {r}, column {c} (0-based): {el!r} does not match "
+                        f"the dataset carrier")
                 if not el.in_unit:
                     raise DatasetFormatError(
                         f"row {r}, column {c} (0-based): {el!r} lies outside [0, 1]")

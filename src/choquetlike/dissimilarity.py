@@ -90,39 +90,38 @@ def delta_covers_unit_range(delta: Callable[[float, float], float]) -> bool:
 # Carrier-valued dissimilarities
 # ---------------------------------------------------------------------------
 
-def scalar_dissimilarity(spec) -> DissimilarityFn:
-    """The scalar dissimilarity d(x, z) = delta(x, z) for a delta given by
-    name or as a callable; a callable is named ``custom``."""
+def projected_dissimilarity(spec, kind: str,
+                            order: Optional[AdmissibleOrder] = None) -> DissimilarityFn:
+    """d(x, z) = delta of the leading invariants of x and z (a scalar's value,
+    an interval's alpha mix under an ``ab`` order, a vector's first-priority
+    coordinate under a ``veclex`` order) as a constant element, under which
+    the chain conditions and the telescoping identity reduce to their scalar
+    counterparts. A callable delta is named ``custom``."""
     delta = resolve_delta(spec)
-    return DissimilarityFn(spec if isinstance(spec, str) else "custom", SCALAR,
-                           lambda x, z: Scalar(delta(x.value, z.value)))
+    if kind == SCALAR:
+        def fn(x: Element, z: Element) -> Element:
+            return Scalar(delta(x.value, z.value))
+    elif kind == INTERVAL:
+        if not isinstance(order, AlphaBeta):
+            raise BadParameter(
+                "interval dissimilarities need an ab:<alpha>:<beta> order")
+        alpha = order.alpha
 
+        def fn(x: Element, z: Element) -> Element:
+            t = delta(k_alpha(x, alpha), k_alpha(z, alpha))
+            return Interval(t, t)
+    elif kind == VECTOR:
+        if not isinstance(order, VectorLex):
+            raise BadParameter("vector dissimilarities need a veclex order")
+        lead = order.priority[0]
+        dim = order.dim
 
-def interval_projected(name: str, alpha: float) -> DissimilarityFn:
-    """Interval dissimilarity d(x, z) = [t, t] with t = delta of the alpha
-    endpoint mixes. Degenerate output makes the chain conditions and the
-    telescoping identity reduce to their scalar counterparts."""
-    delta = resolve_delta(name)
-
-    def fn(x: Element, z: Element) -> Element:
-        t = delta(k_alpha(x, alpha), k_alpha(z, alpha))
-        return Interval(t, t)
-
-    return DissimilarityFn(name, INTERVAL, fn)
-
-
-def vector_projected(name: str, order: VectorLex) -> DissimilarityFn:
-    """Vector dissimilarity returning the constant vector of the delta of
-    the first-priority coordinates."""
-    delta = resolve_delta(name)
-    lead = order.priority[0]
-    dim = order.dim
-
-    def fn(x: Element, z: Element) -> Element:
-        t = delta(x.coords[lead], z.coords[lead])
-        return Vector((t,) * dim)
-
-    return DissimilarityFn(name, VECTOR, fn)
+        def fn(x: Element, z: Element) -> Element:
+            t = delta(x.coords[lead], z.coords[lead])
+            return Vector((t,) * dim)
+    else:
+        raise BadParameter(f"unknown carrier kind: {kind!r}")
+    return DissimilarityFn(spec if isinstance(spec, str) else "custom", kind, fn)
 
 
 def resolve_dissimilarity(spec: str, kind: str,
@@ -145,17 +144,7 @@ def resolve_dissimilarity(spec: str, kind: str,
             raise BadParameter("the takac construction is interval-valued")
         return takac_dissimilarity_fn(float(parts[1]), parts[2], parts[3])
     if spec in _DELTAS:
-        if kind == SCALAR:
-            return scalar_dissimilarity(spec)
-        if kind == INTERVAL:
-            if not isinstance(order, AlphaBeta):
-                raise BadParameter(
-                    "interval dissimilarities need an ab:<alpha>:<beta> order")
-            return interval_projected(spec, order.alpha)
-        if kind == VECTOR:
-            if not isinstance(order, VectorLex):
-                raise BadParameter("vector dissimilarities need a veclex order")
-            return vector_projected(spec, order)
+        return projected_dissimilarity(spec, kind, order)
     raise BadParameter(f"unknown dissimilarity spec: {spec!r}")
 
 
@@ -289,32 +278,6 @@ def check_telescoping(d: DissimilarityFn, addop: AdditionOp,
 # Counterexample search for the width-based construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TelescopingWitness:
-    """A pair breaking the telescoping identity, with the diagnostic
-    quantities of the width-based construction: the alpha-mix images
-    a1 = delta(K(x1), 0), a2 = delta(K(x2), 0), a12 = delta(K(x1), K(x2)),
-    and both sides of the width equation w(z1) + w(z12) = w(z2)."""
-
-    x1: Interval
-    x2: Interval
-    lhs: Interval
-    rhs: Interval
-    a1: float
-    a2: float
-    a12: float
-    width_lhs: float
-    width_rhs: float
-
-    def to_json(self) -> dict:
-        return {
-            "x1": self.x1.to_json(), "x2": self.x2.to_json(),
-            "lhs": self.lhs.to_json(), "rhs": self.rhs.to_json(),
-            "a1": self.a1, "a2": self.a2, "a12": self.a12,
-            "width_lhs": self.width_lhs, "width_rhs": self.width_rhs,
-        }
-
-
 def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
                          grid: GridSpec) -> LawReport:
     """Search for a telescoping violation of the width-based interval
@@ -323,10 +286,13 @@ def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
     The search walks the family x1 = [0, t1], x2 = [0, t2] with
     0 < t1 < t2 on the grid, then every grid interval pair x1 <= x2 (the
     family telescopes exactly for some parameters, e.g. max/abs-diff).
-    The report's witness is the first ``TelescopingWitness`` in that
-    order. A pass means no violation at this resolution: the grid may be
-    too coarse or the parameters outside the construction's hypotheses.
-    The detail names the parameters, passing or failing.
+    The report's witness is the first violating pair in that order: a dict
+    of ``x1``, ``x2``, the sides ``lhs`` and ``rhs``, the alpha-mix images
+    a1 = delta(K(x1), 0), a2 = delta(K(x2), 0), a12 = delta(K(x1), K(x2)),
+    and the sides ``width_lhs``, ``width_rhs`` of w(z1) + w(z12) = w(z2).
+    A pass means no violation at this resolution: the grid may be too
+    coarse or the parameters outside the construction's hypotheses. The
+    detail names the parameters, passing or failing.
     """
     delta_fn = resolve_delta(delta_d)
     if not delta_covers_unit_range(delta_fn):
@@ -352,16 +318,16 @@ def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
             z12 = d(x2, x1)
             z2 = d(x2, zero)
             lhs = add(IV_PLUS, z1, z12)
-            if abs(lhs.lower - z2.lower) > 1e-9 or abs(lhs.upper - z2.upper) > 1e-9:
-                ka1, ka2 = k_alpha(x1, alpha), k_alpha(x2, alpha)
-                yield TelescopingWitness(
-                    x1=x1, x2=x2, lhs=lhs, rhs=z2,
-                    a1=delta_fn(ka1, 0.0), a2=delta_fn(ka2, 0.0),
-                    a12=delta_fn(ka1, ka2),
-                    width_lhs=z1.width + z12.width, width_rhs=z2.width,
-                )
-            else:
+            if elements_equal(lhs, z2, tol=1e-9):
                 yield None
+            else:
+                ka1, ka2 = k_alpha(x1, alpha), k_alpha(x2, alpha)
+                yield {
+                    "x1": x1, "x2": x2, "lhs": lhs, "rhs": z2,
+                    "a1": delta_fn(ka1, 0.0), "a2": delta_fn(ka2, 0.0),
+                    "a12": delta_fn(ka1, ka2),
+                    "width_lhs": z1.width + z12.width, "width_rhs": z2.width,
+                }
 
     return run_law("takac-telescoping", cases(), alpha=alpha, beta=beta, Md=m_d,
                    delta_d=delta_d, note=f"no counterexample at resolution m={grid.m}")

@@ -21,13 +21,13 @@ from typing import Callable, Optional
 
 from .algebra import AdditionOp, add, addition_for, scale, scale_for
 from .capacity import Capacity, _tail_weights
-from .dissimilarity import DissimilarityFn, resolve_delta
+from .dissimilarity import DissimilarityFn, resolve_delta, resolve_dissimilarity
 from .errors import (
     BadParameter, KernelRangeError, KindMismatch, NotAdmissiblePermutation,
     TooManyTies, UnknownKernel, lookup,
 )
 from .order import (
-    TOL, AdmissibleOrder, Element, elements_equal, from_components, zero_like,
+    TOL, AdmissibleOrder, Element, elements_equal, from_components, zero_element,
 )
 
 MAX_TIE_GROUP = 16
@@ -48,7 +48,6 @@ class KernelL:
 
     fn: Callable[[Element, Element, float, float], Element]
     name: str
-    family: str = "custom"
 
     def __post_init__(self):
         if not callable(self.fn):
@@ -105,7 +104,7 @@ class AggregationInput:
 
     @property
     def zero(self) -> Element:
-        return zero_like(self.X[0])
+        return zero_element(self.X[0].kind, self.X[0].dim)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,10 @@ class PermutationSet:
     def __init__(self, X, order: AdmissibleOrder):
         if not X:
             raise BadParameter("need at least one input")
-        idx = _order_sort(X, order)
+        # Indices sorted by the comparator; the sort is stable, so ties keep
+        # their original positions.
+        key = cmp_to_key(order.compare)
+        idx = sorted(range(len(X)), key=lambda i: key(X[i]))
         groups: list[list[int]] = [[idx[0]]]
         for i in idx[1:]:
             if order.compare(X[groups[-1][0]], X[i]) == 0:
@@ -140,21 +142,6 @@ class PermutationSet:
 
     def first(self) -> tuple[int, ...]:
         return tuple(itertools.chain.from_iterable(self.groups))
-
-
-def _order_sort(X, order: AdmissibleOrder) -> list[int]:
-    # Indices sorted by the comparator; the sort is stable, so ties keep
-    # their original positions.
-    key = cmp_to_key(order.compare)
-    return sorted(range(len(X)), key=lambda i: key(X[i]))
-
-
-def admissible_permutations(X, order: AdmissibleOrder) -> list[tuple[int, ...]]:
-    """All 0-based permutations sigma with X[sigma[0]] <= ... <= X[sigma[-1]],
-    as a list: never empty, and ``k!`` long for a tie group of ``k`` inputs.
-    Use :class:`PermutationSet` to count or stream them instead.
-    """
-    return list(PermutationSet(X, order))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +273,7 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
 # ---------------------------------------------------------------------------
 
 _CARRIER_FNS: dict[str, Callable[[Element], Element]] = {
-    "zero": zero_like,
+    "zero": lambda x: zero_element(x.kind, x.dim),
     "identity": lambda x: x,
     "upper": lambda x: from_components(x.kind, (max(x.components),) * x.dim),
     "lower": lambda x: from_components(x.kind, (min(x.components),) * x.dim),
@@ -321,14 +308,14 @@ def delta_scale_kernel(delta, kind: str) -> KernelL:
     mul = scale_for(kind)
     label = delta if isinstance(delta, str) else "custom"
     return KernelL(lambda x, prev, b1, b2: scale(mul, delta_fn(b1, b2), x),
-                   name=f"delta-scale({label})", family="delta-scale")
+                   name=f"delta-scale({label})")
 
 
 def f_difference_kernel(F: Callable[[Element, float], Element]) -> KernelL:
     """Kernel G(x, b1, b2) = F(x, b1 - b2) for b1 >= b2, named
     ``f-difference(custom)``; no JSON spec can carry F."""
     return KernelL(lambda x, prev, b1, b2: F(x, b1 - b2),
-                   name="f-difference(custom)", family="f-difference")
+                   name="f-difference(custom)")
 
 
 def b_scale_d_kernel(d: DissimilarityFn, kind: str) -> KernelL:
@@ -336,7 +323,7 @@ def b_scale_d_kernel(d: DissimilarityFn, kind: str) -> KernelL:
     to the previous input."""
     mul = scale_for(kind)
     return KernelL(lambda x, prev, b1, b2: scale(mul, b1, d(x, prev)),
-                   name=f"b-scale-d({d.name})", family="b-scale-d")
+                   name=f"b-scale-d({d.name})")
 
 
 def affine_f_kernel(C, D, kind: str, name: Optional[str] = None) -> KernelL:
@@ -352,7 +339,7 @@ def affine_f_kernel(C, D, kind: str, name: Optional[str] = None) -> KernelL:
 
     label = name or f"{C if isinstance(C, str) else 'C'},{D if isinstance(D, str) else 'D'}"
     return KernelL(lambda x, prev, b1, b2: F(x, b1 - b2),
-                   name=f"affine-F({label})", family="affine-F")
+                   name=f"affine-F({label})")
 
 
 def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> KernelL:
@@ -372,8 +359,6 @@ def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> 
     if family == "delta-scale":
         return delta_scale_kernel(spec.get("delta", "difference"), kind)
     if family == "b-scale-d":
-        from .dissimilarity import resolve_dissimilarity
-
         d_spec = spec.get("d", "abs-diff")
         d = d_spec if isinstance(d_spec, DissimilarityFn) else \
             resolve_dissimilarity(d_spec, kind, order)

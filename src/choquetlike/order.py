@@ -158,30 +158,24 @@ def from_components(kind: str, comps) -> Element:
     raise BadParameter(f"unknown carrier kind: {kind!r}")
 
 
+def _constant_element(kind: str, dim: int, c: float) -> Element:
+    if kind == SCALAR:
+        return Scalar(c)
+    if kind == INTERVAL:
+        return Interval(c, c)
+    if kind == VECTOR:
+        return Vector((c,) * dim)
+    raise BadParameter(f"unknown carrier kind: {kind!r}")
+
+
 def zero_element(kind: str, dim: int = 1) -> Element:
     """Least element of the bounded set for the given carrier."""
-    if kind == SCALAR:
-        return Scalar(0.0)
-    if kind == INTERVAL:
-        return Interval(0.0, 0.0)
-    if kind == VECTOR:
-        return Vector((0.0,) * dim)
-    raise BadParameter(f"unknown carrier kind: {kind!r}")
+    return _constant_element(kind, dim, 0.0)
 
 
 def one_element(kind: str, dim: int = 1) -> Element:
     """Greatest element of the bounded set for the given carrier."""
-    if kind == SCALAR:
-        return Scalar(1.0)
-    if kind == INTERVAL:
-        return Interval(1.0, 1.0)
-    if kind == VECTOR:
-        return Vector((1.0,) * dim)
-    raise BadParameter(f"unknown carrier kind: {kind!r}")
-
-
-def zero_like(x: Element) -> Element:
-    return zero_element(x.kind, x.dim)
+    return _constant_element(kind, dim, 1.0)
 
 
 def elements_equal(x: Element, z: Element, tol: float = TOL) -> bool:

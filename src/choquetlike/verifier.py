@@ -23,8 +23,8 @@ from typing import Optional
 from .algebra import (
     AdditionOp, add, check_cancellation, check_compatibility, fold_add,
 )
-from .capacity import Capacity, capacity_family
-from .dissimilarity import check_dissimilarity, resolve_delta, scalar_dissimilarity
+from .capacity import MAX_N, Capacity, capacity_family
+from .dissimilarity import check_dissimilarity, projected_dissimilarity, resolve_delta
 from .errors import BadParameter, HypothesisViolated, OracleDisagreement
 from .operator import (
     AggregationInput, KernelL, PermutationSet, choquet_aggregate, _eval_sorted,
@@ -83,8 +83,8 @@ def check_wd(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
 
 
 def _wd_cases(kernel, addop, order, n, grid):
-    if n < 2:
-        raise BadParameter("well-definedness is defined for n >= 2")
+    if not 2 <= n <= MAX_N:
+        raise BadParameter(f"well-definedness is defined for n in 2..{MAX_N}, got {n}")
     _require(check_cancellation(addop, grid), "addition cancellation")
     elems = order.sort(grid_elements(grid))
     coeffs = unit_grid(grid.m)
@@ -141,8 +141,8 @@ def check_monotonicity(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrde
 
 
 def _monotonicity_cases(kernel, addop, order, n, grid):
-    if n < 2:
-        raise BadParameter("monotonicity is defined for n >= 2")
+    if not 2 <= n <= MAX_N:
+        raise BadParameter(f"monotonicity is defined for n in 2..{MAX_N}, got {n}")
     _require(check_compatibility(addop, order, True, grid), "strict compatibility")
     yield from _tagged(_wd_cases(kernel, addop, order, n, grid), condition="a:wd")
     elems = order.sort(grid_elements(grid))
@@ -236,11 +236,9 @@ def check_delta_decomposition(delta, grid: GridSpec) -> LawReport:
     Requires delta to be a scalar dissimilarity (checked on the grid).
     """
     delta_fn = resolve_delta(delta)
-    d = scalar_dissimilarity(delta)
-    pre = check_dissimilarity(d, ScalarUsual(), GridSpec(SCALAR, grid.m))
-    if not pre.passed:
-        raise HypothesisViolated(
-            f"delta {d.name!r} is not a scalar dissimilarity: {pre.witness}")
+    d = projected_dissimilarity(delta, SCALAR)
+    _require(check_dissimilarity(d, ScalarUsual(), GridSpec(SCALAR, grid.m)),
+             f"delta {d.name!r} as a scalar dissimilarity")
     coeffs = unit_grid(grid.m)
 
     def cases():
@@ -309,16 +307,16 @@ def check_jensen_f(F, addop: AdditionOp, grid: GridSpec,
 # Operator-level brute force and the crosscheck
 # ---------------------------------------------------------------------------
 
-def capacity_battery(n: int, seed: int = 42, randoms: int = 5) -> list[Capacity]:
+def capacity_battery(n: int, seed: int = 42) -> list[Capacity]:
     """Fixed capacity family for operator-level sweeps: cardinality, every
-    point mass, every cardinality threshold, and seeded random monotone
-    capacities. The extreme members exercise the endpoints of the weight
-    chains where conditions typically break."""
+    point mass, every cardinality threshold, and five seeded random
+    monotone capacities. The extreme members exercise the endpoints of the
+    weight chains where conditions typically break."""
     caps = [capacity_family("cardinality", n)]
     caps += [capacity_family("dirac", n, i=i) for i in range(1, n + 1)]
     caps += [capacity_family("top", n, k=k) for k in range(1, n + 1)]
     caps += [capacity_family("uniform-random", n, seed=seed + j)
-             for j in range(randoms)]
+             for j in range(5)]
     return caps
 
 
@@ -441,19 +439,14 @@ def _spot_check_consistency(kernel, addop, order, n, grid, brute_verdict, seed):
     caps = capacity_battery(n, seed)
     sample = list(itertools.product(elems[:3], repeat=n))[:20]
     sample += [(e,) * n for e in elems]  # constant tuples maximize ties
-    any_inconsistent = False
     checked = 0
-    for X in sample:
-        for mu in caps:
-            checked += 1
-            res = choquet_aggregate(AggregationInput(X, mu, order, addop), kernel)
-            if not res.consistent:
-                any_inconsistent = True
-                break
-        if any_inconsistent:
+    for X, mu in itertools.product(sample, caps):
+        checked += 1
+        res = choquet_aggregate(AggregationInput(X, mu, order, addop), kernel)
+        if not res.consistent:
+            if brute_verdict == "pass":
+                raise OracleDisagreement(
+                    "aggregate reports an inconsistency on a tuple the "
+                    "brute-force sweep accepted")
             break
-    if brute_verdict == "pass" and any_inconsistent:
-        raise OracleDisagreement(
-            "aggregate reports an inconsistency on a tuple the brute-force "
-            "sweep accepted")
     return checked

@@ -213,13 +213,13 @@ def test_criterion_7_takac_counterexample():
                                    GridSpec("interval", 8)).witness
     d = takac_dissimilarity_fn(0.5, "max", "abs-diff")
     zero = Interval(0, 0)
-    lhs = add(IV_PLUS, d(witness.x1, zero), d(witness.x2, witness.x1))
-    rhs = d(witness.x2, zero)
+    lhs = add(IV_PLUS, d(witness["x1"], zero), d(witness["x2"], witness["x1"]))
+    rhs = d(witness["x2"], zero)
     gap = max(abs(lhs.lower - rhs.lower), abs(lhs.upper - rhs.upper))
     if gap <= 1e-9:
         failures.append("witness does not violate the identity on replay")
-    if not (elements_equal(lhs, witness.lhs, tol=1e-9)
-            and elements_equal(rhs, witness.rhs, tol=1e-9)):
+    if not (elements_equal(lhs, witness["lhs"], tol=1e-9)
+            and elements_equal(rhs, witness["rhs"], tol=1e-9)):
         failures.append("reported sides disagree with the replay")
     _finish(7, "width-based construction telescoping witness found and "
                "replayed", failures, started, 30.0)

@@ -22,7 +22,7 @@ class TestDissimilarityStepsMatchClassical:
         increments, which is exactly the classical integral."""
         kernel = kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "scalar")
         grid = [i / 4 for i in range(5)]
-        for mu in capacity_battery(3, seed=21, randoms=2):
+        for mu in capacity_battery(3, seed=21):
             of = mu_lookup(mu)
             for values in itertools.product(grid, repeat=3):
                 inp = AggregationInput(tuple(Scalar(v) for v in values), mu,

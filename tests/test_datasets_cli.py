@@ -10,7 +10,7 @@ import pytest
 from choquetlike import (
     Dataset, DatasetFormatError, GridSpec, Interval, KernelL, Scalar, Vector,
     capacity_family, dissimilarity, parse_dataset, register_kernel,
-    serialize_dataset,
+    serialize_dataset, verifier,
 )
 from choquetlike.cli import main
 from choquetlike.reporting import MAX_GRID
@@ -71,7 +71,11 @@ class TestDatasets:
                 ('[[[0.5, 0.2], ["a", 1]]]', "interval", "row 0, column 0"),
                 # A row that is not a list of cells.
                 ("[5]", "scalar", r"row 0 \(0-based\): 5 is not a list of cells"),
-                ("[[0.1, 0.2], 5]", "scalar", r"row 1 \(0-based\): 5 is not a list")):
+                ("[[0.1, 0.2], 5]", "scalar", r"row 1 \(0-based\): 5 is not a list"),
+                # Rows of another arity, and cells of another carrier dimension.
+                ("0.1,0.2\n0.3\n", "scalar", r"row 1 \(0-based\)"),
+                ('[[[0.1, 0.2]], [[0.1]]]', "vector", "row 1, column 0"),
+                ('[[[0.1, 0.2], [0.3]]]', "vector", "row 0, column 1")):
             with pytest.raises(DatasetFormatError, match=where):
                 parse_dataset(text, kind)
 
@@ -99,7 +103,52 @@ def scalar_files(tmp_path):
     return data, cap, out
 
 
+_TABLE3 = {"n": 3, "kind": "table", "entries": [
+    {"subset": [], "value": 0}, {"subset": [1], "value": 0.1},
+    {"subset": [2], "value": 0.35}, {"subset": [3], "value": 0.2},
+    {"subset": [1, 2], "value": 0.6}, {"subset": [1, 3], "value": 0.45},
+    {"subset": [2, 3], "value": 0.7}, {"subset": [1, 2, 3], "value": 1}]}
+_TIED_CSV = "0.2,0.5,0.5\n0.3,0.3,0.3\n0.1,0.7,0.4\n"
+
+# Each case: input file text, capacity, and the options after them. The
+# exit code and exact stdout of each are in data/aggregate_golden.json.
+AGGREGATE_CASES = {
+    "scalar-csv-ties": (_TIED_CSV, _TABLE3, []),
+    "interval-json-ids-b-scale-d": (
+        json.dumps({"kind": "interval", "ids": ["a", "b"],
+                    "rows": [[[0.1, 0.3], [0.2, 0.2], [0.1, 0.3]],
+                             [[0.0, 0.9], [0.45, 0.45], [0.3, 0.6]]]}),
+        _TABLE3, ["--order", "ab:0.5:1",
+                  "--kernel", '{"family": "b-scale-d", "d": "abs-diff"}']),
+    "vector-json-affine-f": (
+        json.dumps([[[0.2, 0.4], [0.3, 0.4], [0.1, 0.9]],
+                    [[0.6, 0.5], [0.6, 0.5], [0.0, 0.5]]]),
+        _TABLE3, ["--order", "veclex:2,1", "--kernel",
+                  '{"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1"}']),
+    "scalar-sq-diff-tied-exit-two": (
+        _TIED_CSV, _TABLE3,
+        ["--kernel", '{"family": "delta-scale", "delta": "sq-diff"}']),
+    "scalar-csv-format": (_TIED_CSV, _TABLE3, ["--format", "csv"]),
+}
+
+
 class TestAggregateCommand:
+    @pytest.mark.parametrize("case", sorted(AGGREGATE_CASES))
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, case):
+        """Indentation, key order, float repr, ids and ``permutations`` of
+        ``aggregate`` stdout, byte for byte."""
+        rows, capacity, options = AGGREGATE_CASES[case]
+        data = tmp_path / "rows"
+        data.write_text(rows)
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps(capacity))
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap)]
+                    + options)
+        golden = json.loads((Path(__file__).parent / "data"
+                             / "aggregate_golden.json").read_text())[case]
+        assert code == golden["exit"]
+        assert capsys.readouterr().out.encode() == golden["stdout"].encode()
+
     def test_scalar_rows_match_reference_sums(self, scalar_files):
         data, cap, out = scalar_files
         code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
@@ -330,6 +379,31 @@ class TestVerifyCommand:
             assert rec.pop("elapsed") >= 0.0
         snapshot = Path(__file__).parent / "data" / "verify_all_grid2.json"
         assert json.dumps(reports) == json.dumps(json.loads(snapshot.read_text()))
+
+    def test_n_flag_overrides_the_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2}))
+        out = tmp_path / "wd.json"
+        argv = ["verify", "--suite", "wd", "--grid", "1", "--config", str(cfg),
+                "--output", str(out)]
+        for extra, n in (([], 2), (["--n", "4"], 4)):
+            assert main(argv + extra) == 0
+            assert {r["n"] for r in json.loads(out.read_text())} == {n}
+
+    @pytest.mark.parametrize("suite", ["wd", "monotone", "aggregation"])
+    @pytest.mark.parametrize("n", [25, 10 ** 20])
+    def test_arity_beyond_any_capacity_exit_one(self, capsys, monkeypatch, suite, n):
+        # No capacity exists on more than 24 inputs; the arity is refused
+        # before any case is enumerated.
+        def never(*args):
+            raise AssertionError("a case was enumerated")
+        for name in ("grid_elements", "check_cancellation", "check_compatibility"):
+            monkeypatch.setattr(verifier, name, never)
+        code = main(["verify", "--suite", suite, "--grid", "2", "--n", str(n)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "BadParameter"
+        assert f"got {n}" in err["error"]["message"]
 
     def test_csv_report_format(self, tmp_path):
         """Each CSV row carries the suite, law, verdict and ``checked`` of

@@ -58,4 +58,4 @@ def test_readme_json_examples_load():
         assert Capacity.from_json(spec).n == spec["n"]
     for spec in kernels:
         if spec["family"] != "custom":
-            assert kernel_catalog(spec, "scalar").family == spec["family"]
+            assert kernel_catalog(spec, "scalar").name.startswith(spec["family"] + "(")

@@ -178,13 +178,13 @@ class TestCounterexampleSearch:
         w = report.witness
         d = takac_dissimilarity_fn(0.5, "max", "abs-diff")
         zero = Interval(0, 0)
-        lhs = add(IV_PLUS, d(w.x1, zero), d(w.x2, w.x1))
-        rhs = d(w.x2, zero)
+        lhs = add(IV_PLUS, d(w["x1"], zero), d(w["x2"], w["x1"]))
+        rhs = d(w["x2"], zero)
         assert abs(lhs.lower - rhs.lower) > 1e-9 or abs(lhs.upper - rhs.upper) > 1e-9
-        assert elements_equal(lhs, w.lhs, tol=1e-9)
-        assert elements_equal(rhs, w.rhs, tol=1e-9)
+        assert elements_equal(lhs, w["lhs"], tol=1e-9)
+        assert elements_equal(rhs, w["rhs"], tol=1e-9)
         # Diagnostics: the width equation breaks with the witness.
-        assert abs(w.width_lhs - w.width_rhs) > 1e-9
+        assert abs(w["width_lhs"] - w["width_rhs"]) > 1e-9
 
     def test_restricted_family_telescopes_for_max_abs(self):
         # For the max/abs-diff pairing, the [0, t] family telescopes
@@ -202,7 +202,7 @@ class TestCounterexampleSearch:
     def test_min_pairing_fails_already_on_the_family(self):
         report = takac_counterexample(0.5, 1.0, "min", "abs-diff", GridSpec("interval", 8))
         assert not report.passed and report.checked <= 28
-        assert report.witness.x1.lower == 0.0 and report.witness.x2.lower == 0.0
+        assert report.witness["x1"].lower == 0.0 and report.witness["x2"].lower == 0.0
 
     def test_degenerate_grid_has_no_family_witness(self):
         # The min pairing finds no violation among the 6 pairs of m = 1.

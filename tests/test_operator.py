@@ -12,7 +12,7 @@ from choquetlike import (
     Interval, MIN_OP, TIMES,
     KernelL, KernelRangeError, KindMismatch, NotAdmissiblePermutation, PLUS,
     PermutationSet, Scalar, ScalarUsual, TooManyTies, UnknownKernel, VV_PLUS,
-    Vector, VectorLex, add, admissible_permutations, capacity_family,
+    Vector, VectorLex, add, capacity_family,
     capacity_from_table, choquet_aggregate, choquet_eval, classical_kernel,
     elements_equal, f_difference_kernel, k_alpha, kernel_catalog,
     register_kernel, scale, scale_for, tail_values, zero_element,
@@ -36,21 +36,21 @@ def _b1_kernel(kind):
 class TestAdmissiblePermutations:
     def test_distinct_values_unique_sort(self):
         X = (Scalar(0.9), Scalar(0.2), Scalar(0.5))
-        assert admissible_permutations(X, ScalarUsual()) == [(1, 2, 0)]
+        assert list(PermutationSet(X, ScalarUsual())) == [(1, 2, 0)]
 
     def test_tie_pair(self):
         X = (Scalar(0.5), Scalar(0.5))
-        assert admissible_permutations(X, ScalarUsual()) == [(0, 1), (1, 0)]
+        assert list(PermutationSet(X, ScalarUsual())) == [(0, 1), (1, 0)]
 
     def test_xu_yager_tie_broken_by_beta(self):
         # Midpoints tie at 0.3 but upper endpoints differ, so the sort is
         # unique (identity), not the full tie-pair set.
         X = (Interval(0.2, 0.4), Interval(0.1, 0.5))
-        assert admissible_permutations(X, XU) == [(0, 1)]
+        assert list(PermutationSet(X, XU)) == [(0, 1)]
 
     def test_deterministic_order_and_lex_first(self):
         X = (Scalar(0.5), Scalar(0.2), Scalar(0.5))
-        perms = admissible_permutations(X, ScalarUsual())
+        perms = list(PermutationSet(X, ScalarUsual()))
         assert perms == [(1, 0, 2), (1, 2, 0)]
         assert PermutationSet(X, ScalarUsual()).first() == (1, 0, 2)
 
@@ -385,7 +385,7 @@ def _random_element(rng, kind):
 class TestKernelCatalog:
     def test_delta_scale_is_current_only(self):
         k = kernel_catalog("delta-scale", "interval")
-        assert k.family == "delta-scale"
+        assert k.name.startswith("delta-scale(")
         out = k.evaluate(Interval(0.2, 0.4), Interval(0.9, 0.9), 1.0, 0.5)
         assert elements_equal(out, Interval(0.1, 0.2))  # previous input ignored
 
@@ -411,13 +411,13 @@ class TestKernelCatalog:
         assert res.value.value == pytest.approx(expected) == pytest.approx(0.285)
 
     def test_old_tagged_form_is_refused(self):
-        with pytest.raises(BadParameter):
+        with pytest.raises(TypeError):
             KernelL("ci", lambda x, b1, b2: x, "x")
 
     def test_affine_degenerate_instance(self):
         k = kernel_catalog({"family": "affine-F", "C": "upper", "D": "zero"},
                            "interval")
-        assert k.family == "affine-F"
+        assert k.name.startswith("affine-F(")
         out = k.evaluate(Interval(0.2, 0.6), Interval(0, 0), 1.0, 0.5)
         assert elements_equal(out, Interval(0.3, 0.3))  # 0.5 * [u, u]
 
