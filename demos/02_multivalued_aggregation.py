@@ -7,19 +7,20 @@ vectors a lexicographic priority.
 """
 
 from choquetlike import (
-    AggregationInput, IV_PLUS, Interval, VV_PLUS, Vector, admissible_compare,
-    capacity_family, capacity_from_table, choquet_aggregate, classical_kernel,
-    kernel_catalog, parse_order, partial_leq,
+    AggregationInput, IV_PLUS, Interval, VV_PLUS, Vector, capacity_family,
+    capacity_from_table, choquet_aggregate, classical_kernel, kernel_catalog,
+    parse_order, partial_leq,
 )
 
 # Two intervals the componentwise order cannot rank...
 a, b = Interval(0.2, 0.9), Interval(0.5, 0.7)
 print("componentwise comparable:", partial_leq(a, b) or partial_leq(b, a))
 
-# ...but every (alpha, beta)-order can. Different parameters, different verdicts.
+# ...but every (alpha, beta)-order can: compare gives -1, 0 or +1, and
+# different parameters give different verdicts.
 for spec in ("ab:0.5:1", "ab:0:1", "ab:1:0"):
     order = parse_order(spec)
-    print(f"{spec:9s} says a vs b: {admissible_compare(order, a, b)}")
+    print(f"{spec:9s} compares a with b: {order.compare(a, b):+d}")
 
 xu = parse_order("ab:0.5:1")  # the Xu-Yager order
 

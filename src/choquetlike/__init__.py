@@ -12,7 +12,7 @@ from .algebra import (
     AdditionOp, MultiplicationOp, add, addition_for, check_associativity,
     check_c1, check_cancellation, check_closure, check_commutativity,
     check_compatibility, check_distributivity, check_zero_sum, fold_add,
-    register_addition, resolve_addition, scale, scale_for,
+    scale, scale_for,
 )
 from .capacity import (
     Capacity, capacity_family, capacity_from_table, mask_to_subset,
@@ -40,9 +40,9 @@ from .operator import (
 )
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, AlphaBeta, Element,
-    Interval, Scalar, ScalarUsual, Vector, VectorLex, admissible_compare,
-    check_admissibility, element_from_json, elements_equal, grid_elements,
-    k_alpha, one_element, parse_order, partial_leq, unit_grid, zero_element,
+    Interval, Scalar, ScalarUsual, Vector, VectorLex, check_admissibility,
+    element_from_json, elements_equal, grid_elements, k_alpha, one_element,
+    parse_order, partial_leq, unit_grid, zero_element,
 )
 from .reporting import GridSpec, LawReport
 from .verifier import (

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BadParameter, KindMismatch, ScaleOutOfRange, lookup
+from .errors import BadParameter, KindMismatch, ScaleOutOfRange
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, Element, Interval, Scalar,
     Vector, elements_equal, grid_elements, require_same_carrier, unit_grid,
@@ -89,20 +89,6 @@ MIN_OP = AdditionOp("min", SCALAR, lambda x, z: Scalar(min(x.value, z.value)))
 BOUNDED_SUM = AdditionOp("bounded-sum", SCALAR,
                          lambda x, z: Scalar(min(1.0, x.value + z.value)))
 
-_ADDITIONS: dict[str, AdditionOp] = {
-    op.name: op for op in (PLUS, IV_PLUS, VV_PLUS, MIN_OP, BOUNDED_SUM)
-}
-
-
-def register_addition(op: AdditionOp) -> AdditionOp:
-    _ADDITIONS[op.name] = op
-    return op
-
-
-def resolve_addition(spec: str) -> AdditionOp:
-    return lookup(_ADDITIONS, spec, "addition op")
-
-
 def addition_for(kind: str) -> AdditionOp:
     return {SCALAR: PLUS, INTERVAL: IV_PLUS, VECTOR: VV_PLUS}[kind]
 
@@ -150,21 +136,18 @@ def check_cancellation(op: AdditionOp, grid: GridSpec) -> LawReport:
     return run_law("cancellation", cases(), op=op.name)
 
 
-def check_compatibility(op: AdditionOp, order: AdmissibleOrder, strict: bool,
+def check_compatibility(op: AdditionOp, order: AdmissibleOrder,
                         grid: GridSpec) -> LawReport:
-    """Adding a common element on both sides must preserve the order
-    (strictly, when ``strict``).
-
-    One scan over the pairs x1 <= x2 decides both forms. Side assertions
-    embody the standard lemmas: a passing strict check implies the weak
-    one, and a passing weak check plus cancellation implies the strict
-    one. Their violation would indicate a broken comparator or operation
-    and raises ``RuntimeError``.
+    """Adding a common element on both sides must preserve the strict order:
+    x1 < x2 forces x1 + v < x2 + v. Order-equal inputs whose sums the order
+    separates break the lemma that strict compatibility implies the weak
+    form; they point to a broken comparator or operation, and once every
+    strictly ordered pair has passed they raise ``RuntimeError``.
     """
     elems = grid_elements(grid)
 
     def cases():
-        other_fails = False
+        weak_fails = False
         for x1, x2 in itertools.product(elems, repeat=2):
             c = order.compare(x1, x2)
             if c > 0:
@@ -172,21 +155,17 @@ def check_compatibility(op: AdditionOp, order: AdmissibleOrder, strict: bool,
             for v in elems:
                 lhs, rhs = add(op, x1, v), add(op, x2, v)
                 cs = order.compare(lhs, rhs)
-                weak_holds, strict_holds = cs <= 0, c == 0 or cs < 0
-                if not (strict_holds if strict else weak_holds):
+                if c < 0 and cs >= 0:
                     yield {"x1": x1, "x2": x2, "v": v, "lhs": lhs, "rhs": rhs}
                 else:
-                    other_fails |= not (weak_holds if strict else strict_holds)
+                    weak_fails |= cs > 0
                     yield None
-        if other_fails and strict:
+        if weak_fails:
             raise RuntimeError("strict compatibility passed but weak failed; "
                                "comparator or operation is inconsistent")
-        elif other_fails and check_cancellation(op, grid).passed:
-            raise RuntimeError("weak compatibility plus cancellation passed "
-                               "but strict compatibility failed")
 
-    return run_law("compatibility-strict" if strict else "compatibility", cases(),
-                   op=op.name, order=order.spec_string())
+    return run_law("compatibility-strict", cases(), op=op.name,
+                   order=order.spec_string())
 
 
 def check_distributivity(mul: MultiplicationOp, addop: AdditionOp, side: str,

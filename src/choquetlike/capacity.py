@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .errors import (
     BadBoundary, BadParameter, MissingSubset, NotMonotone, json_number,
 )
+from .order import TOL
 
 MAX_N = 24
-_TOL = 1e-12
 
 
 def subset_to_mask(items) -> int:
@@ -101,7 +101,7 @@ def _table_entry(entry) -> tuple[list, float]:
 
 def _validate(n: int, values) -> None:
     for v in values:
-        if not (-_TOL <= v <= 1.0 + _TOL):
+        if not (-TOL <= v <= 1.0 + TOL):
             raise BadParameter(f"capacity value out of [0, 1]: {v}")
     # Monotone along single-element additions iff monotone under inclusion.
     for mask in range(1 << n):
@@ -109,15 +109,15 @@ def _validate(n: int, values) -> None:
             if mask >> i & 1:
                 continue
             bigger = mask | 1 << i
-            if values[mask] > values[bigger] + _TOL:
+            if values[mask] > values[bigger] + TOL:
                 raise NotMonotone(
                     f"mu({mask_to_subset(mask)}) = {values[mask]} exceeds "
                     f"mu({mask_to_subset(bigger)}) = {values[bigger]}",
                     witness=(mask_to_subset(mask), mask_to_subset(bigger)))
-    if abs(values[0]) > _TOL:
+    if abs(values[0]) > TOL:
         raise BadBoundary(f"value at the empty set must be 0, got {values[0]}")
     full = (1 << n) - 1
-    if abs(values[full] - 1.0) > _TOL:
+    if abs(values[full] - 1.0) > TOL:
         raise BadBoundary(f"value at the full set must be 1, got {values[full]}")
 
 
@@ -139,7 +139,7 @@ def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:
         mask = subset_to_mask(subset)
         if mask >= size:
             raise BadParameter(f"subset {sorted(subset)} outside 1..{n}")
-        if mask in given and abs(given[mask] - value) > _TOL:
+        if mask in given and abs(given[mask] - value) > TOL:
             raise BadParameter(f"conflicting values for subset {sorted(subset)}")
         given[mask] = float(value)
 

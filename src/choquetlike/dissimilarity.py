@@ -31,7 +31,6 @@ from .reporting import GridSpec, LawReport, run_law
 @dataclass(frozen=True)
 class DissimilarityFn:
     name: str
-    kind: str
     fn: Callable[[Element, Element], Element]
 
     def __call__(self, x: Element, z: Element) -> Element:
@@ -121,7 +120,7 @@ def projected_dissimilarity(spec, kind: str,
             return Vector((t,) * dim)
     else:
         raise BadParameter(f"unknown carrier kind: {kind!r}")
-    return DissimilarityFn(spec if isinstance(spec, str) else "custom", kind, fn)
+    return DissimilarityFn(spec if isinstance(spec, str) else "custom", fn)
 
 
 def resolve_dissimilarity(spec: str, kind: str,
@@ -209,7 +208,7 @@ def takac_dissimilarity_fn(alpha: float, m_d, delta_d) -> DissimilarityFn:
     m_name = m_d if isinstance(m_d, str) else "custom"
     d_name = delta_d if isinstance(delta_d, str) else "custom"
     return DissimilarityFn(
-        f"takac:{alpha:g}:{m_name}:{d_name}", INTERVAL,
+        f"takac:{alpha:g}:{m_name}:{d_name}",
         lambda x, y: takac_dissimilarity(x, y, alpha, m_d, delta_d))
 
 

@@ -326,7 +326,7 @@ def b_scale_d_kernel(d: DissimilarityFn, kind: str) -> KernelL:
                    name=f"b-scale-d({d.name})")
 
 
-def affine_f_kernel(C, D, kind: str, name: Optional[str] = None) -> KernelL:
+def affine_f_kernel(C, D, kind: str) -> KernelL:
     """Affine kernel F(x, a) = a*C(x) + D(x) componentwise, in the
     weight-difference form G(x, b1, b2) = F(x, b1 - b2)."""
     C_fn = resolve_carrier_fn(C, kind)
@@ -337,7 +337,7 @@ def affine_f_kernel(C, D, kind: str, name: Optional[str] = None) -> KernelL:
     def F(x: Element, a: float) -> Element:
         return add(addop, scale(mul, a, C_fn(x)), D_fn(x))
 
-    label = name or f"{C if isinstance(C, str) else 'C'},{D if isinstance(D, str) else 'D'}"
+    label = f"{C if isinstance(C, str) else 'C'},{D if isinstance(D, str) else 'D'}"
     return KernelL(lambda x, prev, b1, b2: F(x, b1 - b2),
                    name=f"affine-F({label})")
 
@@ -359,14 +359,12 @@ def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> 
     if family == "delta-scale":
         return delta_scale_kernel(spec.get("delta", "difference"), kind)
     if family == "b-scale-d":
-        d_spec = spec.get("d", "abs-diff")
-        d = d_spec if isinstance(d_spec, DissimilarityFn) else \
-            resolve_dissimilarity(d_spec, kind, order)
-        return b_scale_d_kernel(d, kind)
+        return b_scale_d_kernel(
+            resolve_dissimilarity(spec.get("d", "abs-diff"), kind, order), kind)
     if family == "affine-F":
         if "C" not in spec or "D" not in spec:
             raise BadParameter("affine-F needs carrier functions C and D")
-        return affine_f_kernel(spec["C"], spec["D"], kind, name=spec.get("name"))
+        return affine_f_kernel(spec["C"], spec["D"], kind)
     if family == "custom":
         name = spec.get("name")
         if isinstance(name, str) and name in _KERNELS:

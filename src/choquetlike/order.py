@@ -218,8 +218,7 @@ def k_alpha(x: Interval, alpha: float) -> float:
 # Admissible orders
 # ---------------------------------------------------------------------------
 
-LESS, EQUAL, GREATER = "less", "equal", "greater"
-_WORD = {-1: LESS, 0: EQUAL, 1: GREATER}
+_WORD = {-1: "less", 0: "equal", 1: "greater"}
 
 
 class AdmissibleOrder:
@@ -291,7 +290,7 @@ class AlphaBeta(AdmissibleOrder):
         return 0
 
     def spec_string(self) -> str:
-        return f"ab:{_fmt(self.alpha)}:{_fmt(self.beta)}"
+        return f"ab:{self.alpha:g}:{self.beta:g}"
 
 
 class VectorLex(AdmissibleOrder):
@@ -326,15 +325,6 @@ class VectorLex(AdmissibleOrder):
 
     def spec_string(self) -> str:
         return "veclex:" + ",".join(str(i + 1) for i in self.priority)
-
-
-def admissible_compare(order: AdmissibleOrder, x: Element, z: Element) -> str:
-    """Total-order comparison, reported as 'less' | 'equal' | 'greater'."""
-    return _WORD[order.compare(x, z)]
-
-
-def _fmt(v: float) -> str:
-    return f"{v:g}"
 
 
 def parse_order(spec: str) -> AdmissibleOrder:

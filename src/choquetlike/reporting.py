@@ -18,9 +18,9 @@ MAX_GRID = 1000  # the largest step denominator a grid accepts
 class GridSpec:
     """Finite enumeration grid: components range over {0, 1/m, ..., 1}.
 
-    ``kind`` selects the carrier ('scalar' | 'interval' | 'vector'),
-    ``n`` is the arity used by operator-level checks and ``dim`` the
-    vector dimension. Every grid spans the whole of [0, 1].
+    ``kind`` selects the carrier ('scalar' | 'interval' | 'vector') and
+    ``dim`` the vector dimension; ``n`` is read by nothing and kept only
+    because the benchmark harness builds it. Every grid spans [0, 1].
     """
 
     kind: str

@@ -143,7 +143,7 @@ def check_monotonicity(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrde
 def _monotonicity_cases(kernel, addop, order, n, grid):
     if not 2 <= n <= MAX_N:
         raise BadParameter(f"monotonicity is defined for n in 2..{MAX_N}, got {n}")
-    _require(check_compatibility(addop, order, True, grid), "strict compatibility")
+    _require(check_compatibility(addop, order, grid), "strict compatibility")
     yield from _tagged(_wd_cases(kernel, addop, order, n, grid), condition="a:wd")
     elems = order.sort(grid_elements(grid))
     coeffs = unit_grid(grid.m)
@@ -242,14 +242,11 @@ def check_delta_decomposition(delta, grid: GridSpec) -> LawReport:
     coeffs = unit_grid(grid.m)
 
     def cases():
-        for b2 in coeffs:
-            for b1 in coeffs:
-                if b1 < b2 - TOL:
-                    continue
-                lhs = delta_fn(b1, b2)
-                rhs = delta_fn(b1, 0.0) - delta_fn(b2, 0.0)
-                yield None if abs(lhs - rhs) <= TOL else {
-                    "b1": b1, "b2": b2, "lhs": lhs, "rhs": rhs}
+        for b2, b1 in _weight_pairs(coeffs):
+            lhs = delta_fn(b1, b2)
+            rhs = delta_fn(b1, 0.0) - delta_fn(b2, 0.0)
+            yield None if abs(lhs - rhs) <= TOL else {
+                "b1": b1, "b2": b2, "lhs": lhs, "rhs": rhs}
 
     return run_law("delta-decomposition", cases(), delta=d.name,
                    note=_RESOLUTION_NOTE.format(m=grid.m))

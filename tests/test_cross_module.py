@@ -7,9 +7,9 @@ import pytest
 
 from choquetlike import (
     AggregationInput, AlphaBeta, GridSpec, IV_PLUS, PLUS, Scalar, ScalarUsual,
-    capacity_battery, check_aggregation, check_delta_decomposition,
-    check_telescoping, choquet_aggregate, classical_kernel, kernel_catalog,
-    resolve_dissimilarity, takac_counterexample,
+    b_scale_d_kernel, capacity_battery, check_aggregation,
+    check_delta_decomposition, check_telescoping, choquet_aggregate,
+    classical_kernel, kernel_catalog, resolve_dissimilarity, takac_counterexample,
 )
 from oracles import classical_choquet_increments, mu_lookup
 
@@ -41,14 +41,14 @@ class TestTelescopingDecidesAggregation:
         d = resolve_dissimilarity("abs-diff", "interval", XU)
         grid = GridSpec("interval", 2, n=3)
         assert check_telescoping(d, IV_PLUS, XU, grid).passed
-        kernel = kernel_catalog({"family": "b-scale-d", "d": d}, "interval", XU)
+        kernel = b_scale_d_kernel(d, "interval")
         assert check_aggregation(kernel, IV_PLUS, XU, 3, grid).passed
 
     def test_scalar_negative_instance(self):
         d = resolve_dissimilarity("sq-diff", "scalar")
         grid = GridSpec("scalar", 4, n=3)
         assert not check_telescoping(d, PLUS, ScalarUsual(), grid).passed
-        kernel = kernel_catalog({"family": "b-scale-d", "d": d}, "scalar")
+        kernel = b_scale_d_kernel(d, "scalar")
         assert not check_aggregation(kernel, PLUS, ScalarUsual(), 3, grid).passed
 
 

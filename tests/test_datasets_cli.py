@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from choquetlike import (
-    Dataset, DatasetFormatError, GridSpec, Interval, KernelL, Scalar, Vector,
-    capacity_family, dissimilarity, parse_dataset, register_kernel,
+    Capacity, Dataset, DatasetFormatError, GridSpec, Interval, KernelL, Scalar,
+    Vector, capacity_family, dissimilarity, parse_dataset, register_kernel,
     serialize_dataset, verifier,
 )
 from choquetlike.cli import main
@@ -132,6 +132,28 @@ AGGREGATE_CASES = {
 }
 
 
+# Capacities refused by their parse; each is also run on a dataset with
+# one column per input, where the arity comparison lets it through.
+MALFORMED_CAPACITIES = [
+    {"n": 2, "entries": [1, 2]},
+    {"n": 2, "entries": [{"subset": 1, "value": 0.5}]},
+    [{"n": 2, "kind": "cardinality"}],
+    {"n": None},
+    {"n": 2, "kind": "dirac", "i": None},
+    {"n": 2, "entries": 3},
+    {"n": 2, "entries": [{"subset": [0], "value": 0.5}]},
+    {"n": 2, "entries": [{"subset": [1, -1], "value": 0.5}]},
+    {"n": 1, "entries": [{"subset": [True], "value": True},
+                         {"subset": [], "value": False}]},
+    {"n": 1, "entries": [{"subset": [1], "value": 1},
+                         {"subset": [], "value": False}]},
+    {"n": 2, "entries": [{"subset": [1], "value": int("9" * 400)}]},
+    {"n": 2, "entries": [{"subset": [int("9" * 400)], "value": 0.5}]},
+    {"n": 3, "entries": [{"subset": [1], "value": 0.4}], "complete": "false"},
+    {"n": 3, "entries": [{"subset": [1], "value": 0.4}], "complete": [0]},
+]
+
+
 class TestAggregateCommand:
     @pytest.mark.parametrize("case", sorted(AGGREGATE_CASES))
     def test_output_bytes_are_pinned(self, tmp_path, capsys, case):
@@ -224,24 +246,7 @@ class TestAggregateCommand:
         assert "error" in json.loads(capsys.readouterr().err)
 
 
-    @pytest.mark.parametrize("capacity", [
-        {"n": 2, "entries": [1, 2]},
-        {"n": 2, "entries": [{"subset": 1, "value": 0.5}]},
-        [{"n": 2, "kind": "cardinality"}],
-        {"n": None},
-        {"n": 2, "kind": "dirac", "i": None},
-        {"n": 2, "entries": 3},
-        {"n": 2, "entries": [{"subset": [0], "value": 0.5}]},
-        {"n": 2, "entries": [{"subset": [1, -1], "value": 0.5}]},
-        {"n": 1, "entries": [{"subset": [True], "value": True},
-                             {"subset": [], "value": False}]},
-        {"n": 1, "entries": [{"subset": [1], "value": 1},
-                             {"subset": [], "value": False}]},
-        {"n": 2, "entries": [{"subset": [1], "value": int("9" * 400)}]},
-        {"n": 2, "entries": [{"subset": [int("9" * 400)], "value": 0.5}]},
-        {"n": 3, "entries": [{"subset": [1], "value": 0.4}], "complete": "false"},
-        {"n": 3, "entries": [{"subset": [1], "value": 0.4}], "complete": [0]},
-    ])
+    @pytest.mark.parametrize("capacity", MALFORMED_CAPACITIES)
     def test_malformed_capacity_exit_one(self, scalar_files, capsys, capacity):
         data, cap, out = scalar_files
         cap.write_text(json.dumps(capacity))
@@ -250,6 +255,21 @@ class TestAggregateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "BadParameter"
 
+    @pytest.mark.parametrize("capacity", MALFORMED_CAPACITIES)
+    def test_malformed_capacity_of_the_dataset_arity_exit_one(self, tmp_path, capsys,
+                                                              capacity):
+        # With one column per input, the capacity's own parse refuses it,
+        # not the arity comparison that runs first.
+        n = capacity.get("n") if isinstance(capacity, dict) else None
+        data = tmp_path / "rows.csv"
+        data.write_text(",".join(["0.5"] * (n if isinstance(n, int) else 2)) + "\n")
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps(capacity))
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "BadParameter"
+        assert "capacity is on" not in err["error"]["message"]
 
     @pytest.mark.parametrize("spec,error", [
         ({"family": "b-scale-d", "d": 3}, "BadParameter"),
@@ -278,10 +298,26 @@ class TestAggregateCommand:
 
     def test_aggregate_has_no_seed_option(self, scalar_files, capsys):
         data, cap, out = scalar_files
-        with pytest.raises(SystemExit):
-            main(["aggregate", "--input", str(data), "--capacity", str(cap),
-                  "--seed", "1"])
-        assert "--seed" in capsys.readouterr().err
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
+                     "--seed", "1"])
+        assert code == 1
+        assert "--seed" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    def test_capacity_of_the_wrong_arity_is_not_built(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # Building a capacity costs n * 2^n; the arity is compared first.
+        def never(obj):
+            raise AssertionError("a capacity was built")
+        monkeypatch.setattr(Capacity, "from_json", staticmethod(never))
+        data = tmp_path / "rows.csv"
+        data.write_text("0.2,0.5\n")
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps({"n": 24, "kind": "cardinality"}))
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "BadParameter", "message":
+                                "capacity is on [24] but there are 2 inputs"}
 
 
 class TestVerifyCommand:
@@ -417,3 +453,25 @@ class TestVerifyCommand:
             reports = json.loads((tmp_path / "r.json").read_text())
             assert [row[:4] for row in rows] == [
                 [r["suite"], r["law"], r["verdict"], str(r["checked"])] for r in reports]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["aggregate", "--input", "x.csv"],
+        ["verify", "--suite", "nope"],
+        ["verify", "--suite", "all", "--grid", "abc"],
+        ["aggregate", "--input", "x.csv", "--capacity", "cap.json", "--add", "plus"],
+    ])
+    def test_bad_command_line_exit_one(self, capsys, argv):
+        # Exit 2 means inconsistent rows; a bad command line is a bad input.
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "BadParameter"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["aggregate", "--help"],
+                                      ["verify", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

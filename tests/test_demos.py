@@ -59,3 +59,14 @@ def test_readme_json_examples_load():
     for spec in kernels:
         if spec["family"] != "custom":
             assert kernel_catalog(spec, "scalar").name.startswith(spec["family"] + "(")
+
+
+def test_readme_flags_match_the_parser():
+    """The backticked flags of README's "Flags:" paragraph are exactly the
+    flags that cli.py defines."""
+    source = (ROOT / "src" / "choquetlike" / "cli.py").read_text(encoding="utf-8")
+    defined = set(re.findall(r"add_argument\(\s*\"(--[\w-]+)\"", source))
+    paragraph = re.search(r"^Flags:.*?(?=\n\n)", README, re.S | re.M).group(0)
+    documented = {flag for span in re.findall(r"`([^`]*)`", paragraph)
+                  for flag in re.findall(r"--[\w-]+", span)}
+    assert documented - {"--help"} == defined

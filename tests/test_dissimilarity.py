@@ -85,8 +85,7 @@ class TestDissimilarityAxioms:
             assert check_dissimilarity(d, ScalarUsual(), grid).passed
 
     def test_sum_is_not_a_dissimilarity(self):
-        d = DissimilarityFn("sum", "scalar",
-                            lambda x, z: Scalar(min(1.0, x.value + z.value)))
+        d = DissimilarityFn("sum", lambda x, z: Scalar(min(1.0, x.value + z.value)))
         report = check_dissimilarity(d, ScalarUsual(), GridSpec("scalar", 4))
         assert not report.passed
         assert report.witness["violation"] == "diagonal"

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from choquetlike import (
     INTERVAL, SCALAR, VECTOR, AlphaBeta, BadParameter, GridSpec, Interval,
     KindMismatch, PermutationSet, Scalar, ScalarUsual, Vector, VectorLex,
-    admissible_compare, check_admissibility, elements_equal, grid_elements,
-    k_alpha, parse_order, partial_leq,
+    check_admissibility, elements_equal, grid_elements, k_alpha, parse_order,
+    partial_leq,
 )
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -114,26 +114,26 @@ class TestAdmissibleCompare:
     def test_xu_yager_tie_break(self):
         xu = AlphaBeta(0.5, 1.0)
         # Same midpoint 0.3, tie broken by the upper endpoint.
-        assert admissible_compare(xu, iv(0.2, 0.4), iv(0.1, 0.5)) == "less"
+        assert xu.compare(iv(0.2, 0.4), iv(0.1, 0.5)) == -1
 
     def test_lexicographic(self):
         lex = AlphaBeta(0.0, 1.0)
-        assert admissible_compare(lex, iv(0.2, 0.4), iv(0.2, 0.9)) == "less"
+        assert lex.compare(iv(0.2, 0.4), iv(0.2, 0.9)) == -1
 
     def test_reflexive_equal(self):
         xu = AlphaBeta(0.5, 1.0)
-        assert admissible_compare(xu, iv(0.2, 0.4), iv(0.2, 0.4)) == "equal"
-        assert admissible_compare(ScalarUsual(), Scalar(0.5), Scalar(0.5)) == "equal"
+        assert xu.compare(iv(0.2, 0.4), iv(0.2, 0.4)) == 0
+        assert ScalarUsual().compare(Scalar(0.5), Scalar(0.5)) == 0
 
     def test_alpha_beta_equal_iff_componentwise(self):
         xu = AlphaBeta(0.5, 1.0)
         grid = grid_elements(GridSpec("interval", 4))
         for x, z in itertools.product(grid, repeat=2):
-            assert (admissible_compare(xu, x, z) == "equal") == elements_equal(x, z)
+            assert (xu.compare(x, z) == 0) == elements_equal(x, z)
 
     def test_vector_lex_priority(self):
         back = VectorLex((1, 0))
-        assert admissible_compare(back, Vector((0.9, 0.1)), Vector((0.1, 0.2))) == "less"
+        assert back.compare(Vector((0.9, 0.1)), Vector((0.1, 0.2))) == -1
 
     @settings(deadline=None, max_examples=100)
     @given(units, units, units, units)
@@ -141,7 +141,7 @@ class TestAdmissibleCompare:
         x, z = iv(min(a, b), max(a, b)), iv(min(c, d), max(c, d))
         xu = AlphaBeta(0.5, 1.0)
         if partial_leq(x, z):
-            assert admissible_compare(xu, x, z) in ("less", "equal")
+            assert xu.compare(x, z) <= 0
 
 
     def test_sort_agrees_with_compare_on_non_dyadic_grid(self):
