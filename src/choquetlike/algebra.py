@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import BadParameter, KindMismatch, ScaleOutOfRange
 from .order import (
@@ -24,20 +24,28 @@ from .reporting import GridSpec, LawReport, run_law
 
 @dataclass(frozen=True)
 class AdditionOp:
-    """Binary addition on one carrier's ambient set."""
+    """Binary addition on one carrier's ambient set: ``fn`` adds elements,
+    ``term`` is the same addition on their component tuples. The
+    operator's fold adds on components and lifts ``fn`` for an addition
+    without ``term``."""
 
     name: str
     kind: str
     fn: Callable[[Element, Element], Element]
+    term: Optional[Callable[[tuple, tuple], tuple]] = None
 
 
 @dataclass(frozen=True)
 class MultiplicationOp:
-    """Scaling of one carrier by a coefficient in [0, 1]."""
+    """Scaling of one carrier by a coefficient in [0, 1]: ``fn`` scales an
+    element, ``term`` a component tuple (the catalog kernels use the
+    shipped scalings' terms). Neither checks the coefficient; ``scale``
+    and the kernel terms do."""
 
     name: str
     kind: str
     fn: Callable[[float, Element], Element]
+    term: Optional[Callable[[float, tuple], tuple]] = None
 
 
 def add(op: AdditionOp, x: Element, z: Element) -> Element:
@@ -47,11 +55,17 @@ def add(op: AdditionOp, x: Element, z: Element) -> Element:
     return op.fn(x, z)
 
 
+def unit_coefficient(c: float) -> float:
+    """A scaling coefficient: c clamped to [0, 1] when it lies within
+    ``TOL`` of it; farther out, ``ScaleOutOfRange``."""
+    if not (-TOL <= c <= 1.0 + TOL):
+        raise ScaleOutOfRange(f"coefficient must lie in [0, 1], got {c}")
+    return min(max(c, 0.0), 1.0)
+
+
 def scale(op: MultiplicationOp, c: float, x: Element) -> Element:
     if not 0.0 <= c <= 1.0:
-        if not (-TOL <= c <= 1.0 + TOL):
-            raise ScaleOutOfRange(f"coefficient must lie in [0, 1], got {c}")
-        c = min(max(c, 0.0), 1.0)
+        c = unit_coefficient(c)
     if x.kind != op.kind:
         raise KindMismatch(f"operation {op.name!r} expects {op.kind} operands")
     return op.fn(c, x)
@@ -71,23 +85,31 @@ def fold_add(op: AdditionOp, terms) -> Element:
 # Shipped operations
 # ---------------------------------------------------------------------------
 
-PLUS = AdditionOp("plus", SCALAR, lambda x, z: Scalar(x.value + z.value))
+PLUS = AdditionOp("plus", SCALAR, lambda x, z: Scalar(x.value + z.value),
+                  lambda a, b: (a[0] + b[0],))
 IV_PLUS = AdditionOp("iv-plus", INTERVAL,
-                     lambda x, z: Interval(x.lower + z.lower, x.upper + z.upper))
+                     lambda x, z: Interval(x.lower + z.lower, x.upper + z.upper),
+                     lambda a, b: (a[0] + b[0], a[1] + b[1]))
 VV_PLUS = AdditionOp("vv-plus", VECTOR,
-                     lambda x, z: Vector(tuple(a + b for a, b in zip(x.coords, z.coords))))
+                     lambda x, z: Vector(tuple(a + b for a, b in zip(x.coords, z.coords))),
+                     lambda a, b: tuple([p + q for p, q in zip(a, b)]))
 
-TIMES = MultiplicationOp("times", SCALAR, lambda c, x: Scalar(c * x.value))
+TIMES = MultiplicationOp("times", SCALAR, lambda c, x: Scalar(c * x.value),
+                         lambda c, a: (c * a[0],))
 IV_SCALE = MultiplicationOp("iv-scale", INTERVAL,
-                            lambda c, x: Interval(c * x.lower, c * x.upper))
+                            lambda c, x: Interval(c * x.lower, c * x.upper),
+                            lambda c, a: (c * a[0], c * a[1]))
 VV_SCALE = MultiplicationOp("vv-scale", VECTOR,
-                            lambda c, x: Vector(tuple(c * a for a in x.coords)))
+                            lambda c, x: Vector(tuple(c * a for a in x.coords)),
+                            lambda c, a: tuple([c * v for v in a]))
 
 # Negative-control fixtures: both commutative and associative, both break
 # the cancellation law.
-MIN_OP = AdditionOp("min", SCALAR, lambda x, z: Scalar(min(x.value, z.value)))
+MIN_OP = AdditionOp("min", SCALAR, lambda x, z: Scalar(min(x.value, z.value)),
+                    lambda a, b: (min(a[0], b[0]),))
 BOUNDED_SUM = AdditionOp("bounded-sum", SCALAR,
-                         lambda x, z: Scalar(min(1.0, x.value + z.value)))
+                         lambda x, z: Scalar(min(1.0, x.value + z.value)),
+                         lambda a, b: (min(1.0, a[0] + b[0]),))
 
 def addition_for(kind: str) -> AdditionOp:
     return {SCALAR: PLUS, INTERVAL: IV_PLUS, VECTOR: VV_PLUS}[kind]

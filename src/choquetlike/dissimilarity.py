@@ -22,7 +22,7 @@ from .errors import (
 )
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, AlphaBeta, Element,
-    Interval, Scalar, Vector, VectorLex, elements_equal, grid_elements,
+    Interval, VectorLex, element_builder, elements_equal, grid_elements,
     k_alpha, one_element, unit_grid, zero_element,
 )
 from .reporting import GridSpec, LawReport, run_law
@@ -30,8 +30,13 @@ from .reporting import GridSpec, LawReport, run_law
 
 @dataclass(frozen=True)
 class DissimilarityFn:
+    """A dissimilarity ``fn`` of elements. ``term``, when given, is the
+    same function on component tuples; the shipped dissimilarities are
+    defined by it, and ``fn`` lifts it."""
+
     name: str
     fn: Callable[[Element, Element], Element]
+    term: Optional[Callable[[tuple, tuple], tuple]] = None
 
     def __call__(self, x: Element, z: Element) -> Element:
         return self.fn(x, z)
@@ -95,32 +100,41 @@ def projected_dissimilarity(spec, kind: str,
     an interval's alpha mix under an ``ab`` order, a vector's first-priority
     coordinate under a ``veclex`` order) as a constant element, under which
     the chain conditions and the telescoping identity reduce to their scalar
-    counterparts. A callable delta is named ``custom``."""
+    counterparts. A callable delta is named ``custom``; its outputs may need
+    the element constructor's normalisation, so it has no ``term``."""
     delta = resolve_delta(spec)
     if kind == SCALAR:
-        def fn(x: Element, z: Element) -> Element:
-            return Scalar(delta(x.value, z.value))
+        def term(xc: tuple, zc: tuple) -> tuple:
+            return (delta(xc[0], zc[0]),)
     elif kind == INTERVAL:
         if not isinstance(order, AlphaBeta):
             raise BadParameter(
                 "interval dissimilarities need an ab:<alpha>:<beta> order")
         alpha = order.alpha
 
-        def fn(x: Element, z: Element) -> Element:
-            t = delta(k_alpha(x, alpha), k_alpha(z, alpha))
-            return Interval(t, t)
+        def term(xc: tuple, zc: tuple) -> tuple:  # delta of the k_alpha mixes
+            t = delta((1.0 - alpha) * xc[0] + alpha * xc[1],
+                      (1.0 - alpha) * zc[0] + alpha * zc[1])
+            return (t, t)
     elif kind == VECTOR:
         if not isinstance(order, VectorLex):
             raise BadParameter("vector dissimilarities need a veclex order")
         lead = order.priority[0]
         dim = order.dim
 
-        def fn(x: Element, z: Element) -> Element:
-            t = delta(x.coords[lead], z.coords[lead])
-            return Vector((t,) * dim)
+        def term(xc: tuple, zc: tuple) -> tuple:
+            return (delta(xc[lead], zc[lead]),) * dim
     else:
         raise BadParameter(f"unknown carrier kind: {kind!r}")
-    return DissimilarityFn(spec if isinstance(spec, str) else "custom", fn)
+    named = isinstance(spec, str)
+    return DissimilarityFn(spec if named else "custom", _on_elements(term, kind),
+                           term if named else None)
+
+
+def _on_elements(term, kind: str) -> Callable[[Element, Element], Element]:
+    """``term`` lifted to elements of carrier ``kind``."""
+    make = element_builder(kind)
+    return lambda x, z: make(term(x.components, z.components))
 
 
 def resolve_dissimilarity(spec: str, kind: str,
@@ -164,52 +178,69 @@ def resolve_symmetric_mean(spec) -> Callable[[float, float], float]:
     return lookup(_MEANS, spec, "symmetric aggregation")
 
 
-def lambda_alpha(x: Interval, alpha: float) -> float:
-    """Normalized relative width w(x) / min(K_alpha/alpha, (1-K_alpha)/(1-alpha))
-    with the convention 0/0 = 0."""
+def _require_inner_alpha(alpha: float) -> None:
     if not (TOL < alpha < 1.0 - TOL):
         raise AlphaOutOfRange(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    ka = k_alpha(x, alpha)
+
+
+def _width_ratio(ka: float, width: float, alpha: float) -> float:
     denom = min(ka / alpha, (1.0 - ka) / (1.0 - alpha))
     if denom <= TOL:
         return 0.0
-    return x.width / denom
+    return width / denom
+
+
+def lambda_alpha(x: Interval, alpha: float) -> float:
+    """Normalized relative width w(x) / min(K_alpha/alpha, (1-K_alpha)/(1-alpha))
+    with the convention 0/0 = 0."""
+    _require_inner_alpha(alpha)
+    return _width_ratio(k_alpha(x, alpha), x.width, alpha)
+
+
+def _takac_term(alpha: float, m_d, delta_d):
+    """The Takac construction on endpoint pairs: the alpha mix of the
+    output is delta_d of the inputs' alpha mixes, and its normalized width
+    is m_d of the inputs' normalized widths. The interval is reassembled as
+    [K - alpha*w, K + (1-alpha)*w] where w inverts the width
+    normalization."""
+    _require_inner_alpha(alpha)
+    m_d = resolve_symmetric_mean(m_d)
+    delta_d = resolve_delta(delta_d)
+
+    def term(xc: tuple, yc: tuple) -> tuple:
+        kx = (1.0 - alpha) * xc[0] + alpha * xc[1]
+        ky = (1.0 - alpha) * yc[0] + alpha * yc[1]
+        kz = delta_d(kx, ky)
+        lz = m_d(_width_ratio(kx, xc[1] - xc[0], alpha),
+                 _width_ratio(ky, yc[1] - yc[0], alpha))
+        denom = min(kz / alpha, (1.0 - kz) / (1.0 - alpha))
+        wz = 0.0 if denom <= TOL else lz * denom
+
+        lo = kz - alpha * wz
+        hi = kz + (1.0 - alpha) * wz
+        slack = 1e-9
+        if lo < -slack or hi > 1.0 + slack or hi < lo - slack:
+            raise ReconstructionOutOfK(
+                f"reconstructed interval [{lo}, {hi}] leaves [0, 1]")
+        lo = min(max(lo, 0.0), 1.0)
+        return lo, min(max(hi, lo), 1.0)
+
+    return term
 
 
 def takac_dissimilarity(x: Interval, y: Interval, alpha: float,
                         m_d, delta_d) -> Interval:
-    """Interval dissimilarity determined by two coordinates: the alpha mix
-    of the output is delta_d of the inputs' alpha mixes, and its
-    normalized width is m_d of the inputs' normalized widths. The interval
-    is reassembled as [K - alpha*w, K + (1-alpha)*w] where w inverts the
-    width normalization."""
-    if not (TOL < alpha < 1.0 - TOL):
-        raise AlphaOutOfRange(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    m_d = resolve_symmetric_mean(m_d)
-    delta_d = resolve_delta(delta_d)
-
-    kz = delta_d(k_alpha(x, alpha), k_alpha(y, alpha))
-    lz = m_d(lambda_alpha(x, alpha), lambda_alpha(y, alpha))
-    denom = min(kz / alpha, (1.0 - kz) / (1.0 - alpha))
-    wz = 0.0 if denom <= TOL else lz * denom
-
-    lo = kz - alpha * wz
-    hi = kz + (1.0 - alpha) * wz
-    slack = 1e-9
-    if lo < -slack or hi > 1.0 + slack or hi < lo - slack:
-        raise ReconstructionOutOfK(
-            f"reconstructed interval [{lo}, {hi}] leaves [0, 1]")
-    lo = min(max(lo, 0.0), 1.0)
-    hi = min(max(hi, lo), 1.0)
-    return Interval(lo, hi)
+    """Interval dissimilarity determined by two coordinates (see
+    ``_takac_term``)."""
+    return Interval(*_takac_term(alpha, m_d, delta_d)(x.components, y.components))
 
 
 def takac_dissimilarity_fn(alpha: float, m_d, delta_d) -> DissimilarityFn:
     m_name = m_d if isinstance(m_d, str) else "custom"
     d_name = delta_d if isinstance(delta_d, str) else "custom"
-    return DissimilarityFn(
-        f"takac:{alpha:g}:{m_name}:{d_name}",
-        lambda x, y: takac_dissimilarity(x, y, alpha, m_d, delta_d))
+    term = _takac_term(alpha, m_d, delta_d)
+    return DissimilarityFn(f"takac:{alpha:g}:{m_name}:{d_name}",
+                           _on_elements(term, INTERVAL), term)
 
 
 # ---------------------------------------------------------------------------

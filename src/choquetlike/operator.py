@@ -9,17 +9,29 @@ the inputs into a non-decreasing chain, the operator value is
 where x_{sigma(0)} is the least element, b_i is the capacity of the tail
 set {sigma(i), ..., sigma(n)}, and b_{n+1} = 0. Every kernel is called
 as L(current, previous, b1, b2) and may ignore any of its arguments.
+
+The same formula holds on every carrier, and the shipped kernels and
+additions work component by component. So each catalog kernel is
+defined once, on component tuples, and ``KernelL.evaluate`` lifts it to
+elements. ``choquet_aggregate`` folds each row on component tuples,
+checks every kernel term as ``evaluate`` checks its output, and builds
+one element per row; a custom kernel or addition, defined on elements,
+is lifted to components there. ``_eval_sorted`` folds on elements and
+stays the reference that ``choquet_eval`` and the brute-force oracles
+call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Callable, Optional
 
-from .algebra import AdditionOp, add, addition_for, scale, scale_for
+from .algebra import (
+    AdditionOp, add, addition_for, scale, scale_for, unit_coefficient,
+)
 from .capacity import Capacity, _tail_weights
 from .dissimilarity import DissimilarityFn, resolve_delta, resolve_dissimilarity
 from .errors import (
@@ -27,7 +39,8 @@ from .errors import (
     TooManyTies, UnknownKernel, lookup,
 )
 from .order import (
-    TOL, AdmissibleOrder, Element, elements_equal, from_components, zero_element,
+    INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, Element, element_builder,
+    zero_element,
 )
 
 MAX_TIE_GROUP = 16
@@ -44,10 +57,20 @@ class KernelL:
     on the carrier of the current input (same ``kind`` and ``dim``) and
     raises ``KindMismatch`` otherwise, so a fold over kernel outputs needs
     no further carrier checks.
+
+    A catalog kernel is defined once, by ``term``: the same call on
+    component tuples of the carrier ``kind``, returning a tuple and
+    checking it as above. The catalog constructors build ``term`` and its
+    lift to elements, ``fn``, which ``evaluate`` calls without checking
+    again. A custom kernel is ``fn`` alone, and ``choquet_aggregate``
+    lifts ``evaluate`` to component tuples.
     """
 
     fn: Callable[[Element, Element, float, float], Element]
     name: str
+    term: Optional[Callable[[tuple, tuple, float, float], tuple]] = field(
+        default=None, kw_only=True)
+    kind: Optional[str] = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if not callable(self.fn):
@@ -55,6 +78,8 @@ class KernelL:
                                f"fn(current, previous, b1, b2), got {self.fn!r}")
 
     def evaluate(self, x1: Element, x2: Element, b1: float, b2: float) -> Element:
+        if self.term is not None:
+            return self.fn(x1, x2, b1, b2)
         out = _validate_unit(self.fn(x1, x2, b1, b2), self.name)
         if out.kind != x1.kind or out.dim != x1.dim:
             raise KindMismatch(f"kernel {self.name!r} produced {out!r} off the "
@@ -67,9 +92,44 @@ def _validate_unit(x: Element, kernel_name: str) -> Element:
     if -TOL <= min(comps) and max(comps) <= 1.0 + TOL:
         return x
     if all(-1e-9 <= c <= 1.0 + 1e-9 for c in comps):
-        return from_components(x.kind, tuple(min(max(c, 0.0), 1.0) for c in comps))
+        return element_builder(x.kind)(tuple(min(max(c, 0.0), 1.0) for c in comps))
     raise KernelRangeError(
         f"kernel {kernel_name!r} produced {x!r} outside the bounded carrier")
+
+
+_TOP = 1.0 + TOL
+# Whether a component tuple is, unchanged, what the carrier's constructor
+# and then ``_validate_unit`` make of it: every component in [0, 1 + TOL]
+# (NaN fails each comparison) and an interval's endpoints in order.
+_UNCHANGED = {
+    SCALAR: lambda c: 0.0 <= c[0] <= _TOP,
+    INTERVAL: lambda c: 0.0 <= c[0] <= c[1] <= _TOP,
+    VECTOR: lambda c: all(0.0 <= a <= _TOP for a in c),
+}
+
+
+def _component_kernel(term, kind: str, name: str) -> KernelL:
+    """The catalog kernel defined on component tuples of carrier ``kind``
+    by ``term``. Its output goes through the carrier's constructor and
+    ``_validate_unit`` unless both would leave it unchanged."""
+    make, unchanged = element_builder(kind), _UNCHANGED[kind]
+
+    def checked(xc: tuple, pc: tuple, b1: float, b2: float) -> tuple:
+        c = term(xc, pc, b1, b2)
+        return c if unchanged(c) else _validate_unit(make(c), name).components
+
+    def fn(x: Element, prev: Element, b1: float, b2: float) -> Element:
+        if x.kind != kind:
+            raise KindMismatch(f"kernel {name!r} is defined on {kind} inputs, "
+                               f"got {x!r}")
+        xc = x.components
+        c = checked(xc, prev.components, b1, b2)
+        if len(c) != len(xc):
+            raise KindMismatch(f"kernel {name!r} produced {c!r} off the carrier "
+                               f"of its input {x!r}")
+        return make(c)
+
+    return KernelL(fn, name, term=checked, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -201,16 +261,74 @@ def _eval_sorted(inp: AggregationInput, kernel: KernelL, sigma) -> Element:
     return acc
 
 
-def _tie_candidates(inp: AggregationInput, kernel: KernelL, perms: PermutationSet):
+class _Fold:
+    """The operator on one row's component tuples: the kernel term, checked
+    as ``KernelL.evaluate`` checks its output, and the addition. A custom
+    kernel or an addition without a component form is lifted from
+    elements."""
+
+    def __init__(self, inp: AggregationInput, kernel: KernelL):
+        x0 = inp.X[0]
+        kind, dim = x0.kind, x0.dim
+        if kernel.kind not in (None, kind):
+            raise KindMismatch(f"kernel {kernel.name!r} is defined on "
+                               f"{kernel.kind} inputs, got {x0!r}")
+        self.make = make = element_builder(kind)
+        self.comps = [x.components for x in inp.X]
+        self.zero = (0.0,) * dim
+        self.values = inp.mu.values
+        term = kernel.term
+        if term is None:
+            evaluate = kernel.evaluate
+
+            def term(xc, pc, b1, b2):
+                return evaluate(make(xc), make(pc), b1, b2).components
+
+        self.term = term
+        self.plus = inp.addop.term or _lifted_addition(inp.addop, kind, dim)
+
+    def __call__(self, sigma) -> tuple:
+        comps, term, plus = self.comps, self.term, self.plus
+        b = _tail_weights(self.values, sigma)
+        prev = comps[sigma[0]]
+        acc = term(prev, self.zero, b[0], b[1])
+        for i in range(1, len(sigma)):
+            x = comps[sigma[i]]
+            acc = plus(acc, term(x, prev, b[i], b[i + 1]))
+            prev = x
+        if len(acc) != len(self.zero):  # a vector kernel of another dimension
+            raise KindMismatch(f"the fold left the carrier of the inputs: {acc!r}")
+        return acc
+
+
+def _lifted_addition(addop: AdditionOp, kind: str, dim: int):
+    fn, make = addop.fn, element_builder(kind)
+
+    def plus(a: tuple, c: tuple) -> tuple:
+        out = fn(make(a), make(c))
+        if out.kind != kind or out.dim != dim:
+            raise KindMismatch(f"addition {addop.name!r} left the carrier of "
+                               f"the inputs: {out!r}")
+        return out.components
+
+    return plus
+
+
+def _close(a: tuple, c: tuple) -> bool:
+    """``elements_equal`` on component tuples of one carrier."""
+    return all(abs(p - q) <= TOL for p, q in zip(a, c))
+
+
+def _tie_candidates(fold: _Fold, perms: PermutationSet):
     """Admissible permutations reaching every distinct value, by a walk over
     the states of each tie group in ``first()`` order. A state (the inputs
     placed so far) fixes the tail weights ahead, so it keeps one prefix per
     distinct partial sum. The first time a state holds two, both are
     completed in ``first()`` order and yielded at once (the addition may
     still merge them); at the end, one prefix per distinct full value."""
-    X, first, full, zero = inp.X, perms.first(), (1 << inp.n) - 1, inp.zero
-    evaluate, plus = kernel.evaluate, inp.addop.fn
-    values = (0.0,) + inp.mu.values[1:]  # the empty tail weighs 0, as in tail_values
+    comps, term, plus, zero = fold.comps, fold.term, fold.plus, fold.zero
+    first, full = perms.first(), (1 << len(comps)) - 1
+    values = (0.0,) + fold.values[1:]  # the empty tail weighs 0, as in tail_values
     states = {0: [((), None)]}  # placed mask -> [(prefix, partial sum)]
     split = False
     for group in perms.groups:
@@ -221,10 +339,10 @@ def _tie_candidates(inp: AggregationInput, kernel: KernelL, perms: PermutationSe
                     b1, b2 = values[full & ~mask], values[full & ~(mask | 1 << j)]
                     kept = reached.setdefault(mask | 1 << j, [])
                     for prefix, acc in entries:
-                        prev = X[prefix[-1]] if prefix else zero
-                        term = evaluate(X[j], prev, b1, b2)
-                        acc = term if acc is None else plus(acc, term)
-                        if not any(elements_equal(acc, other) for _, other in kept):
+                        prev = comps[prefix[-1]] if prefix else zero
+                        t = term(comps[j], prev, b1, b2)
+                        acc = t if acc is None else plus(acc, t)
+                        if not any(_close(acc, other) for _, other in kept):
                             kept.append((prefix + (j,), acc))
                             if len(kept) == 2 and not split:
                                 split = True
@@ -240,15 +358,18 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     of ``_tie_candidates`` are evaluated until one differs. A tie group of
     more than ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``.
     Inconsistency is reported, never raised; the witness carries two
-    permutations and their values.
+    permutations and their values. The value, bit for bit, is
+    ``choquet_eval`` along the first permutation.
     """
     perms = PermutationSet(inp.X, inp.order)
     if max(map(len, perms.groups)) > MAX_TIE_GROUP:
         raise TooManyTies(f"a tie group has more than {MAX_TIE_GROUP} inputs")
+    fold = _Fold(inp, kernel)
     first = perms.first()
-    base = _eval_sorted(inp, kernel, first)
-    candidates = [first] if perms.count == 1 else _tie_candidates(inp, kernel, perms)
+    base = fold(first)
+    candidates = [first] if perms.count == 1 else _tie_candidates(fold, perms)
 
+    value = fold.make(base)
     consistent = True
     witness = None
     checked = 0
@@ -256,14 +377,14 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
         checked += 1
         if sigma == first:
             continue
-        v = _eval_sorted(inp, kernel, sigma)
-        if not elements_equal(v, base):
+        v = fold(sigma)
+        if not _close(v, base):
             consistent = False
-            witness = {"sigma_a": first, "value_a": base,
-                       "sigma_b": sigma, "value_b": v}
+            witness = {"sigma_a": first, "value_a": value,
+                       "sigma_b": sigma, "value_b": fold.make(v)}
             break
 
-    return AggregateResult(value=base, consistent=consistent,
+    return AggregateResult(value=value, consistent=consistent,
                            permutations=perms.count, checked=checked,
                            witness=witness)
 
@@ -272,21 +393,22 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
 # Kernel catalog
 # ---------------------------------------------------------------------------
 
-_CARRIER_FNS: dict[str, Callable[[Element], Element]] = {
-    "zero": lambda x: zero_element(x.kind, x.dim),
-    "identity": lambda x: x,
-    "upper": lambda x: from_components(x.kind, (max(x.components),) * x.dim),
-    "lower": lambda x: from_components(x.kind, (min(x.components),) * x.dim),
+# The shipped carrier functions of affine-F kernels, on component tuples.
+_CARRIER_FNS: dict[str, Callable[[tuple], tuple]] = {
+    "zero": lambda c: (0.0,) * len(c),
+    "identity": lambda c: c,
+    "upper": lambda c: (max(c),) * len(c),
+    "lower": lambda c: (min(c),) * len(c),
 }
 
 
-def resolve_carrier_fn(spec, kind: str) -> Callable[[Element], Element]:
-    if callable(spec):
-        return spec
+def resolve_carrier_fn(spec) -> Callable[[tuple], tuple]:
+    """A shipped carrier function, or ``scale:<t>``, on component tuples.
+    t is checked here, once: clamped to [0, 1] within ``TOL`` of it, and
+    refused with ``ScaleOutOfRange`` farther out."""
     if isinstance(spec, str) and spec.startswith("scale:"):
-        t = float(spec.split(":", 1)[1])
-        mul = scale_for(kind)
-        return lambda x: scale(mul, t, x)
+        t = unit_coefficient(float(spec.split(":", 1)[1]))
+        return lambda c: tuple([t * a for a in c])
     return lookup(_CARRIER_FNS, spec, "carrier function")
 
 
@@ -304,11 +426,16 @@ def delta_scale_kernel(delta, kind: str) -> KernelL:
     With delta the plain difference this is the classical Choquet
     integrand lifted to the carrier.
     """
-    delta_fn = resolve_delta(delta)
-    mul = scale_for(kind)
+    delta_fn, mul = resolve_delta(delta), scale_for(kind).term
     label = delta if isinstance(delta, str) else "custom"
-    return KernelL(lambda x, prev, b1, b2: scale(mul, delta_fn(b1, b2), x),
-                   name=f"delta-scale({label})")
+
+    def term(xc, pc, b1, b2):
+        c = delta_fn(b1, b2)
+        if not 0.0 <= c <= 1.0:
+            c = unit_coefficient(c)
+        return mul(c, xc)
+
+    return _component_kernel(term, kind, f"delta-scale({label})")
 
 
 def f_difference_kernel(F: Callable[[Element, float], Element]) -> KernelL:
@@ -320,26 +447,50 @@ def f_difference_kernel(F: Callable[[Element, float], Element]) -> KernelL:
 
 def b_scale_d_kernel(d: DissimilarityFn, kind: str) -> KernelL:
     """Kernel G(x1, x2, b) = b * d(x1, x2): capacity-weighted dissimilarity
-    to the previous input."""
-    mul = scale_for(kind)
-    return KernelL(lambda x, prev, b1, b2: scale(mul, b1, d(x, prev)),
-                   name=f"b-scale-d({d.name})")
+    to the previous input. A dissimilarity without a component form is
+    called on elements."""
+    name, dterm, mul = f"b-scale-d({d.name})", d.term, scale_for(kind)
+    if dterm is None:
+        return KernelL(lambda x, prev, b1, b2: scale(mul, b1, d(x, prev)), name)
+    mul_term = mul.term
+
+    def term(xc, pc, b1, b2):
+        t = dterm(xc, pc)
+        if not 0.0 <= b1 <= 1.0:
+            b1 = unit_coefficient(b1)
+        return mul_term(b1, t)
+
+    return _component_kernel(term, kind, name)
 
 
 def affine_f_kernel(C, D, kind: str) -> KernelL:
     """Affine kernel F(x, a) = a*C(x) + D(x) componentwise, in the
-    weight-difference form G(x, b1, b2) = F(x, b1 - b2)."""
-    C_fn = resolve_carrier_fn(C, kind)
-    D_fn = resolve_carrier_fn(D, kind)
-    mul = scale_for(kind)
-    addop = addition_for(kind)
+    weight-difference form G(x, b1, b2) = F(x, b1 - b2). C and D name
+    shipped carrier functions; a callable C or D is a function of
+    elements, and then the kernel is too."""
+    name = (f"affine-F({C if isinstance(C, str) else 'C'},"
+            f"{D if isinstance(D, str) else 'D'})")
+    if callable(C) or callable(D):
+        make, mul, addop = element_builder(kind), scale_for(kind), addition_for(kind)
 
-    def F(x: Element, a: float) -> Element:
-        return add(addop, scale(mul, a, C_fn(x)), D_fn(x))
+        def on_elements(f):
+            if callable(f):
+                return f
+            g = resolve_carrier_fn(f)
+            return lambda x: make(g(x.components))
 
-    label = f"{C if isinstance(C, str) else 'C'},{D if isinstance(D, str) else 'D'}"
-    return KernelL(lambda x, prev, b1, b2: F(x, b1 - b2),
-                   name=f"affine-F({label})")
+        C_fn, D_fn = on_elements(C), on_elements(D)
+        return KernelL(lambda x, prev, b1, b2: add(
+            addop, scale(mul, b1 - b2, C_fn(x)), D_fn(x)), name)
+    C_fn, D_fn = resolve_carrier_fn(C), resolve_carrier_fn(D)
+
+    def term(xc, pc, b1, b2):
+        a = b1 - b2
+        if not 0.0 <= a <= 1.0:
+            a = unit_coefficient(a)
+        return tuple([a * c + e for c, e in zip(C_fn(xc), D_fn(xc))])
+
+    return _component_kernel(term, kind, name)
 
 
 def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> KernelL:

@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Union
+from typing import Callable, Union
 
-from .errors import BadParameter, KindMismatch
+from .errors import BadParameter, KindMismatch, lookup
 from .reporting import GridSpec, LawReport, run_law
 
 TOL = 1e-12
@@ -143,19 +143,14 @@ def require_same_carrier(x: Element, z: Element) -> None:
         raise KindMismatch(f"carrier mismatch: {x!r} vs {z!r}")
 
 
-def from_components(kind: str, comps) -> Element:
-    comps = tuple(float(c) for c in comps)
-    if kind == SCALAR:
-        if len(comps) != 1:
-            raise BadParameter("scalar takes exactly one component")
-        return Scalar(comps[0])
-    if kind == INTERVAL:
-        if len(comps) != 2:
-            raise BadParameter("interval takes exactly two components")
-        return Interval(comps[0], comps[1])
-    if kind == VECTOR:
-        return Vector(comps)
-    raise BadParameter(f"unknown carrier kind: {kind!r}")
+# Each carrier's constructor, called on a tuple of the element's components.
+_BUILDERS = {SCALAR: lambda c: Scalar(*c), INTERVAL: lambda c: Interval(*c), VECTOR: Vector}
+
+
+def element_builder(kind: str) -> Callable[[tuple], Element]:
+    """The constructor of carrier ``kind`` taking a component tuple, with
+    the constructor's checks and normalisation."""
+    return lookup(_BUILDERS, kind, "carrier kind")
 
 
 def _constant_element(kind: str, dim: int, c: float) -> Element:

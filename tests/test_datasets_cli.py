@@ -277,6 +277,7 @@ class TestAggregateCommand:
         ({"family": "delta-scale", "delta": {"a": 1}}, "BadParameter"),
         ({"family": "affine-F", "C": [1], "D": "zero"}, "BadParameter"),
         ({"family": "custom", "name": [1]}, "UnknownKernel"),
+        ({"family": "affine-F", "C": "scale:2", "D": "zero"}, "ScaleOutOfRange"),
     ])
     def test_malformed_kernel_spec_exit_one(self, scalar_files, capsys, spec, error):
         data, cap, out = scalar_files
@@ -285,6 +286,19 @@ class TestAggregateCommand:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == error
+
+    def test_kernel_range_error_exit_one(self, tmp_path, capsys):
+        # The last term is F(1, 1) = 0.7 + 0.4 under a point mass on input 2.
+        data = tmp_path / "rows.csv"
+        data.write_text("0.2,1.0\n")
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps({"n": 2, "kind": "dirac", "i": 2}))
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
+                     "--kernel", json.dumps({"family": "affine-F", "C": "scale:0.7",
+                                             "D": "scale:0.4"})])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "KernelRangeError"
 
     def test_tie_group_above_limit_exit_one(self, tmp_path, capsys):
         data = tmp_path / "rows.csv"

@@ -1,23 +1,27 @@
 """Admissible permutations, operator evaluation, and the kernel catalog."""
 
+import inspect
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquetlike import (
-    AggregationInput, AlphaBeta, BOUNDED_SUM, BadParameter, Capacity, IV_PLUS,
-    Interval, MIN_OP, TIMES,
+    AdditionOp, AggregationInput, AlphaBeta, BOUNDED_SUM, BadParameter, Capacity,
+    DissimilarityFn, IV_PLUS, Interval, MIN_OP, MultiplicationOp, TIMES,
     KernelL, KernelRangeError, KindMismatch, NotAdmissiblePermutation, PLUS,
-    PermutationSet, Scalar, ScalarUsual, TooManyTies, UnknownKernel, VV_PLUS,
-    Vector, VectorLex, add, capacity_family,
-    capacity_from_table, choquet_aggregate, choquet_eval, classical_kernel,
-    elements_equal, f_difference_kernel, k_alpha, kernel_catalog,
-    register_kernel, scale, scale_for, tail_values, zero_element,
+    PermutationSet, Scalar, ScalarUsual, ScaleOutOfRange, TooManyTies,
+    UnknownKernel, VV_PLUS, Vector, VectorLex, add, algebra, capacity_family,
+    affine_f_kernel, b_scale_d_kernel, capacity_from_table, choquet_aggregate,
+    choquet_eval, classical_kernel, elements_equal, f_difference_kernel, k_alpha,
+    kernel_catalog, register_kernel, resolve_dissimilarity, scale, scale_for,
+    tail_values, zero_element,
 )
-from choquetlike.operator import MAX_TIE_GROUP
+from choquetlike.dissimilarity import _DELTAS, _MEANS
+from choquetlike.operator import _CARRIER_FNS, MAX_TIE_GROUP
 from oracles import classical_choquet_increments, mu_lookup
 
 XU = AlphaBeta(0.5, 1.0)
@@ -31,6 +35,29 @@ def scalar_input(values, mu):
 def _b1_kernel(kind):
     mul = scale_for(kind)
     return KernelL(lambda x, prev, b1, b2: scale(mul, 0.4 * b1, x), "b1-x")
+
+
+# Catalog kernels by a short name; "takac" is for intervals only. Each
+# affine-F output stays in [0, 1] on every input.
+_KERNEL_SPECS = {
+    "classical": "delta-scale",
+    "sq-diff": {"family": "delta-scale", "delta": "sq-diff"},
+    "b-scale-d": {"family": "b-scale-d", "d": "abs-diff"},
+    "b-scale-d-sq": {"family": "b-scale-d", "d": "sq-diff"},
+    "takac": {"family": "b-scale-d", "d": "takac:0.5:max:abs-diff"},
+    "affine-scale": {"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1"},
+    "affine-upper": {"family": "affine-F", "C": "upper", "D": "zero"},
+    "affine-identity": {"family": "affine-F", "C": "identity", "D": "zero"},
+    "affine-lower": {"family": "affine-F", "C": "zero", "D": "lower"},
+}
+
+
+def _kernel(name, kind, order):
+    """A catalog kernel of ``_KERNEL_SPECS``, or the custom element kernel
+    ``b1-x``."""
+    if name == "b1-x":
+        return _b1_kernel(kind)
+    return kernel_catalog(_KERNEL_SPECS[name], kind, order)
 
 
 class TestAdmissiblePermutations:
@@ -195,17 +222,17 @@ class TestTieWalk:
         ("scalar", BOUNDED_SUM, "sq-diff"), ("scalar", BOUNDED_SUM, "b1-x"),
         ("interval", IV_PLUS, "classical"), ("interval", IV_PLUS, "b-scale-d"),
         ("interval", IV_PLUS, "sq-diff"), ("interval", IV_PLUS, "b1-x"),
+        ("scalar", PLUS, "b-scale-d-sq"), ("scalar", PLUS, "affine-upper"),
+        ("interval", IV_PLUS, "b-scale-d-sq"), ("interval", IV_PLUS, "takac"),
+        ("interval", IV_PLUS, "affine-upper"), ("interval", IV_PLUS, "affine-lower"),
+        ("interval", IV_PLUS, "affine-identity"),
+        ("vector", VV_PLUS, "classical"), ("vector", VV_PLUS, "b-scale-d"),
+        ("vector", VV_PLUS, "sq-diff"), ("vector", VV_PLUS, "affine-lower"),
+        ("vector", VV_PLUS, "b1-x"),
     ])
     def test_matches_enumeration(self, kind, addop, kernel):
-        order = ScalarUsual() if kind == "scalar" else XU
-        kernel = {
-            "classical": classical_kernel(kind),
-            "b-scale-d": kernel_catalog({"family": "b-scale-d", "d": "abs-diff"},
-                                        kind, order),
-            "sq-diff": kernel_catalog({"family": "delta-scale", "delta": "sq-diff"},
-                                      kind),
-            "b1-x": _b1_kernel(kind),
-        }[kernel]
+        order = {"scalar": ScalarUsual(), "interval": XU, "vector": VectorLex((0, 1))}[kind]
+        kernel = _kernel(kernel, kind, order)
         rng = random.Random(f"{kind}-{addop.name}-{kernel.name}")
         inconsistent = 0
         for _ in range(40):
@@ -220,12 +247,15 @@ class TestTieWalk:
                            for s in perms)
             res = choquet_aggregate(inp, kernel)
             assert res.consistent == expected
-            assert res.value.components == base.components
+            assert _bits(res.value) == _bits(base)
             assert res.permutations == perms.count
             if not res.consistent:
                 inconsistent += 1
                 w = res.witness
-                assert choquet_eval(inp, kernel, w["sigma_b"]) == w["value_b"]
+                assert w["sigma_a"] == perms.first()
+                assert _bits(w["value_a"]) == _bits(res.value)
+                assert _bits(choquet_eval(inp, kernel, w["sigma_b"])) == _bits(w["value_b"])
+                assert not elements_equal(w["value_a"], w["value_b"])
         if kernel.name in ("delta-scale(sq-diff)", "b1-x") and addop is not MIN_OP:
             assert inconsistent > 0
 
@@ -267,9 +297,7 @@ _LEAN_CARRIERS = {
         lambda p: Interval(min(p), max(p)))),
     "vector": (VectorLex((0, 1)), (VV_PLUS,), st.tuples(_unit, _unit).map(Vector)),
 }
-_LEAN_KERNELS = ("delta-scale", {"family": "delta-scale", "delta": "sq-diff"},
-                 {"family": "b-scale-d", "d": "abs-diff"},
-                 {"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1"})
+_LEAN_KERNELS = tuple(_KERNEL_SPECS) + ("b1-x",)
 
 
 @st.composite
@@ -280,7 +308,8 @@ def _lean_cases(draw):
     X = tuple(draw(st.lists(st.sampled_from(levels), min_size=2, max_size=5)))
     mu = capacity_family("uniform-random", len(X), seed=draw(st.integers(0, 9999)))
     inp = AggregationInput(X, mu, order, draw(st.sampled_from(additions)))
-    kernel = kernel_catalog(draw(st.sampled_from(_LEAN_KERNELS)), kind, order)
+    kernel = _kernel(draw(st.sampled_from(
+        [k for k in _LEAN_KERNELS if k != "takac" or kind == "interval"])), kind, order)
     # A random admissible permutation: each tie group in a drawn order.
     groups = PermutationSet(X, order).groups
     sigma = tuple(i for g in groups for i in draw(st.permutations(g)))
@@ -311,10 +340,57 @@ class TestLeanFold:
         with pytest.raises(KindMismatch):
             choquet_eval(inp, kernel, (1, 2, 0))
 
+    def test_catalog_kernel_on_another_carrier_raises(self):
+        X = (Interval(0.1, 0.3), Interval(0.2, 0.5))
+        inp = AggregationInput(X, capacity_family("cardinality", 2), XU, IV_PLUS)
+        for spec in ("delta-scale", "b-scale-d"):
+            kernel = kernel_catalog(spec, "scalar")
+            with pytest.raises(KindMismatch):
+                choquet_aggregate(inp, kernel)
+            with pytest.raises(KindMismatch):
+                choquet_eval(inp, kernel, (0, 1))
+
     def test_kernel_output_of_another_dimension_raises(self):
         kernel = KernelL(lambda x, prev, b1, b2: Vector((0.0,) * 3), "three-dims")
         with pytest.raises(KindMismatch):
             kernel.evaluate(Vector((0.2, 0.4)), Vector((0.0, 0.0)), 1.0, 0.5)
+        # The projected dissimilarity is of the order's dimension, 2.
+        kernel = kernel_catalog("b-scale-d", "vector", VectorLex((0, 1)))
+        X = (Vector((0.2, 0.4, 0.1)), Vector((0.3, 0.1, 0.1)))
+        inp = AggregationInput(X, capacity_family("cardinality", 2),
+                               VectorLex((0, 1, 2)), VV_PLUS)
+        with pytest.raises(KindMismatch):
+            kernel.evaluate(X[0], Vector((0.0,) * 3), 1.0, 0.5)
+        with pytest.raises(KindMismatch):
+            choquet_aggregate(inp, kernel)
+
+    @staticmethod
+    def _affine(kind, D):
+        # X = (0.2, 1.0) as constant elements under a point mass on input 2:
+        # the terms are F(0.2, 0) = D(0.2) and F(1, 1) = 0.7 + D(1).
+        order, addop, constant = {
+            "scalar": (ScalarUsual(), PLUS, Scalar),
+            "interval": (XU, IV_PLUS, lambda v: Interval(v, v)),
+            "vector": (VectorLex((0, 1)), VV_PLUS, lambda v: Vector((v, v)))}[kind]
+        X = (constant(0.2), constant(1.0))
+        inp = AggregationInput(X, capacity_family("dirac", 2, i=2), order, addop)
+        return inp, kernel_catalog({"family": "affine-F", "C": "scale:0.7", "D": D},
+                                   kind)
+
+    @pytest.mark.parametrize("kind", ["scalar", "interval", "vector"])
+    def test_term_beyond_the_snap_raises(self, kind):
+        inp, kernel = self._affine(kind, "scale:0.4")  # F(1, 1) = 1.1
+        with pytest.raises(KernelRangeError):
+            choquet_aggregate(inp, kernel)
+        with pytest.raises(KernelRangeError):
+            choquet_eval(inp, kernel, (0, 1))
+
+    @pytest.mark.parametrize("kind", ["scalar", "interval", "vector"])
+    def test_term_within_the_snap_is_snapped_alike(self, kind):
+        inp, kernel = self._affine(kind, "scale:0.3000000001")  # F(1, 1) = 1 + 1e-10
+        got = choquet_aggregate(inp, kernel).value
+        assert _bits(got) == _bits(choquet_eval(inp, kernel, (0, 1)))
+        assert set(got.components) == {0.3000000001 * 0.2 + 1.0}
 
 
 class TestNearTolerance:
@@ -438,6 +514,43 @@ class TestKernelCatalog:
         out = k.evaluate(x, zero_element(kind, len(x.components)), 1.0, 0.0)
         assert out == expected[C]  # F(x, 1) = C(x) + 0
 
+    @pytest.mark.parametrize("t", ["2", "-0.5", "1.000001", "nan"])
+    @pytest.mark.parametrize("where", ["C", "D"])
+    def test_affine_scale_out_of_range_refused_when_built(self, t, where):
+        spec = {"family": "affine-F", "C": "zero", "D": "zero", where: f"scale:{t}"}
+        with pytest.raises(ScaleOutOfRange):
+            kernel_catalog(spec, "scalar")
+
+    def test_affine_scale_within_tolerance_is_clamped(self):
+        k = kernel_catalog({"family": "affine-F", "C": "scale:1.0000000000001",
+                            "D": "scale:-1e-13"}, "scalar")
+        assert k.evaluate(Scalar(0.5), Scalar(0.0), 1.0, 0.0) == Scalar(0.5)
+
+    def test_element_forms_give_the_component_forms_bits(self):
+        # A callable C and a DissimilarityFn without a term make kernels on
+        # elements, which choquet_aggregate lifts to component tuples.
+        d = resolve_dissimilarity("abs-diff", "interval", XU)
+        pairs = [
+            (affine_f_kernel(lambda x: x, "zero", "interval"),
+             kernel_catalog({"family": "affine-F", "C": "identity", "D": "zero"},
+                            "interval")),
+            (b_scale_d_kernel(DissimilarityFn("plain", d.fn), "interval"),
+             b_scale_d_kernel(d, "interval")),
+        ]
+        assert pairs[0][0].name == "affine-F(C,zero)"
+        rng = random.Random(3)
+        for lifted, catalog in pairs:
+            assert lifted.term is None and catalog.term is not None
+            for _ in range(50):
+                n = rng.randint(2, 5)
+                levels = [_random_element(rng, "interval") for _ in range(rng.randint(1, 3))]
+                X = tuple(rng.choice(levels) for _ in range(n))
+                mu = capacity_family("uniform-random", n, seed=rng.randrange(1000))
+                inp = AggregationInput(X, mu, XU, IV_PLUS)
+                got, want = choquet_aggregate(inp, lifted), choquet_aggregate(inp, catalog)
+                assert _bits(got.value) == _bits(want.value)
+                assert got.consistent == want.consistent
+
     def test_f_difference_with_scaling_is_the_classical_kernel(self):
         # F(x, a) = a * x gives G = (b1 - b2) * x, and b1 >= b2 along every
         # admissible chain, so the fold matches the classical kernel bit for bit.
@@ -485,3 +598,41 @@ class TestKernelCatalog:
         with pytest.raises(BadParameter):
             AggregationInput((Scalar(0.5), Scalar(0.2), Scalar(0.1)), mu,
                              ScalarUsual(), PLUS)
+
+
+class TestComponentForms:
+    """Every kernel a JSON spec builds, and every shipped addition and
+    scaling, has a component form, so ``choquet_aggregate`` lifts no element
+    function for them. A family or operation added without one fails
+    here."""
+
+    FAMILIES = {
+        "delta-scale": [{"delta": d} for d in _DELTAS],
+        "b-scale-d": [{"d": d} for d in _DELTAS]
+        + [{"d": f"takac:0.5:{m}:abs-diff"} for m in _MEANS],
+        "affine-F": [{"C": c, "D": "scale:0.5"} for c in _CARRIER_FNS]
+        + [{"C": "scale:0.5", "D": c} for c in _CARRIER_FNS],
+    }
+
+    def test_the_table_covers_every_catalog_family(self):
+        named = set(re.findall(r'family == "([^"]+)"', inspect.getsource(kernel_catalog)))
+        assert named - {"custom"} == set(self.FAMILIES)
+
+    @pytest.mark.parametrize("kind,order", [("scalar", ScalarUsual()), ("interval", XU),
+                                            ("vector", VectorLex((1, 0)))])
+    def test_catalog_kernels(self, kind, order):
+        specs = [dict(params, family=family) for family, variants in self.FAMILIES.items()
+                 for params in variants]
+        specs += ["delta-scale", "b-scale-d"]
+        for spec in specs:
+            if kind != "interval" and "takac" in str(spec):
+                continue
+            assert kernel_catalog(spec, kind, order).term is not None, spec
+
+    def test_shipped_additions_and_scalings(self):
+        shipped = [v for v in vars(algebra).values()
+                   if isinstance(v, (AdditionOp, MultiplicationOp))]
+        assert {op.name for op in shipped} >= {"plus", "iv-plus", "vv-plus", "min",
+                                               "bounded-sum", "times", "iv-scale",
+                                               "vv-scale"}
+        assert [op.name for op in shipped if op.term is None] == []
