@@ -19,6 +19,14 @@ one element per row; a custom kernel or addition, defined on elements,
 is lifted to components there. ``_eval_sorted`` folds on elements and
 stays the reference that ``choquet_eval`` and the brute-force oracles
 call.
+
+A row whose inputs are pairwise strictly ordered has one admissible
+permutation. ``choquet_aggregate`` finds such rows from one float per
+input, the order's ``lead``: when the sorted leads are more than ``TOL``
+apart, ``compare`` follows them, so their sort is the one chain
+``PermutationSet`` would build, and the row is folded once along it.
+Every other row, tied or within ``TOL``, takes ``PermutationSet`` and
+the tie walk, which the oracles use too.
 """
 
 from __future__ import annotations
@@ -155,6 +163,8 @@ class AggregationInput:
                                f"{len(X)} inputs")
         if self.order.kind != kind:
             raise KindMismatch("order carrier does not match the inputs")
+        if self.order.dim not in (None, dim):
+            raise KindMismatch("vector dimension does not match the order")
         if self.addop.kind != kind:
             raise KindMismatch("addition carrier does not match the inputs")
 
@@ -352,15 +362,36 @@ def _tie_candidates(fold: _Fold, perms: PermutationSet):
     yield from (prefix for prefix, _ in states[full])
 
 
+def _strict_chain(X, order: AdmissibleOrder) -> Optional[list[int]]:
+    """The indices of X in increasing order when every two inputs' leads
+    lie more than ``TOL`` apart, else None. Float subtraction is monotone,
+    so adjacent gaps above ``TOL`` put every pair that far apart, and then
+    ``compare`` follows the leads: the chain is the one admissible
+    permutation. A NaN gap (inf - inf) is not above ``TOL``."""
+    keys = list(map(order.lead, X))
+    ordered = sorted(keys)
+    for low, high in zip(ordered, ordered[1:]):
+        if not high - low > TOL:
+            return None
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult:
     """Evaluate along the first admissible permutation and decide exactly
-    whether every admissible permutation gives that value: the candidates
-    of ``_tie_candidates`` are evaluated until one differs. A tie group of
-    more than ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``.
-    Inconsistency is reported, never raised; the witness carries two
-    permutations and their values. The value, bit for bit, is
-    ``choquet_eval`` along the first permutation.
+    whether every admissible permutation gives that value. A row that
+    ``_strict_chain`` orders has one admissible permutation and is folded
+    once. Every other row takes ``PermutationSet``: the candidates of
+    ``_tie_candidates`` are evaluated until one differs. A tie group of more than
+    ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``. Inconsistency is
+    reported, never raised; the witness carries two permutations and
+    their values. The value, bit for bit, is ``choquet_eval`` along the
+    first permutation.
     """
+    chain = _strict_chain(inp.X, inp.order)
+    if chain is not None:
+        fold = _Fold(inp, kernel)
+        return AggregateResult(value=fold.make(fold(chain)), consistent=True,
+                               permutations=1, checked=1)
     perms = PermutationSet(inp.X, inp.order)
     if max(map(len, perms.groups)) > MAX_TIE_GROUP:
         raise TooManyTies(f"a tie group has more than {MAX_TIE_GROUP} inputs")

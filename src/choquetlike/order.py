@@ -3,8 +3,8 @@
 Three carriers are supported: scalars in [0, 1], closed intervals
 [l, u] with 0 <= l <= u <= 1, and vectors in [0, 1]^k. Values produced
 by addition may leave the unit-bounded set; element types therefore
-admit any nonnegative components, and ``in_unit`` reports membership in
-the bounded set.
+admit any finite nonnegative components, and ``in_unit`` reports
+membership in the bounded set.
 
 Real comparisons use absolute tolerance 1e-12: two elements are equal
 iff all components are within tolerance. Grid values are small
@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .errors import BadParameter, KindMismatch, lookup
 from .reporting import GridSpec, LawReport, run_law
 
 TOL = 1e-12
+_INF = float("inf")
 
 SCALAR = "scalar"
 INTERVAL = "interval"
@@ -34,12 +35,14 @@ def _check_component(v: float, what: str) -> float:
         raise BadParameter(f"{what} is NaN")
     if v < -TOL:
         raise BadParameter(f"{what} must be nonnegative, got {v}")
+    if v == _INF:
+        raise BadParameter(f"{what} must be finite, got {v}")
     return 0.0 if v < 0.0 else float(v)
 
 
 @dataclass(frozen=True, slots=True)
 class Scalar:
-    """A nonnegative real; ``kind`` is ``SCALAR`` and ``dim`` is 1."""
+    """A finite nonnegative real; ``kind`` is ``SCALAR`` and ``dim`` is 1."""
 
     value: float
     kind = SCALAR
@@ -47,7 +50,7 @@ class Scalar:
 
     def __post_init__(self):
         v = self.value
-        if type(v) is float and v >= 0.0:
+        if type(v) is float and 0.0 <= v < _INF:
             return
         object.__setattr__(self, "value", _check_component(v, "scalar value"))
 
@@ -65,8 +68,8 @@ class Scalar:
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """A closed interval of nonnegative reals; ``kind`` is ``INTERVAL`` and
-    ``dim`` is 2."""
+    """A closed interval of finite nonnegative reals; ``kind`` is
+    ``INTERVAL`` and ``dim`` is 2."""
 
     lower: float
     upper: float
@@ -75,7 +78,7 @@ class Interval:
 
     def __post_init__(self):
         lo, hi = self.lower, self.upper
-        if type(lo) is float and type(hi) is float and 0.0 <= lo <= hi:
+        if type(lo) is float and type(hi) is float and 0.0 <= lo <= hi < _INF:
             return
         lo = _check_component(lo, "interval lower endpoint")
         hi = _check_component(hi, "interval upper endpoint")
@@ -104,7 +107,8 @@ class Interval:
 
 @dataclass(frozen=True, slots=True)
 class Vector:
-    """A point of [0, inf)^k, k >= 1; ``kind`` is ``VECTOR`` and ``dim`` is k."""
+    """A finite point of [0, inf)^k, k >= 1; ``kind`` is ``VECTOR`` and
+    ``dim`` is k."""
 
     coords: tuple[float, ...]
     kind = VECTOR
@@ -112,7 +116,7 @@ class Vector:
     def __post_init__(self):
         coords = self.coords
         if type(coords) is tuple and coords and all(
-                type(c) is float and c >= 0.0 for c in coords):
+                type(c) is float and 0.0 <= c < _INF for c in coords):
             return
         coords = tuple(_check_component(c, "vector coordinate") for c in coords)
         if not coords:
@@ -219,14 +223,24 @@ _WORD = {-1: "less", 0: "equal", 1: "greater"}
 class AdmissibleOrder:
     """Total order refining the carrier's natural partial order.
 
-    Subclasses implement ``compare`` returning -1, 0, or +1. Comparators
-    are defined on the ambient set, not just the unit-bounded part, so
-    sums produced by addition remain comparable.
+    Subclasses implement ``compare`` returning -1, 0, or +1, and ``lead``,
+    one float per element that settles every comparison it separates by
+    more than ``TOL``: whenever ``abs(lead(x) - lead(z)) > TOL``,
+    ``compare(x, z)`` is the sign of ``lead(x) - lead(z)``.
+    ``choquet_aggregate`` relies on this to order a row of inputs whose
+    leads are that far apart without calling ``compare``. Comparators are
+    defined on the ambient set, not just the unit-bounded part, so sums
+    produced by addition remain comparable. ``dim`` is the carrier
+    dimension the order is defined on, or None for any.
     """
 
     kind: str = ""
+    dim: Optional[int] = None
 
     def compare(self, x: Element, z: Element) -> int:
+        raise NotImplementedError
+
+    def lead(self, x: Element) -> float:
         raise NotImplementedError
 
     def sort(self, elems) -> list:
@@ -249,6 +263,9 @@ class ScalarUsual(AdmissibleOrder):
         if abs(d) <= TOL:
             return 0
         return -1 if d < 0 else 1
+
+    def lead(self, x: Element) -> float:
+        return x.value
 
     def spec_string(self) -> str:
         return "scalar"
@@ -284,6 +301,12 @@ class AlphaBeta(AdmissibleOrder):
             return -1 if db < 0 else 1
         return 0
 
+    def lead(self, x: Element) -> float:
+        # The alpha mix exactly as ``compare`` computes it, so lead
+        # differences are bit-identical to its first difference.
+        a = self.alpha
+        return (1.0 - a) * x.lower + a * x.upper
+
     def spec_string(self) -> str:
         return f"ab:{self.alpha:g}:{self.beta:g}"
 
@@ -317,6 +340,9 @@ class VectorLex(AdmissibleOrder):
             if abs(d) > TOL:
                 return -1 if d < 0 else 1
         return 0
+
+    def lead(self, x: Element) -> float:
+        return x.coords[self.priority[0]]
 
     def spec_string(self) -> str:
         return "veclex:" + ",".join(str(i + 1) for i in self.priority)

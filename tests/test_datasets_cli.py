@@ -287,6 +287,22 @@ class TestAggregateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == error
 
+    def test_vector_order_of_another_dimension_exit_one(self, tmp_path, capsys):
+        # Every row has distinct inputs, so no row needs a tie check.
+        data = tmp_path / "rows.json"
+        data.write_text(json.dumps([[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
+                                    [[0.9, 0.1, 0.1], [0.2, 0.8, 0.8]]]))
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps({"n": 2, "kind": "cardinality"}))
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
+                     "--order", "veclex:1,2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "KindMismatch"
+        assert err["message"] == "vector dimension does not match the order"
+
     def test_kernel_range_error_exit_one(self, tmp_path, capsys):
         # The last term is F(1, 1) = 0.7 + 0.4 under a point mass on input 2.
         data = tmp_path / "rows.csv"

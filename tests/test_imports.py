@@ -2,7 +2,9 @@
 (``__init__.py``, which re-exports, is exempt), every module-level
 private name is used by some module of the package, and law reports are
 built in one place: ``reporting.run_law``, with ``oracle_crosscheck``,
-which adds up the reports of other checks, the one exception."""
+which adds up the reports of other checks, the one exception. The
+brute-force oracles of ``verifier.py`` take their permutations from the
+comparator, never from an order's ``lead``."""
 
 import ast
 from pathlib import Path
@@ -114,3 +116,41 @@ def test_law_reports_come_from_run_law():
     sources = {p.name: p.read_text(encoding="utf-8") for p in ALL_MODULES}
     assert law_report_calls(sources) == ["reporting.py:run_law",
                                          "verifier.py:oracle_crosscheck"]
+
+
+def reached_names(source: str, function: str) -> set[str]:
+    """Names read and attributes taken in the top-level ``function`` and
+    in every top-level function of the same module that it names, in
+    turn."""
+    tops = {node.name: node for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    reached, todo, seen = set(), [function], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(tops[name]):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+        todo += [n for n in reached if n in tops]
+    return reached
+
+
+def test_detects_a_reached_name():
+    source = ("def oracle(xs, order):\n    return _helper(xs, order)\n"
+              "def _helper(xs, order):\n    return sorted(xs, key=order.lead)\n"
+              "def other():\n    return _strict_chain()\n")
+    assert reached_names(source, "oracle") == {"_helper", "xs", "order", "sorted", "lead"}
+
+
+# The oracles enumerate every admissible permutation from the comparator
+# and fold each on elements; the operator's lead sort must not reach them.
+@pytest.mark.parametrize("oracle", ["brute_force_wd", "brute_force_monotonicity",
+                                    "_value_table"])
+def test_oracles_stay_on_the_comparator(oracle):
+    reached = reached_names((PACKAGE / "verifier.py").read_text(encoding="utf-8"), oracle)
+    assert {"PermutationSet", "_eval_sorted"} <= reached
+    assert not reached & {"lead", "_strict_chain", "choquet_aggregate", "_Fold"}

@@ -13,7 +13,7 @@ from choquetlike import (
     AdditionOp, AggregationInput, AlphaBeta, BOUNDED_SUM, BadParameter, Capacity,
     DissimilarityFn, IV_PLUS, Interval, MIN_OP, MultiplicationOp, TIMES,
     KernelL, KernelRangeError, KindMismatch, NotAdmissiblePermutation, PLUS,
-    PermutationSet, Scalar, ScalarUsual, ScaleOutOfRange, TooManyTies,
+    PermutationSet, Scalar, ScalarUsual, ScaleOutOfRange, TOL, TooManyTies,
     UnknownKernel, VV_PLUS, Vector, VectorLex, add, algebra, capacity_family,
     affine_f_kernel, b_scale_d_kernel, capacity_from_table, choquet_aggregate,
     choquet_eval, classical_kernel, elements_equal, f_difference_kernel, k_alpha,
@@ -178,6 +178,23 @@ class TestChoquetAggregate:
         with pytest.raises(TooManyTies):
             choquet_aggregate(scalar_input([0.5] * (MAX_TIE_GROUP + 1), mu),
                               classical_kernel("scalar"))
+
+    def test_vector_order_of_another_dimension_refused(self):
+        # The leads 0.1 and 0.4 are far apart, so the row would be a strict
+        # chain, which never calls compare: the input refuses it itself.
+        X = (Vector((0.1, 0.2, 0.3)), Vector((0.4, 0.5, 0.6)))
+        with pytest.raises(KindMismatch, match="dimension does not match the order"):
+            AggregationInput(X, capacity_family("cardinality", 2), VectorLex((0, 1)),
+                             VV_PLUS)
+
+    def test_tie_limit_raises_before_the_kernel_carrier(self):
+        kernel = classical_kernel("interval")
+        mu = capacity_family("cardinality", MAX_TIE_GROUP + 1)
+        with pytest.raises(TooManyTies):
+            choquet_aggregate(scalar_input([0.5] * (MAX_TIE_GROUP + 1), mu), kernel)
+        with pytest.raises(KindMismatch):  # a strict chain reaches the kernel
+            choquet_aggregate(scalar_input([0.1, 0.5], capacity_family("cardinality", 2)),
+                              kernel)
 
     def test_boundary_rows(self):
         for mu in (capacity_family("cardinality", 3),
@@ -421,6 +438,35 @@ class TestNearTolerance:
             mu = capacity_family("uniform-random", n, seed=rng.randint(0, 9999))
             got = choquet_aggregate(scalar_input(values, mu), kernel).value.value
             assert abs(got - classical_choquet_increments(values, mu_lookup(mu))) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["scalar", "interval", "vector"])
+    @pytest.mark.parametrize("spacing", [0.0, 2e-13, 5e-13, 1e-12, 2e-12, 3e-12, 1e-6])
+    def test_aggregate_agrees_with_the_comparator_sort(self, kind, spacing):
+        """Rows whose leads sit ``spacing`` apart, with exact ties: a row
+        with one admissible permutation under ``PermutationSet`` is folded
+        once along it, whichever path ``choquet_aggregate`` takes."""
+        order, addop = {"scalar": (ScalarUsual(), PLUS), "interval": (XU, IV_PLUS),
+                        "vector": (VectorLex((0, 1)), VV_PLUS)}[kind]
+        rng = random.Random(f"lead-{kind}-{spacing}")
+        single = 0
+        for r in range(120):
+            kernel = _kernel(("classical", "b-scale-d", "b1-x")[r % 3], kind, order)
+            base, width = rng.uniform(0.1, 0.8), rng.choice((0.0, 0.1))
+            offsets = [rng.randint(0, 3) * spacing for _ in range(rng.randint(2, 6))]
+            X = tuple({"scalar": lambda t: Scalar(base + t),
+                       "interval": lambda t: Interval(base + t, base + width + t),
+                       "vector": lambda t: Vector((base + t, rng.choice((0.2, 0.6)))),
+                       }[kind](t) for t in offsets)
+            mu = capacity_family("uniform-random", len(X), seed=rng.randint(0, 9999))
+            inp = AggregationInput(X, mu, order, addop)
+            perms = PermutationSet(X, order)
+            res = choquet_aggregate(inp, kernel)
+            assert res.permutations == perms.count
+            assert _bits(res.value) == _bits(choquet_eval(inp, kernel, perms.first()))
+            if perms.count == 1:
+                single += 1
+                assert res.checked == 1 and res.consistent
+        assert single > 0 or spacing <= TOL
 
 
 class TestEquivariance:

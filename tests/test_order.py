@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquetlike import (
-    INTERVAL, SCALAR, VECTOR, AlphaBeta, BadParameter, GridSpec, Interval,
+    INTERVAL, SCALAR, TOL, VECTOR, AlphaBeta, BadParameter, GridSpec, Interval,
     KindMismatch, PermutationSet, Scalar, ScalarUsual, Vector, VectorLex,
     check_admissibility, elements_equal, grid_elements, k_alpha, parse_order,
     partial_leq,
@@ -59,6 +59,18 @@ class TestElements:
             Vector(())
         with pytest.raises(BadParameter):
             Vector((0.2, -0.1))
+
+    @pytest.mark.parametrize("build", [
+        Scalar, lambda v: Interval(0.2, v), lambda v: Interval(v, v),
+        lambda v: Vector((0.5, v)), lambda v: Vector((v,))],
+        ids=["scalar", "interval-upper", "interval-both", "vector", "vector-1d"])
+    def test_infinite_components_refused(self, build):
+        # inf - inf is NaN, so a comparator would find two equal infinities
+        # greater than each other.
+        with pytest.raises(BadParameter, match="finite"):
+            build(float("inf"))
+        with pytest.raises(BadParameter):
+            build(-float("inf"))
 
     def test_kind_and_dim(self):
         for x, kind, dim in ((Scalar(0.3), SCALAR, 1), (Interval(0.1, 0.2), INTERVAL, 2),
@@ -143,6 +155,27 @@ class TestAdmissibleCompare:
         if partial_leq(x, z):
             assert xu.compare(x, z) <= 0
 
+
+    # Every grid of ``verify --suite order`` at its default resolution, the
+    # reversed vector priority, and the non-dyadic interval grid where
+    # alpha mixes tie within TOL.
+    @pytest.mark.parametrize("spec,grid", [
+        ("scalar", GridSpec(SCALAR, 8)), ("ab:0.5:1", GridSpec(INTERVAL, 4)),
+        ("ab:0:1", GridSpec(INTERVAL, 4)), ("ab:1:0", GridSpec(INTERVAL, 4)),
+        ("veclex:1,2", GridSpec(VECTOR, 4, dim=2)),
+        ("veclex:2,1", GridSpec(VECTOR, 4, dim=2)),
+        ("ab:0.5:1", GridSpec(INTERVAL, 10))])
+    def test_lead_settles_compare_beyond_tolerance(self, spec, grid):
+        order = parse_order(spec)
+        settled = 0
+        for x, z in itertools.product(grid_elements(grid), repeat=2):
+            d = order.lead(x) - order.lead(z)
+            if abs(d) > TOL:
+                settled += 1
+                assert order.compare(x, z) == (1 if d > 0 else -1), (x, z)
+        assert settled > 0
+        if grid.m == 10:  # leads that differ by no more than TOL exist here
+            assert order.lead(iv(0.1, 0.2)) != order.lead(iv(0.0, 0.3))
 
     def test_sort_agrees_with_compare_on_non_dyadic_grid(self):
         # The alpha mixes of [0.1, 0.2] and [0.0, 0.3] are 0.15000000000000002
