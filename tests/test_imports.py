@@ -59,10 +59,11 @@ def private_definitions(source: str) -> dict[str, int]:
     return defined
 
 
-def referenced_names(source: str) -> set[str]:
-    """Names read, attributes taken, and names imported anywhere in a module."""
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names read, attributes taken, and names imported anywhere in a
+    syntax tree."""
     used = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -73,7 +74,7 @@ def referenced_names(source: str) -> set[str]:
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
-    used = set().union(*map(referenced_names, sources.values()))
+    used = set().union(*(referenced_names(ast.parse(s)) for s in sources.values()))
     return [f"{module} line {line}: {name}" for module, source in sources.items()
             for name, line in private_definitions(source).items() if name not in used]
 
@@ -130,11 +131,7 @@ def reached_names(source: str, function: str) -> set[str]:
         if name in seen:
             continue
         seen.add(name)
-        for node in ast.walk(tops[name]):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                reached.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                reached.add(node.attr)
+        reached |= referenced_names(tops[name])
         todo += [n for n in reached if n in tops]
     return reached
 

@@ -155,7 +155,6 @@ class TestAdmissibleCompare:
         if partial_leq(x, z):
             assert xu.compare(x, z) <= 0
 
-
     # Every grid of ``verify --suite order`` at its default resolution, the
     # reversed vector priority, and the non-dyadic interval grid where
     # alpha mixes tie within TOL.
@@ -175,7 +174,7 @@ class TestAdmissibleCompare:
                 assert order.compare(x, z) == (1 if d > 0 else -1), (x, z)
         assert settled > 0
         if grid.m == 10:  # leads that differ by no more than TOL exist here
-            assert order.lead(iv(0.1, 0.2)) != order.lead(iv(0.0, 0.3))
+            assert 0 < abs(order.lead(iv(0.1, 0.2)) - order.lead(iv(0.0, 0.3))) <= TOL
 
     def test_sort_agrees_with_compare_on_non_dyadic_grid(self):
         # The alpha mixes of [0.1, 0.2] and [0.0, 0.3] are 0.15000000000000002
