@@ -18,7 +18,7 @@ from .capacity import (
     Capacity, capacity_family, capacity_from_table, mask_to_subset,
     subset_to_mask, tail_values,
 )
-from .datasets import Dataset, load_dataset, parse_dataset, serialize_dataset
+from .datasets import Dataset, load_dataset, parse_dataset
 from .dissimilarity import (
     DissimilarityFn, check_dissimilarity,
     check_telescoping, delta_covers_unit_range, lambda_alpha,

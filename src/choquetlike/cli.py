@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import verifier
 from .algebra import (
@@ -102,23 +103,37 @@ def cmd_aggregate(args) -> int:
         kernel_spec = json.loads(kernel_spec)
     kernel = kernel_catalog(kernel_spec, kind, order)
 
-    results = []
-    any_inconsistent = False
+    done = []
     for row_id, row in zip(ds.row_ids(), ds.rows):
         res = choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
-        any_inconsistent |= not res.consistent
-        results.append({
-            "id": row_id,
-            "value": res.value.to_json(),
-            "consistent": res.consistent,
-            "in_K": res.value.in_unit,
-            "permutations": res.permutations,
-        })
+        done.append((row_id, res.value, res.consistent, res.permutations))
 
-    _write(args, {"results": results}, ["id", "value", "consistent", "in_K"],
-           ([rec["id"], json.dumps(rec["value"]), rec["consistent"], rec["in_K"]]
-            for rec in results))
-    return 2 if any_inconsistent else 0
+    _write(args, lambda: _results_json(done), ["id", "value", "consistent", "in_K"],
+           ([row_id, json.dumps(value.to_json()), consistent, value.in_unit]
+            for row_id, value, consistent, _ in done))
+    return 0 if all(consistent for _, _, consistent, _ in done) else 2
+
+
+# One record of ``json.dumps({"results": [...]}, indent=2)``, and the list
+# that holds an interval or vector value inside it.
+_RECORD = ('    {\n      "id": %s,\n      "value": %s,\n      "consistent": %s,'
+           '\n      "in_K": %s,\n      "permutations": %d\n    }')
+_LIST = "[\n        %s\n      ]"
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _results_json(done) -> str:
+    """The bytes of ``json.dumps({"results": records}, indent=2)`` for the
+    rows ``(id, value, consistent, permutations)``, one template per row."""
+    records = []
+    for row_id, value, consistent, permutations in done:
+        v = value.to_json()
+        records.append(_RECORD % (
+            encode_basestring_ascii(row_id),
+            float.__repr__(v) if type(v) is float
+            else _LIST % ",\n        ".join(map(float.__repr__, v)),
+            _JSON_BOOL[consistent], _JSON_BOOL[value.in_unit], permutations))
+    return '{\n  "results": [\n' + ",\n".join(records) + "\n  ]\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +166,15 @@ def cmd_verify(args) -> int:
 
     payload = [dict(report.to_json(), suite=name) for name, report in tagged]
     columns = ["suite", "law", "verdict", "checked", "elapsed"]
-    _write(args, payload, columns, ([rec[c] for c in columns] for rec in payload))
+    _write(args, lambda: json.dumps(payload, indent=2), columns,
+           ([rec[c] for c in columns] for rec in payload))
     return 0 if all(report.passed for _, report in tagged) else 3
 
 
-def _write(args, obj, header, rows):
-    """Write ``obj`` as indented JSON, or ``header`` and ``rows`` as CSV
-    under ``--format csv``, to ``--output`` or else to stdout."""
+def _write(args, json_text, header, rows):
+    """Write ``json_text()``, or ``header`` and ``rows`` as CSV under
+    ``--format csv``, to ``--output``, or else to stdout with a newline
+    added if the text does not end in one."""
     if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
@@ -165,7 +182,7 @@ def _write(args, obj, header, rows):
         writer.writerows(rows)
         text = out.getvalue()
     else:
-        text = json.dumps(obj, indent=2)
+        text = json_text()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

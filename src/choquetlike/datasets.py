@@ -1,4 +1,4 @@
-"""Dataset ingestion and serialization.
+"""Dataset ingestion.
 
 Scalar datasets travel as CSV, one record per row; interval and vector
 datasets as JSON, each record a list of elements like
@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import BadParameter, DatasetFormatError, lookup
 from .order import (
-    INTERVAL, SCALAR, VECTOR, Element, element_from_json,
+    INTERVAL, SCALAR, VECTOR, Element, Scalar, element_from_json,
 )
 
 _NUMBER = (int, float)  # JSON numbers: a bool has its own type and is refused
@@ -80,15 +80,18 @@ def parse_dataset(text: str, kind: str) -> Dataset:
 
 def _build_row(r: int, cells, build) -> tuple[Element, ...]:
     """Row ``r`` (counted as ``Dataset`` counts rows), ``build`` applied to
-    each of its ``cells`` in turn; the first cell it refuses is named with
-    its position."""
-    row = []
-    for c, cell in enumerate(cells):
-        try:
-            row.append(build(cell))
-        except (ValueError, OverflowError, BadParameter) as exc:
-            raise DatasetFormatError(f"row {r}, column {c} (0-based): {exc}") from exc
-    return tuple(row)
+    each of its ``cells``; if it refuses one, the cells are walked again to
+    name the first refused cell with its position."""
+    try:
+        return tuple(map(build, cells))
+    except (ValueError, OverflowError, BadParameter):
+        for c, cell in enumerate(cells):
+            try:
+                build(cell)
+            except (ValueError, OverflowError, BadParameter) as exc:
+                raise DatasetFormatError(
+                    f"row {r}, column {c} (0-based): {exc}") from exc
+        raise
 
 
 def _parse_csv(text: str) -> Dataset:
@@ -96,8 +99,7 @@ def _parse_csv(text: str) -> Dataset:
     for record in csv.reader(io.StringIO(text)):
         if not record or all(not c.strip() for c in record):
             continue
-        rows.append(_build_row(len(rows), record,
-                               lambda c: element_from_json(SCALAR, float(c))))
+        rows.append(_build_row(len(rows), record, lambda c: Scalar(float(c))))
     return Dataset(SCALAR, tuple(rows))
 
 
@@ -111,7 +113,7 @@ def _parse_json(text: str, kind: str) -> Dataset:
         if "ids" in obj:
             if not isinstance(obj["ids"], list):
                 raise DatasetFormatError(f"ids must be a list, got {obj['ids']!r}")
-            ids = tuple(str(i) for i in obj["ids"])
+            ids = tuple(_row_id(i, ident) for i, ident in enumerate(obj["ids"]))
         kind = obj.get("kind", kind)
         obj = obj.get("rows", [])
     if not isinstance(obj, list):
@@ -131,6 +133,16 @@ def _parse_json(text: str, kind: str) -> Dataset:
     return Dataset(kind, tuple(rows), ids)
 
 
+def _row_id(i: int, ident) -> str:
+    """Id ``i`` of a JSON dataset: a string, or an integer's decimal string."""
+    if type(ident) is str:
+        return ident
+    if type(ident) is int:
+        return str(ident)
+    raise DatasetFormatError(
+        f"id {i} (0-based): {ident!r} is not a string or an integer")
+
+
 def load_dataset(path: str, kind: str) -> Dataset:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -139,17 +151,3 @@ def load_dataset(path: str, kind: str) -> Dataset:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
     return parse_dataset(text, kind)
 
-
-def serialize_dataset(ds: Dataset) -> str:
-    """Inverse of ``parse_dataset``: CSV for scalars, JSON otherwise."""
-    if ds.kind == SCALAR and ds.ids is None:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        for row in ds.rows:
-            writer.writerow([el.value for el in row])
-        return out.getvalue()
-    payload = {"kind": ds.kind,
-               "rows": [[el.to_json() for el in row] for row in ds.rows]}
-    if ds.ids is not None:
-        payload["ids"] = list(ds.ids)
-    return json.dumps(payload, indent=2)

@@ -10,33 +10,35 @@ import pytest
 from choquetlike import (
     Capacity, Dataset, DatasetFormatError, GridSpec, Interval, KernelL, Scalar,
     Vector, capacity_family, dissimilarity, parse_dataset, register_kernel,
-    serialize_dataset, verifier,
+    verifier,
 )
-from choquetlike.cli import main
+from choquetlike.cli import _results_json, main
 from choquetlike.reporting import MAX_GRID
 from oracles import classical_choquet_increments, mu_lookup
 
 
 class TestDatasets:
-    def test_csv_round_trip(self):
+    def test_csv_parse(self):
         ds = parse_dataset("0.2,0.5,0.9\n0.1,0.1,0.4\n", "scalar")
-        assert ds.kind == "scalar" and ds.n == 3 and len(ds.rows) == 2
-        again = parse_dataset(serialize_dataset(ds), "scalar")
-        assert again == ds
+        assert ds.kind == "scalar" and ds.n == 3 and ds.ids is None
+        assert ds.rows == ((Scalar(0.2), Scalar(0.5), Scalar(0.9)),
+                           (Scalar(0.1), Scalar(0.1), Scalar(0.4)))
 
-    def test_json_round_trip_intervals(self):
-        text = json.dumps([[[0.2, 0.4], [0.5, 0.7]], [[0.0, 0.0], [1.0, 1.0]]])
-        ds = parse_dataset(text, "interval")
-        assert ds.rows[0][0] == Interval(0.2, 0.4)
-        assert parse_dataset(serialize_dataset(ds), "interval") == ds
+    def test_json_parse_intervals(self):
+        ds = parse_dataset("[[[0.2, 0.4], [0.5, 0.7]], [[0, 0], [1, 1.0]]]",
+                           "interval")
+        assert ds.kind == "interval" and ds.n == 2 and ds.ids is None
+        assert ds.rows == ((Interval(0.2, 0.4), Interval(0.5, 0.7)),
+                           (Interval(0.0, 0.0), Interval(1.0, 1.0)))
 
-    def test_json_round_trip_vectors_with_ids(self):
-        payload = {"kind": "vector", "ids": ["a", "b"],
-                   "rows": [[[0.2, 0.4], [0.5, 0.7]], [[0, 0], [1, 1]]]}
-        ds = parse_dataset(json.dumps(payload), "vector")
-        assert ds.rows[0][0] == Vector((0.2, 0.4))
-        assert ds.row_ids() == ["a", "b"]
-        assert parse_dataset(serialize_dataset(ds), "vector") == ds
+    def test_json_parse_vectors_with_ids(self):
+        ds = parse_dataset('{"kind": "vector", "ids": ["a", 7], '
+                           '"rows": [[[0.2, 0.4], [0.5, 0.7]], [[0, 0], [1, 1]]]}',
+                           "vector")
+        assert ds.kind == "vector" and ds.n == 2
+        assert ds.rows == ((Vector((0.2, 0.4)), Vector((0.5, 0.7))),
+                           (Vector((0.0, 0.0)), Vector((1.0, 1.0))))
+        assert ds.row_ids() == ["a", "7"]
 
     def test_malformed_inputs(self):
         with pytest.raises(DatasetFormatError):
@@ -49,6 +51,14 @@ class TestDatasets:
             parse_dataset('{"rows": [[[0.1, 0.2], [0.3, 0.4]]], "ids": 5}', "interval")
         with pytest.raises(DatasetFormatError):
             parse_dataset("[[]]", "interval")
+        # An id is a JSON string or an integer; anything else is named by
+        # its index.
+        for ids, where in (("[null]", "id 0"), ('["a", true]', "id 1"),
+                           ('["a", "b", {"a": 1}]', "id 2"), ('[1.0]', "id 0"),
+                           ('[["a"]]', "id 0")):
+            with pytest.raises(DatasetFormatError, match=where):
+                parse_dataset('{"rows": [[0.1], [0.2], [0.3]], "ids": %s}' % ids,
+                              "scalar")
         # A JSON cell is a number, or a list of numbers (two for an
         # interval); strings, booleans and objects are refused where they sit.
         for text, kind, where in (
@@ -74,10 +84,29 @@ class TestDatasets:
                 ("[[0.1, 0.2], 5]", "scalar", r"row 1 \(0-based\): 5 is not a list"),
                 # Rows of another arity, and cells of another carrier dimension.
                 ("0.1,0.2\n0.3\n", "scalar", r"row 1 \(0-based\)"),
+                # Cells are refused as rows are read, and row lengths compared
+                # after: a bad cell in a later row is named before a short row.
+                ("0.1,0.2\n0.3\n0.5,x\n", "scalar", "row 2, column 1"),
                 ('[[[0.1, 0.2]], [[0.1]]]', "vector", "row 1, column 0"),
                 ('[[[0.1, 0.2], [0.3]]]', "vector", "row 0, column 1")):
             with pytest.raises(DatasetFormatError, match=where):
                 parse_dataset(text, kind)
+        # The whole message of a refused cell in the last column of a row.
+        for text, kind, message in (
+                ("0.1,0.2,0.3,0.4,-0.5\n", "scalar",
+                 "row 0, column 4 (0-based): scalar value must be nonnegative, "
+                 "got -0.5"),
+                ("0.1,0.2,0.3,0.4,0.5\n0.1,0.2,0.3,0.4,x\n", "scalar",
+                 "row 1, column 4 (0-based): could not convert string to float: 'x'"),
+                ("[[[0.1, 0.2], [0.1, 0.2], [0.1, 0.2], [0.1, 0.2], [0.5, 0.2]]]",
+                 "interval",
+                 "row 0, column 4 (0-based): interval endpoints out of order: "
+                 "[0.5, 0.2]"),
+                ('[[0.1, 0.2, 0.3, 0.4, "0.5"]]', "scalar",
+                 "row 0, column 4 (0-based): '0.5' is not a number")):
+            with pytest.raises(DatasetFormatError) as exc:
+                parse_dataset(text, kind)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("text,kind,where", [
         ("0.1,0.2\n0.1,1.5\n", "scalar", "row 1, column 1"),
@@ -170,6 +199,96 @@ class TestAggregateCommand:
                              / "aggregate_golden.json").read_text())[case]
         assert code == golden["exit"]
         assert capsys.readouterr().out.encode() == golden["stdout"].encode()
+
+    @pytest.mark.parametrize("done", [
+        [("0", Scalar(0.5), True, 1)],
+        [("a", Interval(0.1, 0.30000000000000004), True, 1),
+         ("b", Interval(0.0, 0.0), False, 4)],
+        [("1-d", Vector((0.25,)), True, 1), ("3-d", Vector((0.1, 0.2, 1 / 3)), True, 6)],
+        [("-0", Scalar(-0.0), True, 1), ("tiny", Scalar(5e-324), True, 1),
+         ("big", Scalar(1e16), True, 1), ("sum", Scalar(1.25), False, 2),
+         ("wide", Interval(0.5, 1.5), True, 1), ("far", Vector((2.0, 1e16)), True, 1)],
+        [('q"uote', Scalar(0.1), True, 1), ("back\\slash", Scalar(0.2), True, 1),
+         ("n\u00e4\u4e2d\U0001f600", Scalar(0.3), False, 3),
+         ("\n\t\x00\x7f", Scalar(1.0), True, 1)],
+    ])
+    def test_json_writer_matches_json_dumps(self, done):
+        """The per-row template gives the bytes of ``json.dumps(indent=2)``."""
+        assert _results_json(done) == json.dumps({"results": [
+            {"id": row_id, "value": value.to_json(), "consistent": consistent,
+             "in_K": value.in_unit, "permutations": permutations}
+            for row_id, value, consistent, permutations in done]}, indent=2)
+
+    def test_stdout_is_json_dumps_of_its_records(self, tmp_path, capsys):
+        # Ids with a quote, a backslash and non-ASCII characters, a tied row
+        # the sq-diff kernel aggregates inconsistently, and an integer id.
+        data = tmp_path / "rows.json"
+        data.write_text(json.dumps({"kind": "scalar",
+                                    "ids": ['say "hi"', "C:\\tmp", "\u00e9t\u00e9", 12],
+                                    "rows": [[0.2, 0.5, 0.5], [0.3, 0.3, 0.3],
+                                             [0.1, 0.7, 0.4], [0.9, 0.0, 1.0]]}))
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps(_TABLE3))
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
+                     "--kernel", '{"family": "delta-scale", "delta": "sq-diff"}'])
+        assert code == 2
+        out = capsys.readouterr().out
+        results = json.loads(out)["results"]
+        assert out == json.dumps({"results": results}, indent=2) + "\n"
+        assert [r["id"] for r in results] == ['say "hi"', "C:\\tmp", "\u00e9t\u00e9", "12"]
+        assert [r["permutations"] for r in results] == [2, 6, 1, 1]
+        assert [r["consistent"] for r in results] == [False, False, True, True]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_file_is_stdout_without_the_newline(self, scalar_files, capsys,
+                                                       fmt):
+        """``--output`` gets the text that stdout gets, less the newline that
+        ends stdout when the text does not end in one (JSON)."""
+        data, cap, out = scalar_files
+        argv = ["aggregate", "--input", str(data), "--capacity", str(cap),
+                "--format", fmt]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--output", str(out)]) == 0
+        written = out.read_bytes().decode()
+        assert capsys.readouterr().out == ""
+        if fmt == "json":
+            assert stdout == written + "\n"
+        else:
+            assert stdout == written and written.endswith("\r\n")
+
+    def test_error_in_the_last_row_writes_nothing(self, tmp_path, capsys):
+        # Rows 0 and 1 aggregate; row 2 has 17 tied inputs and is refused.
+        data = tmp_path / "rows.csv"
+        data.write_text("".join(",".join([str((i + r) / 40) for i in range(17)]) + "\n"
+                                for r in range(2)) + ",".join(["0.5"] * 17) + "\n")
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps({"n": 17, "kind": "cardinality"}))
+        out = tmp_path / "out.json"
+        for output in (["--output", str(out)], []):
+            code = main(["aggregate", "--input", str(data), "--capacity", str(cap)]
+                        + output)
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert json.loads(captured.err)["error"]["type"] == "TooManyTies"
+
+    def test_id_that_is_no_string_or_integer_exit_one(self, tmp_path, capsys):
+        data = tmp_path / "rows.json"
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps({"n": 1, "kind": "cardinality"}))
+        for ids in ([None, "b"], ["a", True], ["a", {"a": 1}], [1.5, "b"]):
+            data.write_text(json.dumps({"kind": "scalar", "ids": ids,
+                                        "rows": [[0.1], [0.2]]}))
+            code = main(["aggregate", "--input", str(data), "--capacity", str(cap)])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)["error"]
+            assert err["type"] == "DatasetFormatError"
+            bad = 0 if ids[0] != "a" else 1
+            assert err["message"] == (f"id {bad} (0-based): {ids[bad]!r} is not "
+                                      "a string or an integer")
 
     def test_scalar_rows_match_reference_sums(self, scalar_files):
         data, cap, out = scalar_files
