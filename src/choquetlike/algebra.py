@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import BadParameter, KindMismatch, ScaleOutOfRange
@@ -53,6 +54,27 @@ def add(op: AdditionOp, x: Element, z: Element) -> Element:
     if x.kind != op.kind:
         raise KindMismatch(f"operation {op.name!r} expects {op.kind} operands")
     return op.fn(x, z)
+
+
+def _memoized(fn):
+    """``fn(x, z, *weights)``, for two elements and float weights, with a
+    memo that lives for one case enumeration: create it when the
+    enumeration starts, never at module level, so that each distinct call
+    reaches ``fn`` once per enumeration. The key is each operand's ``kind``
+    and component tuple, plus the weights, so operands of two carriers
+    never share an entry and ``add`` still raises ``KindMismatch`` between
+    them. ``-0.0`` and ``0.0`` share a key: every comparison treats them
+    as equal, and grid values are never ``-0.0``."""
+    memo = {}
+
+    def once(x, z, *weights):
+        key = (x.kind, x.components, z.kind, z.components, weights)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fn(x, z, *weights)
+        return value
+
+    return once
 
 
 def unit_coefficient(c: float) -> float:
@@ -134,9 +156,10 @@ def check_associativity(op: AdditionOp, grid: GridSpec) -> LawReport:
     elems = grid_elements(grid)
 
     def cases():
-        sums = [[add(op, x, y) for y in elems] for x in elems]  # sums[i][j] = x_i + x_j
+        plus = _memoized(partial(add, op))
+        sums = [[plus(x, y) for y in elems] for x in elems]  # sums[i][j] = x_i + x_j
         for (i, x), (j, y), (k, z) in itertools.product(enumerate(elems), repeat=3):
-            yield None if elements_equal(add(op, sums[i][j], z), add(op, x, sums[j][k])) \
+            yield None if elements_equal(plus(sums[i][j], z), plus(x, sums[j][k])) \
                 else {"x": x, "y": y, "z": z}
 
     return run_law("associativity", cases(), op=op.name)
@@ -147,10 +170,11 @@ def check_cancellation(op: AdditionOp, grid: GridSpec) -> LawReport:
     elems = grid_elements(grid)
 
     def cases():
+        plus = _memoized(partial(add, op))
         for x1, x2 in itertools.combinations(elems, 2):
             for v in elems:
-                s = add(op, x1, v)
-                if elements_equal(s, add(op, x2, v)):
+                s = plus(x1, v)
+                if elements_equal(s, plus(x2, v)):
                     yield {"x1": x1, "x2": x2, "v": v, "sum": s}
                 else:
                     yield None
@@ -169,13 +193,14 @@ def check_compatibility(op: AdditionOp, order: AdmissibleOrder,
     elems = grid_elements(grid)
 
     def cases():
+        plus = _memoized(partial(add, op))
         weak_fails = False
         for x1, x2 in itertools.product(elems, repeat=2):
             c = order.compare(x1, x2)
             if c > 0:
                 continue
             for v in elems:
-                lhs, rhs = add(op, x1, v), add(op, x2, v)
+                lhs, rhs = plus(x1, v), plus(x2, v)
                 cs = order.compare(lhs, rhs)
                 if c < 0 and cs >= 0:
                     yield {"x1": x1, "x2": x2, "v": v, "lhs": lhs, "rhs": rhs}
@@ -244,6 +269,7 @@ def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
         by_diff.setdefault(key, []).append((i, j))
 
     def cases():
+        plus = _memoized(partial(add, addop))
         bpairs = [(b1, b2) for b1 in coeffs for b2 in coeffs if b2 <= b1 + TOL]
         scaled = {b: [scale(mul, b, x) for x in elems] for b in coeffs}
         for i1, i2 in upairs:
@@ -251,13 +277,13 @@ def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
             key = tuple(round(a - b, 9) for a, b in zip(u2.components, u1.components))
             for j1, j2 in by_diff.get(key, ()):
                 v1, v2 = elems[j1], elems[j2]
-                cross = add(addop, u1, v2)
+                cross = plus(u1, v2)
                 if not cross.in_unit:
                     continue
                 for b1, b2 in bpairs:
                     s1, s2 = scaled[b1], scaled[b2]
-                    lhs = add(addop, s1[i1], s2[j2])
-                    rhs = add(addop, s1[i2], s2[j1])
+                    lhs = plus(s1[i1], s2[j2])
+                    rhs = plus(s1[i2], s2[j1])
                     yield None if order.compare(lhs, rhs) <= 0 else {
                         "b1": b1, "b2": b2, "u1": u1, "u2": u2,
                         "v1": v1, "v2": v2, "lhs": lhs, "rhs": rhs}

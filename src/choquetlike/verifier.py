@@ -17,11 +17,12 @@ capacity battery, not over all capacities.
 from __future__ import annotations
 
 import itertools
+from functools import partial, reduce
 from time import perf_counter
 from typing import Optional
 
 from .algebra import (
-    AdditionOp, add, check_cancellation, check_compatibility, fold_add,
+    AdditionOp, _memoized, add, check_cancellation, check_compatibility, fold_add,
 )
 from .capacity import MAX_N, Capacity, capacity_family
 from .dissimilarity import check_dissimilarity, projected_dissimilarity, resolve_delta
@@ -53,6 +54,12 @@ def _tagged(cases, **tag):
         yield witness if witness is None else dict(witness, **tag)
 
 
+def _terms(kernel, addop):
+    """The kernel's ``evaluate`` and the addition, each memoized for one
+    case enumeration; a nested sub-enumeration shares its caller's."""
+    return _memoized(kernel.evaluate), _memoized(partial(add, addop))
+
+
 def _nondecreasing(order, chain, H, context):
     """One case per chain element: H must not decrease along the chain."""
     prev_x = prev_v = None
@@ -82,10 +89,11 @@ def check_wd(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
                    kernel=kernel.name, note=_RESOLUTION_NOTE.format(m=grid.m))
 
 
-def _wd_cases(kernel, addop, order, n, grid):
+def _wd_cases(kernel, addop, order, n, grid, terms=None):
     if not 2 <= n <= MAX_N:
         raise BadParameter(f"well-definedness is defined for n in 2..{MAX_N}, got {n}")
     _require(check_cancellation(addop, grid), "addition cancellation")
+    L, plus = terms or _terms(kernel, addop)
     elems = order.sort(grid_elements(grid))
     coeffs = unit_grid(grid.m)
     zero = zero_element(grid.kind, grid.dim)
@@ -94,8 +102,7 @@ def _wd_cases(kernel, addop, order, n, grid):
         base = None
         base_c = None
         for c in cs:
-            val = add(addop, kernel.evaluate(x1, x2, b1, c),
-                      kernel.evaluate(x1, x1, c, b2))
+            val = plus(L(x1, x2, b1, c), L(x1, x1, c, b2))
             if base is None:
                 base, base_c = val, c
             yield None if elements_equal(val, base) else {
@@ -140,11 +147,12 @@ def check_monotonicity(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrde
                    n=n, kernel=kernel.name, note=_RESOLUTION_NOTE.format(m=grid.m))
 
 
-def _monotonicity_cases(kernel, addop, order, n, grid):
+def _monotonicity_cases(kernel, addop, order, n, grid, terms=None):
     if not 2 <= n <= MAX_N:
         raise BadParameter(f"monotonicity is defined for n in 2..{MAX_N}, got {n}")
     _require(check_compatibility(addop, order, grid), "strict compatibility")
-    yield from _tagged(_wd_cases(kernel, addop, order, n, grid), condition="a:wd")
+    L, plus = terms = terms or _terms(kernel, addop)
+    yield from _tagged(_wd_cases(kernel, addop, order, n, grid, terms), condition="a:wd")
     elems = order.sort(grid_elements(grid))
     coeffs = unit_grid(grid.m)
     zero = zero_element(grid.kind, grid.dim)
@@ -159,8 +167,7 @@ def _monotonicity_cases(kernel, addop, order, n, grid):
                 named = {"b": b1} if n == 2 else {"b1": b1, "b2": b2}
                 yield from _nondecreasing(
                     order, elems[:j + 1],
-                    lambda x: add(addop, kernel.evaluate(x, zero, 1.0, b1),
-                                  kernel.evaluate(v, x, b1, b2)),
+                    lambda x: plus(L(x, zero, 1.0, b1), L(v, x, b1, b2)),
                     {"condition": "b:lower-pair", "v": v, **named})
     if n >= 3:
         # x in [u, v] |-> L(x, u, b1, b2) + L(v, x, b2, b3), over u <= v and
@@ -173,15 +180,14 @@ def _monotonicity_cases(kernel, addop, order, n, grid):
                     for b3 in b3s:
                         yield from _nondecreasing(
                             order, elems[i:j + 1],
-                            lambda x: add(addop, kernel.evaluate(x, u, b1, b2),
-                                          kernel.evaluate(v, x, b2, b3)),
+                            lambda x: plus(L(x, u, b1, b2), L(v, x, b2, b3)),
                             {"condition": "inner-pair", "u": u, "v": v,
                              "b1": b1, "b2": b2, "b3": b3})
     # x in [u, 1] |-> L(x, u, b, 0): the common final condition.
     for i, u in enumerate(elems):
         for b in coeffs:
             yield from _nondecreasing(
-                order, elems[i:], lambda x: kernel.evaluate(x, u, b, 0.0),
+                order, elems[i:], lambda x: L(x, u, b, 0.0),
                 {"condition": "upper-tail", "u": u, "b": b})
 
 
@@ -202,20 +208,19 @@ def check_aggregation(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder
     one = one_element(grid.kind, grid.dim)
 
     def cases():
-        yield from _tagged(_monotonicity_cases(kernel, addop, order, n, grid),
+        L, plus = terms = _terms(kernel, addop)
+        yield from _tagged(_monotonicity_cases(kernel, addop, order, n, grid, terms),
                            failed_condition="monotonicity")
         coeffs = unit_grid(grid.m)
         for mids in itertools.combinations_with_replacement(
                 sorted(coeffs, reverse=True), n - 1):
             b = (1.0,) + mids + (0.0,)
-            zsum = fold_add(addop, [kernel.evaluate(zero, zero, b[i], b[i + 1])
-                                    for i in range(n)])
+            zsum = reduce(plus, [L(zero, zero, b[i], b[i + 1]) for i in range(n)])
             yield None if elements_equal(zsum, zero) else {
                 "failed_condition": "zero-boundary", "b_chain": list(b),
                 "value": zsum, "expected": zero}
-            terms = [kernel.evaluate(one, zero, b[0], b[1])]
-            terms += [kernel.evaluate(one, one, b[i], b[i + 1]) for i in range(1, n)]
-            osum = fold_add(addop, terms)
+            osum = reduce(plus, [L(one, zero, b[0], b[1])]
+                          + [L(one, one, b[i], b[i + 1]) for i in range(1, n)])
             yield None if elements_equal(osum, one) else {
                 "failed_condition": "one-boundary", "b_chain": list(b),
                 "value": osum, "expected": one}

@@ -552,18 +552,26 @@ class TestVerifyCommand:
                      "--output", str(out)])
         assert code == 3
 
-    def test_all_suites_match_snapshot(self, tmp_path):
-        """Every report of ``verify --suite all --grid 2`` but its elapsed
-        time, key order included, against the stored snapshot."""
+    @staticmethod
+    def assert_all_suites_match(tmp_path, grid, snapshot):
         out = tmp_path / "all.json"
-        code = main(["verify", "--suite", "all", "--grid", "2",
-                     "--output", str(out)])
+        code = main(["verify", "--suite", "all", *grid, "--output", str(out)])
         assert code == 3
         reports = json.loads(out.read_text())
         for rec in reports:
             assert rec.pop("elapsed") >= 0.0
-        snapshot = Path(__file__).parent / "data" / "verify_all_grid2.json"
+        snapshot = Path(__file__).parent / "data" / snapshot
         assert json.dumps(reports) == json.dumps(json.loads(snapshot.read_text()))
+
+    def test_all_suites_match_snapshot(self, tmp_path):
+        """Every report of ``verify --suite all --grid 2`` but its elapsed
+        time, key order included, against the stored snapshot."""
+        self.assert_all_suites_match(tmp_path, ["--grid", "2"], "verify_all_grid2.json")
+
+    def test_all_suites_match_default_grid_snapshot(self, tmp_path):
+        """The same at the default grid, the only one that runs the m=4
+        vector algebra checks."""
+        self.assert_all_suites_match(tmp_path, [], "verify_all_default.json")
 
     def test_n_flag_overrides_the_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,8 @@ private name is used by some module of the package, and law reports are
 built in one place: ``reporting.run_law``, with ``oracle_crosscheck``,
 which adds up the reports of other checks, the one exception. The
 brute-force oracles of ``verifier.py`` take their permutations from the
-comparator, never from an order's ``lead``."""
+comparator, never from an order's ``lead``, and never memoize the
+addition or the kernel."""
 
 import ast
 from pathlib import Path
@@ -151,3 +152,20 @@ def test_oracles_stay_on_the_comparator(oracle):
     reached = reached_names((PACKAGE / "verifier.py").read_text(encoding="utf-8"), oracle)
     assert {"PermutationSet", "_eval_sorted"} <= reached
     assert not reached & {"lead", "_strict_chain", "choquet_aggregate", "_Fold"}
+
+
+# The law checks memoize the addition and the kernel within one case
+# enumeration; the oracles that check them call both afresh.
+MEMO_HELPERS = {"_memoized", "_terms"}
+
+
+@pytest.mark.parametrize("oracle", ["brute_force_wd", "brute_force_monotonicity",
+                                    "_value_table", "_spot_check_consistency"])
+def test_oracles_never_memoize(oracle):
+    reached = reached_names((PACKAGE / "verifier.py").read_text(encoding="utf-8"), oracle)
+    assert reached and not reached & MEMO_HELPERS
+
+
+def test_test_oracles_never_memoize():
+    source = (Path(__file__).resolve().parent / "oracles.py").read_text(encoding="utf-8")
+    assert not referenced_names(ast.parse(source)) & MEMO_HELPERS

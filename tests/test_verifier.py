@@ -2,16 +2,19 @@
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from choquetlike import (
-    AggregationInput, AlphaBeta, BOUNDED_SUM, GridSpec, HypothesisViolated,
-    IV_PLUS, KernelL, MIN_OP, PLUS, Scalar, ScalarUsual,
-    add, brute_force_wd, capacity_battery, check_aggregation,
-    check_delta_decomposition, check_jensen_f, check_monotonicity,
-    check_wd, classical_kernel, elements_equal, grid_elements,
-    kernel_catalog, oracle_crosscheck, scale, scale_for, zero_element,
+    AdditionOp, AggregationInput, AlphaBeta, BOUNDED_SUM, GridSpec,
+    HypothesisViolated, IV_PLUS, KernelL, KindMismatch, MIN_OP, PLUS, Scalar,
+    ScalarUsual, VV_PLUS, VV_SCALE, Vector, VectorLex, add, brute_force_wd,
+    capacity_battery, check_aggregation, check_associativity, check_c1,
+    check_cancellation, check_compatibility, check_delta_decomposition,
+    check_jensen_f, check_monotonicity, check_wd, classical_kernel,
+    elements_equal, grid_elements, kernel_catalog, oracle_crosscheck, scale,
+    scale_for, zero_element,
 )
 from choquetlike.reporting import run_law
 
@@ -158,6 +161,65 @@ class TestJensenF:
         report = check_jensen_f(F, PLUS, SG, n=3)
         assert not report.passed
         assert report.witness["failed_condition"] == "one-boundary"
+
+
+def counted(fn):
+    """``fn``, and a count of its calls per operand key: each element's
+    kind and components, each float as it is."""
+    calls = Counter()
+
+    def call(*args):
+        calls[tuple((a.kind, a.components) if hasattr(a, "kind") else a
+                    for a in args)] += 1
+        return fn(*args)
+
+    return call, calls
+
+
+VG4 = GridSpec("vector", 4, dim=2)
+VLEX = VectorLex((0, 1))
+
+
+class TestOncePerCheck:
+    """Within one law check, the addition and the kernel see each distinct
+    operand tuple once; a second run of the check pays its own calls."""
+
+    @pytest.mark.parametrize("check", [
+        lambda op: check_associativity(op, VG4),
+        lambda op: check_cancellation(op, VG4),
+        lambda op: check_compatibility(op, VLEX, VG4),
+        lambda op: check_c1(VV_SCALE, op, VLEX, VG4),
+    ], ids=["associativity", "cancellation", "compatibility", "c1"])
+    def test_addition(self, check):
+        fn, calls = counted(VV_PLUS.fn)
+        op = AdditionOp("counted-vv-plus", "vector", fn)
+        first = check(op)
+        assert first.passed and calls and max(calls.values()) == 1
+        total = sum(calls.values())
+        calls.clear()
+        assert check(op).checked == first.checked
+        assert sum(calls.values()) == total
+
+    @pytest.mark.parametrize("check", [check_wd, check_monotonicity, check_aggregation])
+    def test_kernel(self, check):
+        fn, calls = counted(lambda x, prev, b1, b2: Scalar((b1 - b2) * x.value))
+        kernel = KernelL(fn, "counted-weight-difference")
+        first = check(kernel, PLUS, ScalarUsual(), 3, SG)
+        assert first.passed and calls and max(calls.values()) == 1
+        total = sum(calls.values())
+        calls.clear()
+        assert check(kernel, PLUS, ScalarUsual(), 3, SG).checked == first.checked
+        assert sum(calls.values()) == total
+
+    def test_carriers_stay_apart(self):
+        # x + y lands on another carrier, so (x + y) + z mixes two. Every
+        # x + y has the components of a grid element, so a memo keyed on
+        # components alone would answer each (x + y) + z from a grid pair
+        # and hide the mismatch.
+        op = AdditionOp("min-to-vector", "scalar",
+                        lambda x, z: Vector((min(x.value, z.value),)))
+        with pytest.raises(KindMismatch):
+            check_associativity(op, SG)
 
 
 class TestBruteForceAndOracle:
