@@ -9,21 +9,15 @@ defined, monotone, or an aggregation function.
 
 from .algebra import (
     BOUNDED_SUM, IV_PLUS, IV_SCALE, MIN_OP, PLUS, TIMES, VV_PLUS, VV_SCALE,
-    AdditionOp, MultiplicationOp, add, addition_for, check_associativity,
-    check_c1, check_cancellation, check_closure, check_commutativity,
-    check_compatibility, check_distributivity, check_zero_sum, fold_add,
-    scale, scale_for,
+    AdditionOp, add, addition_for, check_associativity, check_c1,
+    check_cancellation, check_commutativity, check_compatibility,
+    check_distributivity, scale, scale_for,
 )
-from .capacity import (
-    Capacity, capacity_family, capacity_from_table, mask_to_subset,
-    subset_to_mask, tail_values,
-)
-from .datasets import Dataset, load_dataset, parse_dataset
+from .capacity import Capacity, capacity_family, capacity_from_table, tail_values
+from .datasets import load_dataset, parse_dataset
 from .dissimilarity import (
-    DissimilarityFn, check_dissimilarity,
-    check_telescoping, delta_covers_unit_range, lambda_alpha,
-    resolve_dissimilarity, takac_counterexample, takac_dissimilarity,
-    takac_dissimilarity_fn,
+    DissimilarityFn, check_dissimilarity, check_telescoping, lambda_alpha,
+    resolve_dissimilarity, takac_counterexample, takac_dissimilarity_fn,
 )
 from .errors import (
     AlphaOutOfRange, BadBoundary, BadParameter, ChoquetlikeError,
@@ -33,16 +27,15 @@ from .errors import (
     UnknownKernel,
 )
 from .operator import (
-    AggregateResult, AggregationInput, KernelL, PermutationSet,
-    affine_f_kernel, b_scale_d_kernel,
+    AggregationInput, KernelL, PermutationSet, affine_f_kernel, b_scale_d_kernel,
     choquet_aggregate, choquet_eval, classical_kernel, delta_scale_kernel,
     f_difference_kernel, kernel_catalog, register_kernel,
 )
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, AlphaBeta, Element,
     Interval, Scalar, ScalarUsual, Vector, VectorLex, check_admissibility,
-    element_from_json, elements_equal, grid_elements, k_alpha, one_element,
-    parse_order, partial_leq, unit_grid, zero_element,
+    element_from_json, elements_equal, grid_elements, k_alpha, parse_order,
+    partial_leq, unit_grid, zero_element,
 )
 from .reporting import GridSpec, LawReport
 from .verifier import (

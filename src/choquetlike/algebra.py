@@ -18,7 +18,6 @@ from .errors import BadParameter, KindMismatch, ScaleOutOfRange
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, Element, Interval, Scalar,
     Vector, elements_equal, grid_elements, require_same_carrier, unit_grid,
-    zero_element,
 )
 from .reporting import GridSpec, LawReport, run_law
 
@@ -91,16 +90,6 @@ def scale(op: MultiplicationOp, c: float, x: Element) -> Element:
     if x.kind != op.kind:
         raise KindMismatch(f"operation {op.name!r} expects {op.kind} operands")
     return op.fn(c, x)
-
-
-def fold_add(op: AdditionOp, terms) -> Element:
-    terms = list(terms)
-    if not terms:
-        raise BadParameter("cannot fold an empty term list")
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = add(op, acc, t)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -290,29 +279,3 @@ def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
 
     return run_law("c1", cases(), mul=mul.name, add=addop.name,
                    order=order.spec_string())
-
-
-def check_closure(op: AdditionOp, grid: GridSpec) -> LawReport:
-    """Whether the addition restricted to the bounded set stays inside it.
-
-    The shipped componentwise additions are not closed; this predicate is
-    exposed rather than assumed anywhere.
-    """
-    elems = grid_elements(grid)
-
-    def cases():
-        for x, z in itertools.combinations_with_replacement(elems, 2):
-            s = add(op, x, z)
-            yield None if s.in_unit else {"x": x, "z": z, "sum": s}
-
-    return run_law("closure", cases(), op=op.name)
-
-
-def check_zero_sum(op: AdditionOp, grid: GridSpec) -> LawReport:
-    """u + v equal to the least element must force u = v = least element."""
-    elems = grid_elements(grid)
-    zero = zero_element(grid.kind, grid.dim)
-    return run_law("zero-sum", (
-        {"u": u, "v": v} if elements_equal(add(op, u, v), zero)
-        and not (elements_equal(u, zero) and elements_equal(v, zero)) else None
-        for u, v in itertools.combinations_with_replacement(elems, 2)), op=op.name)

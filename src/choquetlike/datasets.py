@@ -14,24 +14,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from .errors import BadParameter, DatasetFormatError, lookup
-from .order import (
-    INTERVAL, SCALAR, VECTOR, Element, Scalar, element_from_json,
-)
-
-_NUMBER = (int, float)  # JSON numbers: a bool has its own type and is refused
-
-# What a JSON cell of each carrier must be, and its description.
-_JSON_CELLS = {
-    SCALAR: (lambda cell: type(cell) in _NUMBER, "a number"),
-    INTERVAL: (lambda cell: type(cell) is list and len(cell) == 2
-               and type(cell[0]) in _NUMBER and type(cell[1]) in _NUMBER,
-               "a list of two numbers"),
-    VECTOR: (lambda cell: type(cell) is list
-             and all(type(v) in _NUMBER for v in cell), "a list of numbers"),
-}
+from .errors import BadParameter, DatasetFormatError
+from .order import SCALAR, Element, Scalar, element_builder, element_from_json
 
 
 @dataclass(frozen=True)
@@ -118,13 +105,8 @@ def _parse_json(text: str, kind: str) -> Dataset:
         obj = obj.get("rows", [])
     if not isinstance(obj, list):
         raise DatasetFormatError("expected a list of rows")
-    is_cell, what = lookup(_JSON_CELLS, kind, "carrier kind")
-
-    def build(cell):
-        if not is_cell(cell):
-            raise BadParameter(f"{cell!r} is not {what}")
-        return element_from_json(kind, cell)
-
+    element_builder(kind)  # refuses an unknown carrier kind before any row
+    build = partial(element_from_json, kind)
     rows = []
     for r, row in enumerate(obj):
         if type(row) is not list:

@@ -228,13 +228,6 @@ def _takac_term(alpha: float, m_d, delta_d):
     return term
 
 
-def takac_dissimilarity(x: Interval, y: Interval, alpha: float,
-                        m_d, delta_d) -> Interval:
-    """Interval dissimilarity determined by two coordinates (see
-    ``_takac_term``)."""
-    return Interval(*_takac_term(alpha, m_d, delta_d)(x.components, y.components))
-
-
 def takac_dissimilarity_fn(alpha: float, m_d, delta_d) -> DissimilarityFn:
     m_name = m_d if isinstance(m_d, str) else "custom"
     d_name = delta_d if isinstance(delta_d, str) else "custom"

@@ -13,12 +13,14 @@ as L(current, previous, b1, b2) and may ignore any of its arguments.
 The same formula holds on every carrier, and the shipped kernels and
 additions work component by component. So each catalog kernel is
 defined once, on component tuples, and ``KernelL.evaluate`` lifts it to
-elements. ``choquet_aggregate`` folds each row on component tuples,
-checks every kernel term as ``evaluate`` checks its output, and builds
-one element per row; a custom kernel or addition, defined on elements,
-is lifted to components there. ``_eval_sorted`` folds on elements and
-stays the reference that ``choquet_eval`` and the brute-force oracles
-call.
+elements; an element function it is built from (a callable ``C`` or
+``D``, a dissimilarity without a component form) is lifted to tuples by
+``_on_components``. ``choquet_aggregate`` folds each row on component
+tuples, checks every kernel term as ``evaluate`` checks its output, and
+builds one element per row; a custom kernel or an addition defined on
+elements alone is lifted to components there. ``_eval_sorted`` folds on
+elements and stays the reference that ``choquet_eval`` and the
+brute-force oracles call.
 
 A row whose inputs are pairwise strictly ordered has one admissible
 permutation. ``choquet_aggregate`` finds such rows from one float per
@@ -37,9 +39,7 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Callable, Optional
 
-from .algebra import (
-    AdditionOp, add, addition_for, scale, scale_for, unit_coefficient,
-)
+from .algebra import AdditionOp, scale_for, unit_coefficient
 from .capacity import Capacity, _tail_weights
 from .dissimilarity import DissimilarityFn, resolve_delta, resolve_dissimilarity
 from .errors import (
@@ -70,8 +70,10 @@ class KernelL:
     component tuples of the carrier ``kind``, returning a tuple and
     checking it as above. The catalog constructors build ``term`` and its
     lift to elements, ``fn``, which ``evaluate`` calls without checking
-    again. A custom kernel is ``fn`` alone, and ``choquet_aggregate``
-    lifts ``evaluate`` to component tuples.
+    again; they build one even from element callables. Only a custom
+    kernel, ``KernelL(fn, name)``, and ``f_difference_kernel(F)`` are
+    ``fn`` alone, and ``choquet_aggregate`` lifts ``evaluate`` to
+    component tuples.
     """
 
     fn: Callable[[Element, Element, float, float], Element]
@@ -114,6 +116,21 @@ _UNCHANGED = {
     INTERVAL: lambda c: 0.0 <= c[0] <= c[1] <= _TOP,
     VECTOR: lambda c: all(0.0 <= a <= _TOP for a in c),
 }
+
+
+def _on_components(fn, kind: str, what: str):
+    """``fn``, a function of elements of carrier ``kind``, called on their
+    component tuples. Its result must lie on the carrier of its first
+    argument; any other raises ``KindMismatch`` naming ``what``."""
+    make = element_builder(kind)
+
+    def lifted(*comps: tuple) -> tuple:
+        out = fn(*map(make, comps))
+        if out.kind != kind or out.dim != len(comps[0]):
+            raise KindMismatch(f"{what} left the carrier of its input: {out!r}")
+        return out.components
+
+    return lifted
 
 
 def _component_kernel(term, kind: str, name: str) -> KernelL:
@@ -295,7 +312,8 @@ class _Fold:
                 return evaluate(make(xc), make(pc), b1, b2).components
 
         self.term = term
-        self.plus = inp.addop.term or _lifted_addition(inp.addop, kind, dim)
+        self.plus = inp.addop.term or _on_components(
+            inp.addop.fn, kind, f"addition {inp.addop.name!r}")
 
     def __call__(self, sigma) -> tuple:
         comps, term, plus = self.comps, self.term, self.plus
@@ -309,19 +327,6 @@ class _Fold:
         if len(acc) != len(self.zero):  # a vector kernel of another dimension
             raise KindMismatch(f"the fold left the carrier of the inputs: {acc!r}")
         return acc
-
-
-def _lifted_addition(addop: AdditionOp, kind: str, dim: int):
-    fn, make = addop.fn, element_builder(kind)
-
-    def plus(a: tuple, c: tuple) -> tuple:
-        out = fn(make(a), make(c))
-        if out.kind != kind or out.dim != dim:
-            raise KindMismatch(f"addition {addop.name!r} left the carrier of "
-                               f"the inputs: {out!r}")
-        return out.components
-
-    return plus
 
 
 def _close(a: tuple, c: tuple) -> bool:
@@ -479,11 +484,9 @@ def f_difference_kernel(F: Callable[[Element, float], Element]) -> KernelL:
 def b_scale_d_kernel(d: DissimilarityFn, kind: str) -> KernelL:
     """Kernel G(x1, x2, b) = b * d(x1, x2): capacity-weighted dissimilarity
     to the previous input. A dissimilarity without a component form is
-    called on elements."""
-    name, dterm, mul = f"b-scale-d({d.name})", d.term, scale_for(kind)
-    if dterm is None:
-        return KernelL(lambda x, prev, b1, b2: scale(mul, b1, d(x, prev)), name)
-    mul_term = mul.term
+    lifted to one."""
+    name, mul_term = f"b-scale-d({d.name})", scale_for(kind).term
+    dterm = d.term or _on_components(d.fn, kind, f"dissimilarity {d.name!r}")
 
     def term(xc, pc, b1, b2):
         t = dterm(xc, pc)
@@ -497,23 +500,13 @@ def b_scale_d_kernel(d: DissimilarityFn, kind: str) -> KernelL:
 def affine_f_kernel(C, D, kind: str) -> KernelL:
     """Affine kernel F(x, a) = a*C(x) + D(x) componentwise, in the
     weight-difference form G(x, b1, b2) = F(x, b1 - b2). C and D name
-    shipped carrier functions; a callable C or D is a function of
-    elements, and then the kernel is too."""
+    shipped carrier functions, or are functions of elements, which are
+    lifted to component tuples: the kernel has one definition either
+    way."""
     name = (f"affine-F({C if isinstance(C, str) else 'C'},"
             f"{D if isinstance(D, str) else 'D'})")
-    if callable(C) or callable(D):
-        make, mul, addop = element_builder(kind), scale_for(kind), addition_for(kind)
-
-        def on_elements(f):
-            if callable(f):
-                return f
-            g = resolve_carrier_fn(f)
-            return lambda x: make(g(x.components))
-
-        C_fn, D_fn = on_elements(C), on_elements(D)
-        return KernelL(lambda x, prev, b1, b2: add(
-            addop, scale(mul, b1 - b2, C_fn(x)), D_fn(x)), name)
-    C_fn, D_fn = resolve_carrier_fn(C), resolve_carrier_fn(D)
+    C_fn, D_fn = (_on_components(f, kind, f"kernel {name!r}") if callable(f)
+                  else resolve_carrier_fn(f) for f in (C, D))
 
     def term(xc, pc, b1, b2):
         a = b1 - b2

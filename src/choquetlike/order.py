@@ -182,15 +182,30 @@ def elements_equal(x: Element, z: Element, tol: float = TOL) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(x.components, z.components))
 
 
-def element_from_json(kind: str, obj) -> Element:
+_NUMBER = (int, float)  # JSON numbers: a bool has its own type and is refused
+
+
+def element_from_json(kind: str, cell) -> Element:
+    """The element of carrier ``kind`` that a JSON cell holds: a number for
+    a scalar, a list of two numbers for an interval, a list of numbers for
+    a vector. Any other cell raises ``BadParameter``, as the constructors
+    do for a value no element takes."""
     if kind == SCALAR:
-        return Scalar(float(obj))
-    if kind == INTERVAL:
-        lo, hi = obj
-        return Interval(float(lo), float(hi))
-    if kind == VECTOR:
-        return Vector(tuple(float(c) for c in obj))
-    raise BadParameter(f"unknown carrier kind: {kind!r}")
+        if type(cell) in _NUMBER:
+            return Scalar(float(cell))
+        what = "a number"
+    elif kind == INTERVAL:
+        if (type(cell) is list and len(cell) == 2
+                and type(cell[0]) in _NUMBER and type(cell[1]) in _NUMBER):
+            return Interval(float(cell[0]), float(cell[1]))
+        what = "a list of two numbers"
+    elif kind == VECTOR:
+        if type(cell) is list and all(type(c) in _NUMBER for c in cell):
+            return Vector(tuple(map(float, cell)))
+        what = "a list of numbers"
+    else:
+        raise BadParameter(f"unknown carrier kind: {kind!r}")
+    raise BadParameter(f"{cell!r} is not {what}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from time import perf_counter
 from typing import Optional
 
 from .algebra import (
-    AdditionOp, _memoized, add, check_cancellation, check_compatibility, fold_add,
+    AdditionOp, _memoized, add, check_cancellation, check_compatibility,
 )
 from .capacity import MAX_N, Capacity, capacity_family
 from .dissimilarity import check_dissimilarity, projected_dissimilarity, resolve_delta
@@ -298,7 +298,7 @@ def check_jensen_f(F, addop: AdditionOp, grid: GridSpec,
             if sum(combo) != grid.m:
                 continue
             bs = [c / grid.m for c in combo]
-            total = fold_add(addop, [F(one, b) for b in bs])
+            total = reduce(partial(add, addop), [F(one, b) for b in bs])
             yield None if elements_equal(total, one) else {
                 "failed_condition": "one-boundary", "b_tuple": bs, "value": total}
 

@@ -6,9 +6,8 @@ from choquetlike import (
     BOUNDED_SUM, GridSpec, IV_PLUS, IV_SCALE, Interval, MIN_OP, PLUS, Scalar,
     ScaleOutOfRange, TIMES, VV_PLUS, VV_SCALE, Vector, AdditionOp, AlphaBeta,
     ScalarUsual, VectorLex, add, check_associativity, check_c1,
-    check_cancellation, check_closure, check_commutativity,
-    check_compatibility, check_distributivity, check_zero_sum,
-    elements_equal, scale,
+    check_cancellation, check_commutativity, check_compatibility,
+    check_distributivity, elements_equal, scale,
 )
 
 SG = GridSpec("scalar", 4)
@@ -133,24 +132,8 @@ class TestStructuralLemmas:
         if check_compatibility(op, order, grid).passed:
             assert check_cancellation(op, grid).passed
 
-    @pytest.mark.parametrize("op,grid", [
-        (PLUS, SG), (IV_PLUS, IG), (VV_PLUS, VG)])
-    def test_zero_sum_forces_zeros(self, op, grid):
-        assert check_zero_sum(op, grid).passed
-
     def test_commutativity_associativity(self):
         for op, grid in ((PLUS, SG), (IV_PLUS, IG), (VV_PLUS, VG),
                          (MIN_OP, SG), (BOUNDED_SUM, SG)):
             assert check_commutativity(op, grid).passed
             assert check_associativity(op, grid).passed
-
-
-class TestClosure:
-    def test_componentwise_plus_not_closed(self):
-        report = check_closure(PLUS, SG)
-        assert not report.passed
-        assert not report.witness["sum"].in_unit
-
-    def test_bounded_sum_closed(self):
-        assert check_closure(BOUNDED_SUM, SG).passed
-

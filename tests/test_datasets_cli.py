@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from choquetlike import (
-    Capacity, Dataset, DatasetFormatError, GridSpec, Interval, KernelL, Scalar,
+    Capacity, DatasetFormatError, GridSpec, Interval, KernelL, Scalar,
     Vector, capacity_family, dissimilarity, parse_dataset, register_kernel,
     verifier,
 )

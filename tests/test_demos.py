@@ -70,3 +70,12 @@ def test_readme_flags_match_the_parser():
     documented = {flag for span in re.findall(r"`([^`]*)`", paragraph)
                   for flag in re.findall(r"--[\w-]+", span)}
     assert documented - {"--help"} == defined
+
+
+def test_readme_algebra_checks_match_the_module():
+    """The law checks that README's Algebra section lists are exactly the
+    ``check_*`` functions of algebra.py."""
+    source = (ROOT / "src" / "choquetlike" / "algebra.py").read_text(encoding="utf-8")
+    defined = set(re.findall(r"^def (check_\w+)", source, re.M))
+    section = re.search(r"^### Algebra\n.*?(?=^### )", README, re.S | re.M).group(0)
+    assert set(re.findall(r"`(check_\w+)`", section)) == defined

@@ -7,10 +7,10 @@ from choquetlike import (
     AlphaBeta, AlphaOutOfRange, BadParameter, DissimilarityFn, GridSpec,
     IV_PLUS, Interval, PLUS, ReconstructionOutOfK, Scalar,
     ScalarUsual, VV_PLUS, VectorLex, add, check_dissimilarity,
-    check_telescoping, delta_covers_unit_range, elements_equal, k_alpha,
-    lambda_alpha, resolve_dissimilarity, takac_counterexample,
-    takac_dissimilarity, takac_dissimilarity_fn,
+    check_telescoping, elements_equal, k_alpha, lambda_alpha,
+    resolve_dissimilarity, takac_counterexample, takac_dissimilarity_fn,
 )
+from choquetlike.dissimilarity import delta_covers_unit_range
 
 XU = AlphaBeta(0.5, 1.0)
 
@@ -41,19 +41,17 @@ class TestLambdaAlpha:
 
 class TestTakacConstruction:
     def test_equal_inputs_give_zero(self):
-        z = takac_dissimilarity(Interval(0.2, 0.6), Interval(0.2, 0.6),
-                                0.5, "max", "abs-diff")
+        d = takac_dissimilarity_fn(0.5, "max", "abs-diff")
+        z = d(Interval(0.2, 0.6), Interval(0.2, 0.6))
         assert elements_equal(z, Interval(0, 0))
 
     def test_full_against_zero(self):
-        z = takac_dissimilarity(Interval(0, 1), Interval(0, 0),
-                                0.5, "max", "abs-diff")
+        z = takac_dissimilarity_fn(0.5, "max", "abs-diff")(Interval(0, 1), Interval(0, 0))
         assert elements_equal(z, Interval(0, 1))
 
     def test_zero_width_family_under_min(self):
         # min absorbs the zero-width side, so the output degenerates.
-        z = takac_dissimilarity(Interval(0, 0.5), Interval(0, 0),
-                                0.5, "min", "abs-diff")
+        z = takac_dissimilarity_fn(0.5, "min", "abs-diff")(Interval(0, 0.5), Interval(0, 0))
         assert z.width == pytest.approx(0.0)
         assert k_alpha(z, 0.5) == pytest.approx(0.25)
 
@@ -62,9 +60,10 @@ class TestTakacConstruction:
         from choquetlike.dissimilarity import resolve_delta, resolve_symmetric_mean
         alpha = 0.5
         delta, m_d = resolve_delta("abs-diff"), resolve_symmetric_mean("max")
+        d = takac_dissimilarity_fn(alpha, "max", "abs-diff")
         for x in grid_elements(GridSpec("interval", 4)):
             for y in grid_elements(GridSpec("interval", 4)):
-                z = takac_dissimilarity(x, y, alpha, "max", "abs-diff")
+                z = d(x, y)
                 want_k = delta(k_alpha(x, alpha), k_alpha(y, alpha))
                 assert k_alpha(z, alpha) == pytest.approx(want_k, abs=1e-9)
                 if z.width > 1e-9:  # width recomputes only off the 0/0 branch
@@ -73,8 +72,8 @@ class TestTakacConstruction:
 
     def test_reconstruction_guard(self):
         with pytest.raises(ReconstructionOutOfK):
-            takac_dissimilarity(Interval(0, 1), Interval(0, 0), 0.5,
-                                lambda a, b: 2.0, "abs-diff")
+            takac_dissimilarity_fn(0.5, lambda a, b: 2.0, "abs-diff")(
+                Interval(0, 1), Interval(0, 0))
 
 
 class TestDissimilarityAxioms:

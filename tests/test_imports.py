@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module
 (``__init__.py``, which re-exports, is exempt), every module-level
-private name is used by some module of the package, and law reports are
+private name is used by some module of the package, every re-export is
+named outside the module that defines it, and law reports are
 built in one place: ``reporting.run_law``, with ``oracle_crosscheck``,
 which adds up the reports of other checks, the one exception. The
 brute-force oracles of ``verifier.py`` take their permutations from the
@@ -8,11 +9,13 @@ comparator, never from an order's ``lead``, and never memoize the
 addition or the kernel."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "choquetlike"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "choquetlike"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -90,6 +93,38 @@ def test_detects_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in ALL_MODULES}
     assert dead_private_names(sources) == []
+
+
+def unnamed_exports(init: str, modules: dict[str, str], texts: list[str]) -> list[str]:
+    """Names that ``init`` re-exports from a package module and that no
+    other module of ``modules`` (module name to source) references, and
+    no text of ``texts`` holds as a word."""
+    words = set().union(*(re.findall(r"\w+", text) for text in texts))
+    referenced = {name: referenced_names(ast.parse(source))
+                  for name, source in modules.items()}
+    return [alias.name for node in ast.parse(init).body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name not in words
+            and not any(alias.name in used for module, used in referenced.items()
+                        if module != node.module)]
+
+
+def test_detects_an_unnamed_export():
+    init = "from .a import kept, named, shared, unused\n"
+    modules = {"a": "def kept(): pass\ndef shared(): pass\nunused = kept\n",
+               "b": "from .a import shared\n"}
+    assert unnamed_exports(init, modules, ["call `named()`"]) == ["kept", "unused"]
+
+
+def test_every_export_is_named_outside_its_module():
+    """A re-export is used by another module of the package, or named by a
+    demo, a ``perfbench/`` file or README; otherwise only tests reach it."""
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    outside = [ROOT / "README.md", *(ROOT / "demos").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py"), *(ROOT / "perfbench").glob("*.md")]
+    texts = [p.read_text(encoding="utf-8") for p in outside]
+    assert unnamed_exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"),
+                           modules, texts) == []
 
 
 def law_report_calls(sources: dict[str, str]) -> list[str]:

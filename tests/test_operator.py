@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from choquetlike import (
     AdditionOp, AggregationInput, AlphaBeta, BOUNDED_SUM, BadParameter, Capacity,
-    DissimilarityFn, IV_PLUS, Interval, MIN_OP, MultiplicationOp, TIMES,
+    DissimilarityFn, IV_PLUS, Interval, MIN_OP, TIMES,
     KernelL, KernelRangeError, KindMismatch, NotAdmissiblePermutation, PLUS,
     PermutationSet, Scalar, ScalarUsual, ScaleOutOfRange, TOL, TooManyTies,
     UnknownKernel, VV_PLUS, Vector, VectorLex, add, algebra, capacity_family,
@@ -20,6 +20,7 @@ from choquetlike import (
     kernel_catalog, register_kernel, resolve_dissimilarity, scale, scale_for,
     tail_values, zero_element,
 )
+from choquetlike.algebra import MultiplicationOp
 from choquetlike.dissimilarity import _DELTAS, _MEANS
 from choquetlike.operator import _CARRIER_FNS, MAX_TIE_GROUP
 from oracles import classical_choquet_increments, mu_lookup
@@ -573,8 +574,8 @@ class TestKernelCatalog:
         assert k.evaluate(Scalar(0.5), Scalar(0.0), 1.0, 0.0) == Scalar(0.5)
 
     def test_element_forms_give_the_component_forms_bits(self):
-        # A callable C and a DissimilarityFn without a term make kernels on
-        # elements, which choquet_aggregate lifts to component tuples.
+        # A callable C and a DissimilarityFn without a term are lifted to
+        # component tuples, so their kernels have a term too.
         d = resolve_dissimilarity("abs-diff", "interval", XU)
         pairs = [
             (affine_f_kernel(lambda x: x, "zero", "interval"),
@@ -586,7 +587,7 @@ class TestKernelCatalog:
         assert pairs[0][0].name == "affine-F(C,zero)"
         rng = random.Random(3)
         for lifted, catalog in pairs:
-            assert lifted.term is None and catalog.term is not None
+            assert lifted.term is not None and catalog.term is not None
             for _ in range(50):
                 n = rng.randint(2, 5)
                 levels = [_random_element(rng, "interval") for _ in range(rng.randint(1, 3))]
@@ -596,6 +597,21 @@ class TestKernelCatalog:
                 got, want = choquet_aggregate(inp, lifted), choquet_aggregate(inp, catalog)
                 assert _bits(got.value) == _bits(want.value)
                 assert got.consistent == want.consistent
+
+    @pytest.mark.parametrize("kernel", [
+        affine_f_kernel(lambda x: Scalar(x.lower), "zero", "interval"),
+        affine_f_kernel("identity", lambda x: Vector(x.components), "interval"),
+        b_scale_d_kernel(DissimilarityFn("to-scalar", lambda x, z: Scalar(0.5)),
+                         "interval"),
+    ], ids=["C", "D", "d"])
+    def test_element_functions_off_the_carrier_raise(self, kernel):
+        x = Interval(0.2, 0.6)
+        with pytest.raises(KindMismatch):
+            kernel.evaluate(x, Interval(0.0, 0.0), 1.0, 0.5)
+        inp = AggregationInput((x, Interval(0.1, 0.3)),
+                               capacity_family("cardinality", 2), XU, IV_PLUS)
+        with pytest.raises(KindMismatch):
+            choquet_aggregate(inp, kernel)
 
     def test_f_difference_with_scaling_is_the_classical_kernel(self):
         # F(x, a) = a * x gives G = (b1 - b2) * x, and b1 >= b2 along every
