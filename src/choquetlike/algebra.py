@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .errors import BadParameter, KindMismatch, ScaleOutOfRange
+from .errors import BadParameter, KindMismatch, ScaleOutOfRange, lookup
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, Element, Interval, Scalar,
     Vector, elements_equal, grid_elements, require_same_carrier, unit_grid,
@@ -122,12 +122,16 @@ BOUNDED_SUM = AdditionOp("bounded-sum", SCALAR,
                          lambda x, z: Scalar(min(1.0, x.value + z.value)),
                          lambda a, b: (min(1.0, a[0] + b[0]),))
 
+_OPERATIONS = {  # each carrier kind's shipped addition and scaling
+    SCALAR: (PLUS, TIMES), INTERVAL: (IV_PLUS, IV_SCALE), VECTOR: (VV_PLUS, VV_SCALE)}
+
+
 def addition_for(kind: str) -> AdditionOp:
-    return {SCALAR: PLUS, INTERVAL: IV_PLUS, VECTOR: VV_PLUS}[kind]
+    return lookup(_OPERATIONS, kind, "carrier kind")[0]
 
 
 def scale_for(kind: str) -> MultiplicationOp:
-    return {SCALAR: TIMES, INTERVAL: IV_SCALE, VECTOR: VV_SCALE}[kind]
+    return lookup(_OPERATIONS, kind, "carrier kind")[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .errors import BadParameter, DatasetFormatError
-from .order import SCALAR, Element, Scalar, element_builder, element_from_json
+from .order import SCALAR, Element, Scalar, carrier
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,7 @@ def _parse_json(text: str, kind: str) -> Dataset:
         obj = obj.get("rows", [])
     if not isinstance(obj, list):
         raise DatasetFormatError("expected a list of rows")
-    element_builder(kind)  # refuses an unknown carrier kind before any row
-    build = partial(element_from_json, kind)
+    build = carrier(kind).from_json  # refuses an unknown kind before any row
     rows = []
     for r, row in enumerate(obj):
         if type(row) is not list:

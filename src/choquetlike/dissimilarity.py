@@ -21,9 +21,9 @@ from .errors import (
     AlphaOutOfRange, BadParameter, ReconstructionOutOfK, lookup,
 )
 from .order import (
-    INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, AlphaBeta, Element,
-    Interval, VectorLex, element_builder, elements_equal, grid_elements,
-    k_alpha, one_element, unit_grid, zero_element,
+    INTERVAL, SCALAR, TOL, AdmissibleOrder, AlphaBeta, Element, Interval,
+    VectorLex, carrier, elements_equal, grid_elements, k_alpha, one_element,
+    unit_grid, zero_element,
 )
 from .reporting import GridSpec, LawReport, run_law
 
@@ -102,7 +102,7 @@ def projected_dissimilarity(spec, kind: str,
     the chain conditions and the telescoping identity reduce to their scalar
     counterparts. A callable delta is named ``custom``; its outputs may need
     the element constructor's normalisation, so it has no ``term``."""
-    delta = resolve_delta(spec)
+    delta, make = resolve_delta(spec), carrier(kind).make
     if kind == SCALAR:
         def term(xc: tuple, zc: tuple) -> tuple:
             return (delta(xc[0], zc[0]),)
@@ -116,7 +116,7 @@ def projected_dissimilarity(spec, kind: str,
             t = delta((1.0 - alpha) * xc[0] + alpha * xc[1],
                       (1.0 - alpha) * zc[0] + alpha * zc[1])
             return (t, t)
-    elif kind == VECTOR:
+    else:  # VECTOR: ``carrier`` has refused any other kind
         if not isinstance(order, VectorLex):
             raise BadParameter("vector dissimilarities need a veclex order")
         lead = order.priority[0]
@@ -124,16 +124,13 @@ def projected_dissimilarity(spec, kind: str,
 
         def term(xc: tuple, zc: tuple) -> tuple:
             return (delta(xc[lead], zc[lead]),) * dim
-    else:
-        raise BadParameter(f"unknown carrier kind: {kind!r}")
     named = isinstance(spec, str)
-    return DissimilarityFn(spec if named else "custom", _on_elements(term, kind),
+    return DissimilarityFn(spec if named else "custom", _on_elements(term, make),
                            term if named else None)
 
 
-def _on_elements(term, kind: str) -> Callable[[Element, Element], Element]:
-    """``term`` lifted to elements of carrier ``kind``."""
-    make = element_builder(kind)
+def _on_elements(term, make) -> Callable[[Element, Element], Element]:
+    """``term`` lifted to elements, its output built by ``make``."""
     return lambda x, z: make(term(x.components, z.components))
 
 
@@ -233,7 +230,7 @@ def takac_dissimilarity_fn(alpha: float, m_d, delta_d) -> DissimilarityFn:
     d_name = delta_d if isinstance(delta_d, str) else "custom"
     term = _takac_term(alpha, m_d, delta_d)
     return DissimilarityFn(f"takac:{alpha:g}:{m_name}:{d_name}",
-                           _on_elements(term, INTERVAL), term)
+                           _on_elements(term, carrier(INTERVAL).make), term)
 
 
 # ---------------------------------------------------------------------------

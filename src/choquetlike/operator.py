@@ -46,10 +46,7 @@ from .errors import (
     BadParameter, KernelRangeError, KindMismatch, NotAdmissiblePermutation,
     TooManyTies, UnknownKernel, lookup,
 )
-from .order import (
-    INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, Element, element_builder,
-    zero_element,
-)
+from .order import TOL, AdmissibleOrder, Element, carrier, zero_element
 
 MAX_TIE_GROUP = 16
 
@@ -102,27 +99,16 @@ def _validate_unit(x: Element, kernel_name: str) -> Element:
     if -TOL <= min(comps) and max(comps) <= 1.0 + TOL:
         return x
     if all(-1e-9 <= c <= 1.0 + 1e-9 for c in comps):
-        return element_builder(x.kind)(tuple(min(max(c, 0.0), 1.0) for c in comps))
+        return carrier(x.kind).make(tuple(min(max(c, 0.0), 1.0) for c in comps))
     raise KernelRangeError(
         f"kernel {kernel_name!r} produced {x!r} outside the bounded carrier")
-
-
-_TOP = 1.0 + TOL
-# Whether a component tuple is, unchanged, what the carrier's constructor
-# and then ``_validate_unit`` make of it: every component in [0, 1 + TOL]
-# (NaN fails each comparison) and an interval's endpoints in order.
-_UNCHANGED = {
-    SCALAR: lambda c: 0.0 <= c[0] <= _TOP,
-    INTERVAL: lambda c: 0.0 <= c[0] <= c[1] <= _TOP,
-    VECTOR: lambda c: all(0.0 <= a <= _TOP for a in c),
-}
 
 
 def _on_components(fn, kind: str, what: str):
     """``fn``, a function of elements of carrier ``kind``, called on their
     component tuples. Its result must lie on the carrier of its first
     argument; any other raises ``KindMismatch`` naming ``what``."""
-    make = element_builder(kind)
+    make = carrier(kind).make
 
     def lifted(*comps: tuple) -> tuple:
         out = fn(*map(make, comps))
@@ -136,12 +122,13 @@ def _on_components(fn, kind: str, what: str):
 def _component_kernel(term, kind: str, name: str) -> KernelL:
     """The catalog kernel defined on component tuples of carrier ``kind``
     by ``term``. Its output goes through the carrier's constructor and
-    ``_validate_unit`` unless both would leave it unchanged."""
-    make, unchanged = element_builder(kind), _UNCHANGED[kind]
+    ``_validate_unit`` unless it is ``bounded``: both leave such a tuple as is."""
+    record = carrier(kind)
+    make, bounded = record.make, record.bounded
 
     def checked(xc: tuple, pc: tuple, b1: float, b2: float) -> tuple:
         c = term(xc, pc, b1, b2)
-        return c if unchanged(c) else _validate_unit(make(c), name).components
+        return c if bounded(c) else _validate_unit(make(c), name).components
 
     def fn(x: Element, prev: Element, b1: float, b2: float) -> Element:
         if x.kind != kind:
@@ -300,7 +287,7 @@ class _Fold:
         if kernel.kind not in (None, kind):
             raise KindMismatch(f"kernel {kernel.name!r} is defined on "
                                f"{kernel.kind} inputs, got {x0!r}")
-        self.make = make = element_builder(kind)
+        self.make = make = carrier(kind).make
         self.comps = [x.components for x in inp.X]
         self.zero = (0.0,) * dim
         self.values = inp.mu.values

@@ -6,6 +6,11 @@ by addition may leave the unit-bounded set; element types therefore
 admit any finite nonnegative components, and ``in_unit`` reports
 membership in the bounded set.
 
+Beyond its element type, what a carrier kind is lives in its ``Carrier``
+record, found by ``carrier(kind)``. Adding a carrier means one element
+type and one record here, plus one entry in ``algebra.py``'s table of
+each kind's addition and scaling.
+
 Real comparisons use absolute tolerance 1e-12: two elements are equal
 iff all components are within tolerance. Grid values are small
 rationals, so the tolerance separates genuine ties from rounding but is
@@ -17,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import BadParameter, KindMismatch, lookup
 from .reporting import GridSpec, LawReport, run_law
@@ -147,34 +152,66 @@ def require_same_carrier(x: Element, z: Element) -> None:
         raise KindMismatch(f"carrier mismatch: {x!r} vs {z!r}")
 
 
-# Each carrier's constructor, called on a tuple of the element's components.
-_BUILDERS = {SCALAR: lambda c: Scalar(*c), INTERVAL: lambda c: Interval(*c), VECTOR: Vector}
+_NUMBER = (int, float)  # JSON numbers: a bool has its own type and is refused
+_TOP = 1.0 + TOL
 
 
-def element_builder(kind: str) -> Callable[[tuple], Element]:
-    """The constructor of carrier ``kind`` taking a component tuple, with
-    the constructor's checks and normalisation."""
-    return lookup(_BUILDERS, kind, "carrier kind")
+def _scalar_from_json(cell) -> Scalar:
+    if type(cell) in _NUMBER:
+        return Scalar(float(cell))
+    raise BadParameter(f"{cell!r} is not a number")
 
 
-def _constant_element(kind: str, dim: int, c: float) -> Element:
-    if kind == SCALAR:
-        return Scalar(c)
-    if kind == INTERVAL:
-        return Interval(c, c)
-    if kind == VECTOR:
-        return Vector((c,) * dim)
-    raise BadParameter(f"unknown carrier kind: {kind!r}")
+def _interval_from_json(cell) -> Interval:
+    if (type(cell) is list and len(cell) == 2
+            and type(cell[0]) in _NUMBER and type(cell[1]) in _NUMBER):
+        return Interval(float(cell[0]), float(cell[1]))
+    raise BadParameter(f"{cell!r} is not a list of two numbers")
+
+
+def _vector_from_json(cell) -> Vector:
+    if type(cell) is list and all(type(c) in _NUMBER for c in cell):
+        return Vector(tuple(map(float, cell)))
+    raise BadParameter(f"{cell!r} is not a list of numbers")
+
+
+class Carrier(NamedTuple):
+    """One carrier kind: ``make`` builds an element, with its checks, from a
+    tuple of ``arity`` components (any positive number if 0). ``bounded(c)``
+    holds when ``make`` and the kernels' range check leave ``c`` unchanged:
+    components in [0, 1 + TOL], interval endpoints in order, no NaN.
+    ``from_json`` reads a JSON dataset cell; ``constant`` is (c, ..., c)."""
+
+    make: Callable[[tuple], Element]
+    arity: int
+    bounded: Callable[[tuple], bool]
+    from_json: Callable[[object], Element]
+
+    def constant(self, c: float, dim: int) -> Element:
+        return self.make((c,) * (self.arity or dim))
+
+
+_CARRIERS = {
+    SCALAR: Carrier(lambda c: Scalar(*c), 1, lambda c: 0.0 <= c[0] <= _TOP, _scalar_from_json),
+    INTERVAL: Carrier(lambda c: Interval(*c), 2, lambda c: 0.0 <= c[0] <= c[1] <= _TOP,
+                      _interval_from_json),
+    VECTOR: Carrier(Vector, 0, lambda c: all(0.0 <= a <= _TOP for a in c), _vector_from_json),
+}
+
+
+def carrier(kind: str) -> Carrier:
+    """The record of carrier ``kind``; any other kind raises ``BadParameter``."""
+    return lookup(_CARRIERS, kind, "carrier kind")
 
 
 def zero_element(kind: str, dim: int = 1) -> Element:
     """Least element of the bounded set for the given carrier."""
-    return _constant_element(kind, dim, 0.0)
+    return carrier(kind).constant(0.0, dim)
 
 
 def one_element(kind: str, dim: int = 1) -> Element:
     """Greatest element of the bounded set for the given carrier."""
-    return _constant_element(kind, dim, 1.0)
+    return carrier(kind).constant(1.0, dim)
 
 
 def elements_equal(x: Element, z: Element, tol: float = TOL) -> bool:
@@ -182,30 +219,12 @@ def elements_equal(x: Element, z: Element, tol: float = TOL) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(x.components, z.components))
 
 
-_NUMBER = (int, float)  # JSON numbers: a bool has its own type and is refused
-
-
 def element_from_json(kind: str, cell) -> Element:
     """The element of carrier ``kind`` that a JSON cell holds: a number for
     a scalar, a list of two numbers for an interval, a list of numbers for
     a vector. Any other cell raises ``BadParameter``, as the constructors
     do for a value no element takes."""
-    if kind == SCALAR:
-        if type(cell) in _NUMBER:
-            return Scalar(float(cell))
-        what = "a number"
-    elif kind == INTERVAL:
-        if (type(cell) is list and len(cell) == 2
-                and type(cell[0]) in _NUMBER and type(cell[1]) in _NUMBER):
-            return Interval(float(cell[0]), float(cell[1]))
-        what = "a list of two numbers"
-    elif kind == VECTOR:
-        if type(cell) is list and all(type(c) in _NUMBER for c in cell):
-            return Vector(tuple(map(float, cell)))
-        what = "a list of numbers"
-    else:
-        raise BadParameter(f"unknown carrier kind: {kind!r}")
-    raise BadParameter(f"{cell!r} is not {what}")
+    return carrier(kind).from_json(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +412,12 @@ def unit_grid(m: int) -> list[float]:
 
 
 def grid_elements(grid: GridSpec) -> list[Element]:
-    """All bounded-set elements at the grid resolution, in component-lex order.
-
-    Interval grids enumerate only pairs with lower <= upper; vector grids
-    are full coordinate products of dimension ``grid.dim``.
-    """
-    vals = unit_grid(grid.m)
-    if grid.kind == SCALAR:
-        return [Scalar(v) for v in vals]
-    if grid.kind == INTERVAL:
-        return [Interval(lo, hi) for lo in vals for hi in vals if hi >= lo - TOL]
-    if grid.kind == VECTOR:
-        return [Vector(c) for c in itertools.product(vals, repeat=grid.dim)]
-    raise BadParameter(f"unknown carrier kind: {grid.kind!r}")
+    """All bounded-set elements at the grid resolution, in component-lex
+    order: the ``bounded`` tuples of ``unit_grid`` values (``grid.dim`` of
+    them for a vector), so an interval's lower endpoint never passes its upper."""
+    make, arity, bounded, _ = carrier(grid.kind)
+    tuples = itertools.product(unit_grid(grid.m), repeat=arity or grid.dim)
+    return list(map(make, filter(bounded, tuples)))
 
 
 # ---------------------------------------------------------------------------

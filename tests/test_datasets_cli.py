@@ -103,7 +103,11 @@ class TestDatasets:
                  "row 0, column 4 (0-based): interval endpoints out of order: "
                  "[0.5, 0.2]"),
                 ('[[0.1, 0.2, 0.3, 0.4, "0.5"]]', "scalar",
-                 "row 0, column 4 (0-based): '0.5' is not a number")):
+                 "row 0, column 4 (0-based): '0.5' is not a number"),
+                ("[[[0.1, 0.2], [0.1]]]", "interval",
+                 "row 0, column 1 (0-based): [0.1] is not a list of two numbers"),
+                ('[[[0.1, 0.2], [0.1, "x"]]]', "vector",
+                 "row 0, column 1 (0-based): [0.1, 'x'] is not a list of numbers")):
             with pytest.raises(DatasetFormatError) as exc:
                 parse_dataset(text, kind)
             assert str(exc.value) == message

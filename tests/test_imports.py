@@ -6,7 +6,8 @@ built in one place: ``reporting.run_law``, with ``oracle_crosscheck``,
 which adds up the reports of other checks, the one exception. The
 brute-force oracles of ``verifier.py`` take their permutations from the
 comparator, never from an order's ``lead``, and never memoize the
-addition or the kernel."""
+addition or the kernel. Only ``order.py`` and ``algebra.py`` key a dict
+by carrier kind."""
 
 import ast
 import re
@@ -204,3 +205,35 @@ def test_oracles_never_memoize(oracle):
 def test_test_oracles_never_memoize():
     source = (Path(__file__).resolve().parent / "oracles.py").read_text(encoding="utf-8")
     assert not referenced_names(ast.parse(source)) & MEMO_HELPERS
+
+
+# What a carrier kind is lives in its record in ``order.py``, and its
+# operations in ``algebra.py``'s table; other modules read those.
+KIND_NAMES = {"SCALAR", "INTERVAL", "VECTOR"}
+KIND_VALUES = {"scalar", "interval", "vector"}
+
+
+def kind_keyed_dicts(source: str) -> list[int]:
+    """Lines of the dict displays with a key that names a carrier kind:
+    ``SCALAR``, ``INTERVAL`` or ``VECTOR``, bare or as an attribute, or
+    the string it stands for."""
+    def names_a_kind(key) -> bool:
+        return (isinstance(key, ast.Name) and key.id in KIND_NAMES
+                or isinstance(key, ast.Attribute) and key.attr in KIND_NAMES
+                or isinstance(key, ast.Constant) and key.value in KIND_VALUES)
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Dict) and any(map(names_a_kind, node.keys))]
+
+
+def test_detects_a_kind_keyed_dict():
+    source = ("_T = {SCALAR: 1, 'x': 2}\nd = {order.VECTOR: f}\n"
+              "e = {'interval': 3}\nf = {'table': 4, **d}\ng = {INTERVALS: 5}\n")
+    assert kind_keyed_dicts(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in ("order.py", "algebra.py")],
+                         ids=lambda p: p.name)
+def test_carrier_facts_stay_in_their_records(path):
+    assert kind_keyed_dicts(path.read_text(encoding="utf-8")) == []
