@@ -29,15 +29,15 @@ from .errors import (
 from .operator import (
     AggregationInput, KernelL, PermutationSet, affine_f_kernel, b_scale_d_kernel,
     choquet_aggregate, choquet_eval, classical_kernel, delta_scale_kernel,
-    f_difference_kernel, kernel_catalog, register_kernel,
+    f_difference_kernel, kernel_catalog,
 )
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, AlphaBeta, Element,
-    Interval, Scalar, ScalarUsual, Vector, VectorLex, check_admissibility,
+    GridSpec, Interval, Scalar, ScalarUsual, Vector, VectorLex, check_admissibility,
     element_from_json, elements_equal, grid_elements, k_alpha, parse_order,
     partial_leq, unit_grid, zero_element,
 )
-from .reporting import GridSpec, LawReport
+from .reporting import LawReport
 from .verifier import (
     brute_force_monotonicity, brute_force_wd, capacity_battery,
     check_aggregation, check_delta_decomposition, check_jensen_f,

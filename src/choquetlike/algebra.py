@@ -16,10 +16,10 @@ from typing import Callable, Optional
 
 from .errors import BadParameter, KindMismatch, ScaleOutOfRange, lookup
 from .order import (
-    INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, Element, Interval, Scalar,
-    Vector, elements_equal, grid_elements, require_same_carrier, unit_grid,
+    INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, Element, GridSpec, Interval,
+    Scalar, Vector, elements_equal, grid_elements, require_same_carrier, unit_grid,
 )
-from .reporting import GridSpec, LawReport, run_law
+from .reporting import LawReport, run_law
 
 
 @dataclass(frozen=True)

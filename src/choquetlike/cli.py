@@ -30,10 +30,10 @@ from .dissimilarity import (
 from .errors import BadParameter, ChoquetlikeError, json_number
 from .operator import AggregationInput, choquet_aggregate, kernel_catalog
 from .order import (
-    INTERVAL, SCALAR, VECTOR, AlphaBeta, ScalarUsual, VectorLex,
+    INTERVAL, SCALAR, VECTOR, AlphaBeta, GridSpec, ScalarUsual, VectorLex,
     check_admissibility, parse_order,
 )
-from .reporting import GridSpec, LawReport
+from .reporting import LawReport
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +64,6 @@ def main(argv=None) -> int:
     ver.add_argument("--suite", required=True,
                      choices=("algebra", "order", "wd", "monotone",
                               "aggregation", "dissimilarity", "appendix-c", "all"))
-    ver.add_argument("--config", default=None)
     ver.add_argument("--grid", type=int, default=None, help="step denominator")
     ver.add_argument("--n", type=int, default=None, help="operator arity")
     ver.add_argument("--seed", type=int, default=42)
@@ -141,18 +140,9 @@ def _results_json(done) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    config = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise BadParameter(f"a config is a JSON object, got {type(config).__name__}")
-        config.update({key: json_number(config, key, integral=key in ("grid", "n"))
-                       for key in ("grid", "n", "alpha", "beta") if key in config})
-    if args.grid is not None:
-        config["grid"] = args.grid
-    if args.n is not None:
-        config["n"] = args.n
+    # Each suite reads the grid and arity it is given, or its own default.
+    settings = {key: value for key, value in (("grid", args.grid), ("n", args.n))
+                if value is not None}
 
     suites = {
         "order": suite_order, "algebra": suite_algebra, "wd": suite_wd,
@@ -162,7 +152,7 @@ def cmd_verify(args) -> int:
     names = list(suites) if args.suite == "all" else [args.suite]
     tagged: list[tuple[str, LawReport]] = []
     for name in names:
-        tagged.extend((name, report) for report in suites[name](config))
+        tagged.extend((name, report) for report in suites[name](settings))
 
     payload = [dict(report.to_json(), suite=name) for name, report in tagged]
     columns = ["suite", "law", "verdict", "checked", "elapsed"]
@@ -190,17 +180,17 @@ def _write(args, json_text, header, rows):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _carriers(config):
+def _carriers(settings):
     """Default (order, addition, grid) triple per carrier."""
     return [
-        (ScalarUsual(), PLUS, GridSpec(SCALAR, config.get("grid", 4))),
-        (AlphaBeta(0.5, 1.0), IV_PLUS, GridSpec(INTERVAL, config.get("grid", 2))),
-        (VectorLex((0, 1)), VV_PLUS, GridSpec(VECTOR, config.get("grid", 2))),
+        (ScalarUsual(), PLUS, GridSpec(SCALAR, settings.get("grid", 4))),
+        (AlphaBeta(0.5, 1.0), IV_PLUS, GridSpec(INTERVAL, settings.get("grid", 2))),
+        (VectorLex((0, 1)), VV_PLUS, GridSpec(VECTOR, settings.get("grid", 2))),
     ]
 
 
-def suite_order(config) -> list[LawReport]:
-    m = config.get("grid", 4)
+def suite_order(settings) -> list[LawReport]:
+    m = settings.get("grid", 4)
     checks = [
         (ScalarUsual(), GridSpec(SCALAR, max(m, 8))),
         (AlphaBeta(0.5, 1.0), GridSpec(INTERVAL, m)),
@@ -211,8 +201,8 @@ def suite_order(config) -> list[LawReport]:
     return [check_admissibility(order, grid) for order, grid in checks]
 
 
-def suite_algebra(config) -> list[LawReport]:
-    m = config.get("grid", 4)
+def suite_algebra(settings) -> list[LawReport]:
+    m = settings.get("grid", 4)
     reports = []
     for order, addop, mul, grid in [
         (ScalarUsual(), PLUS, TIMES, GridSpec(SCALAR, max(m, 8))),
@@ -229,9 +219,9 @@ def suite_algebra(config) -> list[LawReport]:
     return reports
 
 
-def _good_kernels(config):
+def _good_kernels(settings):
     out = []
-    for order, addop, grid in _carriers(config):
+    for order, addop, grid in _carriers(settings):
         kind = grid.kind
         out.append((kernel_catalog("delta-scale", kind, order), addop, order, grid))
         out.append((kernel_catalog({"family": "b-scale-d", "d": "abs-diff"},
@@ -242,37 +232,37 @@ def _good_kernels(config):
     return out
 
 
-def suite_wd(config) -> list[LawReport]:
-    n = config.get("n", 3)
+def suite_wd(settings) -> list[LawReport]:
+    n = settings.get("n", 3)
     return [verifier.check_wd(kernel, addop, order, n, grid)
-            for kernel, addop, order, grid in _good_kernels(config)]
+            for kernel, addop, order, grid in _good_kernels(settings)]
 
 
-def suite_monotone(config) -> list[LawReport]:
-    n = config.get("n", 3)
+def suite_monotone(settings) -> list[LawReport]:
+    n = settings.get("n", 3)
     return [verifier.check_monotonicity(kernel, addop, order, n, grid)
-            for kernel, addop, order, grid in _good_kernels(config)]
+            for kernel, addop, order, grid in _good_kernels(settings)]
 
 
-def suite_aggregation(config) -> list[LawReport]:
-    n = config.get("n", 3)
+def suite_aggregation(settings) -> list[LawReport]:
+    n = settings.get("n", 3)
     reports = []
-    for order, addop, grid in _carriers(config):
+    for order, addop, grid in _carriers(settings):
         kernel = kernel_catalog("delta-scale", grid.kind, order)
         reports.append(verifier.check_aggregation(kernel, addop, order, n, grid))
     # Lexicographical interval order alongside the Xu-Yager default.
     lex = AlphaBeta(0.0, 1.0)
-    grid = GridSpec(INTERVAL, config.get("grid", 2))
+    grid = GridSpec(INTERVAL, settings.get("grid", 2))
     reports.append(verifier.check_aggregation(
         kernel_catalog("delta-scale", INTERVAL, lex), IV_PLUS, lex,
         n, grid))
     return reports
 
 
-def suite_dissimilarity(config) -> list[LawReport]:
+def suite_dissimilarity(settings) -> list[LawReport]:
     reports = []
-    scalar_grid = GridSpec(SCALAR, config.get("grid", 8))
-    iv_grid = GridSpec(INTERVAL, config.get("grid", 4))
+    scalar_grid = GridSpec(SCALAR, settings.get("grid", 8))
+    iv_grid = GridSpec(INTERVAL, settings.get("grid", 4))
     xu = AlphaBeta(0.5, 1.0)
     d_scalar = resolve_dissimilarity("abs-diff", SCALAR)
     d_iv = resolve_dissimilarity("abs-diff", INTERVAL, xu)
@@ -283,18 +273,14 @@ def suite_dissimilarity(config) -> list[LawReport]:
     return reports
 
 
-def suite_takac(config) -> list[LawReport]:
+def suite_takac(settings) -> list[LawReport]:
     """Counterexample search for the width-based interval dissimilarity.
 
     The telescoping identity is expected to fail here; the suite reports
     the witness as a failing law, so this suite deliberately exits 3.
     """
-    alpha = config.get("alpha", 0.5)
-    beta = config.get("beta", 1.0)
-    m_d = config.get("Md", "max")
-    delta_d = config.get("delta_d", "abs-diff")
-    grid = GridSpec(INTERVAL, config.get("grid", 8))
-    report = takac_counterexample(alpha, beta, m_d, delta_d, grid)
+    grid = GridSpec(INTERVAL, settings.get("grid", 8))
+    report = takac_counterexample(0.5, 1.0, "max", "abs-diff", grid)
     if not report.passed:
         report.detail["note"] = ("expected negative result: the width-based "
                                  "construction cannot telescope")

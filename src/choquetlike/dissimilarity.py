@@ -21,11 +21,11 @@ from .errors import (
     AlphaOutOfRange, BadParameter, ReconstructionOutOfK, lookup,
 )
 from .order import (
-    INTERVAL, SCALAR, TOL, AdmissibleOrder, AlphaBeta, Element, Interval,
-    VectorLex, carrier, elements_equal, grid_elements, k_alpha, one_element,
-    unit_grid, zero_element,
+    INTERVAL, SCALAR, TOL, AdmissibleOrder, AlphaBeta, Element, GridSpec,
+    Interval, VectorLex, carrier, elements_equal, grid_elements, k_alpha,
+    one_element, unit_grid, zero_element,
 )
-from .reporting import GridSpec, LawReport, run_law
+from .reporting import LawReport, run_law
 
 
 @dataclass(frozen=True)

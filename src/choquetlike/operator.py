@@ -361,11 +361,11 @@ def _strict_chain(X, order: AdmissibleOrder) -> Optional[list[int]]:
     ``compare`` follows the leads: the chain is the one admissible
     permutation. A NaN gap (inf - inf) is not above ``TOL``."""
     keys = list(map(order.lead, X))
-    ordered = sorted(keys)
-    for low, high in zip(ordered, ordered[1:]):
-        if not high - low > TOL:
+    chain = sorted(range(len(keys)), key=keys.__getitem__)
+    for low, high in zip(chain, chain[1:]):
+        if not keys[high] - keys[low] > TOL:
             return None
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    return chain
 
 
 def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult:
@@ -435,14 +435,6 @@ def resolve_carrier_fn(spec) -> Callable[[tuple], tuple]:
     return lookup(_CARRIER_FNS, spec, "carrier function")
 
 
-_KERNELS: dict[str, KernelL] = {}
-
-
-def register_kernel(kernel: KernelL) -> KernelL:
-    _KERNELS[kernel.name] = kernel
-    return kernel
-
-
 def delta_scale_kernel(delta, kind: str) -> KernelL:
     """Weight-difference kernel G(x, b1, b2) = delta(b1, b2) * x.
 
@@ -505,17 +497,16 @@ def affine_f_kernel(C, D, kind: str) -> KernelL:
 
 
 def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> KernelL:
-    """Build a kernel from a JSON-style spec.
+    """Build a catalog kernel from a JSON-style spec.
 
     Families: ``{"family": "delta-scale", "delta": "difference"}``,
     ``{"family": "b-scale-d", "d": "abs-diff"}``,
-    ``{"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1"}``,
-    ``{"family": "custom", "name": "..."}``. A bare string is shorthand
-    for a family with default parameters or a registered custom name.
+    ``{"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1"}``. A bare
+    string ``s`` is shorthand for ``{"family": s}``. Any other family
+    raises ``UnknownKernel``; a custom ``KernelL(fn, name)`` or
+    ``f_difference_kernel(F)`` is passed to ``choquet_aggregate`` as is.
     """
     if isinstance(spec, str):
-        if spec in _KERNELS:
-            return _KERNELS[spec]
         spec = {"family": spec}
     family = spec.get("family")
     if family == "delta-scale":
@@ -527,11 +518,6 @@ def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> 
         if "C" not in spec or "D" not in spec:
             raise BadParameter("affine-F needs carrier functions C and D")
         return affine_f_kernel(spec["C"], spec["D"], kind)
-    if family == "custom":
-        name = spec.get("name")
-        if isinstance(name, str) and name in _KERNELS:
-            return _KERNELS[name]
-        raise UnknownKernel(f"no registered kernel named {name!r}")
     raise UnknownKernel(f"unknown kernel family: {family!r}")
 
 

@@ -25,7 +25,7 @@ from functools import cmp_to_key
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import BadParameter, KindMismatch, lookup
-from .reporting import GridSpec, LawReport, run_law
+from .reporting import LawReport, run_law
 
 TOL = 1e-12
 _INF = float("inf")
@@ -405,6 +405,30 @@ def parse_order(spec: str) -> AdmissibleOrder:
 # ---------------------------------------------------------------------------
 # Grid enumeration
 # ---------------------------------------------------------------------------
+
+MAX_GRID = 1000  # the largest step denominator a grid accepts
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Finite enumeration grid: components range over {0, 1/m, ..., 1}.
+
+    ``kind`` selects the carrier ('scalar' | 'interval' | 'vector') and
+    ``dim`` the vector dimension; ``n`` is read by nothing and kept only
+    because the benchmark harness builds it. Every grid spans [0, 1].
+    """
+
+    kind: str
+    m: int
+    n: int = 3
+    dim: int = 2
+
+    def __post_init__(self):
+        if not 1 <= self.m <= MAX_GRID:
+            raise ValueError(f"grid step denominator must lie in [1, {MAX_GRID}], "
+                             f"got {self.m}")
+        carrier(self.kind)
+
 
 def unit_grid(m: int) -> list[float]:
     """The coefficients {0, 1/m, ..., 1}, in increasing order."""

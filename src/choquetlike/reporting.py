@@ -1,4 +1,4 @@
-"""Law-check reports and finite grid specifications.
+"""Law-check reports.
 
 Every executable law check in the package returns a :class:`LawReport`.
 A pass means "no counterexample found at the given resolution", never a
@@ -10,30 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterable, Optional
-
-MAX_GRID = 1000  # the largest step denominator a grid accepts
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Finite enumeration grid: components range over {0, 1/m, ..., 1}.
-
-    ``kind`` selects the carrier ('scalar' | 'interval' | 'vector') and
-    ``dim`` the vector dimension; ``n`` is read by nothing and kept only
-    because the benchmark harness builds it. Every grid spans [0, 1].
-    """
-
-    kind: str
-    m: int
-    n: int = 3
-    dim: int = 2
-
-    def __post_init__(self):
-        if not 1 <= self.m <= MAX_GRID:
-            raise ValueError(f"grid step denominator must lie in [1, {MAX_GRID}], "
-                             f"got {self.m}")
-        if self.kind not in ("scalar", "interval", "vector"):
-            raise ValueError(f"unknown carrier kind: {self.kind!r}")
 
 
 @dataclass

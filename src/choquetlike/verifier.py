@@ -31,10 +31,10 @@ from .operator import (
     AggregationInput, KernelL, PermutationSet, choquet_aggregate, _eval_sorted,
 )
 from .order import (
-    SCALAR, TOL, AdmissibleOrder, ScalarUsual, elements_equal,
+    SCALAR, TOL, AdmissibleOrder, GridSpec, ScalarUsual, elements_equal,
     grid_elements, one_element, unit_grid, zero_element,
 )
-from .reporting import GridSpec, LawReport, run_law
+from .reporting import LawReport, run_law
 
 _RESOLUTION_NOTE = "pass = no counterexample found at resolution m={m}"
 _CAPACITY_NOTE = ("operator-level sweep quantifies over a finite capacity "

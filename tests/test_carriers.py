@@ -36,9 +36,10 @@ UNKNOWN = "unknown carrier kind: 'bogus'"
     lambda: kernel_catalog("delta-scale", "bogus"),
     lambda: kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "bogus"),
     lambda: kernel_catalog({"family": "affine-F", "C": "identity", "D": "zero"}, "bogus"),
+    lambda: GridSpec("bogus", 2),
 ], ids=["carrier", "element_from_json", "zero_element", "one_element",
         "parse_dataset", "projected_dissimilarity", "addition_for", "scale_for",
-        "classical_kernel", "delta-scale", "b-scale-d", "affine-F"])
+        "classical_kernel", "delta-scale", "b-scale-d", "affine-F", "GridSpec"])
 def test_an_unknown_kind_is_refused_alike(call):
     with pytest.raises(BadParameter) as exc:
         call()

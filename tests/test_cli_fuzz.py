@@ -1,6 +1,5 @@
 """The command line under arbitrary JSON: whatever value one field of a
-kernel spec, a capacity, an interval dataset or an ``appendix-c`` config
-holds, ``main`` exits 0, 1, 2 or 3 and never raises, and exit 1 writes
+kernel spec, a capacity or an interval dataset holds, ``main`` exits 0, 1, 2 or 3 and never raises, and exit 1 writes
 the JSON error record to stderr."""
 
 import contextlib
@@ -106,12 +105,3 @@ def test_dataset_field(field, value):
         aggregate(dataset=with_field(DATASET, "rows", rows))
     else:
         aggregate(dataset=with_field(DATASET, field, value))
-
-
-@pytest.mark.parametrize("field", ["grid", "alpha", "beta", "Md", "delta_d"])
-@FUZZ
-@given(value=JSON_VALUES)
-def test_verify_config_field(field, value):
-    run(lambda tmp: ["verify", "--suite", "appendix-c", "--config", f"{tmp}/cfg.json",
-                     "--output", f"{tmp}/out.json"],
-        {"cfg.json": with_field({"grid": 2}, field, value)})

@@ -8,12 +8,11 @@ from pathlib import Path
 import pytest
 
 from choquetlike import (
-    Capacity, DatasetFormatError, GridSpec, Interval, KernelL, Scalar,
-    Vector, capacity_family, dissimilarity, parse_dataset, register_kernel,
-    verifier,
+    Capacity, DatasetFormatError, GridSpec, Interval, Scalar, Vector,
+    capacity_family, dissimilarity, parse_dataset, verifier,
 )
 from choquetlike.cli import _results_json, main
-from choquetlike.reporting import MAX_GRID
+from choquetlike.order import MAX_GRID
 from oracles import classical_choquet_increments, mu_lookup
 
 
@@ -336,8 +335,6 @@ class TestAggregateCommand:
                                     b"2,0.5,True,True\r\n")
 
     def test_inconsistent_rows_exit_two(self, tmp_path):
-        register_kernel(KernelL(
-            lambda x, prev, b1, b2: Scalar(b1 * x.value), "cli-first-weight"))
         data = tmp_path / "rows.csv"
         data.write_text("0.5,0.5\n")
         cap = tmp_path / "cap.json"
@@ -345,12 +342,13 @@ class TestAggregateCommand:
             {"subset": [], "value": 0}, {"subset": [1], "value": 0.2},
             {"subset": [2], "value": 0.7}, {"subset": [1, 2], "value": 1}]}))
         out = tmp_path / "out.json"
+        kernel = json.dumps({"family": "delta-scale", "delta": "sq-diff"})
         code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
-                     "--kernel", "cli-first-weight", "--output", str(out)])
+                     "--kernel", kernel, "--output", str(out)])
         assert code == 2
         rec = json.loads(out.read_text())["results"][0]
-        assert rec["consistent"] is False
-        assert rec["value"] == pytest.approx(0.85)  # value still written
+        assert rec["consistent"] is False and rec["permutations"] == 2
+        assert rec["value"] == pytest.approx(0.29)  # value still written
 
     def test_parse_error_exit_one(self, scalar_files, capsys):
         data, cap, out = scalar_files
@@ -400,15 +398,21 @@ class TestAggregateCommand:
         ({"family": "delta-scale", "delta": {"a": 1}}, "BadParameter"),
         ({"family": "affine-F", "C": [1], "D": "zero"}, "BadParameter"),
         ({"family": "custom", "name": [1]}, "UnknownKernel"),
+        ({"family": "custom", "name": "x"}, "UnknownKernel"),
+        ("my-kernel", "UnknownKernel"),
         ({"family": "affine-F", "C": "scale:2", "D": "zero"}, "ScaleOutOfRange"),
     ])
     def test_malformed_kernel_spec_exit_one(self, scalar_files, capsys, spec, error):
+        # A bare string names a family; no other kernel has a name here.
         data, cap, out = scalar_files
         code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
-                     "--kernel", json.dumps(spec)])
+                     "--kernel", spec if isinstance(spec, str) else json.dumps(spec)])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == error
+        if error == "UnknownKernel":
+            family = spec if isinstance(spec, str) else spec["family"]
+            assert err["error"]["message"] == f"unknown kernel family: {family!r}"
 
     def test_vector_order_of_another_dimension_exit_one(self, tmp_path, capsys):
         # Every row has distinct inputs, so no row needs a tie check.
@@ -518,43 +522,11 @@ class TestVerifyCommand:
         with pytest.raises(ValueError):
             GridSpec("interval", MAX_GRID + 1)
 
-    def test_non_object_config_exit_one(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1]")
-        code = main(["verify", "--suite", "order", "--config", str(cfg)])
-        assert code == 1
-        assert "error" in json.loads(capsys.readouterr().err)
-
-    @pytest.mark.parametrize("config", [{"grid": None}, {"n": "3"}, {"alpha": [0.5]},
-                                        {"Md": [1]}, {"delta_d": [1]},
-                                        {"alpha": int("9" * 400)}])
-    def test_wrongly_typed_config_exit_one(self, tmp_path, capsys, config):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        code = main(["verify", "--suite", "appendix-c", "--config", str(cfg)])
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "BadParameter"
-
     def test_dissimilarity_suite(self, tmp_path):
         out = tmp_path / "dis.json"
         code = main(["verify", "--suite", "dissimilarity", "--grid", "4",
                      "--output", str(out)])
         assert code == 0
-
-    def test_missing_config_exit_one(self, capsys):
-        code = main(["verify", "--suite", "order", "--config", "/no/such.json"])
-        assert code == 1
-        assert "error" in json.loads(capsys.readouterr().err)
-
-    def test_config_overrides(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": 2, "alpha": 0.5, "beta": 1.0,
-                                   "Md": "min", "delta_d": "abs-diff"}))
-        out = tmp_path / "takac.json"
-        code = main(["verify", "--suite", "appendix-c", "--config", str(cfg),
-                     "--output", str(out)])
-        assert code == 3
 
     @staticmethod
     def assert_all_suites_match(tmp_path, grid, snapshot):
@@ -577,13 +549,10 @@ class TestVerifyCommand:
         vector algebra checks."""
         self.assert_all_suites_match(tmp_path, [], "verify_all_default.json")
 
-    def test_n_flag_overrides_the_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 2}))
+    def test_n_flag_sets_the_arity(self, tmp_path):
         out = tmp_path / "wd.json"
-        argv = ["verify", "--suite", "wd", "--grid", "1", "--config", str(cfg),
-                "--output", str(out)]
-        for extra, n in (([], 2), (["--n", "4"], 4)):
+        argv = ["verify", "--suite", "wd", "--grid", "1", "--output", str(out)]
+        for extra, n in ((["--n", "2"], 2), (["--n", "4"], 4)):
             assert main(argv + extra) == 0
             assert {r["n"] for r in json.loads(out.read_text())} == {n}
 

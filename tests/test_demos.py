@@ -41,8 +41,7 @@ def test_readme_python_block_runs(code):
 
 
 def test_readme_json_examples_load():
-    """Each capacity of the README loads, and each kernel spec but the
-    placeholder ``custom`` one builds."""
+    """Each capacity and each kernel spec of the README loads."""
     decoder = json.JSONDecoder()
     specs = []
     for text in blocks("json"):
@@ -57,8 +56,7 @@ def test_readme_json_examples_load():
     for spec in capacities:
         assert Capacity.from_json(spec).n == spec["n"]
     for spec in kernels:
-        if spec["family"] != "custom":
-            assert kernel_catalog(spec, "scalar").name.startswith(spec["family"] + "(")
+        assert kernel_catalog(spec, "scalar").name.startswith(spec["family"] + "(")
 
 
 def test_readme_flags_match_the_parser():

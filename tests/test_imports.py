@@ -237,3 +237,78 @@ def test_detects_a_kind_keyed_dict():
                          ids=lambda p: p.name)
 def test_carrier_facts_stay_in_their_records(path):
     assert kind_keyed_dicts(path.read_text(encoding="utf-8")) == []
+
+
+# Every operation is pure: no function writes into a container that its
+# module, or a module it imports from, binds at module level.
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear",
+            "update", "setdefault", "add", "discard", "sort", "reverse",
+            "appendleft", "extendleft", "popleft", "difference_update",
+            "intersection_update", "symmetric_difference_update"}
+
+
+def module_state_writes(source: str) -> list[str]:
+    """``line: name`` for each place where a function assigns into or
+    deletes from ``name[...]`` or ``name.attr`` (at any depth, as in
+    ``name.attr[...]``), calls a mutating method of one of them, or
+    declares a name ``global``; ``name`` is bound at module level (by an
+    assignment, an import or a definition) and nowhere in the top-level
+    definition around that function."""
+    tree = ast.parse(source)
+    module_names = {n.id for top in tree.body
+                    if isinstance(top, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                    for n in ast.walk(top)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    for top in tree.body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            module_names.update((a.asname or a.name).split(".")[0] for a in top.names)
+        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            module_names.add(top.name)
+    found = set()
+    for top in tree.body:
+        local = {n.id for n in ast.walk(top)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local |= {a.arg for n in ast.walk(top) if isinstance(n, ast.arguments)
+                  for a in n.posonlyargs + n.args + n.kwonlyargs
+                  + [n.vararg, n.kwarg] if a is not None}
+        functions = [n for n in ast.walk(top) if isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+        for node in (n for fn in functions for n in ast.walk(fn)):
+            if isinstance(node, ast.Global):
+                found.update((node.lineno, name) for name in node.names)
+                continue
+            if (isinstance(node, (ast.Subscript, ast.Attribute))
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                target = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            while isinstance(target, (ast.Subscript, ast.Attribute)):
+                target = target.value
+            if (isinstance(target, ast.Name) and target.id in module_names
+                    and target.id not in local):
+                found.add((node.lineno, target.id))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_detects_a_module_state_write():
+    source = ("import os\nfrom .a import _SHARED\n_TABLE = {}\n_SEEN: list = []\n"
+              "def register(k):\n    _TABLE[k.name] = k\n"
+              "def note(x):\n    _SEEN.append(x)\n    return sorted(_SEEN)\n"
+              "class Env:\n    def put(self):\n        os.environ['X'] = '1'\n"
+              "def bump():\n    global _COUNT\n    _COUNT = 1\n"
+              "def share(v):\n    _SHARED.update(v)\n"
+              "def local():\n    _TABLE = {}\n    _TABLE['a'] = 1\n"
+              "    acc = []\n    acc.append(_TABLE.get('a'))\n    return acc\n"
+              "def forget(k):\n    del _TABLE[k]\n")
+    assert module_state_writes(source) == [
+        "line 6: _TABLE", "line 8: _SEEN", "line 12: os", "line 14: _COUNT",
+        "line 17: _SHARED", "line 25: _TABLE"]
+
+
+def test_no_function_writes_module_state():
+    found = {p.name: module_state_writes(p.read_text(encoding="utf-8"))
+             for p in ALL_MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
