@@ -1,6 +1,7 @@
 """The command line under arbitrary JSON: whatever value one field of a
-kernel spec, a capacity or an interval dataset holds, ``main`` exits 0, 1, 2 or 3 and never raises, and exit 1 writes
-the JSON error record to stderr."""
+kernel spec, a capacity or an interval dataset holds, ``main`` exits 0, 1,
+2 or 3 and never raises, and exit 1 writes the JSON error record to
+stderr."""
 
 import contextlib
 import io

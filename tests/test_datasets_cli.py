@@ -522,6 +522,37 @@ class TestVerifyCommand:
         with pytest.raises(ValueError):
             GridSpec("interval", MAX_GRID + 1)
 
+    @pytest.mark.parametrize("flags,error", [
+        (["--grid", "x"], "BadParameter"), (["--grid", "1.5"], "BadParameter"),
+        (["--grid", "0"], "ValueError"), (["--n", "x"], "BadParameter"),
+        (["--n", "1"], "BadParameter"), (["--n", "25"], "BadParameter"),
+        (["--seed", "0.5"], "BadParameter"),
+    ])
+    def test_wrongly_typed_flag_exit_one(self, capsys, flags, error):
+        code = main(["verify", "--suite", "wd", "--grid", "1", *flags])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == error
+
+    def test_config_flag_is_refused(self, tmp_path, capsys):
+        # Settings come from --grid and --n alone; there is no config file.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": 2}))
+        code = main(["verify", "--suite", "order", "--config", str(cfg)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"type": "BadParameter",
+                                "message": f"unrecognized arguments: --config {cfg}"}
+
+    def test_takac_suite_reports_its_fixed_parameters(self, tmp_path):
+        out = tmp_path / "takac.json"
+        code = main(["verify", "--suite", "appendix-c", "--grid", "2",
+                     "--output", str(out)])
+        assert code == 3
+        detail = json.loads(out.read_text())[0]["detail"]
+        assert {k: detail[k] for k in ("alpha", "beta", "Md", "delta_d")} == {
+            "alpha": 0.5, "beta": 1.0, "Md": "max", "delta_d": "abs-diff"}
+
     def test_dissimilarity_suite(self, tmp_path):
         out = tmp_path / "dis.json"
         code = main(["verify", "--suite", "dissimilarity", "--grid", "4",

@@ -533,6 +533,45 @@ class TestKernelCatalog:
         assert res.consistent
         assert res.value.value == pytest.approx(expected) == pytest.approx(0.285)
 
+    CARRIERS = {"scalar": (ScalarUsual(), PLUS), "interval": (XU, IV_PLUS),
+                "vector": (VectorLex((1, 0)), VV_PLUS)}
+
+    @pytest.mark.parametrize("kind", list(CARRIERS))
+    def test_custom_kernel_is_passed_as_a_value(self, kind):
+        # A custom kernel reaches the operator as an argument, and naming it
+        # leaves no trace: the catalog still knows only its families.
+        order, addop = self.CARRIERS[kind]
+        classical = classical_kernel(kind)
+        kernel = KernelL(classical.fn, "mine")
+        rng = random.Random(5)
+        for _ in range(50):
+            n = rng.randint(2, 4)
+            levels = [_random_element(rng, kind) for _ in range(rng.randint(1, n))]
+            inp = AggregationInput(tuple(rng.choice(levels) for _ in range(n)),
+                                   capacity_family("uniform-random", n,
+                                                   seed=rng.randrange(1000)),
+                                   order, addop)
+            got, want = choquet_aggregate(inp, kernel), choquet_aggregate(inp, classical)
+            assert _bits(got.value) == _bits(want.value)
+            assert got.consistent == want.consistent
+        with pytest.raises(UnknownKernel, match="unknown kernel family: 'mine'"):
+            kernel_catalog("mine", kind)
+
+    @pytest.mark.parametrize("family", ["delta-scale", "b-scale-d"])
+    @pytest.mark.parametrize("kind", list(CARRIERS))
+    def test_bare_name_is_the_family_spec(self, family, kind):
+        order = self.CARRIERS[kind][0]
+        bare = kernel_catalog(family, kind, order)
+        spec = kernel_catalog({"family": family}, kind, order)
+        assert (bare.name, bare.kind) == (spec.name, spec.kind)
+        rng = random.Random(7)
+        for _ in range(50):
+            x, prev = _random_element(rng, kind), _random_element(rng, kind)
+            b1 = rng.random()
+            b2 = b1 * rng.random()
+            assert (_bits(bare.evaluate(x, prev, b1, b2))
+                    == _bits(spec.evaluate(x, prev, b1, b2)))
+
     def test_old_tagged_form_is_refused(self):
         with pytest.raises(TypeError):
             KernelL("ci", lambda x, b1, b2: x, "x")
