@@ -17,7 +17,8 @@ from typing import Callable, Optional
 from .errors import BadParameter, KindMismatch, ScaleOutOfRange, lookup
 from .order import (
     INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, Element, GridSpec, Interval,
-    Scalar, Vector, elements_equal, grid_elements, require_same_carrier, unit_grid,
+    Scalar, Vector, carrier, elements_equal, grid_elements, require_same_carrier,
+    unit_grid,
 )
 from .reporting import LawReport, run_law
 
@@ -37,15 +38,14 @@ class AdditionOp:
 
 @dataclass(frozen=True)
 class MultiplicationOp:
-    """Scaling of one carrier by a coefficient in [0, 1]: ``fn`` scales an
-    element, ``term`` a component tuple (the catalog kernels use the
-    shipped scalings' terms). Neither checks the coefficient; ``scale``
-    and the kernel terms do."""
+    """Scaling of one carrier by a coefficient in [0, 1], defined once by
+    ``term`` on component tuples: ``scale`` applies it to elements, the
+    catalog kernels to the tuples they fold. ``term`` does not check the
+    coefficient; ``scale`` and the kernel terms do."""
 
     name: str
     kind: str
-    fn: Callable[[float, Element], Element]
-    term: Optional[Callable[[float, tuple], tuple]] = None
+    term: Callable[[float, tuple], tuple]
 
 
 def add(op: AdditionOp, x: Element, z: Element) -> Element:
@@ -89,7 +89,7 @@ def scale(op: MultiplicationOp, c: float, x: Element) -> Element:
         c = unit_coefficient(c)
     if x.kind != op.kind:
         raise KindMismatch(f"operation {op.name!r} expects {op.kind} operands")
-    return op.fn(c, x)
+    return carrier(op.kind).make(op.term(c, x.components))
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +105,9 @@ VV_PLUS = AdditionOp("vv-plus", VECTOR,
                      lambda x, z: Vector(tuple(a + b for a, b in zip(x.coords, z.coords))),
                      lambda a, b: tuple([p + q for p, q in zip(a, b)]))
 
-TIMES = MultiplicationOp("times", SCALAR, lambda c, x: Scalar(c * x.value),
-                         lambda c, a: (c * a[0],))
-IV_SCALE = MultiplicationOp("iv-scale", INTERVAL,
-                            lambda c, x: Interval(c * x.lower, c * x.upper),
-                            lambda c, a: (c * a[0], c * a[1]))
-VV_SCALE = MultiplicationOp("vv-scale", VECTOR,
-                            lambda c, x: Vector(tuple(c * a for a in x.coords)),
-                            lambda c, a: tuple([c * v for v in a]))
+TIMES = MultiplicationOp("times", SCALAR, lambda c, a: (c * a[0],))
+IV_SCALE = MultiplicationOp("iv-scale", INTERVAL, lambda c, a: (c * a[0], c * a[1]))
+VV_SCALE = MultiplicationOp("vv-scale", VECTOR, lambda c, a: tuple([c * v for v in a]))
 
 # Negative-control fixtures: both commutative and associative, both break
 # the cancellation law.

@@ -75,7 +75,7 @@ def main(argv=None) -> int:
         if args.cmd == "aggregate":
             return cmd_aggregate(args)
         return cmd_verify(args)
-    except (ChoquetlikeError, OSError, ValueError, KeyError) as exc:
+    except (ChoquetlikeError, OSError, ValueError, KeyError, RecursionError) as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(record), file=sys.stderr)
         return 1

@@ -46,7 +46,8 @@ class TooManyTies(ChoquetlikeError):
 
 
 class UnknownKernel(ChoquetlikeError):
-    """Kernel specification names no catalog family or registered kernel."""
+    """Kernel specification names no catalog family, or is neither a family
+    name nor an object."""
 
 
 class KernelRangeError(ChoquetlikeError):

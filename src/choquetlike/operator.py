@@ -10,17 +10,17 @@ where x_{sigma(0)} is the least element, b_i is the capacity of the tail
 set {sigma(i), ..., sigma(n)}, and b_{n+1} = 0. Every kernel is called
 as L(current, previous, b1, b2) and may ignore any of its arguments.
 
-The same formula holds on every carrier, and the shipped kernels and
-additions work component by component. So each catalog kernel is
-defined once, on component tuples, and ``KernelL.evaluate`` lifts it to
-elements; an element function it is built from (a callable ``C`` or
-``D``, a dissimilarity without a component form) is lifted to tuples by
-``_on_components``. ``choquet_aggregate`` folds each row on component
-tuples, checks every kernel term as ``evaluate`` checks its output, and
-builds one element per row; a custom kernel or an addition defined on
-elements alone is lifted to components there. ``_eval_sorted`` folds on
-elements and stays the reference that ``choquet_eval`` and the
-brute-force oracles call.
+The same formula holds on every carrier, and the shipped kernels,
+additions and scalings work component by component. So each catalog
+kernel is defined once, on component tuples, and ``KernelL.evaluate``
+lifts it to elements. Every function defined on elements reaches the
+tuples through one lift, ``_on_components``: a callable ``C`` or ``D``,
+a dissimilarity without a component form, a custom kernel, and an
+addition without ``term``. ``choquet_aggregate`` folds each row on
+component tuples, checks every kernel term as ``evaluate`` checks its
+output, and builds one element per row. ``_eval_sorted`` folds on
+elements with the addition's ``fn`` and stays the reference that
+``choquet_eval`` and the brute-force oracles call.
 
 A row whose inputs are pairwise strictly ordered has one admissible
 permutation. ``choquet_aggregate`` finds such rows from one float per
@@ -28,7 +28,8 @@ input, the order's ``lead``: when the sorted leads are more than ``TOL``
 apart, ``compare`` follows them, so their sort is the one chain
 ``PermutationSet`` would build, and the row is folded once along it.
 Every other row, tied or within ``TOL``, takes ``PermutationSet`` and
-the tie walk, which the oracles use too.
+the tie walk, which the oracles use too; a row without ties walks to
+its one permutation.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class KernelL:
     again; they build one even from element callables. Only a custom
     kernel, ``KernelL(fn, name)``, and ``f_difference_kernel(F)`` are
     ``fn`` alone, and ``choquet_aggregate`` lifts ``evaluate`` to
-    component tuples.
+    component tuples with ``_on_components``.
     """
 
     fn: Callable[[Element, Element, float, float], Element]
@@ -105,14 +106,16 @@ def _validate_unit(x: Element, kernel_name: str) -> Element:
 
 
 def _on_components(fn, kind: str, what: str):
-    """``fn``, a function of elements of carrier ``kind``, called on their
-    component tuples. Its result must lie on the carrier of its first
-    argument; any other raises ``KindMismatch`` naming ``what``."""
+    """``fn``, a function of elements of carrier ``kind`` (and of any
+    further arguments, such as a kernel's weights), called on component
+    tuples: each tuple argument is made an element, any other is passed
+    through. Its result must lie on the carrier of its first argument;
+    any other raises ``KindMismatch`` naming ``what``."""
     make = carrier(kind).make
 
-    def lifted(*comps: tuple) -> tuple:
-        out = fn(*map(make, comps))
-        if out.kind != kind or out.dim != len(comps[0]):
+    def lifted(*args) -> tuple:
+        out = fn(*[make(a) if isinstance(a, tuple) else a for a in args])
+        if out.kind != kind or out.dim != len(args[0]):
             raise KindMismatch(f"{what} left the carrier of its input: {out!r}")
         return out.components
 
@@ -171,14 +174,6 @@ class AggregationInput:
             raise KindMismatch("vector dimension does not match the order")
         if self.addop.kind != kind:
             raise KindMismatch("addition carrier does not match the inputs")
-
-    @property
-    def n(self) -> int:
-        return len(self.X)
-
-    @property
-    def zero(self) -> Element:
-        return zero_element(self.X[0].kind, self.X[0].dim)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +242,7 @@ def choquet_eval(inp: AggregationInput, kernel: KernelL,
     set; its ``in_unit`` records membership.
     """
     X, order = inp.X, inp.order
-    n = inp.n
-    if sorted(sigma) != list(range(n)):
+    if sorted(sigma) != list(range(len(X))):
         raise NotAdmissiblePermutation("sigma is not a permutation of range(n)")
     for a, b in zip(sigma, sigma[1:]):
         if order.compare(X[a], X[b]) > 0:
@@ -264,7 +258,7 @@ def _eval_sorted(inp: AggregationInput, kernel: KernelL, sigma) -> Element:
     X, evaluate, plus = inp.X, kernel.evaluate, inp.addop.fn
     b = _tail_weights(inp.mu.values, sigma)
     prev = X[sigma[0]]
-    acc = evaluate(prev, inp.zero, b[0], b[1])
+    acc = evaluate(prev, zero_element(prev.kind, prev.dim), b[0], b[1])
     for i in range(1, len(sigma)):
         x = X[sigma[i]]
         acc = plus(acc, evaluate(x, prev, b[i], b[i + 1]))
@@ -279,7 +273,7 @@ class _Fold:
     """The operator on one row's component tuples: the kernel term, checked
     as ``KernelL.evaluate`` checks its output, and the addition. A custom
     kernel or an addition without a component form is lifted from
-    elements."""
+    elements by ``_on_components``."""
 
     def __init__(self, inp: AggregationInput, kernel: KernelL):
         x0 = inp.X[0]
@@ -287,18 +281,12 @@ class _Fold:
         if kernel.kind not in (None, kind):
             raise KindMismatch(f"kernel {kernel.name!r} is defined on "
                                f"{kernel.kind} inputs, got {x0!r}")
-        self.make = make = carrier(kind).make
+        self.make = carrier(kind).make
         self.comps = [x.components for x in inp.X]
         self.zero = (0.0,) * dim
         self.values = inp.mu.values
-        term = kernel.term
-        if term is None:
-            evaluate = kernel.evaluate
-
-            def term(xc, pc, b1, b2):
-                return evaluate(make(xc), make(pc), b1, b2).components
-
-        self.term = term
+        self.term = kernel.term or _on_components(
+            kernel.evaluate, kind, f"kernel {kernel.name!r}")
         self.plus = inp.addop.term or _on_components(
             inp.addop.fn, kind, f"addition {inp.addop.name!r}")
 
@@ -373,7 +361,8 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     whether every admissible permutation gives that value. A row that
     ``_strict_chain`` orders has one admissible permutation and is folded
     once. Every other row takes ``PermutationSet``: the candidates of
-    ``_tie_candidates`` are evaluated until one differs. A tie group of more than
+    ``_tie_candidates`` are evaluated until one differs (a row without
+    ties has one, ``first``). A tie group of more than
     ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``. Inconsistency is
     reported, never raised; the witness carries two permutations and
     their values. The value, bit for bit, is ``choquet_eval`` along the
@@ -390,13 +379,11 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     fold = _Fold(inp, kernel)
     first = perms.first()
     base = fold(first)
-    candidates = [first] if perms.count == 1 else _tie_candidates(fold, perms)
-
     value = fold.make(base)
     consistent = True
     witness = None
     checked = 0
-    for sigma in candidates:
+    for sigma in _tie_candidates(fold, perms):
         checked += 1
         if sigma == first:
             continue
@@ -508,6 +495,9 @@ def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> 
     """
     if isinstance(spec, str):
         spec = {"family": spec}
+    if not isinstance(spec, dict):
+        raise UnknownKernel(f"kernel spec must be a family name or an object, "
+                            f"got {spec!r}")
     family = spec.get("family")
     if family == "delta-scale":
         return delta_scale_kernel(spec.get("delta", "difference"), kind)

@@ -4,7 +4,7 @@ import pytest
 
 from choquetlike import (
     BOUNDED_SUM, GridSpec, IV_PLUS, IV_SCALE, Interval, MIN_OP, PLUS, Scalar,
-    ScaleOutOfRange, TIMES, VV_PLUS, VV_SCALE, Vector, AdditionOp, AlphaBeta,
+    KindMismatch, ScaleOutOfRange, TIMES, VV_PLUS, VV_SCALE, Vector, AdditionOp, AlphaBeta,
     ScalarUsual, VectorLex, add, check_associativity, check_c1,
     check_cancellation, check_commutativity, check_compatibility,
     check_distributivity, elements_equal, scale,
@@ -43,6 +43,12 @@ class TestAddScale:
     def test_scale_out_of_range(self):
         with pytest.raises(ScaleOutOfRange):
             scale(TIMES, 1.5, Scalar(0.5))
+
+    def test_operands_of_another_carrier(self):
+        with pytest.raises(KindMismatch):
+            add(PLUS, Interval(0.1, 0.2), Interval(0.3, 0.4))
+        with pytest.raises(KindMismatch):
+            scale(TIMES, 0.5, Interval(0.1, 0.2))
 
 
 class TestCancellation:

@@ -9,7 +9,7 @@ import pytest
 
 from choquetlike import (
     Capacity, DatasetFormatError, GridSpec, Interval, Scalar, Vector,
-    capacity_family, dissimilarity, parse_dataset, verifier,
+    capacity_family, cli, dissimilarity, parse_dataset, verifier,
 )
 from choquetlike.cli import _results_json, main
 from choquetlike.order import MAX_GRID
@@ -78,6 +78,8 @@ class TestDatasets:
                 # Of two bad cells in a row, the first in column order is named.
                 ('[[-0.5, "x"]]', "scalar", "row 0, column 0"),
                 ('[[[0.5, 0.2], ["a", 1]]]', "interval", "row 0, column 0"),
+                # Text that is not JSON.
+                ("[[0.1, 0.2]", "scalar", "bad JSON"),
                 # A row that is not a list of cells.
                 ("[5]", "scalar", r"row 0 \(0-based\): 5 is not a list of cells"),
                 ("[[0.1, 0.2], 5]", "scalar", r"row 1 \(0-based\): 5 is not a list"),
@@ -175,6 +177,7 @@ MALFORMED_CAPACITIES = [
     {"n": 2, "entries": 3},
     {"n": 2, "entries": [{"subset": [0], "value": 0.5}]},
     {"n": 2, "entries": [{"subset": [1, -1], "value": 0.5}]},
+    {"n": 2, "entries": [{"subset": [3], "value": 0.5}]},
     {"n": 1, "entries": [{"subset": [True], "value": True},
                          {"subset": [], "value": False}]},
     {"n": 1, "entries": [{"subset": [1], "value": 1},
@@ -629,6 +632,23 @@ class TestCommandLine:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "BadParameter"
 
+    @pytest.mark.parametrize("where", ["capacity", "dataset", "kernel"])
+    def test_json_nested_past_the_recursion_limit_exit_one(self, scalar_files,
+                                                           capsys, where):
+        data, cap, out = scalar_files
+        argv = ["aggregate", "--input", str(data), "--capacity", str(cap)]
+        if where == "kernel":
+            argv += ["--kernel", '{"a": ' * 5000 + "1" + "}" * 5000]
+        else:
+            data = data.with_suffix(".json")
+            data.write_text("[" * 200_000 + "]" * 200_000)
+            argv[2 if where == "dataset" else 4] = str(data)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert set(err) == {"error"} and set(err["error"]) == {"type", "message"}
+
     @pytest.mark.parametrize("argv", [["--help"], ["aggregate", "--help"],
                                       ["verify", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
@@ -636,3 +656,48 @@ class TestCommandLine:
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+class TestTracedNames:
+    """The traced benchmark times each layer by putting a wrapper in place
+    of one of these module globals. A command that stops calling one
+    through its module loses that layer's metrics without failing, so the
+    calls each command makes are pinned here."""
+
+    NAMES = ["cli.load_dataset", "cli.choquet_aggregate", "cli.check_admissibility",
+             "cli.check_dissimilarity", "cli.check_telescoping",
+             "cli.takac_counterexample", "cli.check_commutativity",
+             "cli.check_associativity", "cli.check_cancellation",
+             "cli.check_compatibility", "cli.check_distributivity", "cli.check_c1",
+             "verifier.check_wd", "verifier.check_monotonicity",
+             "verifier.check_aggregation"]
+
+    def _counted(self, monkeypatch, argv):
+        calls = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            module_name, attr = name.split(".")
+            module = {"cli": cli, "verifier": verifier}[module_name]
+
+            def counted(*args, _name=name, _fn=getattr(module, attr), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+        main(argv)
+        return {name: count for name, count in calls.items() if count}
+
+    def test_aggregate_calls(self, scalar_files, monkeypatch, capsys):
+        data, cap, out = scalar_files  # three rows
+        assert self._counted(monkeypatch, [
+            "aggregate", "--input", str(data), "--capacity", str(cap)]) == {
+            "cli.load_dataset": 1, "cli.choquet_aggregate": 3}
+
+    def test_verify_calls(self, monkeypatch, capsys):
+        assert self._counted(monkeypatch, ["verify", "--suite", "all", "--grid", "2"]) == {
+            "cli.check_admissibility": 5, "cli.check_commutativity": 3,
+            "cli.check_associativity": 3, "cli.check_cancellation": 3,
+            "cli.check_compatibility": 3, "cli.check_distributivity": 6,
+            "cli.check_c1": 3, "verifier.check_wd": 9,
+            "verifier.check_monotonicity": 9, "verifier.check_aggregation": 4,
+            "cli.check_dissimilarity": 2, "cli.check_telescoping": 2,
+            "cli.takac_counterexample": 1}

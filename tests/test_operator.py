@@ -358,6 +358,21 @@ class TestLeanFold:
         with pytest.raises(KindMismatch):
             choquet_eval(inp, kernel, (1, 2, 0))
 
+    def test_addition_leaving_the_scalar_carrier_raises(self):
+        # An addition without a component form reaches the fold through
+        # _on_components, which checks the carrier of each sum.
+        op = AdditionOp("to-interval", "scalar",
+                        lambda x, z: Interval(0.0, x.value + z.value))
+        kernel = classical_kernel("scalar")
+        for values in ((0.2, 0.6), (0.4, 0.4)):  # a strict chain, then a tie
+            inp = AggregationInput(tuple(map(Scalar, values)),
+                                   capacity_family("cardinality", 2), ScalarUsual(), op)
+            with pytest.raises(KindMismatch, match="left the carrier of the inputs"):
+                choquet_eval(inp, kernel, (0, 1))
+            with pytest.raises(KindMismatch,
+                               match="addition 'to-interval' left the carrier"):
+                choquet_aggregate(inp, kernel)
+
     def test_catalog_kernel_on_another_carrier_raises(self):
         X = (Interval(0.1, 0.3), Interval(0.2, 0.5))
         inp = AggregationInput(X, capacity_family("cardinality", 2), XU, IV_PLUS)
@@ -677,6 +692,10 @@ class TestKernelCatalog:
             kernel_catalog({"family": "no-such"}, "scalar")
         with pytest.raises(UnknownKernel, match="unknown kernel family: 'custom'"):
             kernel_catalog({"family": "custom", "name": "never-registered"}, "scalar")
+        # A spec is a family name or an object; anything else is named.
+        for spec in (["delta-scale"], None, 3):
+            with pytest.raises(UnknownKernel, match=re.escape(f"got {spec!r}")):
+                kernel_catalog(spec, "scalar")
 
     def test_kernel_output_validated_in_unit(self):
         bad = KernelL(lambda x, prev, b1, b2: Scalar(1.5), "escapes")
@@ -691,6 +710,13 @@ class TestKernelCatalog:
         with pytest.raises(BadParameter):
             AggregationInput((Scalar(0.5), Scalar(0.2), Scalar(0.1)), mu,
                              ScalarUsual(), PLUS)
+        # Inputs of mixed carriers, an interval order or an interval
+        # addition on scalars.
+        for X, order, addop in (((Scalar(0.5), Interval(0.1, 0.2)), ScalarUsual(), PLUS),
+                                ((Scalar(0.5), Scalar(0.2)), XU, PLUS),
+                                ((Scalar(0.5), Scalar(0.2)), ScalarUsual(), IV_PLUS)):
+            with pytest.raises(KindMismatch):
+                AggregationInput(X, mu, order, addop)
 
 
 class TestComponentForms:

@@ -243,6 +243,51 @@ class TestAdmissibilityCheck:
         assert partial_leq(w["x"], w["z"])
         assert broken.compare(w["x"], w["z"]) > 0
 
+    def test_asymmetric_comparator_fails_totality(self):
+        class AlwaysBelow(ScalarUsual):
+            def compare(self, x, z):
+                return -1
+
+        broken = AlwaysBelow()
+        report = check_admissibility(broken, GridSpec("scalar", 2))
+        assert not report.passed
+        w = report.witness
+        assert w["violation"] == "totality"
+        assert broken.compare(w["x"], w["z"]) != -broken.compare(w["z"], w["x"])
+
+    def test_comparator_tying_everything_fails_antisymmetry(self):
+        class AllEqual(ScalarUsual):
+            def compare(self, x, z):
+                return 0
+
+        broken = AllEqual()
+        report = check_admissibility(broken, GridSpec("scalar", 2))
+        assert not report.passed
+        w = report.witness
+        assert w["violation"] == "antisymmetry"
+        assert broken.compare(w["x"], w["z"]) == 0
+        assert not elements_equal(w["x"], w["z"])
+
+    def test_swapped_pair_fails_transitivity(self):
+        # (1, 0) before (0, 1), against the lexicographic order on first
+        # coordinates; the two are incomparable, so only transitivity sees it.
+        swapped = {((1.0, 0.0), (0.0, 1.0)): -1, ((0.0, 1.0), (1.0, 0.0)): 1}
+
+        class Swapped(VectorLex):
+            def compare(self, x, z):
+                return swapped.get((x.coords, z.coords)) or super().compare(x, z)
+
+        broken = Swapped((0, 1))
+        report = check_admissibility(broken, GridSpec("vector", 2, dim=2))
+        assert not report.passed
+        w = report.witness
+        assert w["violation"] == "transitivity"
+        assert (w["x"], w["y"], w["z"]) == (Vector((0.0, 1.0)), Vector((0.5, 0.0)),
+                                            Vector((1.0, 0.0)))
+        assert broken.compare(w["x"], w["y"]) <= 0
+        assert broken.compare(w["y"], w["z"]) <= 0
+        assert broken.compare(w["x"], w["z"]) > 0
+
     def test_reversed_tie_break_at_half_is_still_admissible(self):
         # Reversing the beta tie-break of the Xu-Yager order lands on
         # another valid admissible order, so it is not a negative control.
