@@ -27,7 +27,7 @@ from .dissimilarity import (
     check_dissimilarity, check_telescoping, resolve_dissimilarity,
     takac_counterexample,
 )
-from .errors import BadParameter, ChoquetlikeError, json_number
+from .errors import BadParameter, ChoquetlikeError, json_number, load_json
 from .operator import AggregationInput, choquet_aggregate, kernel_catalog
 from .order import (
     INTERVAL, SCALAR, VECTOR, AlphaBeta, GridSpec, ScalarUsual, VectorLex,
@@ -61,9 +61,7 @@ def main(argv=None) -> int:
     agg.add_argument("--format", choices=("json", "csv"), default="json")
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("--suite", required=True,
-                     choices=("algebra", "order", "wd", "monotone",
-                              "aggregation", "dissimilarity", "appendix-c", "all"))
+    ver.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     ver.add_argument("--grid", type=int, default=None, help="step denominator")
     ver.add_argument("--n", type=int, default=None, help="operator arity")
     ver.add_argument("--seed", type=int, default=42)
@@ -90,7 +88,7 @@ def cmd_aggregate(args) -> int:
     kind = order.kind
     ds = load_dataset(args.input, kind)
     with open(args.capacity, "r", encoding="utf-8") as fh:
-        cap_json = json.load(fh)
+        cap_json = load_json(fh.read())
     # A capacity costs n * 2^n to build: refuse the wrong arity first.
     if isinstance(cap_json, dict) and (
             n := json_number(cap_json, "n", integral=True)) != ds.n:
@@ -99,11 +97,11 @@ def cmd_aggregate(args) -> int:
     addop = addition_for(kind)
     kernel_spec = args.kernel
     if kernel_spec.lstrip().startswith("{"):
-        kernel_spec = json.loads(kernel_spec)
+        kernel_spec = load_json(kernel_spec)
     kernel = kernel_catalog(kernel_spec, kind, order)
 
     done = []
-    for row_id, row in zip(ds.row_ids(), ds.rows):
+    for row_id, row in zip(ds.ids, ds.rows):
         res = choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
         done.append((row_id, res.value, res.consistent, res.permutations))
 
@@ -143,16 +141,8 @@ def cmd_verify(args) -> int:
     # Each suite reads the grid and arity it is given, or its own default.
     settings = {key: value for key, value in (("grid", args.grid), ("n", args.n))
                 if value is not None}
-
-    suites = {
-        "order": suite_order, "algebra": suite_algebra, "wd": suite_wd,
-        "monotone": suite_monotone, "aggregation": suite_aggregation,
-        "dissimilarity": suite_dissimilarity, "appendix-c": suite_takac,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    tagged: list[tuple[str, LawReport]] = []
-    for name in names:
-        tagged.extend((name, report) for report in suites[name](settings))
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    tagged = [(name, report) for name in names for report in SUITES[name](settings)]
 
     payload = [dict(report.to_json(), suite=name) for name, report in tagged]
     columns = ["suite", "law", "verdict", "checked", "elapsed"]
@@ -254,8 +244,7 @@ def suite_aggregation(settings) -> list[LawReport]:
     lex = AlphaBeta(0.0, 1.0)
     grid = GridSpec(INTERVAL, settings.get("grid", 2))
     reports.append(verifier.check_aggregation(
-        kernel_catalog("delta-scale", INTERVAL, lex), IV_PLUS, lex,
-        n, grid))
+        kernel_catalog("delta-scale", INTERVAL, lex), IV_PLUS, lex, n, grid))
     return reports
 
 
@@ -285,6 +274,12 @@ def suite_takac(settings) -> list[LawReport]:
         report.detail["note"] = ("expected negative result: the width-based "
                                  "construction cannot telescope")
     return [report]
+
+
+# The suites of ``verify``, in the order ``--suite all`` runs them.
+SUITES = {"order": suite_order, "algebra": suite_algebra, "wd": suite_wd,
+          "monotone": suite_monotone, "aggregation": suite_aggregation,
+          "dissimilarity": suite_dissimilarity, "appendix-c": suite_takac}
 
 
 if __name__ == "__main__":

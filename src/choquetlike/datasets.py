@@ -3,9 +3,9 @@
 Scalar datasets travel as CSV, one record per row; interval and vector
 datasets as JSON, each record a list of elements like
 ``[[0.2, 0.4], [0.5, 0.7]]``. CSV cannot carry nested structure cleanly,
-hence the split. The expected carrier kind comes from context (the order
-specification), which also disambiguates two-coordinate vectors from
-intervals.
+hence the split. The carrier kind is the caller's (the order
+specification's), which also disambiguates two-coordinate vectors from
+intervals: a JSON object's ``"kind"``, if present, must equal it.
 """
 
 from __future__ import annotations
@@ -14,17 +14,17 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import BadParameter, DatasetFormatError
+from .errors import BadParameter, DatasetFormatError, load_json
 from .order import SCALAR, Element, Scalar, carrier
 
 
 @dataclass(frozen=True)
 class Dataset:
-    kind: str
+    """Rows of one length, of elements of the caller's carrier kind and of
+    one dimension that lie in [0, 1], with one string id per row."""
     rows: tuple[tuple[Element, ...], ...]
-    ids: Optional[tuple[str, ...]] = None
+    ids: tuple[str, ...]
 
     def __post_init__(self):
         if not self.rows:
@@ -38,30 +38,28 @@ class Dataset:
                 raise DatasetFormatError(
                     f"row {r} (0-based): {len(row)} cells where row 0 has {n}")
             for c, el in enumerate(row):
-                if el.kind != self.kind or el.dim != dim:
+                if el.dim != dim:
                     raise DatasetFormatError(
                         f"row {r}, column {c} (0-based): {el!r} does not match "
                         f"the dataset carrier")
                 if not el.in_unit:
                     raise DatasetFormatError(
                         f"row {r}, column {c} (0-based): {el!r} lies outside [0, 1]")
-        if self.ids is not None and len(self.ids) != len(self.rows):
+        if len(self.ids) != len(self.rows):
             raise DatasetFormatError("ids do not match the number of rows")
 
     @property
     def n(self) -> int:
         return len(self.rows[0])
 
-    def row_ids(self) -> list[str]:
-        if self.ids is not None:
-            return list(self.ids)
-        return [str(i) for i in range(len(self.rows))]
-
 
 def parse_dataset(text: str, kind: str) -> Dataset:
+    """The dataset in ``text``; rows without ids are numbered from "0"."""
     if kind == SCALAR and not text.lstrip().startswith(("[", "{")):
-        return _parse_csv(text)
-    return _parse_json(text, kind)
+        rows, ids = _parse_csv(text), None
+    else:
+        rows, ids = _parse_json(text, kind)
+    return Dataset(rows, tuple(map(str, range(len(rows)))) if ids is None else ids)
 
 
 def _build_row(r: int, cells, build) -> tuple[Element, ...]:
@@ -80,37 +78,39 @@ def _build_row(r: int, cells, build) -> tuple[Element, ...]:
         raise
 
 
-def _parse_csv(text: str) -> Dataset:
+def _parse_csv(text: str) -> tuple:
     rows = []
     for record in csv.reader(io.StringIO(text)):
         if not record or all(not c.strip() for c in record):
             continue
         rows.append(_build_row(len(rows), record, lambda c: Scalar(float(c))))
-    return Dataset(SCALAR, tuple(rows))
+    return tuple(rows)
 
 
-def _parse_json(text: str, kind: str) -> Dataset:
+def _parse_json(text: str, kind: str) -> tuple:
+    """The rows of ``text`` and its ids, or None if it has none."""
+    build = carrier(kind).from_json  # refuses an unknown kind before any row
     try:
-        obj = json.loads(text)
+        obj = load_json(text)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"bad JSON: {exc}") from exc
     ids = None
     if isinstance(obj, dict):
+        if obj.get("kind", kind) != kind:
+            raise DatasetFormatError(f"dataset kind {obj['kind']!r}, expected {kind!r}")
         if "ids" in obj:
             if not isinstance(obj["ids"], list):
                 raise DatasetFormatError(f"ids must be a list, got {obj['ids']!r}")
             ids = tuple(_row_id(i, ident) for i, ident in enumerate(obj["ids"]))
-        kind = obj.get("kind", kind)
         obj = obj.get("rows", [])
     if not isinstance(obj, list):
         raise DatasetFormatError("expected a list of rows")
-    build = carrier(kind).from_json  # refuses an unknown kind before any row
     rows = []
     for r, row in enumerate(obj):
         if type(row) is not list:
             raise DatasetFormatError(f"row {r} (0-based): {row!r} is not a list of cells")
         rows.append(_build_row(r, row, build))
-    return Dataset(kind, tuple(rows), ids)
+    return tuple(rows), ids
 
 
 def _row_id(i: int, ident) -> str:

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the checks that turn a
-wrongly typed JSON number or an unknown name into one of them."""
+"""Exception types shared across the package, and the checks that turn
+JSON text, a wrongly typed JSON number or an unknown name into one of them."""
 
+import json
 import sys
 
 
@@ -73,6 +74,14 @@ class OracleDisagreement(ChoquetlikeError):
 
 class DatasetFormatError(ChoquetlikeError):
     """Dataset file failed to parse or validate."""
+
+
+def load_json(text: str):
+    """``json.loads``, refusing nesting past the recursion limit as ``JSONDecodeError``."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise json.JSONDecodeError(f"nested too deeply ({exc})", text, 0) from exc
 
 
 def json_number(obj: dict, key: str, default=None, integral: bool = False):

@@ -310,12 +310,14 @@ def _close(a: tuple, c: tuple) -> bool:
 
 
 def _tie_candidates(fold: _Fold, perms: PermutationSet):
-    """Admissible permutations reaching every distinct value, by a walk over
-    the states of each tie group in ``first()`` order. A state (the inputs
-    placed so far) fixes the tail weights ahead, so it keeps one prefix per
-    distinct partial sum. The first time a state holds two, both are
-    completed in ``first()`` order and yielded at once (the addition may
-    still merge them); at the end, one prefix per distinct full value."""
+    """``(sigma, value)`` for admissible permutations reaching every distinct
+    value, by a walk over the states of each tie group in ``first()`` order.
+    A state (the inputs placed so far) fixes the tail weights ahead, so it
+    keeps one prefix per distinct partial sum. The first time a state holds
+    two, both are completed in ``first()`` order and yielded at once with
+    their folds (the addition may still merge them); at the end, one prefix
+    per distinct full value with the walk's sum, which is ``fold(prefix)``
+    bit for bit: the same terms, tail weights and order of additions."""
     comps, term, plus, zero = fold.comps, fold.term, fold.plus, fold.zero
     first, full = perms.first(), (1 << len(comps)) - 1
     values = (0.0,) + fold.values[1:]  # the empty tail weighs 0, as in tail_values
@@ -336,10 +338,11 @@ def _tie_candidates(fold: _Fold, perms: PermutationSet):
                             kept.append((prefix + (j,), acc))
                             if len(kept) == 2 and not split:
                                 split = True
-                                yield from (p + tuple(i for i in first if i not in p)
-                                            for p, _ in kept)
+                                for p, _ in kept:
+                                    sigma = p + tuple(i for i in first if i not in p)
+                                    yield sigma, fold(sigma)
             states = reached
-    yield from (prefix for prefix, _ in states[full])
+    yield from states[full]
 
 
 def _strict_chain(X, order: AdmissibleOrder) -> Optional[list[int]]:
@@ -360,14 +363,13 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     """Evaluate along the first admissible permutation and decide exactly
     whether every admissible permutation gives that value. A row that
     ``_strict_chain`` orders has one admissible permutation and is folded
-    once. Every other row takes ``PermutationSet``: the candidates of
-    ``_tie_candidates`` are evaluated until one differs (a row without
-    ties has one, ``first``). A tie group of more than
-    ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``. Inconsistency is
-    reported, never raised; the witness carries two permutations and
-    their values. The value, bit for bit, is ``choquet_eval`` along the
-    first permutation.
-    """
+    once. Every other row takes ``PermutationSet``: the values that
+    ``_tie_candidates`` yields are compared with the first permutation's
+    until one differs (a row without ties yields ``first`` alone). A tie
+    group of more than ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``.
+    Inconsistency is reported, never raised; the witness carries two
+    permutations and their values. The value, bit for bit, is
+    ``choquet_eval`` along the first permutation."""
     chain = _strict_chain(inp.X, inp.order)
     if chain is not None:
         fold = _Fold(inp, kernel)
@@ -380,21 +382,14 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     first = perms.first()
     base = fold(first)
     value = fold.make(base)
-    consistent = True
     witness = None
     checked = 0
-    for sigma in _tie_candidates(fold, perms):
-        checked += 1
-        if sigma == first:
-            continue
-        v = fold(sigma)
+    for checked, (sigma, v) in enumerate(_tie_candidates(fold, perms), 1):
         if not _close(v, base):
-            consistent = False
             witness = {"sigma_a": first, "value_a": value,
                        "sigma_b": sigma, "value_b": fold.make(v)}
             break
-
-    return AggregateResult(value=value, consistent=consistent,
+    return AggregateResult(value=value, consistent=witness is None,
                            permutations=perms.count, checked=checked,
                            witness=witness)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from choquetlike import (
-    BOUNDED_SUM, GridSpec, IV_PLUS, IV_SCALE, Interval, MIN_OP, PLUS, Scalar,
+    BOUNDED_SUM, BadParameter, GridSpec, IV_PLUS, IV_SCALE, Interval, MIN_OP, PLUS, Scalar,
     KindMismatch, ScaleOutOfRange, TIMES, VV_PLUS, VV_SCALE, Vector, AdditionOp, AlphaBeta,
     ScalarUsual, VectorLex, add, check_associativity, check_c1,
     check_cancellation, check_commutativity, check_compatibility,
@@ -116,6 +116,10 @@ class TestDistributivity:
         (TIMES, PLUS, SG), (IV_SCALE, IV_PLUS, IG), (VV_SCALE, VV_PLUS, VG)])
     def test_left(self, mul, addop, grid):
         assert check_distributivity(mul, addop, "left", grid).passed
+
+    def test_unknown_side_refused(self):
+        with pytest.raises(BadParameter, match="side must be 'left' or 'right'"):
+            check_distributivity(TIMES, PLUS, "up", SG)
 
 
 class TestC1:

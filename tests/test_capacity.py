@@ -54,6 +54,20 @@ class TestFromTable:
         with pytest.raises(BadParameter):
             capacity_from_table(25, [])
 
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: Capacity(0, (0.0,)), BadParameter, "n must lie in 1..24, got 0"),
+        (lambda: Capacity(1, (0.0, 1.5)), BadParameter, "out of [0, 1]: 1.5"),
+        (lambda: Capacity(2, (0.0, 1.0)), MissingSubset, "expected 4 subset values"),
+        (lambda: capacity_family("cardinality", 0), BadParameter, "n must lie in"),
+        (lambda: capacity_family("cardinality", 2).relabel((0, 0)), BadParameter,
+         "pi must be a permutation"),
+    ], ids=["no-inputs", "value-above-one", "short-table", "family-of-no-inputs",
+            "relabel-by-a-non-permutation"])
+    def test_direct_construction_refusals(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert message in str(exc.value)
+
 
 class TestFamilies:
     def test_cardinality(self):

@@ -28,7 +28,7 @@ UNKNOWN = "unknown carrier kind: 'bogus'"
     lambda: element_from_json("bogus", 0.5),
     lambda: zero_element("bogus"),
     lambda: one_element("bogus", 2),
-    lambda: parse_dataset('{"kind": "bogus", "rows": [[0.1, 0.2]]}', SCALAR),
+    lambda: parse_dataset('[[0.1, 0.2]]', "bogus"),
     lambda: projected_dissimilarity("abs-diff", "bogus"),
     lambda: addition_for("bogus"),
     lambda: scale_for("bogus"),

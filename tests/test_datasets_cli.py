@@ -19,14 +19,14 @@ from oracles import classical_choquet_increments, mu_lookup
 class TestDatasets:
     def test_csv_parse(self):
         ds = parse_dataset("0.2,0.5,0.9\n0.1,0.1,0.4\n", "scalar")
-        assert ds.kind == "scalar" and ds.n == 3 and ds.ids is None
+        assert ds.n == 3 and ds.ids == ("0", "1")
         assert ds.rows == ((Scalar(0.2), Scalar(0.5), Scalar(0.9)),
                            (Scalar(0.1), Scalar(0.1), Scalar(0.4)))
 
     def test_json_parse_intervals(self):
         ds = parse_dataset("[[[0.2, 0.4], [0.5, 0.7]], [[0, 0], [1, 1.0]]]",
                            "interval")
-        assert ds.kind == "interval" and ds.n == 2 and ds.ids is None
+        assert ds.n == 2 and ds.ids == ("0", "1")
         assert ds.rows == ((Interval(0.2, 0.4), Interval(0.5, 0.7)),
                            (Interval(0.0, 0.0), Interval(1.0, 1.0)))
 
@@ -34,10 +34,10 @@ class TestDatasets:
         ds = parse_dataset('{"kind": "vector", "ids": ["a", 7], '
                            '"rows": [[[0.2, 0.4], [0.5, 0.7]], [[0, 0], [1, 1]]]}',
                            "vector")
-        assert ds.kind == "vector" and ds.n == 2
+        assert ds.n == 2
         assert ds.rows == ((Vector((0.2, 0.4)), Vector((0.5, 0.7))),
                            (Vector((0.0, 0.0)), Vector((1.0, 1.0))))
-        assert ds.row_ids() == ["a", "7"]
+        assert ds.ids == ("a", "7")
 
     def test_malformed_inputs(self):
         with pytest.raises(DatasetFormatError):
@@ -122,9 +122,24 @@ class TestDatasets:
         with pytest.raises(DatasetFormatError, match=where):
             parse_dataset(text, kind)
 
+    @pytest.mark.parametrize("text,kind", [
+        ('{"kind": "interval", "rows": [[[0.1, 0.2], [0.3, 0.4]]]}', "scalar"),
+        ('{"kind": "bogus", "rows": [[0.1, 0.2]]}', "scalar"),
+        ('{"kind": "vector", "rows": [[[0.1, 0.2], [0.3, 0.4]]]}', "interval"),
+        ('{"kind": "interval", "rows": [[[0.1, 0.2], [0.3, 0.4]]]}', "vector"),
+        ('{"kind": null, "rows": [[0.1, 0.2]]}', "scalar"),
+    ], ids=["interval-as-scalar", "bogus-as-scalar", "vector-as-interval",
+            "interval-as-vector", "null-as-scalar"])
+    def test_a_json_kind_other_than_the_callers_is_refused(self, text, kind):
+        # The carrier kind is the caller's: a file's "kind" may only repeat it.
+        with pytest.raises(DatasetFormatError) as exc:
+            parse_dataset(text, kind)
+        assert str(exc.value) == (f"dataset kind {json.loads(text)['kind']!r}, "
+                                  f"expected {kind!r}")
+
     def test_default_row_ids(self):
         ds = parse_dataset("0.5,0.5\n", "scalar")
-        assert ds.row_ids() == ["0"]
+        assert ds.ids == ("0",)
 
 
 @pytest.fixture
@@ -463,6 +478,26 @@ class TestAggregateCommand:
         assert code == 1
         assert "--seed" in json.loads(capsys.readouterr().err)["error"]["message"]
 
+    def test_json_kind_other_than_the_orders_exit_one(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # The dataset is refused when it is loaded, before a capacity is built.
+        def never(obj):
+            raise AssertionError("a capacity was built")
+        monkeypatch.setattr(Capacity, "from_json", staticmethod(never))
+        data = tmp_path / "rows.json"
+        data.write_text(json.dumps({"kind": "interval",
+                                    "rows": [[[0.1, 0.2], [0.3, 0.4]]]}))
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps({"n": 2, "kind": "cardinality"}))
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
+                     "--order", "scalar"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {
+            "type": "DatasetFormatError",
+            "message": "dataset kind 'interval', expected 'scalar'"}
+
     def test_capacity_of_the_wrong_arity_is_not_built(self, tmp_path, capsys,
                                                       monkeypatch):
         # Building a capacity costs n * 2^n; the arity is compared first.
@@ -648,6 +683,10 @@ class TestCommandLine:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert set(err) == {"error"} and set(err["error"]) == {"type", "message"}
+        # The type other bad JSON of that input gets.
+        assert err["error"]["type"] == {"capacity": "JSONDecodeError",
+                                        "dataset": "DatasetFormatError",
+                                        "kernel": "JSONDecodeError"}[where]
 
     @pytest.mark.parametrize("argv", [["--help"], ["aggregate", "--help"],
                                       ["verify", "--help"]])

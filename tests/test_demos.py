@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from choquetlike import Capacity, kernel_catalog
+from choquetlike import Capacity, cli, kernel_catalog
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -68,6 +68,13 @@ def test_readme_flags_match_the_parser():
     documented = {flag for span in re.findall(r"`([^`]*)`", paragraph)
                   for flag in re.findall(r"--[\w-]+", span)}
     assert documented - {"--help"} == defined
+
+
+def test_readme_suites_match_the_parser():
+    """The backticked names of README's "Suites:" sentence are the suites
+    of ``cli.SUITES`` in the order ``--suite all`` runs them, then ``all``."""
+    sentence = re.search(r"^Suites:.*?\.", README, re.S | re.M).group(0)
+    assert re.findall(r"`([^`]*)`", sentence) == [*cli.SUITES, "all"]
 
 
 def test_readme_algebra_checks_match_the_module():

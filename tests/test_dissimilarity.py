@@ -134,6 +134,15 @@ class TestDissimilarityAxioms:
         with pytest.raises(BadParameter):
             resolve_dissimilarity("no-such", "scalar")
 
+    @pytest.mark.parametrize("spec,kind,order,message", [
+        ("takac:0.5:max", "interval", None, "bad dissimilarity spec"),
+        ("takac:0.5:max:abs-diff", "scalar", None, "interval-valued"),
+        ("abs-diff", "vector", XU, "need a veclex order"),
+    ], ids=["takac-too-short", "takac-on-scalars", "vector-under-alpha-beta"])
+    def test_spec_refusals(self, spec, kind, order, message):
+        with pytest.raises(BadParameter, match=message):
+            resolve_dissimilarity(spec, kind, order)
+
 
 class TestTelescoping:
     def test_scalar_abs_diff_passes(self):
@@ -222,3 +231,9 @@ class TestCounterexampleSearch:
     def test_delta_range_predicate(self):
         assert delta_covers_unit_range(lambda a, b: abs(a - b))
         assert not delta_covers_unit_range(lambda a, b: 0.5 * abs(a - b))
+
+    @pytest.mark.parametrize("delta", [lambda a, b: 2 * abs(a - b),
+                                       lambda a, b: 1 - abs(a - b)],
+                             ids=["leaves-the-unit-range", "decreasing"])
+    def test_delta_range_predicate_refuses(self, delta):
+        assert not delta_covers_unit_range(delta)

@@ -22,7 +22,7 @@ from choquetlike import (
 )
 from choquetlike.algebra import MultiplicationOp
 from choquetlike.dissimilarity import _DELTAS, _MEANS
-from choquetlike.operator import _CARRIER_FNS, MAX_TIE_GROUP
+from choquetlike.operator import _CARRIER_FNS, MAX_TIE_GROUP, _Fold, _tie_candidates
 from oracles import classical_choquet_increments, mu_lookup
 
 XU = AlphaBeta(0.5, 1.0)
@@ -85,6 +85,10 @@ class TestAdmissiblePermutations:
     def test_too_many_ties(self):
         X = tuple(Scalar(0.5) for _ in range(8))  # 8! = 40320 permutations
         assert PermutationSet(X, ScalarUsual()).count == 40320
+
+    def test_no_inputs_refused(self):
+        with pytest.raises(BadParameter, match="at least one input"):
+            PermutationSet((), ScalarUsual())
 
 
 class TestChoquetEval:
@@ -276,6 +280,28 @@ class TestTieWalk:
                 assert not elements_equal(w["value_a"], w["value_b"])
         if kernel.name in ("delta-scale(sq-diff)", "b1-x") and addop is not MIN_OP:
             assert inconsistent > 0
+
+    @pytest.mark.parametrize("kind,addop", [
+        ("scalar", PLUS), ("scalar", BOUNDED_SUM), ("interval", IV_PLUS),
+        ("vector", VV_PLUS)])
+    def test_each_candidate_carries_its_fold(self, kind, addop):
+        # The walk's own sum for each candidate it yields is the fold along
+        # that candidate, bit for bit, so no candidate is folded twice.
+        order = {"scalar": ScalarUsual(), "interval": XU, "vector": VectorLex((0, 1))}[kind]
+        rng = random.Random(f"candidates-{kind}-{addop.name}")
+        drawn = 0
+        for name in ("classical", "b-scale-d", "sq-diff", "affine-lower"):
+            kernel = _kernel(name, kind, order)
+            for _ in range(30):
+                n = rng.randint(2, 6)
+                levels = [_random_element(rng, kind) for _ in range(rng.randint(1, 3))]
+                X = tuple(rng.choice(levels) for _ in range(n))
+                mu = capacity_family("uniform-random", n, seed=rng.randint(0, 9999))
+                fold = _Fold(AggregationInput(X, mu, order, addop), kernel)
+                for sigma, value in _tie_candidates(fold, PermutationSet(X, order)):
+                    assert list(map(float.hex, value)) == list(map(float.hex, fold(sigma)))
+                    drawn += 1
+        assert drawn > 400, drawn
 
     def test_bounded_sum_saturation_merges_split_partial_sums(self):
         # Partial sums differ at depth 2, yet every permutation saturates at 1.
@@ -591,6 +617,10 @@ class TestKernelCatalog:
         with pytest.raises(TypeError):
             KernelL("ci", lambda x, b1, b2: x, "x")
 
+    def test_a_kernel_needs_a_callable(self):
+        with pytest.raises(BadParameter, match="needs a callable"):
+            KernelL(3, "x")
+
     def test_affine_degenerate_instance(self):
         k = kernel_catalog({"family": "affine-F", "C": "upper", "D": "zero"},
                            "interval")
@@ -621,6 +651,26 @@ class TestKernelCatalog:
         spec = {"family": "affine-F", "C": "zero", "D": "zero", where: f"scale:{t}"}
         with pytest.raises(ScaleOutOfRange):
             kernel_catalog(spec, "scalar")
+
+    # A capacity may lie up to TOL above 1, or above a superset's value, and
+    # each catalog kernel clamps the coefficient that this puts outside
+    # [0, 1]: the value is the clean capacity's, bit for bit.
+    @pytest.mark.parametrize("spec,values,clean", [
+        ("delta-scale", (0.0, 1.0, 0.0, 1.0 + 5e-13), 0.2),
+        ({"family": "b-scale-d", "d": "abs-diff"}, (0.0, 1.0, 0.0, 1.0 + 5e-13), 0.2),
+        ({"family": "affine-F", "C": "identity", "D": "zero"},
+         (0.0, 1.0, 0.0, 1.0 + 5e-13), 0.2),
+        # The first weight difference, mu(N) - mu({2}), is -5e-13.
+        ({"family": "affine-F", "C": "identity", "D": "zero"},
+         (0.0, 0.0, 1.0 + 5e-13, 1.0), 0.6),
+    ], ids=["delta-scale", "b-scale-d", "affine-F", "affine-F-negative-difference"])
+    def test_coefficients_within_tolerance_are_clamped(self, spec, values, clean):
+        kernel = kernel_catalog(spec, "scalar", ScalarUsual())
+        clean_values = tuple(min(v, 1.0) for v in values)
+        got = choquet_aggregate(scalar_input((0.2, 0.6), Capacity(2, values)), kernel)
+        want = choquet_aggregate(scalar_input((0.2, 0.6), Capacity(2, clean_values)),
+                                 kernel)
+        assert got.value == want.value == Scalar(clean)
 
     def test_affine_scale_within_tolerance_is_clamped(self):
         k = kernel_catalog({"family": "affine-F", "C": "scale:1.0000000000001",

@@ -112,6 +112,12 @@ class TestKAlpha:
     def test_alpha_one_picks_upper(self):
         assert k_alpha(iv(0.0, 1.0), 1.0) == 1.0
 
+    def test_refusals(self):
+        with pytest.raises(BadParameter, match="alpha must lie in"):
+            k_alpha(iv(0.1, 0.2), 1.5)
+        with pytest.raises(KindMismatch):
+            k_alpha(Scalar(0.5), 0.5)
+
     @settings(deadline=None, max_examples=50)
     @given(units, units, units)
     def test_affine_in_alpha_monotone_in_endpoints(self, lo, hi, a):
@@ -146,6 +152,14 @@ class TestAdmissibleCompare:
     def test_vector_lex_priority(self):
         back = VectorLex((1, 0))
         assert back.compare(Vector((0.9, 0.1)), Vector((0.1, 0.2))) == -1
+
+    @pytest.mark.parametrize("order,x", [
+        (AlphaBeta(0.5, 1.0), Scalar(0.1)), (VectorLex((0, 1)), Scalar(0.1)),
+        (VectorLex((0, 1)), Vector((0.1, 0.2, 0.3)))],
+        ids=["alpha-beta-on-scalars", "veclex-on-scalars", "veclex-on-3d"])
+    def test_compare_refuses_another_carrier(self, order, x):
+        with pytest.raises(KindMismatch):
+            order.compare(x, x)
 
     @settings(deadline=None, max_examples=100)
     @given(units, units, units, units)
@@ -199,6 +213,10 @@ class TestOrderSpecs:
     def test_alpha_equals_beta_rejected(self):
         with pytest.raises(BadParameter):
             parse_order("ab:0.5:0.5")
+
+    def test_alpha_beta_out_of_the_unit_range_rejected(self):
+        with pytest.raises(BadParameter, match="must lie in"):
+            AlphaBeta(1.5, 0.0)
 
     def test_bad_specs(self):
         for spec in ("nope", "ab:0.5", "veclex:1,3"):

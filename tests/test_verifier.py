@@ -283,6 +283,17 @@ class TestReports:
         assert payload["witness"] is not None
         assert payload["checked"] > 0
 
+    def test_failing_brute_force_report_serializes(self):
+        kernel = kernel_catalog({"family": "delta-scale", "delta": "sq-diff"}, "scalar")
+        report = brute_force_wd(kernel, PLUS, ScalarUsual(), 2, GridSpec("scalar", 2))
+        assert not report.passed
+        witness = report.witness
+        assert type(witness["sigma_a"]) is tuple and type(witness["sigma_b"]) is tuple
+        payload = report.to_json()
+        assert payload["witness"]["sigma_a"] == list(witness["sigma_a"])
+        assert payload["witness"]["sigma_b"] == list(witness["sigma_b"])
+        assert json.loads(json.dumps(payload)) == payload
+
     def test_pass_reports_carry_resolution_note(self):
         report = check_wd(classical_kernel("scalar"), PLUS, ScalarUsual(), 2, SG)
         assert "resolution" in report.detail["note"]
