@@ -17,11 +17,10 @@ from json.encoder import encode_basestring_ascii
 
 from . import verifier
 from .algebra import (
-    IV_PLUS, IV_SCALE, PLUS, TIMES, VV_PLUS, VV_SCALE, addition_for,
-    check_associativity, check_c1, check_cancellation, check_commutativity,
-    check_compatibility, check_distributivity,
+    addition_for, check_associativity, check_c1, check_cancellation,
+    check_commutativity, check_compatibility, check_distributivity, scale_for,
 )
-from .capacity import Capacity
+from .capacity import MAX_N, Capacity
 from .datasets import load_dataset
 from .dissimilarity import (
     check_dissimilarity, check_telescoping, resolve_dissimilarity,
@@ -139,6 +138,9 @@ def _results_json(done) -> str:
 
 def cmd_verify(args) -> int:
     # Each suite reads the grid and arity it is given, or its own default.
+    # An arity no capacity exists on is refused before any suite runs.
+    if args.n is not None and not 2 <= args.n <= MAX_N:
+        raise BadParameter(f"--n must lie in 2..{MAX_N}, got {args.n}")
     settings = {key: value for key, value in (("grid", args.grid), ("n", args.n))
                 if value is not None}
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -172,11 +174,11 @@ def _write(args, json_text, header, rows):
 
 def _carriers(settings):
     """Default (order, addition, grid) triple per carrier."""
-    return [
-        (ScalarUsual(), PLUS, GridSpec(SCALAR, settings.get("grid", 4))),
-        (AlphaBeta(0.5, 1.0), IV_PLUS, GridSpec(INTERVAL, settings.get("grid", 2))),
-        (VectorLex((0, 1)), VV_PLUS, GridSpec(VECTOR, settings.get("grid", 2))),
-    ]
+    return [(order, addition_for(grid.kind), grid) for order, grid in [
+        (ScalarUsual(), GridSpec(SCALAR, settings.get("grid", 4))),
+        (AlphaBeta(0.5, 1.0), GridSpec(INTERVAL, settings.get("grid", 2))),
+        (VectorLex((0, 1)), GridSpec(VECTOR, settings.get("grid", 2))),
+    ]]
 
 
 def suite_order(settings) -> list[LawReport]:
@@ -194,11 +196,12 @@ def suite_order(settings) -> list[LawReport]:
 def suite_algebra(settings) -> list[LawReport]:
     m = settings.get("grid", 4)
     reports = []
-    for order, addop, mul, grid in [
-        (ScalarUsual(), PLUS, TIMES, GridSpec(SCALAR, max(m, 8))),
-        (AlphaBeta(0.5, 1.0), IV_PLUS, IV_SCALE, GridSpec(INTERVAL, m)),
-        (VectorLex((0, 1)), VV_PLUS, VV_SCALE, GridSpec(VECTOR, m, dim=2)),
+    for order, grid in [
+        (ScalarUsual(), GridSpec(SCALAR, max(m, 8))),
+        (AlphaBeta(0.5, 1.0), GridSpec(INTERVAL, m)),
+        (VectorLex((0, 1)), GridSpec(VECTOR, m, dim=2)),
     ]:
+        addop, mul = addition_for(grid.kind), scale_for(grid.kind)
         reports.append(check_commutativity(addop, grid))
         reports.append(check_associativity(addop, grid))
         reports.append(check_cancellation(addop, grid))
@@ -241,24 +244,19 @@ def suite_aggregation(settings) -> list[LawReport]:
         kernel = kernel_catalog("delta-scale", grid.kind, order)
         reports.append(verifier.check_aggregation(kernel, addop, order, n, grid))
     # Lexicographical interval order alongside the Xu-Yager default.
-    lex = AlphaBeta(0.0, 1.0)
-    grid = GridSpec(INTERVAL, settings.get("grid", 2))
+    lex, grid = AlphaBeta(0.0, 1.0), GridSpec(INTERVAL, settings.get("grid", 2))
     reports.append(verifier.check_aggregation(
-        kernel_catalog("delta-scale", INTERVAL, lex), IV_PLUS, lex, n, grid))
+        kernel_catalog("delta-scale", INTERVAL, lex), addition_for(INTERVAL), lex, n, grid))
     return reports
 
 
 def suite_dissimilarity(settings) -> list[LawReport]:
     reports = []
-    scalar_grid = GridSpec(SCALAR, settings.get("grid", 8))
-    iv_grid = GridSpec(INTERVAL, settings.get("grid", 4))
-    xu = AlphaBeta(0.5, 1.0)
-    d_scalar = resolve_dissimilarity("abs-diff", SCALAR)
-    d_iv = resolve_dissimilarity("abs-diff", INTERVAL, xu)
-    reports.append(check_dissimilarity(d_scalar, ScalarUsual(), scalar_grid))
-    reports.append(check_telescoping(d_scalar, PLUS, ScalarUsual(), scalar_grid))
-    reports.append(check_dissimilarity(d_iv, xu, iv_grid))
-    reports.append(check_telescoping(d_iv, IV_PLUS, xu, iv_grid))
+    for order, grid in [(ScalarUsual(), GridSpec(SCALAR, settings.get("grid", 8))),
+                        (AlphaBeta(0.5, 1.0), GridSpec(INTERVAL, settings.get("grid", 4)))]:
+        d = resolve_dissimilarity("abs-diff", grid.kind, order)
+        reports.append(check_dissimilarity(d, order, grid))
+        reports.append(check_telescoping(d, addition_for(grid.kind), order, grid))
     return reports
 
 

@@ -2,12 +2,11 @@
 construction of Takac-style interval-valued dissimilarities.
 
 A dissimilarity is symmetric, vanishes on the diagonal, is maximal at
-(least, greatest), and grows along chains of the admissible order. For
-intervals and vectors the shipped ``abs-diff`` and ``sq-diff`` project
-through the order's leading invariant (the alpha endpoint mix, or the
-first priority coordinate) and return constant-width elements; that is
-the construction under which the telescoping identity survives beyond
-scalars.
+(least, greatest), and grows along chains of the admissible order. On
+every carrier the shipped ``abs-diff`` and ``sq-diff`` project through
+the order's leading invariant, its ``lead``, and return constant
+elements; that is the construction under which the telescoping identity
+survives beyond scalars.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .errors import (
 )
 from .order import (
     INTERVAL, SCALAR, TOL, AdmissibleOrder, AlphaBeta, Element, GridSpec,
-    Interval, VectorLex, carrier, elements_equal, grid_elements, k_alpha,
+    Interval, ScalarUsual, carrier, elements_equal, grid_elements, k_alpha,
     one_element, unit_grid, zero_element,
 )
 from .reporting import LawReport, run_law
@@ -96,36 +95,29 @@ def delta_covers_unit_range(delta: Callable[[float, float], float]) -> bool:
 
 def projected_dissimilarity(spec, kind: str,
                             order: Optional[AdmissibleOrder] = None) -> DissimilarityFn:
-    """d(x, z) = delta of the leading invariants of x and z (a scalar's value,
-    an interval's alpha mix under an ``ab`` order, a vector's first-priority
-    coordinate under a ``veclex`` order) as a constant element, under which
-    the chain conditions and the telescoping identity reduce to their scalar
-    counterparts. A callable delta is named ``custom``; its outputs may need
-    the element constructor's normalisation, so it has no ``term``."""
-    delta, make = resolve_delta(spec), carrier(kind).make
-    if kind == SCALAR:
-        def term(xc: tuple, zc: tuple) -> tuple:
-            return (delta(xc[0], zc[0]),)
-    elif kind == INTERVAL:
-        if not isinstance(order, AlphaBeta):
-            raise BadParameter(
-                "interval dissimilarities need an ab:<alpha>:<beta> order")
-        alpha = order.alpha
+    """d(x, z) = delta of the leading invariants ``order.lead`` of x's and
+    z's component tuples (a scalar's value, an interval's alpha mix under
+    an ``ab`` order, a vector's first-priority coordinate under a
+    ``veclex`` order, or what a custom order's ``lead`` returns) as a
+    constant element (of the order's ``dim`` on vectors, or the input's if
+    the order takes any), under which the chain conditions and the
+    telescoping identity reduce to their scalar counterparts. ``order`` is
+    an admissible order of carrier ``kind``,
+    ``ScalarUsual()`` by default on scalars; any other raises
+    ``BadParameter``. A callable delta is named ``custom``; its outputs may
+    need the element constructor's normalisation, so it has no ``term``."""
+    delta, record = resolve_delta(spec), carrier(kind)
+    if order is None and kind == SCALAR:
+        order = ScalarUsual()
+    if order is None or order.kind != kind:
+        raise BadParameter(f"a projected {kind} dissimilarity needs an "
+                           f"admissible order of the {kind} carrier, got {order!r}")
+    lead, width = order.lead, record.arity or order.dim
 
-        def term(xc: tuple, zc: tuple) -> tuple:  # delta of the k_alpha mixes
-            t = delta((1.0 - alpha) * xc[0] + alpha * xc[1],
-                      (1.0 - alpha) * zc[0] + alpha * zc[1])
-            return (t, t)
-    else:  # VECTOR: ``carrier`` has refused any other kind
-        if not isinstance(order, VectorLex):
-            raise BadParameter("vector dissimilarities need a veclex order")
-        lead = order.priority[0]
-        dim = order.dim
-
-        def term(xc: tuple, zc: tuple) -> tuple:
-            return (delta(xc[lead], zc[lead]),) * dim
+    def term(xc: tuple, zc: tuple) -> tuple:
+        return (delta(lead(xc), lead(zc)),) * (width or len(xc))
     named = isinstance(spec, str)
-    return DissimilarityFn(spec if named else "custom", _on_elements(term, make),
+    return DissimilarityFn(spec if named else "custom", _on_elements(term, record.make),
                            term if named else None)
 
 
@@ -139,9 +131,9 @@ def resolve_dissimilarity(spec: str, kind: str,
     """Resolve a dissimilarity spec string for a carrier.
 
     Grammar: ``abs-diff`` | ``sq-diff`` | ``takac:<alpha>:<Md>:<deltad>``
-    with Md in {max, min, mean} and deltad in {abs-diff}. Interval and
-    vector variants of abs/sq-diff need the admissible order to project
-    through.
+    with Md in {max, min, mean} and deltad in {abs-diff}. abs/sq-diff
+    project through an admissible order of the carrier, which scalars
+    need not give (see ``projected_dissimilarity``).
     """
     if not isinstance(spec, str):
         raise BadParameter(f"a dissimilarity spec is a string, got {spec!r}")

@@ -23,13 +23,14 @@ elements with the addition's ``fn`` and stays the reference that
 ``choquet_eval`` and the brute-force oracles call.
 
 A row whose inputs are pairwise strictly ordered has one admissible
-permutation. ``choquet_aggregate`` finds such rows from one float per
-input, the order's ``lead``: when the sorted leads are more than ``TOL``
-apart, ``compare`` follows them, so their sort is the one chain
-``PermutationSet`` would build, and the row is folded once along it.
-Every other row, tied or within ``TOL``, takes ``PermutationSet`` and
-the tie walk, which the oracles use too; a row without ties walks to
-its one permutation.
+permutation. ``choquet_aggregate`` reads each input's component tuple
+once, and both the fold and the lead sort take that list. The sort finds
+such rows from one float per tuple, the order's ``lead``: when the
+sorted leads are more than ``TOL`` apart, ``compare`` follows them, so
+their sort is the one chain ``PermutationSet`` would build, and the row
+is folded once along it. Every other row, tied or within ``TOL``, takes
+``PermutationSet`` and the tie walk, which the oracles use too; a row
+without ties walks to its one permutation.
 """
 
 from __future__ import annotations
@@ -270,19 +271,19 @@ def _eval_sorted(inp: AggregationInput, kernel: KernelL, sigma) -> Element:
 
 
 class _Fold:
-    """The operator on one row's component tuples: the kernel term, checked
-    as ``KernelL.evaluate`` checks its output, and the addition. A custom
-    kernel or an addition without a component form is lifted from
-    elements by ``_on_components``."""
+    """The operator on one row's component tuples ``comps``, those of
+    ``inp.X``: the kernel term, checked as ``KernelL.evaluate`` checks its
+    output, and the addition. A custom kernel or an addition without a
+    component form is lifted from elements by ``_on_components``."""
 
-    def __init__(self, inp: AggregationInput, kernel: KernelL):
+    def __init__(self, inp: AggregationInput, kernel: KernelL, comps: list):
         x0 = inp.X[0]
         kind, dim = x0.kind, x0.dim
         if kernel.kind not in (None, kind):
             raise KindMismatch(f"kernel {kernel.name!r} is defined on "
                                f"{kernel.kind} inputs, got {x0!r}")
         self.make = carrier(kind).make
-        self.comps = [x.components for x in inp.X]
+        self.comps = comps
         self.zero = (0.0,) * dim
         self.values = inp.mu.values
         self.term = kernel.term or _on_components(
@@ -345,13 +346,14 @@ def _tie_candidates(fold: _Fold, perms: PermutationSet):
     yield from states[full]
 
 
-def _strict_chain(X, order: AdmissibleOrder) -> Optional[list[int]]:
-    """The indices of X in increasing order when every two inputs' leads
-    lie more than ``TOL`` apart, else None. Float subtraction is monotone,
-    so adjacent gaps above ``TOL`` put every pair that far apart, and then
-    ``compare`` follows the leads: the chain is the one admissible
-    permutation. A NaN gap (inf - inf) is not above ``TOL``."""
-    keys = list(map(order.lead, X))
+def _strict_chain(comps, order: AdmissibleOrder) -> Optional[list[int]]:
+    """The indices of the component tuples ``comps`` in increasing order
+    when every two tuples' leads lie more than ``TOL`` apart, else None.
+    Float subtraction is monotone, so adjacent gaps above ``TOL`` put every
+    pair that far apart, and then ``compare`` follows the leads: the chain
+    is the one admissible permutation. A NaN gap (inf - inf) is not above
+    ``TOL``."""
+    keys = list(map(order.lead, comps))
     chain = sorted(range(len(keys)), key=keys.__getitem__)
     for low, high in zip(chain, chain[1:]):
         if not keys[high] - keys[low] > TOL:
@@ -370,15 +372,16 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     Inconsistency is reported, never raised; the witness carries two
     permutations and their values. The value, bit for bit, is
     ``choquet_eval`` along the first permutation."""
-    chain = _strict_chain(inp.X, inp.order)
+    comps = [x.components for x in inp.X]
+    chain = _strict_chain(comps, inp.order)
     if chain is not None:
-        fold = _Fold(inp, kernel)
+        fold = _Fold(inp, kernel, comps)
         return AggregateResult(value=fold.make(fold(chain)), consistent=True,
                                permutations=1, checked=1)
     perms = PermutationSet(inp.X, inp.order)
     if max(map(len, perms.groups)) > MAX_TIE_GROUP:
         raise TooManyTies(f"a tie group has more than {MAX_TIE_GROUP} inputs")
-    fold = _Fold(inp, kernel)
+    fold = _Fold(inp, kernel, comps)
     first = perms.first()
     base = fold(first)
     value = fold.make(base)

@@ -258,13 +258,15 @@ class AdmissibleOrder:
     """Total order refining the carrier's natural partial order.
 
     Subclasses implement ``compare`` returning -1, 0, or +1, and ``lead``,
-    one float per element that settles every comparison it separates by
-    more than ``TOL``: whenever ``abs(lead(x) - lead(z)) > TOL``,
-    ``compare(x, z)`` is the sign of ``lead(x) - lead(z)``.
+    the order's leading invariant: one float per component tuple that
+    settles every comparison it separates by more than ``TOL``. With
+    ``d = lead(x.components) - lead(z.components)``, whenever
+    ``abs(d) > TOL``, ``compare(x, z)`` is the sign of ``d``.
     ``choquet_aggregate`` relies on this to order a row of inputs whose
-    leads are that far apart without calling ``compare``. Comparators are
-    defined on the ambient set, not just the unit-bounded part, so sums
-    produced by addition remain comparable. ``dim`` is the carrier
+    leads are that far apart without calling ``compare``, and the
+    projected dissimilarities apply their scalar delta to it. Comparators
+    are defined on the ambient set, not just the unit-bounded part, so
+    sums produced by addition remain comparable. ``dim`` is the carrier
     dimension the order is defined on, or None for any.
     """
 
@@ -274,7 +276,7 @@ class AdmissibleOrder:
     def compare(self, x: Element, z: Element) -> int:
         raise NotImplementedError
 
-    def lead(self, x: Element) -> float:
+    def lead(self, c: tuple[float, ...]) -> float:
         raise NotImplementedError
 
     def sort(self, elems) -> list:
@@ -298,8 +300,8 @@ class ScalarUsual(AdmissibleOrder):
             return 0
         return -1 if d < 0 else 1
 
-    def lead(self, x: Element) -> float:
-        return x.value
+    def lead(self, c: tuple[float, ...]) -> float:
+        return c[0]
 
     def spec_string(self) -> str:
         return "scalar"
@@ -335,11 +337,11 @@ class AlphaBeta(AdmissibleOrder):
             return -1 if db < 0 else 1
         return 0
 
-    def lead(self, x: Element) -> float:
+    def lead(self, c: tuple[float, ...]) -> float:
         # The alpha mix exactly as ``compare`` computes it, so lead
         # differences are bit-identical to its first difference.
         a = self.alpha
-        return (1.0 - a) * x.lower + a * x.upper
+        return (1.0 - a) * c[0] + a * c[1]
 
     def spec_string(self) -> str:
         return f"ab:{self.alpha:g}:{self.beta:g}"
@@ -375,8 +377,8 @@ class VectorLex(AdmissibleOrder):
                 return -1 if d < 0 else 1
         return 0
 
-    def lead(self, x: Element) -> float:
-        return x.coords[self.priority[0]]
+    def lead(self, c: tuple[float, ...]) -> float:
+        return c[self.priority[0]]
 
     def spec_string(self) -> str:
         return "veclex:" + ",".join(str(i + 1) for i in self.priority)

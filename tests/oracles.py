@@ -1,11 +1,14 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately avoid the operator module's evaluation path: they sort
-with plain Python, walk textbook summation forms directly, and accept
-capacities only through subset lookups.
+with plain Python (or not at all: the Moebius form), walk textbook
+summation forms directly, and accept capacities only through subset
+lookups.
 """
 
 from __future__ import annotations
+
+import itertools
 
 
 def classical_choquet_increments(values, mu_of_subset):
@@ -31,6 +34,20 @@ def classical_choquet_weights(values, mu_of_subset):
         b_here = mu_of_subset(order[pos:])
         b_next = mu_of_subset(order[pos + 1:]) if pos + 1 < n else 0.0
         total += values[idx] * (b_here - b_next)
+    return total
+
+
+def classical_choquet_mobius(values, mu_of_subset):
+    """Moebius form: sum over nonempty subsets A of m(A) * min_{i in A} x_i,
+    with m(A) = sum over B subset of A of (-1)^{|A| - |B|} mu(B). It needs
+    no sort and no permutation, so tied values take no path of their own."""
+    n = len(values)
+    total = 0.0
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            m = sum((-1) ** (size - k) * mu_of_subset(part) for k in range(size + 1)
+                    for part in itertools.combinations(subset, k))
+            total += m * min(values[i] for i in subset)
     return total
 
 

@@ -625,15 +625,20 @@ class TestVerifyCommand:
             assert main(argv + extra) == 0
             assert {r["n"] for r in json.loads(out.read_text())} == {n}
 
-    @pytest.mark.parametrize("suite", ["wd", "monotone", "aggregation"])
-    @pytest.mark.parametrize("n", [25, 10 ** 20])
+    @pytest.mark.parametrize("suite", ["wd", "monotone", "aggregation", "order", "all"])
+    @pytest.mark.parametrize("n", [1, 25, 10 ** 20])
     def test_arity_beyond_any_capacity_exit_one(self, capsys, monkeypatch, suite, n):
-        # No capacity exists on more than 24 inputs; the arity is refused
-        # before any case is enumerated.
+        # No capacity exists on more than 24 inputs, and no operator on
+        # fewer than 2; the arity is refused before any suite runs, also
+        # by the suites that do not read it.
         def never(*args):
             raise AssertionError("a case was enumerated")
         for name in ("grid_elements", "check_cancellation", "check_compatibility"):
             monkeypatch.setattr(verifier, name, never)
+        for name in ("check_admissibility", "check_commutativity", "check_associativity",
+                     "check_cancellation", "check_compatibility", "check_distributivity",
+                     "check_c1"):
+            monkeypatch.setattr(cli, name, never)
         code = main(["verify", "--suite", suite, "--grid", "2", "--n", str(n)])
         assert code == 1
         err = json.loads(capsys.readouterr().err)

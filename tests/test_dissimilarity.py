@@ -1,16 +1,18 @@
 """Dissimilarity functions, the width-based interval construction, and the
 telescoping counterexample search."""
 
+import itertools
+
 import pytest
 
 from choquetlike import (
-    AlphaBeta, AlphaOutOfRange, BadParameter, DissimilarityFn, GridSpec,
-    IV_PLUS, Interval, PLUS, ReconstructionOutOfK, Scalar,
-    ScalarUsual, VV_PLUS, VectorLex, add, check_dissimilarity,
-    check_telescoping, elements_equal, k_alpha, lambda_alpha,
+    AdmissibleOrder, AlphaBeta, AlphaOutOfRange, BadParameter, DissimilarityFn,
+    GridSpec, IV_PLUS, Interval, PLUS, ReconstructionOutOfK, Scalar,
+    ScalarUsual, VV_PLUS, Vector, VectorLex, add, check_admissibility, check_dissimilarity,
+    check_telescoping, elements_equal, grid_elements, k_alpha, lambda_alpha,
     resolve_dissimilarity, takac_counterexample, takac_dissimilarity_fn,
 )
-from choquetlike.dissimilarity import delta_covers_unit_range
+from choquetlike.dissimilarity import delta_covers_unit_range, resolve_delta
 
 XU = AlphaBeta(0.5, 1.0)
 
@@ -134,14 +136,108 @@ class TestDissimilarityAxioms:
         with pytest.raises(BadParameter):
             resolve_dissimilarity("no-such", "scalar")
 
+    # An order of another carrier is refused on scalars too, which used to
+    # ignore the order they were given.
     @pytest.mark.parametrize("spec,kind,order,message", [
         ("takac:0.5:max", "interval", None, "bad dissimilarity spec"),
         ("takac:0.5:max:abs-diff", "scalar", None, "interval-valued"),
-        ("abs-diff", "vector", XU, "need a veclex order"),
-    ], ids=["takac-too-short", "takac-on-scalars", "vector-under-alpha-beta"])
+        ("abs-diff", "vector", XU, "projected vector dissimilarity needs an "
+                                   "admissible order of the vector carrier, got AlphaBeta"),
+        ("sq-diff", "scalar", XU, "order of the scalar carrier, got AlphaBeta"),
+        ("abs-diff", "scalar", VectorLex((0, 1)), "order of the scalar carrier, got VectorLex"),
+        ("abs-diff", "interval", ScalarUsual(), "order of the interval carrier, got ScalarUsual"),
+        ("sq-diff", "interval", None, "order of the interval carrier, got None"),
+    ], ids=["takac-too-short", "takac-on-scalars", "vector-under-alpha-beta",
+            "scalar-under-alpha-beta", "scalar-under-veclex", "interval-under-scalar",
+            "interval-without-order"])
     def test_spec_refusals(self, spec, kind, order, message):
         with pytest.raises(BadParameter, match=message):
             resolve_dissimilarity(spec, kind, order)
+
+
+def _alpha_mix_term(alpha):
+    def reference(delta):
+        def term(xc, zc):
+            t = delta((1.0 - alpha) * xc[0] + alpha * xc[1],
+                      (1.0 - alpha) * zc[0] + alpha * zc[1])
+            return (t, t)
+        return term
+    return reference
+
+
+def _coordinate_term(lead, dim):
+    return lambda delta: lambda xc, zc: (delta(xc[lead], zc[lead]),) * dim
+
+
+class UpperFirst(AdmissibleOrder):
+    """Intervals by upper endpoint, then lower endpoint: ``ab:1:0`` written
+    as a class of its own, with its own ``lead``."""
+
+    kind = "interval"
+
+    def compare(self, x, z):
+        for a, b in ((x.upper, z.upper), (x.lower, z.lower)):
+            if abs(a - b) > 1e-12:
+                return -1 if a < b else 1
+        return 0
+
+    def lead(self, c):
+        return c[1]
+
+    def spec_string(self):
+        return "upper-first"
+
+
+class TestProjection:
+    """abs-diff and sq-diff apply delta to the order's ``lead``; on the
+    shipped orders that is, bit for bit, what the per-carrier formulas
+    below computed: the value, the alpha mix, the first-priority
+    coordinate."""
+
+    @pytest.mark.parametrize("delta", ["abs-diff", "sq-diff"])
+    @pytest.mark.parametrize("order,grid,reference", [
+        (ScalarUsual(), GridSpec("scalar", 4), _coordinate_term(0, 1)),
+        (XU, GridSpec("interval", 4), _alpha_mix_term(0.5)),
+        (AlphaBeta(0.0, 1.0), GridSpec("interval", 4), _alpha_mix_term(0.0)),
+        (AlphaBeta(1.0, 0.0), GridSpec("interval", 4), _alpha_mix_term(1.0)),
+        (VectorLex((0, 1)), GridSpec("vector", 4, dim=2), _coordinate_term(0, 2)),
+        (VectorLex((1, 0)), GridSpec("vector", 4, dim=2), _coordinate_term(1, 2)),
+        (UpperFirst(), GridSpec("interval", 4), _alpha_mix_term(1.0)),
+    ], ids=["scalar", "ab:0.5:1", "ab:0:1", "ab:1:0", "veclex:1,2", "veclex:2,1",
+            "custom-upper-first"])
+    def test_bit_identical_to_the_per_carrier_formulas(self, delta, order, grid, reference):
+        d = resolve_dissimilarity(delta, grid.kind, order)
+        term = reference(resolve_delta(delta))
+        pairs = 0
+        for x, z in itertools.product(grid_elements(grid), repeat=2):
+            want = list(map(float.hex, term(x.components, z.components)))
+            assert list(map(float.hex, d.term(x.components, z.components))) == want
+            assert list(map(float.hex, d(x, z).components)) == want
+            pairs += 1
+        assert pairs >= 25
+
+    def test_an_order_of_any_dimension_projects_at_the_inputs_dimension(self):
+        class FirstCoordinate(AdmissibleOrder):  # ``dim`` stays None: any
+            kind = "vector"
+
+            def compare(self, x, z):
+                return VectorLex(tuple(range(x.dim))).compare(x, z)
+
+            def lead(self, c):
+                return c[0]
+
+        d = resolve_dissimilarity("abs-diff", "vector", FirstCoordinate())
+        for dim in (1, 3):
+            x, z = Vector((0.25,) * dim), Vector((0.75,) * dim)
+            assert d(x, z).components == (0.5,) * dim
+
+    def test_a_custom_order_telescopes_through_its_lead(self):
+        order, grid = UpperFirst(), GridSpec("interval", 4)
+        assert check_admissibility(order, grid).passed
+        d = resolve_dissimilarity("abs-diff", "interval", order)
+        assert elements_equal(d(Interval(0.1, 0.3), Interval(0.0, 0.8)), Interval(0.5, 0.5))
+        assert check_dissimilarity(d, order, grid).passed
+        assert check_telescoping(d, IV_PLUS, order, grid).passed
 
 
 class TestTelescoping:

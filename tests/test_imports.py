@@ -7,7 +7,8 @@ which adds up the reports of other checks, the one exception. The
 brute-force oracles of ``verifier.py`` take their permutations from the
 comparator, never from an order's ``lead``, and never memoize the
 addition or the kernel. Only ``order.py`` and ``algebra.py`` key a dict
-by carrier kind."""
+by carrier kind, and only ``order.py`` tests for an order's class or
+takes its parameters."""
 
 import ast
 import re
@@ -312,3 +313,42 @@ def test_no_function_writes_module_state():
     found = {p.name: module_state_writes(p.read_text(encoding="utf-8"))
              for p in ALL_MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# An order's internals are its own: other modules reach an order through
+# ``compare``, ``lead``, ``sort``, ``kind`` and ``dim``, never by its class
+# or its parameters.
+ORDER_CLASSES = {"ScalarUsual", "AlphaBeta", "VectorLex"}
+ORDER_PARAMETERS = {"alpha", "beta", "priority"}
+
+
+def order_internals(source: str) -> list[str]:
+    """``line: what`` for each ``isinstance`` call whose class argument
+    names an order class (bare, as an attribute, or in a tuple), and each
+    ``alpha``, ``beta`` or ``priority`` attribute taken."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            found.update((node.lineno, f"isinstance {name}")
+                         for name in referenced_names(node.args[1]) & ORDER_CLASSES)
+        elif isinstance(node, ast.Attribute) and node.attr in ORDER_PARAMETERS:
+            found.add((node.lineno, f".{node.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_detects_order_internals():
+    source = ("def f(order, x):\n    if isinstance(order, AlphaBeta):\n"
+              "        return order.alpha\n"
+              "    if isinstance(x, (order_mod.VectorLex, Interval)):\n"
+              "        return x.priority[0]\n    order.beta = 1\n"
+              "    return isinstance(x, Scalar), x.alphas, AlphaBeta(0.5, 1.0)\n")
+    assert order_internals(source) == [
+        "line 2: isinstance AlphaBeta", "line 3: .alpha", "line 4: isinstance VectorLex",
+        "line 5: .priority", "line 6: .beta"]
+
+
+@pytest.mark.parametrize("path", [p for p in ALL_MODULES if p.name != "order.py"],
+                         ids=lambda p: p.name)
+def test_order_internals_stay_in_order_module(path):
+    assert order_internals(path.read_text(encoding="utf-8")) == []

@@ -23,7 +23,7 @@ from choquetlike import (
 from choquetlike.algebra import MultiplicationOp
 from choquetlike.dissimilarity import _DELTAS, _MEANS
 from choquetlike.operator import _CARRIER_FNS, MAX_TIE_GROUP, _Fold, _tie_candidates
-from oracles import classical_choquet_increments, mu_lookup
+from oracles import classical_choquet_increments, classical_choquet_mobius, mu_lookup
 
 XU = AlphaBeta(0.5, 1.0)
 
@@ -108,6 +108,18 @@ class TestChoquetEval:
             got = choquet_aggregate(inp, kernel).value.value
             assert got == pytest.approx(classical_choquet_increments(values, of),
                                         abs=1e-12)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_classical_agrees_with_the_moebius_form_under_ties(self, data):
+        # Fewer levels than inputs, so every row has a tie; the Moebius form
+        # sorts nothing and so shares no step with the tie walk.
+        n = data.draw(st.integers(2, 6))
+        levels = data.draw(st.lists(st.floats(0, 1), min_size=1, max_size=n - 1))
+        values = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        mu = capacity_family("uniform-random", n, seed=data.draw(st.integers(0, 9999)))
+        got = choquet_aggregate(scalar_input(values, mu), classical_kernel("scalar"))
+        assert abs(got.value.value - classical_choquet_mobius(values, mu_lookup(mu))) <= 1e-12
 
     def test_interval_two_term_instance(self):
         X = (Interval(0.2, 0.4), Interval(0.5, 0.7))
@@ -297,7 +309,8 @@ class TestTieWalk:
                 levels = [_random_element(rng, kind) for _ in range(rng.randint(1, 3))]
                 X = tuple(rng.choice(levels) for _ in range(n))
                 mu = capacity_family("uniform-random", n, seed=rng.randint(0, 9999))
-                fold = _Fold(AggregationInput(X, mu, order, addop), kernel)
+                fold = _Fold(AggregationInput(X, mu, order, addop), kernel,
+                             [x.components for x in X])
                 for sigma, value in _tie_candidates(fold, PermutationSet(X, order)):
                     assert list(map(float.hex, value)) == list(map(float.hex, fold(sigma)))
                     drawn += 1
