@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BadBoundary, BadParameter, MissingSubset, NotMonotone, json_number,
+    refuse_unknown_keys,
 )
 from .order import TOL
 
@@ -77,6 +78,8 @@ class Capacity:
         kind = obj.get("kind", "table")
         n = json_number(obj, "n", integral=True)
         if kind == "table":
+            refuse_unknown_keys(obj, ("n", "kind", "entries", "complete"),
+                                "capacity table")
             entries = obj.get("entries")
             if not isinstance(entries, list):
                 raise BadParameter(
@@ -96,6 +99,7 @@ def _table_entry(entry) -> tuple[list, float]:
                     for i in entry["subset"])):
         raise BadParameter(f"capacity entry {entry!r} needs a list of element "
                            f"numbers (1 to {MAX_N}) as subset")
+    refuse_unknown_keys(entry, ("subset", "value"), "capacity entry")
     return entry["subset"], json_number(entry, "value")
 
 
@@ -180,20 +184,24 @@ def capacity_family(kind: str, n: int, **params) -> Capacity:
         raise BadParameter(f"n must lie in 1..{MAX_N}, got {n}")
     size = 1 << n
     if kind == "cardinality":
+        refuse_unknown_keys(params, (), "cardinality capacity")
         return Capacity(n, tuple(bin(m).count("1") / n for m in range(size)))
     if kind == "dirac":
+        refuse_unknown_keys(params, ("i",), "dirac capacity")
         i = json_number(params, "i", 0, integral=True)
         if not 1 <= i <= n:
             raise BadParameter(f"dirac index must lie in 1..{n}, got {i}")
         bit = 1 << (i - 1)
         return Capacity(n, tuple(1.0 if m & bit else 0.0 for m in range(size)))
     if kind == "top":
+        refuse_unknown_keys(params, ("k",), "top capacity")
         k = json_number(params, "k", 0, integral=True)
         if not 1 <= k <= n:
             raise BadParameter(f"top threshold must lie in 1..{n}, got {k}")
         return Capacity(n, tuple(1.0 if bin(m).count("1") >= k else 0.0
                                  for m in range(size)))
     if kind == "uniform-random":
+        refuse_unknown_keys(params, ("seed",), "uniform-random capacity")
         seed = json_number(params, "seed", 42, integral=True)
         rng = random.Random(seed)
         raw = [rng.random() for _ in range(size)]

@@ -137,14 +137,11 @@ def _results_json(done) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    # Each suite reads the grid and arity it is given, or its own default.
     # An arity no capacity exists on is refused before any suite runs.
     if args.n is not None and not 2 <= args.n <= MAX_N:
         raise BadParameter(f"--n must lie in 2..{MAX_N}, got {args.n}")
-    settings = {key: value for key, value in (("grid", args.grid), ("n", args.n))
-                if value is not None}
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    tagged = [(name, report) for name in names for report in SUITES[name](settings)]
+    tagged = [(name, report) for name in names for report in SUITES[name](args)]
 
     payload = [dict(report.to_json(), suite=name) for name, report in tagged]
     columns = ["suite", "law", "verdict", "checked", "elapsed"]
@@ -172,102 +169,81 @@ def _write(args, json_text, header, rows):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _carriers(settings):
-    """Default (order, addition, grid) triple per carrier."""
-    return [(order, addition_for(grid.kind), grid) for order, grid in [
-        (ScalarUsual(), GridSpec(SCALAR, settings.get("grid", 4))),
-        (AlphaBeta(0.5, 1.0), GridSpec(INTERVAL, settings.get("grid", 2))),
-        (VectorLex((0, 1)), GridSpec(VECTOR, settings.get("grid", 2))),
-    ]]
+def _grid(args, kind, default, floor=0) -> GridSpec:
+    """The ``kind`` grid at ``--grid``, else at ``default``, raised to ``floor``."""
+    return GridSpec(kind, max(default if args.grid is None else args.grid, floor))
 
 
-def suite_order(settings) -> list[LawReport]:
-    m = settings.get("grid", 4)
-    checks = [
-        (ScalarUsual(), GridSpec(SCALAR, max(m, 8))),
-        (AlphaBeta(0.5, 1.0), GridSpec(INTERVAL, m)),
-        (AlphaBeta(0.0, 1.0), GridSpec(INTERVAL, m)),
-        (AlphaBeta(1.0, 0.0), GridSpec(INTERVAL, m)),
-        (VectorLex((0, 1)), GridSpec(VECTOR, m, dim=2)),
-    ]
-    return [check_admissibility(order, grid) for order, grid in checks]
+def _carriers(args, scalar_m, m, scalar_floor=0):
+    """Each carrier's default order on its grid, at ``scalar_m`` for scalars."""
+    return [(ScalarUsual(), _grid(args, SCALAR, scalar_m, scalar_floor)),
+            (AlphaBeta(0.5, 1.0), _grid(args, INTERVAL, m)),
+            (VectorLex((0, 1)), _grid(args, VECTOR, m))]
 
 
-def suite_algebra(settings) -> list[LawReport]:
-    m = settings.get("grid", 4)
+def _kernel_checks(args, check, specs, carriers) -> list[LawReport]:
+    """``check`` (a ``verifier`` check) of each catalog kernel spec on each
+    ``(order, grid)`` of ``carriers``, at arity ``--n``, else 3."""
+    n = 3 if args.n is None else args.n
+    return [check(kernel_catalog(spec, grid.kind, order), addition_for(grid.kind),
+                  order, n, grid)
+            for order, grid in carriers for spec in specs]
+
+
+# The kernels of the ``wd`` and ``monotone`` suites.
+_GOOD_KERNELS = ("delta-scale", {"family": "b-scale-d", "d": "abs-diff"},
+                 {"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1"})
+
+
+def suite_order(args) -> list[LawReport]:
+    scalar, xu_yager, vector = _carriers(args, 4, 4, 8)
+    lex = [(AlphaBeta(a, b), xu_yager[1]) for a, b in ((0.0, 1.0), (1.0, 0.0))]
+    return [check_admissibility(*c) for c in [scalar, xu_yager, *lex, vector]]
+
+
+def suite_algebra(args) -> list[LawReport]:
     reports = []
-    for order, grid in [
-        (ScalarUsual(), GridSpec(SCALAR, max(m, 8))),
-        (AlphaBeta(0.5, 1.0), GridSpec(INTERVAL, m)),
-        (VectorLex((0, 1)), GridSpec(VECTOR, m, dim=2)),
-    ]:
+    for order, grid in _carriers(args, 4, 4, 8):
         addop, mul = addition_for(grid.kind), scale_for(grid.kind)
-        reports.append(check_commutativity(addop, grid))
-        reports.append(check_associativity(addop, grid))
-        reports.append(check_cancellation(addop, grid))
-        reports.append(check_compatibility(addop, order, grid))
-        reports.append(check_distributivity(mul, addop, "right", grid))
-        reports.append(check_distributivity(mul, addop, "left", grid))
-        reports.append(check_c1(mul, addop, order, grid))
+        reports += [check_commutativity(addop, grid), check_associativity(addop, grid),
+                    check_cancellation(addop, grid),
+                    check_compatibility(addop, order, grid),
+                    check_distributivity(mul, addop, "right", grid),
+                    check_distributivity(mul, addop, "left", grid),
+                    check_c1(mul, addop, order, grid)]
     return reports
 
 
-def _good_kernels(settings):
-    out = []
-    for order, addop, grid in _carriers(settings):
-        kind = grid.kind
-        out.append((kernel_catalog("delta-scale", kind, order), addop, order, grid))
-        out.append((kernel_catalog({"family": "b-scale-d", "d": "abs-diff"},
-                                   kind, order), addop, order, grid))
-        out.append((kernel_catalog({"family": "affine-F", "C": "scale:0.7",
-                                    "D": "scale:0.1"}, kind, order),
-                    addop, order, grid))
-    return out
+def suite_wd(args) -> list[LawReport]:
+    return _kernel_checks(args, verifier.check_wd, _GOOD_KERNELS, _carriers(args, 4, 2))
 
 
-def suite_wd(settings) -> list[LawReport]:
-    n = settings.get("n", 3)
-    return [verifier.check_wd(kernel, addop, order, n, grid)
-            for kernel, addop, order, grid in _good_kernels(settings)]
+def suite_monotone(args) -> list[LawReport]:
+    return _kernel_checks(args, verifier.check_monotonicity, _GOOD_KERNELS,
+                          _carriers(args, 4, 2))
 
 
-def suite_monotone(settings) -> list[LawReport]:
-    n = settings.get("n", 3)
-    return [verifier.check_monotonicity(kernel, addop, order, n, grid)
-            for kernel, addop, order, grid in _good_kernels(settings)]
-
-
-def suite_aggregation(settings) -> list[LawReport]:
-    n = settings.get("n", 3)
-    reports = []
-    for order, addop, grid in _carriers(settings):
-        kernel = kernel_catalog("delta-scale", grid.kind, order)
-        reports.append(verifier.check_aggregation(kernel, addop, order, n, grid))
+def suite_aggregation(args) -> list[LawReport]:
     # Lexicographical interval order alongside the Xu-Yager default.
-    lex, grid = AlphaBeta(0.0, 1.0), GridSpec(INTERVAL, settings.get("grid", 2))
-    reports.append(verifier.check_aggregation(
-        kernel_catalog("delta-scale", INTERVAL, lex), addition_for(INTERVAL), lex, n, grid))
-    return reports
+    carriers = _carriers(args, 4, 2) + [(AlphaBeta(0.0, 1.0), _grid(args, INTERVAL, 2))]
+    return _kernel_checks(args, verifier.check_aggregation, ["delta-scale"], carriers)
 
 
-def suite_dissimilarity(settings) -> list[LawReport]:
+def suite_dissimilarity(args) -> list[LawReport]:
     reports = []
-    for order, grid in [(ScalarUsual(), GridSpec(SCALAR, settings.get("grid", 8))),
-                        (AlphaBeta(0.5, 1.0), GridSpec(INTERVAL, settings.get("grid", 4)))]:
+    for order, grid in [(ScalarUsual(), _grid(args, SCALAR, 8)),
+                        (AlphaBeta(0.5, 1.0), _grid(args, INTERVAL, 4))]:
         d = resolve_dissimilarity("abs-diff", grid.kind, order)
         reports.append(check_dissimilarity(d, order, grid))
         reports.append(check_telescoping(d, addition_for(grid.kind), order, grid))
     return reports
 
 
-def suite_takac(settings) -> list[LawReport]:
-    """Counterexample search for the width-based interval dissimilarity.
-
-    The telescoping identity is expected to fail here; the suite reports
-    the witness as a failing law, so this suite deliberately exits 3.
-    """
-    grid = GridSpec(INTERVAL, settings.get("grid", 8))
-    report = takac_counterexample(0.5, 1.0, "max", "abs-diff", grid)
+def suite_takac(args) -> list[LawReport]:
+    """Counterexample search for the width-based interval dissimilarity. The
+    telescoping identity is expected to fail: its witness is reported as a
+    failing law, so this suite deliberately exits 3."""
+    report = takac_counterexample(0.5, 1.0, "max", "abs-diff", _grid(args, INTERVAL, 8))
     if not report.passed:
         report.detail["note"] = ("expected negative result: the width-based "
                                  "construction cannot telescope")

@@ -15,7 +15,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .errors import BadParameter, DatasetFormatError, load_json
+from .errors import BadParameter, DatasetFormatError, load_json, refuse_unknown_keys
 from .order import SCALAR, Element, Scalar, carrier
 
 
@@ -96,6 +96,7 @@ def _parse_json(text: str, kind: str) -> tuple:
         raise DatasetFormatError(f"bad JSON: {exc}") from exc
     ids = None
     if isinstance(obj, dict):
+        refuse_unknown_keys(obj, ("kind", "ids", "rows"), "dataset", DatasetFormatError)
         if obj.get("kind", kind) != kind:
             raise DatasetFormatError(f"dataset kind {obj['kind']!r}, expected {kind!r}")
         if "ids" in obj:

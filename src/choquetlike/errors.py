@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checks that turn
-JSON text, a wrongly typed JSON number or an unknown name into one of them."""
+JSON text, a wrongly typed JSON number, an unknown name or an unknown
+JSON object key into one of them."""
 
 import json
 import sys
@@ -104,3 +105,11 @@ def lookup(table: dict, spec, what: str):
     if isinstance(spec, str) and spec in table:
         return table[spec]
     raise BadParameter(f"unknown {what}: {spec!r}")
+
+
+def refuse_unknown_keys(obj: dict, known: tuple, what: str, error=BadParameter) -> None:
+    """Raise ``error`` if ``obj`` has a key outside ``known``. Nothing reads
+    such a key, so a misspelt one would otherwise leave its default in place."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise error(f"unknown {what} key(s) {unknown}; known: {list(known)}")

@@ -46,7 +46,7 @@ from .capacity import Capacity, _tail_weights
 from .dissimilarity import DissimilarityFn, resolve_delta, resolve_dissimilarity
 from .errors import (
     BadParameter, KernelRangeError, KindMismatch, NotAdmissiblePermutation,
-    TooManyTies, UnknownKernel, lookup,
+    TooManyTies, UnknownKernel, lookup, refuse_unknown_keys,
 )
 from .order import TOL, AdmissibleOrder, Element, carrier, zero_element
 
@@ -498,11 +498,14 @@ def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> 
                             f"got {spec!r}")
     family = spec.get("family")
     if family == "delta-scale":
+        refuse_unknown_keys(spec, ("family", "delta"), "delta-scale kernel")
         return delta_scale_kernel(spec.get("delta", "difference"), kind)
     if family == "b-scale-d":
+        refuse_unknown_keys(spec, ("family", "d"), "b-scale-d kernel")
         return b_scale_d_kernel(
             resolve_dissimilarity(spec.get("d", "abs-diff"), kind, order), kind)
     if family == "affine-F":
+        refuse_unknown_keys(spec, ("family", "C", "D"), "affine-F kernel")
         if "C" not in spec or "D" not in spec:
             raise BadParameter("affine-F needs carrier functions C and D")
         return affine_f_kernel(spec["C"], spec["D"], kind)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import BadParameter, KindMismatch, lookup
@@ -257,7 +258,8 @@ _WORD = {-1: "less", 0: "equal", 1: "greater"}
 class AdmissibleOrder:
     """Total order refining the carrier's natural partial order.
 
-    Subclasses implement ``compare`` returning -1, 0, or +1, and ``lead``,
+    Subclasses implement ``compare`` returning -1, 0, or +1, and ``lead``
+    (a method or a callable attribute, as the shipped orders bind one),
     the order's leading invariant: one float per component tuple that
     settles every comparison it separates by more than ``TOL``. With
     ``d = lead(x.components) - lead(z.components)``, whenever
@@ -293,15 +295,16 @@ class ScalarUsual(AdmissibleOrder):
     """The usual order on [0, 1] (its own admissible refinement)."""
 
     kind = SCALAR
+    lead = itemgetter(0)
 
     def compare(self, x: Element, z: Element) -> int:
-        d = x.value - z.value
+        try:
+            d = x.value - z.value
+        except AttributeError:
+            raise KindMismatch("usual order compares scalars") from None
         if abs(d) <= TOL:
             return 0
         return -1 if d < 0 else 1
-
-    def lead(self, c: tuple[float, ...]) -> float:
-        return c[0]
 
     def spec_string(self) -> str:
         return "scalar"
@@ -322,6 +325,10 @@ class AlphaBeta(AdmissibleOrder):
             raise BadParameter("alpha and beta must differ")
         self.alpha = float(alpha)
         self.beta = float(beta)
+        # The alpha mix exactly as ``compare`` computes it, so lead
+        # differences are bit-identical to its first difference.
+        a, ca = self.alpha, 1.0 - self.alpha
+        self.lead = lambda c: ca * c[0] + a * c[1]
 
     def compare(self, x: Element, z: Element) -> int:
         if not isinstance(x, Interval) or not isinstance(z, Interval):
@@ -336,12 +343,6 @@ class AlphaBeta(AdmissibleOrder):
         if abs(db) > TOL:
             return -1 if db < 0 else 1
         return 0
-
-    def lead(self, c: tuple[float, ...]) -> float:
-        # The alpha mix exactly as ``compare`` computes it, so lead
-        # differences are bit-identical to its first difference.
-        a = self.alpha
-        return (1.0 - a) * c[0] + a * c[1]
 
     def spec_string(self) -> str:
         return f"ab:{self.alpha:g}:{self.beta:g}"
@@ -361,6 +362,7 @@ class VectorLex(AdmissibleOrder):
         if sorted(priority) != list(range(len(priority))) or not priority:
             raise BadParameter("priority must be a permutation of 0..k-1")
         self.priority = priority
+        self.lead = itemgetter(priority[0])
 
     @property
     def dim(self) -> int:
@@ -376,9 +378,6 @@ class VectorLex(AdmissibleOrder):
             if abs(d) > TOL:
                 return -1 if d < 0 else 1
         return 0
-
-    def lead(self, c: tuple[float, ...]) -> float:
-        return c[self.priority[0]]
 
     def spec_string(self) -> str:
         return "veclex:" + ",".join(str(i + 1) for i in self.priority)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from choquetlike import (
-    Capacity, DatasetFormatError, GridSpec, Interval, Scalar, Vector,
-    capacity_family, cli, dissimilarity, parse_dataset, verifier,
+    BadParameter, Capacity, DatasetFormatError, GridSpec, Interval, Scalar, Vector,
+    capacity_family, cli, dissimilarity, kernel_catalog, parse_dataset, verifier,
 )
 from choquetlike.cli import _results_json, main
 from choquetlike.order import MAX_GRID
@@ -515,6 +515,67 @@ class TestAggregateCommand:
                                 "capacity is on [24] but there are 2 inputs"}
 
 
+# Each JSON object ``aggregate`` reads, with one key that nothing reads:
+# (option, object, the key). Before it was refused, the misspelt kernel
+# key left the classical kernel, the capacity key seed 42 and the dataset
+# key the rows numbered from "0".
+_ROWS = [[0.2, 0.5, 0.9], [0.1, 0.4, 0.3]]
+UNKNOWN_KEYS = {
+    "delta-scale": ("kernel", {"family": "delta-scale", "dleta": "sq-diff"}, "dleta"),
+    "b-scale-d": ("kernel", {"family": "b-scale-d", "d": "abs-diff", "delta": "x"}, "delta"),
+    "affine-F": ("kernel", {"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1",
+                            "E": "zero"}, "E"),
+    "cardinality": ("capacity", {"n": 3, "kind": "cardinality", "seed": 1}, "seed"),
+    "dirac": ("capacity", {"n": 3, "kind": "dirac", "i": 1, "k": 2}, "k"),
+    "top": ("capacity", {"n": 3, "kind": "top", "k": 2, "i": 1}, "i"),
+    "uniform-random": ("capacity", {"n": 3, "kind": "uniform-random", "sed": 5}, "sed"),
+    "table": ("capacity", dict(_TABLE3, completed=True), "completed"),
+    "table-entry": ("capacity", dict(_TABLE3, entries=[
+        dict(e, weight=1) for e in _TABLE3["entries"]]), "weight"),
+    "dataset": ("dataset", {"rows": _ROWS, "idz": ["a", "b"]}, "idz"),
+}
+
+
+class TestUnknownKeys:
+    """A JSON object key that nothing reads is refused, so a misspelt key
+    never leaves its default in place."""
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+    def test_library_refuses(self, case):
+        option, obj, key = UNKNOWN_KEYS[case]
+        error = DatasetFormatError if option == "dataset" else BadParameter
+        with pytest.raises(error, match=repr(key)):
+            if option == "kernel":
+                kernel_catalog(obj, "scalar")
+            elif option == "capacity":
+                Capacity.from_json(obj)
+            else:
+                parse_dataset(json.dumps(obj), "scalar")
+
+    def test_capacity_family_refuses_an_unknown_parameter(self):
+        with pytest.raises(BadParameter, match="'sed'"):
+            capacity_family("uniform-random", 3, sed=5)
+        assert capacity_family("uniform-random", 3, seed=5) != capacity_family(
+            "uniform-random", 3)
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+    def test_cli_exit_one(self, tmp_path, capsys, case):
+        option, obj, key = UNKNOWN_KEYS[case]
+        files = {"dataset": {"rows": _ROWS}, "capacity": {"n": 3, "kind": "cardinality"}}
+        kernel = obj if option == "kernel" else {"family": "delta-scale"}
+        files[option] = obj
+        for name, value in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(value))
+        code = main(["aggregate", "--input", str(tmp_path / "dataset.json"),
+                     "--capacity", str(tmp_path / "capacity.json"),
+                     "--kernel", json.dumps(kernel)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == ("DatasetFormatError" if option == "dataset"
+                               else "BadParameter")
+        assert repr(key) in err["message"]
+
+
 class TestVerifyCommand:
     def test_order_suite_passes(self, tmp_path):
         out = tmp_path / "order.json"
@@ -559,6 +620,49 @@ class TestVerifyCommand:
         GridSpec("interval", MAX_GRID)
         with pytest.raises(ValueError):
             GridSpec("interval", MAX_GRID + 1)
+
+    # The (kind, m) grids each suite builds with no --grid, with --grid 2
+    # and with --grid 16. --grid replaces every default, but the scalar
+    # grids of ``order`` and ``algebra`` are raised to 8.
+    SUITE_GRIDS = {
+        "order": ({("scalar", 8), ("interval", 4), ("vector", 4)},
+                  {("scalar", 8), ("interval", 2), ("vector", 2)},
+                  {("scalar", 16), ("interval", 16), ("vector", 16)}),
+        "algebra": ({("scalar", 8), ("interval", 4), ("vector", 4)},
+                    {("scalar", 8), ("interval", 2), ("vector", 2)},
+                    {("scalar", 16), ("interval", 16), ("vector", 16)}),
+        "wd": ({("scalar", 4), ("interval", 2), ("vector", 2)},
+               {("scalar", 2), ("interval", 2), ("vector", 2)},
+               {("scalar", 16), ("interval", 16), ("vector", 16)}),
+        "monotone": ({("scalar", 4), ("interval", 2), ("vector", 2)},
+                     {("scalar", 2), ("interval", 2), ("vector", 2)},
+                     {("scalar", 16), ("interval", 16), ("vector", 16)}),
+        "aggregation": ({("scalar", 4), ("interval", 2), ("vector", 2)},
+                        {("scalar", 2), ("interval", 2), ("vector", 2)},
+                        {("scalar", 16), ("interval", 16), ("vector", 16)}),
+        "dissimilarity": ({("scalar", 8), ("interval", 4)},
+                          {("scalar", 2), ("interval", 2)},
+                          {("scalar", 16), ("interval", 16)}),
+        "appendix-c": ({("interval", 8)}, {("interval", 2)}, {("interval", 16)}),
+    }
+
+    def test_suite_grids_cover_every_suite(self):
+        assert list(self.SUITE_GRIDS) == list(cli.SUITES)
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_GRIDS))
+    def test_suite_grids(self, suite_grids, suite):
+        default, grid2, grid16 = self.SUITE_GRIDS[suite]
+        assert suite_grids(suite) == default
+        assert suite_grids(suite, "--grid", "2") == grid2
+        assert suite_grids(suite, "--grid", "16") == grid16
+
+    @pytest.mark.parametrize("suite", [*cli.SUITES, "all"])
+    @pytest.mark.parametrize("grid", [0, MAX_GRID + 1])
+    def test_grid_out_of_range_exit_one(self, capsys, suite, grid):
+        # Also where a scalar grid is raised to 8: the other grids refuse it.
+        code = main(["verify", "--suite", suite, "--grid", str(grid)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
     @pytest.mark.parametrize("flags,error", [
         (["--grid", "x"], "BadParameter"), (["--grid", "1.5"], "BadParameter"),

@@ -77,6 +77,27 @@ def test_readme_suites_match_the_parser():
     assert re.findall(r"`([^`]*)`", sentence) == [*cli.SUITES, "all"]
 
 
+def test_readme_grids_match_the_suites(suite_grids):
+    """README's "Default grids:" sentence names the ``(kind, m)`` grids each
+    suite of ``cli.SUITES`` builds without ``--grid``, in their order, and
+    its ``--grid`` rule the grids at ``--grid 2``: each default at 2, but
+    the named scalar grids raised to the named floor."""
+    sentence = re.search(r"^Default grids:.*?\.", README, re.S | re.M).group(0)
+    documented = {}
+    for part in sentence.split(";"):
+        grids = {(kind, int(m)) for kind, m in
+                 re.findall(r"(scalar|interval|vector) (\d+)", part)}
+        documented.update(dict.fromkeys(re.findall(r"`([^`]*)`", part), grids))
+    assert list(documented) == list(cli.SUITES)
+    rule = re.search(r"scalar grids of (.*?) are raised\s+to (\d+)", README, re.S)
+    floored, floor = re.findall(r"`([^`]*)`", rule.group(1)), int(rule.group(2))
+    for suite, grids in documented.items():
+        assert suite_grids(suite) == grids
+        assert suite_grids(suite, "--grid", "2") == {
+            (kind, max(2, floor) if kind == "scalar" and suite in floored else 2)
+            for kind, _ in grids}
+
+
 def test_readme_algebra_checks_match_the_module():
     """The law checks that README's Algebra section lists are exactly the
     ``check_*`` functions of algebra.py."""

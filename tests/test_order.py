@@ -155,8 +155,10 @@ class TestAdmissibleCompare:
 
     @pytest.mark.parametrize("order,x", [
         (AlphaBeta(0.5, 1.0), Scalar(0.1)), (VectorLex((0, 1)), Scalar(0.1)),
-        (VectorLex((0, 1)), Vector((0.1, 0.2, 0.3)))],
-        ids=["alpha-beta-on-scalars", "veclex-on-scalars", "veclex-on-3d"])
+        (VectorLex((0, 1)), Vector((0.1, 0.2, 0.3))), (ScalarUsual(), iv(0.1, 0.2)),
+        (ScalarUsual(), Vector((0.1, 0.2)))],
+        ids=["alpha-beta-on-scalars", "veclex-on-scalars", "veclex-on-3d",
+             "scalar-on-intervals", "scalar-on-vectors"])
     def test_compare_refuses_another_carrier(self, order, x):
         with pytest.raises(KindMismatch):
             order.compare(x, x)
