@@ -8,7 +8,7 @@ memory. Capacities are immutable after construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BadBoundary, BadParameter, MissingSubset, NotMonotone, json_number,
@@ -33,10 +33,13 @@ def mask_to_subset(mask: int) -> list[int]:
 @dataclass(frozen=True)
 class Capacity:
     """Set function mu with mu(empty) = 0, mu(full) = 1, monotone under
-    inclusion. ``values[mask]`` is mu of the subset encoded by ``mask``."""
+    inclusion, all within ``TOL``. ``values[mask]`` is mu of the subset
+    encoded by ``mask``. ``exact`` says the values lie in [0, 1] and are
+    monotone without the tolerance."""
 
     n: int
     values: tuple[float, ...]
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1 <= self.n <= MAX_N):
@@ -44,7 +47,7 @@ class Capacity:
         if len(self.values) != 1 << self.n:
             raise MissingSubset(
                 f"expected {1 << self.n} subset values, got {len(self.values)}")
-        _validate(self.n, self.values)
+        object.__setattr__(self, "exact", _validate(self.n, self.values))
 
     def of_subset(self, items) -> float:
         return self.values[subset_to_mask(items)]
@@ -103,26 +106,33 @@ def _table_entry(entry) -> tuple[list, float]:
     return entry["subset"], json_number(entry, "value")
 
 
-def _validate(n: int, values) -> None:
+def _validate(n: int, values) -> bool:
+    """Refuse ``values`` unless they are a capacity within ``TOL``; return
+    whether they are one exactly (``Capacity.exact``)."""
     for v in values:
         if not (-TOL <= v <= 1.0 + TOL):
             raise BadParameter(f"capacity value out of [0, 1]: {v}")
     # Monotone along single-element additions iff monotone under inclusion.
+    exact = True
     for mask in range(1 << n):
         for i in range(n):
             if mask >> i & 1:
                 continue
             bigger = mask | 1 << i
-            if values[mask] > values[bigger] + TOL:
-                raise NotMonotone(
-                    f"mu({mask_to_subset(mask)}) = {values[mask]} exceeds "
-                    f"mu({mask_to_subset(bigger)}) = {values[bigger]}",
-                    witness=(mask_to_subset(mask), mask_to_subset(bigger)))
+            if values[mask] > values[bigger]:
+                if values[mask] > values[bigger] + TOL:
+                    raise NotMonotone(
+                        f"mu({mask_to_subset(mask)}) = {values[mask]} exceeds "
+                        f"mu({mask_to_subset(bigger)}) = {values[bigger]}",
+                        witness=(mask_to_subset(mask), mask_to_subset(bigger)))
+                exact = False
     if abs(values[0]) > TOL:
         raise BadBoundary(f"value at the empty set must be 0, got {values[0]}")
     full = (1 << n) - 1
     if abs(values[full] - 1.0) > TOL:
         raise BadBoundary(f"value at the full set must be 1, got {values[full]}")
+    # Monotone exactly, every value lies between these two.
+    return exact and values[0] >= 0.0 and values[full] <= 1.0
 
 
 def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:

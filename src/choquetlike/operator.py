@@ -29,7 +29,8 @@ such rows from one float per tuple, the order's ``lead``: when the
 sorted leads are more than ``TOL`` apart, ``compare`` follows them, so
 their sort is the one chain ``PermutationSet`` would build, and the row
 is folded once along it. Every other row, tied or within ``TOL``, takes
-``PermutationSet`` and the tie walk, which the oracles use too; a row
+``PermutationSet``, which the oracles use too, and the tie walk, unless
+the kernel's family settles the row (see ``choquet_aggregate``); a row
 without ties walks to its one permutation.
 """
 
@@ -37,13 +38,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
 from typing import Callable, Optional
 
-from .algebra import AdditionOp, scale_for, unit_coefficient
+from .algebra import AdditionOp, addition_for, scale_for, unit_coefficient
 from .capacity import Capacity, _tail_weights
-from .dissimilarity import DissimilarityFn, resolve_delta, resolve_dissimilarity
+from .dissimilarity import (
+    DissimilarityFn, delta_abs, resolve_delta, resolve_dissimilarity,
+)
 from .errors import (
     BadParameter, KernelRangeError, KindMismatch, NotAdmissiblePermutation,
     TooManyTies, UnknownKernel, lookup, refuse_unknown_keys,
@@ -73,6 +76,10 @@ class KernelL:
     kernel, ``KernelL(fn, name)``, and ``f_difference_kernel(F)`` are
     ``fn`` alone, and ``choquet_aggregate`` lifts ``evaluate`` to
     component tuples with ``_on_components``.
+
+    ``tie_invariant`` says the kernel's family proves that the order
+    inside a group of identical tied inputs does not change the operator
+    (see ``choquet_aggregate``). Only the catalog constructors set it.
     """
 
     fn: Callable[[Element, Element, float, float], Element]
@@ -80,6 +87,7 @@ class KernelL:
     term: Optional[Callable[[tuple, tuple, float, float], tuple]] = field(
         default=None, kw_only=True)
     kind: Optional[str] = field(default=None, kw_only=True)
+    tie_invariant: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         if not callable(self.fn):
@@ -123,7 +131,7 @@ def _on_components(fn, kind: str, what: str):
     return lifted
 
 
-def _component_kernel(term, kind: str, name: str) -> KernelL:
+def _component_kernel(term, kind: str, name: str, tie_invariant: bool = False) -> KernelL:
     """The catalog kernel defined on component tuples of carrier ``kind``
     by ``term``. Its output goes through the carrier's constructor and
     ``_validate_unit`` unless it is ``bounded``: both leave such a tuple as is."""
@@ -145,7 +153,7 @@ def _component_kernel(term, kind: str, name: str) -> KernelL:
                                f"of its input {x!r}")
         return make(c)
 
-    return KernelL(fn, name, term=checked, kind=kind)
+    return KernelL(fn, name, term=checked, kind=kind, tie_invariant=tie_invariant)
 
 
 @dataclass(frozen=True)
@@ -224,7 +232,8 @@ class AggregateResult:
     permutations. ``value`` always comes from the lexicographically first
     permutation so downstream tooling has a number to display;
     ``consistent`` is the authoritative flag, decided exactly. ``checked``
-    counts the candidate permutations drawn; a row without ties has one.
+    counts the candidate permutations drawn; a row without ties has one,
+    and so has a row that ``choquet_aggregate`` certifies.
     ``value.in_unit`` says whether the fold stayed in the bounded set."""
 
     value: Element
@@ -361,16 +370,37 @@ def _strict_chain(comps, order: AdmissibleOrder) -> Optional[list[int]]:
     return chain
 
 
+def _certified(inp: AggregationInput, kernel: KernelL, comps: list, groups) -> bool:
+    """The four conditions of ``choquet_aggregate`` under which the
+    kernel's family settles the row's consistency."""
+    return (kernel.tie_invariant and inp.mu.exact
+            and inp.addop is addition_for(inp.X[0].kind)
+            and all(max(comps[g[0]]) <= 1.0 and all(comps[i] == comps[g[0]] for i in g)
+                    for g in groups if len(g) > 1))
+
+
 def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult:
     """Evaluate along the first admissible permutation and decide exactly
     whether every admissible permutation gives that value. A row that
     ``_strict_chain`` orders has one admissible permutation and is folded
-    once. Every other row takes ``PermutationSet``: the values that
-    ``_tie_candidates`` yields are compared with the first permutation's
-    until one differs (a row without ties yields ``first`` alone). A tie
-    group of more than ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``.
-    Inconsistency is reported, never raised; the witness carries two
-    permutations and their values. The value, bit for bit, is
+    once. Every other row takes ``PermutationSet``; a tie group of more
+    than ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``.
+
+    Such a row is certified consistent, with ``checked`` 1, when (1) the
+    kernel is ``tie_invariant``, (2) the addition is ``addition_for(kind)``,
+    (3) the capacity is ``exact`` and (4) each tie group's members have
+    identical component tuples in [0, 1]. Then no term is snapped, clamped
+    or refused, the weights b_s and b_{e+1} around a group of k inputs x
+    are the same in every order, and the group's terms add up alike, up
+    to rounding: ``delta-scale`` with ``difference`` or ``abs-diff``
+    telescopes to (b_s - b_{e+1}) * x; ``b-scale-d`` over a shipped
+    dissimilarity adds b * d(x, x) = 0 inside the group and enters and
+    leaves it alike; ``affine-F`` with shipped C and D whose bounds add up
+    to at most 1 gives (b_s - b_{e+1}) * C(x) + k * D(x). Any other row
+    compares the values that ``_tie_candidates`` yields with the first
+    permutation's until one differs (a row without ties yields ``first``
+    alone). Inconsistency is reported, never raised; the witness carries
+    two permutations and their values. The value, bit for bit, is
     ``choquet_eval`` along the first permutation."""
     comps = [x.components for x in inp.X]
     chain = _strict_chain(comps, inp.order)
@@ -385,6 +415,9 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     first = perms.first()
     base = fold(first)
     value = fold.make(base)
+    if _certified(inp, kernel, comps, perms.groups):
+        return AggregateResult(value=value, consistent=True,
+                               permutations=perms.count, checked=1)
     witness = None
     checked = 0
     for checked, (sigma, v) in enumerate(_tie_candidates(fold, perms), 1):
@@ -401,22 +434,23 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
 # Kernel catalog
 # ---------------------------------------------------------------------------
 
-# The shipped carrier functions of affine-F kernels, on component tuples.
-_CARRIER_FNS: dict[str, Callable[[tuple], tuple]] = {
-    "zero": lambda c: (0.0,) * len(c),
-    "identity": lambda c: c,
-    "upper": lambda c: (max(c),) * len(c),
-    "lower": lambda c: (min(c),) * len(c),
+# The shipped carrier functions of affine-F kernels, on component tuples,
+# each with its bound: its largest output component on inputs in [0, 1].
+_CARRIER_FNS: dict[str, tuple[Callable[[tuple], tuple], float]] = {
+    "zero": (lambda c: (0.0,) * len(c), 0.0),
+    "identity": (lambda c: c, 1.0),
+    "upper": (lambda c: (max(c),) * len(c), 1.0),
+    "lower": (lambda c: (min(c),) * len(c), 1.0),
 }
 
 
-def resolve_carrier_fn(spec) -> Callable[[tuple], tuple]:
-    """A shipped carrier function, or ``scale:<t>``, on component tuples.
-    t is checked here, once: clamped to [0, 1] within ``TOL`` of it, and
-    refused with ``ScaleOutOfRange`` farther out."""
+def resolve_carrier_fn(spec) -> tuple[Callable[[tuple], tuple], float]:
+    """A shipped carrier function, or ``scale:<t>`` (bound t), on component
+    tuples, with its bound. t is checked here, once: clamped to [0, 1]
+    within ``TOL`` of it, and refused with ``ScaleOutOfRange`` farther out."""
     if isinstance(spec, str) and spec.startswith("scale:"):
         t = unit_coefficient(float(spec.split(":", 1)[1]))
-        return lambda c: tuple([t * a for a in c])
+        return (lambda c: tuple([t * a for a in c])), t
     return lookup(_CARRIER_FNS, spec, "carrier function")
 
 
@@ -435,7 +469,8 @@ def delta_scale_kernel(delta, kind: str) -> KernelL:
             c = unit_coefficient(c)
         return mul(c, xc)
 
-    return _component_kernel(term, kind, f"delta-scale({label})")
+    return _component_kernel(term, kind, f"delta-scale({label})",
+                             tie_invariant=delta_fn is delta_abs and isinstance(delta, str))
 
 
 def f_difference_kernel(F: Callable[[Element, float], Element]) -> KernelL:
@@ -466,11 +501,13 @@ def affine_f_kernel(C, D, kind: str) -> KernelL:
     weight-difference form G(x, b1, b2) = F(x, b1 - b2). C and D name
     shipped carrier functions, or are functions of elements, which are
     lifted to component tuples: the kernel has one definition either
-    way."""
+    way. It is ``tie_invariant`` when C and D are shipped and their
+    bounds add up to at most 1, so that no term leaves [0, 1]."""
     name = (f"affine-F({C if isinstance(C, str) else 'C'},"
             f"{D if isinstance(D, str) else 'D'})")
-    C_fn, D_fn = (_on_components(f, kind, f"kernel {name!r}") if callable(f)
-                  else resolve_carrier_fn(f) for f in (C, D))
+    (C_fn, c_C), (D_fn, c_D) = (
+        (_on_components(f, kind, f"kernel {name!r}"), math.inf) if callable(f)
+        else resolve_carrier_fn(f) for f in (C, D))
 
     def term(xc, pc, b1, b2):
         a = b1 - b2
@@ -478,7 +515,7 @@ def affine_f_kernel(C, D, kind: str) -> KernelL:
             a = unit_coefficient(a)
         return tuple([a * c + e for c, e in zip(C_fn(xc), D_fn(xc))])
 
-    return _component_kernel(term, kind, name)
+    return _component_kernel(term, kind, name, tie_invariant=c_C + c_D <= 1.0)
 
 
 def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> KernelL:
@@ -502,8 +539,10 @@ def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> 
         return delta_scale_kernel(spec.get("delta", "difference"), kind)
     if family == "b-scale-d":
         refuse_unknown_keys(spec, ("family", "d"), "b-scale-d kernel")
-        return b_scale_d_kernel(
-            resolve_dissimilarity(spec.get("d", "abs-diff"), kind, order), kind)
+        # Every shipped dissimilarity gives exactly 0 on equal tuples.
+        return replace(b_scale_d_kernel(
+            resolve_dissimilarity(spec.get("d", "abs-diff"), kind, order), kind),
+            tie_invariant=True)
     if family == "affine-F":
         refuse_unknown_keys(spec, ("family", "C", "D"), "affine-F kernel")
         if "C" not in spec or "D" not in spec:

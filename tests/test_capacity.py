@@ -68,6 +68,26 @@ class TestFromTable:
             call()
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("values,exact", [
+        ((0.0, 0.3, 0.3, 1.0), True),
+        ((-0.0, 0.0, 1.0, 1.0), True),
+        ((0.0, 0.3, 0.3, 1.0 + 0.5e-12), False),
+        ((-0.5e-12, 0.0, 0.0, 1.0), False),
+        ((0.0, 0.5 + 0.9e-12, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0), False),  # {1} > {1, 2}
+    ])
+    def test_exact_without_the_tolerance(self, values, exact):
+        """A capacity is accepted within TOL; ``exact`` says it needs none,
+        and takes no part in equality."""
+        mu = Capacity(len(values).bit_length() - 1, values)
+        assert mu.exact is exact
+        assert mu == Capacity(mu.n, values) and "exact" not in repr(mu)
+
+    def test_families_are_exact(self):
+        mu = capacity_family("uniform-random", 4, seed=3)
+        assert mu.exact and mu.relabel((3, 1, 0, 2)).exact
+        assert all(capacity_family(kind, 3, **params).exact for kind, params in (
+            ("cardinality", {}), ("dirac", {"i": 2}), ("top", {"k": 2})))
+
 
 class TestFamilies:
     def test_cardinality(self):

@@ -8,7 +8,8 @@ brute-force oracles of ``verifier.py`` take their permutations from the
 comparator, never from an order's ``lead``, and never memoize the
 addition or the kernel. Only ``order.py`` and ``algebra.py`` key a dict
 by carrier kind, and only ``order.py`` tests for an order's class or
-takes its parameters."""
+takes its parameters. Only the catalog constructors of ``operator.py``
+say that a kernel is tie-invariant."""
 
 import ast
 import re
@@ -352,3 +353,40 @@ def test_detects_order_internals():
                          ids=lambda p: p.name)
 def test_order_internals_stay_in_order_module(path):
     assert order_internals(path.read_text(encoding="utf-8")) == []
+
+
+# A kernel's tie invariance is a theorem about its family, so only the
+# catalog constructors of ``operator.py`` may state it.
+CATALOG_CONSTRUCTORS = {"_component_kernel", "delta_scale_kernel", "affine_f_kernel",
+                        "kernel_catalog"}
+
+
+def tie_invariance_claims(source: str) -> list[str]:
+    """``where line`` for each ``tie_invariant=`` keyword and each string
+    ``"tie_invariant"`` (as ``setattr`` would take it); ``where`` is the
+    top-level definition around it, or ``<module>``."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        found += [f"{where} line {node.lineno}" for node in ast.walk(top)
+                  if isinstance(node, ast.keyword) and node.arg == "tie_invariant"
+                  or isinstance(node, ast.Constant) and node.value == "tie_invariant"]
+    return found
+
+
+def test_detects_a_tie_invariance_claim():
+    source = ("class KernelL:\n    tie_invariant: bool = False\n"
+              "def kernel_catalog(k):\n    return replace(k, tie_invariant=True)\n"
+              "def other(k):\n    object.__setattr__(k, 'tie_invariant', True)\n"
+              "    return k.tie_invariant, KernelL(f, 'x', tie_invariant=True)\n"
+              "K = KernelL(f, 'y', tie_invariant=False)\n")
+    assert tie_invariance_claims(source) == [
+        "kernel_catalog line 4", "other line 6", "other line 7", "<module> line 8"]
+
+
+def test_only_the_catalog_states_tie_invariance():
+    claims = {p.name: tie_invariance_claims(p.read_text(encoding="utf-8"))
+              for p in ALL_MODULES}
+    catalog = claims.pop("operator.py")
+    assert catalog and all(c.split()[0] in CATALOG_CONSTRUCTORS for c in catalog)
+    assert {name: found for name, found in claims.items() if found} == {}

@@ -4,9 +4,10 @@ import inspect
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from choquetlike import (
@@ -16,10 +17,11 @@ from choquetlike import (
     PermutationSet, Scalar, ScalarUsual, ScaleOutOfRange, TOL, TooManyTies,
     UnknownKernel, VV_PLUS, Vector, VectorLex, add, algebra, capacity_family,
     affine_f_kernel, b_scale_d_kernel, capacity_from_table, choquet_aggregate,
-    choquet_eval, classical_kernel, elements_equal, f_difference_kernel, k_alpha,
-    kernel_catalog, resolve_dissimilarity, scale, scale_for,
-    tail_values, zero_element,
+    choquet_eval, classical_kernel, delta_scale_kernel, elements_equal,
+    f_difference_kernel, k_alpha, kernel_catalog, resolve_dissimilarity, scale,
+    scale_for, tail_values, zero_element,
 )
+from choquetlike import operator as operator_module
 from choquetlike.algebra import MultiplicationOp
 from choquetlike.dissimilarity import _DELTAS, _MEANS
 from choquetlike.operator import _CARRIER_FNS, MAX_TIE_GROUP, _Fold, _tie_candidates
@@ -522,6 +524,156 @@ class TestNearTolerance:
                 single += 1
                 assert res.checked == 1 and res.consistent
         assert single > 0 or spacing <= TOL
+
+
+# Catalog kernels whose family settles tie consistency; "takac" is for
+# intervals only. The affine-F bounds add up to at most 1.
+_CERTIFIED_SPECS = (
+    ["delta-scale", {"family": "delta-scale", "delta": "abs-diff"}]
+    + [{"family": "b-scale-d", "d": d} for d in _DELTAS]
+    + [{"family": "affine-F", "C": C, "D": D} for C, D in (
+        ("scale:0.7", "scale:0.3"), ("identity", "zero"), ("upper", "zero"),
+        ("zero", "lower"), ("zero", "identity"), ("scale:0.25", "scale:0.75"),
+        ("lower", "scale:0"), ("zero", "zero"))])
+_TAKAC = {"family": "b-scale-d", "d": "takac:0.5:max:abs-diff"}
+_unit_or_edge = st.sampled_from([0.0, 1.0]) | _unit
+_CERTIFIED_CARRIERS = [
+    # (kind, order, addition, element strategy)
+    ("scalar", ScalarUsual(), PLUS, (st.sampled_from([-0.0]) | _unit_or_edge).map(Scalar)),
+    *(("interval", order, IV_PLUS, st.tuples(_unit_or_edge, _unit_or_edge).map(
+        lambda p: Interval(min(p), max(p)))) for order in (XU, AlphaBeta(0.0, 1.0))),
+    *(("vector", VectorLex(priority), VV_PLUS,
+       st.tuples(_unit_or_edge, _unit_or_edge).map(Vector)) for priority in ((0, 1), (1, 0))),
+]
+
+
+@st.composite
+def _exactly_tied_rows(draw):
+    kind, order, addop, elements = draw(st.sampled_from(_CERTIFIED_CARRIERS))
+    levels = draw(st.lists(elements, min_size=1, max_size=3))
+    X = tuple(draw(st.lists(st.sampled_from(levels), min_size=2, max_size=8)))
+    # Exactly tied: the members of each tie group are identical. The
+    # reference folds every admissible permutation: at most 6! of them.
+    perms = PermutationSet(X, order)
+    assume(perms.count <= 720 and all(X[i].components == X[g[0]].components
+                                       for g in perms.groups for i in g))
+    mu = capacity_family("uniform-random", len(X), seed=draw(st.integers(0, 9999)))
+    spec = draw(st.sampled_from(_CERTIFIED_SPECS + [_TAKAC] * (kind == "interval")))
+    return AggregationInput(X, mu, order, addop), kernel_catalog(spec, kind, order)
+
+
+def _no_walk(fold, perms):
+    raise AssertionError("a certified row reached the tie walk")
+
+
+class TestCertifiedTies:
+    """A row whose kernel family settles tie consistency is decided
+    without the tie walk; every other row still walks."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(_exactly_tied_rows())
+    def test_matches_enumeration(self, case):
+        inp, kernel = case
+        assert kernel.tie_invariant and inp.mu.exact
+        with mock.patch.object(operator_module, "_tie_candidates", _no_walk):
+            res = choquet_aggregate(inp, kernel)
+        # The reference: every admissible permutation, each folded on elements.
+        perms = PermutationSet(inp.X, inp.order)
+        base = choquet_eval(inp, kernel, perms.first())
+        consistent = all(elements_equal(choquet_eval(inp, kernel, s), base) for s in perms)
+        assert (_bits(res.value), res.consistent, res.permutations, res.checked) == (
+            _bits(base), consistent, perms.count, 1)
+        # The family's theorem in floats: the walk finds no value beyond TOL,
+        # and draws one candidate, the ``checked`` it would have reported.
+        fold = _Fold(inp, kernel, [x.components for x in inp.X])
+        first = fold(perms.first())
+        candidates = [value for _, value in _tie_candidates(fold, perms)]
+        assert len(candidates) == 1
+        assert all(abs(a - b) <= TOL for a, b in zip(candidates[0], first))
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The permutation counts of the rows that reach the tie walk."""
+        calls, walk = [], operator_module._tie_candidates
+
+        def counted(fold, perms):
+            calls.append(perms.count)
+            return walk(fold, perms)
+
+        monkeypatch.setattr(operator_module, "_tie_candidates", counted)
+        return calls
+
+    U3 = capacity_family("uniform-random", 3, seed=5)
+    MU2 = capacity_from_table(2, [((), 0), ((1,), 0.0), ((2,), 0.5), ((1, 2), 1)])
+    # mu({1}) exceeds mu({1, 2}) and mu({1, 3}) within TOL.
+    NOT_EXACT = Capacity(3, (0.0, 0.5 + 0.9e-12, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0))
+    TIED = (0.5, 0.2, 0.5)
+    CLASSICAL = "0x1.f970a2d7c784ep-2"  # the well-defined value of TIED under U3
+
+    @pytest.mark.parametrize("kernel,values,mu,addop,expected", [
+        (kernel_catalog({"family": "delta-scale", "delta": "sq-diff"}, "scalar"),
+         TIED, U3, PLUS, (False, 2, 2, "0x1.4ed9224dfd642p-2")),
+        (kernel_catalog({"family": "delta-scale", "delta": "capped-double"}, "scalar"),
+         TIED, U3, PLUS, (False, 2, 2, "0x1.677aabd661a28p-1")),
+        (delta_scale_kernel(lambda a, b: a - b, "scalar"),
+         TIED, U3, PLUS, (True, 2, 1, CLASSICAL)),
+        (KernelL(classical_kernel("scalar").fn, "classical-copy"),
+         TIED, U3, PLUS, (True, 2, 1, CLASSICAL)),
+        (f_difference_kernel(lambda x, a: scale(TIMES, a, x)),
+         TIED, U3, PLUS, (True, 2, 1, CLASSICAL)),
+        (b_scale_d_kernel(DissimilarityFn(
+            "user-abs", lambda x, z: Scalar(abs(x.value - z.value))), "scalar"),
+         TIED, U3, PLUS, (True, 2, 1, CLASSICAL)),
+        (classical_kernel("scalar"), TIED, U3, MIN_OP, (True, 2, 1, "0x1.17e4dc0969d9ap-8")),
+        (classical_kernel("scalar"), TIED, U3, BOUNDED_SUM, (True, 2, 1, CLASSICAL)),
+        # Tied within TOL, not identical.
+        (classical_kernel("scalar"), (0.5, 0.2, 0.5 + 5e-13), U3, PLUS,
+         (True, 2, 1, "0x1.f970a2d7c93eep-2")),
+        # The hazards: a capacity monotone only within TOL, an affine-F
+        # whose bounds add up to more than 1 (a snapped term, then a
+        # refused one), and tied inputs above 1, reachable from Python.
+        (classical_kernel("scalar"), (1.0,) * 3, NOT_EXACT, PLUS,
+         (False, 6, 2, "0x1.0000000000000p+0")),
+        (affine_f_kernel("scale:0.7", "scale:0.3000000001", "scalar"), (1.0, 1.0), MU2,
+         PLUS, (False, 2, 2, "0x1.4ccccccda8b3cp+0")),
+        (affine_f_kernel("scale:0.7", "scale:0.4", "scalar"), (1.0, 1.0), MU2, PLUS,
+         KernelRangeError),
+        (classical_kernel("scalar"), (1 + 5e-10,) * 2, MU2, PLUS,
+         (False, 2, 2, "0x1.0000000225c18p+0")),
+        (classical_kernel("scalar"), (1.5, 1.5), MU2, PLUS, KernelRangeError),
+    ], ids=["sq-diff", "capped-double", "callable-delta", "custom", "f-difference",
+            "user-dissimilarity", "min", "bounded-sum", "near-tolerance",
+            "capacity-within-tol", "affine-snapped", "affine-refused",
+            "above-1-snapped", "above-1-refused"])
+    def test_other_rows_walk(self, walks, kernel, values, mu, addop, expected):
+        inp = AggregationInput(tuple(map(Scalar, values)), mu, ScalarUsual(), addop)
+        if expected is KernelRangeError:
+            with pytest.raises(KernelRangeError):
+                choquet_aggregate(inp, kernel)
+        else:
+            res = choquet_aggregate(inp, kernel)
+            assert (res.consistent, res.permutations, res.checked,
+                    res.value.value.hex()) == expected
+        assert walks == [PermutationSet(inp.X, inp.order).count]
+
+    def test_the_catalog_alone_states_invariance(self):
+        def invariant(spec, kind="scalar"):
+            return kernel_catalog(spec, kind, ScalarUsual() if kind == "scalar" else XU
+                                  ).tie_invariant
+
+        assert all(invariant(spec) for spec in _CERTIFIED_SPECS)
+        assert invariant(_TAKAC, "interval") and classical_kernel("vector").tie_invariant
+        assert not any(invariant(spec) for spec in (
+            {"family": "delta-scale", "delta": "sq-diff"},
+            {"family": "delta-scale", "delta": "capped-double"},
+            {"family": "affine-F", "C": "identity", "D": "scale:0.1"},
+            {"family": "affine-F", "C": "upper", "D": "lower"}))
+        user = DissimilarityFn("user", lambda x, z: Scalar(abs(x.value - z.value)))
+        assert not any(k.tie_invariant for k in (
+            delta_scale_kernel(lambda a, b: abs(a - b), "scalar"),
+            affine_f_kernel(lambda x: x, "zero", "scalar"),
+            KernelL(classical_kernel("scalar").fn, "copy"),
+            f_difference_kernel(lambda x, a: x), b_scale_d_kernel(user, "scalar")))
 
 
 class TestEquivariance:

@@ -257,6 +257,25 @@ class TestBruteForceAndOracle:
                 {"wd": both, "monotonicity": both})
             assert report.checked == checked
 
+    @pytest.mark.parametrize("kind,order,addop,checked", [
+        ("vector", VectorLex((0, 1)), VV_PLUS, {"pass": (297, 3804), "fail": (67, 240)}),
+        ("interval", AlphaBeta(0.0, 1.0), IV_PLUS, {"pass": (228, 1914), "fail": (67, 204)}),
+    ], ids=["veclex:1,2", "ab:0:1"])
+    @pytest.mark.parametrize("spec,verdict", [
+        ("delta-scale", "pass"), ({"family": "delta-scale", "delta": "sq-diff"}, "fail")],
+        ids=["delta-scale", "sq-diff"])
+    def test_wd_crosscheck_on_every_carrier(self, kind, order, addop, checked, spec,
+                                            verdict):
+        """The spot check's constant tuples are tied rows that the catalog
+        kernel certifies or walks; brute force checks both at n=2 and 3."""
+        kernel = kernel_catalog(spec, kind, order)
+        for n, count in zip((2, 3), checked[verdict]):
+            report = oracle_crosscheck(kernel, addop, order, n, GridSpec(kind, 2),
+                                       laws=("wd",))
+            assert report.detail["verdicts"] == {
+                "wd": {"condition": verdict, "brute_force": verdict}}
+            assert report.checked == count
+
     def test_battery_composition(self):
         caps = capacity_battery(3)
         assert len(caps) == 1 + 3 + 3 + 5
