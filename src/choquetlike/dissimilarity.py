@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .algebra import IV_PLUS, AdditionOp, add
 from .errors import (
-    AlphaOutOfRange, BadParameter, ReconstructionOutOfK, lookup,
+    AlphaOutOfRange, BadParameter, KindMismatch, ReconstructionOutOfK, lookup,
 )
 from .order import (
     INTERVAL, SCALAR, TOL, AdmissibleOrder, AlphaBeta, Element, GridSpec,
@@ -117,13 +117,19 @@ def projected_dissimilarity(spec, kind: str,
     def term(xc: tuple, zc: tuple) -> tuple:
         return (delta(lead(xc), lead(zc)),) * (width or len(xc))
     named = isinstance(spec, str)
-    return DissimilarityFn(spec if named else "custom", _on_elements(term, record.make),
+    return DissimilarityFn(spec if named else "custom", _on_elements(term, kind),
                            term if named else None)
 
 
-def _on_elements(term, make) -> Callable[[Element, Element], Element]:
-    """``term`` lifted to elements, its output built by ``make``."""
-    return lambda x, z: make(term(x.components, z.components))
+def _on_elements(term, kind: str) -> Callable[[Element, Element], Element]:
+    """``term`` on elements of carrier ``kind``; another kind raises ``KindMismatch``."""
+    make = carrier(kind).make
+
+    def fn(x: Element, z: Element) -> Element:
+        if x.kind != kind or z.kind != kind:
+            raise KindMismatch(f"a dissimilarity of {kind} inputs got {x!r} and {z!r}")
+        return make(term(x.components, z.components))
+    return fn
 
 
 def resolve_dissimilarity(spec: str, kind: str,
@@ -222,7 +228,7 @@ def takac_dissimilarity_fn(alpha: float, m_d, delta_d) -> DissimilarityFn:
     d_name = delta_d if isinstance(delta_d, str) else "custom"
     term = _takac_term(alpha, m_d, delta_d)
     return DissimilarityFn(f"takac:{alpha:g}:{m_name}:{d_name}",
-                           _on_elements(term, carrier(INTERVAL).make), term)
+                           _on_elements(term, INTERVAL), term)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ as L(current, previous, b1, b2) and may ignore any of its arguments.
 The same formula holds on every carrier, and the shipped kernels,
 additions and scalings work component by component. So each catalog
 kernel is defined once, on component tuples, and ``KernelL.evaluate``
-lifts it to elements. Every function defined on elements reaches the
-tuples through one lift, ``_on_components``: a callable ``C`` or ``D``,
-a dissimilarity without a component form, a custom kernel, and an
-addition without ``term``. ``choquet_aggregate`` folds each row on
+lifts it to elements. The two functions defined on elements, a custom
+kernel and an addition without ``term``, reach the tuples through one
+lift, ``_on_components``. ``choquet_aggregate`` folds each row on
 component tuples, checks every kernel term as ``evaluate`` checks its
 output, and builds one element per row. ``_eval_sorted`` folds on
 elements with the addition's ``fn`` and stays the reference that
@@ -38,15 +37,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Callable, Optional
 
 from .algebra import AdditionOp, addition_for, scale_for, unit_coefficient
 from .capacity import Capacity, _tail_weights
-from .dissimilarity import (
-    DissimilarityFn, delta_abs, resolve_delta, resolve_dissimilarity,
-)
+from .dissimilarity import _DELTAS, delta_abs, resolve_dissimilarity
 from .errors import (
     BadParameter, KernelRangeError, KindMismatch, NotAdmissiblePermutation,
     TooManyTies, UnknownKernel, lookup, refuse_unknown_keys,
@@ -54,6 +51,7 @@ from .errors import (
 from .order import TOL, AdmissibleOrder, Element, carrier, zero_element
 
 MAX_TIE_GROUP = 16
+SNAP = 1e-9  # how far outside [0, 1] a kernel output is snapped into it
 
 
 @dataclass(frozen=True)
@@ -62,32 +60,27 @@ class KernelL:
     b1, b2)``: the current input, the previous input of the chain (the
     least element before the first), and the two adjacent tail weights.
     A kernel may ignore any of them. Outputs must stay in the
-    unit-bounded carrier; values beyond 1e-9 outside raise, smaller
+    unit-bounded carrier; values beyond ``SNAP`` outside raise, smaller
     overshoots are snapped. ``evaluate`` also checks that the output lies
     on the carrier of the current input (same ``kind`` and ``dim``) and
     raises ``KindMismatch`` otherwise, so a fold over kernel outputs needs
     no further carrier checks.
 
-    A catalog kernel is defined once, by ``term``: the same call on
-    component tuples of the carrier ``kind``, returning a tuple and
-    checking it as above. The catalog constructors build ``term`` and its
-    lift to elements, ``fn``, which ``evaluate`` calls without checking
-    again; they build one even from element callables. Only a custom
-    kernel, ``KernelL(fn, name)``, and ``f_difference_kernel(F)`` are
-    ``fn`` alone, and ``choquet_aggregate`` lifts ``evaluate`` to
-    component tuples with ``_on_components``.
-
-    ``tie_invariant`` says the kernel's family proves that the order
-    inside a group of identical tied inputs does not change the operator
-    (see ``choquet_aggregate``). Only the catalog constructors set it.
+    A custom kernel, ``KernelL(fn, name)`` or ``f_difference_kernel(F)``,
+    is ``fn`` alone. Only the catalog constructors set the other fields:
+    ``term``, the kernel on component tuples of carrier ``kind``, checked
+    as above, of which ``fn`` is the lift that ``evaluate`` calls as is;
+    and ``tie_invariant``, the family's proof that the order inside a
+    group of identical tied inputs does not change the operator (see
+    ``choquet_aggregate``).
     """
 
     fn: Callable[[Element, Element, float, float], Element]
     name: str
     term: Optional[Callable[[tuple, tuple, float, float], tuple]] = field(
-        default=None, kw_only=True)
-    kind: Optional[str] = field(default=None, kw_only=True)
-    tie_invariant: bool = field(default=False, kw_only=True)
+        default=None, init=False)
+    kind: Optional[str] = field(default=None, init=False)
+    tie_invariant: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if not callable(self.fn):
@@ -108,7 +101,7 @@ def _validate_unit(x: Element, kernel_name: str) -> Element:
     comps = x.components  # never NaN: the element constructors refuse it
     if -TOL <= min(comps) and max(comps) <= 1.0 + TOL:
         return x
-    if all(-1e-9 <= c <= 1.0 + 1e-9 for c in comps):
+    if all(-SNAP <= c <= 1.0 + SNAP for c in comps):
         return carrier(x.kind).make(tuple(min(max(c, 0.0), 1.0) for c in comps))
     raise KernelRangeError(
         f"kernel {kernel_name!r} produced {x!r} outside the bounded carrier")
@@ -131,7 +124,7 @@ def _on_components(fn, kind: str, what: str):
     return lifted
 
 
-def _component_kernel(term, kind: str, name: str, tie_invariant: bool = False) -> KernelL:
+def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool) -> KernelL:
     """The catalog kernel defined on component tuples of carrier ``kind``
     by ``term``. Its output goes through the carrier's constructor and
     ``_validate_unit`` unless it is ``bounded``: both leave such a tuple as is."""
@@ -153,7 +146,11 @@ def _component_kernel(term, kind: str, name: str, tie_invariant: bool = False) -
                                f"of its input {x!r}")
         return make(c)
 
-    return KernelL(fn, name, term=checked, kind=kind, tie_invariant=tie_invariant)
+    kernel = KernelL(fn, name)
+    object.__setattr__(kernel, "term", checked)
+    object.__setattr__(kernel, "kind", kind)
+    object.__setattr__(kernel, "tie_invariant", tie_invariant)
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -454,14 +451,12 @@ def resolve_carrier_fn(spec) -> tuple[Callable[[tuple], tuple], float]:
     return lookup(_CARRIER_FNS, spec, "carrier function")
 
 
-def delta_scale_kernel(delta, kind: str) -> KernelL:
-    """Weight-difference kernel G(x, b1, b2) = delta(b1, b2) * x.
-
-    With delta the plain difference this is the classical Choquet
-    integrand lifted to the carrier.
-    """
-    delta_fn, mul = resolve_delta(delta), scale_for(kind).term
-    label = delta if isinstance(delta, str) else "custom"
+def delta_scale_kernel(delta: str, kind: str) -> KernelL:
+    """Weight-difference kernel G(x, b1, b2) = delta(b1, b2) * x, for a
+    shipped scalar dissimilarity ``delta``. With the plain difference this
+    is the classical Choquet integrand lifted to the carrier; it and
+    ``abs-diff`` telescope, so they are ``tie_invariant``."""
+    delta_fn, mul = lookup(_DELTAS, delta, "scalar dissimilarity"), scale_for(kind).term
 
     def term(xc, pc, b1, b2):
         c = delta_fn(b1, b2)
@@ -469,8 +464,8 @@ def delta_scale_kernel(delta, kind: str) -> KernelL:
             c = unit_coefficient(c)
         return mul(c, xc)
 
-    return _component_kernel(term, kind, f"delta-scale({label})",
-                             tie_invariant=delta_fn is delta_abs and isinstance(delta, str))
+    return _component_kernel(term, kind, f"delta-scale({delta})",
+                             tie_invariant=delta_fn is delta_abs)
 
 
 def f_difference_kernel(F: Callable[[Element, float], Element]) -> KernelL:
@@ -480,12 +475,15 @@ def f_difference_kernel(F: Callable[[Element, float], Element]) -> KernelL:
                    name="f-difference(custom)")
 
 
-def b_scale_d_kernel(d: DissimilarityFn, kind: str) -> KernelL:
+def b_scale_d_kernel(d: str, kind: str,
+                     order: Optional[AdmissibleOrder] = None) -> KernelL:
     """Kernel G(x1, x2, b) = b * d(x1, x2): capacity-weighted dissimilarity
-    to the previous input. A dissimilarity without a component form is
-    lifted to one."""
-    name, mul_term = f"b-scale-d({d.name})", scale_for(kind).term
-    dterm = d.term or _on_components(d.fn, kind, f"dissimilarity {d.name!r}")
+    to the previous input, for a dissimilarity spec string ``d`` resolved
+    under ``order`` (see ``resolve_dissimilarity``). It is
+    ``tie_invariant``: every shipped dissimilarity gives exactly 0 on
+    equal tuples."""
+    dis = resolve_dissimilarity(d, kind, order)
+    dterm, mul_term = dis.term, scale_for(kind).term
 
     def term(xc, pc, b1, b2):
         t = dterm(xc, pc)
@@ -493,21 +491,19 @@ def b_scale_d_kernel(d: DissimilarityFn, kind: str) -> KernelL:
             b1 = unit_coefficient(b1)
         return mul_term(b1, t)
 
-    return _component_kernel(term, kind, name)
+    return _component_kernel(term, kind, f"b-scale-d({dis.name})", tie_invariant=True)
 
 
-def affine_f_kernel(C, D, kind: str) -> KernelL:
+def affine_f_kernel(C: str, D: str, kind: str) -> KernelL:
     """Affine kernel F(x, a) = a*C(x) + D(x) componentwise, in the
-    weight-difference form G(x, b1, b2) = F(x, b1 - b2). C and D name
-    shipped carrier functions, or are functions of elements, which are
-    lifted to component tuples: the kernel has one definition either
-    way. It is ``tie_invariant`` when C and D are shipped and their
-    bounds add up to at most 1, so that no term leaves [0, 1]."""
-    name = (f"affine-F({C if isinstance(C, str) else 'C'},"
-            f"{D if isinstance(D, str) else 'D'})")
-    (C_fn, c_C), (D_fn, c_D) = (
-        (_on_components(f, kind, f"kernel {name!r}"), math.inf) if callable(f)
-        else resolve_carrier_fn(f) for f in (C, D))
+    weight-difference form G(x, b1, b2) = F(x, b1 - b2), for shipped
+    carrier functions C and D. Both are nondecreasing and a <= 1, so F
+    reaches the sum of their bounds: a sum beyond 1 + ``SNAP`` raises
+    ``KernelRangeError``, and one of at most 1 is ``tie_invariant``."""
+    name = f"affine-F({C},{D})"
+    (C_fn, c_C), (D_fn, c_D) = resolve_carrier_fn(C), resolve_carrier_fn(D)
+    if c_C + c_D > 1.0 + SNAP:
+        raise KernelRangeError(f"kernel {name!r} can leave the bounded carrier")
 
     def term(xc, pc, b1, b2):
         a = b1 - b2
@@ -539,10 +535,7 @@ def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> 
         return delta_scale_kernel(spec.get("delta", "difference"), kind)
     if family == "b-scale-d":
         refuse_unknown_keys(spec, ("family", "d"), "b-scale-d kernel")
-        # Every shipped dissimilarity gives exactly 0 on equal tuples.
-        return replace(b_scale_d_kernel(
-            resolve_dissimilarity(spec.get("d", "abs-diff"), kind, order), kind),
-            tie_invariant=True)
+        return b_scale_d_kernel(spec.get("d", "abs-diff"), kind, order)
     if family == "affine-F":
         refuse_unknown_keys(spec, ("family", "C", "D"), "affine-F kernel")
         if "C" not in spec or "D" not in spec:

@@ -41,14 +41,14 @@ class TestTelescopingDecidesAggregation:
         d = resolve_dissimilarity("abs-diff", "interval", XU)
         grid = GridSpec("interval", 2, n=3)
         assert check_telescoping(d, IV_PLUS, XU, grid).passed
-        kernel = b_scale_d_kernel(d, "interval")
+        kernel = b_scale_d_kernel("abs-diff", "interval", XU)
         assert check_aggregation(kernel, IV_PLUS, XU, 3, grid).passed
 
     def test_scalar_negative_instance(self):
         d = resolve_dissimilarity("sq-diff", "scalar")
         grid = GridSpec("scalar", 4, n=3)
         assert not check_telescoping(d, PLUS, ScalarUsual(), grid).passed
-        kernel = b_scale_d_kernel(d, "scalar")
+        kernel = b_scale_d_kernel("sq-diff", "scalar")
         assert not check_aggregation(kernel, PLUS, ScalarUsual(), 3, grid).passed
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from choquetlike import (
     AdmissibleOrder, AlphaBeta, AlphaOutOfRange, BadParameter, DissimilarityFn,
-    GridSpec, IV_PLUS, Interval, PLUS, ReconstructionOutOfK, Scalar,
+    GridSpec, IV_PLUS, Interval, KindMismatch, PLUS, ReconstructionOutOfK, Scalar,
     ScalarUsual, VV_PLUS, Vector, VectorLex, add, check_admissibility, check_dissimilarity,
     check_telescoping, elements_equal, grid_elements, k_alpha, lambda_alpha,
     resolve_dissimilarity, takac_counterexample, takac_dissimilarity_fn,
@@ -153,6 +153,19 @@ class TestDissimilarityAxioms:
     def test_spec_refusals(self, spec, kind, order, message):
         with pytest.raises(BadParameter, match=message):
             resolve_dissimilarity(spec, kind, order)
+
+    # A dissimilarity is defined on the carrier it was resolved for; the
+    # elements of another carrier are refused, not read as its tuples.
+    @pytest.mark.parametrize("spec,kind,order,x,z", [
+        ("abs-diff", "interval", XU, Scalar(0.1), Scalar(0.2)),
+        ("abs-diff", "vector", VectorLex((0, 1)), Interval(0.1, 0.2), Interval(0.3, 0.4)),
+        ("takac:0.5:max:abs-diff", "interval", None, Vector((0.1, 0.2)),
+         Vector((0.3, 0.4))),
+    ], ids=["scalars-under-ab", "intervals-under-veclex", "vectors-under-takac"])
+    def test_elements_of_another_carrier_raise(self, spec, kind, order, x, z):
+        d = resolve_dissimilarity(spec, kind, order)
+        with pytest.raises(KindMismatch, match=f"of {kind} inputs got"):
+            d(x, z)
 
 
 def _alpha_mix_term(alpha):

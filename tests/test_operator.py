@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from choquetlike import (
     AdditionOp, AggregationInput, AlphaBeta, BOUNDED_SUM, BadParameter, Capacity,
-    DissimilarityFn, IV_PLUS, Interval, MIN_OP, TIMES,
+    GridSpec, IV_PLUS, Interval, MIN_OP, TIMES,
     KernelL, KernelRangeError, KindMismatch, NotAdmissiblePermutation, PLUS,
     PermutationSet, Scalar, ScalarUsual, ScaleOutOfRange, TOL, TooManyTies,
-    UnknownKernel, VV_PLUS, Vector, VectorLex, add, algebra, capacity_family,
+    UnknownKernel, VV_PLUS, Vector, VectorLex, add, addition_for, algebra,
+    capacity_family, grid_elements,
     affine_f_kernel, b_scale_d_kernel, capacity_from_table, choquet_aggregate,
     choquet_eval, classical_kernel, delta_scale_kernel, elements_equal,
     f_difference_kernel, k_alpha, kernel_catalog, resolve_dissimilarity, scale,
@@ -453,11 +454,9 @@ class TestLeanFold:
 
     @pytest.mark.parametrize("kind", ["scalar", "interval", "vector"])
     def test_term_beyond_the_snap_raises(self, kind):
-        inp, kernel = self._affine(kind, "scale:0.4")  # F(1, 1) = 1.1
+        # F(1, 1) = 1.1: the kernel is refused when it is built.
         with pytest.raises(KernelRangeError):
-            choquet_aggregate(inp, kernel)
-        with pytest.raises(KernelRangeError):
-            choquet_eval(inp, kernel, (0, 1))
+            self._affine(kind, "scale:0.4")
 
     @pytest.mark.parametrize("kind", ["scalar", "interval", "vector"])
     def test_term_within_the_snap_is_snapped_alike(self, kind):
@@ -615,14 +614,9 @@ class TestCertifiedTies:
          TIED, U3, PLUS, (False, 2, 2, "0x1.4ed9224dfd642p-2")),
         (kernel_catalog({"family": "delta-scale", "delta": "capped-double"}, "scalar"),
          TIED, U3, PLUS, (False, 2, 2, "0x1.677aabd661a28p-1")),
-        (delta_scale_kernel(lambda a, b: a - b, "scalar"),
-         TIED, U3, PLUS, (True, 2, 1, CLASSICAL)),
         (KernelL(classical_kernel("scalar").fn, "classical-copy"),
          TIED, U3, PLUS, (True, 2, 1, CLASSICAL)),
         (f_difference_kernel(lambda x, a: scale(TIMES, a, x)),
-         TIED, U3, PLUS, (True, 2, 1, CLASSICAL)),
-        (b_scale_d_kernel(DissimilarityFn(
-            "user-abs", lambda x, z: Scalar(abs(x.value - z.value))), "scalar"),
          TIED, U3, PLUS, (True, 2, 1, CLASSICAL)),
         (classical_kernel("scalar"), TIED, U3, MIN_OP, (True, 2, 1, "0x1.17e4dc0969d9ap-8")),
         (classical_kernel("scalar"), TIED, U3, BOUNDED_SUM, (True, 2, 1, CLASSICAL)),
@@ -630,20 +624,17 @@ class TestCertifiedTies:
         (classical_kernel("scalar"), (0.5, 0.2, 0.5 + 5e-13), U3, PLUS,
          (True, 2, 1, "0x1.f970a2d7c93eep-2")),
         # The hazards: a capacity monotone only within TOL, an affine-F
-        # whose bounds add up to more than 1 (a snapped term, then a
-        # refused one), and tied inputs above 1, reachable from Python.
+        # whose bounds add up to more than 1 by less than the snap (a
+        # snapped term), and tied inputs above 1, reachable from Python.
         (classical_kernel("scalar"), (1.0,) * 3, NOT_EXACT, PLUS,
          (False, 6, 2, "0x1.0000000000000p+0")),
         (affine_f_kernel("scale:0.7", "scale:0.3000000001", "scalar"), (1.0, 1.0), MU2,
          PLUS, (False, 2, 2, "0x1.4ccccccda8b3cp+0")),
-        (affine_f_kernel("scale:0.7", "scale:0.4", "scalar"), (1.0, 1.0), MU2, PLUS,
-         KernelRangeError),
         (classical_kernel("scalar"), (1 + 5e-10,) * 2, MU2, PLUS,
          (False, 2, 2, "0x1.0000000225c18p+0")),
         (classical_kernel("scalar"), (1.5, 1.5), MU2, PLUS, KernelRangeError),
-    ], ids=["sq-diff", "capped-double", "callable-delta", "custom", "f-difference",
-            "user-dissimilarity", "min", "bounded-sum", "near-tolerance",
-            "capacity-within-tol", "affine-snapped", "affine-refused",
+    ], ids=["sq-diff", "capped-double", "custom", "f-difference", "min",
+            "bounded-sum", "near-tolerance", "capacity-within-tol", "affine-snapped",
             "above-1-snapped", "above-1-refused"])
     def test_other_rows_walk(self, walks, kernel, values, mu, addop, expected):
         inp = AggregationInput(tuple(map(Scalar, values)), mu, ScalarUsual(), addop)
@@ -666,14 +657,25 @@ class TestCertifiedTies:
         assert not any(invariant(spec) for spec in (
             {"family": "delta-scale", "delta": "sq-diff"},
             {"family": "delta-scale", "delta": "capped-double"},
-            {"family": "affine-F", "C": "identity", "D": "scale:0.1"},
-            {"family": "affine-F", "C": "upper", "D": "lower"}))
-        user = DissimilarityFn("user", lambda x, z: Scalar(abs(x.value - z.value)))
+            {"family": "affine-F", "C": "scale:0.7", "D": "scale:0.3000000001"}))
         assert not any(k.tie_invariant for k in (
-            delta_scale_kernel(lambda a, b: abs(a - b), "scalar"),
-            affine_f_kernel(lambda x: x, "zero", "scalar"),
             KernelL(classical_kernel("scalar").fn, "copy"),
-            f_difference_kernel(lambda x, a: x), b_scale_d_kernel(user, "scalar")))
+            f_difference_kernel(lambda x, a: x)))
+
+    @pytest.mark.parametrize("kind,order", [("scalar", ScalarUsual()), ("interval", XU),
+                                            ("vector", VectorLex((1, 0)))])
+    def test_b_scale_d_built_in_python_is_certified(self, kind, order):
+        # Built outside the catalog, a b-scale-d kernel still states its
+        # family's invariance, so an exactly tied row takes no walk.
+        x = {"scalar": Scalar(0.4), "interval": Interval(0.2, 0.6),
+             "vector": Vector((0.3, 0.7))}[kind]
+        inp = AggregationInput((x, zero_element(kind, len(x.components)), x),
+                               self.U3, order, addition_for(kind))
+        kernel = b_scale_d_kernel("abs-diff", kind, order)
+        with mock.patch.object(operator_module, "_tie_candidates", _no_walk):
+            res = choquet_aggregate(inp, kernel)
+        assert (res.consistent, res.permutations, res.checked) == (True, 2, 1)
+        assert _bits(res.value) == _bits(choquet_eval(inp, kernel, (1, 0, 2)))
 
 
 class TestEquivariance:
@@ -786,6 +788,44 @@ class TestKernelCatalog:
         with pytest.raises(BadParameter, match="needs a callable"):
             KernelL(3, "x")
 
+    @pytest.mark.parametrize("field", ["term", "kind", "tie_invariant"])
+    def test_only_the_catalog_sets_the_component_fields(self, field):
+        classical = classical_kernel("scalar")
+        with pytest.raises(TypeError):
+            KernelL(classical.fn, "copy", **{field: getattr(classical, field)})
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: delta_scale_kernel(lambda a, b: abs(a - b), "scalar"),
+         "unknown scalar dissimilarity"),
+        (lambda: affine_f_kernel(lambda x: x, "zero", "scalar"), "unknown carrier function"),
+        (lambda: affine_f_kernel("zero", lambda x: x, "scalar"), "unknown carrier function"),
+        (lambda: b_scale_d_kernel(resolve_dissimilarity("abs-diff", "scalar"), "scalar"),
+         "a dissimilarity spec is a string"),
+    ], ids=["delta", "C", "D", "d"])
+    def test_constructors_take_only_what_a_spec_carries(self, build, message):
+        with pytest.raises(BadParameter, match=message):
+            build()
+
+    def test_affine_beyond_the_bounded_carrier_refused_when_built(self):
+        # F(1, 1) is the sum of the bounds of C and D, so a kernel whose
+        # bounds add up to more than 1 leaves [0, 1] on some input.
+        bounds = {"zero": 0.0, "identity": 1.0, "upper": 1.0, "lower": 1.0,
+                  "scale:0.3": 0.3, "scale:0.5": 0.5}
+        built, refused = [], []
+        for C, D in itertools.product(bounds, repeat=2):
+            try:
+                kernel = kernel_catalog({"family": "affine-F", "C": C, "D": D}, "interval")
+            except KernelRangeError:
+                refused.append((C, D))
+            else:
+                built.append((C, D))
+                assert kernel.tie_invariant
+                top = kernel.evaluate(Interval(1.0, 1.0), Interval(0.0, 0.0), 1.0, 0.0)
+                assert top == Interval(bounds[C] + bounds[D], bounds[C] + bounds[D])
+        assert (len(built), len(refused)) == (15, 21)
+        assert refused == [(C, D) for C, D in itertools.product(bounds, repeat=2)
+                           if bounds[C] + bounds[D] > 1.0]
+
     def test_affine_degenerate_instance(self):
         k = kernel_catalog({"family": "affine-F", "C": "upper", "D": "zero"},
                            "interval")
@@ -841,46 +881,6 @@ class TestKernelCatalog:
         k = kernel_catalog({"family": "affine-F", "C": "scale:1.0000000000001",
                             "D": "scale:-1e-13"}, "scalar")
         assert k.evaluate(Scalar(0.5), Scalar(0.0), 1.0, 0.0) == Scalar(0.5)
-
-    def test_element_forms_give_the_component_forms_bits(self):
-        # A callable C and a DissimilarityFn without a term are lifted to
-        # component tuples, so their kernels have a term too.
-        d = resolve_dissimilarity("abs-diff", "interval", XU)
-        pairs = [
-            (affine_f_kernel(lambda x: x, "zero", "interval"),
-             kernel_catalog({"family": "affine-F", "C": "identity", "D": "zero"},
-                            "interval")),
-            (b_scale_d_kernel(DissimilarityFn("plain", d.fn), "interval"),
-             b_scale_d_kernel(d, "interval")),
-        ]
-        assert pairs[0][0].name == "affine-F(C,zero)"
-        rng = random.Random(3)
-        for lifted, catalog in pairs:
-            assert lifted.term is not None and catalog.term is not None
-            for _ in range(50):
-                n = rng.randint(2, 5)
-                levels = [_random_element(rng, "interval") for _ in range(rng.randint(1, 3))]
-                X = tuple(rng.choice(levels) for _ in range(n))
-                mu = capacity_family("uniform-random", n, seed=rng.randrange(1000))
-                inp = AggregationInput(X, mu, XU, IV_PLUS)
-                got, want = choquet_aggregate(inp, lifted), choquet_aggregate(inp, catalog)
-                assert _bits(got.value) == _bits(want.value)
-                assert got.consistent == want.consistent
-
-    @pytest.mark.parametrize("kernel", [
-        affine_f_kernel(lambda x: Scalar(x.lower), "zero", "interval"),
-        affine_f_kernel("identity", lambda x: Vector(x.components), "interval"),
-        b_scale_d_kernel(DissimilarityFn("to-scalar", lambda x, z: Scalar(0.5)),
-                         "interval"),
-    ], ids=["C", "D", "d"])
-    def test_element_functions_off_the_carrier_raise(self, kernel):
-        x = Interval(0.2, 0.6)
-        with pytest.raises(KindMismatch):
-            kernel.evaluate(x, Interval(0.0, 0.0), 1.0, 0.5)
-        inp = AggregationInput((x, Interval(0.1, 0.3)),
-                               capacity_family("cardinality", 2), XU, IV_PLUS)
-        with pytest.raises(KindMismatch):
-            choquet_aggregate(inp, kernel)
 
     def test_f_difference_with_scaling_is_the_classical_kernel(self):
         # F(x, a) = a * x gives G = (b1 - b2) * x, and b1 >= b2 along every
@@ -944,8 +944,8 @@ class TestComponentForms:
         "delta-scale": [{"delta": d} for d in _DELTAS],
         "b-scale-d": [{"d": d} for d in _DELTAS]
         + [{"d": f"takac:0.5:{m}:abs-diff"} for m in _MEANS],
-        "affine-F": [{"C": c, "D": "scale:0.5"} for c in _CARRIER_FNS]
-        + [{"C": "scale:0.5", "D": c} for c in _CARRIER_FNS],
+        "affine-F": [{"C": c, "D": "zero"} for c in _CARRIER_FNS]
+        + [{"C": "zero", "D": c} for c in _CARRIER_FNS],
     }
 
     def test_the_table_covers_every_catalog_family(self):
@@ -962,6 +962,33 @@ class TestComponentForms:
             if kind != "interval" and "takac" in str(spec):
                 continue
             assert kernel_catalog(spec, kind, order).term is not None, spec
+
+    CONSTRUCTORS = {
+        "delta-scale": lambda p, kind, order: delta_scale_kernel(p["delta"], kind),
+        "b-scale-d": lambda p, kind, order: b_scale_d_kernel(p["d"], kind, order),
+        "affine-F": lambda p, kind, order: affine_f_kernel(p["C"], p["D"], kind),
+    }
+
+    @pytest.mark.parametrize("kind,order", [("scalar", ScalarUsual()), ("interval", XU),
+                                            ("vector", VectorLex((1, 0)))])
+    def test_python_constructors_build_the_catalog_kernels(self, kind, order):
+        # Each constructor takes the values of its family's spec and builds
+        # the kernel that kernel_catalog builds from the spec.
+        tuples = [x.components for x in grid_elements(GridSpec(kind, 2))]
+        weights = [(1.0, 0.0), (1.0, 0.5), (0.75, 0.25), (0.5, 0.5)]
+        assert set(self.CONSTRUCTORS) == set(self.FAMILIES)
+        for family, variants in self.FAMILIES.items():
+            for params in variants:
+                if kind != "interval" and "takac" in str(params):
+                    continue
+                built = self.CONSTRUCTORS[family](params, kind, order)
+                catalog = kernel_catalog(dict(params, family=family), kind, order)
+                assert ((built.name, built.kind, built.tie_invariant)
+                        == (catalog.name, catalog.kind, catalog.tie_invariant)), params
+                for xc, pc in itertools.product(tuples, repeat=2):
+                    for b1, b2 in weights:
+                        assert ([c.hex() for c in built.term(xc, pc, b1, b2)]
+                                == [c.hex() for c in catalog.term(xc, pc, b1, b2)])
 
     def test_shipped_additions_and_scalings(self):
         shipped = [v for v in vars(algebra).values()
