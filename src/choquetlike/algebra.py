@@ -10,7 +10,7 @@ the only oracle that works uniformly for user-supplied operations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -25,15 +25,17 @@ from .reporting import LawReport, run_law
 
 @dataclass(frozen=True)
 class AdditionOp:
-    """Binary addition on one carrier's ambient set: ``fn`` adds elements,
-    ``term`` is the same addition on their component tuples. The
-    operator's fold adds on components and lifts ``fn`` for an addition
-    without ``term``."""
+    """Binary addition on one carrier's ambient set: ``fn`` adds elements.
+    A custom addition, ``AdditionOp(name, kind, fn)``, is ``fn`` alone.
+    Only the shipped additions set ``term``, the same addition on
+    component tuples, through ``_shipped``; so ``term`` never differs
+    from ``fn``. The operator's fold adds on components and lifts ``fn``
+    for an addition without ``term``."""
 
     name: str
     kind: str
     fn: Callable[[Element, Element], Element]
-    term: Optional[Callable[[tuple, tuple], tuple]] = None
+    term: Optional[Callable[[tuple, tuple], tuple]] = field(default=None, init=False)
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,21 @@ def scale(op: MultiplicationOp, c: float, x: Element) -> Element:
 # Shipped operations
 # ---------------------------------------------------------------------------
 
-PLUS = AdditionOp("plus", SCALAR, lambda x, z: Scalar(x.value + z.value),
-                  lambda a, b: (a[0] + b[0],))
-IV_PLUS = AdditionOp("iv-plus", INTERVAL,
-                     lambda x, z: Interval(x.lower + z.lower, x.upper + z.upper),
-                     lambda a, b: (a[0] + b[0], a[1] + b[1]))
-VV_PLUS = AdditionOp("vv-plus", VECTOR,
-                     lambda x, z: Vector(tuple(a + b for a, b in zip(x.coords, z.coords))),
-                     lambda a, b: tuple([p + q for p, q in zip(a, b)]))
+def _shipped(name: str, kind: str, fn, term) -> AdditionOp:
+    """The shipped addition ``fn``, with ``term``, its form on component tuples."""
+    op = AdditionOp(name, kind, fn)
+    object.__setattr__(op, "term", term)
+    return op
+
+
+PLUS = _shipped("plus", SCALAR, lambda x, z: Scalar(x.value + z.value),
+                lambda a, b: (a[0] + b[0],))
+IV_PLUS = _shipped("iv-plus", INTERVAL,
+                   lambda x, z: Interval(x.lower + z.lower, x.upper + z.upper),
+                   lambda a, b: (a[0] + b[0], a[1] + b[1]))
+VV_PLUS = _shipped("vv-plus", VECTOR,
+                   lambda x, z: Vector(tuple(a + b for a, b in zip(x.coords, z.coords))),
+                   lambda a, b: tuple([p + q for p, q in zip(a, b)]))
 
 TIMES = MultiplicationOp("times", SCALAR, lambda c, a: (c * a[0],))
 IV_SCALE = MultiplicationOp("iv-scale", INTERVAL, lambda c, a: (c * a[0], c * a[1]))
@@ -111,11 +120,11 @@ VV_SCALE = MultiplicationOp("vv-scale", VECTOR, lambda c, a: tuple([c * v for v 
 
 # Negative-control fixtures: both commutative and associative, both break
 # the cancellation law.
-MIN_OP = AdditionOp("min", SCALAR, lambda x, z: Scalar(min(x.value, z.value)),
-                    lambda a, b: (min(a[0], b[0]),))
-BOUNDED_SUM = AdditionOp("bounded-sum", SCALAR,
-                         lambda x, z: Scalar(min(1.0, x.value + z.value)),
-                         lambda a, b: (min(1.0, a[0] + b[0]),))
+MIN_OP = _shipped("min", SCALAR, lambda x, z: Scalar(min(x.value, z.value)),
+                  lambda a, b: (min(a[0], b[0]),))
+BOUNDED_SUM = _shipped("bounded-sum", SCALAR,
+                       lambda x, z: Scalar(min(1.0, x.value + z.value)),
+                       lambda a, b: (min(1.0, a[0] + b[0]),))
 
 _OPERATIONS = {  # each carrier kind's shipped addition and scaling
     SCALAR: (PLUS, TIMES), INTERVAL: (IV_PLUS, IV_SCALE), VECTOR: (VV_PLUS, VV_SCALE)}

@@ -9,10 +9,11 @@ check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
+from array import array
 from json.encoder import encode_basestring_ascii
 
 from . import verifier
@@ -99,15 +100,27 @@ def cmd_aggregate(args) -> int:
         kernel_spec = load_json(kernel_spec)
     kernel = kernel_catalog(kernel_spec, kind, order)
 
-    done = []
-    for row_id, row in zip(ds.ids, ds.rows):
+    # Every row is aggregated before a byte is written, so a refused row
+    # writes nothing. Until then each result is kept as floats and flags.
+    values, perms = array("d"), array("q")
+    consistent, in_k = bytearray(), bytearray()
+    for row in ds:
         res = choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
-        done.append((row_id, res.value, res.consistent, res.permutations))
+        values.extend(res.value.components)
+        consistent.append(res.consistent)
+        in_k.append(res.value.in_unit)
+        perms.append(res.permutations)
 
-    _write(args, lambda: _results_json(done), ["id", "value", "consistent", "in_K"],
-           ([row_id, json.dumps(value.to_json()), consistent, value.in_unit]
-            for row_id, value, consistent, _ in done))
-    return 0 if all(consistent for _, _, consistent, _ in done) else 2
+    def records():
+        dim = ds.dim
+        for r, start in enumerate(range(0, len(values), dim)):
+            v = values[start:start + dim]
+            yield (ds.row_id(r), v[0] if kind == SCALAR else v.tolist(),
+                   bool(consistent[r]), bool(in_k[r]), perms[r])
+
+    _write(args, lambda: _results_json(records()), ["id", "value", "consistent", "in_K"],
+           ([row_id, json.dumps(value), c, k] for row_id, value, c, k, _ in records()))
+    return 0 if all(consistent) else 2
 
 
 # One record of ``json.dumps({"results": [...]}, indent=2)``, and the list
@@ -118,18 +131,20 @@ _LIST = "[\n        %s\n      ]"
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _results_json(done) -> str:
-    """The bytes of ``json.dumps({"results": records}, indent=2)`` for the
-    rows ``(id, value, consistent, permutations)``, one template per row."""
-    records = []
-    for row_id, value, consistent, permutations in done:
-        v = value.to_json()
-        records.append(_RECORD % (
+def _results_json(records):
+    """The text of ``json.dumps({"results": [...]}, indent=2)`` for
+    ``records``, ``(id, value, consistent, in_K, permutations)`` with the
+    value as ``to_json`` gives it, in chunks: one template per record."""
+    yield '{\n  "results": [\n'
+    sep = ""
+    for row_id, v, consistent, in_k, permutations in records:
+        yield sep + _RECORD % (
             encode_basestring_ascii(row_id),
             float.__repr__(v) if type(v) is float
             else _LIST % ",\n        ".join(map(float.__repr__, v)),
-            _JSON_BOOL[consistent], _JSON_BOOL[value.in_unit], permutations))
-    return '{\n  "results": [\n' + ",\n".join(records) + "\n  ]\n}"
+            _JSON_BOOL[consistent], _JSON_BOOL[in_k], permutations)
+        sep = ",\n"
+    yield "\n  ]\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -145,28 +160,27 @@ def cmd_verify(args) -> int:
 
     payload = [dict(report.to_json(), suite=name) for name, report in tagged]
     columns = ["suite", "law", "verdict", "checked", "elapsed"]
-    _write(args, lambda: json.dumps(payload, indent=2), columns,
+    _write(args, lambda: [json.dumps(payload, indent=2)], columns,
            ([rec[c] for c in columns] for rec in payload))
     return 0 if all(report.passed for _, report in tagged) else 3
 
 
-def _write(args, json_text, header, rows):
-    """Write ``json_text()``, or ``header`` and ``rows`` as CSV under
-    ``--format csv``, to ``--output``, or else to stdout with a newline
-    added if the text does not end in one."""
-    if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = out.getvalue()
-    else:
-        text = json_text()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _write(args, json_chunks, header, rows):
+    """Write the chunks of ``json_chunks()``, or ``header`` and ``rows`` as
+    CSV under ``--format csv``, to ``--output``, or else to stdout with a
+    newline added if the text does not end in one."""
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+            return
+        chunk = ""
+        for chunk in json_chunks():
+            fh.write(chunk)
+        if not args.output and not chunk.endswith("\n"):
+            fh.write("\n")
 
 
 def _grid(args, kind, default, floor=0) -> GridSpec:

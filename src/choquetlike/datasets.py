@@ -6,6 +6,9 @@ datasets as JSON, each record a list of elements like
 hence the split. The carrier kind is the caller's (the order
 specification's), which also disambiguates two-coordinate vectors from
 intervals: a JSON object's ``"kind"``, if present, must equal it.
+
+CSV rows are read from the file one at a time; JSON is parsed whole.
+Either way the checked rows are kept as one array of floats (``Dataset``).
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from typing import Optional
 
 from .errors import BadParameter, DatasetFormatError, load_json, refuse_unknown_keys
 from .order import SCALAR, Element, Scalar, carrier
@@ -21,77 +27,81 @@ from .order import SCALAR, Element, Scalar, carrier
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rows of one length, of elements of the caller's carrier kind and of
-    one dimension that lie in [0, 1], with one string id per row."""
-    rows: tuple[tuple[Element, ...], ...]
-    ids: tuple[str, ...]
+    """Rows of ``n`` elements each, of carrier ``kind`` and of dimension
+    ``dim``, that lie in [0, 1], with one string id per row.
 
-    def __post_init__(self):
-        if not self.rows:
-            raise DatasetFormatError("dataset has no rows")
-        if not self.rows[0]:
-            raise DatasetFormatError("row 0 has no elements")
-        n = len(self.rows[0])
-        dim = self.rows[0][0].dim
-        for r, row in enumerate(self.rows):
-            if len(row) != n:
-                raise DatasetFormatError(
-                    f"row {r} (0-based): {len(row)} cells where row 0 has {n}")
-            for c, el in enumerate(row):
-                if el.dim != dim:
-                    raise DatasetFormatError(
-                        f"row {r}, column {c} (0-based): {el!r} does not match "
-                        f"the dataset carrier")
-                if not el.in_unit:
-                    raise DatasetFormatError(
-                        f"row {r}, column {c} (0-based): {el!r} lies outside [0, 1]")
-        if len(self.ids) != len(self.rows):
-            raise DatasetFormatError("ids do not match the number of rows")
+    The rows are kept as ``data``, one ``array('d')`` of their components,
+    row after row: ``n * dim`` floats per row and no object per row.
+    Iterating builds the element tuple of one row at a time; ``rows``
+    builds all of them. ``named`` holds the file's ids, or None when the
+    rows are numbered from "0"; ``ids`` is the tuple of ids either way and
+    ``row_id(r)`` the id of row ``r``. ``parse_dataset`` and
+    ``load_dataset`` build a dataset, and check every row as they do."""
+
+    kind: str
+    n: int
+    dim: int
+    data: array
+    named: Optional[tuple[str, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self.data) // (self.n * self.dim)
+
+    def __iter__(self):
+        make, dim, data = carrier(self.kind).make, self.dim, self.data
+        width = self.n * dim
+        for start in range(0, len(data), width):
+            yield tuple(map(make, zip(*(iter(data[start:start + width]),) * dim)))
 
     @property
-    def n(self) -> int:
-        return len(self.rows[0])
+    def rows(self) -> tuple[tuple[Element, ...], ...]:
+        return tuple(self)
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return self.named if self.named is not None else tuple(map(str, range(len(self))))
+
+    def row_id(self, r: int) -> str:
+        return self.named[r] if self.named is not None else str(r)
 
 
 def parse_dataset(text: str, kind: str) -> Dataset:
     """The dataset in ``text``; rows without ids are numbered from "0"."""
-    if kind == SCALAR and not text.lstrip().startswith(("[", "{")):
-        rows, ids = _parse_csv(text), None
-    else:
-        rows, ids = _parse_json(text, kind)
-    return Dataset(rows, tuple(map(str, range(len(rows)))) if ids is None else ids)
+    return _read(io.StringIO(text), kind)
 
 
-def _build_row(r: int, cells, build) -> tuple[Element, ...]:
-    """Row ``r`` (counted as ``Dataset`` counts rows), ``build`` applied to
-    each of its ``cells``; if it refuses one, the cells are walked again to
-    name the first refused cell with its position."""
+def load_dataset(path: str, kind: str) -> Dataset:
+    """The dataset in the file at ``path``, read as ``parse_dataset`` reads
+    its text, but CSV rows one line at a time."""
     try:
-        return tuple(map(build, cells))
-    except (ValueError, OverflowError, BadParameter):
-        for c, cell in enumerate(cells):
-            try:
-                build(cell)
-            except (ValueError, OverflowError, BadParameter) as exc:
-                raise DatasetFormatError(
-                    f"row {r}, column {c} (0-based): {exc}") from exc
-        raise
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read(fh, kind)
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_csv(text: str) -> tuple:
-    rows = []
-    for record in csv.reader(io.StringIO(text)):
-        if not record or all(not c.strip() for c in record):
-            continue
-        rows.append(_build_row(len(rows), record, lambda c: Scalar(float(c))))
-    return tuple(rows)
-
-
-def _parse_json(text: str, kind: str) -> tuple:
-    """The rows of ``text`` and its ids, or None if it has none."""
+def _read(stream, kind: str) -> Dataset:
+    """The dataset in the text of ``stream``: CSV when ``kind`` is scalar
+    and the text, past leading whitespace, starts with neither ``[`` nor
+    ``{``; else JSON, read whole."""
     build = carrier(kind).from_json  # refuses an unknown kind before any row
+    head = []
+    if kind == SCALAR:
+        for line in stream:
+            head.append(line)
+            if line.strip():
+                break
+        if not (head and head[-1].lstrip().startswith(("[", "{"))):
+            reader = csv.reader(chain(head, stream))
+            # Blank rows are skipped, and not counted.
+            records = filter(lambda cells: any(map(str.strip, cells)), reader)
+            try:
+                return _dataset(kind, records, _csv_floats, lambda c: Scalar(float(c)))
+            except csv.Error as exc:
+                raise DatasetFormatError(
+                    f"bad CSV, line {reader.line_num}: {exc}") from exc
     try:
-        obj = load_json(text)
+        obj = load_json("".join(head) + stream.read())
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"bad JSON: {exc}") from exc
     ids = None
@@ -106,12 +116,113 @@ def _parse_json(text: str, kind: str) -> tuple:
         obj = obj.get("rows", [])
     if not isinstance(obj, list):
         raise DatasetFormatError("expected a list of rows")
-    rows = []
-    for r, row in enumerate(obj):
-        if type(row) is not list:
-            raise DatasetFormatError(f"row {r} (0-based): {row!r} is not a list of cells")
-        rows.append(_build_row(r, row, build))
-    return tuple(rows), ids
+    return _dataset(kind, map(_json_row, range(len(obj)), obj),
+                    _number_floats if kind == SCALAR else _list_floats, build, ids)
+
+
+def _dataset(kind: str, records, floats, build, named=None) -> Dataset:
+    """The dataset of ``records``, each the list of one row's cells.
+
+    Row 0 is built cell by cell by ``build``, with the element
+    constructors' checks, and sets ``n`` and ``dim``. For a later row,
+    ``floats(cells, dim)`` gives the components when every cell holds
+    ``dim`` numbers, else None. If the row has ``n`` cells and the
+    carrier's ``bounded`` holds for each, the components go straight into
+    the array: the constructors would keep them as they are. Every other
+    row is built as row 0 is. A refused cell raises at once. The first
+    misfit row (of another length, or with a cell of another dimension or
+    outside [0, 1]) raises after the last row, so that a bad cell in any
+    row is named first; a wrong number of ids comes last."""
+    bounded = carrier(kind).bounded
+    data = array("d")
+    n = dim = count = 0
+    error = None
+    for r, cells in enumerate(records):
+        count += 1
+        vals = floats(cells, dim) if dim else None
+        if (vals is not None and len(cells) == n
+                and all(map(bounded, zip(*(iter(vals),) * dim)))):
+            if error is None:
+                data.extend(vals)
+            continue
+        els = _elements(r, cells, build)
+        if r == 0:
+            n, dim = len(els), els[0].dim if els else 0
+            if not els:
+                error = "row 0 has no elements"
+        if error is None:
+            error = _misfit(r, els, n, dim)
+            if error is None:
+                data.extend(chain.from_iterable(el.components for el in els))
+    if not count:
+        raise DatasetFormatError("dataset has no rows")
+    if error is not None:
+        raise DatasetFormatError(error)
+    if named is not None and len(named) != count:
+        raise DatasetFormatError("ids do not match the number of rows")
+    return Dataset(kind, n, dim, data, named)
+
+
+def _elements(r: int, cells, build) -> list[Element]:
+    """``build`` applied to each of row ``r``'s ``cells``; the first cell
+    it refuses raises with its position."""
+    els = []
+    for c, cell in enumerate(cells):
+        try:
+            els.append(build(cell))
+        except (ValueError, OverflowError, BadParameter) as exc:
+            raise DatasetFormatError(f"row {r}, column {c} (0-based): {exc}") from exc
+    return els
+
+
+def _misfit(r: int, els, n: int, dim: int) -> Optional[str]:
+    """Why row ``r``'s elements do not fit a dataset of ``n`` elements of
+    dimension ``dim`` in [0, 1], or None if they do."""
+    if len(els) != n:
+        return f"row {r} (0-based): {len(els)} cells where row 0 has {n}"
+    for c, el in enumerate(els):
+        if el.dim != dim:
+            return (f"row {r}, column {c} (0-based): {el!r} does not match "
+                    f"the dataset carrier")
+        if not el.in_unit:
+            return f"row {r}, column {c} (0-based): {el!r} lies outside [0, 1]"
+    return None
+
+
+_NUMBERS = {int, float}  # the types of a JSON number: a bool has its own
+
+
+def _csv_floats(cells, dim) -> Optional[array]:
+    try:
+        return array("d", map(float, cells))
+    except ValueError:
+        return None
+
+
+def _number_floats(cells, dim) -> Optional[array]:
+    """A JSON row of number cells as floats."""
+    try:
+        return array("d", cells) if {*map(type, cells)} <= _NUMBERS else None
+    except OverflowError:
+        return None
+
+
+def _list_floats(cells, dim) -> Optional[array]:
+    """A JSON row of cells that are lists of ``dim`` numbers, as floats."""
+    try:
+        if {*map(len, cells)} == {dim}:
+            flat = list(chain.from_iterable(cells))
+            if {*map(type, flat)} <= _NUMBERS:
+                return array("d", flat)
+    except (TypeError, OverflowError):  # a cell without a length, or a huge int
+        pass
+    return None
+
+
+def _json_row(r: int, row) -> list:
+    if type(row) is not list:
+        raise DatasetFormatError(f"row {r} (0-based): {row!r} is not a list of cells")
+    return row
 
 
 def _row_id(i: int, ident) -> str:
@@ -122,13 +233,3 @@ def _row_id(i: int, ident) -> str:
         return str(ident)
     raise DatasetFormatError(
         f"id {i} (0-based): {ident!r} is not a string or an integer")
-
-
-def load_dataset(path: str, kind: str) -> Dataset:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    return parse_dataset(text, kind)
-

@@ -46,14 +46,17 @@ class DissimilarityFn:
 # ---------------------------------------------------------------------------
 
 def delta_abs(a: float, b: float) -> float:
+    """|a - b|: at most 1 on inputs in [0, 1]."""
     return abs(a - b)
 
 
 def delta_sq(a: float, b: float) -> float:
+    """(a - b)^2: at most 1 on inputs in [0, 1]."""
     return (a - b) ** 2
 
 
 def delta_capped_double(a: float, b: float) -> float:
+    """min(1, 2|a - b|): at most 1 on any inputs."""
     return min(1.0, 2.0 * abs(a - b))
 
 
@@ -105,7 +108,13 @@ def projected_dissimilarity(spec, kind: str,
     an admissible order of carrier ``kind``,
     ``ScalarUsual()`` by default on scalars; any other raises
     ``BadParameter``. A callable delta is named ``custom``; its outputs may
-    need the element constructor's normalisation, so it has no ``term``."""
+    need the element constructor's normalisation, so it has no ``term``.
+
+    On inputs in [0, 1], every shipped delta under a shipped order is at
+    most 1 in each component, since the shipped leads lie in [0, 1] there;
+    so ``b-scale-d``, which scales d by a weight in [0, 1], stays in the
+    bounded carrier. A custom order's lead or a callable delta carries no
+    such bound."""
     delta, record = resolve_delta(spec), carrier(kind)
     if order is None and kind == SCALAR:
         order = ScalarUsual()
@@ -224,6 +233,9 @@ def _takac_term(alpha: float, m_d, delta_d):
 
 
 def takac_dissimilarity_fn(alpha: float, m_d, delta_d) -> DissimilarityFn:
+    """The Takac construction (``_takac_term``) as a dissimilarity. It is
+    bounded by 1 on any inputs: each output lies in [0, 1], clamped there
+    when it leaves by at most 1e-9, and ``ReconstructionOutOfK`` beyond."""
     m_name = m_d if isinstance(m_d, str) else "custom"
     d_name = delta_d if isinstance(delta_d, str) else "custom"
     term = _takac_term(alpha, m_d, delta_d)

@@ -415,6 +415,26 @@ class TestLeanFold:
                                match="addition 'to-interval' left the carrier"):
                 choquet_aggregate(inp, kernel)
 
+    def test_only_the_shipped_additions_set_term(self):
+        # A term that differs from fn would make the two public calls
+        # disagree (0.4 against 0.3 on the rows below with max as term).
+        max_term = lambda a, b: (max(a[0], b[0]),)  # noqa: E731
+        with pytest.raises(TypeError):
+            AdditionOp("plus-max", "scalar", PLUS.fn, max_term)
+        with pytest.raises(TypeError):
+            AdditionOp("plus-max", "scalar", PLUS.fn, term=max_term)
+        # A custom addition is folded through its fn on both calls.
+        op = AdditionOp("custom-plus", "scalar",
+                        lambda x, z: Scalar(x.value + z.value))
+        assert op.term is None
+        kernel = classical_kernel("scalar")
+        mu = capacity_family("cardinality", 2)
+        for values in ((0.2, 0.6), (0.4, 0.4)):  # a strict chain, then a tie
+            inp = AggregationInput(tuple(map(Scalar, values)), mu, ScalarUsual(), op)
+            first = PermutationSet(inp.X, inp.order).first()
+            assert _bits(choquet_aggregate(inp, kernel).value) == _bits(
+                choquet_eval(inp, kernel, first))
+
     def test_catalog_kernel_on_another_carrier_raises(self):
         X = (Interval(0.1, 0.3), Interval(0.2, 0.5))
         inp = AggregationInput(X, capacity_family("cardinality", 2), XU, IV_PLUS)
