@@ -31,7 +31,7 @@ from .errors import BadParameter, ChoquetlikeError, json_number, load_json
 from .operator import AggregationInput, choquet_aggregate, kernel_catalog
 from .order import (
     INTERVAL, SCALAR, VECTOR, AlphaBeta, GridSpec, ScalarUsual, VectorLex,
-    check_admissibility, parse_order,
+    carrier, check_admissibility, parse_order,
 )
 from .reporting import LawReport
 
@@ -101,22 +101,20 @@ def cmd_aggregate(args) -> int:
     kernel = kernel_catalog(kernel_spec, kind, order)
 
     # Every row is aggregated before a byte is written, so a refused row
-    # writes nothing. Until then each result is kept as floats and flags.
-    values, perms = array("d"), array("q")
-    consistent, in_k = bytearray(), bytearray()
+    # writes nothing. Until then each result is kept as floats, a
+    # permutation count and a flag.
+    values, perms, consistent = array("d"), array("q"), bytearray()
     for row in ds:
         res = choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
         values.extend(res.value.components)
         consistent.append(res.consistent)
-        in_k.append(res.value.in_unit)
         perms.append(res.permutations)
 
     def records():
-        dim = ds.dim
-        for r, start in enumerate(range(0, len(values), dim)):
-            v = values[start:start + dim]
-            yield (ds.row_id(r), v[0] if kind == SCALAR else v.tolist(),
-                   bool(consistent[r]), bool(in_k[r]), perms[r])
+        results = map(carrier(kind).make, zip(*(iter(values),) * ds.dim))
+        for r, value in enumerate(results):
+            yield (ds.row_id(r), value.to_json(), bool(consistent[r]),
+                   value.in_unit, perms[r])
 
     _write(args, lambda: _results_json(records()), ["id", "value", "consistent", "in_K"],
            ([row_id, json.dumps(value), c, k] for row_id, value, c, k, _ in records()))

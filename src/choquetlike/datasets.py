@@ -117,7 +117,7 @@ def _read(stream, kind: str) -> Dataset:
     if not isinstance(obj, list):
         raise DatasetFormatError("expected a list of rows")
     return _dataset(kind, map(_json_row, range(len(obj)), obj),
-                    _number_floats if kind == SCALAR else _list_floats, build, ids)
+                    None if kind == SCALAR else _list_floats, build, ids)
 
 
 def _dataset(kind: str, records, floats, build, named=None) -> Dataset:
@@ -129,7 +129,8 @@ def _dataset(kind: str, records, floats, build, named=None) -> Dataset:
     ``dim`` numbers, else None. If the row has ``n`` cells and the
     carrier's ``bounded`` holds for each, the components go straight into
     the array: the constructors would keep them as they are. Every other
-    row is built as row 0 is. A refused cell raises at once. The first
+    row is built as row 0 is, and so is every row when ``floats`` is None
+    (scalar JSON). A refused cell raises at once. The first
     misfit row (of another length, or with a cell of another dimension or
     outside [0, 1]) raises after the last row, so that a bad cell in any
     row is named first; a wrong number of ids comes last."""
@@ -139,7 +140,7 @@ def _dataset(kind: str, records, floats, build, named=None) -> Dataset:
     error = None
     for r, cells in enumerate(records):
         count += 1
-        vals = floats(cells, dim) if dim else None
+        vals = floats(cells, dim) if dim and floats else None
         if (vals is not None and len(cells) == n
                 and all(map(bounded, zip(*(iter(vals),) * dim)))):
             if error is None:
@@ -196,14 +197,6 @@ def _csv_floats(cells, dim) -> Optional[array]:
     try:
         return array("d", map(float, cells))
     except ValueError:
-        return None
-
-
-def _number_floats(cells, dim) -> Optional[array]:
-    """A JSON row of number cells as floats."""
-    try:
-        return array("d", cells) if {*map(type, cells)} <= _NUMBERS else None
-    except OverflowError:
         return None
 
 
