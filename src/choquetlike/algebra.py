@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cmp_to_key
 from typing import Callable, Optional
 
 from .errors import BadParameter, KindMismatch, ScaleOutOfRange, lookup
@@ -57,25 +57,70 @@ def add(op: AdditionOp, x: Element, z: Element) -> Element:
     return op.fn(x, z)
 
 
-def _memoized(fn):
-    """``fn(x, z, *weights)``, for two elements and float weights, with a
-    memo that lives for one case enumeration: create it when the
-    enumeration starts, never at module level, so that each distinct call
-    reaches ``fn`` once per enumeration. The key is each operand's ``kind``
-    and component tuple, plus the weights, so operands of two carriers
-    never share an entry and ``add`` still raises ``KindMismatch`` between
-    them. ``-0.0`` and ``0.0`` share a key: every comparison treats them
-    as equal, and grid values are never ``-0.0``."""
-    memo = {}
+class _Memo:
+    """Sums, kernel terms and comparisons for one case enumeration, on
+    operands interned to ints. Create one when an enumeration starts,
+    never at module level: each distinct call then reaches the addition,
+    ``term`` or ``order.compare`` once per enumeration, and a second run
+    of a check pays its own calls.
 
-    def once(x, z, *weights):
-        key = (x.kind, x.components, z.kind, z.components, weights)
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = fn(x, z, *weights)
-        return value
+    ``elems[i]`` is the element behind id ``i``. The grid's elements come
+    first, in ``grid_elements`` order, so grid element ``i`` has id ``i``;
+    every other element is interned by its ``kind`` and component tuple
+    when a sum or term first yields it. So operands of two carriers never
+    share an id, and ``add`` still raises ``KindMismatch`` between them.
+    ``-0.0`` and ``0.0`` share one: every comparison treats them as equal,
+    and grid values are never ``-0.0``. Equal ids are equal elements;
+    distinct ids may still be equal within ``TOL``, which ``equal``
+    decides. Keying the memo on the elements themselves was measured
+    slower: equal elements are built apart and miss, and each call builds
+    its key from the operands' components."""
 
-    return once
+    def __init__(self, grid: GridSpec, addop: Optional[AdditionOp] = None,
+                 order: Optional[AdmissibleOrder] = None, term: Optional[Callable] = None):
+        self.elems = grid_elements(grid)
+        self.grid = range(len(self.elems))
+        self._ids = {(x.kind, x.components): i for i, x in enumerate(self.elems)}
+        self._addop = addop
+        self._order = order
+        self._term = term
+        self._sums, self._terms, self._compared = {}, {}, {}
+
+    def id(self, x: Element) -> int:
+        key = (x.kind, x.components)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.elems)
+            self.elems.append(x)
+        return i
+
+    def plus(self, a: int, b: int) -> int:
+        s = self._sums.get((a, b))
+        if s is None:
+            s = self._sums[a, b] = self.id(add(self._addop, self.elems[a], self.elems[b]))
+        return s
+
+    def term(self, a: int, b: int, b1: float, b2: float) -> int:
+        """``term(x, prev, b1, b2)`` of the elements behind ``a`` and ``b``."""
+        key = (a, b, b1, b2)
+        t = self._terms.get(key)
+        if t is None:
+            t = self._terms[key] = self.id(self._term(self.elems[a], self.elems[b], b1, b2))
+        return t
+
+    def compare(self, a: int, b: int) -> int:
+        c = self._compared.get((a, b))
+        if c is None:
+            c = self._compared[a, b] = self._order.compare(self.elems[a], self.elems[b])
+        return c
+
+    def equal(self, a: int, b: int) -> bool:
+        return a == b or elements_equal(self.elems[a], self.elems[b])
+
+    def sorted(self) -> list[int]:
+        """The grid's ids, sorted as ``AdmissibleOrder.sort`` sorts their
+        elements, through the memoized ``compare``."""
+        return sorted(self.grid, key=cmp_to_key(self.compare))
 
 
 def unit_coefficient(c: float) -> float:
@@ -150,29 +195,27 @@ def check_commutativity(op: AdditionOp, grid: GridSpec) -> LawReport:
 
 
 def check_associativity(op: AdditionOp, grid: GridSpec) -> LawReport:
-    elems = grid_elements(grid)
-
     def cases():
-        plus = _memoized(partial(add, op))
-        sums = [[plus(x, y) for y in elems] for x in elems]  # sums[i][j] = x_i + x_j
-        for (i, x), (j, y), (k, z) in itertools.product(enumerate(elems), repeat=3):
-            yield None if elements_equal(plus(sums[i][j], z), plus(x, sums[j][k])) \
-                else {"x": x, "y": y, "z": z}
+        memo = _Memo(grid, op)
+        plus, equal, E = memo.plus, memo.equal, memo.elems
+        sums = [[plus(i, j) for j in memo.grid] for i in memo.grid]  # ids of x_i + x_j
+        for i, j, k in itertools.product(memo.grid, repeat=3):
+            yield None if equal(plus(sums[i][j], k), plus(i, sums[j][k])) \
+                else {"x": E[i], "y": E[j], "z": E[k]}
 
     return run_law("associativity", cases(), op=op.name)
 
 
 def check_cancellation(op: AdditionOp, grid: GridSpec) -> LawReport:
     """x1 + v = x2 + v must force x1 = x2 for all grid triples."""
-    elems = grid_elements(grid)
-
     def cases():
-        plus = _memoized(partial(add, op))
-        for x1, x2 in itertools.combinations(elems, 2):
-            for v in elems:
+        memo = _Memo(grid, op)
+        plus, equal, E = memo.plus, memo.equal, memo.elems
+        for x1, x2 in itertools.combinations(memo.grid, 2):
+            for v in memo.grid:
                 s = plus(x1, v)
-                if elements_equal(s, plus(x2, v)):
-                    yield {"x1": x1, "x2": x2, "v": v, "sum": s}
+                if equal(s, plus(x2, v)):
+                    yield {"x1": E[x1], "x2": E[x2], "v": E[v], "sum": E[s]}
                 else:
                     yield None
 
@@ -187,20 +230,20 @@ def check_compatibility(op: AdditionOp, order: AdmissibleOrder,
     form; they point to a broken comparator or operation, and once every
     strictly ordered pair has passed they raise ``RuntimeError``.
     """
-    elems = grid_elements(grid)
-
     def cases():
-        plus = _memoized(partial(add, op))
+        memo = _Memo(grid, op, order)
+        plus, compare, E = memo.plus, memo.compare, memo.elems
         weak_fails = False
-        for x1, x2 in itertools.product(elems, repeat=2):
-            c = order.compare(x1, x2)
+        for x1, x2 in itertools.product(memo.grid, repeat=2):
+            c = compare(x1, x2)
             if c > 0:
                 continue
-            for v in elems:
+            for v in memo.grid:
                 lhs, rhs = plus(x1, v), plus(x2, v)
-                cs = order.compare(lhs, rhs)
+                cs = compare(lhs, rhs)
                 if c < 0 and cs >= 0:
-                    yield {"x1": x1, "x2": x2, "v": v, "lhs": lhs, "rhs": rhs}
+                    yield {"x1": E[x1], "x2": E[x2], "v": E[v],
+                           "lhs": E[lhs], "rhs": E[rhs]}
                 else:
                     weak_fails |= cs > 0
                     yield None
@@ -251,39 +294,36 @@ def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
     """Exchange inequality for weighted sums:
     (b1*u1) + (b2*v2) <= (b1*u2) + (b2*v1) whenever b2 <= b1, u1 <= u2,
     v1 <= v2, and u1+v2 = u2+v1 stays in the bounded set."""
-    elems = grid_elements(grid)
     coeffs = unit_grid(grid.m)
 
-    # Pairs of grid indices (i, j) with elems[i] <= elems[j].
-    upairs = [(i, j) for (i, u1), (j, u2) in itertools.product(enumerate(elems), repeat=2)
-              if order.compare(u1, u2) <= 0]
-    # Bucket pairs by the componentwise difference so the cross-sum
-    # constraint u1+v2 = u2+v1 becomes a dictionary match.
-    by_diff: dict[tuple, list] = {}
-    for i, j in upairs:
-        key = tuple(round(a - b, 9) for a, b in zip(elems[j].components,
-                                                    elems[i].components))
-        by_diff.setdefault(key, []).append((i, j))
-
     def cases():
-        plus = _memoized(partial(add, addop))
+        memo = _Memo(grid, addop, order)
+        plus, compare, E = memo.plus, memo.compare, memo.elems
+
+        def diff(i, j):  # the componentwise difference E[j] - E[i]
+            return tuple(round(a - b, 9) for a, b in zip(E[j].components, E[i].components))
+
+        # Pairs of grid ids (i, j) with E[i] <= E[j], with their difference.
+        # Bucketing the pairs by it makes the cross-sum constraint
+        # u1+v2 = u2+v1 a dictionary match.
+        upairs = [(i, j, diff(i, j)) for i, j in itertools.product(memo.grid, repeat=2)
+                  if compare(i, j) <= 0]
+        by_diff: dict[tuple, list] = {}
+        for i, j, diff in upairs:
+            by_diff.setdefault(diff, []).append((i, j))
         bpairs = [(b1, b2) for b1 in coeffs for b2 in coeffs if b2 <= b1 + TOL]
-        scaled = {b: [scale(mul, b, x) for x in elems] for b in coeffs}
-        for i1, i2 in upairs:
-            u1, u2 = elems[i1], elems[i2]
-            key = tuple(round(a - b, 9) for a, b in zip(u2.components, u1.components))
-            for j1, j2 in by_diff.get(key, ()):
-                v1, v2 = elems[j1], elems[j2]
-                cross = plus(u1, v2)
-                if not cross.in_unit:
+        scaled = {b: [memo.id(scale(mul, b, E[i])) for i in memo.grid] for b in coeffs}
+        for i1, i2, diff in upairs:
+            for j1, j2 in by_diff[diff]:
+                if not E[plus(i1, j2)].in_unit:
                     continue
                 for b1, b2 in bpairs:
                     s1, s2 = scaled[b1], scaled[b2]
                     lhs = plus(s1[i1], s2[j2])
                     rhs = plus(s1[i2], s2[j1])
-                    yield None if order.compare(lhs, rhs) <= 0 else {
-                        "b1": b1, "b2": b2, "u1": u1, "u2": u2,
-                        "v1": v1, "v2": v2, "lhs": lhs, "rhs": rhs}
+                    yield None if compare(lhs, rhs) <= 0 else {
+                        "b1": b1, "b2": b2, "u1": E[i1], "u2": E[i2],
+                        "v1": E[j1], "v2": E[j2], "lhs": E[lhs], "rhs": E[rhs]}
 
     return run_law("c1", cases(), mul=mul.name, add=addop.name,
                    order=order.spec_string())

@@ -456,14 +456,16 @@ def check_admissibility(order: AdmissibleOrder, grid: GridSpec) -> LawReport:
     Verifies: refinement (x partially below z implies x totally below-or-
     equal z), totality/consistency of the comparator, antisymmetry
     (equal implies componentwise equality), and transitivity over all
-    grid triples. Fails with the violating pair or triple.
+    grid triples. Fails with the violating pair or triple. ``compare`` is
+    called once per ordered grid pair, |E|^2 calls in all, before the
+    first case; every case reads that table.
     """
     elems = grid_elements(grid)
 
     def cases():
-        for x, z in itertools.product(elems, repeat=2):
-            cxz = order.compare(x, z)
-            czx = order.compare(z, x)
+        cmp = [[order.compare(x, z) for z in elems] for x in elems]
+        for (i, x), (j, z) in itertools.product(enumerate(elems), repeat=2):
+            cxz, czx = cmp[i][j], cmp[j][i]
             if cxz != -czx:
                 yield {"violation": "totality", "x": x, "z": z,
                        "compare_xz": _WORD[cxz], "compare_zx": _WORD[czx]}
@@ -474,8 +476,8 @@ def check_admissibility(order: AdmissibleOrder, grid: GridSpec) -> LawReport:
                        "partial": "leq", "total": _WORD[cxz]}
             else:
                 yield None
-        for x, y, z in itertools.product(elems, repeat=3):
-            if order.compare(x, y) <= 0 and order.compare(y, z) <= 0 and order.compare(x, z) > 0:
+        for (i, x), (j, y), (k, z) in itertools.product(enumerate(elems), repeat=3):
+            if cmp[i][j] <= 0 and cmp[j][k] <= 0 and cmp[i][k] > 0:
                 yield {"violation": "transitivity", "x": x, "y": y, "z": z}
             else:
                 yield None

@@ -22,7 +22,7 @@ from time import perf_counter
 from typing import Optional
 
 from .algebra import (
-    AdditionOp, _memoized, add, check_cancellation, check_compatibility,
+    AdditionOp, _Memo, add, check_cancellation, check_compatibility,
 )
 from .capacity import MAX_N, Capacity, capacity_family
 from .dissimilarity import check_dissimilarity, projected_dissimilarity, resolve_delta
@@ -48,25 +48,27 @@ def _require(pre: LawReport, what: str):
             f"(witness: {pre.witness})")
 
 
+def _require_arity(n: int, what: str):
+    if not 2 <= n <= MAX_N:
+        raise BadParameter(f"{what} is defined for n in 2..{MAX_N}, got {n}")
+
+
 def _tagged(cases, **tag):
     """A sub-check's cases, with ``tag`` added to its witness."""
     for witness in cases:
         yield witness if witness is None else dict(witness, **tag)
 
 
-def _terms(kernel, addop):
-    """The kernel's ``evaluate`` and the addition, each memoized for one
-    case enumeration; a nested sub-enumeration shares its caller's."""
-    return _memoized(kernel.evaluate), _memoized(partial(add, addop))
-
-
-def _nondecreasing(order, chain, H, context):
-    """One case per chain element: H must not decrease along the chain."""
+def _nondecreasing(memo, chain, H, context):
+    """One case per chain element: H must not decrease along the chain.
+    The chain and H's values are ids of ``memo``, which compares them; a
+    witness holds their elements."""
+    E = memo.elems
     prev_x = prev_v = None
     for x in chain:
         v = H(x)
-        if prev_v is not None and order.compare(prev_v, v) > 0:
-            yield dict(context, x=prev_x, x_next=x, value=prev_v, value_next=v)
+        if prev_v is not None and memo.compare(prev_v, v) > 0:
+            yield dict(context, x=E[prev_x], x_next=E[x], value=E[prev_v], value_next=E[v])
         else:
             yield None
         prev_x, prev_v = x, v
@@ -89,14 +91,14 @@ def check_wd(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
                    kernel=kernel.name, note=_RESOLUTION_NOTE.format(m=grid.m))
 
 
-def _wd_cases(kernel, addop, order, n, grid, terms=None):
-    if not 2 <= n <= MAX_N:
-        raise BadParameter(f"well-definedness is defined for n in 2..{MAX_N}, got {n}")
+def _wd_cases(kernel, addop, order, n, grid, memo=None):
+    _require_arity(n, "well-definedness")
     _require(check_cancellation(addop, grid), "addition cancellation")
-    L, plus = terms or _terms(kernel, addop)
-    elems = order.sort(grid_elements(grid))
+    memo = memo or _Memo(grid, addop, order, kernel.evaluate)
+    L, plus, E = memo.term, memo.plus, memo.elems
+    elems = memo.sorted()
     coeffs = unit_grid(grid.m)
-    zero = zero_element(grid.kind, grid.dim)
+    zero = memo.id(zero_element(grid.kind, grid.dim))
 
     def constant_in_c(x1, x2, b1, b2, cs):
         base = None
@@ -105,10 +107,10 @@ def _wd_cases(kernel, addop, order, n, grid, terms=None):
             val = plus(L(x1, x2, b1, c), L(x1, x1, c, b2))
             if base is None:
                 base, base_c = val, c
-            yield None if elements_equal(val, base) else {
-                "x1": x1, "x2": x2, "b1": b1, "b2": b2,
-                "c": base_c, "value_at_c": base,
-                "c_other": c, "value_at_c_other": val}
+            yield None if memo.equal(val, base) else {
+                "x1": E[x1], "x2": E[x2], "b1": b1, "b2": b2,
+                "c": base_c, "value_at_c": E[base],
+                "c_other": c, "value_at_c_other": E[val]}
 
     if n <= 3:
         # x against the least element over c >= b; the n = 2 regime pins b = 0.
@@ -147,15 +149,15 @@ def check_monotonicity(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrde
                    n=n, kernel=kernel.name, note=_RESOLUTION_NOTE.format(m=grid.m))
 
 
-def _monotonicity_cases(kernel, addop, order, n, grid, terms=None):
-    if not 2 <= n <= MAX_N:
-        raise BadParameter(f"monotonicity is defined for n in 2..{MAX_N}, got {n}")
+def _monotonicity_cases(kernel, addop, order, n, grid, memo=None):
+    _require_arity(n, "monotonicity")
     _require(check_compatibility(addop, order, grid), "strict compatibility")
-    L, plus = terms = terms or _terms(kernel, addop)
-    yield from _tagged(_wd_cases(kernel, addop, order, n, grid, terms), condition="a:wd")
-    elems = order.sort(grid_elements(grid))
+    memo = memo or _Memo(grid, addop, order, kernel.evaluate)
+    yield from _tagged(_wd_cases(kernel, addop, order, n, grid, memo), condition="a:wd")
+    L, plus, E = memo.term, memo.plus, memo.elems
+    elems = memo.sorted()
     coeffs = unit_grid(grid.m)
-    zero = zero_element(grid.kind, grid.dim)
+    zero = memo.id(zero_element(grid.kind, grid.dim))
 
     if n <= 3:
         # x in [0, v] |-> L(x, 0, 1, b1) + L(v, x, b1, b2); the n = 2 regime
@@ -166,9 +168,9 @@ def _monotonicity_cases(kernel, addop, order, n, grid, terms=None):
             for b1, b2 in weights:
                 named = {"b": b1} if n == 2 else {"b1": b1, "b2": b2}
                 yield from _nondecreasing(
-                    order, elems[:j + 1],
+                    memo, elems[:j + 1],
                     lambda x: plus(L(x, zero, 1.0, b1), L(v, x, b1, b2)),
-                    {"condition": "b:lower-pair", "v": v, **named})
+                    {"condition": "b:lower-pair", "v": E[v], **named})
     if n >= 3:
         # x in [u, v] |-> L(x, u, b1, b2) + L(v, x, b2, b3), over u <= v and
         # non-increasing weight chains; the n = 3 regime pins b3 = 0.
@@ -179,16 +181,16 @@ def _monotonicity_cases(kernel, addop, order, n, grid, terms=None):
                     b3s = [0.0] if n == 3 else [b for b in coeffs if b <= b2 + TOL]
                     for b3 in b3s:
                         yield from _nondecreasing(
-                            order, elems[i:j + 1],
+                            memo, elems[i:j + 1],
                             lambda x: plus(L(x, u, b1, b2), L(v, x, b2, b3)),
-                            {"condition": "inner-pair", "u": u, "v": v,
+                            {"condition": "inner-pair", "u": E[u], "v": E[v],
                              "b1": b1, "b2": b2, "b3": b3})
     # x in [u, 1] |-> L(x, u, b, 0): the common final condition.
     for i, u in enumerate(elems):
         for b in coeffs:
             yield from _nondecreasing(
-                order, elems[i:], lambda x: L(x, u, b, 0.0),
-                {"condition": "upper-tail", "u": u, "b": b})
+                memo, elems[i:], lambda x: L(x, u, b, 0.0),
+                {"condition": "upper-tail", "u": E[u], "b": b})
 
 
 def _weight_pairs(coeffs):
@@ -204,26 +206,27 @@ def check_aggregation(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder
     """Aggregation-function characterization: monotonicity plus the two
     boundary sums over all non-increasing weight chains pinned at
     b1 = 1 and b_{n+1} = 0."""
-    zero = zero_element(grid.kind, grid.dim)
-    one = one_element(grid.kind, grid.dim)
-
     def cases():
-        L, plus = terms = _terms(kernel, addop)
-        yield from _tagged(_monotonicity_cases(kernel, addop, order, n, grid, terms),
+        _require_arity(n, "monotonicity")  # before the memo builds the grid
+        memo = _Memo(grid, addop, order, kernel.evaluate)
+        L, plus, E = memo.term, memo.plus, memo.elems
+        yield from _tagged(_monotonicity_cases(kernel, addop, order, n, grid, memo),
                            failed_condition="monotonicity")
+        zero = memo.id(zero_element(grid.kind, grid.dim))
+        one = memo.id(one_element(grid.kind, grid.dim))
         coeffs = unit_grid(grid.m)
         for mids in itertools.combinations_with_replacement(
                 sorted(coeffs, reverse=True), n - 1):
             b = (1.0,) + mids + (0.0,)
             zsum = reduce(plus, [L(zero, zero, b[i], b[i + 1]) for i in range(n)])
-            yield None if elements_equal(zsum, zero) else {
+            yield None if memo.equal(zsum, zero) else {
                 "failed_condition": "zero-boundary", "b_chain": list(b),
-                "value": zsum, "expected": zero}
+                "value": E[zsum], "expected": E[zero]}
             osum = reduce(plus, [L(one, zero, b[0], b[1])]
                           + [L(one, one, b[i], b[i + 1]) for i in range(1, n)])
-            yield None if elements_equal(osum, one) else {
+            yield None if memo.equal(osum, one) else {
                 "failed_condition": "one-boundary", "b_chain": list(b),
-                "value": osum, "expected": one}
+                "value": E[osum], "expected": E[one]}
 
     return run_law("aggregation", cases(), n=n, kernel=kernel.name,
                    note=_RESOLUTION_NOTE.format(m=grid.m))
@@ -285,10 +288,12 @@ def check_jensen_f(F, addop: AdditionOp, grid: GridSpec,
                     "failed_condition": "midpoint", "x": x, "a": a, "b": b,
                     "lhs": lhs, "rhs": rhs}
         if order is not None:
-            ordered = order.sort(elems)
+            memo = _Memo(grid, order=order)
+            ordered = memo.sorted()
             for b in coeffs:
-                yield from _nondecreasing(order, ordered, lambda x: F(x, b),
-                                          {"failed_condition": "monotone-in-x", "b": b})
+                yield from _nondecreasing(
+                    memo, ordered, lambda x: memo.id(F(memo.elems[x], b)),
+                    {"failed_condition": "monotone-in-x", "b": b})
         for b in coeffs:
             v = F(zero, b)
             yield None if elements_equal(v, zero) else {

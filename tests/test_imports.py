@@ -194,7 +194,7 @@ def test_oracles_stay_on_the_comparator(oracle):
 
 # The law checks memoize the addition and the kernel within one case
 # enumeration; the oracles that check them call both afresh.
-MEMO_HELPERS = {"_memoized", "_terms"}
+MEMO_HELPERS = {"_Memo"}
 
 
 @pytest.mark.parametrize("oracle", ["brute_force_wd", "brute_force_monotonicity",

@@ -10,8 +10,8 @@ from choquetlike import (
     AdditionOp, AggregationInput, AlphaBeta, BOUNDED_SUM, GridSpec,
     HypothesisViolated, IV_PLUS, KernelL, KindMismatch, MIN_OP, PLUS, Scalar,
     ScalarUsual, VV_PLUS, VV_SCALE, Vector, VectorLex, add, brute_force_wd,
-    capacity_battery, check_aggregation, check_associativity, check_c1,
-    check_cancellation, check_compatibility, check_delta_decomposition,
+    capacity_battery, check_admissibility, check_aggregation, check_associativity,
+    check_c1, check_cancellation, check_compatibility, check_delta_decomposition,
     check_jensen_f, check_monotonicity, check_wd, classical_kernel,
     elements_equal, grid_elements, kernel_catalog, oracle_crosscheck, scale,
     scale_for, zero_element,
@@ -181,8 +181,9 @@ VLEX = VectorLex((0, 1))
 
 
 class TestOncePerCheck:
-    """Within one law check, the addition and the kernel see each distinct
-    operand tuple once; a second run of the check pays its own calls."""
+    """Within one law check, the addition, the kernel and the comparator
+    see each distinct operand tuple once; a second run of the check pays
+    its own calls."""
 
     @pytest.mark.parametrize("check", [
         lambda op: check_associativity(op, VG4),
@@ -210,6 +211,47 @@ class TestOncePerCheck:
         calls.clear()
         assert check(kernel, PLUS, ScalarUsual(), 3, SG).checked == first.checked
         assert sum(calls.values()) == total
+
+    @staticmethod
+    def counted_order(order):
+        """``order`` with its ``compare`` counted per operand key."""
+        order.compare, calls = counted(order.compare)
+        return order, calls
+
+    @pytest.mark.parametrize("check", [
+        lambda order: check_compatibility(VV_PLUS, order, VG4),
+        lambda order: check_c1(VV_SCALE, VV_PLUS, order, VG4),
+    ], ids=["compatibility", "c1"])
+    def test_compare(self, check):
+        order, calls = self.counted_order(VectorLex((0, 1)))
+        first = check(order)
+        assert first.passed and calls and max(calls.values()) == 1
+        total = sum(calls.values())
+        calls.clear()
+        assert check(order).checked == first.checked
+        assert sum(calls.values()) == total
+
+    def test_compare_in_monotonicity(self):
+        # The strict-compatibility precheck is a law check of its own; the
+        # enumeration after it, sort included, compares each pair once more
+        # at most.
+        order, calls = self.counted_order(ScalarUsual())
+        assert check_compatibility(PLUS, order, SG).passed
+        precheck = Counter(calls)
+        calls.clear()
+        kernel = classical_kernel("scalar")
+        assert check_monotonicity(kernel, PLUS, order, 3, SG).passed
+        beyond = calls - precheck
+        assert not precheck - calls and beyond and max(beyond.values()) == 1
+
+    @pytest.mark.parametrize("order,grid", [
+        (VectorLex((0, 1)), VG4), (AlphaBeta(0.0, 1.0), GridSpec("interval", 4))],
+        ids=["veclex:1,2", "ab:0:1"])
+    def test_admissibility_compares_each_pair_once(self, order, grid):
+        order, calls = self.counted_order(order)
+        assert check_admissibility(order, grid).passed
+        size = len(grid_elements(grid))
+        assert sum(calls.values()) == len(calls) == size ** 2
 
     def test_carriers_stay_apart(self):
         # x + y lands on another carrier, so (x + y) + z mixes two. Every
