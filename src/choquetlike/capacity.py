@@ -2,19 +2,19 @@
 
 Subsets are stored as bitmasks (bit i-1 represents element i), which caps
 n at 24; verification workloads stay at n <= 6, the cap only bounds
-memory. Capacities are immutable after construction.
+memory. Capacities are immutable, and taken exactly: correctly rounded
+parsing keeps a table monotone in its JSON text monotone as floats.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BadBoundary, BadParameter, MissingSubset, NotMonotone, json_number,
     refuse_unknown_keys,
 )
-from .order import TOL
 
 MAX_N = 24
 
@@ -33,13 +33,11 @@ def mask_to_subset(mask: int) -> list[int]:
 @dataclass(frozen=True)
 class Capacity:
     """Set function mu with mu(empty) = 0, mu(full) = 1, monotone under
-    inclusion, all within ``TOL``. ``values[mask]`` is mu of the subset
-    encoded by ``mask``. ``exact`` says the values lie in [0, 1] and are
-    monotone without the tolerance."""
+    inclusion, all exactly. ``values[mask]`` is mu of the subset encoded
+    by ``mask``."""
 
     n: int
     values: tuple[float, ...]
-    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1 <= self.n <= MAX_N):
@@ -47,7 +45,7 @@ class Capacity:
         if len(self.values) != 1 << self.n:
             raise MissingSubset(
                 f"expected {1 << self.n} subset values, got {len(self.values)}")
-        object.__setattr__(self, "exact", _validate(self.n, self.values))
+        _validate(self.n, self.values)
 
     def of_subset(self, items) -> float:
         return self.values[subset_to_mask(items)]
@@ -106,33 +104,27 @@ def _table_entry(entry) -> tuple[list, float]:
     return entry["subset"], json_number(entry, "value")
 
 
-def _validate(n: int, values) -> bool:
-    """Refuse ``values`` unless they are a capacity within ``TOL``; return
-    whether they are one exactly (``Capacity.exact``)."""
+def _validate(n: int, values) -> None:
+    """Refuse ``values`` unless they are a capacity, exactly."""
     for v in values:
-        if not (-TOL <= v <= 1.0 + TOL):
+        if not (0.0 <= v <= 1.0):
             raise BadParameter(f"capacity value out of [0, 1]: {v}")
     # Monotone along single-element additions iff monotone under inclusion.
-    exact = True
     for mask in range(1 << n):
         for i in range(n):
             if mask >> i & 1:
                 continue
             bigger = mask | 1 << i
             if values[mask] > values[bigger]:
-                if values[mask] > values[bigger] + TOL:
-                    raise NotMonotone(
-                        f"mu({mask_to_subset(mask)}) = {values[mask]} exceeds "
-                        f"mu({mask_to_subset(bigger)}) = {values[bigger]}",
-                        witness=(mask_to_subset(mask), mask_to_subset(bigger)))
-                exact = False
-    if abs(values[0]) > TOL:
+                raise NotMonotone(
+                    f"mu({mask_to_subset(mask)}) = {values[mask]} exceeds "
+                    f"mu({mask_to_subset(bigger)}) = {values[bigger]}",
+                    witness=(mask_to_subset(mask), mask_to_subset(bigger)))
+    if values[0] != 0.0:
         raise BadBoundary(f"value at the empty set must be 0, got {values[0]}")
     full = (1 << n) - 1
-    if abs(values[full] - 1.0) > TOL:
+    if values[full] != 1.0:
         raise BadBoundary(f"value at the full set must be 1, got {values[full]}")
-    # Monotone exactly, every value lies between these two.
-    return exact and values[0] >= 0.0 and values[full] <= 1.0
 
 
 def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:
@@ -153,7 +145,7 @@ def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:
         mask = subset_to_mask(subset)
         if mask >= size:
             raise BadParameter(f"subset {sorted(subset)} outside 1..{n}")
-        if mask in given and abs(given[mask] - value) > TOL:
+        if mask in given and given[mask] != value:
             raise BadParameter(f"conflicting values for subset {sorted(subset)}")
         given[mask] = float(value)
 

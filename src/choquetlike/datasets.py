@@ -152,7 +152,7 @@ def _dataset(kind: str, records, floats, build, named=None) -> Dataset:
             if not els:
                 error = "row 0 has no elements"
         if error is None:
-            error = _misfit(r, els, n, dim)
+            error = _misfit(r, els, n, dim, bounded)
             if error is None:
                 data.extend(chain.from_iterable(el.components for el in els))
     if not count:
@@ -176,16 +176,16 @@ def _elements(r: int, cells, build) -> list[Element]:
     return els
 
 
-def _misfit(r: int, els, n: int, dim: int) -> Optional[str]:
+def _misfit(r: int, els, n: int, dim: int, bounded) -> Optional[str]:
     """Why row ``r``'s elements do not fit a dataset of ``n`` elements of
-    dimension ``dim`` in [0, 1], or None if they do."""
+    dimension ``dim`` that satisfy ``bounded``, or None if they do."""
     if len(els) != n:
         return f"row {r} (0-based): {len(els)} cells where row 0 has {n}"
     for c, el in enumerate(els):
         if el.dim != dim:
             return (f"row {r}, column {c} (0-based): {el!r} does not match "
                     f"the dataset carrier")
-        if not el.in_unit:
+        if not bounded(el.components):
             return f"row {r}, column {c} (0-based): {el!r} lies outside [0, 1]"
     return None
 

@@ -51,7 +51,7 @@ from .errors import (
 from .order import TOL, AdmissibleOrder, Element, carrier, zero_element
 
 MAX_TIE_GROUP = 16
-SNAP = 1e-9  # how far outside [0, 1] a kernel output is snapped into it
+SNAP = 1e-9  # how far above 1 a kernel output is snapped to it
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class KernelL:
     b1, b2)``: the current input, the previous input of the chain (the
     least element before the first), and the two adjacent tail weights.
     A kernel may ignore any of them. Outputs must stay in the
-    unit-bounded carrier; values beyond ``SNAP`` outside raise, smaller
+    unit-bounded carrier; values beyond ``SNAP`` above 1 raise, smaller
     overshoots are snapped. ``evaluate`` also checks that the output lies
     on the carrier of the current input (same ``kind`` and ``dim``) and
     raises ``KindMismatch`` otherwise, so a fold over kernel outputs needs
@@ -98,11 +98,13 @@ class KernelL:
 
 
 def _validate_unit(x: Element, kernel_name: str) -> Element:
-    comps = x.components  # never NaN: the element constructors refuse it
-    if -TOL <= min(comps) and max(comps) <= 1.0 + TOL:
+    """``x`` up to ``TOL`` above 1, capped at 1 up to ``SNAP``, else refused;
+    the element constructors refuse negative and NaN components."""
+    top = max(x.components)
+    if top <= 1.0 + TOL:
         return x
-    if all(-SNAP <= c <= 1.0 + SNAP for c in comps):
-        return carrier(x.kind).make(tuple(min(max(c, 0.0), 1.0) for c in comps))
+    if top <= 1.0 + SNAP:
+        return carrier(x.kind).make(tuple(min(c, 1.0) for c in x.components))
     raise KernelRangeError(
         f"kernel {kernel_name!r} produced {x!r} outside the bounded carrier")
 
@@ -368,9 +370,9 @@ def _strict_chain(comps, order: AdmissibleOrder) -> Optional[list[int]]:
 
 
 def _certified(inp: AggregationInput, kernel: KernelL, comps: list, groups) -> bool:
-    """The four conditions of ``choquet_aggregate`` under which the
+    """The three conditions of ``choquet_aggregate`` under which the
     kernel's family settles the row's consistency."""
-    return (kernel.tie_invariant and inp.mu.exact
+    return (kernel.tie_invariant
             and inp.addop is addition_for(inp.X[0].kind)
             and all(max(comps[g[0]]) <= 1.0 and all(comps[i] == comps[g[0]] for i in g)
                     for g in groups if len(g) > 1))
@@ -384,9 +386,9 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     than ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``.
 
     Such a row is certified consistent, with ``checked`` 1, when (1) the
-    kernel is ``tie_invariant``, (2) the addition is ``addition_for(kind)``,
-    (3) the capacity is ``exact`` and (4) each tie group's members have
-    identical component tuples in [0, 1]. Then no term is snapped, clamped
+    kernel is ``tie_invariant``, (2) the addition is ``addition_for(kind)``
+    and (3) each tie group's members have identical component tuples in
+    [0, 1]; every ``Capacity`` is exact. Then no term is snapped, clamped
     or refused, the weights b_s and b_{e+1} around a group of k inputs x
     are the same in every order, and the group's terms add up alike, up
     to rounding: ``delta-scale`` with ``difference`` or ``abs-diff``

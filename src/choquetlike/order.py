@@ -4,17 +4,18 @@ Three carriers are supported: scalars in [0, 1], closed intervals
 [l, u] with 0 <= l <= u <= 1, and vectors in [0, 1]^k. Values produced
 by addition may leave the unit-bounded set; element types therefore
 admit any finite nonnegative components, and ``in_unit`` reports
-membership in the bounded set.
+membership in the bounded set, up to ``TOL`` above 1.
 
 Beyond its element type, what a carrier kind is lives in its ``Carrier``
 record, found by ``carrier(kind)``. Adding a carrier means one element
 type and one record here, plus one entry in ``algebra.py``'s table of
 each kind's addition and scaling.
 
-Real comparisons use absolute tolerance 1e-12: two elements are equal
-iff all components are within tolerance. Grid values are small
-rationals, so the tolerance separates genuine ties from rounding but is
-only meaningful when value spacing is much larger than 1e-12.
+Comparisons of computed values use absolute tolerance ``TOL`` = 1e-12,
+which never admits data: two elements are equal iff all components are
+within tolerance. Grid values are small rationals, so the tolerance
+separates genuine ties from rounding but is only meaningful when value
+spacing is much larger than 1e-12.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ VECTOR = "vector"
 def _check_component(v: float, what: str) -> float:
     if v != v:  # NaN
         raise BadParameter(f"{what} is NaN")
-    if v < -TOL:
+    if v < 0.0:
         raise BadParameter(f"{what} must be nonnegative, got {v}")
     if v == _INF:
         raise BadParameter(f"{what} must be finite, got {v}")
-    return 0.0 if v < 0.0 else float(v)
+    return float(v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,9 +90,7 @@ class Interval:
         lo = _check_component(lo, "interval lower endpoint")
         hi = _check_component(hi, "interval upper endpoint")
         if hi < lo:
-            if lo - hi > TOL:
-                raise BadParameter(f"interval endpoints out of order: [{lo}, {hi}]")
-            hi = lo
+            raise BadParameter(f"interval endpoints out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -154,7 +153,6 @@ def require_same_carrier(x: Element, z: Element) -> None:
 
 
 _NUMBER = (int, float)  # JSON numbers: a bool has its own type and is refused
-_TOP = 1.0 + TOL
 
 
 def _scalar_from_json(cell) -> Scalar:
@@ -179,8 +177,8 @@ def _vector_from_json(cell) -> Vector:
 class Carrier(NamedTuple):
     """One carrier kind: ``make`` builds an element, with its checks, from a
     tuple of ``arity`` components (any positive number if 0). ``bounded(c)``
-    holds when ``make`` and the kernels' range check leave ``c`` unchanged:
-    components in [0, 1 + TOL], interval endpoints in order, no NaN.
+    holds when ``c`` lies in the bounded set: components in [0, 1] exactly,
+    interval endpoints in order, no NaN. ``make`` keeps such a ``c``.
     ``from_json`` reads a JSON dataset cell; ``constant`` is (c, ..., c)."""
 
     make: Callable[[tuple], Element]
@@ -193,10 +191,10 @@ class Carrier(NamedTuple):
 
 
 _CARRIERS = {
-    SCALAR: Carrier(lambda c: Scalar(*c), 1, lambda c: 0.0 <= c[0] <= _TOP, _scalar_from_json),
-    INTERVAL: Carrier(lambda c: Interval(*c), 2, lambda c: 0.0 <= c[0] <= c[1] <= _TOP,
+    SCALAR: Carrier(lambda c: Scalar(*c), 1, lambda c: 0.0 <= c[0] <= 1.0, _scalar_from_json),
+    INTERVAL: Carrier(lambda c: Interval(*c), 2, lambda c: 0.0 <= c[0] <= c[1] <= 1.0,
                       _interval_from_json),
-    VECTOR: Carrier(Vector, 0, lambda c: all(0.0 <= a <= _TOP for a in c), _vector_from_json),
+    VECTOR: Carrier(Vector, 0, lambda c: all(0.0 <= a <= 1.0 for a in c), _vector_from_json),
 }
 
 

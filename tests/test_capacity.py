@@ -1,15 +1,19 @@
 """Capacity construction, validation, families, and tail values."""
 
 import itertools
+import json
+import math
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choquetlike import (
     BadBoundary, BadParameter, Capacity, MissingSubset, NotMonotone,
-    capacity_family, capacity_from_table, tail_values,
+    capacity_battery, capacity_family, capacity_from_table, tail_values,
 )
+from choquetlike.capacity import mask_to_subset
 
 
 def table(n, mapping):
@@ -68,25 +72,88 @@ class TestFromTable:
             call()
         assert message in str(exc.value)
 
-    @pytest.mark.parametrize("values,exact", [
-        ((0.0, 0.3, 0.3, 1.0), True),
-        ((-0.0, 0.0, 1.0, 1.0), True),
-        ((0.0, 0.3, 0.3, 1.0 + 0.5e-12), False),
-        ((-0.5e-12, 0.0, 0.0, 1.0), False),
-        ((0.0, 0.5 + 0.9e-12, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0), False),  # {1} > {1, 2}
-    ])
-    def test_exact_without_the_tolerance(self, values, exact):
-        """A capacity is accepted within TOL; ``exact`` says it needs none,
-        and takes no part in equality."""
-        mu = Capacity(len(values).bit_length() - 1, values)
-        assert mu.exact is exact
-        assert mu == Capacity(mu.n, values) and "exact" not in repr(mu)
+    @pytest.mark.parametrize("values,error", [
+        ((0.0, 0.3, 0.3, 1.0), None),
+        ((-0.0, 0.0, 1.0, 1.0), None),
+        ((0.0, 0.3, 0.3, 1.0 + 0.5e-12), BadParameter),
+        ((-0.5e-12, 0.0, 0.0, 1.0), BadParameter),
+        ((0.5e-12, 0.5, 0.5, 1.0), BadBoundary),
+        ((0.0, 0.5, 0.5, 1.0 - 0.5e-12), BadBoundary),
+        ((0.0, 0.5 + 0.9e-12, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0), NotMonotone),  # {1} > {1, 2}
+    ], ids=["exact", "negative-zero", "above-one-within-tol", "below-zero-within-tol",
+            "empty-set-within-tol", "full-set-within-tol", "monotone-within-tol"])
+    def test_exact_without_the_tolerance(self, values, error):
+        """A capacity is taken exactly: a value, a boundary or a decrease
+        along inclusion within TOL of a capacity is refused, a decrease
+        with its witness."""
+        n = len(values).bit_length() - 1
+        if error is None:
+            assert Capacity(n, values).values == values
+            return
+        with pytest.raises(error) as exc:
+            Capacity(n, values)
+        if error is NotMonotone:
+            assert exc.value.witness == ([1], [1, 2])
 
     def test_families_are_exact(self):
-        mu = capacity_family("uniform-random", 4, seed=3)
-        assert mu.exact and mu.relabel((3, 1, 0, 2)).exact
-        assert all(capacity_family(kind, 3, **params).exact for kind, params in (
-            ("cardinality", {}), ("dirac", {"i": 2}), ("top", {"k": 2})))
+        """Every family and every battery capacity builds, and so does its
+        reversal: their values are a capacity exactly."""
+        for n in range(1, 7):
+            for seed in range(20):
+                caps = capacity_battery(n, seed)
+                assert len(caps) == 2 * n + 6
+                for mu in caps:
+                    assert mu.relabel(tuple(reversed(range(n)))).n == n
+
+
+@st.composite
+def decimal_tables(draw):
+    """The JSON text of a capacity table whose values, written as decimal
+    strings of any precision, are monotone in ``Decimal``: drawn raw
+    values in [0, 1] raised to the largest value over subsets, with
+    mu(empty) and mu(N) spelt as 0 and 1 in any of several ways."""
+    n = draw(st.integers(1, 4))
+    size = 1 << n
+    raw = draw(st.lists(st.decimals(0, 1, allow_nan=False, allow_infinity=False),
+                        min_size=size, max_size=size))
+    mono = [Decimal(0)] * size
+    for mask in range(1, size):
+        mono[mask] = max([raw[mask]] + [mono[mask & ~(1 << i)]
+                                         for i in range(n) if mask >> i & 1])
+    texts = [str(v) for v in mono]
+    texts[0] = draw(st.sampled_from(["0", "0.0", "-0", "0E-7", texts[0]]))
+    texts[-1] = draw(st.sampled_from(["1", "1.0", "1.000000000000000000000", "1E0",
+                                      "0.1e1"]))
+    entries = ", ".join(f'{{"subset": {mask_to_subset(m)}, "value": {t}}}'
+                        for m, t in enumerate(texts))
+    return f'{{"n": {n}, "kind": "table", "entries": [{entries}]}}', texts
+
+
+class TestExactValues:
+    """Values are taken exactly: correctly rounded decimal parsing keeps a
+    table that is monotone in its text monotone as floats."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(decimal_tables())
+    def test_json_table_monotone_in_decimal_is_accepted(self, table):
+        text, texts = table
+        mu = Capacity.from_json(json.loads(text))
+        assert mu.values == tuple(map(float, texts))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.floats(0, 1), st.floats(0, 1))
+    @example(0.5, math.nextafter(0.5, 1.0))
+    @example(0.0, -0.0)
+    def test_unequal_entries_for_one_subset_are_refused(self, v, w):
+        entries = [((), 0), ((1,), v), ((2,), 1), ((1, 2), 1), ((1,), w)]
+        if v == w:
+            assert capacity_from_table(2, entries).of_subset((1,)) == v
+            return
+        with pytest.raises(BadParameter, match="conflicting values for subset"):
+            capacity_from_table(2, entries)
+        with pytest.raises(BadParameter, match="conflicting values for subset"):
+            Capacity.from_json({"n": 2, "entries": [
+                {"subset": list(s), "value": x} for s, x in entries]})
 
 
 class TestFamilies:

@@ -101,8 +101,10 @@ def test_a_vector_constant_needs_a_dimension():
 
 
 # Components at and around the edges of the bounded set: signed zeros,
-# values inside the constructors' -TOL snap, inside and beyond the
-# kernels' 1e-9 snap above 1, NaN, and ordinary values.
+# values within TOL below 0, which the constructors refuse, values within
+# TOL above 1, which the kernels' range check keeps and ``bounded``
+# refuses, values inside and beyond the kernels' 1e-9 snap above 1, NaN,
+# and ordinary values.
 EDGES = [0.0, -0.0, 1.0, 0.5, -1e-13, -TOL, -2 * TOL, -1e-10, -0.25,
          1.0 + TOL / 2, 1.0 + TOL, math.nextafter(1.0 + TOL, 2.0), 1.0 + 2 * TOL,
          1.0 + 5e-10, 1.0 + 1e-9, 1.0 + 1e-6, 1.25, math.nan]
@@ -135,4 +137,5 @@ def unchanged(kind: str, c: tuple) -> bool:
 @given(data=st.data())
 def test_bounded_is_exactly_the_unchanged_tuples(kind, data):
     c = data.draw(tuples_of(kind))
-    assert carrier(kind).bounded(c) == unchanged(kind, c)
+    assert carrier(kind).bounded(c) == (
+        unchanged(kind, c) and all(0.0 <= a <= 1.0 for a in c))

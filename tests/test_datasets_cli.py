@@ -65,7 +65,7 @@ def _reference(text, kind):
             if el.dim != rows[0][0].dim:
                 return "refused", (f"row {r}, column {c} (0-based): {el!r} does not "
                                    "match the dataset carrier")
-            if not el.in_unit:
+            if not all(0.0 <= v <= 1.0 for v in el.components):
                 return "refused", (f"row {r}, column {c} (0-based): {el!r} lies "
                                    "outside [0, 1]")
     if ids is not None and len(ids) != len(rows):
@@ -74,10 +74,10 @@ def _reference(text, kind):
             tuple(ids or map(str, range(len(rows)))))
 
 
-# Cells in [0, 1], -0.0 and values within TOL of it included, and cells
-# past it or no float can hold.
-_GOOD = [0.25, 0.5, 0.0, 1.0, -0.0, -1e-13, 1 + 1e-13, 0, 1]
-_BAD = [1.5, -0.5, float("nan"), float("inf"), 10 ** 400]
+# Cells in [0, 1], -0.0 included, and cells past it, within TOL of it
+# included, or no float can hold.
+_GOOD = [0.25, 0.5, 0.0, 1.0, -0.0, 0, 1]
+_BAD = [1.5, -0.5, -1e-13, 1 + 1e-13, float("nan"), float("inf"), 10 ** 400]
 _LEADS = st.lists(st.sampled_from(["", " ", "\t", "  \t"]), max_size=2)
 
 
@@ -95,7 +95,7 @@ def _csv_texts(draw):
     clean = draw(st.booleans())
     cells = [*map(repr, _GOOD), " 0.75 "]
     if not clean:
-        cells += ["nan", "inf", "1.5", "x", ""]
+        cells += ["1.5", "-0.5", "-1e-13", "1.0000000000001", "nan", "inf", "x", ""]
     rows = _rows(draw, st.sampled_from(cells), clean)
     quote = draw(st.sampled_from(["", '"']))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
@@ -582,6 +582,30 @@ class TestAggregateCommand:
         code = main(["aggregate", "--input", str(data), "--capacity", str(cap)])
         assert code == 1
         assert "error" in json.loads(capsys.readouterr().err)
+
+    # Data is taken exactly: a capacity value or a cell within 1e-12 outside
+    # [0, 1] is refused with its place, not snapped.
+    @pytest.mark.parametrize("rows,capacity,error,message", [
+        ("0.2,0.5\n", '{"n": 2, "entries": [{"subset": [], "value": 0}, '
+         '{"subset": [1], "value": 0.5}, {"subset": [2], "value": 0.5}, '
+         '{"subset": [1, 2], "value": 1.0000000000005}]}',
+         "BadParameter", "capacity value out of [0, 1]: 1.0000000000005"),
+        ("0.2,0.5\n0.3,1.0000000000001\n", '{"n": 2, "kind": "cardinality"}',
+         "DatasetFormatError",
+         "row 1, column 1 (0-based): Scalar(value=1.0000000000001) lies outside [0, 1]"),
+        ("-1e-13,0.5\n", '{"n": 2, "kind": "cardinality"}', "DatasetFormatError",
+         "row 0, column 0 (0-based): scalar value must be nonnegative, got -1e-13"),
+    ], ids=["capacity-above-one", "cell-above-one", "cell-below-zero"])
+    def test_data_within_tolerance_outside_the_domain_exit_one(
+            self, tmp_path, capsys, rows, capacity, error, message):
+        data, cap = tmp_path / "rows.csv", tmp_path / "cap.json"
+        data.write_text(rows)
+        cap.write_text(capacity)
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+        err = json.loads(captured.err)["error"]
+        assert (err["type"], err["message"]) == (error, message)
 
 
     @pytest.mark.parametrize("capacity", MALFORMED_CAPACITIES)

@@ -9,7 +9,8 @@ comparator, never from an order's ``lead``, and never memoize the
 addition or the kernel. Only ``order.py`` and ``algebra.py`` key a dict
 by carrier kind, and only ``order.py`` tests for an order's class or
 takes its parameters. Only the catalog constructors of ``operator.py``
-say that a kernel is tie-invariant."""
+say that a kernel is tie-invariant. Neither ``capacity.py`` nor
+``datasets.py`` reads ``TOL``: data is taken exactly or refused."""
 
 import ast
 import re
@@ -390,3 +391,25 @@ def test_only_the_catalog_states_tie_invariance():
     catalog = claims.pop("operator.py")
     assert catalog and all(c.split()[0] in CATALOG_CONSTRUCTORS for c in catalog)
     assert {name: found for name, found in claims.items() if found} == {}
+
+
+# ``TOL`` compares computed values; it never admits data. The capacity and
+# dataset loaders take values exactly or refuse them, so neither reads it.
+def tolerance_reads(source: str) -> list[int]:
+    """Lines that import ``TOL``, at any depth, or take it as an attribute."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.ImportFrom)
+                   and any(alias.name in ("TOL", "*") for alias in node.names)
+                   or isinstance(node, ast.Attribute) and node.attr == "TOL"})
+
+
+def test_detects_a_tolerance_read():
+    source = ("from .order import SCALAR, TOL\nfrom . import order\n"
+              "def f(v):\n    from .order import TOL as T\n"
+              "    return v <= 1 + order.TOL, TOLERANCE\nfrom .errors import *\n")
+    assert tolerance_reads(source) == [1, 4, 5, 6]
+
+
+@pytest.mark.parametrize("name", ["capacity.py", "datasets.py"])
+def test_loaders_never_read_the_tolerance(name):
+    assert tolerance_reads((PACKAGE / name).read_text(encoding="utf-8")) == []

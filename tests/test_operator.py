@@ -593,7 +593,7 @@ class TestCertifiedTies:
     @given(_exactly_tied_rows())
     def test_matches_enumeration(self, case):
         inp, kernel = case
-        assert kernel.tie_invariant and inp.mu.exact
+        assert kernel.tie_invariant
         with mock.patch.object(operator_module, "_tie_candidates", _no_walk):
             res = choquet_aggregate(inp, kernel)
         # The reference: every admissible permutation, each folded on elements.
@@ -624,48 +624,56 @@ class TestCertifiedTies:
 
     U3 = capacity_family("uniform-random", 3, seed=5)
     MU2 = capacity_from_table(2, [((), 0), ((1,), 0.0), ((2,), 0.5), ((1, 2), 1)])
-    # mu({1}) exceeds mu({1, 2}) and mu({1, 3}) within TOL.
-    NOT_EXACT = Capacity(3, (0.0, 0.5 + 0.9e-12, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0))
+    # The nearest exact capacity to one whose mu({1}) exceeds mu({1, 2})
+    # and mu({1, 3}) within TOL, which is refused (test_capacity.py).
+    NEAREST_EXACT = Capacity(3, (0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0))
     TIED = (0.5, 0.2, 0.5)
     CLASSICAL = "0x1.f970a2d7c784ep-2"  # the well-defined value of TIED under U3
 
+    # ``expected`` is (consistent, permutations, checked, value, walks):
+    # every row walks once but the certified one.
     @pytest.mark.parametrize("kernel,values,mu,addop,expected", [
         (kernel_catalog({"family": "delta-scale", "delta": "sq-diff"}, "scalar"),
-         TIED, U3, PLUS, (False, 2, 2, "0x1.4ed9224dfd642p-2")),
+         TIED, U3, PLUS, (False, 2, 2, "0x1.4ed9224dfd642p-2", 1)),
         (kernel_catalog({"family": "delta-scale", "delta": "capped-double"}, "scalar"),
-         TIED, U3, PLUS, (False, 2, 2, "0x1.677aabd661a28p-1")),
+         TIED, U3, PLUS, (False, 2, 2, "0x1.677aabd661a28p-1", 1)),
         (KernelL(classical_kernel("scalar").fn, "classical-copy"),
-         TIED, U3, PLUS, (True, 2, 1, CLASSICAL)),
+         TIED, U3, PLUS, (True, 2, 1, CLASSICAL, 1)),
         (f_difference_kernel(lambda x, a: scale(TIMES, a, x)),
-         TIED, U3, PLUS, (True, 2, 1, CLASSICAL)),
-        (classical_kernel("scalar"), TIED, U3, MIN_OP, (True, 2, 1, "0x1.17e4dc0969d9ap-8")),
-        (classical_kernel("scalar"), TIED, U3, BOUNDED_SUM, (True, 2, 1, CLASSICAL)),
+         TIED, U3, PLUS, (True, 2, 1, CLASSICAL, 1)),
+        (classical_kernel("scalar"), TIED, U3, MIN_OP,
+         (True, 2, 1, "0x1.17e4dc0969d9ap-8", 1)),
+        (classical_kernel("scalar"), TIED, U3, BOUNDED_SUM, (True, 2, 1, CLASSICAL, 1)),
         # Tied within TOL, not identical.
         (classical_kernel("scalar"), (0.5, 0.2, 0.5 + 5e-13), U3, PLUS,
-         (True, 2, 1, "0x1.f970a2d7c93eep-2")),
-        # The hazards: a capacity monotone only within TOL, an affine-F
-        # whose bounds add up to more than 1 by less than the snap (a
-        # snapped term), and tied inputs above 1, reachable from Python.
-        (classical_kernel("scalar"), (1.0,) * 3, NOT_EXACT, PLUS,
-         (False, 6, 2, "0x1.0000000000000p+0")),
+         (True, 2, 1, "0x1.f970a2d7c93eep-2", 1)),
+        # A capacity monotone only within TOL is refused when built, so the
+        # classical kernel on identical tied inputs is certified, unwalked.
+        (classical_kernel("scalar"), (1.0,) * 3, NEAREST_EXACT, PLUS,
+         (True, 6, 1, "0x1.0000000000000p+0", 0)),
+        # The hazards: an affine-F whose bounds add up to more than 1 by
+        # less than the snap (a snapped term), and tied inputs above 1,
+        # reachable from Python.
         (affine_f_kernel("scale:0.7", "scale:0.3000000001", "scalar"), (1.0, 1.0), MU2,
-         PLUS, (False, 2, 2, "0x1.4ccccccda8b3cp+0")),
+         PLUS, (False, 2, 2, "0x1.4ccccccda8b3cp+0", 1)),
         (classical_kernel("scalar"), (1 + 5e-10,) * 2, MU2, PLUS,
-         (False, 2, 2, "0x1.0000000225c18p+0")),
+         (False, 2, 2, "0x1.0000000225c18p+0", 1)),
         (classical_kernel("scalar"), (1.5, 1.5), MU2, PLUS, KernelRangeError),
     ], ids=["sq-diff", "capped-double", "custom", "f-difference", "min",
-            "bounded-sum", "near-tolerance", "capacity-within-tol", "affine-snapped",
+            "bounded-sum", "near-tolerance", "nearest-exact-capacity", "affine-snapped",
             "above-1-snapped", "above-1-refused"])
     def test_other_rows_walk(self, walks, kernel, values, mu, addop, expected):
         inp = AggregationInput(tuple(map(Scalar, values)), mu, ScalarUsual(), addop)
+        walked = 1
         if expected is KernelRangeError:
             with pytest.raises(KernelRangeError):
                 choquet_aggregate(inp, kernel)
         else:
             res = choquet_aggregate(inp, kernel)
-            assert (res.consistent, res.permutations, res.checked,
-                    res.value.value.hex()) == expected
-        assert walks == [PermutationSet(inp.X, inp.order).count]
+            *expected, walked = expected
+            assert [res.consistent, res.permutations, res.checked,
+                    res.value.value.hex()] == expected
+        assert walks == [PermutationSet(inp.X, inp.order).count] * walked
 
     def test_the_catalog_alone_states_invariance(self):
         def invariant(spec, kind="scalar"):
@@ -877,25 +885,24 @@ class TestKernelCatalog:
         with pytest.raises(ScaleOutOfRange):
             kernel_catalog(spec, "scalar")
 
-    # A capacity may lie up to TOL above 1, or above a superset's value, and
-    # each catalog kernel clamps the coefficient that this puts outside
-    # [0, 1]: the value is the clean capacity's, bit for bit.
-    @pytest.mark.parametrize("spec,values,clean", [
-        ("delta-scale", (0.0, 1.0, 0.0, 1.0 + 5e-13), 0.2),
-        ({"family": "b-scale-d", "d": "abs-diff"}, (0.0, 1.0, 0.0, 1.0 + 5e-13), 0.2),
+    # A caller may pass ``evaluate`` weights up to TOL outside [0, 1], though
+    # no capacity holds one, and each catalog kernel clamps the coefficient
+    # that this puts outside [0, 1]: the term is the clean weights', bit for bit.
+    @pytest.mark.parametrize("spec,weights,clean", [
+        ("delta-scale", (1.0 + 5e-13, 0.0), (1.0, 0.0)),
+        ({"family": "b-scale-d", "d": "abs-diff"}, (1.0 + 5e-13, 0.0), (1.0, 0.0)),
         ({"family": "affine-F", "C": "identity", "D": "zero"},
-         (0.0, 1.0, 0.0, 1.0 + 5e-13), 0.2),
-        # The first weight difference, mu(N) - mu({2}), is -5e-13.
+         (1.0 + 5e-13, 0.0), (1.0, 0.0)),
+        # The weight difference b1 - b2 is -5e-13.
         ({"family": "affine-F", "C": "identity", "D": "zero"},
-         (0.0, 0.0, 1.0 + 5e-13, 1.0), 0.6),
+         (1.0, 1.0 + 5e-13), (1.0, 1.0)),
     ], ids=["delta-scale", "b-scale-d", "affine-F", "affine-F-negative-difference"])
-    def test_coefficients_within_tolerance_are_clamped(self, spec, values, clean):
+    def test_coefficients_within_tolerance_are_clamped(self, spec, weights, clean):
         kernel = kernel_catalog(spec, "scalar", ScalarUsual())
-        clean_values = tuple(min(v, 1.0) for v in values)
-        got = choquet_aggregate(scalar_input((0.2, 0.6), Capacity(2, values)), kernel)
-        want = choquet_aggregate(scalar_input((0.2, 0.6), Capacity(2, clean_values)),
-                                 kernel)
-        assert got.value == want.value == Scalar(clean)
+        x, prev = Scalar(0.6), Scalar(0.2)
+        got = kernel.evaluate(x, prev, *weights)
+        want = kernel.evaluate(x, prev, *clean)
+        assert got.value.hex() == want.value.hex()
 
     def test_affine_scale_within_tolerance_is_clamped(self):
         k = kernel_catalog({"family": "affine-F", "C": "scale:1.0000000000001",

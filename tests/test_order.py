@@ -39,13 +39,16 @@ class TestElements:
 
     def test_constructors_normalize_or_refuse(self):
         # Components that are not already nonnegative floats take the
-        # checked route: ints become floats, tiny negatives snap to 0.
+        # checked route: ints become floats, -0.0 is kept, and any negative
+        # component or reversed interval is refused, however close.
         assert Scalar(1).value == 1.0 and type(Scalar(1).value) is float
-        assert Scalar(-1e-13).value == 0.0
-        for bad in (float("nan"), -0.1):
+        assert Scalar(-0.0).value.hex() == "-0x0.0p+0"
+        for bad in (float("nan"), -0.1, -1e-13):
             with pytest.raises(BadParameter):
                 Scalar(bad)
-        assert Interval(0.5, 0.5 - 1e-13).components == (0.5, 0.5)
+        with pytest.raises(BadParameter, match="out of order"):
+            Interval(0.5, 0.5 - 1e-13)
+        assert Interval(-0.0, 0.0).components == (0.0, 0.0)
         assert Interval(0, 1).components == (0.0, 1.0)
         with pytest.raises(BadParameter):
             Interval(0.6, 0.4)
@@ -54,7 +57,8 @@ class TestElements:
         v = Vector([1, 0])
         assert v.coords == (1.0, 0.0) and type(v.coords) is tuple
         assert all(type(c) is float for c in v.coords)
-        assert Vector((0.2, -1e-13)).coords == (0.2, 0.0)
+        with pytest.raises(BadParameter, match="nonnegative"):
+            Vector((0.2, -1e-13))
         with pytest.raises(BadParameter):
             Vector(())
         with pytest.raises(BadParameter):
