@@ -39,7 +39,7 @@ from .order import (
 )
 from .reporting import LawReport
 from .verifier import (
-    brute_force_monotonicity, brute_force_wd, capacity_battery,
+    RunRecord, brute_force_monotonicity, brute_force_wd, capacity_battery,
     check_aggregation, check_delta_decomposition, check_jensen_f,
     check_monotonicity, check_wd, oracle_crosscheck,
 )

@@ -72,15 +72,17 @@ class _Memo:
     ``-0.0`` and ``0.0`` share one: every comparison treats them as equal,
     and grid values are never ``-0.0``. Equal ids are equal elements;
     distinct ids may still be equal within ``TOL``, which ``equal``
-    decides. Keying the memo on the elements themselves was measured
-    slower: equal elements are built apart and miss, and each call builds
-    its key from the operands' components."""
+    decides from the two interned keys, as ``elements_equal`` decides
+    from the elements. Keying the memo on the elements themselves was
+    measured slower: equal elements are built apart and miss, and each
+    call builds its key from the operands' components."""
 
     def __init__(self, grid: GridSpec, addop: Optional[AdditionOp] = None,
                  order: Optional[AdmissibleOrder] = None, term: Optional[Callable] = None):
         self.elems = grid_elements(grid)
         self.grid = range(len(self.elems))
-        self._ids = {(x.kind, x.components): i for i, x in enumerate(self.elems)}
+        self._keys = [(x.kind, x.components) for x in self.elems]  # by id
+        self._ids = {key: i for i, key in enumerate(self._keys)}
         self._addop = addop
         self._order = order
         self._term = term
@@ -92,6 +94,7 @@ class _Memo:
         if i is None:
             i = self._ids[key] = len(self.elems)
             self.elems.append(x)
+            self._keys.append(key)
         return i
 
     def plus(self, a: int, b: int) -> int:
@@ -115,7 +118,15 @@ class _Memo:
         return c
 
     def equal(self, a: int, b: int) -> bool:
-        return a == b or elements_equal(self.elems[a], self.elems[b])
+        if a == b:
+            return True
+        (kind_a, xs), (kind_b, zs) = self._keys[a], self._keys[b]
+        if kind_a != kind_b or len(xs) != len(zs):
+            require_same_carrier(self.elems[a], self.elems[b])  # raises KindMismatch
+        for x, z in zip(xs, zs):
+            if not abs(x - z) <= TOL:
+                return False
+        return True
 
     def sorted(self) -> list[int]:
         """The grid's ids, sorted as ``AdmissibleOrder.sort`` sorts their

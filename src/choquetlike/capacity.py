@@ -20,9 +20,14 @@ MAX_N = 24
 
 
 def subset_to_mask(items) -> int:
+    """The bitmask of a subset listed as 1-based elements; a subset that
+    lists an element twice is refused, not read as the set of its items."""
     mask = 0
     for i in items:
-        mask |= 1 << (int(i) - 1)
+        bit = 1 << (int(i) - 1)
+        if mask & bit:
+            raise BadParameter(f"subset {list(items)} lists element {i} twice")
+        mask |= bit
     return mask
 
 

@@ -154,7 +154,8 @@ def cmd_verify(args) -> int:
     if args.n is not None and not 2 <= args.n <= MAX_N:
         raise BadParameter(f"--n must lie in 2..{MAX_N}, got {args.n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    tagged = [(name, report) for name in names for report in SUITES[name](args)]
+    record = verifier.RunRecord()  # this run's shared work, replayed across suites
+    tagged = [(name, report) for name in names for report in SUITES[name](args, record)]
 
     payload = [dict(report.to_json(), suite=name) for name, report in tagged]
     columns = ["suite", "law", "verdict", "checked", "elapsed"]
@@ -186,19 +187,27 @@ def _grid(args, kind, default, floor=0) -> GridSpec:
     return GridSpec(kind, max(default if args.grid is None else args.grid, floor))
 
 
+# Each carrier's default order, one object each, so that a run record
+# keys the work of every suite on the same order.
+_DEFAULT_ORDERS = (ScalarUsual(), AlphaBeta(0.5, 1.0), VectorLex((0, 1)))
+
+
 def _carriers(args, scalar_m, m, scalar_floor=0):
     """Each carrier's default order on its grid, at ``scalar_m`` for scalars."""
-    return [(ScalarUsual(), _grid(args, SCALAR, scalar_m, scalar_floor)),
-            (AlphaBeta(0.5, 1.0), _grid(args, INTERVAL, m)),
-            (VectorLex((0, 1)), _grid(args, VECTOR, m))]
+    scalar, interval, vector = _DEFAULT_ORDERS
+    return [(scalar, _grid(args, SCALAR, scalar_m, scalar_floor)),
+            (interval, _grid(args, INTERVAL, m)), (vector, _grid(args, VECTOR, m))]
 
 
-def _kernel_checks(args, check, specs, carriers) -> list[LawReport]:
+def _kernel_checks(args, check, specs, carriers, record) -> list[LawReport]:
     """``check`` (a ``verifier`` check) of each catalog kernel spec on each
-    ``(order, grid)`` of ``carriers``, at arity ``--n``, else 3."""
+    ``(order, grid)`` of ``carriers``, at arity ``--n``, else 3. Each
+    kernel is built once per ``record``, so that the checks of one run
+    share their enumerations."""
     n = 3 if args.n is None else args.n
-    return [check(kernel_catalog(spec, grid.kind, order), addition_for(grid.kind),
-                  order, n, grid)
+    return [check(record.once(("kernel", json.dumps(spec), grid.kind, order),
+                              lambda: kernel_catalog(spec, grid.kind, order)),
+                  addition_for(grid.kind), order, n, grid, record=record)
             for order, grid in carriers for spec in specs]
 
 
@@ -207,13 +216,13 @@ _GOOD_KERNELS = ("delta-scale", {"family": "b-scale-d", "d": "abs-diff"},
                  {"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1"})
 
 
-def suite_order(args) -> list[LawReport]:
+def suite_order(args, record) -> list[LawReport]:
     scalar, xu_yager, vector = _carriers(args, 4, 4, 8)
     lex = [(AlphaBeta(a, b), xu_yager[1]) for a, b in ((0.0, 1.0), (1.0, 0.0))]
     return [check_admissibility(*c) for c in [scalar, xu_yager, *lex, vector]]
 
 
-def suite_algebra(args) -> list[LawReport]:
+def suite_algebra(args, record) -> list[LawReport]:
     reports = []
     for order, grid in _carriers(args, 4, 4, 8):
         addop, mul = addition_for(grid.kind), scale_for(grid.kind)
@@ -226,22 +235,24 @@ def suite_algebra(args) -> list[LawReport]:
     return reports
 
 
-def suite_wd(args) -> list[LawReport]:
-    return _kernel_checks(args, verifier.check_wd, _GOOD_KERNELS, _carriers(args, 4, 2))
+def suite_wd(args, record) -> list[LawReport]:
+    return _kernel_checks(args, verifier.check_wd, _GOOD_KERNELS, _carriers(args, 4, 2),
+                          record)
 
 
-def suite_monotone(args) -> list[LawReport]:
+def suite_monotone(args, record) -> list[LawReport]:
     return _kernel_checks(args, verifier.check_monotonicity, _GOOD_KERNELS,
-                          _carriers(args, 4, 2))
+                          _carriers(args, 4, 2), record)
 
 
-def suite_aggregation(args) -> list[LawReport]:
+def suite_aggregation(args, record) -> list[LawReport]:
     # Lexicographical interval order alongside the Xu-Yager default.
     carriers = _carriers(args, 4, 2) + [(AlphaBeta(0.0, 1.0), _grid(args, INTERVAL, 2))]
-    return _kernel_checks(args, verifier.check_aggregation, ["delta-scale"], carriers)
+    return _kernel_checks(args, verifier.check_aggregation, ["delta-scale"], carriers,
+                          record)
 
 
-def suite_dissimilarity(args) -> list[LawReport]:
+def suite_dissimilarity(args, record) -> list[LawReport]:
     reports = []
     for order, grid in [(ScalarUsual(), _grid(args, SCALAR, 8)),
                         (AlphaBeta(0.5, 1.0), _grid(args, INTERVAL, 4))]:
@@ -251,7 +262,7 @@ def suite_dissimilarity(args) -> list[LawReport]:
     return reports
 
 
-def suite_takac(args) -> list[LawReport]:
+def suite_takac(args, record) -> list[LawReport]:
     """Counterexample search for the width-based interval dissimilarity. The
     telescoping identity is expected to fail: its witness is reported as a
     failing law, so this suite deliberately exits 3."""
@@ -262,7 +273,8 @@ def suite_takac(args) -> list[LawReport]:
     return [report]
 
 
-# The suites of ``verify``, in the order ``--suite all`` runs them.
+# The suites of ``verify``, in the order ``--suite all`` runs them; each
+# is called as ``suite(args, record)`` with the run's ``RunRecord``.
 SUITES = {"order": suite_order, "algebra": suite_algebra, "wd": suite_wd,
           "monotone": suite_monotone, "aggregation": suite_aggregation,
           "dissimilarity": suite_dissimilarity, "appendix-c": suite_takac}

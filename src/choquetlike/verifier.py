@@ -41,7 +41,63 @@ _CAPACITY_NOTE = ("operator-level sweep quantifies over a finite capacity "
                   "battery, not all capacities")
 
 
-def _require(pre: LawReport, what: str):
+class RunRecord:
+    """What one ``verify`` run has found, kept for the rest of the run:
+    each case enumeration's number of passing cases and first witness,
+    each precheck's report and each catalog kernel, by key. ``cmd_verify``
+    creates one per run and hands it to the checks, never at module level,
+    so a second run pays its own calls. A key holds the objects the
+    outcome depends on, kernel and order included, so two kernels under
+    one name never share an entry. An enumeration or a precheck that
+    raises records nothing."""
+
+    def __init__(self):
+        self._kept: dict = {}
+
+    def cases(self, key, cases):
+        """The case enumeration ``cases()``, run once per ``key``. A
+        repeat yields the recorded number of passing cases and then the
+        first witness, which is all ``run_law`` reads of it."""
+        outcome = self._kept.get(key)
+        if outcome is None:
+            passed, witness = 0, None
+            for witness in cases():
+                if witness is not None:
+                    break
+                passed += 1
+                yield None
+            outcome = self._kept[key] = passed, witness
+        else:
+            yield from itertools.repeat(None, outcome[0])
+        if outcome[1] is not None:
+            yield outcome[1]
+
+    def once(self, key, build):
+        """``build()``, called once per ``key``."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
+
+def _recorded(law):
+    """Decorate the case enumeration of ``law``: given a run ``record``,
+    it runs once per (law, kernel, addition, order, n, grid) and is
+    replayed after; without one, it runs afresh."""
+    def decorate(cases):
+        def recorded(kernel, addop, order, n, grid, memo=None, record=None):
+            if record is None:
+                return cases(kernel, addop, order, n, grid, memo, record)
+            return record.cases((law, kernel, addop, order, n, grid),
+                                lambda: cases(kernel, addop, order, n, grid, memo, record))
+        return recorded
+    return decorate
+
+
+def _require(what: str, check, *args, record: Optional[RunRecord] = None):
+    """Refuse to run unless the precheck ``check(*args)`` passes; a run
+    ``record`` runs it once per run."""
+    pre = (check(*args) if record is None
+           else record.once((check, *args), lambda: check(*args)))
     if not pre.passed:
         raise HypothesisViolated(
             f"{what} fails on the grid; the characterization does not apply "
@@ -79,7 +135,7 @@ def _nondecreasing(memo, chain, H, context):
 # ---------------------------------------------------------------------------
 
 def check_wd(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
-             n: int, grid: GridSpec) -> LawReport:
+             n: int, grid: GridSpec, *, record: Optional[RunRecord] = None) -> LawReport:
     """Permutation-invariance characterization at arity n.
 
     Requires the addition to satisfy cancellation on the grid. The
@@ -87,13 +143,14 @@ def check_wd(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
     L(x1, x2, b1, c) + L(x1, x1, c, b2) over the appropriate (x, b)
     ranges; the ranges depend on whether n is 2, 3, or at least 4.
     """
-    return run_law("wd", _wd_cases(kernel, addop, order, n, grid), n=n,
-                   kernel=kernel.name, note=_RESOLUTION_NOTE.format(m=grid.m))
+    return run_law("wd", _wd_cases(kernel, addop, order, n, grid, record=record),
+                   n=n, kernel=kernel.name, note=_RESOLUTION_NOTE.format(m=grid.m))
 
 
-def _wd_cases(kernel, addop, order, n, grid, memo=None):
+@_recorded("wd")
+def _wd_cases(kernel, addop, order, n, grid, memo, record):
     _require_arity(n, "well-definedness")
-    _require(check_cancellation(addop, grid), "addition cancellation")
+    _require("addition cancellation", check_cancellation, addop, grid, record=record)
     memo = memo or _Memo(grid, addop, order, kernel.evaluate)
     L, plus, E = memo.term, memo.plus, memo.elems
     elems = memo.sorted()
@@ -135,7 +192,8 @@ def _wd_cases(kernel, addop, order, n, grid, memo=None):
 # ---------------------------------------------------------------------------
 
 def check_monotonicity(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
-                       n: int, grid: GridSpec) -> LawReport:
+                       n: int, grid: GridSpec, *,
+                       record: Optional[RunRecord] = None) -> LawReport:
     """Monotonicity characterization at arity n.
 
     Requires strict compatibility of the order with the addition on the
@@ -145,15 +203,19 @@ def check_monotonicity(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrde
     chain is checked on consecutive pairs, which is equivalent by
     transitivity.
     """
-    return run_law("monotonicity", _monotonicity_cases(kernel, addop, order, n, grid),
+    return run_law("monotonicity",
+                   _monotonicity_cases(kernel, addop, order, n, grid, record=record),
                    n=n, kernel=kernel.name, note=_RESOLUTION_NOTE.format(m=grid.m))
 
 
-def _monotonicity_cases(kernel, addop, order, n, grid, memo=None):
+@_recorded("monotonicity")
+def _monotonicity_cases(kernel, addop, order, n, grid, memo, record):
     _require_arity(n, "monotonicity")
-    _require(check_compatibility(addop, order, grid), "strict compatibility")
+    _require("strict compatibility", check_compatibility, addop, order, grid,
+             record=record)
     memo = memo or _Memo(grid, addop, order, kernel.evaluate)
-    yield from _tagged(_wd_cases(kernel, addop, order, n, grid, memo), condition="a:wd")
+    yield from _tagged(_wd_cases(kernel, addop, order, n, grid, memo, record),
+                       condition="a:wd")
     L, plus, E = memo.term, memo.plus, memo.elems
     elems = memo.sorted()
     coeffs = unit_grid(grid.m)
@@ -202,7 +264,8 @@ def _weight_pairs(coeffs):
 # ---------------------------------------------------------------------------
 
 def check_aggregation(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder,
-                      n: int, grid: GridSpec) -> LawReport:
+                      n: int, grid: GridSpec, *,
+                      record: Optional[RunRecord] = None) -> LawReport:
     """Aggregation-function characterization: monotonicity plus the two
     boundary sums over all non-increasing weight chains pinned at
     b1 = 1 and b_{n+1} = 0."""
@@ -210,8 +273,9 @@ def check_aggregation(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder
         _require_arity(n, "monotonicity")  # before the memo builds the grid
         memo = _Memo(grid, addop, order, kernel.evaluate)
         L, plus, E = memo.term, memo.plus, memo.elems
-        yield from _tagged(_monotonicity_cases(kernel, addop, order, n, grid, memo),
-                           failed_condition="monotonicity")
+        yield from _tagged(
+            _monotonicity_cases(kernel, addop, order, n, grid, memo, record),
+            failed_condition="monotonicity")
         zero = memo.id(zero_element(grid.kind, grid.dim))
         one = memo.id(one_element(grid.kind, grid.dim))
         coeffs = unit_grid(grid.m)
@@ -245,8 +309,8 @@ def check_delta_decomposition(delta, grid: GridSpec) -> LawReport:
     """
     delta_fn = resolve_delta(delta)
     d = projected_dissimilarity(delta, SCALAR)
-    _require(check_dissimilarity(d, ScalarUsual(), GridSpec(SCALAR, grid.m)),
-             f"delta {d.name!r} as a scalar dissimilarity")
+    _require(f"delta {d.name!r} as a scalar dissimilarity", check_dissimilarity,
+             d, ScalarUsual(), GridSpec(SCALAR, grid.m))
     coeffs = unit_grid(grid.m)
 
     def cases():

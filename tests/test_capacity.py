@@ -155,6 +155,16 @@ class TestExactValues:
             Capacity.from_json({"n": 2, "entries": [
                 {"subset": list(s), "value": x} for s, x in entries]})
 
+    def test_a_subset_listing_an_element_twice_is_refused(self):
+        # Not read as the set of its items: [1, 1] would be mu({1}).
+        entries = [((), 0), ((1,), 0.3), ((2,), 0.6), ((1, 2), 1)]
+        with pytest.raises(BadParameter, match=r"subset \[1, 1\] lists element 1 twice"):
+            capacity_from_table(2, entries + [((1, 1), 0.3)])
+        with pytest.raises(BadParameter, match=r"subset \[2, 1, 2\] lists element 2 twice"):
+            capacity_from_table(2, entries[:3] + [((2, 1, 2), 1)])
+        with pytest.raises(BadParameter, match="twice"):
+            capacity_from_table(2, entries).of_subset((2, 2))
+
 
 class TestFamilies:
     def test_cardinality(self):

@@ -356,6 +356,7 @@ MALFORMED_CAPACITIES = [
     {"n": 2, "entries": [{"subset": [0], "value": 0.5}]},
     {"n": 2, "entries": [{"subset": [1, -1], "value": 0.5}]},
     {"n": 2, "entries": [{"subset": [3], "value": 0.5}]},
+    {"n": 2, "entries": [{"subset": [1, 1], "value": 0.5}]},
     {"n": 1, "entries": [{"subset": [True], "value": True},
                          {"subset": [], "value": False}]},
     {"n": 1, "entries": [{"subset": [1], "value": 1},
@@ -984,6 +985,72 @@ class TestVerifyCommand:
             reports = json.loads((tmp_path / "r.json").read_text())
             assert [row[:4] for row in rows] == [
                 [r["suite"], r["law"], r["verdict"], str(r["checked"])] for r in reports]
+
+
+class TestVerifyRunRecord:
+    """One ``verify`` run does each enumeration once: its checks share one
+    record, which the next run does not see."""
+
+    @staticmethod
+    def reports(capsys, argv):
+        """The reports of ``main(argv)``, without ``elapsed``."""
+        assert main(argv) in (0, 3)
+        reports = json.loads(capsys.readouterr().out)
+        for report in reports:
+            del report["elapsed"]
+        return reports
+
+    def test_wd_terms_are_evaluated_once_per_run(self, monkeypatch, capsys):
+        # Each catalog kernel counts the terms its wd enumerations evaluate,
+        # per (spec, carrier, order); every enumeration is flagged while it
+        # advances.
+        terms, in_wd = {}, []
+        catalog, wd_cases = cli.kernel_catalog, verifier._wd_cases
+
+        def counted_catalog(spec, kind, order=None):
+            kernel = catalog(spec, kind, order)
+            calls = terms.setdefault((json.dumps(spec), kind, order.spec_string()), {})
+
+            def fn(*args, _fn=kernel.fn):
+                if in_wd:
+                    calls[args] = calls.get(args, 0) + 1
+                return _fn(*args)
+            object.__setattr__(kernel, "fn", fn)
+            return kernel
+
+        def flagged_wd_cases(*args, **kwargs):
+            cases = wd_cases(*args, **kwargs)
+            while True:
+                in_wd.append(True)
+                try:
+                    case = next(cases, StopIteration)
+                finally:
+                    in_wd.pop()
+                if case is StopIteration:
+                    return
+                yield case
+
+        monkeypatch.setattr(cli, "kernel_catalog", counted_catalog)
+        monkeypatch.setattr(verifier, "_wd_cases", flagged_wd_cases)
+        runs = []
+        for argv in (["--suite", "all"], ["--suite", "all"], ["--suite", "wd"]):
+            self.reports(capsys, ["verify", *argv, "--grid", "2"])
+            runs.append({key: dict(calls) for key, calls in terms.items()})
+            terms.clear()
+        first, second, wd_alone = runs
+        # 3 kernels on 3 carriers, and delta-scale on ab:0:1 as well.
+        assert len(first) == 10 and ('"delta-scale"', "interval", "ab:0:1") in first
+        assert all(calls and max(calls.values()) == 1 for calls in first.values())
+        assert second == first  # the second run pays its own calls
+        assert wd_alone == {key: first[key] for key in wd_alone}
+
+    @pytest.mark.parametrize("flags", [["--grid", "2"], ["--n", "4", "--grid", "2"]],
+                             ids=["grid-2", "n-4"])
+    def test_each_suite_alone_equals_its_section_of_all(self, capsys, flags):
+        every = self.reports(capsys, ["verify", "--suite", "all", *flags])
+        for suite in cli.SUITES:
+            alone = self.reports(capsys, ["verify", "--suite", suite, *flags])
+            assert alone == [r for r in every if r["suite"] == suite]
 
 
 class TestCommandLine:

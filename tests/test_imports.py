@@ -194,8 +194,9 @@ def test_oracles_stay_on_the_comparator(oracle):
 
 
 # The law checks memoize the addition and the kernel within one case
-# enumeration; the oracles that check them call both afresh.
-MEMO_HELPERS = {"_Memo"}
+# enumeration, and replay a repeated enumeration from the run's record;
+# the oracles that check them call both afresh.
+MEMO_HELPERS = {"_Memo", "RunRecord"}
 
 
 @pytest.mark.parametrize("oracle", ["brute_force_wd", "brute_force_monotonicity",

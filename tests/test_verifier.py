@@ -8,14 +8,15 @@ import pytest
 
 from choquetlike import (
     AdditionOp, AggregationInput, AlphaBeta, BOUNDED_SUM, GridSpec,
-    HypothesisViolated, IV_PLUS, KernelL, KindMismatch, MIN_OP, PLUS, Scalar,
-    ScalarUsual, VV_PLUS, VV_SCALE, Vector, VectorLex, add, brute_force_wd,
+    HypothesisViolated, IV_PLUS, KernelL, KindMismatch, MIN_OP, PLUS, RunRecord,
+    Scalar, ScalarUsual, VV_PLUS, VV_SCALE, Vector, VectorLex, add, brute_force_wd,
     capacity_battery, check_admissibility, check_aggregation, check_associativity,
     check_c1, check_cancellation, check_compatibility, check_delta_decomposition,
     check_jensen_f, check_monotonicity, check_wd, classical_kernel,
     elements_equal, grid_elements, kernel_catalog, oracle_crosscheck, scale,
     scale_for, zero_element,
 )
+from choquetlike.algebra import _Memo
 from choquetlike.reporting import run_law
 
 XU = AlphaBeta(0.5, 1.0)
@@ -262,6 +263,140 @@ class TestOncePerCheck:
                         lambda x, z: Vector((min(x.value, z.value),)))
         with pytest.raises(KindMismatch):
             check_associativity(op, SG)
+
+
+def reversed_weight_kernel():
+    """Well defined, but decreasing in its input: monotonicity fails."""
+    return KernelL(lambda x, prev, b1, b2: Scalar((b1 - b2) * (1.0 - x.value)),
+                   "reversed-weight-difference")
+
+
+def report_json(report):
+    """A report as ``verify`` writes it, apart from ``elapsed``."""
+    payload = report.to_json()
+    del payload["elapsed"]
+    return json.dumps(payload)
+
+
+class TestRunRecord:
+    """Within one record, a repeated enumeration or precheck is replayed;
+    every report equals the same check run without a record, witness and
+    ``checked`` included."""
+
+    CHECKS = (check_wd, check_monotonicity, check_aggregation)  # as the suites call them
+
+    def assert_replays_exactly(self, runs):
+        """Each ``(check, kernel, addop, order, n, grid)`` of ``runs``, in
+        turn with one shared record, against the same call without one.
+        The shared calls evaluate the kernels less often in all."""
+        calls = Counter()
+
+        def counting(fn):
+            def call(*args):
+                calls["all"] += 1
+                return fn(*args)
+            return call
+
+        for kernel in {run[1] for run in runs}:
+            object.__setattr__(kernel, "fn", counting(kernel.fn))
+        record = RunRecord()
+        for check, *config in runs:
+            before = calls["all"]
+            shared = check(*config, record=record)
+            calls["shared"] += calls["all"] - before
+            fresh = check(*config)
+            assert shared.witness == fresh.witness
+            assert report_json(shared) == report_json(fresh)
+        assert 0 < calls["shared"] < calls["all"] - calls["shared"]
+
+    @pytest.mark.parametrize("kind,order,addop,m", [
+        ("scalar", ScalarUsual(), PLUS, 4), ("interval", XU, IV_PLUS, 2)],
+        ids=["scalar", "ab:0.5:1"])
+    def test_nested_checks_replay_exactly(self, kind, order, addop, m):
+        grid = GridSpec(kind, m)
+        kernels = [kernel_catalog(spec, kind, order) for spec in (
+            {"family": "delta-scale", "delta": "sq-diff"}, "delta-scale")]
+        runs = [(check, kernel, addop, order, n, grid)
+                for kernel in kernels for n in (2, 3) for check in self.CHECKS]
+        self.assert_replays_exactly(runs)
+        # wd fails for delta-scale(sq-diff) and holds for the classical kernel.
+        assert [check_wd(*run[1:]).verdict for run in runs[::3]] == ["fail"] * 2 + ["pass"] * 2
+
+    def test_monotonicity_witness_replays_inside_aggregation(self):
+        kernel, order = reversed_weight_kernel(), ScalarUsual()
+        assert check_wd(kernel, PLUS, order, 3, SG).passed
+        report = check_monotonicity(kernel, PLUS, order, 3, SG)
+        assert report.witness["condition"] != "a:wd"
+        self.assert_replays_exactly(
+            [(check, kernel, PLUS, order, 3, SG) for check in self.CHECKS])
+
+    def test_kernels_under_one_name_never_share(self):
+        a = KernelL(classical_kernel("scalar").fn, "same-name")
+        b = KernelL(first_weight_kernel().fn, "same-name")
+        order = ScalarUsual()
+        assert check_wd(a, PLUS, order, 3, SG).passed
+        assert not check_wd(b, PLUS, order, 3, SG).passed
+        self.assert_replays_exactly([(check, kernel, PLUS, order, 3, SG)
+                                     for kernel in (a, b, a) for check in self.CHECKS])
+
+    def test_a_precheck_that_fails_raises_each_time(self):
+        kernel, order, record = classical_kernel("scalar"), ScalarUsual(), RunRecord()
+        for check in self.CHECKS * 2:
+            with pytest.raises(HypothesisViolated):
+                check(kernel, MIN_OP, order, 3, SG, record=record)
+
+    def test_an_enumeration_that_raises_records_nothing(self):
+        # The kernel raises on its 50th call, part way through the wd cases;
+        # the same record then runs the enumeration afresh.
+        weight = classical_kernel("scalar").fn
+        calls = []
+
+        def flaky(x, prev, b1, b2):
+            calls.append(None)
+            if len(calls) == 50:
+                raise RuntimeError("kernel gave up")
+            return weight(x, prev, b1, b2)
+
+        kernel, order, record = KernelL(flaky, "flaky-weight-difference"), ScalarUsual(), \
+            RunRecord()
+        with pytest.raises(RuntimeError):
+            check_monotonicity(kernel, PLUS, order, 3, SG, record=record)
+        for check in self.CHECKS:
+            shared = check(kernel, PLUS, order, 3, SG, record=record)
+            assert shared.passed
+            assert report_json(shared) == report_json(check(kernel, PLUS, order, 3, SG))
+
+    def test_a_repeat_makes_no_calls(self):
+        fn, calls = counted(classical_kernel("scalar").fn)
+        kernel, order, record = KernelL(fn, "counted-weight-difference"), ScalarUsual(), \
+            RunRecord()
+        check_wd(kernel, PLUS, order, 3, SG, record=record)
+        total = sum(calls.values())
+        assert check_wd(kernel, PLUS, order, 3, SG, record=record).passed
+        assert sum(calls.values()) == total
+
+
+class TestMemoEqual:
+    """``_Memo.equal`` gives ``elements_equal``'s verdict on the elements
+    behind two ids, ``KindMismatch`` on two carriers included."""
+
+    @pytest.mark.parametrize("x,z", [
+        (Scalar(0.25), Scalar(0.25 + 1e-13)), (Scalar(0.25), Scalar(0.25 + 1e-11)),
+        (Vector((0.5, 0.25)), Vector((0.5, 0.25 + 1e-13))),
+        (Vector((0.5, 0.25)), Vector((0.5 + 1e-11, 0.25)))])
+    def test_within_tol(self, x, z):
+        memo = _Memo(GridSpec(x.kind, 2, dim=x.dim))
+        assert memo.equal(memo.id(x), memo.id(z)) == elements_equal(x, z)
+
+    @pytest.mark.parametrize("grid,z", [
+        (GridSpec("scalar", 2), Vector((0.0,))),
+        (GridSpec("interval", 2), Vector((0.0, 0.0))),
+        (GridSpec("vector", 2, dim=2), Vector((0.0, 0.0, 0.0)))],
+        ids=["scalar-vs-vector", "interval-vs-vector", "dim-2-vs-dim-3"])
+    def test_carrier_mismatch_raises(self, grid, z):
+        memo = _Memo(grid)
+        with pytest.raises(KindMismatch):
+            memo.equal(0, memo.id(z))
 
 
 class TestBruteForceAndOracle:
