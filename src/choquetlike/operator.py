@@ -15,11 +15,15 @@ additions and scalings work component by component. So each catalog
 kernel is defined once, on component tuples, and ``KernelL.evaluate``
 lifts it to elements. The two functions defined on elements, a custom
 kernel and an addition without ``term``, reach the tuples through one
-lift, ``_on_components``. ``choquet_aggregate`` folds each row on
-component tuples, checks every kernel term as ``evaluate`` checks its
-output, and builds one element per row. ``_eval_sorted`` folds on
-elements with the addition's ``fn`` and stays the reference that
-``choquet_eval`` and the brute-force oracles call.
+lift, ``_on_components``. ``choquet_aggregate`` folds each row with one
+fold, ``_fold``, on component tuples: it walks sigma, reads each tail
+weight from the capacity table as it drops an input from the tail (the
+empty tail weighs 0.0), checks every kernel term as ``evaluate`` checks
+its output, and makes one element of the sum per row. Strict rows,
+the first permutation of a tied row and the tie walk's candidates all
+take this fold. ``_eval_sorted`` folds on elements with the addition's
+``fn`` and stays the reference that ``choquet_eval`` and the brute-force
+oracles call.
 
 A row whose inputs are pairwise strictly ordered has one admissible
 permutation. ``choquet_aggregate`` reads each input's component tuple
@@ -155,33 +159,37 @@ def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool) -> Ker
     return kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AggregationInput:
-    """One aggregation instance: inputs, capacity, order, and addition."""
+    """One aggregation instance: inputs, capacity, order, and addition.
+    A tuple of inputs is kept as given, any other iterable made a tuple;
+    the checks run in ``__init__`` (``init=False``), one frame per row."""
 
     X: tuple[Element, ...]
     mu: Capacity
     order: AdmissibleOrder
     addop: AdditionOp
 
-    def __post_init__(self):
-        X = tuple(self.X)
-        object.__setattr__(self, "X", X)
+    def __init__(self, X, mu: Capacity, order: AdmissibleOrder, addop: AdditionOp):
+        if type(X) is not tuple:
+            X = tuple(X)
         if len(X) < 2:
             raise BadParameter("aggregation needs at least two inputs")
         kind, dim = X[0].kind, X[0].dim
         for x in X[1:]:
             if x.kind != kind or x.dim != dim:
                 raise KindMismatch("all inputs must share carrier kind and dimension")
-        if self.mu.n != len(X):
-            raise BadParameter(f"capacity is on [{self.mu.n}] but there are "
+        if mu.n != len(X):
+            raise BadParameter(f"capacity is on [{mu.n}] but there are "
                                f"{len(X)} inputs")
-        if self.order.kind != kind:
+        if order.kind != kind:
             raise KindMismatch("order carrier does not match the inputs")
-        if self.order.dim not in (None, dim):
+        if order.dim not in (None, dim):
             raise KindMismatch("vector dimension does not match the order")
-        if self.addop.kind != kind:
+        if addop.kind != kind:
             raise KindMismatch("addition carrier does not match the inputs")
+        # Frozen, so the fields are set past ``__setattr__``, once.
+        self.__dict__.update(X=X, mu=mu, order=order, addop=addop)
 
 
 # ---------------------------------------------------------------------------
@@ -278,39 +286,25 @@ def _eval_sorted(inp: AggregationInput, kernel: KernelL, sigma) -> Element:
     return acc
 
 
-class _Fold:
-    """The operator on one row's component tuples ``comps``, those of
-    ``inp.X``: the kernel term, checked as ``KernelL.evaluate`` checks its
-    output, and the addition. A custom kernel or an addition without a
-    component form is lifted from elements by ``_on_components``."""
-
-    def __init__(self, inp: AggregationInput, kernel: KernelL, comps: list):
-        x0 = inp.X[0]
-        kind, dim = x0.kind, x0.dim
-        if kernel.kind not in (None, kind):
-            raise KindMismatch(f"kernel {kernel.name!r} is defined on "
-                               f"{kernel.kind} inputs, got {x0!r}")
-        self.make = carrier(kind).make
-        self.comps = comps
-        self.zero = (0.0,) * dim
-        self.values = inp.mu.values
-        self.term = kernel.term or _on_components(
-            kernel.evaluate, kind, f"kernel {kernel.name!r}")
-        self.plus = inp.addop.term or _on_components(
-            inp.addop.fn, kind, f"addition {inp.addop.name!r}")
-
-    def __call__(self, sigma) -> tuple:
-        comps, term, plus = self.comps, self.term, self.plus
-        b = _tail_weights(self.values, sigma)
-        prev = comps[sigma[0]]
-        acc = term(prev, self.zero, b[0], b[1])
-        for i in range(1, len(sigma)):
-            x = comps[sigma[i]]
-            acc = plus(acc, term(x, prev, b[i], b[i + 1]))
-            prev = x
-        if len(acc) != len(self.zero):  # a vector kernel of another dimension
-            raise KindMismatch(f"the fold left the carrier of the inputs: {acc!r}")
-        return acc
+def _fold(comps: list, sigma, values, term, plus) -> tuple:
+    """The operator along ``sigma`` on one row's component tuples ``comps``:
+    ``term(x, prev, b1, b2)`` for each input in turn, summed left to right
+    by ``plus``. Each tail weight b_i = mu({sigma(i), ..., sigma(n)}) is
+    read from the capacity table ``values`` as the walk drops sigma(i-1)
+    from the tail; the empty tail weighs 0.0, as in ``tail_values``, and
+    never ``values[0]``, which a table may store as -0.0."""
+    tail = (1 << len(comps)) - 1
+    b1, prev, acc = values[tail], (0.0,) * len(comps[0]), None
+    for j in sigma:
+        tail ^= 1 << j
+        b2 = values[tail] if tail else 0.0
+        x = comps[j]
+        t = term(x, prev, b1, b2)
+        acc = t if acc is None else plus(acc, t)
+        prev, b1 = x, b2
+    if len(acc) != len(prev):  # a vector kernel of another dimension
+        raise KindMismatch(f"the fold left the carrier of the inputs: {acc!r}")
+    return acc
 
 
 def _close(a: tuple, c: tuple) -> bool:
@@ -318,18 +312,19 @@ def _close(a: tuple, c: tuple) -> bool:
     return all(abs(p - q) <= TOL for p, q in zip(a, c))
 
 
-def _tie_candidates(fold: _Fold, perms: PermutationSet):
+def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus):
     """``(sigma, value)`` for admissible permutations reaching every distinct
     value, by a walk over the states of each tie group in ``first()`` order.
     A state (the inputs placed so far) fixes the tail weights ahead, so it
     keeps one prefix per distinct partial sum. The first time a state holds
     two, both are completed in ``first()`` order and yielded at once with
-    their folds (the addition may still merge them); at the end, one prefix
-    per distinct full value with the walk's sum, which is ``fold(prefix)``
-    bit for bit: the same terms, tail weights and order of additions."""
-    comps, term, plus, zero = fold.comps, fold.term, fold.plus, fold.zero
+    their ``_fold`` (the addition may still merge them); at the end, one
+    prefix per distinct full value with the walk's sum, which is ``_fold``
+    along the prefix bit for bit: the same terms, tail weights and order of
+    additions. The arguments after ``perms`` are ``_fold``'s."""
     first, full = perms.first(), (1 << len(comps)) - 1
-    values = (0.0,) + fold.values[1:]  # the empty tail weighs 0, as in tail_values
+    zero = (0.0,) * len(comps[0])
+    tails = (0.0,) + values[1:]  # the empty tail weighs 0, as in _fold
     states = {0: [((), None)]}  # placed mask -> [(prefix, partial sum)]
     split = False
     for group in perms.groups:
@@ -337,7 +332,7 @@ def _tie_candidates(fold: _Fold, perms: PermutationSet):
             reached = {}
             for mask, entries in states.items():
                 for j in (j for j in group if not mask >> j & 1):
-                    b1, b2 = values[full & ~mask], values[full & ~(mask | 1 << j)]
+                    b1, b2 = tails[full & ~mask], tails[full & ~(mask | 1 << j)]
                     kept = reached.setdefault(mask | 1 << j, [])
                     for prefix, acc in entries:
                         prev = comps[prefix[-1]] if prefix else zero
@@ -349,7 +344,7 @@ def _tie_candidates(fold: _Fold, perms: PermutationSet):
                                 split = True
                                 for p, _ in kept:
                                     sigma = p + tuple(i for i in first if i not in p)
-                                    yield sigma, fold(sigma)
+                                    yield sigma, _fold(comps, sigma, values, term, plus)
             states = reached
     yield from states[full]
 
@@ -381,9 +376,10 @@ def _certified(inp: AggregationInput, kernel: KernelL, comps: list, groups) -> b
 def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult:
     """Evaluate along the first admissible permutation and decide exactly
     whether every admissible permutation gives that value. A row that
-    ``_strict_chain`` orders has one admissible permutation and is folded
-    once. Every other row takes ``PermutationSet``; a tie group of more
-    than ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``.
+    ``_strict_chain`` orders has one admissible permutation. Every other
+    row takes ``PermutationSet``; a tie group of more than
+    ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``. Either way the row is
+    folded once by ``_fold`` along its first admissible permutation.
 
     Such a row is certified consistent, with ``checked`` 1, when (1) the
     kernel is ``tie_invariant``, (2) the addition is ``addition_for(kind)``
@@ -401,32 +397,40 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     alone). Inconsistency is reported, never raised; the witness carries
     two permutations and their values. The value, bit for bit, is
     ``choquet_eval`` along the first permutation."""
-    comps = [x.components for x in inp.X]
-    chain = _strict_chain(comps, inp.order)
-    if chain is not None:
-        fold = _Fold(inp, kernel, comps)
-        return AggregateResult(value=fold.make(fold(chain)), consistent=True,
-                               permutations=1, checked=1)
-    perms = PermutationSet(inp.X, inp.order)
-    if max(map(len, perms.groups)) > MAX_TIE_GROUP:
-        raise TooManyTies(f"a tie group has more than {MAX_TIE_GROUP} inputs")
-    fold = _Fold(inp, kernel, comps)
-    first = perms.first()
-    base = fold(first)
-    value = fold.make(base)
+    X = inp.X
+    comps = [x.components for x in X]
+    perms = None
+    sigma = _strict_chain(comps, inp.order)
+    if sigma is None:
+        perms = PermutationSet(X, inp.order)
+        if max(map(len, perms.groups)) > MAX_TIE_GROUP:
+            raise TooManyTies(f"a tie group has more than {MAX_TIE_GROUP} inputs")
+        sigma = perms.first()
+    kind = X[0].kind
+    if kernel.kind not in (None, kind):
+        raise KindMismatch(f"kernel {kernel.name!r} is defined on "
+                           f"{kernel.kind} inputs, got {X[0]!r}")
+    # A custom kernel or an addition without a component form is lifted
+    # from elements.
+    term = kernel.term or _on_components(kernel.evaluate, kind, f"kernel {kernel.name!r}")
+    plus = inp.addop.term or _on_components(inp.addop.fn, kind,
+                                            f"addition {inp.addop.name!r}")
+    values, make = inp.mu.values, carrier(kind).make
+    base = _fold(comps, sigma, values, term, plus)
+    value = make(base)
+    if perms is None:
+        return AggregateResult(value, True, 1, 1)
     if _certified(inp, kernel, comps, perms.groups):
-        return AggregateResult(value=value, consistent=True,
-                               permutations=perms.count, checked=1)
+        return AggregateResult(value, True, perms.count, 1)
     witness = None
     checked = 0
-    for checked, (sigma, v) in enumerate(_tie_candidates(fold, perms), 1):
+    walk = _tie_candidates(comps, perms, values, term, plus)
+    for checked, (other, v) in enumerate(walk, 1):
         if not _close(v, base):
-            witness = {"sigma_a": first, "value_a": value,
-                       "sigma_b": sigma, "value_b": fold.make(v)}
+            witness = {"sigma_a": sigma, "value_a": value,
+                       "sigma_b": other, "value_b": make(v)}
             break
-    return AggregateResult(value=value, consistent=witness is None,
-                           permutations=perms.count, checked=checked,
-                           witness=witness)
+    return AggregateResult(value, witness is None, perms.count, checked, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,9 @@ def _check_component(v: float, what: str) -> float:
     return float(v)
 
 
-@dataclass(frozen=True, slots=True)
+# The element types check their components in their own ``__init__``
+# (``init=False``), so building an element costs one Python frame.
+@dataclass(frozen=True, slots=True, init=False)
 class Scalar:
     """A finite nonnegative real; ``kind`` is ``SCALAR`` and ``dim`` is 1."""
 
@@ -55,11 +57,10 @@ class Scalar:
     kind = SCALAR
     dim = 1
 
-    def __post_init__(self):
-        v = self.value
-        if type(v) is float and 0.0 <= v < _INF:
-            return
-        object.__setattr__(self, "value", _check_component(v, "scalar value"))
+    def __init__(self, value: float):
+        if not (type(value) is float and 0.0 <= value < _INF):
+            value = _check_component(value, "scalar value")
+        object.__setattr__(self, "value", value)
 
     @property
     def components(self) -> tuple[float, ...]:
@@ -73,7 +74,7 @@ class Scalar:
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Interval:
     """A closed interval of finite nonnegative reals; ``kind`` is
     ``INTERVAL`` and ``dim`` is 2."""
@@ -83,16 +84,15 @@ class Interval:
     kind = INTERVAL
     dim = 2
 
-    def __post_init__(self):
-        lo, hi = self.lower, self.upper
-        if type(lo) is float and type(hi) is float and 0.0 <= lo <= hi < _INF:
-            return
-        lo = _check_component(lo, "interval lower endpoint")
-        hi = _check_component(hi, "interval upper endpoint")
-        if hi < lo:
-            raise BadParameter(f"interval endpoints out of order: [{lo}, {hi}]")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+    def __init__(self, lower: float, upper: float):
+        if not (type(lower) is float and type(upper) is float
+                and 0.0 <= lower <= upper < _INF):
+            lower = _check_component(lower, "interval lower endpoint")
+            upper = _check_component(upper, "interval upper endpoint")
+            if upper < lower:
+                raise BadParameter(f"interval endpoints out of order: [{lower}, {upper}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @property
     def components(self) -> tuple[float, ...]:
@@ -110,7 +110,7 @@ class Interval:
         return [self.lower, self.upper]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vector:
     """A finite point of [0, inf)^k, k >= 1; ``kind`` is ``VECTOR`` and
     ``dim`` is k."""
@@ -118,14 +118,12 @@ class Vector:
     coords: tuple[float, ...]
     kind = VECTOR
 
-    def __post_init__(self):
-        coords = self.coords
-        if type(coords) is tuple and coords and all(
-                type(c) is float and 0.0 <= c < _INF for c in coords):
-            return
-        coords = tuple(_check_component(c, "vector coordinate") for c in coords)
-        if not coords:
-            raise BadParameter("vector needs at least one coordinate")
+    def __init__(self, coords: tuple[float, ...]):
+        if not (type(coords) is tuple and coords and all(
+                type(c) is float and 0.0 <= c < _INF for c in coords)):
+            coords = tuple(_check_component(c, "vector coordinate") for c in coords)
+            if not coords:
+                raise BadParameter("vector needs at least one coordinate")
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -394,11 +392,23 @@ def parse_order(spec: str) -> AdmissibleOrder:
         parts = spec.split(":")
         if len(parts) != 3:
             raise BadParameter(f"bad order spec: {spec!r}")
-        return AlphaBeta(float(parts[1]), float(parts[2]))
+        return AlphaBeta(*_spec_numbers(spec, parts[1:], float))
     if spec.startswith("veclex:"):
-        perm = tuple(int(p) - 1 for p in spec[len("veclex:"):].split(","))
-        return VectorLex(perm)
+        perm = _spec_numbers(spec, spec[len("veclex:"):].split(","), int)
+        if sorted(perm) != list(range(1, len(perm) + 1)):
+            raise BadParameter(f"bad order spec: {spec!r}: the priority must be a "
+                               f"permutation of 1..{len(perm)}")
+        return VectorLex(tuple(p - 1 for p in perm))
     raise BadParameter(f"bad order spec: {spec!r}")
+
+
+def _spec_numbers(spec: str, fields: list[str], cast) -> list:
+    """``fields`` of the order spec ``spec``, each read by ``cast``; a field
+    that ``cast`` refuses refuses the spec."""
+    try:
+        return [cast(f) for f in fields]
+    except ValueError:
+        raise BadParameter(f"bad order spec: {spec!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,58 @@
+"""A guard on the Python calls that building an element and aggregating
+one strict row make. Each bound is the count the code reaches; a change
+that adds a frame to these paths fails here and states its cost."""
+
+import sys
+
+import pytest
+
+from choquetlike import (
+    AggregationInput, AlphaBeta, Interval, Scalar, ScalarUsual, addition_for,
+    capacity_family, choquet_aggregate, kernel_catalog,
+)
+
+
+def calls_made(thunk) -> int:
+    """The number of Python-level calls (``call`` events under
+    ``sys.setprofile``) that ``thunk()`` makes, ``thunk`` itself not counted."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(previous)
+    return len(calls) - 1
+
+
+def aggregating(row, order, kernel):
+    """A thunk of one library call on ``row``: ``choquet_aggregate`` of its
+    ``AggregationInput`` under a random capacity and the carrier's addition."""
+    mu = capacity_family("uniform-random", len(row), seed=3)
+    addop = addition_for(order.kind)
+    return lambda: choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
+
+
+XU = AlphaBeta(0.5, 1.0)
+# The two strict rows have 5 inputs each, their leads far more than TOL apart.
+CASES = {  # id: (thunk, the most calls it may make)
+    "scalar": (lambda: Scalar(0.5), 1),
+    "interval": (lambda: Interval(0.2, 0.5), 1),
+    "scalar-row": (aggregating(
+        tuple(map(Scalar, (0.1, 0.5, 0.3, 0.9, 0.7))), ScalarUsual(),
+        kernel_catalog("delta-scale", "scalar")), 44),
+    "interval-row": (aggregating(
+        tuple(Interval(lo, lo + 0.1) for lo in (0.1, 0.5, 0.3, 0.8, 0.65)), XU,
+        kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", XU)), 64),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_calls_stay_within_their_bound(case):
+    thunk, bound = CASES[case]
+    assert calls_made(thunk) <= bound

@@ -3,8 +3,12 @@ every entry point, grids and constant elements pinned element for element
 and bit for bit, and the ``bounded`` contract the catalog kernels' fast
 path relies on."""
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +102,53 @@ def test_constant_elements_are_pinned(kind, dim, zero, one):
 def test_a_vector_constant_needs_a_dimension():
     with pytest.raises(BadParameter, match="at least one coordinate"):
         zero_element(VECTOR, 0)
+
+
+# Each element type checks its components in its own ``__init__``. Per
+# kind: the type, int components and the float fields they make, the
+# repr, a field with another value for ``replace``, and arguments the
+# constructor refuses with their messages.
+CONSTRUCTORS = {
+    SCALAR: (Scalar, (1,), {"value": 1.0}, "Scalar(value=1.0)", ("value", 0.25), [
+        ((math.nan,), "scalar value is NaN"),
+        ((-1,), "scalar value must be nonnegative, got -1"),
+        ((math.inf,), "scalar value must be finite, got inf")]),
+    INTERVAL: (Interval, (0, 1), {"lower": 0.0, "upper": 1.0},
+               "Interval(lower=0.0, upper=1.0)", ("upper", 0.5), [
+        ((math.nan, 0.5), "interval lower endpoint is NaN"),
+        ((0.1, -0.5), "interval upper endpoint must be nonnegative, got -0.5"),
+        ((0.1, math.inf), "interval upper endpoint must be finite, got inf"),
+        ((0.5, 0.2), "interval endpoints out of order: [0.5, 0.2]"),
+        ((1, 0), "interval endpoints out of order: [1.0, 0.0]")]),
+    VECTOR: (Vector, ((1, 0),), {"coords": (1.0, 0.0)}, "Vector(coords=(1.0, 0.0))",
+             ("coords", (0.5,)), [
+        (((0.1, math.nan),), "vector coordinate is NaN"),
+        (([-1.0],), "vector coordinate must be nonnegative, got -1.0"),
+        (((math.inf,),), "vector coordinate must be finite, got inf"),
+        (((),), "vector needs at least one coordinate")]),
+}
+
+
+@pytest.mark.parametrize("kind", [SCALAR, INTERVAL, VECTOR])
+def test_element_constructor_contract(kind):
+    cls, ints, fields, text, (name, other), refusals = CONSTRUCTORS[kind]
+    x = cls(*ints)
+    assert {f.name: getattr(x, f.name) for f in dataclasses.fields(x)} == fields
+    assert all(type(c) is float for c in x.components)
+    assert repr(x) == text
+    assert x == cls(**fields) and hash(x) == hash(cls(**fields))
+    changed = dataclasses.replace(x, **{name: other})
+    assert changed == cls(**{**fields, name: other}) and changed != x
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is cls and twin == x and repr(twin) == text
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(x, name, other)
+    for args, message in refusals:
+        with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
+            cls(*args)
+        # ``replace`` builds through the same checks.
+        with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(x, **dict(zip(fields, args)))
 
 
 # Components at and around the edges of the bounded set: signed zeros,

@@ -190,7 +190,7 @@ def test_detects_a_reached_name():
 def test_oracles_stay_on_the_comparator(oracle):
     reached = reached_names((PACKAGE / "verifier.py").read_text(encoding="utf-8"), oracle)
     assert {"PermutationSet", "_eval_sorted"} <= reached
-    assert not reached & {"lead", "_strict_chain", "choquet_aggregate", "_Fold"}
+    assert not reached & {"lead", "_strict_chain", "choquet_aggregate", "_fold"}
 
 
 # The law checks memoize the addition and the kernel within one case

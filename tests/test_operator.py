@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import math
 import random
 import re
 from unittest import mock
@@ -25,7 +26,7 @@ from choquetlike import (
 from choquetlike import operator as operator_module
 from choquetlike.algebra import MultiplicationOp
 from choquetlike.dissimilarity import _DELTAS, _MEANS
-from choquetlike.operator import _CARRIER_FNS, MAX_TIE_GROUP, _Fold, _tie_candidates
+from choquetlike.operator import _CARRIER_FNS, MAX_TIE_GROUP, _fold, _tie_candidates
 from oracles import classical_choquet_increments, classical_choquet_mobius, mu_lookup
 
 XU = AlphaBeta(0.5, 1.0)
@@ -312,10 +313,10 @@ class TestTieWalk:
                 levels = [_random_element(rng, kind) for _ in range(rng.randint(1, 3))]
                 X = tuple(rng.choice(levels) for _ in range(n))
                 mu = capacity_family("uniform-random", n, seed=rng.randint(0, 9999))
-                fold = _Fold(AggregationInput(X, mu, order, addop), kernel,
-                             [x.components for x in X])
-                for sigma, value in _tie_candidates(fold, PermutationSet(X, order)):
-                    assert list(map(float.hex, value)) == list(map(float.hex, fold(sigma)))
+                comps, ops = [x.components for x in X], (mu.values, kernel.term, addop.term)
+                for sigma, value in _tie_candidates(comps, PermutationSet(X, order), *ops):
+                    folded = _fold(comps, sigma, *ops)
+                    assert list(map(float.hex, value)) == list(map(float.hex, folded))
                     drawn += 1
         assert drawn > 400, drawn
 
@@ -520,13 +521,23 @@ class TestNearTolerance:
     def test_aggregate_agrees_with_the_comparator_sort(self, kind, spacing):
         """Rows whose leads sit ``spacing`` apart, with exact ties: a row
         with one admissible permutation under ``PermutationSet`` is folded
-        once along it, whichever path ``choquet_aggregate`` takes."""
+        once along it, whichever path ``choquet_aggregate`` takes.
+
+        Every odd row's capacity table stores -0.0 at the empty set, which
+        no tail weight may read: b_{n+1} is 0.0, and the custom kernel
+        ``signed-b2`` halves its weight on a negative zero. Every third row
+        adds with a custom addition, which has no ``term``."""
         order, addop = {"scalar": (ScalarUsual(), PLUS), "interval": (XU, IV_PLUS),
                         "vector": (VectorLex((0, 1)), VV_PLUS)}[kind]
+        custom_addop = AdditionOp("custom-plus", kind, addop.fn)
+        mul = scale_for(kind)
+        signed_b2 = KernelL(lambda x, prev, b1, b2: scale(
+            mul, (b1 - b2) * (0.5 if math.copysign(1.0, b2) < 0 else 1.0), x), "signed-b2")
         rng = random.Random(f"lead-{kind}-{spacing}")
         single = 0
         for r in range(120):
-            kernel = _kernel(("classical", "b-scale-d", "b1-x")[r % 3], kind, order)
+            kernel = (signed_b2 if r % 4 == 3 else
+                      _kernel(("classical", "b-scale-d", "b1-x")[r % 4], kind, order))
             base, width = rng.uniform(0.1, 0.8), rng.choice((0.0, 0.1))
             offsets = [rng.randint(0, 3) * spacing for _ in range(rng.randint(2, 6))]
             X = tuple({"scalar": lambda t: Scalar(base + t),
@@ -534,7 +545,9 @@ class TestNearTolerance:
                        "vector": lambda t: Vector((base + t, rng.choice((0.2, 0.6)))),
                        }[kind](t) for t in offsets)
             mu = capacity_family("uniform-random", len(X), seed=rng.randint(0, 9999))
-            inp = AggregationInput(X, mu, order, addop)
+            if r % 2:
+                mu = Capacity(mu.n, (-0.0,) + mu.values[1:])
+            inp = AggregationInput(X, mu, order, custom_addop if r % 3 == 0 else addop)
             perms = PermutationSet(X, order)
             res = choquet_aggregate(inp, kernel)
             assert res.permutations == perms.count
@@ -581,7 +594,7 @@ def _exactly_tied_rows(draw):
     return AggregationInput(X, mu, order, addop), kernel_catalog(spec, kind, order)
 
 
-def _no_walk(fold, perms):
+def _no_walk(comps, perms, *ops):
     raise AssertionError("a certified row reached the tie walk")
 
 
@@ -604,9 +617,10 @@ class TestCertifiedTies:
             _bits(base), consistent, perms.count, 1)
         # The family's theorem in floats: the walk finds no value beyond TOL,
         # and draws one candidate, the ``checked`` it would have reported.
-        fold = _Fold(inp, kernel, [x.components for x in inp.X])
-        first = fold(perms.first())
-        candidates = [value for _, value in _tie_candidates(fold, perms)]
+        comps = [x.components for x in inp.X]
+        ops = (inp.mu.values, kernel.term, inp.addop.term)
+        first = _fold(comps, perms.first(), *ops)
+        candidates = [value for _, value in _tie_candidates(comps, perms, *ops)]
         assert len(candidates) == 1
         assert all(abs(a - b) <= TOL for a, b in zip(candidates[0], first))
 
@@ -615,9 +629,9 @@ class TestCertifiedTies:
         """The permutation counts of the rows that reach the tie walk."""
         calls, walk = [], operator_module._tie_candidates
 
-        def counted(fold, perms):
+        def counted(comps, perms, *ops):
             calls.append(perms.count)
-            return walk(fold, perms)
+            return walk(comps, perms, *ops)
 
         monkeypatch.setattr(operator_module, "_tie_candidates", counted)
         return calls

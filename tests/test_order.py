@@ -1,6 +1,7 @@
 """Carrier elements, partial orders, and admissible orders."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -225,8 +226,15 @@ class TestOrderSpecs:
             AlphaBeta(1.5, 0.0)
 
     def test_bad_specs(self):
-        for spec in ("nope", "ab:0.5", "veclex:1,3"):
-            with pytest.raises(BadParameter):
+        # A field that int() or float() refuses refuses the spec alike.
+        for spec in ("nope", "ab:0.5", "veclex:a,b", "veclex:1,,2", "veclex:1.5",
+                     "ab:x:1"):
+            with pytest.raises(BadParameter, match=re.escape(f"bad order spec: {spec!r}") + "$"):
+                parse_order(spec)
+        # The priority is named in the 1-based terms of the spec.
+        for spec in ("veclex:1,3", "veclex:-1,0"):
+            with pytest.raises(BadParameter, match=re.escape(
+                    f"bad order spec: {spec!r}: the priority must be a permutation of 1..2")):
                 parse_order(spec)
 
 
