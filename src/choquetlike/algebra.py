@@ -135,11 +135,11 @@ class _Memo:
 
 
 def unit_coefficient(c: float) -> float:
-    """A scaling coefficient: c clamped to [0, 1] when it lies within
-    ``TOL`` of it; farther out, ``ScaleOutOfRange``."""
-    if not (-TOL <= c <= 1.0 + TOL):
+    """A scaling coefficient: c itself when it lies in [0, 1], taken
+    exactly; anything else, NaN included, raises ``ScaleOutOfRange``."""
+    if not 0.0 <= c <= 1.0:
         raise ScaleOutOfRange(f"coefficient must lie in [0, 1], got {c}")
-    return min(max(c, 0.0), 1.0)
+    return c
 
 
 def scale(op: MultiplicationOp, c: float, x: Element) -> Element:
@@ -277,7 +277,7 @@ def check_distributivity(mul: MultiplicationOp, addop: AdditionOp, side: str,
 
     def right():
         for c1, c2 in itertools.combinations_with_replacement(coeffs, 2):
-            if c1 + c2 > 1.0 + TOL:
+            if c1 + c2 > 1.0:
                 continue
             for x in elems:
                 lhs = scale(mul, c1 + c2, x)
@@ -322,7 +322,7 @@ def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
         by_diff: dict[tuple, list] = {}
         for i, j, diff in upairs:
             by_diff.setdefault(diff, []).append((i, j))
-        bpairs = [(b1, b2) for b1 in coeffs for b2 in coeffs if b2 <= b1 + TOL]
+        bpairs = [(b1, b2) for k, b1 in enumerate(coeffs) for b2 in coeffs[:k + 1]]
         scaled = {b: [memo.id(scale(mul, b, E[i])) for i in memo.grid] for b in coeffs}
         for i1, i2, diff in upairs:
             for j1, j2 in by_diff[diff]:

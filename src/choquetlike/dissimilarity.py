@@ -222,8 +222,7 @@ def _takac_term(alpha: float, m_d, delta_d):
 
         lo = kz - alpha * wz
         hi = kz + (1.0 - alpha) * wz
-        slack = 1e-9
-        if lo < -slack or hi > 1.0 + slack or hi < lo - slack:
+        if lo < -TOL or hi > 1.0 + TOL or hi < lo - TOL:
             raise ReconstructionOutOfK(
                 f"reconstructed interval [{lo}, {hi}] leaves [0, 1]")
         lo = min(max(lo, 0.0), 1.0)
@@ -234,8 +233,8 @@ def _takac_term(alpha: float, m_d, delta_d):
 
 def takac_dissimilarity_fn(alpha: float, m_d, delta_d) -> DissimilarityFn:
     """The Takac construction (``_takac_term``) as a dissimilarity. It is
-    bounded by 1 on any inputs: each output lies in [0, 1], clamped there
-    when it leaves by at most 1e-9, and ``ReconstructionOutOfK`` beyond."""
+    bounded by 1 on any inputs: each output lies in [0, 1], rounding that
+    leaves it by at most ``TOL`` undone, and ``ReconstructionOutOfK`` beyond."""
     m_name = m_d if isinstance(m_d, str) else "custom"
     d_name = delta_d if isinstance(delta_d, str) else "custom"
     term = _takac_term(alpha, m_d, delta_d)
@@ -348,7 +347,7 @@ def takac_counterexample(alpha: float, beta: float, m_d, delta_d,
             z12 = d(x2, x1)
             z2 = d(x2, zero)
             lhs = add(IV_PLUS, z1, z12)
-            if elements_equal(lhs, z2, tol=1e-9):
+            if elements_equal(lhs, z2):
                 yield None
             else:
                 ka1, ka2 = k_alpha(x1, alpha), k_alpha(x2, alpha)

@@ -55,7 +55,6 @@ from .errors import (
 from .order import TOL, AdmissibleOrder, Element, carrier, zero_element
 
 MAX_TIE_GROUP = 16
-SNAP = 1e-9  # how far above 1 a kernel output is snapped to it
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,11 @@ class KernelL:
     """Kernel of the operator, always called as ``fn(current, previous,
     b1, b2)``: the current input, the previous input of the chain (the
     least element before the first), and the two adjacent tail weights.
-    A kernel may ignore any of them. Outputs must stay in the
-    unit-bounded carrier; values beyond ``SNAP`` above 1 raise, smaller
-    overshoots are snapped. ``evaluate`` also checks that the output lies
-    on the carrier of the current input (same ``kind`` and ``dim``) and
-    raises ``KindMismatch`` otherwise, so a fold over kernel outputs needs
-    no further carrier checks.
+    A kernel may ignore any of them. An output not ``in_unit`` raises
+    ``KernelRangeError``; none is snapped. ``evaluate`` also checks that
+    the output lies on the carrier of the current input (same ``kind``
+    and ``dim``) and raises ``KindMismatch`` otherwise, so a fold over
+    kernel outputs needs no further carrier checks.
 
     A custom kernel, ``KernelL(fn, name)`` or ``f_difference_kernel(F)``,
     is ``fn`` alone. Only the catalog constructors set the other fields:
@@ -102,13 +100,10 @@ class KernelL:
 
 
 def _validate_unit(x: Element, kernel_name: str) -> Element:
-    """``x`` up to ``TOL`` above 1, capped at 1 up to ``SNAP``, else refused;
-    the element constructors refuse negative and NaN components."""
-    top = max(x.components)
-    if top <= 1.0 + TOL:
+    """``x`` as it is when ``in_unit``, else refused; the element
+    constructors refuse negative and NaN components."""
+    if x.in_unit:
         return x
-    if top <= 1.0 + SNAP:
-        return carrier(x.kind).make(tuple(min(c, 1.0) for c in x.components))
     raise KernelRangeError(
         f"kernel {kernel_name!r} produced {x!r} outside the bounded carrier")
 
@@ -384,14 +379,13 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     Such a row is certified consistent, with ``checked`` 1, when (1) the
     kernel is ``tie_invariant``, (2) the addition is ``addition_for(kind)``
     and (3) each tie group's members have identical component tuples in
-    [0, 1]; every ``Capacity`` is exact. Then no term is snapped, clamped
-    or refused, the weights b_s and b_{e+1} around a group of k inputs x
-    are the same in every order, and the group's terms add up alike, up
-    to rounding: ``delta-scale`` with ``difference`` or ``abs-diff``
-    telescopes to (b_s - b_{e+1}) * x; ``b-scale-d`` over a shipped
-    dissimilarity adds b * d(x, x) = 0 inside the group and enters and
-    leaves it alike; ``affine-F`` with shipped C and D whose bounds add up
-    to at most 1 gives (b_s - b_{e+1}) * C(x) + k * D(x). Any other row
+    [0, 1]; every ``Capacity`` is exact. Then no term is refused, the
+    weights b_s and b_{e+1} around a group of k inputs x are the same in
+    every order, and the group's terms add up alike, up to rounding:
+    ``delta-scale`` with ``difference`` or ``abs-diff`` telescopes to
+    (b_s - b_{e+1}) * x; ``b-scale-d`` over a shipped dissimilarity adds
+    b * d(x, x) = 0 inside the group and enters and leaves it alike; every
+    ``affine-F`` gives (b_s - b_{e+1}) * C(x) + k * D(x). Any other row
     compares the values that ``_tie_candidates`` yields with the first
     permutation's until one differs (a row without ties yields ``first``
     alone). Inconsistency is reported, never raised; the witness carries
@@ -449,8 +443,8 @@ _CARRIER_FNS: dict[str, tuple[Callable[[tuple], tuple], float]] = {
 
 def resolve_carrier_fn(spec) -> tuple[Callable[[tuple], tuple], float]:
     """A shipped carrier function, or ``scale:<t>`` (bound t), on component
-    tuples, with its bound. t is checked here, once: clamped to [0, 1]
-    within ``TOL`` of it, and refused with ``ScaleOutOfRange`` farther out."""
+    tuples, with its bound. t is checked here, once: taken exactly when it
+    lies in [0, 1], and refused with ``ScaleOutOfRange`` otherwise."""
     if isinstance(spec, str) and spec.startswith("scale:"):
         t = unit_coefficient(float(spec.split(":", 1)[1]))
         return (lambda c: tuple([t * a for a in c])), t
@@ -504,11 +498,12 @@ def affine_f_kernel(C: str, D: str, kind: str) -> KernelL:
     """Affine kernel F(x, a) = a*C(x) + D(x) componentwise, in the
     weight-difference form G(x, b1, b2) = F(x, b1 - b2), for shipped
     carrier functions C and D. Both are nondecreasing and a <= 1, so F
-    reaches the sum of their bounds: a sum beyond 1 + ``SNAP`` raises
-    ``KernelRangeError``, and one of at most 1 is ``tie_invariant``."""
+    reaches the sum of their bounds: a sum above 1 raises
+    ``KernelRangeError`` when the kernel is built, so every kernel built
+    stays in the bounded carrier and is ``tie_invariant``."""
     name = f"affine-F({C},{D})"
     (C_fn, c_C), (D_fn, c_D) = resolve_carrier_fn(C), resolve_carrier_fn(D)
-    if c_C + c_D > 1.0 + SNAP:
+    if c_C + c_D > 1.0:
         raise KernelRangeError(f"kernel {name!r} can leave the bounded carrier")
 
     def term(xc, pc, b1, b2):
@@ -517,7 +512,7 @@ def affine_f_kernel(C: str, D: str, kind: str) -> KernelL:
             a = unit_coefficient(a)
         return tuple([a * c + e for c, e in zip(C_fn(xc), D_fn(xc))])
 
-    return _component_kernel(term, kind, name, tie_invariant=c_C + c_D <= 1.0)
+    return _component_kernel(term, kind, name, tie_invariant=True)
 
 
 def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> KernelL:

@@ -11,11 +11,12 @@ record, found by ``carrier(kind)``. Adding a carrier means one element
 type and one record here, plus one entry in ``algebra.py``'s table of
 each kind's addition and scaling.
 
-Comparisons of computed values use absolute tolerance ``TOL`` = 1e-12,
-which never admits data: two elements are equal iff all components are
-within tolerance. Grid values are small rationals, so the tolerance
-separates genuine ties from rounding but is only meaningful when value
-spacing is much larger than 1e-12.
+``TOL`` = 1e-12 is the one tolerance: it compares computed values (two
+elements are equal iff all components are within it) and never admits
+data; data, spec parameters, caller weights and kernel outputs are taken
+exactly or refused. It separates genuine ties from rounding only where
+values lie much farther apart. The one other threshold, ``AlphaBeta``'s
+alpha/beta gap, refuses a near-degenerate order and admits nothing.
 """
 
 from __future__ import annotations
@@ -211,9 +212,9 @@ def one_element(kind: str, dim: int = 1) -> Element:
     return carrier(kind).constant(1.0, dim)
 
 
-def elements_equal(x: Element, z: Element, tol: float = TOL) -> bool:
+def elements_equal(x: Element, z: Element) -> bool:
     require_same_carrier(x, z)
-    return all(abs(a - b) <= tol for a, b in zip(x.components, z.components))
+    return all(abs(a - b) <= TOL for a, b in zip(x.components, z.components))
 
 
 def element_from_json(kind: str, cell) -> Element:
@@ -239,7 +240,7 @@ def k_alpha(x: Interval, alpha: float) -> float:
     """Convex endpoint mix (1-alpha)*lower + alpha*upper."""
     if not isinstance(x, Interval):
         raise KindMismatch("k_alpha is defined on intervals")
-    if not (-TOL <= alpha <= 1.0 + TOL):
+    if not 0.0 <= alpha <= 1.0:
         raise BadParameter(f"alpha must lie in [0, 1], got {alpha}")
     return (1.0 - alpha) * x.lower + alpha * x.upper
 

@@ -169,22 +169,20 @@ def _wd_cases(kernel, addop, order, n, grid, memo, record):
                 "c": base_c, "value_at_c": E[base],
                 "c_other": c, "value_at_c_other": E[val]}
 
+    # Grid weights are data, i/m: they are ordered by their index k.
     if n <= 3:
         # x against the least element over c >= b; the n = 2 regime pins b = 0.
         for x in elems:
-            for b in [0.0] if n == 2 else coeffs:
-                yield from constant_in_c(x, zero, 1.0, b,
-                                         [c for c in coeffs if c >= b - TOL])
+            for k in [0] if n == 2 else range(len(coeffs)):
+                yield from constant_in_c(x, zero, 1.0, coeffs[k], coeffs[k:])
     if n >= 3:
         # x2 <= x1 over b2 <= c <= b1; the n = 3 regime pins b2 = 0.
         for i, x2 in enumerate(elems):
             for x1 in elems[i:]:
-                for b2 in [0.0] if n == 3 else coeffs:
-                    for b1 in coeffs:
-                        if b1 < b2 - TOL:
-                            continue
-                        cs = [c for c in coeffs if b2 - TOL <= c <= b1 + TOL]
-                        yield from constant_in_c(x1, x2, b1, b2, cs)
+                for k2 in [0] if n == 3 else range(len(coeffs)):
+                    for k1 in range(k2, len(coeffs)):
+                        yield from constant_in_c(x1, x2, coeffs[k1], coeffs[k2],
+                                                 coeffs[k2:k1 + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +223,7 @@ def _monotonicity_cases(kernel, addop, order, n, grid, memo, record):
         # x in [0, v] |-> L(x, 0, 1, b1) + L(v, x, b1, b2); the n = 2 regime
         # pins b2 = 0.
         weights = ([(b, 0.0) for b in coeffs] if n == 2
-                   else [(b1, b2) for b2, b1 in _weight_pairs(coeffs)])
+                   else [(b1, coeffs[k2]) for k2, b1 in _weight_pairs(coeffs)])
         for j, v in enumerate(elems):
             for b1, b2 in weights:
                 named = {"b": b1} if n == 2 else {"b1": b1, "b2": b2}
@@ -239,9 +237,9 @@ def _monotonicity_cases(kernel, addop, order, n, grid, memo, record):
         for i, u in enumerate(elems):
             for j in range(i, len(elems)):
                 v = elems[j]
-                for b2, b1 in _weight_pairs(coeffs):
-                    b3s = [0.0] if n == 3 else [b for b in coeffs if b <= b2 + TOL]
-                    for b3 in b3s:
+                for k2, b1 in _weight_pairs(coeffs):
+                    b2 = coeffs[k2]
+                    for b3 in [0.0] if n == 3 else coeffs[:k2 + 1]:
                         yield from _nondecreasing(
                             memo, elems[i:j + 1],
                             lambda x: plus(L(x, u, b1, b2), L(v, x, b2, b3)),
@@ -256,7 +254,8 @@ def _monotonicity_cases(kernel, addop, order, n, grid, memo, record):
 
 
 def _weight_pairs(coeffs):
-    return [(b2, b1) for b2 in coeffs for b1 in coeffs if b1 >= b2 - TOL]
+    """``(k2, b1)`` for the grid weights b2 = ``coeffs[k2]`` <= b1, by index."""
+    return [(k2, b1) for k2 in range(len(coeffs)) for b1 in coeffs[k2:]]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,8 @@ def check_delta_decomposition(delta, grid: GridSpec) -> LawReport:
     coeffs = unit_grid(grid.m)
 
     def cases():
-        for b2, b1 in _weight_pairs(coeffs):
+        for k2, b1 in _weight_pairs(coeffs):
+            b2 = coeffs[k2]
             lhs = delta_fn(b1, b2)
             rhs = delta_fn(b1, 0.0) - delta_fn(b2, 0.0)
             yield None if abs(lhs - rhs) <= TOL else {

@@ -218,8 +218,8 @@ def test_criterion_7_takac_counterexample():
     gap = max(abs(lhs.lower - rhs.lower), abs(lhs.upper - rhs.upper))
     if gap <= 1e-9:
         failures.append("witness does not violate the identity on replay")
-    if not (elements_equal(lhs, witness["lhs"], tol=1e-9)
-            and elements_equal(rhs, witness["rhs"], tol=1e-9)):
+    if not (elements_equal(lhs, witness["lhs"])
+            and elements_equal(rhs, witness["rhs"])):
         failures.append("reported sides disagree with the replay")
     _finish(7, "width-based construction telescoping witness found and "
                "replayed", failures, started, 30.0)
@@ -282,7 +282,7 @@ def test_criterion_9_permutation_equivariance():
         res = choquet_aggregate(
             AggregationInput(xhat, mu.relabel(pi), orders[kind], addops[kind]),
             kernels[kind])
-        if not elements_equal(res.value, base.value, tol=1e-12):
+        if not elements_equal(res.value, base.value):
             failures.append((trial, kind, X, pi))
         if res.consistent != base.consistent:
             failures.append((trial, kind, "consistency flag changed"))

@@ -154,7 +154,7 @@ def test_element_constructor_contract(kind):
 # Components at and around the edges of the bounded set: signed zeros,
 # values within TOL below 0, which the constructors refuse, values within
 # TOL above 1, which the kernels' range check keeps and ``bounded``
-# refuses, values inside and beyond the kernels' 1e-9 snap above 1, NaN,
+# refuses, values farther above 1, which both refuse however close, NaN,
 # and ordinary values.
 EDGES = [0.0, -0.0, 1.0, 0.5, -1e-13, -TOL, -2 * TOL, -1e-10, -0.25,
          1.0 + TOL / 2, 1.0 + TOL, math.nextafter(1.0 + TOL, 2.0), 1.0 + 2 * TOL,

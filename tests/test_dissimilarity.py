@@ -297,8 +297,8 @@ class TestCounterexampleSearch:
         lhs = add(IV_PLUS, d(w["x1"], zero), d(w["x2"], w["x1"]))
         rhs = d(w["x2"], zero)
         assert abs(lhs.lower - rhs.lower) > 1e-9 or abs(lhs.upper - rhs.upper) > 1e-9
-        assert elements_equal(lhs, w["lhs"], tol=1e-9)
-        assert elements_equal(rhs, w["rhs"], tol=1e-9)
+        assert elements_equal(lhs, w["lhs"])
+        assert elements_equal(rhs, w["rhs"])
         # Diagnostics: the width equation breaks with the witness.
         assert abs(w["width_lhs"] - w["width_rhs"]) > 1e-9
 

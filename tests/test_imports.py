@@ -10,7 +10,9 @@ addition or the kernel. Only ``order.py`` and ``algebra.py`` key a dict
 by carrier kind, and only ``order.py`` tests for an order's class or
 takes its parameters. Only the catalog constructors of ``operator.py``
 say that a kernel is tie-invariant. Neither ``capacity.py`` nor
-``datasets.py`` reads ``TOL``: data is taken exactly or refused."""
+``datasets.py`` reads ``TOL``: data is taken exactly or refused. ``TOL``
+is the one tolerance: no other small number appears in the source but
+``AlphaBeta``'s alpha/beta gap, a refusal."""
 
 import ast
 import re
@@ -414,3 +416,47 @@ def test_detects_a_tolerance_read():
 @pytest.mark.parametrize("name", ["capacity.py", "datasets.py"])
 def test_loaders_never_read_the_tolerance(name):
     assert tolerance_reads((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+# ``TOL`` is the package's one tolerance. The only other small number in
+# the source is ``AlphaBeta``'s alpha/beta gap, which refuses a
+# near-degenerate order and admits nothing.
+ALLOWED_SMALL_NUMBERS = {"order.py": ["TOL 1e-12", "AlphaBeta.__init__ 1e-09"]}
+
+
+def small_numbers(source: str) -> list[str]:
+    """``where value`` for each numeric literal in (0, 1e-6), a negated
+    one included. ``where`` is the definition around it, dotted
+    (``Class.method``), or the target of the module-level assignment it
+    sits in, or ``<module>``. A docstring is a string, never flagged."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+              and 0 < node.value < 1e-6):
+            found.append(f"{where or '<module>'} {node.value!r}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for top in ast.parse(source).body:
+        targets = (top.targets if isinstance(top, ast.Assign)
+                   else [top.target] if isinstance(top, ast.AnnAssign) else [])
+        visit(top, ",".join(map(ast.unparse, targets)))
+    return found
+
+
+def test_detects_a_small_number():
+    source = ("TOL = 1e-12\nSNAP = 1e-9  # not 1e-8\nBIG, SMALL = 1e-6, 0.5\n"
+              "class A:\n    def f(self, x):\n        return x <= 1 + 5e-10, -1e-13, 0, 2\n"
+              "def g(v, tol=1e-9):\n    'within 1e-9'\n    return abs(v) < 1e-7\n"
+              "print(3e-7)\n")
+    assert small_numbers(source) == ["TOL 1e-12", "SNAP 1e-09", "A.f 5e-10", "A.f 1e-13",
+                                     "g 1e-09", "g 1e-07", "<module> 3e-07"]
+
+
+def test_tol_is_the_one_tolerance():
+    found = {p.name: small_numbers(p.read_text(encoding="utf-8")) for p in ALL_MODULES}
+    assert {name: numbers for name, numbers in found.items() if numbers} \
+        == ALLOWED_SMALL_NUMBERS

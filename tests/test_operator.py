@@ -17,7 +17,7 @@ from choquetlike import (
     KernelL, KernelRangeError, KindMismatch, NotAdmissiblePermutation, PLUS,
     PermutationSet, Scalar, ScalarUsual, ScaleOutOfRange, TOL, TooManyTies,
     UnknownKernel, VV_PLUS, Vector, VectorLex, add, addition_for, algebra,
-    capacity_family, grid_elements,
+    capacity_family, grid_elements, unit_grid,
     affine_f_kernel, b_scale_d_kernel, capacity_from_table, choquet_aggregate,
     choquet_eval, classical_kernel, delta_scale_kernel, elements_equal,
     f_difference_kernel, k_alpha, kernel_catalog, resolve_dissimilarity, scale,
@@ -27,6 +27,7 @@ from choquetlike import operator as operator_module
 from choquetlike.algebra import MultiplicationOp
 from choquetlike.dissimilarity import _DELTAS, _MEANS
 from choquetlike.operator import _CARRIER_FNS, MAX_TIE_GROUP, _fold, _tie_candidates
+from choquetlike.order import carrier
 from oracles import classical_choquet_increments, classical_choquet_mobius, mu_lookup
 
 XU = AlphaBeta(0.5, 1.0)
@@ -480,11 +481,14 @@ class TestLeanFold:
             self._affine(kind, "scale:0.4")
 
     @pytest.mark.parametrize("kind", ["scalar", "interval", "vector"])
-    def test_term_within_the_snap_is_snapped_alike(self, kind):
-        inp, kernel = self._affine(kind, "scale:0.3000000001")  # F(1, 1) = 1 + 1e-10
+    def test_term_just_above_one_is_refused_when_built(self, kind):
+        # F(1, 1) = 1 + 1e-10 is refused as 1.1 is: nothing is snapped.
+        with pytest.raises(KernelRangeError):
+            self._affine(kind, "scale:0.3000000001")
+        inp, kernel = self._affine(kind, "scale:0.3")  # F(1, 1) = 0.7 + 0.3 = 1
         got = choquet_aggregate(inp, kernel).value
         assert _bits(got) == _bits(choquet_eval(inp, kernel, (0, 1)))
-        assert set(got.components) == {0.3000000001 * 0.2 + 1.0}
+        assert set(got.components) == {0.3 * 0.2 + 1.0}
 
 
 class TestNearTolerance:
@@ -665,17 +669,13 @@ class TestCertifiedTies:
         # classical kernel on identical tied inputs is certified, unwalked.
         (classical_kernel("scalar"), (1.0,) * 3, NEAREST_EXACT, PLUS,
          (True, 6, 1, "0x1.0000000000000p+0", 0)),
-        # The hazards: an affine-F whose bounds add up to more than 1 by
-        # less than the snap (a snapped term), and tied inputs above 1,
-        # reachable from Python.
-        (affine_f_kernel("scale:0.7", "scale:0.3000000001", "scalar"), (1.0, 1.0), MU2,
-         PLUS, (False, 2, 2, "0x1.4ccccccda8b3cp+0", 1)),
-        (classical_kernel("scalar"), (1 + 5e-10,) * 2, MU2, PLUS,
-         (False, 2, 2, "0x1.0000000225c18p+0", 1)),
+        # The hazard: tied inputs above 1, reachable from Python. A term
+        # above 1 is refused however close, so the walk raises.
+        (classical_kernel("scalar"), (1 + 5e-10,) * 2, MU2, PLUS, KernelRangeError),
         (classical_kernel("scalar"), (1.5, 1.5), MU2, PLUS, KernelRangeError),
     ], ids=["sq-diff", "capped-double", "custom", "f-difference", "min",
-            "bounded-sum", "near-tolerance", "nearest-exact-capacity", "affine-snapped",
-            "above-1-snapped", "above-1-refused"])
+            "bounded-sum", "near-tolerance", "nearest-exact-capacity",
+            "just-above-1-refused", "above-1-refused"])
     def test_other_rows_walk(self, walks, kernel, values, mu, addop, expected):
         inp = AggregationInput(tuple(map(Scalar, values)), mu, ScalarUsual(), addop)
         walked = 1
@@ -698,8 +698,10 @@ class TestCertifiedTies:
         assert invariant(_TAKAC, "interval") and classical_kernel("vector").tie_invariant
         assert not any(invariant(spec) for spec in (
             {"family": "delta-scale", "delta": "sq-diff"},
-            {"family": "delta-scale", "delta": "capped-double"},
-            {"family": "affine-F", "C": "scale:0.7", "D": "scale:0.3000000001"}))
+            {"family": "delta-scale", "delta": "capped-double"}))
+        # Every affine-F that is built is invariant: bounds above 1 are refused.
+        with pytest.raises(KernelRangeError):
+            invariant({"family": "affine-F", "C": "scale:0.7", "D": "scale:0.3000000001"})
         assert not any(k.tie_invariant for k in (
             KernelL(classical_kernel("scalar").fn, "copy"),
             f_difference_kernel(lambda x, a: x)))
@@ -892,36 +894,28 @@ class TestKernelCatalog:
         out = k.evaluate(x, zero_element(kind, len(x.components)), 1.0, 0.0)
         assert out == expected[C]  # F(x, 1) = C(x) + 0
 
-    @pytest.mark.parametrize("t", ["2", "-0.5", "1.000001", "nan"])
+    @pytest.mark.parametrize("t", ["2", "-0.5", "1.000001", "nan", "1.0000000000001",
+                                   "-1e-13"])
     @pytest.mark.parametrize("where", ["C", "D"])
     def test_affine_scale_out_of_range_refused_when_built(self, t, where):
         spec = {"family": "affine-F", "C": "zero", "D": "zero", where: f"scale:{t}"}
         with pytest.raises(ScaleOutOfRange):
             kernel_catalog(spec, "scalar")
 
-    # A caller may pass ``evaluate`` weights up to TOL outside [0, 1], though
-    # no capacity holds one, and each catalog kernel clamps the coefficient
-    # that this puts outside [0, 1]: the term is the clean weights', bit for bit.
-    @pytest.mark.parametrize("spec,weights,clean", [
-        ("delta-scale", (1.0 + 5e-13, 0.0), (1.0, 0.0)),
-        ({"family": "b-scale-d", "d": "abs-diff"}, (1.0 + 5e-13, 0.0), (1.0, 0.0)),
-        ({"family": "affine-F", "C": "identity", "D": "zero"},
-         (1.0 + 5e-13, 0.0), (1.0, 0.0)),
+    # A caller may pass ``evaluate`` weights outside [0, 1], though no
+    # capacity holds one; a coefficient they put outside [0, 1], however
+    # close, is refused, never clamped.
+    @pytest.mark.parametrize("spec,weights", [
+        ("delta-scale", (1.0 + 5e-13, 0.0)),
+        ({"family": "b-scale-d", "d": "abs-diff"}, (1.0 + 5e-13, 0.0)),
+        ({"family": "affine-F", "C": "identity", "D": "zero"}, (1.0 + 5e-13, 0.0)),
         # The weight difference b1 - b2 is -5e-13.
-        ({"family": "affine-F", "C": "identity", "D": "zero"},
-         (1.0, 1.0 + 5e-13), (1.0, 1.0)),
+        ({"family": "affine-F", "C": "identity", "D": "zero"}, (1.0, 1.0 + 5e-13)),
     ], ids=["delta-scale", "b-scale-d", "affine-F", "affine-F-negative-difference"])
-    def test_coefficients_within_tolerance_are_clamped(self, spec, weights, clean):
+    def test_coefficients_outside_the_unit_interval_are_refused(self, spec, weights):
         kernel = kernel_catalog(spec, "scalar", ScalarUsual())
-        x, prev = Scalar(0.6), Scalar(0.2)
-        got = kernel.evaluate(x, prev, *weights)
-        want = kernel.evaluate(x, prev, *clean)
-        assert got.value.hex() == want.value.hex()
-
-    def test_affine_scale_within_tolerance_is_clamped(self):
-        k = kernel_catalog({"family": "affine-F", "C": "scale:1.0000000000001",
-                            "D": "scale:-1e-13"}, "scalar")
-        assert k.evaluate(Scalar(0.5), Scalar(0.0), 1.0, 0.0) == Scalar(0.5)
+        with pytest.raises(ScaleOutOfRange):
+            kernel.evaluate(Scalar(0.6), Scalar(0.2), *weights)
 
     def test_f_difference_with_scaling_is_the_classical_kernel(self):
         # F(x, a) = a * x gives G = (b1 - b2) * x, and b1 >= b2 along every
@@ -958,6 +952,18 @@ class TestKernelCatalog:
         with pytest.raises(KernelRangeError):
             bad.evaluate(Scalar(0.5), Scalar(0.0), 1.0, 0.0)
 
+    def test_custom_output_just_above_one_raises(self):
+        # An output within TOL above 1 is rounding and kept as it is; one
+        # 5e-10 above 1 is refused, not snapped.
+        near = KernelL(lambda x, prev, b1, b2: Scalar(1.0 + TOL / 2), "near")
+        assert near.evaluate(Scalar(0.5), Scalar(0.0), 1.0, 0.0) == Scalar(1.0 + TOL / 2)
+        above = KernelL(lambda x, prev, b1, b2: Scalar(1.0 + 5e-10), "above")
+        with pytest.raises(KernelRangeError):
+            above.evaluate(Scalar(0.5), Scalar(0.0), 1.0, 0.0)
+        inp = scalar_input((0.2, 0.7), capacity_family("cardinality", 2))
+        with pytest.raises(KernelRangeError):
+            choquet_aggregate(inp, above)
+
     def test_input_validation(self):
         mu = capacity_family("cardinality", 2)
         with pytest.raises(BadParameter):
@@ -973,6 +979,51 @@ class TestKernelCatalog:
                                 ((Scalar(0.5), Scalar(0.2)), ScalarUsual(), IV_PLUS)):
             with pytest.raises(KindMismatch):
                 AggregationInput(X, mu, order, addop)
+
+
+# Bounded data for the catalog terms: components and weights on a grid or
+# anywhere in [0, 1], and pairs of scale:t bounds, some of them grid values
+# that add up to exactly 1.
+_grid_or_unit = st.sampled_from(unit_grid(12)) | _unit_or_edge
+_scale_pairs = (st.integers(1, 20).flatmap(
+    lambda m: st.integers(0, m).map(lambda i: (i / m, (m - i) / m)))
+    | st.tuples(_unit_or_edge, _unit_or_edge))
+_BOUNDED_TUPLES = {
+    "scalar": st.tuples(_grid_or_unit),
+    "interval": st.tuples(_grid_or_unit, _grid_or_unit).map(lambda p: (min(p), max(p))),
+    "vector": st.tuples(_grid_or_unit, _grid_or_unit),
+}
+
+
+class TestCatalogStaysBounded:
+    """A catalog kernel maps the bounded carrier and weights
+    1 >= b1 >= b2 >= 0 into the bounded carrier, so no term needs its
+    output or its coefficient adjusted: each returns an ``in_unit`` tuple
+    and never raises."""
+
+    ORDERS = {"scalar": ScalarUsual(), "interval": XU, "vector": VectorLex((0, 1))}
+
+    @staticmethod
+    def specs(kind, t_c, t_d):
+        specs = ([{"family": "delta-scale", "delta": d} for d in _DELTAS]
+                 + [{"family": "b-scale-d", "d": d} for d in ("abs-diff", "sq-diff")]
+                 + [_TAKAC] * (kind == "interval"))
+        bounds = {name: bound for name, (_, bound) in _CARRIER_FNS.items()}
+        bounds.update({f"scale:{t_c!r}": t_c, f"scale:{t_d!r}": t_d})
+        return specs + [{"family": "affine-F", "C": C, "D": D}
+                        for C, D in itertools.product(bounds, repeat=2)
+                        if bounds[C] + bounds[D] <= 1.0]
+
+    @pytest.mark.parametrize("kind", list(_BOUNDED_TUPLES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_term_stays_in_the_bounded_carrier(self, kind, data):
+        x, prev = data.draw(_BOUNDED_TUPLES[kind]), data.draw(_BOUNDED_TUPLES[kind])
+        b2, b1 = sorted(data.draw(st.tuples(_grid_or_unit, _grid_or_unit)))
+        t_c, t_d = data.draw(_scale_pairs)
+        for spec in self.specs(kind, t_c, t_d):
+            out = kernel_catalog(spec, kind, self.ORDERS[kind]).term(x, prev, b1, b2)
+            assert type(out) is tuple and carrier(kind).make(out).in_unit, spec
 
 
 class TestComponentForms:

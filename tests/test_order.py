@@ -118,8 +118,10 @@ class TestKAlpha:
         assert k_alpha(iv(0.0, 1.0), 1.0) == 1.0
 
     def test_refusals(self):
-        with pytest.raises(BadParameter, match="alpha must lie in"):
-            k_alpha(iv(0.1, 0.2), 1.5)
+        # alpha is taken exactly: any alpha outside [0, 1] is refused.
+        for alpha in (1.5, -1e-13, 1 + 1e-13):
+            with pytest.raises(BadParameter, match="alpha must lie in"):
+                k_alpha(iv(0.1, 0.2), alpha)
         with pytest.raises(KindMismatch):
             k_alpha(Scalar(0.5), 0.5)
 
