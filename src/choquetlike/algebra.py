@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 from .errors import BadParameter, KindMismatch, ScaleOutOfRange, lookup
 from .order import (
-    INTERVAL, SCALAR, TOL, VECTOR, AdmissibleOrder, Element, GridSpec, Interval,
-    Scalar, Vector, carrier, elements_equal, grid_elements, require_same_carrier,
+    INTERVAL, SCALAR, VECTOR, AdmissibleOrder, Element, GridSpec, Interval, Scalar,
+    Vector, carrier, close, elements_equal, grid_elements, require_same_carrier,
     unit_grid,
 )
 from .reporting import LawReport, run_law
@@ -71,9 +71,9 @@ class _Memo:
     share an id, and ``add`` still raises ``KindMismatch`` between them.
     ``-0.0`` and ``0.0`` share one: every comparison treats them as equal,
     and grid values are never ``-0.0``. Equal ids are equal elements;
-    distinct ids may still be equal within ``TOL``, which ``equal``
-    decides from the two interned keys, as ``elements_equal`` decides
-    from the elements. Keying the memo on the elements themselves was
+    distinct ids may still be equal, which ``equal`` decides by ``close``
+    on the two interned keys, as ``elements_equal`` decides on the
+    elements. Keying the memo on the elements themselves was
     measured slower: equal elements are built apart and miss, and each
     call builds its key from the operands' components."""
 
@@ -123,10 +123,7 @@ class _Memo:
         (kind_a, xs), (kind_b, zs) = self._keys[a], self._keys[b]
         if kind_a != kind_b or len(xs) != len(zs):
             require_same_carrier(self.elems[a], self.elems[b])  # raises KindMismatch
-        for x, z in zip(xs, zs):
-            if not abs(x - z) <= TOL:
-                return False
-        return True
+        return close(xs, zs)
 
     def sorted(self) -> list[int]:
         """The grid's ids, sorted as ``AdmissibleOrder.sort`` sorts their
@@ -144,7 +141,7 @@ def unit_coefficient(c: float) -> float:
 
 def scale(op: MultiplicationOp, c: float, x: Element) -> Element:
     if not 0.0 <= c <= 1.0:
-        c = unit_coefficient(c)
+        unit_coefficient(c)  # raises ScaleOutOfRange
     if x.kind != op.kind:
         raise KindMismatch(f"operation {op.name!r} expects {op.kind} operands")
     return carrier(op.kind).make(op.term(c, x.components))
@@ -311,8 +308,11 @@ def check_c1(mul: MultiplicationOp, addop: AdditionOp, order: AdmissibleOrder,
         memo = _Memo(grid, addop, order)
         plus, compare, E = memo.plus, memo.compare, memo.elems
 
-        def diff(i, j):  # the componentwise difference E[j] - E[i]
-            return tuple(round(a - b, 9) for a, b in zip(E[j].components, E[i].components))
+        # Grid components are k/m, so round(c * m) recovers each step k.
+        steps = [tuple(round(c * grid.m) for c in E[i].components) for i in memo.grid]
+
+        def diff(i, j):  # the componentwise difference E[j] - E[i], in steps
+            return tuple(b - a for a, b in zip(steps[i], steps[j]))
 
         # Pairs of grid ids (i, j) with E[i] <= E[j], with their difference.
         # Bucketing the pairs by it makes the cross-sum constraint

@@ -102,8 +102,9 @@ def cmd_aggregate(args) -> int:
 
     # Every row is aggregated before a byte is written, so a refused row
     # writes nothing. Until then each result is kept as floats, a
-    # permutation count and a flag.
-    values, perms, consistent = array("d"), array("q"), bytearray()
+    # permutation count and a flag. A count is an int of any size: a
+    # certified row of 21 tied inputs has 21! > 2^63 permutations.
+    values, perms, consistent = array("d"), [], bytearray()
     for row in ds:
         res = choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
         values.extend(res.value.components)

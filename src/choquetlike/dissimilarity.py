@@ -18,6 +18,7 @@ from typing import Callable, Optional
 from .algebra import IV_PLUS, AdditionOp, add
 from .errors import (
     AlphaOutOfRange, BadParameter, KindMismatch, ReconstructionOutOfK, lookup,
+    spec_numbers,
 )
 from .order import (
     INTERVAL, SCALAR, TOL, AdmissibleOrder, AlphaBeta, Element, GridSpec,
@@ -78,8 +79,10 @@ def delta_covers_unit_range(delta: Callable[[float, float], float]) -> bool:
     """Whether t -> delta(t, 0) sweeps [0, 1] over t in [0, 1].
 
     Checked as: endpoints hit 0 and 1, values stay in [0, 1], and the map
-    is non-decreasing on the grid {0, 1/64, ..., 1}. Of the shipped deltas
-    only ``abs-diff`` both satisfies this and is strictly monotone.
+    is non-decreasing on the grid {0, 1/64, ..., 1}. Every shipped delta
+    satisfies this; ``abs-diff`` (and ``difference``, the same function)
+    and ``sq-diff`` are also strictly monotone, while ``capped-double`` is
+    constant on [1/2, 1].
     """
     prev = None
     for t in unit_grid(64):
@@ -159,7 +162,8 @@ def resolve_dissimilarity(spec: str, kind: str,
             raise BadParameter(f"bad dissimilarity spec: {spec!r}")
         if kind != INTERVAL:
             raise BadParameter("the takac construction is interval-valued")
-        return takac_dissimilarity_fn(float(parts[1]), parts[2], parts[3])
+        [alpha] = spec_numbers("dissimilarity", spec, parts[1:2], float)
+        return takac_dissimilarity_fn(alpha, parts[2], parts[3])
     if spec in _DELTAS:
         return projected_dissimilarity(spec, kind, order)
     raise BadParameter(f"unknown dissimilarity spec: {spec!r}")

@@ -43,8 +43,9 @@ class NotAdmissiblePermutation(ChoquetlikeError):
 
 
 class TooManyTies(ChoquetlikeError):
-    """A tie group has more than ``MAX_TIE_GROUP`` inputs, too many to
-    decide consistency over."""
+    """A row that must walk a tie group of more than ``MAX_TIE_GROUP``
+    inputs, too many to decide consistency over; a certified row is not
+    walked."""
 
 
 class UnknownKernel(ChoquetlikeError):
@@ -97,6 +98,15 @@ def json_number(obj: dict, key: str, default=None, integral: bool = False):
     if abs(value) > sys.float_info.max:
         raise BadParameter(f"{key!r} lies beyond the float range")
     return int(value) if integral else float(value)
+
+
+def spec_numbers(what: str, spec: str, fields: list[str], cast) -> list:
+    """``fields`` of the ``what`` spec ``spec``, each read by ``cast``; a
+    field that ``cast`` refuses refuses the spec with ``BadParameter``."""
+    try:
+        return [cast(f) for f in fields]
+    except ValueError:
+        raise BadParameter(f"bad {what} spec: {spec!r}") from None
 
 
 def lookup(table: dict, spec, what: str):

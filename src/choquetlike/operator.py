@@ -27,8 +27,8 @@ oracles call.
 
 A row whose inputs are pairwise strictly ordered has one admissible
 permutation. ``choquet_aggregate`` reads each input's component tuple
-once, and both the fold and the lead sort take that list. The sort finds
-such rows from one float per tuple, the order's ``lead``: when the
+once, and both the fold and ``order.strict_chain`` take that list. It
+finds such rows from one float per tuple, the order's ``lead``: when the
 sorted leads are more than ``TOL`` apart, ``compare`` follows them, so
 their sort is the one chain ``PermutationSet`` would build, and the row
 is folded once along it. Every other row, tied or within ``TOL``, takes
@@ -50,9 +50,11 @@ from .capacity import Capacity, _tail_weights
 from .dissimilarity import _DELTAS, delta_abs, resolve_dissimilarity
 from .errors import (
     BadParameter, KernelRangeError, KindMismatch, NotAdmissiblePermutation,
-    TooManyTies, UnknownKernel, lookup, refuse_unknown_keys,
+    TooManyTies, UnknownKernel, lookup, refuse_unknown_keys, spec_numbers,
 )
-from .order import TOL, AdmissibleOrder, Element, carrier, zero_element
+from .order import (
+    AdmissibleOrder, Element, carrier, close, strict_chain, zero_element,
+)
 
 MAX_TIE_GROUP = 16
 
@@ -302,26 +304,25 @@ def _fold(comps: list, sigma, values, term, plus) -> tuple:
     return acc
 
 
-def _close(a: tuple, c: tuple) -> bool:
-    """``elements_equal`` on component tuples of one carrier."""
-    return all(abs(p - q) <= TOL for p, q in zip(a, c))
-
-
 def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus):
     """``(sigma, value)`` for admissible permutations reaching every distinct
     value, by a walk over the states of each tie group in ``first()`` order.
-    A state (the inputs placed so far) fixes the tail weights ahead, so it
-    keeps one prefix per distinct partial sum. The first time a state holds
-    two, both are completed in ``first()`` order and yielded at once with
-    their ``_fold`` (the addition may still merge them); at the end, one
-    prefix per distinct full value with the walk's sum, which is ``_fold``
-    along the prefix bit for bit: the same terms, tail weights and order of
-    additions. The arguments after ``perms`` are ``_fold``'s."""
+    A state (the inputs placed so far) fixes the tail weights ahead, and
+    a kernel term reads the previous input, so two prefixes of a state
+    continue alike when their last inputs have identical component tuples:
+    the state keeps one prefix per such last input and ``close`` partial
+    sum. The first time a state holds two, both are completed in
+    ``first()`` order and yielded at once with their ``_fold`` (the
+    addition may still merge them); at the end, each full prefix kept that
+    is neither of those two, with the walk's sum, which is ``_fold`` along
+    the prefix bit for bit: the same terms, tail weights and order of
+    additions. So no permutation is yielded twice. The arguments after
+    ``perms`` are ``_fold``'s."""
     first, full = perms.first(), (1 << len(comps)) - 1
     zero = (0.0,) * len(comps[0])
     tails = (0.0,) + values[1:]  # the empty tail weighs 0, as in _fold
     states = {0: [((), None)]}  # placed mask -> [(prefix, partial sum)]
-    split = False
+    split = ()  # the permutations yielded when a state first holds two
     for group in perms.groups:
         for _ in group:
             reached = {}
@@ -329,34 +330,21 @@ def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus):
                 for j in (j for j in group if not mask >> j & 1):
                     b1, b2 = tails[full & ~mask], tails[full & ~(mask | 1 << j)]
                     kept = reached.setdefault(mask | 1 << j, [])
+                    x = comps[j]
                     for prefix, acc in entries:
                         prev = comps[prefix[-1]] if prefix else zero
-                        t = term(comps[j], prev, b1, b2)
+                        t = term(x, prev, b1, b2)
                         acc = t if acc is None else plus(acc, t)
-                        if not any(_close(acc, other) for _, other in kept):
+                        if not any(comps[p[-1]] == x and close(acc, other)
+                                   for p, other in kept):
                             kept.append((prefix + (j,), acc))
                             if len(kept) == 2 and not split:
-                                split = True
-                                for p, _ in kept:
-                                    sigma = p + tuple(i for i in first if i not in p)
+                                split = [p + tuple(i for i in first if i not in p)
+                                         for p, _ in kept]
+                                for sigma in split:
                                     yield sigma, _fold(comps, sigma, values, term, plus)
             states = reached
-    yield from states[full]
-
-
-def _strict_chain(comps, order: AdmissibleOrder) -> Optional[list[int]]:
-    """The indices of the component tuples ``comps`` in increasing order
-    when every two tuples' leads lie more than ``TOL`` apart, else None.
-    Float subtraction is monotone, so adjacent gaps above ``TOL`` put every
-    pair that far apart, and then ``compare`` follows the leads: the chain
-    is the one admissible permutation. A NaN gap (inf - inf) is not above
-    ``TOL``."""
-    keys = list(map(order.lead, comps))
-    chain = sorted(range(len(keys)), key=keys.__getitem__)
-    for low, high in zip(chain, chain[1:]):
-        if not keys[high] - keys[low] > TOL:
-            return None
-    return chain
+    yield from (entry for entry in states[full] if entry[0] not in split)
 
 
 def _certified(inp: AggregationInput, kernel: KernelL, comps: list, groups) -> bool:
@@ -371,10 +359,9 @@ def _certified(inp: AggregationInput, kernel: KernelL, comps: list, groups) -> b
 def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult:
     """Evaluate along the first admissible permutation and decide exactly
     whether every admissible permutation gives that value. A row that
-    ``_strict_chain`` orders has one admissible permutation. Every other
-    row takes ``PermutationSet``; a tie group of more than
-    ``MAX_TIE_GROUP`` inputs raises ``TooManyTies``. Either way the row is
-    folded once by ``_fold`` along its first admissible permutation.
+    ``strict_chain`` orders has one admissible permutation. Every other
+    row takes ``PermutationSet``. Either way the row is folded once by
+    ``_fold`` along its first admissible permutation.
 
     Such a row is certified consistent, with ``checked`` 1, when (1) the
     kernel is ``tie_invariant``, (2) the addition is ``addition_for(kind)``
@@ -386,19 +373,19 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     (b_s - b_{e+1}) * x; ``b-scale-d`` over a shipped dissimilarity adds
     b * d(x, x) = 0 inside the group and enters and leaves it alike; every
     ``affine-F`` gives (b_s - b_{e+1}) * C(x) + k * D(x). Any other row
-    compares the values that ``_tie_candidates`` yields with the first
-    permutation's until one differs (a row without ties yields ``first``
-    alone). Inconsistency is reported, never raised; the witness carries
-    two permutations and their values. The value, bit for bit, is
-    ``choquet_eval`` along the first permutation."""
+    walks: a tie group of more than ``MAX_TIE_GROUP`` inputs raises
+    ``TooManyTies``, and otherwise the values that ``_tie_candidates``
+    yields are compared with the first permutation's until one differs (a
+    row without ties yields ``first`` alone). Inconsistency is reported,
+    never raised; the witness carries two permutations and their values.
+    The value, bit for bit, is ``choquet_eval`` along the first
+    permutation."""
     X = inp.X
     comps = [x.components for x in X]
     perms = None
-    sigma = _strict_chain(comps, inp.order)
+    sigma = strict_chain(inp.order, comps)
     if sigma is None:
         perms = PermutationSet(X, inp.order)
-        if max(map(len, perms.groups)) > MAX_TIE_GROUP:
-            raise TooManyTies(f"a tie group has more than {MAX_TIE_GROUP} inputs")
         sigma = perms.first()
     kind = X[0].kind
     if kernel.kind not in (None, kind):
@@ -416,11 +403,13 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
         return AggregateResult(value, True, 1, 1)
     if _certified(inp, kernel, comps, perms.groups):
         return AggregateResult(value, True, perms.count, 1)
+    if max(map(len, perms.groups)) > MAX_TIE_GROUP:
+        raise TooManyTies(f"a tie group has more than {MAX_TIE_GROUP} inputs")
     witness = None
     checked = 0
     walk = _tie_candidates(comps, perms, values, term, plus)
     for checked, (other, v) in enumerate(walk, 1):
-        if not _close(v, base):
+        if not close(v, base):
             witness = {"sigma_a": sigma, "value_a": value,
                        "sigma_b": other, "value_b": make(v)}
             break
@@ -444,9 +433,11 @@ _CARRIER_FNS: dict[str, tuple[Callable[[tuple], tuple], float]] = {
 def resolve_carrier_fn(spec) -> tuple[Callable[[tuple], tuple], float]:
     """A shipped carrier function, or ``scale:<t>`` (bound t), on component
     tuples, with its bound. t is checked here, once: taken exactly when it
-    lies in [0, 1], and refused with ``ScaleOutOfRange`` otherwise."""
+    lies in [0, 1], and refused with ``ScaleOutOfRange`` otherwise; a t
+    that is no number refuses the spec with ``BadParameter``."""
     if isinstance(spec, str) and spec.startswith("scale:"):
-        t = unit_coefficient(float(spec.split(":", 1)[1]))
+        t = unit_coefficient(*spec_numbers("carrier function", spec,
+                                           [spec[len("scale:"):]], float))
         return (lambda c: tuple([t * a for a in c])), t
     return lookup(_CARRIER_FNS, spec, "carrier function")
 
@@ -461,7 +452,7 @@ def delta_scale_kernel(delta: str, kind: str) -> KernelL:
     def term(xc, pc, b1, b2):
         c = delta_fn(b1, b2)
         if not 0.0 <= c <= 1.0:
-            c = unit_coefficient(c)
+            unit_coefficient(c)  # raises ScaleOutOfRange
         return mul(c, xc)
 
     return _component_kernel(term, kind, f"delta-scale({delta})",
@@ -488,7 +479,7 @@ def b_scale_d_kernel(d: str, kind: str,
     def term(xc, pc, b1, b2):
         t = dterm(xc, pc)
         if not 0.0 <= b1 <= 1.0:
-            b1 = unit_coefficient(b1)
+            unit_coefficient(b1)  # raises ScaleOutOfRange
         return mul_term(b1, t)
 
     return _component_kernel(term, kind, f"b-scale-d({dis.name})", tie_invariant=True)
@@ -509,7 +500,7 @@ def affine_f_kernel(C: str, D: str, kind: str) -> KernelL:
     def term(xc, pc, b1, b2):
         a = b1 - b2
         if not 0.0 <= a <= 1.0:
-            a = unit_coefficient(a)
+            unit_coefficient(a)  # raises ScaleOutOfRange
         return tuple([a * c + e for c, e in zip(C_fn(xc), D_fn(xc))])
 
     return _component_kernel(term, kind, name, tie_invariant=True)

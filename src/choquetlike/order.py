@@ -11,12 +11,19 @@ record, found by ``carrier(kind)``. Adding a carrier means one element
 type and one record here, plus one entry in ``algebra.py``'s table of
 each kind's addition and scaling.
 
-``TOL`` = 1e-12 is the one tolerance: it compares computed values (two
-elements are equal iff all components are within it) and never admits
-data; data, spec parameters, caller weights and kernel outputs are taken
-exactly or refused. It separates genuine ties from rounding only where
-values lie much farther apart. The one other threshold, ``AlphaBeta``'s
-alpha/beta gap, refuses a near-degenerate order and admits nothing.
+``TOL`` = 1e-12 is the one tolerance, and this module decides where it
+applies: ``close`` (two component tuples are equal iff all components are
+within it; ``elements_equal`` is ``close`` on elements), the comparators
+and ``partial_leq``, ``in_unit``, and ``strict_chain``, which tells a row
+of inputs whose leads lie more than ``TOL`` apart. Every other module asks
+these, and the law checks pick their grid cases by index, never by
+``TOL``; outside this module only the width (Takac) construction of
+``dissimilarity.py`` reads it. ``TOL`` compares computed values and never
+admits data: data, spec parameters, caller weights and kernel outputs are
+taken exactly or refused. It separates genuine ties from rounding only
+where values lie much farther apart. The one other threshold,
+``AlphaBeta``'s alpha/beta gap, refuses a near-degenerate order and admits
+nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from functools import cmp_to_key
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
-from .errors import BadParameter, KindMismatch, lookup
+from .errors import BadParameter, KindMismatch, lookup, spec_numbers
 from .reporting import LawReport, run_law
 
 TOL = 1e-12
@@ -212,9 +219,18 @@ def one_element(kind: str, dim: int = 1) -> Element:
     return carrier(kind).constant(1.0, dim)
 
 
+def close(a: tuple, c: tuple) -> bool:
+    """Whether the component tuples ``a`` and ``c`` of one carrier are
+    equal: every pair of components within ``TOL``."""
+    for p, q in zip(a, c):  # a loop, not all(): no generator per call
+        if not abs(p - q) <= TOL:
+            return False
+    return True
+
+
 def elements_equal(x: Element, z: Element) -> bool:
     require_same_carrier(x, z)
-    return all(abs(a - b) <= TOL for a, b in zip(x.components, z.components))
+    return close(x.components, z.components)
 
 
 def element_from_json(kind: str, cell) -> Element:
@@ -261,7 +277,7 @@ class AdmissibleOrder:
     settles every comparison it separates by more than ``TOL``. With
     ``d = lead(x.components) - lead(z.components)``, whenever
     ``abs(d) > TOL``, ``compare(x, z)`` is the sign of ``d``.
-    ``choquet_aggregate`` relies on this to order a row of inputs whose
+    ``strict_chain`` relies on this to order a row of inputs whose
     leads are that far apart without calling ``compare``, and the
     projected dissimilarities apply their scalar delta to it. Comparators
     are defined on the ambient set, not just the unit-bounded part, so
@@ -380,6 +396,21 @@ class VectorLex(AdmissibleOrder):
         return "veclex:" + ",".join(str(i + 1) for i in self.priority)
 
 
+def strict_chain(order: AdmissibleOrder, comps) -> Optional[list[int]]:
+    """The indices of the component tuples ``comps`` in increasing order
+    when every two tuples' leads lie more than ``TOL`` apart, else None.
+    Float subtraction is monotone, so adjacent gaps above ``TOL`` put every
+    pair that far apart, and then ``compare`` follows the leads (the
+    ``lead`` contract of ``AdmissibleOrder``): the chain is the one
+    admissible permutation. A NaN gap (inf - inf) is not above ``TOL``."""
+    keys = list(map(order.lead, comps))
+    chain = sorted(range(len(keys)), key=keys.__getitem__)
+    for low, high in zip(chain, chain[1:]):
+        if not keys[high] - keys[low] > TOL:
+            return None
+    return chain
+
+
 def parse_order(spec: str) -> AdmissibleOrder:
     """Build an order from its specification string.
 
@@ -393,23 +424,14 @@ def parse_order(spec: str) -> AdmissibleOrder:
         parts = spec.split(":")
         if len(parts) != 3:
             raise BadParameter(f"bad order spec: {spec!r}")
-        return AlphaBeta(*_spec_numbers(spec, parts[1:], float))
+        return AlphaBeta(*spec_numbers("order", spec, parts[1:], float))
     if spec.startswith("veclex:"):
-        perm = _spec_numbers(spec, spec[len("veclex:"):].split(","), int)
+        perm = spec_numbers("order", spec, spec[len("veclex:"):].split(","), int)
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise BadParameter(f"bad order spec: {spec!r}: the priority must be a "
                                f"permutation of 1..{len(perm)}")
         return VectorLex(tuple(p - 1 for p in perm))
     raise BadParameter(f"bad order spec: {spec!r}")
-
-
-def _spec_numbers(spec: str, fields: list[str], cast) -> list:
-    """``fields`` of the order spec ``spec``, each read by ``cast``; a field
-    that ``cast`` refuses refuses the spec."""
-    try:
-        return [cast(f) for f in fields]
-    except ValueError:
-        raise BadParameter(f"bad order spec: {spec!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .operator import (
     AggregationInput, KernelL, PermutationSet, choquet_aggregate, _eval_sorted,
 )
 from .order import (
-    SCALAR, TOL, AdmissibleOrder, GridSpec, ScalarUsual, elements_equal,
+    SCALAR, AdmissibleOrder, GridSpec, ScalarUsual, close, elements_equal,
     grid_elements, one_element, unit_grid, zero_element,
 )
 from .reporting import LawReport, run_law
@@ -317,7 +317,7 @@ def check_delta_decomposition(delta, grid: GridSpec) -> LawReport:
             b2 = coeffs[k2]
             lhs = delta_fn(b1, b2)
             rhs = delta_fn(b1, 0.0) - delta_fn(b2, 0.0)
-            yield None if abs(lhs - rhs) <= TOL else {
+            yield None if close((lhs,), (rhs,)) else {
                 "b1": b1, "b2": b2, "lhs": lhs, "rhs": rhs}
 
     return run_law("delta-decomposition", cases(), delta=d.name,
@@ -342,10 +342,11 @@ def check_jensen_f(F, addop: AdditionOp, grid: GridSpec,
 
     def cases():
         for x in elems:
-            for a, b in itertools.combinations_with_replacement(coeffs, 2):
-                mid = 0.5 * (a + b)
-                if min(abs(mid - c) for c in coeffs) > TOL:
+            for (i, a), (j, b) in itertools.combinations_with_replacement(
+                    enumerate(coeffs), 2):
+                if (i + j) % 2:  # the midpoint (i + j) / 2m is off the grid
                     continue
+                mid = 0.5 * (a + b)
                 lhs = add(addop, F(x, a), F(x, b))
                 rhs = add(addop, F(x, mid), F(x, mid))
                 yield None if elements_equal(lhs, rhs) else {
@@ -362,8 +363,7 @@ def check_jensen_f(F, addop: AdditionOp, grid: GridSpec,
             v = F(zero, b)
             yield None if elements_equal(v, zero) else {
                 "failed_condition": "zero-boundary", "b": b, "value": v}
-        scaled = [round(c * grid.m) for c in coeffs]
-        for combo in itertools.combinations_with_replacement(scaled, n):
+        for combo in itertools.combinations_with_replacement(range(grid.m + 1), n):
             if sum(combo) != grid.m:
                 continue
             bs = [c / grid.m for c in combo]

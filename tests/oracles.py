@@ -59,3 +59,23 @@ def mu_lookup(capacity):
             mask |= 1 << i
         return capacity.values[mask]
     return of
+
+
+def order_key(spec: str):
+    """A sort key on component tuples for the admissible order ``spec``,
+    written from the order's definition: the value (``scalar``), the alpha
+    mix then the beta mix of the endpoints (``ab:<alpha>:<beta>``), or the
+    coordinates in priority order (``veclex:<perm>``, 1-based)."""
+    if spec == "scalar":
+        return lambda c: (c[0],)
+    name, *fields = spec.split(":")
+    if name == "ab":
+        a, b = map(float, fields)
+        return lambda c: ((1 - a) * c[0] + a * c[1], (1 - b) * c[0] + b * c[1])
+    priority = [int(i) - 1 for i in fields[0].split(",")]
+    return lambda c: tuple(c[i] for i in priority)
+
+
+def order_statistic(values, k, key):
+    """The k-th largest of ``values`` (component tuples) under ``key``."""
+    return sorted(values, key=key)[len(values) - k]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import random
 import tempfile
 import tracemalloc
@@ -19,8 +20,11 @@ from choquetlike import (
     load_dataset, parse_dataset, verifier,
 )
 from choquetlike.cli import _results_json, main
+from choquetlike.operator import AggregateResult
 from choquetlike.order import MAX_GRID
 from oracles import classical_choquet_increments, mu_lookup
+
+SQ_DIFF = '{"family": "delta-scale", "delta": "sq-diff"}'
 
 
 def _outcome(load):
@@ -445,7 +449,8 @@ class TestAggregateCommand:
             assert stdout == written and written.endswith("\r\n")
 
     def test_error_in_the_last_row_writes_nothing(self, tmp_path, capsys):
-        # Rows 0 and 1 aggregate; row 2 has 17 tied inputs and is refused.
+        # Rows 0 and 1 aggregate; row 2 has 17 tied inputs, which sq-diff
+        # must walk, and is refused.
         data = tmp_path / "rows.csv"
         data.write_text("".join(",".join([str((i + r) / 40) for i in range(17)]) + "\n"
                                 for r in range(2)) + ",".join(["0.5"] * 17) + "\n")
@@ -453,8 +458,8 @@ class TestAggregateCommand:
         cap.write_text(json.dumps({"n": 17, "kind": "cardinality"}))
         out = tmp_path / "out.json"
         for output in (["--output", str(out)], []):
-            code = main(["aggregate", "--input", str(data), "--capacity", str(cap)]
-                        + output)
+            code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
+                         "--kernel", SQ_DIFF] + output)
             assert code == 1
             captured = capsys.readouterr()
             assert captured.out == "" and not out.exists()
@@ -685,15 +690,40 @@ class TestAggregateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "KernelRangeError"
 
-    def test_tie_group_above_limit_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kernel", ["delta-scale", '{"family": "b-scale-d"}', SQ_DIFF])
+    def test_tie_group_above_limit(self, tmp_path, capsys, kernel):
+        # Only a row that walks is held to the tie limit: the default kernel
+        # and b-scale-d certify 17 identical inputs, sq-diff must walk them.
         data = tmp_path / "rows.csv"
-        data.write_text(",".join(["0.5"] * 17) + "\n")
+        data.write_text(",".join(["0.4"] * 17) + "\n")
         cap = tmp_path / "cap.json"
         cap.write_text(json.dumps({"n": 17, "kind": "cardinality"}))
-        code = main(["aggregate", "--input", str(data), "--capacity", str(cap)])
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "TooManyTies"
+        code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
+                     "--kernel", kernel])
+        captured = capsys.readouterr()
+        if kernel == SQ_DIFF:
+            assert code == 1
+            assert json.loads(captured.err)["error"]["type"] == "TooManyTies"
+        else:
+            assert code == 0
+            assert json.loads(captured.out)["results"] == [
+                {"id": "0", "value": 0.4, "consistent": True, "in_K": True,
+                 "permutations": math.factorial(17)}]
+
+    def test_permutation_count_past_64_bits_is_written(self, tmp_path, capsys, monkeypatch):
+        # An all-tied certified row of 21 to 24 inputs has 21! or more
+        # permutations, past 2^63 - 1; a capacity on 2^21 subsets is too
+        # large to build here, so the library call is stood in for.
+        data = tmp_path / "rows.csv"
+        data.write_text("0.4,0.4\n")
+        cap = tmp_path / "cap.json"
+        cap.write_text(json.dumps({"n": 2, "kind": "cardinality"}))
+        monkeypatch.setattr(cli, "choquet_aggregate", lambda inp, kernel: AggregateResult(
+            Scalar(0.4), True, math.factorial(21), 1))
+        assert main(["aggregate", "--input", str(data), "--capacity", str(cap)]) == 0
+        out = capsys.readouterr().out
+        assert '"permutations": 51090942171709440000\n' in out
+        assert json.loads(out)["results"][0]["permutations"] == math.factorial(21)
 
     def test_aggregate_has_no_seed_option(self, scalar_files, capsys):
         data, cap, out = scalar_files

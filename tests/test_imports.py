@@ -12,7 +12,9 @@ takes its parameters. Only the catalog constructors of ``operator.py``
 say that a kernel is tie-invariant. Neither ``capacity.py`` nor
 ``datasets.py`` reads ``TOL``: data is taken exactly or refused. ``TOL``
 is the one tolerance: no other small number appears in the source but
-``AlphaBeta``'s alpha/beta gap, a refusal."""
+``AlphaBeta``'s alpha/beta gap, a refusal; outside ``order.py``, which
+owns it, only the width construction of ``dissimilarity.py`` reads it,
+and no law check rounds to a number of digits."""
 
 import ast
 import re
@@ -181,7 +183,7 @@ def reached_names(source: str, function: str) -> set[str]:
 def test_detects_a_reached_name():
     source = ("def oracle(xs, order):\n    return _helper(xs, order)\n"
               "def _helper(xs, order):\n    return sorted(xs, key=order.lead)\n"
-              "def other():\n    return _strict_chain()\n")
+              "def other():\n    return strict_chain()\n")
     assert reached_names(source, "oracle") == {"_helper", "xs", "order", "sorted", "lead"}
 
 
@@ -192,7 +194,7 @@ def test_detects_a_reached_name():
 def test_oracles_stay_on_the_comparator(oracle):
     reached = reached_names((PACKAGE / "verifier.py").read_text(encoding="utf-8"), oracle)
     assert {"PermutationSet", "_eval_sorted"} <= reached
-    assert not reached & {"lead", "_strict_chain", "choquet_aggregate", "_fold"}
+    assert not reached & {"lead", "strict_chain", "choquet_aggregate", "_fold"}
 
 
 # The law checks memoize the addition and the kernel within one case
@@ -396,26 +398,84 @@ def test_only_the_catalog_states_tie_invariance():
     assert {name: found for name, found in claims.items() if found} == {}
 
 
-# ``TOL`` compares computed values; it never admits data. The capacity and
-# dataset loaders take values exactly or refuse them, so neither reads it.
-def tolerance_reads(source: str) -> list[int]:
-    """Lines that import ``TOL``, at any depth, or take it as an attribute."""
-    return sorted({node.lineno for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.ImportFrom)
+def located(source: str, hit) -> list[str]:
+    """``where line N`` for each node of ``source`` that ``hit(node)``
+    holds for: ``where`` is the definition around it, dotted
+    (``Class.method``), or ``<module>``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif hit(node):
+            found.append(f"{where or '<module>'} line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+# ``TOL`` compares computed values; it never admits data. ``order.py``
+# defines it and decides where it applies (``close``, the comparators,
+# ``strict_chain``); the other modules ask those. Outside ``order.py`` only
+# the width (Takac) construction of ``dissimilarity.py`` reads it, and
+# ``__init__.py`` re-exports it as a public name.
+def tolerance_reads(source: str) -> list[str]:
+    """``where line N`` for each import of ``TOL`` (a ``*`` import
+    included), at any depth, and each read of it, bare or as an attribute."""
+    return located(source, lambda node: isinstance(node, ast.ImportFrom)
                    and any(alias.name in ("TOL", "*") for alias in node.names)
-                   or isinstance(node, ast.Attribute) and node.attr == "TOL"})
+                   or isinstance(node, ast.Attribute) and node.attr == "TOL"
+                   or isinstance(node, ast.Name) and node.id == "TOL"
+                   and not isinstance(node.ctx, ast.Store))
 
 
 def test_detects_a_tolerance_read():
     source = ("from .order import SCALAR, TOL\nfrom . import order\n"
               "def f(v):\n    from .order import TOL as T\n"
-              "    return v <= 1 + order.TOL, TOLERANCE\nfrom .errors import *\n")
-    assert tolerance_reads(source) == [1, 4, 5, 6]
+              "    return v <= 1 + order.TOL, TOLERANCE\nfrom .errors import *\n"
+              "TOL = 1e-12\nclass A:\n    def g(self, v):\n        return abs(v) <= TOL\n")
+    assert tolerance_reads(source) == ["<module> line 1", "f line 4", "f line 5",
+                                       "<module> line 6", "A.g line 10"]
 
 
 @pytest.mark.parametrize("name", ["capacity.py", "datasets.py"])
 def test_loaders_never_read_the_tolerance(name):
     assert tolerance_reads((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+WIDTH_CONSTRUCTION = {"delta_covers_unit_range", "_require_inner_alpha", "_width_ratio",
+                      "_takac_term"}
+
+
+def test_only_order_and_the_width_construction_read_the_tolerance():
+    reads = {p.name: {r.split()[0].split(".")[0]  # the top-level definition
+                      for r in tolerance_reads(p.read_text(encoding="utf-8"))}
+             for p in MODULES if p.name != "order.py"}
+    assert {name: where for name, where in reads.items() if where} == {
+        "dissimilarity.py": {"<module>"} | WIDTH_CONSTRUCTION}
+
+
+# Law checks choose their grid cases by index, never by rounding: the one
+# call of ``round`` to some digits rounds a report's ``elapsed``.
+def rounded_to_digits(source: str) -> list[str]:
+    """``where line N`` for each call of ``round`` with a second argument."""
+    return located(source, lambda node: isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "round"
+                   and len(node.args) + len(node.keywords) > 1)
+
+
+def test_detects_a_rounding_to_digits():
+    source = ("def f(a, b, m):\n    return round(a - b, 9), round(a * m)\n"
+              "class R:\n    def to_json(self):\n        return round(self.t, ndigits=6)\n")
+    assert rounded_to_digits(source) == ["f line 2", "R.to_json line 5"]
+
+
+def test_only_elapsed_is_rounded_to_digits():
+    found = {p.name: rounded_to_digits(p.read_text(encoding="utf-8")) for p in ALL_MODULES}
+    assert {name: [r.split()[0] for r in where] for name, where in found.items()
+            if where} == {"reporting.py": ["LawReport.to_json"]}
 
 
 # ``TOL`` is the package's one tolerance. The only other small number in

@@ -195,11 +195,23 @@ class TestChoquetAggregate:
         assert choquet_eval(inp, kernel, w["sigma_b"]) == w["value_b"]
         assert not elements_equal(w["value_a"], w["value_b"])
 
+    MU17 = capacity_family("cardinality", MAX_TIE_GROUP + 1)
+
     def test_tie_group_above_limit_raises(self):
-        mu = capacity_family("cardinality", MAX_TIE_GROUP + 1)
+        # sq-diff is not tie-invariant, so the group of 17 goes to the walk.
         with pytest.raises(TooManyTies):
-            choquet_aggregate(scalar_input([0.5] * (MAX_TIE_GROUP + 1), mu),
-                              classical_kernel("scalar"))
+            choquet_aggregate(scalar_input([0.5] * (MAX_TIE_GROUP + 1), self.MU17),
+                              kernel_catalog({"family": "delta-scale", "delta": "sq-diff"},
+                                             "scalar"))
+
+    @pytest.mark.parametrize("spec", ["delta-scale", {"family": "b-scale-d", "d": "abs-diff"}],
+                             ids=["delta-scale", "b-scale-d"])
+    def test_certified_tie_group_above_limit(self, spec):
+        # The tie limit guards the walk; a certified row never walks.
+        res = choquet_aggregate(scalar_input([0.4] * (MAX_TIE_GROUP + 1), self.MU17),
+                                kernel_catalog(spec, "scalar"))
+        assert (res.value, res.consistent, res.permutations, res.checked) == (
+            Scalar(0.4), True, math.factorial(MAX_TIE_GROUP + 1), 1)
 
     def test_vector_order_of_another_dimension_refused(self):
         # The leads 0.1 and 0.4 are far apart, so the row would be a strict
@@ -209,11 +221,10 @@ class TestChoquetAggregate:
             AggregationInput(X, capacity_family("cardinality", 2), VectorLex((0, 1)),
                              VV_PLUS)
 
-    def test_tie_limit_raises_before_the_kernel_carrier(self):
+    def test_kernel_carrier_is_checked_before_the_tie_limit(self):
         kernel = classical_kernel("interval")
-        mu = capacity_family("cardinality", MAX_TIE_GROUP + 1)
-        with pytest.raises(TooManyTies):
-            choquet_aggregate(scalar_input([0.5] * (MAX_TIE_GROUP + 1), mu), kernel)
+        with pytest.raises(KindMismatch):
+            choquet_aggregate(scalar_input([0.5] * (MAX_TIE_GROUP + 1), self.MU17), kernel)
         with pytest.raises(KindMismatch):  # a strict chain reaches the kernel
             choquet_aggregate(scalar_input([0.1, 0.5], capacity_family("cardinality", 2)),
                               kernel)
@@ -288,6 +299,7 @@ class TestTieWalk:
             assert res.consistent == expected
             assert _bits(res.value) == _bits(base)
             assert res.permutations == perms.count
+            assert res.checked <= perms.count  # no permutation is drawn twice
             if not res.consistent:
                 inconsistent += 1
                 w = res.witness
@@ -320,6 +332,20 @@ class TestTieWalk:
                     assert list(map(float.hex, value)) == list(map(float.hex, folded))
                     drawn += 1
         assert drawn > 400, drawn
+
+    def test_prefixes_ending_in_different_inputs_are_not_merged(self):
+        # The two tied inputs differ by 6e-13: both prefixes of the state
+        # {0, 1} have sums within TOL, but b-scale-d reads the previous
+        # input, so they continue to values 1.2e-12 apart.
+        X = tuple(map(Scalar, (0.2, 0.2000000000006, 0.5000000000009)))
+        inp = AggregationInput(X, capacity_family("uniform-random", 3, seed=89494),
+                               ScalarUsual(), PLUS)
+        kernel = kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "scalar")
+        values = [choquet_eval(inp, kernel, s) for s in PermutationSet(X, ScalarUsual())]
+        assert [v.value for v in values] == [0.4974313423147951, 0.49743134231599506]
+        res = choquet_aggregate(inp, kernel)
+        assert (res.consistent, res.checked) == (False, 2)
+        assert res.witness["value_b"] == values[1]
 
     def test_bounded_sum_saturation_merges_split_partial_sums(self):
         # Partial sums differ at depth 2, yet every permutation saturates at 1.
@@ -662,9 +688,10 @@ class TestCertifiedTies:
         (classical_kernel("scalar"), TIED, U3, MIN_OP,
          (True, 2, 1, "0x1.17e4dc0969d9ap-8", 1)),
         (classical_kernel("scalar"), TIED, U3, BOUNDED_SUM, (True, 2, 1, CLASSICAL, 1)),
-        # Tied within TOL, not identical.
+        # Tied within TOL, not identical: the two prefixes end in different
+        # inputs, so the walk keeps both and draws each permutation once.
         (classical_kernel("scalar"), (0.5, 0.2, 0.5 + 5e-13), U3, PLUS,
-         (True, 2, 1, "0x1.f970a2d7c93eep-2", 1)),
+         (True, 2, 2, "0x1.f970a2d7c93eep-2", 1)),
         # A capacity monotone only within TOL is refused when built, so the
         # classical kernel on identical tied inputs is certified, unwalked.
         (classical_kernel("scalar"), (1.0,) * 3, NEAREST_EXACT, PLUS,
@@ -901,6 +928,19 @@ class TestKernelCatalog:
         spec = {"family": "affine-F", "C": "zero", "D": "zero", where: f"scale:{t}"}
         with pytest.raises(ScaleOutOfRange):
             kernel_catalog(spec, "scalar")
+
+    @pytest.mark.parametrize("spec,refused", [
+        ({"family": "affine-F", "C": "scale:abc", "D": "zero"}, "carrier function spec: "
+                                                                "'scale:abc'"),
+        ({"family": "affine-F", "C": "zero", "D": "scale:"}, "carrier function spec: "
+                                                             "'scale:'"),
+        ({"family": "b-scale-d", "d": "takac:x:max:abs-diff"},
+         "dissimilarity spec: 'takac:x:max:abs-diff'"),
+    ], ids=["scale-abc", "scale-empty", "takac-alpha-x"])
+    def test_malformed_spec_number_refused(self, spec, refused):
+        # As a malformed ``ab:`` or ``veclex:`` order spec is.
+        with pytest.raises(BadParameter, match=re.escape(f"bad {refused}") + "$"):
+            kernel_catalog(spec, "interval", XU)
 
     # A caller may pass ``evaluate`` weights outside [0, 1], though no
     # capacity holds one; a coefficient they put outside [0, 1], however
