@@ -307,36 +307,36 @@ def _fold(comps: list, sigma, values, term, plus) -> tuple:
 def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus):
     """``(sigma, value)`` for admissible permutations reaching every distinct
     value, by a walk over the states of each tie group in ``first()`` order.
-    A state (the inputs placed so far) fixes the tail weights ahead, and
-    a kernel term reads the previous input, so two prefixes of a state
-    continue alike when their last inputs have identical component tuples:
-    the state keeps one prefix per such last input and ``close`` partial
-    sum. The first time a state holds two, both are completed in
-    ``first()`` order and yielded at once with their ``_fold`` (the
-    addition may still merge them); at the end, each full prefix kept that
-    is neither of those two, with the walk's sum, which is ``_fold`` along
-    the prefix bit for bit: the same terms, tail weights and order of
-    additions. So no permutation is yielded twice. The arguments after
-    ``perms`` are ``_fold``'s."""
+    A state is the set of inputs placed so far, which fixes the tail
+    weights ahead, with the last input placed, which a kernel term reads
+    as the previous input; inputs with equal component tuples count as
+    one. Prefixes of one state continue alike, so the state keeps one per
+    ``close`` partial sum. The first time a state holds two, both are
+    completed in ``first()`` order and yielded at once with their
+    ``_fold`` (the addition may still merge them); at the end, each full
+    prefix kept that is neither of those two, with the walk's sum, which
+    is ``_fold`` along the prefix bit for bit: the same terms, tail
+    weights and order of additions. So no permutation is yielded twice.
+    The arguments after ``perms`` are ``_fold``'s."""
     first, full = perms.first(), (1 << len(comps)) - 1
     zero = (0.0,) * len(comps[0])
     tails = (0.0,) + values[1:]  # the empty tail weighs 0, as in _fold
-    states = {0: [((), None)]}  # placed mask -> [(prefix, partial sum)]
+    same = {}  # each input's stand-in: the first input equal to it
+    alike = [same.setdefault(c, j) for j, c in enumerate(comps)]
+    states = {(0, None): [((), None)]}  # (placed mask, last) -> [(prefix, sum)]
     split = ()  # the permutations yielded when a state first holds two
     for group in perms.groups:
         for _ in group:
             reached = {}
-            for mask, entries in states.items():
+            for (mask, _), entries in states.items():
                 for j in (j for j in group if not mask >> j & 1):
                     b1, b2 = tails[full & ~mask], tails[full & ~(mask | 1 << j)]
-                    kept = reached.setdefault(mask | 1 << j, [])
+                    kept = reached.setdefault((mask | 1 << j, alike[j]), [])
                     x = comps[j]
                     for prefix, acc in entries:
-                        prev = comps[prefix[-1]] if prefix else zero
-                        t = term(x, prev, b1, b2)
+                        t = term(x, comps[prefix[-1]] if prefix else zero, b1, b2)
                         acc = t if acc is None else plus(acc, t)
-                        if not any(comps[p[-1]] == x and close(acc, other)
-                                   for p, other in kept):
+                        if not any(close(acc, other) for _, other in kept):
                             kept.append((prefix + (j,), acc))
                             if len(kept) == 2 and not split:
                                 split = [p + tuple(i for i in first if i not in p)
@@ -344,7 +344,8 @@ def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus):
                                 for sigma in split:
                                     yield sigma, _fold(comps, sigma, values, term, plus)
             states = reached
-    yield from (entry for entry in states[full] if entry[0] not in split)
+    yield from (entry for entries in states.values() for entry in entries
+                if entry[0] not in split)
 
 
 def _certified(inp: AggregationInput, kernel: KernelL, comps: list, groups) -> bool:
@@ -374,8 +375,12 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     b * d(x, x) = 0 inside the group and enters and leaves it alike; every
     ``affine-F`` gives (b_s - b_{e+1}) * C(x) + k * D(x). Any other row
     walks: a tie group of more than ``MAX_TIE_GROUP`` inputs raises
-    ``TooManyTies``, and otherwise the values that ``_tie_candidates``
-    yields are compared with the first permutation's until one differs (a
+    ``TooManyTies``, which bounds the walk's states on a group of k
+    inputs, one per placed set and last input: while each state's sums
+    stay ``close``, that is k * 2^(k-1) terms when the inputs are equal
+    and k + k * (k-1) * 2^(k-2) when they are distinct (near ties within
+    ``TOL``). Otherwise the values that ``_tie_candidates`` yields are
+    compared with the first permutation's until one differs (a
     row without ties yields ``first`` alone). Inconsistency is reported,
     never raised; the witness carries two permutations and their values.
     The value, bit for bit, is ``choquet_eval`` along the first

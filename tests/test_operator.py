@@ -347,6 +347,36 @@ class TestTieWalk:
         assert (res.consistent, res.checked) == (False, 2)
         assert res.witness["value_b"] == values[1]
 
+    @pytest.mark.parametrize("offset", [0.0, 5e-14])
+    def test_walk_keeps_one_state_per_placed_set_and_last_input(self, offset):
+        # With every state's sums close: k * 2^(k-1) terms for k equal
+        # inputs, k + k * (k-1) * 2^(k-2) for k distinct ones.
+        k = 8
+        X = tuple(Scalar(0.4 + i * offset) for i in range(k))
+        perms = PermutationSet(X, ScalarUsual())
+        assert len(perms.groups) == 1
+        kernel = kernel_catalog({"family": "delta-scale", "delta": "sq-diff"}, "scalar")
+        calls = []
+
+        def term(*args):
+            calls.append(args)
+            return kernel.term(*args)
+
+        comps = [x.components for x in X]
+        ops = (capacity_family("cardinality", k).values, term, PLUS.term)
+        values = [value for _, value in _tie_candidates(comps, perms, *ops)]
+        assert len(values) == (1 if offset == 0.0 else k)
+        assert len(calls) == (k << (k - 1) if offset == 0.0 else k + (k * (k - 1) << (k - 2)))
+
+    def test_signed_zeros_are_one_last_input(self):
+        # -0.0 == 0.0, so both orders of this row reach one state and one value.
+        X = (Scalar(-0.0), Scalar(0.0))
+        kernel = kernel_catalog("delta-scale", "scalar")
+        comps = [x.components for x in X]
+        ops = (capacity_family("uniform-random", 2, seed=1).values, kernel.term, PLUS.term)
+        walk = list(_tie_candidates(comps, PermutationSet(X, ScalarUsual()), *ops))
+        assert len(walk) == 1
+
     def test_bounded_sum_saturation_merges_split_partial_sums(self):
         # Partial sums differ at depth 2, yet every permutation saturates at 1.
         mu = capacity_from_table(3, [

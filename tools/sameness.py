@@ -1,6 +1,6 @@
 """Aim 2's sameness check: the outputs that a refactor must hold, as one record.
 
-    python3 tools/sameness.py [--out FILE]     # write the record (stdout if no FILE)
+    python3 tools/sameness.py > FILE           # write the record to stdout
     python3 tools/sameness.py --check FILE     # compare with a record; exit 1 on a difference
 
 For each of the agg-scalar, agg-interval and agg-tied workloads at seeds
@@ -9,28 +9,32 @@ aggregate`` on them and records the sha256 of its stdout and its exit code.
 It runs ``verify --suite all`` at the default grid, ``--grid 2``, ``--grid
 3``, ``--n 4 --grid 2`` and ``--format csv --grid 2``, and ``verify --suite
 appendix-c`` at ``--grid 2`` to ``16``, and records each output's sha256 with
-every report's ``elapsed`` removed, with the exit code. ``--check`` names
-each key whose entry differs from the record's, or is missing from either.
+every report's ``elapsed`` removed from the text, and the exit code. The
+rest of each output is hashed byte for byte: a change of number format,
+indentation, quoting or line ends is a difference. ``--check`` names each
+key whose entry differs from the record's, or is missing from either.
 
 Like ``gen.py``, this script does not import the program: it runs the CLI
-of the checkout it lives in (``--repo`` names another one) as a process,
-one at a time. The whole set takes about 20 s on a 2-core machine.
+of the checkout it lives in as a process, one at a time. The whole set
+takes about 20 s on a 2-core machine.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import params  # noqa: E402 (the generator's own table)
+
 AGG_WORKLOADS = ("agg-scalar", "agg-interval", "agg-tied")
 SEEDS = range(1, 11)
 VERIFY_VARIANTS = (
@@ -38,6 +42,8 @@ VERIFY_VARIANTS = (
     ("all", ["--n", "4", "--grid", "2"]), ("all", ["--format", "csv", "--grid", "2"]),
     *(("appendix-c", ["--grid", str(m)]) for m in range(2, 17)),
 )
+# A report's own ``elapsed`` line in ``verify``'s JSON (two-space indent).
+ELAPSED_LINE = re.compile(rb'^    "elapsed": [^\r\n]*(\r?\n|$)', re.MULTILINE)
 
 
 def _run(argv: list[str], env: dict) -> subprocess.CompletedProcess:
@@ -49,37 +55,40 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def without_elapsed(text: str, csv_format: bool) -> bytes:
-    """The ``verify`` output ``text`` with every ``elapsed`` removed: a key of
-    each JSON report, or a column of the CSV table."""
-    if csv_format:
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
-            return b""
-        col = rows[0].index("elapsed")
-        out = io.StringIO()
-        csv.writer(out).writerows([r[:col] + r[col + 1:] for r in rows])
-        return out.getvalue().encode()
-    reports = json.loads(text)
-    for report in reports:
-        report.pop("elapsed", None)
-    return json.dumps(reports, indent=2).encode()
+def without_elapsed(out: bytes, csv_format: bool) -> bytes:
+    """The ``verify`` stdout ``out`` with each ``elapsed`` cut from the text
+    and every other byte kept: each report's ``"elapsed": ...`` line of the
+    JSON, or the ``elapsed`` field of each CSV line, found by its position
+    from the right in the header (the fields from it rightwards are
+    numbers, which hold no comma). Output without an ``elapsed`` header is
+    returned as it is, so its hash differs from the record's."""
+    if not csv_format:
+        return ELAPSED_LINE.sub(b"", out)
+    lines = out.splitlines(keepends=True)
+    header = lines[0].rstrip(b"\r\n").split(b",") if lines else []
+    if b"elapsed" not in header:
+        return out
+    right = len(header) - header.index(b"elapsed")  # 1 for the last field
+    kept = []
+    for line in lines:
+        body = line.rstrip(b"\r\n")
+        fields = body.rsplit(b",", right)
+        kept.append(b",".join(fields[:1] + fields[2:]) + line[len(body):])
+    return b"".join(kept)
 
 
-def record(repo: Path) -> dict:
+def record() -> dict:
     """``{key: {"exit": code, "sha256": digest}}`` for every run, in a fixed
     key order."""
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
     cli = ["-m", "choquetlike.cli"]
-    sys.path.insert(0, str(repo / "perfbench"))
-    from workloads import params  # noqa: E402 (the generator's own table)
     out = {}
     with tempfile.TemporaryDirectory(prefix="sameness-") as tmp:
         for workload in AGG_WORKLOADS:
             p = params(workload)
             for seed in SEEDS:
                 work = Path(tmp) / f"{workload}-{seed}"
-                gen = _run([str(repo / "perfbench" / "gen.py"), "--workload", workload,
+                gen = _run([str(ROOT / "perfbench" / "gen.py"), "--workload", workload,
                             "--seed", str(seed), "--out", str(work)], env)
                 if gen.returncode != 0:
                     raise SystemExit(f"gen.py failed on {workload} seed {seed}:\n"
@@ -91,10 +100,9 @@ def record(repo: Path) -> dict:
                     "exit": res.returncode, "sha256": _sha256(res.stdout)}
     for suite, flags in VERIFY_VARIANTS:
         res = _run(cli + ["verify", "--suite", suite, *flags], env)
-        text = res.stdout.decode()
         out[" ".join(["verify --suite", suite, *flags])] = {
             "exit": res.returncode,
-            "sha256": _sha256(without_elapsed(text, "csv" in flags))}
+            "sha256": _sha256(without_elapsed(res.stdout, "csv" in flags))}
     return out
 
 
@@ -108,24 +116,19 @@ def differences(found: dict, expected: dict) -> list[str]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repo", default=str(ROOT),
-                    help="the checkout whose CLI and generator to run")
-    ap.add_argument("--out", default=None, help="write the record here")
-    ap.add_argument("--check", default=None, help="compare with this record")
+    ap.add_argument("--check", default=None,
+                    help="compare with this record instead of printing one")
     args = ap.parse_args(argv)
-    found = record(Path(args.repo).resolve())
-    if args.out:
-        Path(args.out).write_text(json.dumps(found, indent=1) + "\n", encoding="utf-8")
-    elif not args.check:
+    found = record()
+    if not args.check:
         print(json.dumps(found, indent=1))
-    if args.check:
-        expected = json.loads(Path(args.check).read_text(encoding="utf-8"))
-        diff = differences(found, expected)
-        for line in diff:
-            print(line)
-        print(f"{len(diff)} of {len(found)} keys differ", file=sys.stderr)
-        return 1 if diff else 0
-    return 0
+        return 0
+    expected = json.loads(Path(args.check).read_text(encoding="utf-8"))
+    diff = differences(found, expected)
+    for line in diff:
+        print(line)
+    print(f"{len(diff)} of {len(found)} keys differ", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
