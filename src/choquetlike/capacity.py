@@ -1,15 +1,20 @@
 """Capacities: normalized monotone set functions on {1, ..., n}.
 
 Subsets are stored as bitmasks (bit i-1 represents element i), which caps
-n at 24; verification workloads stay at n <= 6, the cap only bounds
-memory. Capacities are immutable, and taken exactly: correctly rounded
-parsing keeps a table monotone in its JSON text monotone as floats.
+n at 24; verification workloads stay at n <= 6. The cap bounds time as
+well as memory: a table holds 2^n values, and reading and checking it
+takes a few passes over them. Capacities are immutable, and taken
+exactly: correctly rounded parsing keeps a table monotone in its JSON text
+monotone as floats.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter, le
 
 from .errors import (
     BadBoundary, BadParameter, MissingSubset, NotMonotone, json_number,
@@ -17,6 +22,8 @@ from .errors import (
 )
 
 MAX_N = 24
+_BIT = {i: 1 << (i - 1) for i in range(1, MAX_N + 1)}  # element -> its mask bit
+_FLOAT_MAX = sys.float_info.max
 
 
 def subset_to_mask(items) -> int:
@@ -93,7 +100,10 @@ class Capacity:
             complete = obj.get("complete", False)
             if not isinstance(complete, bool):
                 raise BadParameter(f"'complete' must be true or false, got {complete!r}")
-            return capacity_from_table(n, [_table_entry(e) for e in entries], complete)
+            values = _entry_values(n, entries)
+            if values is None:  # refused: the entry-by-entry reading raises the error
+                return capacity_from_table(n, [_table_entry(e) for e in entries], complete)
+            return _from_values(n, values, complete)
         params = {k: v for k, v in obj.items() if k not in ("n", "kind")}
         return capacity_family(kind, n, **params)
 
@@ -109,8 +119,82 @@ def _table_entry(entry) -> tuple[list, float]:
     return entry["subset"], json_number(entry, "value")
 
 
+def _entry_values(n: int, entries: list):
+    """The values of a table's JSON ``entries`` by mask, None where no
+    entry gives one, read in one pass. Each entry must be a dict of a
+    ``subset`` list of distinct element numbers in 1..n and a finite
+    ``value`` that is no bool, and two entries of one subset must agree.
+    Returns None instead when ``n`` or some entry fails that: such a
+    table is refused, and ``_table_entry`` and ``capacity_from_table``
+    raise its error."""
+    if not 1 <= n <= MAX_N:
+        return None
+    size = 1 << n
+    values = [None] * size
+    bit = _BIT.__getitem__
+    for entry in entries:
+        if not isinstance(entry, dict) or len(entry) != 2:
+            return None
+        subset, value = entry.get("subset"), entry.get("value")
+        if (not isinstance(subset, list) or isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+            return None
+        try:
+            mask = sum(map(bit, subset))
+        except (KeyError, TypeError):  # an element outside 1..MAX_N
+            return None
+        if mask >= size or mask.bit_count() != len(subset):  # outside 1..n, or repeated
+            return None
+        value = float(value)
+        if values[mask] is not None and values[mask] != value:
+            return None
+        values[mask] = value
+    # ``_BIT`` also maps True and 1.0, which are no element numbers.
+    kinds = set(map(type, chain.from_iterable(map(itemgetter("subset"), entries))))
+    if bool in kinds or not all(issubclass(k, int) for k in kinds):
+        return None
+    return values
+
+
 def _validate(n: int, values) -> None:
-    """Refuse ``values`` unless they are a capacity, exactly."""
+    """Refuse ``values`` unless they are a capacity, exactly. The range
+    and monotonicity are decided in bulk, and only a table that fails
+    them is scanned entry by entry, by ``_first_fault``, for the error
+    to raise."""
+    if not (all(map(le, repeat(0.0), values)) and all(map(le, values, repeat(1.0)))
+            and _monotone(n, values)):
+        _first_fault(n, values)
+    if values[0] != 0.0:
+        raise BadBoundary(f"value at the empty set must be 0, got {values[0]}")
+    full = (1 << n) - 1
+    if values[full] != 1.0:
+        raise BadBoundary(f"value at the full set must be 1, got {values[full]}")
+
+
+def _monotone(n: int, values) -> bool:
+    """Whether mu(A) <= mu(A + i) for every set A and element i outside
+    it, for ``values`` in [0, 1]; along single-element additions this is
+    monotonicity under inclusion. Bit plane i pairs each mask without bit
+    i with the mask that adds it: as s = 2^i strided slices when s is
+    small, as 2^n / 2s contiguous blocks of s masks when it is large."""
+    size = len(values)
+    for i in range(n):
+        s = 1 << i
+        step = s << 1
+        if s * step <= size:
+            pairs = ((values[r::step], values[r + s::step]) for r in range(s))
+        else:
+            pairs = ((values[k:k + s], values[k + s:k + step])
+                     for k in range(0, size, step))
+        if not all(all(map(le, lo, hi)) for lo, hi in pairs):
+            return False
+    return True
+
+
+def _first_fault(n: int, values) -> None:
+    """Raise the first value out of [0, 1], else the first decrease along
+    a single-element addition, in the order of masks and then elements."""
     for v in values:
         if not (0.0 <= v <= 1.0):
             raise BadParameter(f"capacity value out of [0, 1]: {v}")
@@ -125,11 +209,6 @@ def _validate(n: int, values) -> None:
                     f"mu({mask_to_subset(mask)}) = {values[mask]} exceeds "
                     f"mu({mask_to_subset(bigger)}) = {values[bigger]}",
                     witness=(mask_to_subset(mask), mask_to_subset(bigger)))
-    if values[0] != 0.0:
-        raise BadBoundary(f"value at the empty set must be 0, got {values[0]}")
-    full = (1 << n) - 1
-    if values[full] != 1.0:
-        raise BadBoundary(f"value at the full set must be 1, got {values[full]}")
 
 
 def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:
@@ -145,20 +224,24 @@ def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:
     if not (1 <= n <= MAX_N):
         raise BadParameter(f"n must lie in 1..{MAX_N}, got {n}")
     size = 1 << n
-    given: dict[int, float] = {}
+    values = [None] * size
     for subset, value in entries:
         mask = subset_to_mask(subset)
         if mask >= size:
             raise BadParameter(f"subset {sorted(subset)} outside 1..{n}")
-        if mask in given and given[mask] != value:
+        if values[mask] is not None and values[mask] != value:
             raise BadParameter(f"conflicting values for subset {sorted(subset)}")
-        given[mask] = float(value)
+        values[mask] = float(value)
+    return _from_values(n, values, complete)
 
+
+def _from_values(n: int, values: list, complete: bool) -> Capacity:
+    """The capacity of ``values`` by mask, None where no entry gives one,
+    completed as ``capacity_from_table`` says."""
+    size = 1 << n
     full = size - 1
-    values = [None] * size
-    for mask, v in given.items():
-        values[mask] = v
     if complete:
+        given = {mask: v for mask, v in enumerate(values) if v is not None}
         given.setdefault(full, 1.0)
         given.setdefault(0, 0.0)
         # Smallest given value over supersets, computed by sweeping masks
@@ -172,9 +255,8 @@ def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:
                     continue
                 ext[mask] = min(ext[mask], ext[mask | 1 << i])
         values = [given.get(mask, ext[mask]) for mask in range(size)]
-    elif any(v is None for v in values):
-        missing = next(mask for mask, v in enumerate(values) if v is None)
-        raise MissingSubset(f"no value for subset {mask_to_subset(missing)}")
+    elif None in values:
+        raise MissingSubset(f"no value for subset {mask_to_subset(values.index(None))}")
     return Capacity(n, tuple(values))
 
 
@@ -192,7 +274,7 @@ def capacity_family(kind: str, n: int, **params) -> Capacity:
     size = 1 << n
     if kind == "cardinality":
         refuse_unknown_keys(params, (), "cardinality capacity")
-        return Capacity(n, tuple(bin(m).count("1") / n for m in range(size)))
+        return Capacity(n, tuple(m.bit_count() / n for m in range(size)))
     if kind == "dirac":
         refuse_unknown_keys(params, ("i",), "dirac capacity")
         i = json_number(params, "i", 0, integral=True)
@@ -205,7 +287,7 @@ def capacity_family(kind: str, n: int, **params) -> Capacity:
         k = json_number(params, "k", 0, integral=True)
         if not 1 <= k <= n:
             raise BadParameter(f"top threshold must lie in 1..{n}, got {k}")
-        return Capacity(n, tuple(1.0 if bin(m).count("1") >= k else 0.0
+        return Capacity(n, tuple(1.0 if m.bit_count() >= k else 0.0
                                  for m in range(size)))
     if kind == "uniform-random":
         refuse_unknown_keys(params, ("seed",), "uniform-random capacity")

@@ -74,9 +74,11 @@ class KernelL:
     is ``fn`` alone. Only the catalog constructors set the other fields:
     ``term``, the kernel on component tuples of carrier ``kind``, checked
     as above, of which ``fn`` is the lift that ``evaluate`` calls as is;
-    and ``tie_invariant``, the family's proof that the order inside a
+    ``tie_invariant``, the family's proof that the order inside a
     group of identical tied inputs does not change the operator (see
-    ``choquet_aggregate``).
+    ``choquet_aggregate``); and ``reads_previous``, False for a family
+    whose term never reads the previous input, which lets the tie walk
+    of ``choquet_aggregate`` key its states by the placed set alone.
     """
 
     fn: Callable[[Element, Element, float, float], Element]
@@ -85,6 +87,7 @@ class KernelL:
         default=None, init=False)
     kind: Optional[str] = field(default=None, init=False)
     tie_invariant: bool = field(default=False, init=False)
+    reads_previous: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if not callable(self.fn):
@@ -127,7 +130,8 @@ def _on_components(fn, kind: str, what: str):
     return lifted
 
 
-def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool) -> KernelL:
+def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool,
+                      reads_previous: bool) -> KernelL:
     """The catalog kernel defined on component tuples of carrier ``kind``
     by ``term``. Its output goes through the carrier's constructor and
     ``_validate_unit`` unless it is ``bounded``: both leave such a tuple as is."""
@@ -153,6 +157,7 @@ def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool) -> Ker
     object.__setattr__(kernel, "term", checked)
     object.__setattr__(kernel, "kind", kind)
     object.__setattr__(kernel, "tie_invariant", tie_invariant)
+    object.__setattr__(kernel, "reads_previous", reads_previous)
     return kernel
 
 
@@ -304,25 +309,27 @@ def _fold(comps: list, sigma, values, term, plus) -> tuple:
     return acc
 
 
-def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus):
+def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus,
+                    reads_previous: bool = True):
     """``(sigma, value)`` for admissible permutations reaching every distinct
     value, by a walk over the states of each tie group in ``first()`` order.
     A state is the set of inputs placed so far, which fixes the tail
-    weights ahead, with the last input placed, which a kernel term reads
-    as the previous input; inputs with equal component tuples count as
-    one. Prefixes of one state continue alike, so the state keeps one per
-    ``close`` partial sum. The first time a state holds two, both are
-    completed in ``first()`` order and yielded at once with their
-    ``_fold`` (the addition may still merge them); at the end, each full
-    prefix kept that is neither of those two, with the walk's sum, which
-    is ``_fold`` along the prefix bit for bit: the same terms, tail
-    weights and order of additions. So no permutation is yielded twice.
-    The arguments after ``perms`` are ``_fold``'s."""
+    weights ahead, with the last input placed when the kernel
+    ``reads_previous``, as its term reads that input; inputs with equal
+    component tuples count as one. Prefixes of one state continue alike,
+    so the state keeps one per ``close`` partial sum. The first time a
+    state holds two, both are completed in ``first()`` order and yielded
+    at once with their ``_fold`` (the addition may still merge them);
+    at the end, each full prefix kept that is neither of those two, with
+    the walk's sum, which is ``_fold`` along the prefix bit for bit: the
+    same terms, tail weights and order of additions. So no permutation is
+    yielded twice. The arguments after ``perms`` are ``_fold``'s, then
+    the kernel's ``reads_previous``."""
     first, full = perms.first(), (1 << len(comps)) - 1
     zero = (0.0,) * len(comps[0])
     tails = (0.0,) + values[1:]  # the empty tail weighs 0, as in _fold
     same = {}  # each input's stand-in: the first input equal to it
-    alike = [same.setdefault(c, j) for j, c in enumerate(comps)]
+    last = [same.setdefault(c, j) if reads_previous else None for j, c in enumerate(comps)]
     states = {(0, None): [((), None)]}  # (placed mask, last) -> [(prefix, sum)]
     split = ()  # the permutations yielded when a state first holds two
     for group in perms.groups:
@@ -331,7 +338,7 @@ def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus):
             for (mask, _), entries in states.items():
                 for j in (j for j in group if not mask >> j & 1):
                     b1, b2 = tails[full & ~mask], tails[full & ~(mask | 1 << j)]
-                    kept = reached.setdefault((mask | 1 << j, alike[j]), [])
+                    kept = reached.setdefault((mask | 1 << j, last[j]), [])
                     x = comps[j]
                     for prefix, acc in entries:
                         t = term(x, comps[prefix[-1]] if prefix else zero, b1, b2)
@@ -376,12 +383,13 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     ``affine-F`` gives (b_s - b_{e+1}) * C(x) + k * D(x). Any other row
     walks: a tie group of more than ``MAX_TIE_GROUP`` inputs raises
     ``TooManyTies``, which bounds the walk's states on a group of k
-    inputs, one per placed set and last input: while each state's sums
-    stay ``close``, that is k * 2^(k-1) terms when the inputs are equal
-    and k + k * (k-1) * 2^(k-2) when they are distinct (near ties within
-    ``TOL``). Otherwise the values that ``_tie_candidates`` yields are
-    compared with the first permutation's until one differs (a
-    row without ties yields ``first`` alone). Inconsistency is reported,
+    inputs: one per placed set, and per last input too when the kernel
+    ``reads_previous``. While each state's sums stay ``close``, that is
+    k * 2^(k-1) terms, or k + k * (k-1) * 2^(k-2) when the kernel
+    reads the previous input and the inputs are distinct (near ties
+    within ``TOL``). Otherwise the values that ``_tie_candidates``
+    yields are compared with the first permutation's until one differs
+    (a row without ties yields ``first`` alone). Inconsistency is reported,
     never raised; the witness carries two permutations and their values.
     The value, bit for bit, is ``choquet_eval`` along the first
     permutation."""
@@ -412,7 +420,7 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
         raise TooManyTies(f"a tie group has more than {MAX_TIE_GROUP} inputs")
     witness = None
     checked = 0
-    walk = _tie_candidates(comps, perms, values, term, plus)
+    walk = _tie_candidates(comps, perms, values, term, plus, kernel.reads_previous)
     for checked, (other, v) in enumerate(walk, 1):
         if not close(v, base):
             witness = {"sigma_a": sigma, "value_a": value,
@@ -461,7 +469,7 @@ def delta_scale_kernel(delta: str, kind: str) -> KernelL:
         return mul(c, xc)
 
     return _component_kernel(term, kind, f"delta-scale({delta})",
-                             tie_invariant=delta_fn is delta_abs)
+                             tie_invariant=delta_fn is delta_abs, reads_previous=False)
 
 
 def f_difference_kernel(F: Callable[[Element, float], Element]) -> KernelL:
@@ -487,7 +495,8 @@ def b_scale_d_kernel(d: str, kind: str,
             unit_coefficient(b1)  # raises ScaleOutOfRange
         return mul_term(b1, t)
 
-    return _component_kernel(term, kind, f"b-scale-d({dis.name})", tie_invariant=True)
+    return _component_kernel(term, kind, f"b-scale-d({dis.name})", tie_invariant=True,
+                             reads_previous=True)
 
 
 def affine_f_kernel(C: str, D: str, kind: str) -> KernelL:
@@ -508,7 +517,7 @@ def affine_f_kernel(C: str, D: str, kind: str) -> KernelL:
             unit_coefficient(a)  # raises ScaleOutOfRange
         return tuple([a * c + e for c, e in zip(C_fn(xc), D_fn(xc))])
 
-    return _component_kernel(term, kind, name, tie_invariant=True)
+    return _component_kernel(term, kind, name, tie_invariant=True, reads_previous=False)
 
 
 def kernel_catalog(spec, kind: str, order: Optional[AdmissibleOrder] = None) -> KernelL:

@@ -9,6 +9,7 @@ lookups.
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def classical_choquet_increments(values, mu_of_subset):
@@ -79,3 +80,24 @@ def order_key(spec: str):
 def order_statistic(values, k, key):
     """The k-th largest of ``values`` (component tuples) under ``key``."""
     return sorted(values, key=key)[len(values) - k]
+
+
+def weighted_mean(values, weights):
+    """The componentwise mean of ``values`` (component tuples) with
+    ``weights``: sum over i of weights[i] * values[i]."""
+    return tuple(math.fsum(w * c[j] for w, c in zip(weights, values))
+                 for j in range(len(values[0])))
+
+
+def chain_weights(values, key, mu_of_subset):
+    """Each input's weight mu(B_i) - mu(B_{i+1}) along the chain that
+    ``key`` sorts ``values`` (component tuples) into, ascending, where B_i
+    is the tail set from position i and mu(B_{n+1}) = 0: the classical
+    Choquet sum along that chain is ``weighted_mean(values, weights)``.
+    ``mu_of_subset`` maps an iterable of 0-based indices to the capacity
+    value."""
+    order = sorted(range(len(values)), key=lambda i: key(values[i]))
+    weights = [0.0] * len(values)
+    for pos, idx in enumerate(order):
+        weights[idx] = mu_of_subset(order[pos:]) - mu_of_subset(order[pos + 1:])
+    return weights

@@ -1,13 +1,14 @@
-"""A guard on the Python calls that building an element and aggregating
-one strict row make. Each bound is the count the code reaches; a change
-that adds a frame to these paths fails here and states its cost."""
+"""A guard on the Python calls that building an element, aggregating one
+strict row and loading a capacity table make. Each bound is the count the
+code reaches; a change that adds a frame to these paths fails here and
+states its cost."""
 
 import sys
 
 import pytest
 
 from choquetlike import (
-    AggregationInput, AlphaBeta, Interval, Scalar, ScalarUsual, addition_for,
+    AggregationInput, AlphaBeta, Capacity, Interval, Scalar, ScalarUsual, addition_for,
     capacity_family, choquet_aggregate, kernel_catalog,
 )
 
@@ -39,6 +40,8 @@ def aggregating(row, order, kernel):
 
 
 XU = AlphaBeta(0.5, 1.0)
+# The JSON of a random table on 8 elements: 256 entries.
+TABLE8 = capacity_family("uniform-random", 8, seed=3).to_json()
 # The two strict rows have 5 inputs each, their leads far more than TOL apart.
 CASES = {  # id: (thunk, the most calls it may make)
     "scalar": (lambda: Scalar(0.5), 1),
@@ -49,6 +52,7 @@ CASES = {  # id: (thunk, the most calls it may make)
     "interval-row": (aggregating(
         tuple(Interval(lo, lo + 0.1) for lo in (0.1, 0.5, 0.3, 0.8, 0.65)), XU,
         kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", XU)), 64),
+    "table-n8": (lambda: Capacity.from_json(TABLE8), 88),
 }
 
 

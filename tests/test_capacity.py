@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 from decimal import Decimal
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choquetlike import (
-    BadBoundary, BadParameter, Capacity, MissingSubset, NotMonotone,
+    BadBoundary, BadParameter, Capacity, ChoquetlikeError, MissingSubset, NotMonotone,
     capacity_battery, capacity_family, capacity_from_table, tail_values,
 )
 from choquetlike.capacity import mask_to_subset
@@ -164,6 +165,141 @@ class TestExactValues:
             capacity_from_table(2, entries[:3] + [((2, 1, 2), 1)])
         with pytest.raises(BadParameter, match="twice"):
             capacity_from_table(2, entries).of_subset((2, 2))
+
+
+def reference_validate(n, values):
+    """The entry-by-entry check that ``Capacity`` made before it decided
+    range and monotonicity in bulk, kept as the oracle of its errors."""
+    for v in values:
+        if not (0.0 <= v <= 1.0):
+            raise BadParameter(f"capacity value out of [0, 1]: {v}")
+    for mask in range(1 << n):
+        for i in range(n):
+            if mask >> i & 1:
+                continue
+            bigger = mask | 1 << i
+            if values[mask] > values[bigger]:
+                raise NotMonotone(
+                    f"mu({mask_to_subset(mask)}) = {values[mask]} exceeds "
+                    f"mu({mask_to_subset(bigger)}) = {values[bigger]}",
+                    witness=(mask_to_subset(mask), mask_to_subset(bigger)))
+    if values[0] != 0.0:
+        raise BadBoundary(f"value at the empty set must be 0, got {values[0]}")
+    full = (1 << n) - 1
+    if values[full] != 1.0:
+        raise BadBoundary(f"value at the full set must be 1, got {values[full]}")
+
+
+def outcome(thunk):
+    """``(type, message, witness)`` of the library error ``thunk()``
+    raises, or None."""
+    try:
+        thunk()
+    except ChoquetlikeError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None
+
+
+@st.composite
+def nudged_tables(draw):
+    """A monotone table on n <= 8 elements, with values of 0 and 1 among
+    its entries, then one entry moved a few ulps up or down, or made NaN,
+    or -0.0 at the empty set."""
+    n = draw(st.integers(1, 8))
+    size = 1 << n
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    raw = [rng.choice((0.0, 1.0, rng.random(), rng.random())) for _ in range(size)]
+    values = [0.0] * size
+    for mask in range(1, size):
+        values[mask] = max([raw[mask]] + [values[mask & ~(1 << i)]
+                                          for i in range(n) if mask >> i & 1])
+    values[0], values[-1] = 0.0, 1.0
+    at = draw(st.integers(0, size - 1))
+    change = draw(st.sampled_from(["none", "up", "down", "nan", "-0.0"]))
+    if change in ("up", "down"):
+        for _ in range(draw(st.integers(1, 4))):
+            values[at] = math.nextafter(values[at], math.inf if change == "up" else -math.inf)
+    elif change == "nan":
+        values[at] = math.nan
+    elif change == "-0.0":
+        values[0] = -0.0
+    return n, tuple(values)
+
+
+class TestBulkValidation:
+    """Range and monotonicity are decided in bulk; the errors, with their
+    messages and witnesses, are the entry-by-entry check's."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(nudged_tables())
+    @example((2, (0.0, 0.7, 0.3, 0.5)))
+    @example((3, (0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, math.nextafter(0.5, 0.0))))
+    @example((1, (-0.0, 1.0)))
+    def test_same_error_as_the_entry_by_entry_check(self, table):
+        n, values = table
+        want = outcome(lambda: reference_validate(n, values))
+        assert outcome(lambda: Capacity(n, values)) == want
+        entries = [{"subset": mask_to_subset(m), "value": v} for m, v in enumerate(values)]
+        assert outcome(lambda: Capacity.from_json({"n": n, "entries": entries})) == want
+
+    # Each case: the entries added to a valid table on {1, 2}, and the
+    # message the entry-by-entry reading gives.
+    BASE = [{"subset": [], "value": 0}, {"subset": [1], "value": 0.3},
+            {"subset": [2], "value": 0.6}, {"subset": [1, 2], "value": 1}]
+    MALFORMED = {
+        "bool-element": ([{"subset": [True], "value": 0.3}],
+                         "capacity entry {'subset': [True], 'value': 0.3} needs a list of "
+                         "element numbers (1 to 24) as subset"),
+        "element-0": ([{"subset": [0], "value": 0.3}],
+                      "capacity entry {'subset': [0], 'value': 0.3} needs a list of "
+                      "element numbers (1 to 24) as subset"),
+        "element-25": ([{"subset": [25], "value": 0.3}],
+                       "capacity entry {'subset': [25], 'value': 0.3} needs a list of "
+                       "element numbers (1 to 24) as subset"),
+        "float-element": ([{"subset": [1.0], "value": 0.3}],
+                          "capacity entry {'subset': [1.0], 'value': 0.3} needs a list of "
+                          "element numbers (1 to 24) as subset"),
+        "repeated-element": ([{"subset": [1, 1], "value": 0.3}],
+                             "subset [1, 1] lists element 1 twice"),
+        "unknown-key": ([{"subset": [1], "value": 0.3, "weight": 1}],
+                        "unknown capacity entry key(s) ['weight']; known: ['subset', 'value']"),
+        "bool-value": ([{"subset": [1], "value": True}], "'value' must be a number, got True"),
+        "value-1e309": (json.loads('[{"subset": [1], "value": 1e309}]'),
+                        "'value' lies beyond the float range"),
+        "conflicting-duplicates": ([{"subset": [1], "value": 0.4}],
+                                   "conflicting values for subset [1]"),
+        "element-outside-n": ([{"subset": [3], "value": 0.3}], "subset [3] outside 1..2"),
+        # The first entry refused as an entry wins over an earlier repeat.
+        "repeat-then-bool": ([{"subset": [2, 2], "value": 0.6},
+                              {"subset": [False], "value": 0}],
+                             "capacity entry {'subset': [False], 'value': 0} needs a list of "
+                             "element numbers (1 to 24) as subset"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_entry_keeps_its_message(self, case):
+        extra, message = self.MALFORMED[case]
+        with pytest.raises(BadParameter) as exc:
+            Capacity.from_json({"n": 2, "kind": "table", "entries": self.BASE + extra})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("obj,error,message", [
+        ({"n": 2, "entries": BASE[:3]}, MissingSubset, "no value for subset [1, 2]"),
+        ({"n": 25, "entries": BASE}, BadParameter, "n must lie in 1..24, got 25"),
+        ({"n": 2, "entries": [BASE[0], {"subset": [1], "value": math.nan}, *BASE[2:]]},
+         BadParameter, "capacity value out of [0, 1]: nan"),
+        ({"n": 2, "complete": True, "entries": [{"subset": [1], "value": math.nan}]},
+         BadParameter, "capacity value out of [0, 1]: nan"),
+    ], ids=["missing-subset", "n-above-the-cap", "nan-value", "nan-value-completed"])
+    def test_other_table_refusals_keep_their_message(self, obj, error, message):
+        with pytest.raises(error) as exc:
+            Capacity.from_json(obj)
+        assert str(exc.value) == message
+
+    def test_completion_reads_entries_in_bulk(self):
+        mu = Capacity.from_json({"n": 2, "complete": True, "entries": [
+            {"subset": [1], "value": 0.4}, {"subset": [1], "value": 0.4}]})
+        assert mu.values == (0.0, 0.4, 1.0, 1.0)
 
 
 class TestFamilies:

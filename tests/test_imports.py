@@ -361,22 +361,25 @@ def test_order_internals_stay_in_order_module(path):
     assert order_internals(path.read_text(encoding="utf-8")) == []
 
 
-# A kernel's tie invariance is a theorem about its family, so only the
-# catalog constructors of ``operator.py`` may state it.
+# A kernel's tie invariance, and whether its term reads the previous
+# input, are theorems about its family, so only the catalog constructors
+# of ``operator.py`` may state them.
 CATALOG_CONSTRUCTORS = {"_component_kernel", "delta_scale_kernel", "affine_f_kernel",
                         "b_scale_d_kernel"}
+CATALOG_FACTS = {"tie_invariant", "reads_previous"}
 
 
-def tie_invariance_claims(source: str) -> list[str]:
-    """``where line`` for each ``tie_invariant=`` keyword and each string
-    ``"tie_invariant"`` (as ``setattr`` would take it); ``where`` is the
-    top-level definition around it, or ``<module>``."""
+def catalog_fact_claims(source: str) -> list[str]:
+    """``where line`` for each keyword named after a catalog fact
+    (``tie_invariant=``, ``reads_previous=``) and each string naming one
+    (as ``setattr`` would take it); ``where`` is the top-level definition
+    around it, or ``<module>``."""
     found = []
     for top in ast.parse(source).body:
         where = getattr(top, "name", "<module>")
         found += [f"{where} line {node.lineno}" for node in ast.walk(top)
-                  if isinstance(node, ast.keyword) and node.arg == "tie_invariant"
-                  or isinstance(node, ast.Constant) and node.value == "tie_invariant"]
+                  if isinstance(node, ast.keyword) and node.arg in CATALOG_FACTS
+                  or isinstance(node, ast.Constant) and node.value in CATALOG_FACTS]
     return found
 
 
@@ -386,12 +389,21 @@ def test_detects_a_tie_invariance_claim():
               "def other(k):\n    object.__setattr__(k, 'tie_invariant', True)\n"
               "    return k.tie_invariant, KernelL(f, 'x', tie_invariant=True)\n"
               "K = KernelL(f, 'y', tie_invariant=False)\n")
-    assert tie_invariance_claims(source) == [
+    assert catalog_fact_claims(source) == [
         "kernel_catalog line 4", "other line 6", "other line 7", "<module> line 8"]
 
 
+def test_detects_a_reads_previous_claim():
+    source = ("class KernelL:\n    reads_previous: bool = True\n"
+              "def kernel_catalog(k):\n    return replace(k, reads_previous=False)\n"
+              "def other(k, walk):\n    object.__setattr__(k, 'reads_previous', False)\n"
+              "    return walk(k.reads_previous), KernelL(f, 'x', reads_previous=False)\n")
+    assert catalog_fact_claims(source) == [
+        "kernel_catalog line 4", "other line 6", "other line 7"]
+
+
 def test_only_the_catalog_states_tie_invariance():
-    claims = {p.name: tie_invariance_claims(p.read_text(encoding="utf-8"))
+    claims = {p.name: catalog_fact_claims(p.read_text(encoding="utf-8"))
               for p in ALL_MODULES}
     catalog = claims.pop("operator.py")
     assert catalog and all(c.split()[0] in CATALOG_CONSTRUCTORS for c in catalog)

@@ -368,6 +368,27 @@ class TestTieWalk:
         assert len(values) == (1 if offset == 0.0 else k)
         assert len(calls) == (k << (k - 1) if offset == 0.0 else k + (k * (k - 1) << (k - 2)))
 
+    @pytest.mark.parametrize("offset", [0.0, 5e-14])
+    def test_walk_keeps_one_state_per_placed_set_when_the_previous_is_unread(self, offset):
+        # A kernel that ignores the previous input: k * 2^(k-1) terms and
+        # one value, whether the k tied inputs are equal or distinct.
+        k = 8
+        X = tuple(Scalar(0.4 + i * offset) for i in range(k))
+        perms = PermutationSet(X, ScalarUsual())
+        kernel = kernel_catalog({"family": "delta-scale", "delta": "sq-diff"}, "scalar")
+        assert not kernel.reads_previous
+        calls = []
+
+        def term(*args):
+            calls.append(args)
+            return kernel.term(*args)
+
+        comps = [x.components for x in X]
+        ops = (capacity_family("cardinality", k).values, term, PLUS.term)
+        values = [value for _, value in _tie_candidates(comps, perms, *ops, False)]
+        assert len(values) == 1
+        assert len(calls) == k << (k - 1)
+
     def test_signed_zeros_are_one_last_input(self):
         # -0.0 == 0.0, so both orders of this row reach one state and one value.
         X = (Scalar(-0.0), Scalar(0.0))
@@ -719,9 +740,10 @@ class TestCertifiedTies:
          (True, 2, 1, "0x1.17e4dc0969d9ap-8", 1)),
         (classical_kernel("scalar"), TIED, U3, BOUNDED_SUM, (True, 2, 1, CLASSICAL, 1)),
         # Tied within TOL, not identical: the two prefixes end in different
-        # inputs, so the walk keeps both and draws each permutation once.
+        # inputs, but the classical kernel never reads the previous input,
+        # so they reach one state and one permutation is drawn.
         (classical_kernel("scalar"), (0.5, 0.2, 0.5 + 5e-13), U3, PLUS,
-         (True, 2, 2, "0x1.f970a2d7c93eep-2", 1)),
+         (True, 2, 1, "0x1.f970a2d7c93eep-2", 1)),
         # A capacity monotone only within TOL is refused when built, so the
         # classical kernel on identical tied inputs is certified, unwalked.
         (classical_kernel("scalar"), (1.0,) * 3, NEAREST_EXACT, PLUS,
@@ -760,6 +782,18 @@ class TestCertifiedTies:
         with pytest.raises(KernelRangeError):
             invariant({"family": "affine-F", "C": "scale:0.7", "D": "scale:0.3000000001"})
         assert not any(k.tie_invariant for k in (
+            KernelL(classical_kernel("scalar").fn, "copy"),
+            f_difference_kernel(lambda x, a: x)))
+
+    def test_the_catalog_states_which_terms_read_the_previous_input(self):
+        reads = {name: kernel_catalog(spec, "interval", XU).reads_previous
+                 for name, spec in _KERNEL_SPECS.items()}
+        assert [name for name, read in reads.items() if read] == [
+            "b-scale-d", "b-scale-d-sq", "takac"]
+        assert not kernel_catalog({"family": "delta-scale", "delta": "capped-double"},
+                                  "scalar").reads_previous
+        # A custom kernel may read anything.
+        assert all(k.reads_previous for k in (
             KernelL(classical_kernel("scalar").fn, "copy"),
             f_difference_kernel(lambda x, a: x)))
 
@@ -889,7 +923,7 @@ class TestKernelCatalog:
         with pytest.raises(BadParameter, match="needs a callable"):
             KernelL(3, "x")
 
-    @pytest.mark.parametrize("field", ["term", "kind", "tie_invariant"])
+    @pytest.mark.parametrize("field", ["term", "kind", "tie_invariant", "reads_previous"])
     def test_only_the_catalog_sets_the_component_fields(self, field):
         classical = classical_kernel("scalar")
         with pytest.raises(TypeError):
@@ -1145,8 +1179,9 @@ class TestComponentForms:
                     continue
                 built = self.CONSTRUCTORS[family](params, kind, order)
                 catalog = kernel_catalog(dict(params, family=family), kind, order)
-                assert ((built.name, built.kind, built.tie_invariant)
-                        == (catalog.name, catalog.kind, catalog.tie_invariant)), params
+                assert ((built.name, built.kind, built.tie_invariant, built.reads_previous)
+                        == (catalog.name, catalog.kind, catalog.tie_invariant,
+                            catalog.reads_previous)), params
                 for xc, pc in itertools.product(tuples, repeat=2):
                     for b1, b2 in weights:
                         assert ([c.hex() for c in built.term(xc, pc, b1, b2)]

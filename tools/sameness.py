@@ -6,6 +6,9 @@
 For each of the agg-scalar, agg-interval and agg-tied workloads at seeds
 1-10, it makes the inputs with ``perfbench/gen.py``, runs ``choquetlike
 aggregate`` on them and records the sha256 of its stdout and its exit code.
+It runs ``aggregate`` on a fixed small dataset with each of a fixed set of
+malformed capacity tables, and records the sha256 of its stderr, the error
+record, and its exit code.
 It runs ``verify --suite all`` at the default grid, ``--grid 2``, ``--grid
 3``, ``--n 4 --grid 2`` and ``--format csv --grid 2``, and ``verify --suite
 appendix-c`` at ``--grid 2`` to ``16``, and records each output's sha256 with
@@ -42,6 +45,19 @@ VERIFY_VARIANTS = (
     ("all", ["--n", "4", "--grid", "2"]), ("all", ["--format", "csv", "--grid", "2"]),
     *(("appendix-c", ["--grid", str(m)]) for m in range(2, 17)),
 )
+# A capacity table on {1, 2, 3}, and the ways a table is refused: each
+# entry is the table's entries after the change.
+_ENTRIES = [([], 0), ([1], 0.1), ([2], 0.35), ([3], 0.2), ([1, 2], 0.6), ([1, 3], 0.45),
+            ([2, 3], 0.5), ([1, 2, 3], 1)]
+REFUSALS = {
+    "not-monotone": [*_ENTRIES[:4], ([1, 2], 0.05), *_ENTRIES[5:]],
+    "bad-boundary": [*_ENTRIES[:7], ([1, 2, 3], 0.9)],
+    "missing-subset": _ENTRIES[:6] + _ENTRIES[7:],
+    "conflicting-entries": [*_ENTRIES, ([2], 0.4)],
+    "repeated-element": [*_ENTRIES, ([2, 2], 0.35)],
+    "nan-value": [*_ENTRIES[:3], ([3], float("nan")), *_ENTRIES[4:]],
+    "bool-element": [*_ENTRIES, ([True], 0.1)],
+}
 # A report's own ``elapsed`` line in ``verify``'s JSON (two-space indent).
 ELAPSED_LINE = re.compile(rb'^    "elapsed": [^\r\n]*(\r?\n|$)', re.MULTILINE)
 
@@ -98,6 +114,16 @@ def record() -> dict:
                                   "--order", p["order"], "--kernel", p["kernel"]], env)
                 out[f"aggregate {workload} seed {seed}"] = {
                     "exit": res.returncode, "sha256": _sha256(res.stdout)}
+        rows = Path(tmp) / "refusals.csv"
+        rows.write_text("0.2,0.5,0.9\n0.25,0.5,0.75\n", encoding="utf-8")
+        for name, entries in REFUSALS.items():
+            cap = Path(tmp) / f"{name}.json"
+            cap.write_text(json.dumps({"n": 3, "kind": "table", "entries": [
+                {"subset": subset, "value": value} for subset, value in entries]}),
+                encoding="utf-8")
+            res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap)], env)
+            out[f"aggregate refusal {name}"] = {
+                "exit": res.returncode, "sha256": _sha256(res.stderr)}
     for suite, flags in VERIFY_VARIANTS:
         res = _run(cli + ["verify", "--suite", suite, *flags], env)
         out[" ".join(["verify --suite", suite, *flags])] = {
