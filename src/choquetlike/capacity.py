@@ -6,6 +6,10 @@ well as memory: a table holds 2^n values, and reading and checking it
 takes a few passes over them. Capacities are immutable, and taken
 exactly: correctly rounded parsing keeps a table monotone in its JSON text
 monotone as floats.
+
+``_planes`` is the one walk over the subset lattice: checking a table,
+explaining its first fault and building ``uniform-random`` all read it.
+Only ``complete``'s superset minimum keeps its own mask-order loop.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter, le
+from itertools import chain, compress, repeat
+from operator import gt, itemgetter, le
 
 from .errors import (
     BadBoundary, BadParameter, MissingSubset, NotMonotone, json_number,
@@ -52,6 +56,8 @@ class Capacity:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        # A list or an array is copied, so no caller changes a checked value.
+        object.__setattr__(self, "values", tuple(self.values))
         if not (1 <= self.n <= MAX_N):
             raise BadParameter(f"n must lie in 1..{MAX_N}, got {self.n}")
         if len(self.values) != 1 << self.n:
@@ -67,14 +73,10 @@ class Capacity:
         0-based permutation pi of range(n)."""
         if sorted(pi) != list(range(self.n)):
             raise BadParameter("pi must be a permutation of range(n)")
-        out = [0.0] * (1 << self.n)
-        for mask in range(1 << self.n):
-            image = 0
-            for i in range(self.n):
-                if mask >> i & 1:
-                    image |= 1 << pi[i]
-            out[mask] = self.values[image]
-        return Capacity(self.n, tuple(out))
+        image = [0]  # image[mask]: the mask of {pi(i) : i in mask}, by doubling
+        for p in pi:
+            image += [m | 1 << p for m in image]
+        return Capacity(self.n, tuple(map(self.values.__getitem__, image)))
 
     def to_json(self) -> dict:
         return {
@@ -160,8 +162,7 @@ def _entry_values(n: int, entries: list):
 def _validate(n: int, values) -> None:
     """Refuse ``values`` unless they are a capacity, exactly. The range
     and monotonicity are decided in bulk, and only a table that fails
-    them is scanned entry by entry, by ``_first_fault``, for the error
-    to raise."""
+    them is scanned again, by ``_first_fault``, for the error to raise."""
     if not (all(map(le, repeat(0.0), values)) and all(map(le, values, repeat(1.0)))
             and _monotone(n, values)):
         _first_fault(n, values)
@@ -172,43 +173,43 @@ def _validate(n: int, values) -> None:
         raise BadBoundary(f"value at the full set must be 1, got {values[full]}")
 
 
-def _monotone(n: int, values) -> bool:
-    """Whether mu(A) <= mu(A + i) for every set A and element i outside
-    it, for ``values`` in [0, 1]; along single-element additions this is
-    monotonicity under inclusion. Bit plane i pairs each mask without bit
-    i with the mask that adds it: as s = 2^i strided slices when s is
-    small, as 2^n / 2s contiguous blocks of s masks when it is large."""
-    size = len(values)
+def _planes(n: int) -> list[tuple[slice, slice]]:
+    """The subset lattice of {1, ..., n} as slice pairs ``(lo, hi)``, each set A
+    and i outside it once: ``values[lo][j]`` is mu(A), ``values[hi][j]`` mu(A + i).
+    Plane i = 0, 1, ... is 2^i strided slices, or blocks once 2^(2i+1) > 2^n."""
+    size = 1 << n
+    out = []
     for i in range(n):
         s = 1 << i
         step = s << 1
         if s * step <= size:
-            pairs = ((values[r::step], values[r + s::step]) for r in range(s))
+            out += [(slice(r, size, step), slice(r + s, size, step)) for r in range(s)]
         else:
-            pairs = ((values[k:k + s], values[k + s:k + step])
-                     for k in range(0, size, step))
-        if not all(all(map(le, lo, hi)) for lo, hi in pairs):
-            return False
-    return True
+            out += [(slice(k, k + s), slice(k + s, k + step)) for k in range(0, size, step)]
+    return out
+
+
+def _monotone(n: int, values) -> bool:
+    """Whether mu(A) <= mu(A + i) for every set A and element i outside
+    it, for ``values`` in [0, 1]; along single-element additions this is
+    monotonicity under inclusion."""
+    return all(all(map(le, values[lo], values[hi])) for lo, hi in _planes(n))
 
 
 def _first_fault(n: int, values) -> None:
     """Raise the first value out of [0, 1], else the first decrease along
-    a single-element addition, in the order of masks and then elements."""
+    a single-element addition: the least decreasing ``(mask, bigger)`` pair."""
     for v in values:
         if not (0.0 <= v <= 1.0):
             raise BadParameter(f"capacity value out of [0, 1]: {v}")
-    # Monotone along single-element additions iff monotone under inclusion.
-    for mask in range(1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            bigger = mask | 1 << i
-            if values[mask] > values[bigger]:
-                raise NotMonotone(
-                    f"mu({mask_to_subset(mask)}) = {values[mask]} exceeds "
-                    f"mu({mask_to_subset(bigger)}) = {values[bigger]}",
-                    witness=(mask_to_subset(mask), mask_to_subset(bigger)))
+    masks = range(1 << n)
+    mask, bigger = min(chain.from_iterable(
+        compress(zip(masks[lo], masks[hi]), map(gt, values[lo], values[hi]))
+        for lo, hi in _planes(n)))
+    raise NotMonotone(
+        f"mu({mask_to_subset(mask)}) = {values[mask]} exceeds "
+        f"mu({mask_to_subset(bigger)}) = {values[bigger]}",
+        witness=(mask_to_subset(mask), mask_to_subset(bigger)))
 
 
 def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:
@@ -245,7 +246,9 @@ def _from_values(n: int, values: list, complete: bool) -> Capacity:
         given.setdefault(full, 1.0)
         given.setdefault(0, 0.0)
         # Smallest given value over supersets, computed by sweeping masks
-        # from the full set downward one removed element at a time.
+        # from the full set downward one removed element at a time. Not by
+        # ``_planes``: ``min`` keeps the first of two equal zeros, so another
+        # order would change which of 0.0 and -0.0 an entry gets.
         ext = [float("inf")] * size
         for mask, v in given.items():
             ext[mask] = v
@@ -291,19 +294,12 @@ def capacity_family(kind: str, n: int, **params) -> Capacity:
                                  for m in range(size)))
     if kind == "uniform-random":
         refuse_unknown_keys(params, ("seed",), "uniform-random capacity")
-        seed = json_number(params, "seed", 42, integral=True)
-        rng = random.Random(seed)
-        raw = [rng.random() for _ in range(size)]
-        mono = [0.0] * size
-        for mask in range(1, size):
-            best = raw[mask]
-            for i in range(n):
-                if mask >> i & 1:
-                    best = max(best, mono[mask & ~(1 << i)])
-            mono[mask] = best
+        draw = random.Random(json_number(params, "seed", 42, integral=True)).random
+        mono = [draw() for _ in range(size)]
         mono[0] = 0.0
-        top_v = mono[size - 1]
-        return Capacity(n, tuple(v / top_v for v in mono))
+        for lo, hi in _planes(n):  # mono[A]: the largest draw over nonempty subsets of A
+            mono[hi] = map(max, mono[hi], mono[lo])
+        return Capacity(n, tuple(v / mono[-1] for v in mono))
     raise BadParameter(f"unknown capacity family: {kind!r}")
 
 

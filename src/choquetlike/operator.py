@@ -240,9 +240,9 @@ class AggregateResult:
     """Operator value plus the consistency report across admissible
     permutations. ``value`` always comes from the lexicographically first
     permutation so downstream tooling has a number to display;
-    ``consistent`` is the authoritative flag, decided exactly. ``checked``
-    counts the candidate permutations drawn; a row without ties has one,
-    and so has a row that ``choquet_aggregate`` certifies.
+    ``consistent`` is the authoritative flag, decided up to ``close``.
+    ``checked`` counts the candidate permutations drawn; a row without
+    ties has one, and so has a row that ``choquet_aggregate`` certifies.
     ``value.in_unit`` says whether the fold stayed in the bounded set."""
 
     value: Element
@@ -327,7 +327,6 @@ def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus,
     the kernel's ``reads_previous``."""
     first, full = perms.first(), (1 << len(comps)) - 1
     zero = (0.0,) * len(comps[0])
-    tails = (0.0,) + values[1:]  # the empty tail weighs 0, as in _fold
     same = {}  # each input's stand-in: the first input equal to it
     last = [same.setdefault(c, j) if reads_previous else None for j, c in enumerate(comps)]
     states = {(0, None): [((), None)]}  # (placed mask, last) -> [(prefix, sum)]
@@ -336,8 +335,10 @@ def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus,
         for _ in group:
             reached = {}
             for (mask, _), entries in states.items():
+                b1 = values[full ^ mask]  # some input is still to place
                 for j in (j for j in group if not mask >> j & 1):
-                    b1, b2 = tails[full & ~mask], tails[full & ~(mask | 1 << j)]
+                    rest = full ^ mask ^ 1 << j  # the tail after j: empty, it weighs 0
+                    b2 = values[rest] if rest else 0.0
                     kept = reached.setdefault((mask | 1 << j, last[j]), [])
                     x = comps[j]
                     for prefix, acc in entries:
@@ -365,9 +366,9 @@ def _certified(inp: AggregationInput, kernel: KernelL, comps: list, groups) -> b
 
 
 def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult:
-    """Evaluate along the first admissible permutation and decide exactly
-    whether every admissible permutation gives that value. A row that
-    ``strict_chain`` orders has one admissible permutation. Every other
+    """Evaluate along the first admissible permutation and decide whether
+    every admissible permutation gives that value, up to ``close``. A row
+    that ``strict_chain`` orders has one admissible permutation. Every other
     row takes ``PermutationSet``. Either way the row is folded once by
     ``_fold`` along its first admissible permutation.
 
@@ -389,10 +390,12 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     reads the previous input and the inputs are distinct (near ties
     within ``TOL``). Otherwise the values that ``_tie_candidates``
     yields are compared with the first permutation's until one differs
-    (a row without ties yields ``first`` alone). Inconsistency is reported,
-    never raised; the witness carries two permutations and their values.
-    The value, bit for bit, is ``choquet_eval`` along the first
-    permutation."""
+    (a row without ties yields ``first`` alone). The walk is exhaustive
+    but keeps one prefix per ``close`` partial sum, and ``close`` is not
+    transitive, so a near-tie row can pass though some value is not
+    ``close`` to the first. Inconsistency is reported, never raised; the
+    witness carries two permutations and their values. The value, bit
+    for bit, is ``choquet_eval`` along the first permutation."""
     X = inp.X
     comps = [x.components for x in X]
     perms = None

@@ -52,7 +52,7 @@ CASES = {  # id: (thunk, the most calls it may make)
     "interval-row": (aggregating(
         tuple(Interval(lo, lo + 0.1) for lo in (0.1, 0.5, 0.3, 0.8, 0.65)), XU,
         kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", XU)), 64),
-    "table-n8": (lambda: Capacity.from_json(TABLE8), 88),
+    "table-n8": (lambda: Capacity.from_json(TABLE8), 52),
 }
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from array import array
 from decimal import Decimal
 
 import pytest
@@ -54,6 +55,21 @@ class TestFromTable:
         assert mu.of_subset((1,)) == 0.4
         assert mu.of_subset((2,)) == pytest.approx(1.0)  # only superset {1,2}=1
         assert mu.of_subset((1, 2)) == 1.0
+
+    def test_values_are_kept_as_a_tuple(self):
+        # A list or an array is copied once, before it is checked, so a
+        # later change to it is not seen and the capacity hashes.
+        v = [0.0, 0.3, 0.6, 1.0]
+        mu = Capacity(2, v)
+        v[1] = 0.9
+        assert mu.of_subset([1]) == 0.3
+        assert mu.values == (0.0, 0.3, 0.6, 1.0)
+        assert hash(mu) == hash(Capacity(2, array("d", [0.0, 0.3, 0.6, 1.0])))
+        with pytest.raises(NotMonotone):  # the copy is what is checked
+            Capacity(2, array("d", [0.0, 0.7, 0.6, 0.5]))
+        # A tuple is kept as it is: no copy.
+        t = (0.0, 0.3, 0.6, 1.0)
+        assert Capacity(2, t).values is t
 
     def test_n_cap(self):
         with pytest.raises(BadParameter):
@@ -302,6 +318,41 @@ class TestBulkValidation:
         assert mu.values == (0.0, 0.4, 1.0, 1.0)
 
 
+def reference_uniform_random(n, seed):
+    """``uniform-random``'s table as its mask-order loop built it before
+    the envelope was taken by bit planes, kept as the oracle of its values."""
+    rng = random.Random(seed)
+    size = 1 << n
+    raw = [rng.random() for _ in range(size)]
+    mono = [0.0] * size
+    for mask in range(1, size):
+        best = raw[mask]
+        for i in range(n):
+            if mask >> i & 1:
+                best = max(best, mono[mask & ~(1 << i)])
+        mono[mask] = best
+    mono[0] = 0.0
+    top_v = mono[size - 1]
+    return tuple(v / top_v for v in mono)
+
+
+def reference_relabel(mu, pi):
+    """``Capacity.relabel``'s table as its per-mask image loop built it
+    before the images were taken by doubling, kept as its oracle."""
+    out = [0.0] * (1 << mu.n)
+    for mask in range(1 << mu.n):
+        image = 0
+        for i in range(mu.n):
+            if mask >> i & 1:
+                image |= 1 << pi[i]
+        out[mask] = mu.values[image]
+    return tuple(out)
+
+
+def hexes(values):
+    return list(map(float.hex, values))
+
+
 class TestFamilies:
     def test_cardinality(self):
         mu = capacity_family("cardinality", 4)
@@ -325,6 +376,12 @@ class TestFamilies:
         c = capacity_family("uniform-random", 4, seed=8)
         assert a == b
         assert a != c  # different seed, different table
+
+    @pytest.mark.parametrize("n,seed", [
+        *itertools.product(range(1, 11), (0, 1, 7, 42, 2 ** 40)), (12, 42), (12, 3)])
+    def test_uniform_random_equals_the_mask_order_envelope(self, n, seed):
+        mu = capacity_family("uniform-random", n, seed=seed)
+        assert hexes(mu.values) == hexes(reference_uniform_random(n, seed))
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):
@@ -389,3 +446,17 @@ class TestSerializationAndRelabel:
         # hat(C) = mu(pi(C)): {1} (mask of element 0) maps to {3}.
         assert hat.of_subset((1,)) == mu.of_subset((3,))
         assert hat.of_subset((2,)) == mu.of_subset((1,))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_relabel_equals_the_per_mask_image_for_every_permutation(self, n):
+        mu = capacity_family("uniform-random", n, seed=n)
+        for pi in itertools.permutations(range(n)):
+            assert hexes(mu.relabel(pi).values) == hexes(reference_relabel(mu, pi))
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_relabel_equals_the_per_mask_image_for_drawn_permutations(self, n):
+        rng = random.Random(f"relabel-{n}")
+        mu = capacity_family("uniform-random", n, seed=n)
+        for _ in range(5):
+            pi = tuple(rng.sample(range(n), n))
+            assert hexes(mu.relabel(pi).values) == hexes(reference_relabel(mu, pi))

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -397,6 +398,26 @@ class TestTieWalk:
         ops = (capacity_family("uniform-random", 2, seed=1).values, kernel.term, PLUS.term)
         walk = list(_tie_candidates(comps, PermutationSet(X, ScalarUsual()), *ops))
         assert len(walk) == 1
+
+    def test_a_wide_row_reads_tail_weights_in_place(self):
+        # One tied pair among 16 inputs walks; it reads the 2^16 tail
+        # weights where the table holds them, far below the 1 MB of a copy.
+        levels = [i / 20 for i in range(1, 16)]
+        X = tuple(map(Scalar, levels + [levels[6]]))
+        inp = AggregationInput(X, capacity_family("uniform-random", 16, seed=5),
+                               ScalarUsual(), PLUS)
+        kernel = kernel_catalog({"family": "delta-scale", "delta": "sq-diff"}, "scalar")
+        perms = PermutationSet(X, ScalarUsual())
+        assert len(perms.groups) == 15
+        tracemalloc.start()
+        try:
+            res = choquet_aggregate(inp, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _bits(res.value) == _bits(choquet_eval(inp, kernel, perms.first()))
+        assert res.consistent and res.permutations == 2
+        assert peak < 64 * 1024, peak
 
     def test_bounded_sum_saturation_merges_split_partial_sums(self):
         # Partial sums differ at depth 2, yet every permutation saturates at 1.

@@ -6,6 +6,9 @@
 For each of the agg-scalar, agg-interval and agg-tied workloads at seeds
 1-10, it makes the inputs with ``perfbench/gen.py``, runs ``choquetlike
 aggregate`` on them and records the sha256 of its stdout and its exit code.
+It runs ``aggregate`` on a fixed small dataset with tied rows under each
+capacity family spec and two kernels, one that certifies tied rows and one
+that walks them, and records the sha256 of its stdout and its exit code.
 It runs ``aggregate`` on a fixed small dataset with each of a fixed set of
 malformed capacity tables, and records the sha256 of its stderr, the error
 record, and its exit code.
@@ -45,8 +48,21 @@ VERIFY_VARIANTS = (
     ("all", ["--n", "4", "--grid", "2"]), ("all", ["--format", "csv", "--grid", "2"]),
     *(("appendix-c", ["--grid", str(m)]) for m in range(2, 17)),
 )
+# A scalar dataset on 4 inputs whose rows tie in a pair, two pairs, a
+# triple and all four, with one row that does not tie.
+FAMILY_ROWS = ("0.2,0.5,0.5,0.9\n0.3,0.3,0.3,0.7\n0.6,0.6,0.6,0.6\n0.4,0.8,0.4,0.8\n"
+               "0.1,0.2,0.3,0.4\n")
+FAMILIES = ({"kind": "cardinality"}, {"kind": "dirac", "i": 3}, {"kind": "top", "k": 2},
+            {"kind": "uniform-random", "seed": 1}, {"kind": "uniform-random", "seed": 2})
+# ``delta-scale`` certifies tied rows; ``delta-scale(sq-diff)`` walks them.
+FAMILY_KERNELS = {"delta-scale": "delta-scale",
+                  "delta-scale(sq-diff)": '{"family": "delta-scale", "delta": "sq-diff"}'}
+# A row of each capacity table's arity for the refusals below.
+REFUSAL_ROWS = {3: "0.2,0.5,0.9\n0.25,0.5,0.75\n", 8: "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8\n"}
 # A capacity table on {1, 2, 3}, and the ways a table is refused: each
-# entry is the table's entries after the change.
+# entry is the table's entries after the change. The last is a cardinality
+# table on 8 elements whose first fault, mu({5}) > mu({5, 6}), lies in bit
+# plane 5, one of the planes read as contiguous blocks of masks.
 _ENTRIES = [([], 0), ([1], 0.1), ([2], 0.35), ([3], 0.2), ([1, 2], 0.6), ([1, 3], 0.45),
             ([2, 3], 0.5), ([1, 2, 3], 1)]
 REFUSALS = {
@@ -57,6 +73,8 @@ REFUSALS = {
     "repeated-element": [*_ENTRIES, ([2, 2], 0.35)],
     "nan-value": [*_ENTRIES[:3], ([3], float("nan")), *_ENTRIES[4:]],
     "bool-element": [*_ENTRIES, ([True], 0.1)],
+    "late-fault-n8": [(s, 0.1 if s == [5, 6] else len(s) / 8) for s in (
+        [i + 1 for i in range(8) if mask >> i & 1] for mask in range(256))],
 }
 # A report's own ``elapsed`` line in ``verify``'s JSON (two-space indent).
 ELAPSED_LINE = re.compile(rb'^    "elapsed": [^\r\n]*(\r?\n|$)', re.MULTILINE)
@@ -114,11 +132,23 @@ def record() -> dict:
                                   "--order", p["order"], "--kernel", p["kernel"]], env)
                 out[f"aggregate {workload} seed {seed}"] = {
                     "exit": res.returncode, "sha256": _sha256(res.stdout)}
-        rows = Path(tmp) / "refusals.csv"
-        rows.write_text("0.2,0.5,0.9\n0.25,0.5,0.75\n", encoding="utf-8")
+        rows = Path(tmp) / "families.csv"
+        rows.write_text(FAMILY_ROWS, encoding="utf-8")
+        for spec in FAMILIES:
+            cap = Path(tmp) / "family.json"
+            cap.write_text(json.dumps({"n": 4, **spec}), encoding="utf-8")
+            given = "".join(f" {k}={v}" for k, v in spec.items() if k != "kind")
+            for name, kernel in FAMILY_KERNELS.items():
+                res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap),
+                                  "--kernel", kernel], env)
+                out[f"aggregate family {spec['kind']}{given} {name}"] = {
+                    "exit": res.returncode, "sha256": _sha256(res.stdout)}
         for name, entries in REFUSALS.items():
+            n = max(max(subset, default=0) for subset, _ in entries)
+            rows = Path(tmp) / f"refusals-{n}.csv"
+            rows.write_text(REFUSAL_ROWS[n], encoding="utf-8")
             cap = Path(tmp) / f"{name}.json"
-            cap.write_text(json.dumps({"n": 3, "kind": "table", "entries": [
+            cap.write_text(json.dumps({"n": n, "kind": "table", "entries": [
                 {"subset": subset, "value": value} for subset, value in entries]}),
                 encoding="utf-8")
             res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap)], env)
