@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from typing import Callable, Optional
 
 from .errors import BadParameter, KindMismatch, ScaleOutOfRange, lookup
@@ -64,6 +64,13 @@ class _Memo:
     ``term`` or ``order.compare`` once per enumeration, and a second run
     of a check pays its own calls.
 
+    ``plus``, ``term`` and ``compare`` are ``functools.cache`` wrappers of
+    closures over the element list, the operation they memoize and
+    ``id``, the interning closure; so a hit is answered without a Python
+    frame, and ``cache_info().currsize`` is the number of entries. No
+    closure holds the memo itself, which reference counting frees when
+    its check returns.
+
     ``elems[i]`` is the element behind id ``i``. The grid's elements come
     first, in ``grid_elements`` order, so grid element ``i`` has id ``i``;
     every other element is interned by its ``kind`` and component tuple
@@ -79,43 +86,25 @@ class _Memo:
 
     def __init__(self, grid: GridSpec, addop: Optional[AdditionOp] = None,
                  order: Optional[AdmissibleOrder] = None, term: Optional[Callable] = None):
-        self.elems = grid_elements(grid)
-        self.grid = range(len(self.elems))
-        self._keys = [(x.kind, x.components) for x in self.elems]  # by id
-        self._ids = {key: i for i, key in enumerate(self._keys)}
-        self._addop = addop
-        self._order = order
-        self._term = term
-        self._sums, self._terms, self._compared = {}, {}, {}
+        elems = self.elems = grid_elements(grid)
+        self.grid = range(len(elems))
+        keys = self._keys = [(x.kind, x.components) for x in elems]  # by id
+        ids = {key: i for i, key in enumerate(keys)}
 
-    def id(self, x: Element) -> int:
-        key = (x.kind, x.components)
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self.elems)
-            self.elems.append(x)
-            self._keys.append(key)
-        return i
+        def intern(x: Element) -> int:
+            key = (x.kind, x.components)
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(elems)
+                elems.append(x)
+                keys.append(key)
+            return i
 
-    def plus(self, a: int, b: int) -> int:
-        s = self._sums.get((a, b))
-        if s is None:
-            s = self._sums[a, b] = self.id(add(self._addop, self.elems[a], self.elems[b]))
-        return s
-
-    def term(self, a: int, b: int, b1: float, b2: float) -> int:
-        """``term(x, prev, b1, b2)`` of the elements behind ``a`` and ``b``."""
-        key = (a, b, b1, b2)
-        t = self._terms.get(key)
-        if t is None:
-            t = self._terms[key] = self.id(self._term(self.elems[a], self.elems[b], b1, b2))
-        return t
-
-    def compare(self, a: int, b: int) -> int:
-        c = self._compared.get((a, b))
-        if c is None:
-            c = self._compared[a, b] = self._order.compare(self.elems[a], self.elems[b])
-        return c
+        self.id = intern
+        self.plus = cache(lambda a, b: intern(add(addop, elems[a], elems[b])))
+        # ``term(x, prev, b1, b2)`` of the elements behind ``a`` and ``b``.
+        self.term = cache(lambda a, b, b1, b2: intern(term(elems[a], elems[b], b1, b2)))
+        self.compare = cache(lambda a, b: order.compare(elems[a], elems[b]))
 
     def equal(self, a: int, b: int) -> bool:
         if a == b:

@@ -28,17 +28,24 @@ from .errors import (
 MAX_N = 24
 _BIT = {i: 1 << (i - 1) for i in range(1, MAX_N + 1)}  # element -> its mask bit
 _FLOAT_MAX = sys.float_info.max
+_NUMBER_TYPES = frozenset((int, float))  # bool is its own type, and refused
 
 
-def subset_to_mask(items) -> int:
-    """The bitmask of a subset listed as 1-based elements; a subset that
-    lists an element twice is refused, not read as the set of its items."""
+def _subset_mask(items, n: int) -> int:
+    """The bitmask of a subset of {1, ..., n} listed as element numbers:
+    ints, no bools. A subset that lists an element twice is refused, not
+    read as the set of its items."""
     mask = 0
     for i in items:
-        bit = 1 << (int(i) - 1)
+        if isinstance(i, bool) or not isinstance(i, int) or i not in _BIT:
+            raise BadParameter(f"subset {list(items)} lists {i!r}, which is no "
+                               f"element number (1 to {MAX_N})")
+        bit = _BIT[i]
         if mask & bit:
             raise BadParameter(f"subset {list(items)} lists element {i} twice")
         mask |= bit
+    if mask >> n:
+        raise BadParameter(f"subset {sorted(items)} outside 1..{n}")
     return mask
 
 
@@ -63,10 +70,13 @@ class Capacity:
         if len(self.values) != 1 << self.n:
             raise MissingSubset(
                 f"expected {1 << self.n} subset values, got {len(self.values)}")
+        if not _NUMBER_TYPES.issuperset(map(type, self.values)):
+            bad = next(v for v in self.values if type(v) not in _NUMBER_TYPES)
+            raise BadParameter(f"a capacity value is an int or a float, got {bad!r}")
         _validate(self.n, self.values)
 
     def of_subset(self, items) -> float:
-        return self.values[subset_to_mask(items)]
+        return self.values[_subset_mask(items, self.n)]
 
     def relabel(self, pi: tuple[int, ...]) -> "Capacity":
         """Transported capacity mu_hat(C) = mu({pi(i) : i in C}) for a
@@ -203,9 +213,15 @@ def _first_fault(n: int, values) -> None:
         if not (0.0 <= v <= 1.0):
             raise BadParameter(f"capacity value out of [0, 1]: {v}")
     masks = range(1 << n)
-    mask, bigger = min(chain.from_iterable(
-        compress(zip(masks[lo], masks[hi]), map(gt, values[lo], values[hi]))
-        for lo, hi in _planes(n)))
+    least = (1 << n, 0)
+    for lo, hi in _planes(n):
+        # A pair's sets ascend, so its first decrease is its least; sets
+        # above the least fault found so far cannot improve on it.
+        shift, stop = hi.start - lo.start, min(lo.stop, least[0] + 1)
+        lo, hi = slice(lo.start, stop, lo.step), slice(hi.start, stop + shift, lo.step)
+        least = min(least, next(compress(zip(masks[lo], masks[hi]),
+                                         map(gt, values[lo], values[hi])), least))
+    mask, bigger = least
     raise NotMonotone(
         f"mu({mask_to_subset(mask)}) = {values[mask]} exceeds "
         f"mu({mask_to_subset(bigger)}) = {values[bigger]}",
@@ -227,9 +243,10 @@ def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:
     size = 1 << n
     values = [None] * size
     for subset, value in entries:
-        mask = subset_to_mask(subset)
-        if mask >= size:
-            raise BadParameter(f"subset {sorted(subset)} outside 1..{n}")
+        mask = _subset_mask(subset, n)
+        if type(value) not in _NUMBER_TYPES or abs(value) > _FLOAT_MAX:
+            raise BadParameter(f"capacity value for subset {sorted(subset)} must be an "
+                               f"int or a float in the float range, got {value!r}")
         if values[mask] is not None and values[mask] != value:
             raise BadParameter(f"conflicting values for subset {sorted(subset)}")
         values[mask] = float(value)

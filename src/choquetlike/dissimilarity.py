@@ -134,13 +134,20 @@ def projected_dissimilarity(spec, kind: str,
 
 
 def _on_elements(term, kind: str) -> Callable[[Element, Element], Element]:
-    """``term`` on elements of carrier ``kind``; another kind raises ``KindMismatch``."""
+    """``term`` on elements of carrier ``kind``. Inputs of another kind or
+    of two dimensions, and an output of another dimension than theirs,
+    raise ``KindMismatch``."""
     make = carrier(kind).make
 
     def fn(x: Element, z: Element) -> Element:
-        if x.kind != kind or z.kind != kind:
+        xc, zc = x.components, z.components
+        if x.kind != kind or z.kind != kind or len(xc) != len(zc):
             raise KindMismatch(f"a dissimilarity of {kind} inputs got {x!r} and {z!r}")
-        return make(term(x.components, z.components))
+        out = term(xc, zc)
+        if len(out) != len(xc):
+            raise KindMismatch(f"a dissimilarity of {x!r} and {z!r} gave {out!r}, "
+                               f"off their dimension {len(xc)}")
+        return make(out)
     return fn
 
 

@@ -19,8 +19,10 @@ of inputs whose leads lie more than ``TOL`` apart. Every other module asks
 these, and the law checks pick their grid cases by index, never by
 ``TOL``; outside this module only the width (Takac) construction of
 ``dissimilarity.py`` reads it. ``TOL`` compares computed values and never
-admits data: data, spec parameters, caller weights and kernel outputs are
-taken exactly or refused. It separates genuine ties from rounding only
+admits data: data, spec parameters and caller weights are taken exactly
+or refused. A kernel output is a computed value: through ``in_unit`` it is
+kept as it is up to ``TOL`` above 1, as rounding, and refused beyond;
+nothing is snapped. It separates genuine ties from rounding only
 where values lie much farther apart. The one other threshold,
 ``AlphaBeta``'s alpha/beta gap, refuses a near-degenerate order and admits
 nothing.

@@ -474,14 +474,18 @@ def oracle_crosscheck(kernel: KernelL, addop: AdditionOp, order: AdmissibleOrder
     For each requested law the condition check and the brute-force sweep
     must agree (both pass or both fail); any disagreement raises
     ``OracleDisagreement``. Also spot-checks that the aggregate
-    consistency flag matches the brute-force permutation sweep.
+    consistency flag matches the brute-force permutation sweep. ``laws``
+    selects one or more of ``wd`` and ``monotonicity``; any other name,
+    or none, raises ``BadParameter``.
     """
     start = perf_counter()
+    known = {"wd": (check_wd, brute_force_wd, _spot_check_consistency),
+             "monotonicity": (check_monotonicity, brute_force_monotonicity, None)}
+    if not laws or not known.keys() >= set(laws):
+        raise BadParameter(f"laws must select one or more of {list(known)}, got {laws!r}")
     verdicts = {}
     checked = 0
-    for law, condition, brute_force, spot_check in [
-            ("wd", check_wd, brute_force_wd, _spot_check_consistency),
-            ("monotonicity", check_monotonicity, brute_force_monotonicity, None)]:
+    for law, (condition, brute_force, spot_check) in known.items():
         if law not in laws:
             continue
         cond = condition(kernel, addop, order, n, grid)

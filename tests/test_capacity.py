@@ -183,6 +183,60 @@ class TestExactValues:
             capacity_from_table(2, entries).of_subset((2, 2))
 
 
+class TestPythonInputs:
+    """A capacity built in Python is read as exactly as a JSON one: a
+    subset lists ints in 1..n, no bools, and a value is an int or a
+    float, no bool."""
+
+    ENTRIES = [((), 0), ((1,), 0.3), ((2,), 0.6), ((1, 2), 1)]
+
+    @pytest.mark.parametrize("subset,message", [
+        ([1.7], "lists 1.7, which is no element number"),
+        ([1.0], "lists 1.0, which is no element number"),
+        ([True], "lists True, which is no element number"),
+        (["2"], "lists '2', which is no element number"),
+        ([0], "lists 0, which is no element number"),
+        ([-1], "lists -1, which is no element number"),
+        ([3], r"subset \[3\] outside 1..2"),
+        ([2, 2], r"subset \[2, 2\] lists element 2 twice"),
+    ], ids=["float", "integral-float", "bool", "string", "zero", "negative",
+            "above-n", "twice"])
+    def test_subset_items_are_element_numbers(self, subset, message):
+        with pytest.raises(BadParameter, match=message):
+            capacity_from_table(2, self.ENTRIES + [(subset, 0.3)])
+        with pytest.raises(BadParameter, match=message):
+            capacity_from_table(2, self.ENTRIES).of_subset(subset)
+
+    def test_json_messages_are_kept(self):
+        def entries(*pairs):
+            return {"n": 2, "entries": [{"subset": s, "value": v} for s, v in pairs]}
+        base = [([], 0), ([1], 0.3), ([2], 0.6), ([1, 2], 1)]
+        for extra, message in [(([3], 0.5), r"subset \[3\] outside 1..2"),
+                               (([3, 3], 0.5), "lists element 3 twice"),
+                               (([1], 0.4), r"conflicting values for subset \[1\]")]:
+            with pytest.raises(BadParameter, match=message):
+                Capacity.from_json(entries(*base, extra))
+
+    @pytest.mark.parametrize("value", ["0.3", True, None, [0.3], 10 ** 400, math.inf],
+                             ids=["string", "bool", "none", "list", "huge-int", "inf"])
+    def test_table_values_are_numbers(self, value):
+        entries = [((), 0), ((1,), value), ((2,), 0.6), ((1, 2), 1)]
+        with pytest.raises(BadParameter, match=r"subset \[1\] must be an int or a float"):
+            capacity_from_table(2, entries)
+
+    @pytest.mark.parametrize("values", [(0, True), (0.0, "1"), (False, 1.0), (0, None)],
+                             ids=["true", "string", "false", "none"])
+    def test_capacity_values_are_numbers(self, values):
+        with pytest.raises(BadParameter, match="is an int or a float"):
+            Capacity(1, values)
+
+    def test_int_values_are_kept_as_given(self):
+        t = (0, 0.5, 0.5, 1)
+        mu = Capacity(2, t)
+        assert mu.values is t
+        assert Capacity.from_json(json.loads(json.dumps(mu.to_json()))) == mu
+
+
 def reference_validate(n, values):
     """The entry-by-entry check that ``Capacity`` made before it decided
     range and monotonicity in bulk, kept as the oracle of its errors."""
@@ -257,6 +311,21 @@ class TestBulkValidation:
         assert outcome(lambda: Capacity(n, values)) == want
         entries = [{"subset": mask_to_subset(m), "value": v} for m, v in enumerate(values)]
         assert outcome(lambda: Capacity.from_json({"n": n, "entries": entries})) == want
+
+    @pytest.mark.parametrize("at", ["early", "late"])
+    def test_the_scan_finds_an_early_and_a_late_fault(self, at):
+        # An additive table on 10 elements whose element 1 weighs 0, so
+        # mu(A) = mu(A + 1) for every A without 1. Raising mu({2}), or mu
+        # of all but {1, 2}, by 1e-9 makes its one fault the first pair
+        # or one of the last.
+        n = 10
+        size = 1 << n
+        values = [(m >> 1).bit_count() / (n - 1) for m in range(size)]
+        mask = 2 if at == "early" else size - 4
+        values[mask] += 1e-9
+        want = outcome(lambda: reference_validate(n, values))
+        assert want[0] is NotMonotone and want[2][0] == mask_to_subset(mask)
+        assert outcome(lambda: Capacity(n, values)) == want
 
     # Each case: the entries added to a valid table on {1, 2}, and the
     # message the entry-by-entry reading gives.

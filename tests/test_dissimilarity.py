@@ -244,6 +244,23 @@ class TestProjection:
             x, z = Vector((0.25,) * dim), Vector((0.75,) * dim)
             assert d(x, z).components == (0.5,) * dim
 
+    @pytest.mark.parametrize("x,z", [
+        (Vector((0.1, 0.2)), Vector((0.5, 0.2, 0.9))),
+        (Vector((0.1, 0.2, 0.3)), Vector((0.5, 0.2))),
+        (Vector((0.1,)), Vector((0.5, 0.2)))], ids=["2-vs-3", "3-vs-2", "1-vs-2"])
+    def test_inputs_of_two_dimensions_are_refused(self, x, z):
+        d = resolve_dissimilarity("abs-diff", "vector", VectorLex((0, 1)))
+        with pytest.raises(KindMismatch):
+            d(x, z)
+
+    def test_an_output_off_the_inputs_dimension_is_refused(self):
+        # A 2-dimensional order projects to 2 coordinates: on 3-dimensional
+        # inputs that output would leave their carrier.
+        d = resolve_dissimilarity("abs-diff", "vector", VectorLex((0, 1)))
+        with pytest.raises(KindMismatch, match="dimension 3"):
+            d(Vector((0.1, 0.2, 0.3)), Vector((0.5, 0.2, 0.9)))
+        assert d(Vector((0.1, 0.2)), Vector((0.5, 0.9))).components == (0.4, 0.4)
+
     def test_a_custom_order_telescopes_through_its_lead(self):
         order, grid = UpperFirst(), GridSpec("interval", 4)
         assert check_admissibility(order, grid).passed

@@ -199,8 +199,9 @@ def test_oracles_stay_on_the_comparator(oracle):
 
 # The law checks memoize the addition and the kernel within one case
 # enumeration, and replay a repeated enumeration from the run's record;
-# the oracles that check them call both afresh.
-MEMO_HELPERS = {"_Memo", "RunRecord"}
+# the oracles that check them call both afresh, and reach no standard
+# library cache either.
+MEMO_HELPERS = {"_Memo", "RunRecord", "cache", "lru_cache"}
 
 
 @pytest.mark.parametrize("oracle", ["brute_force_wd", "brute_force_monotonicity",

@@ -1,14 +1,16 @@
 """Condition-level law checks, brute-force sweeps, and their agreement."""
 
+import gc
 import itertools
 import json
+import weakref
 from collections import Counter
 
 import pytest
 
 from choquetlike import (
     AdditionOp, AggregationInput, AlphaBeta, BOUNDED_SUM, GridSpec,
-    HypothesisViolated, IV_PLUS, KernelL, KindMismatch, MIN_OP, PLUS, RunRecord,
+    BadParameter, HypothesisViolated, IV_PLUS, KernelL, KindMismatch, MIN_OP, PLUS, RunRecord,
     Scalar, ScalarUsual, VV_PLUS, VV_SCALE, Vector, VectorLex, add, brute_force_wd,
     capacity_battery, check_admissibility, check_aggregation, check_associativity,
     check_c1, check_cancellation, check_compatibility, check_delta_decomposition,
@@ -399,6 +401,26 @@ class TestMemoEqual:
             memo.equal(0, memo.id(z))
 
 
+class TestMemoLifetime:
+    """A memo's caches close over its element list and operations, never
+    over the memo itself; so reference counting frees it, collector off."""
+
+    def test_freed_without_the_collector(self):
+        memo = _Memo(SG, PLUS, ScalarUsual(), classical_kernel("scalar").evaluate)
+        s = memo.plus(1, 2)
+        assert memo.plus(1, 2) == s and memo.elems[s] == Scalar(0.75)
+        memo.term(2, 1, 1.0, 0.5)
+        assert memo.compare(1, 2) == -1
+        assert memo.plus.cache_info().currsize == 1
+        ref = weakref.ref(memo)
+        gc.disable()
+        try:
+            del memo
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestBruteForceAndOracle:
     def test_brute_wd_catches_first_weight(self):
         report = brute_force_wd(first_weight_kernel(), PLUS, ScalarUsual(), 2, SG)
@@ -452,6 +474,13 @@ class TestBruteForceAndOracle:
             assert report.detail["verdicts"] == {
                 "wd": {"condition": verdict, "brute_force": verdict}}
             assert report.checked == count
+
+    @pytest.mark.parametrize("laws", [("aggregation",), ("monotonicty",), ("wd", "mono"), ()],
+                             ids=["not-yet-known", "misspelt", "one-unknown", "empty"])
+    def test_crosscheck_refuses_laws_it_does_not_know(self, laws):
+        with pytest.raises(BadParameter, match=r"\['wd', 'monotonicity'\]"):
+            oracle_crosscheck(classical_kernel("scalar"), PLUS, ScalarUsual(), 2,
+                              GridSpec("scalar", 2), laws=laws)
 
     def test_battery_composition(self):
         caps = capacity_battery(3)
