@@ -31,7 +31,7 @@ from .errors import BadParameter, ChoquetlikeError, json_number, load_json
 from .operator import AggregationInput, choquet_aggregate, kernel_catalog
 from .order import (
     INTERVAL, SCALAR, VECTOR, AlphaBeta, GridSpec, ScalarUsual, VectorLex,
-    carrier, check_admissibility, parse_order,
+    check_admissibility, parse_order,
 )
 from .reporting import LawReport
 
@@ -102,24 +102,33 @@ def cmd_aggregate(args) -> int:
 
     # Every row is aggregated before a byte is written, so a refused row
     # writes nothing. Until then each result is kept as floats, a
-    # permutation count and a flag. A count is an int of any size: a
+    # permutation count and two flags. A count is an int of any size: a
     # certified row of 21 tied inputs has 21! > 2^63 permutations.
-    values, perms, consistent = array("d"), [], bytearray()
+    values, perms, consistent, in_k = array("d"), [], bytearray(), bytearray()
     for row in ds:
         res = choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
-        values.extend(res.value.components)
+        value = res.value
+        values.extend(value.components)
+        in_k.append(value.in_unit)
         consistent.append(res.consistent)
         perms.append(res.permutations)
 
-    def records():
-        results = map(carrier(kind).make, zip(*(iter(values),) * ds.dim))
-        for r, value in enumerate(results):
-            yield (ds.row_id(r), value.to_json(), bool(consistent[r]),
-                   value.in_unit, perms[r])
-
-    _write(args, lambda: _results_json(records()), ["id", "value", "consistent", "in_K"],
-           ([row_id, json.dumps(value), c, k] for row_id, value, c, k, _ in records()))
+    kept = (ds, values, consistent, in_k, perms)
+    _write(args, lambda: _results_json(_records(*kept)),
+           ["id", "value", "consistent", "in_K", "permutations"],
+           ([row_id, json.dumps(value), *rest]
+            for row_id, value, *rest in _records(*kept)))
     return 0 if all(consistent) else 2
+
+
+def _records(ds, values, consistent, in_k, perms):
+    """Each row's ``(id, value, consistent, in_K, permutations)``, read from
+    the results kept for ``ds``: the value as ``to_json`` gives it, a bare
+    float for a scalar and a list of floats for any other carrier."""
+    ids = ds.named if ds.named is not None else map(str, range(len(perms)))
+    results = (iter(values) if ds.kind == SCALAR
+               else map(list, zip(*(iter(values),) * ds.dim)))
+    return zip(ids, results, map(bool, consistent), map(bool, in_k), perms)
 
 
 # One record of ``json.dumps({"results": [...]}, indent=2)``, and the list

@@ -7,8 +7,9 @@ hence the split. The carrier kind is the caller's (the order
 specification's), which also disambiguates two-coordinate vectors from
 intervals: a JSON object's ``"kind"``, if present, must equal it.
 
-CSV rows are read from the file one at a time; JSON is parsed whole.
-Either way the checked rows are kept as one array of floats (``Dataset``).
+CSV rows are read from the file a chunk of ``CHUNK_ROWS`` at a time;
+JSON is parsed whole. Either way rows are checked a chunk at a time and
+kept as one array of floats (``Dataset``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import io
 import json
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse, islice
 from typing import Optional
 
 from .errors import BadParameter, DatasetFormatError, load_json, refuse_unknown_keys
@@ -34,9 +35,9 @@ class Dataset:
     row after row: ``n * dim`` floats per row and no object per row.
     Iterating builds the element tuple of one row at a time; ``rows``
     builds all of them. ``named`` holds the file's ids, or None when the
-    rows are numbered from "0"; ``ids`` is the tuple of ids either way and
-    ``row_id(r)`` the id of row ``r``. ``parse_dataset`` and
-    ``load_dataset`` build a dataset, and check every row as they do."""
+    rows are numbered from "0"; ``ids`` is the tuple of ids either way.
+    ``parse_dataset`` and ``load_dataset`` build a dataset, and check every
+    row as they do."""
 
     kind: str
     n: int
@@ -61,9 +62,6 @@ class Dataset:
     def ids(self) -> tuple[str, ...]:
         return self.named if self.named is not None else tuple(map(str, range(len(self))))
 
-    def row_id(self, r: int) -> str:
-        return self.named[r] if self.named is not None else str(r)
-
 
 def parse_dataset(text: str, kind: str) -> Dataset:
     """The dataset in ``text``; rows without ids are numbered from "0"."""
@@ -72,7 +70,7 @@ def parse_dataset(text: str, kind: str) -> Dataset:
 
 def load_dataset(path: str, kind: str) -> Dataset:
     """The dataset in the file at ``path``, read as ``parse_dataset`` reads
-    its text, but CSV rows one line at a time."""
+    its text, but CSV rows a chunk at a time."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _read(fh, kind)
@@ -93,10 +91,9 @@ def _read(stream, kind: str) -> Dataset:
                 break
         if not (head and head[-1].lstrip().startswith(("[", "{"))):
             reader = csv.reader(chain(head, stream))
-            # Blank rows are skipped, and not counted.
-            records = filter(lambda cells: any(map(str.strip, cells)), reader)
             try:
-                return _dataset(kind, records, _csv_floats, lambda c: Scalar(float(c)))
+                return _dataset(kind, reader, _csv_floats, lambda c: Scalar(float(c)),
+                                blank=_blank)
             except csv.Error as exc:
                 raise DatasetFormatError(
                     f"bad CSV, line {reader.line_num}: {exc}") from exc
@@ -116,45 +113,64 @@ def _read(stream, kind: str) -> Dataset:
         obj = obj.get("rows", [])
     if not isinstance(obj, list):
         raise DatasetFormatError("expected a list of rows")
-    return _dataset(kind, map(_json_row, range(len(obj)), obj),
-                    None if kind == SCALAR else _list_floats, build, ids)
+    return _dataset(kind, iter(obj), _number_floats if kind == SCALAR else _list_floats,
+                    build, ids)
 
 
-def _dataset(kind: str, records, floats, build, named=None) -> Dataset:
-    """The dataset of ``records``, each the list of one row's cells.
+# Rows are checked this many at a time, past row 0: a chunk of rows is
+# read, and is checked in a few C-level passes when it is clean.
+CHUNK_ROWS = 256
 
-    Row 0 is built cell by cell by ``build``, with the element
-    constructors' checks, and sets ``n`` and ``dim``. For a later row,
-    ``floats(cells, dim)`` gives the components when every cell holds
-    ``dim`` numbers, else None. If the row has ``n`` cells and the
-    carrier's ``bounded`` holds for each, the components go straight into
-    the array: the constructors would keep them as they are. Every other
-    row is built as row 0 is, and so is every row when ``floats`` is None
-    (scalar JSON). A refused cell raises at once. The first
-    misfit row (of another length, or with a cell of another dimension or
-    outside [0, 1]) raises after the last row, so that a bad cell in any
-    row is named first; a wrong number of ids comes last."""
-    bounded = carrier(kind).bounded
+
+def _dataset(kind: str, records, floats, build, named=None, blank=None) -> Dataset:
+    """The dataset of the iterator ``records``, each record the list of
+    one row's cells; a record that ``blank`` holds for is skipped and not
+    counted.
+
+    Row 0 is read alone and built cell by cell by ``build``, with the
+    element constructors' checks; it sets ``n`` and ``dim``. Later
+    records are read ``CHUNK_ROWS`` at a time. ``floats(rows, n, dim)``
+    gives the components of ``rows`` when each row holds ``n`` cells of
+    ``dim`` numbers, else None. If it gives them for a chunk and the
+    carrier's ``all_bounded`` holds, they go straight into the array: the
+    constructors would keep them as they are. Every other chunk is checked
+    row by row, each row as a chunk of one, and a row that fails is built
+    as row 0 is. A refused cell raises at once. The first misfit row (of
+    another length, or with a cell of another dimension or outside
+    [0, 1]) raises after the last row, so that a bad cell in any row is
+    named first; a wrong number of ids comes last."""
+    record = carrier(kind)
+    bounded, all_bounded = record.bounded, record.all_bounded
     data = array("d")
     n = dim = count = 0
     error = None
-    for r, cells in enumerate(records):
-        count += 1
-        vals = floats(cells, dim) if dim and floats else None
-        if (vals is not None and len(cells) == n
-                and all(map(bounded, zip(*(iter(vals),) * dim)))):
+    while chunk := list(islice(records, CHUNK_ROWS if count else 1)):
+        vals = floats(chunk, n, dim) if n else None
+        if vals is not None and all_bounded(vals):
+            count += len(chunk)
             if error is None:
                 data.extend(vals)
             continue
-        els = _elements(r, cells, build)
-        if r == 0:
-            n, dim = len(els), els[0].dim if els else 0
-            if not els:
-                error = "row 0 has no elements"
-        if error is None:
-            error = _misfit(r, els, n, dim, bounded)
+        for cells in chunk if blank is None else filterfalse(blank, chunk):
+            r = count
+            count += 1
+            if type(cells) is not list:
+                raise DatasetFormatError(
+                    f"row {r} (0-based): {cells!r} is not a list of cells")
+            vals = floats([cells], n, dim) if n else None
+            if vals is not None and all_bounded(vals):
+                if error is None:
+                    data.extend(vals)
+                continue
+            els = _elements(r, cells, build)
+            if r == 0:
+                n, dim = len(els), els[0].dim if els else 0
+                if not els:
+                    error = "row 0 has no elements"
             if error is None:
-                data.extend(chain.from_iterable(el.components for el in els))
+                error = _misfit(r, els, n, dim, bounded)
+                if error is None:
+                    data.extend(chain.from_iterable(el.components for el in els))
     if not count:
         raise DatasetFormatError("dataset has no rows")
     if error is not None:
@@ -193,29 +209,39 @@ def _misfit(r: int, els, n: int, dim: int, bounded) -> Optional[str]:
 _NUMBERS = {int, float}  # the types of a JSON number: a bool has its own
 
 
-def _csv_floats(cells, dim) -> Optional[array]:
-    try:
-        return array("d", map(float, cells))
-    except ValueError:
-        return None
+def _blank(cells) -> bool:
+    """A CSV row with no text in any cell."""
+    return not any(map(str.strip, cells))
 
 
-def _list_floats(cells, dim) -> Optional[array]:
-    """A JSON row of cells that are lists of ``dim`` numbers, as floats."""
-    try:
-        if {*map(len, cells)} == {dim}:
-            flat = list(chain.from_iterable(cells))
-            if {*map(type, flat)} <= _NUMBERS:
-                return array("d", flat)
-    except (TypeError, OverflowError):  # a cell without a length, or a huge int
-        pass
+def _csv_floats(rows, n, dim) -> Optional[array]:
+    """CSV rows of ``n`` cells that are all float literals, as floats."""
+    if {*map(len, rows)} == {n}:
+        try:
+            return array("d", map(float, chain.from_iterable(rows)))
+        except ValueError:
+            pass
     return None
 
 
-def _json_row(r: int, row) -> list:
-    if type(row) is not list:
-        raise DatasetFormatError(f"row {r} (0-based): {row!r} is not a list of cells")
-    return row
+def _number_floats(rows, n, dim=1) -> Optional[array]:
+    """JSON rows that are lists of ``n`` numbers each, as floats."""
+    if {*map(type, rows)} == {list} and {*map(len, rows)} == {n}:
+        flat = list(chain.from_iterable(rows))
+        if {*map(type, flat)} <= _NUMBERS:
+            try:
+                return array("d", flat)
+            except OverflowError:  # an int beyond the float range
+                pass
+    return None
+
+
+def _list_floats(rows, n, dim) -> Optional[array]:
+    """JSON rows that are lists of ``n`` cells, each a list of ``dim``
+    numbers, as floats."""
+    if {*map(type, rows)} == {list} and {*map(len, rows)} == {n}:
+        return _number_floats(list(chain.from_iterable(rows)), dim)
+    return None
 
 
 def _row_id(i: int, ident) -> str:

@@ -235,7 +235,7 @@ class PermutationSet:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateResult:
     """Operator value plus the consistency report across admissible
     permutations. ``value`` always comes from the lexicographically first

@@ -31,8 +31,10 @@ nothing.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cmp_to_key
+from math import isnan
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -187,22 +189,36 @@ class Carrier(NamedTuple):
     tuple of ``arity`` components (any positive number if 0). ``bounded(c)``
     holds when ``c`` lies in the bounded set: components in [0, 1] exactly,
     interval endpoints in order, no NaN. ``make`` keeps such a ``c``.
-    ``from_json`` reads a JSON dataset cell; ``constant`` is (c, ..., c)."""
+    ``all_bounded(a)`` holds when ``bounded`` holds for every tuple of the
+    nonempty ``array('d')`` ``a``, the tuples' components one after another,
+    and decides it in C-level passes. ``from_json`` reads a JSON dataset
+    cell; ``constant`` is (c, ..., c)."""
 
     make: Callable[[tuple], Element]
     arity: int
     bounded: Callable[[tuple], bool]
+    all_bounded: Callable[[array], bool]
     from_json: Callable[[object], Element]
 
     def constant(self, c: float, dim: int) -> Element:
         return self.make((c,) * (self.arity or dim))
 
 
+def _all_in_unit(a: array) -> bool:
+    """Every component of ``a`` lies in [0, 1]. ``min`` and ``max`` pass
+    over a NaN that is not first, but then the sum is NaN."""
+    return 0.0 <= min(a) and max(a) <= 1.0 and not isnan(sum(a))
+
+
 _CARRIERS = {
-    SCALAR: Carrier(lambda c: Scalar(*c), 1, lambda c: 0.0 <= c[0] <= 1.0, _scalar_from_json),
+    SCALAR: Carrier(lambda c: Scalar(*c), 1, lambda c: 0.0 <= c[0] <= 1.0, _all_in_unit,
+                    _scalar_from_json),
     INTERVAL: Carrier(lambda c: Interval(*c), 2, lambda c: 0.0 <= c[0] <= c[1] <= 1.0,
+                      lambda a: (_all_in_unit(a)
+                                 and all(map(float.__le__, a[::2], a[1::2]))),
                       _interval_from_json),
-    VECTOR: Carrier(Vector, 0, lambda c: all(0.0 <= a <= 1.0 for a in c), _vector_from_json),
+    VECTOR: Carrier(Vector, 0, lambda c: all(0.0 <= a <= 1.0 for a in c), _all_in_unit,
+                    _vector_from_json),
 }
 
 
@@ -473,7 +489,7 @@ def grid_elements(grid: GridSpec) -> list[Element]:
     """All bounded-set elements at the grid resolution, in component-lex
     order: the ``bounded`` tuples of ``unit_grid`` values (``grid.dim`` of
     them for a vector), so an interval's lower endpoint never passes its upper."""
-    make, arity, bounded, _ = carrier(grid.kind)
+    make, arity, bounded, *_ = carrier(grid.kind)
     tuples = itertools.product(unit_grid(grid.m), repeat=arity or grid.dim)
     return list(map(make, filter(bounded, tuples)))
 

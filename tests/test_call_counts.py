@@ -1,16 +1,20 @@
 """A guard on the Python calls that building an element, aggregating one
-strict row and loading a capacity table make. Each bound is the count the
+strict row, loading a capacity table, loading a CSV dataset and writing
+``aggregate`` records make. Each bound is the count the
 code reaches; a change that adds a frame to these paths fails here and
 states its cost."""
 
+import random
 import sys
+from array import array
 
 import pytest
 
 from choquetlike import (
     AggregationInput, AlphaBeta, Capacity, Interval, Scalar, ScalarUsual, addition_for,
-    capacity_family, choquet_aggregate, kernel_catalog,
+    capacity_family, choquet_aggregate, kernel_catalog, parse_dataset,
 )
+from choquetlike.cli import _records, _results_json
 
 
 def calls_made(thunk) -> int:
@@ -39,6 +43,19 @@ def aggregating(row, order, kernel):
     return lambda: choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
 
 
+def writing(rows):
+    """A thunk of the JSON text of ``rows`` scalar ``aggregate`` records,
+    read from the arrays ``aggregate`` keeps."""
+    ds = parse_dataset("0.5\n" * rows, "scalar")
+    kept = (ds, array("d", [0.25] * rows), bytearray([1]) * rows,
+            bytearray([1]) * rows, [1] * rows)
+    return lambda: "".join(_results_json(_records(*kept)))
+
+
+_RNG = random.Random(5)
+# 2,048 CSV rows of 5 scalars in [0, 1].
+ROWS2048 = "".join(",".join(repr(_RNG.random()) for _ in range(5)) + "\n"
+                   for _ in range(2048))
 XU = AlphaBeta(0.5, 1.0)
 # The JSON of a random table on 8 elements: 256 entries.
 TABLE8 = capacity_family("uniform-random", 8, seed=3).to_json()
@@ -53,6 +70,8 @@ CASES = {  # id: (thunk, the most calls it may make)
         tuple(Interval(lo, lo + 0.1) for lo in (0.1, 0.5, 0.3, 0.8, 0.65)), XU,
         kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", XU)), 64),
     "table-n8": (lambda: Capacity.from_json(TABLE8), 52),
+    "csv-load-2048": (lambda: parse_dataset(ROWS2048, "scalar"), 58),
+    "write-100": (writing(100), 104),
 }
 
 

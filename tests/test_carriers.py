@@ -1,7 +1,7 @@
 """The carrier records of ``order.py``: one refusal for an unknown kind at
 every entry point, grids and constant elements pinned element for element
 and bit for bit, and the ``bounded`` contract the catalog kernels' fast
-path relies on."""
+path relies on, with its bulk form ``all_bounded``."""
 
 import copy
 import dataclasses
@@ -9,6 +9,7 @@ import itertools
 import math
 import pickle
 import re
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -190,3 +191,17 @@ def test_bounded_is_exactly_the_unchanged_tuples(kind, data):
     c = data.draw(tuples_of(kind))
     assert carrier(kind).bounded(c) == (
         unchanged(kind, c) and all(0.0 <= a <= 1.0 for a in c))
+
+
+@pytest.mark.parametrize("kind", [SCALAR, INTERVAL, VECTOR])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_all_bounded_is_bounded_of_every_tuple(kind, data):
+    """The bulk check agrees with ``bounded`` on each tuple of a flat array,
+    wherever a NaN, an infinity or a reversed interval lies in it."""
+    dim = data.draw(st.integers(1, 3)) if kind == VECTOR else carrier(kind).arity
+    some = st.one_of(components, st.sampled_from([math.inf, -math.inf]))
+    tuples = data.draw(st.lists(st.tuples(*[some] * dim), min_size=1, max_size=6))
+    record = carrier(kind)
+    flat = array("d", itertools.chain.from_iterable(tuples))
+    assert record.all_bounded(flat) == all(map(record.bounded, tuples))

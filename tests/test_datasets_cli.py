@@ -130,6 +130,46 @@ def _json_texts(draw):
     return eol.join(draw(_LEADS) + [json.dumps(obj)]), kind
 
 
+# Row 0 is checked alone and later rows a chunk at a time: the rows at a
+# chunk's first and last rows, and the row after a full chunk.
+_EDGES = (1, datasets.CHUNK_ROWS, datasets.CHUNK_ROWS + 1)
+
+
+def _long(kind, line, at, good):
+    """A text of ``2 * CHUNK_ROWS + 3`` rows of ``good`` with row ``at``
+    replaced by ``line``: CSV lines, or JSON rows when ``kind`` is not
+    scalar or ``line`` is not a string."""
+    rows = [line if r == at else good for r in range(2 * datasets.CHUNK_ROWS + 3)]
+    if type(good) is str:
+        return "".join(row + "\n" for row in rows), kind
+    return json.dumps(rows), kind
+
+
+# Long datasets with each fault or edge value at each of ``_EDGES``.
+_LONG_CASES = [
+    *(_long("scalar", line, at, "0.25,0.5")
+      for line in ("", " , ", "0.5", "0.5,0.5,0.5", "0.5,x", "nan,0.5", "0.5,inf",
+                   "-0.0,-0.0", "1e-400,0.5", "0.5,1.0000000000000002")
+      for at in _EDGES),
+    *(_long(kind, row, at, good)
+      for kind, good, bad in (
+          ("scalar", [0.25, 0.5], ([0.5, True], [10 ** 400, 0.5], [0.5])),
+          ("interval", [[0.25, 0.5], [0.0, 1.0]],
+           ([[0.6, 0.4], [0.0, 1.0]], [[0.1, 0.2], [False, 1]],
+            [[0.1, 10 ** 400], [0.0, 1.0]], [[0.1, 0.2], [0.3]], [[0.1, 0.2]])))
+      for row in bad for at in _EDGES),
+]
+
+
+def _with_examples(cases):
+    """``hypothesis.example`` of each of ``cases``."""
+    def wrap(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+    return wrap
+
+
 class TestDatasets:
     def test_csv_parse(self):
         ds = parse_dataset("0.2,0.5,0.9\n0.1,0.1,0.4\n", "scalar")
@@ -263,6 +303,7 @@ class TestDatasets:
     @example(('[[[0.1, 0.2]], [[0.1, NaN]], [[0.1, 0.2, 0.3]]]', "vector"))
     @example(('[[0.5, 0.25], [0.5, true]]', "scalar"))  # a bool in a later row
     @example(('{"rows": [[[0.1, 0.2]], [[0.3, 1e400]]], "ids": ["a"]}', "interval"))
+    @_with_examples(_LONG_CASES)
     def test_streamed_load_equals_parse_and_the_reference(self, case):
         """``load_dataset`` streams the file and ``parse_dataset`` reads its
         text: both give the rows, ids and refusal messages of a whole-text
@@ -292,6 +333,22 @@ class TestDatasets:
     def test_text_the_csv_reader_refuses(self, text, line):
         with pytest.raises(DatasetFormatError, match=f"bad CSV, line {line}: "):
             parse_dataset(text, "scalar")
+
+    @pytest.mark.parametrize("fault", [b"0.5," + b"1" * 200_000 + b"\n", b"\xff\n"],
+                             ids=["csv-error", "undecodable"])
+    def test_a_bad_cell_is_named_before_a_fault_past_its_chunk(self, tmp_path, fault):
+        # The bad cell is the last row of a chunk; the fault lies in a later
+        # chunk, one read buffer (8 KiB, about 900 rows) past it.
+        chunk = datasets.CHUNK_ROWS
+        rows = ["0.25,0.5\n"] * (chunk + 1000)
+        rows[chunk] = "0.25,x\n"
+        path = tmp_path / "rows.csv"
+        path.write_bytes("".join(rows).encode() + fault + b"0.25,0.5\n")
+        with pytest.raises(DatasetFormatError, match=f"row {chunk}, column 1"):
+            load_dataset(str(path), "scalar")
+        if not fault.startswith(b"\xff"):
+            with pytest.raises(DatasetFormatError, match=f"row {chunk}, column 1"):
+                parse_dataset(path.read_text(), "scalar")
 
     def test_undecodable_bytes_after_a_bad_cell(self, tmp_path):
         # Rows are decoded as they are read: a bad cell a read buffer (8 KiB)
@@ -345,6 +402,12 @@ AGGREGATE_CASES = {
         _TIED_CSV, _TABLE3,
         ["--kernel", '{"family": "delta-scale", "delta": "sq-diff"}']),
     "scalar-csv-format": (_TIED_CSV, _TABLE3, ["--format", "csv"]),
+    # A one-coordinate vector is written as a list, not as a bare float.
+    "vector-one-coordinate-veclex-1": (
+        json.dumps([[[0.2], [0.5], [0.9]], [[0.0], [0.0], [0.0]], [[0.3], [0.3], [0.7]]]),
+        _TABLE3, ["--order", "veclex:1"]),
+    "scalar-csv-negative-zero": ("-0.0,0.5,0.25\n-0.0,-0.0,-0.0\n0.0,-0.0,1\n",
+                                 _TABLE3, []),
 }
 
 
@@ -552,10 +615,10 @@ class TestAggregateCommand:
         code = main(["aggregate", "--input", str(data), "--capacity", str(cap),
                      "--output", str(out), "--format", "csv"])
         assert code == 0
-        assert out.read_bytes() == (b"id,value,consistent,in_K\r\n"
-                                    b"0,0.5333333333333333,True,True\r\n"
-                                    b"1,0.0,True,True\r\n"
-                                    b"2,0.5,True,True\r\n")
+        assert out.read_bytes() == (b"id,value,consistent,in_K,permutations\r\n"
+                                    b"0,0.5333333333333333,True,True,1\r\n"
+                                    b"1,0.0,True,True,6\r\n"
+                                    b"2,0.5,True,True,1\r\n")
 
     def test_inconsistent_rows_exit_two(self, tmp_path):
         data = tmp_path / "rows.csv"

@@ -5,13 +5,15 @@
 
 For each of the agg-scalar, agg-interval and agg-tied workloads at seeds
 1-10, it makes the inputs with ``perfbench/gen.py``, runs ``choquetlike
-aggregate`` on them and records the sha256 of its stdout and its exit code.
+aggregate`` on them, once with JSON output and once with ``--format csv``,
+and records the sha256 of each stdout and its exit code.
 It runs ``aggregate`` on a fixed small dataset with tied rows under each
 capacity family spec and two kernels, one that certifies tied rows and one
 that walks them, and records the sha256 of its stdout and its exit code.
 It runs ``aggregate`` on a fixed small dataset with each of a fixed set of
-malformed capacity tables, and records the sha256 of its stderr, the error
-record, and its exit code.
+malformed capacity tables, and on each of a fixed set of long malformed
+datasets whose first bad row lies past row 500, and records the sha256 of
+its stderr, the error record, and its exit code.
 It runs ``verify --suite all`` at the default grid, ``--grid 2``, ``--grid
 3``, ``--n 4 --grid 2`` and ``--format csv --grid 2``, and ``verify --suite
 appendix-c`` at ``--grid 2`` to ``16``, and records each output's sha256 with
@@ -22,7 +24,7 @@ key whose entry differs from the record's, or is missing from either.
 
 Like ``gen.py``, this script does not import the program: it runs the CLI
 of the checkout it lives in as a process, one at a time. The whole set
-takes about 20 s on a 2-core machine.
+takes about 35 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -75,6 +77,22 @@ REFUSALS = {
     "bool-element": [*_ENTRIES, ([True], 0.1)],
     "late-fault-n8": [(s, 0.1 if s == [5, 6] else len(s) / 8) for s in (
         [i + 1 for i in range(8) if mask >> i & 1] for mask in range(256))],
+}
+# Long datasets refused by a row far from the first, each with its order
+# flag: a NaN cell in row 900 after a short row 600 (the cell is named
+# first), a cell above 1 in row 500 (named after the last row), and a
+# reversed interval in row 700, column 2.
+_LONG = 1000
+DATASET_REFUSALS = {
+    "late-nan-cell.csv": ("scalar", "".join(
+        "0.5,nan,0.5\n" if r == 900 else "0.5,0.5\n" if r == 600
+        else f"{r % 7 / 8},{r % 5 / 8},0.5\n" for r in range(_LONG))),
+    "late-misfit.csv": ("scalar", "".join(
+        "0.25,1.5,0.5\n" if r == 500 else f"{r % 3 / 4},{r % 5 / 8},0.5\n"
+        for r in range(_LONG))),
+    "late-reversed.json": ("ab:0.5:1", json.dumps([
+        [[0.1, 0.2], [0.3, 0.5], [0.6, 0.4] if r == 700 else [r % 4 / 8, 0.75]]
+        for r in range(_LONG)])),
 }
 # A report's own ``elapsed`` line in ``verify``'s JSON (two-space indent).
 ELAPSED_LINE = re.compile(rb'^    "elapsed": [^\r\n]*(\r?\n|$)', re.MULTILINE)
@@ -132,6 +150,12 @@ def record() -> dict:
                                   "--order", p["order"], "--kernel", p["kernel"]], env)
                 out[f"aggregate {workload} seed {seed}"] = {
                     "exit": res.returncode, "sha256": _sha256(res.stdout)}
+                res = _run(cli + ["aggregate", "--input", str(work / p["input"]),
+                                  "--capacity", str(work / "capacity.json"),
+                                  "--order", p["order"], "--kernel", p["kernel"],
+                                  "--format", "csv"], env)
+                out[f"aggregate {workload} seed {seed} --format csv"] = {
+                    "exit": res.returncode, "sha256": _sha256(res.stdout)}
         rows = Path(tmp) / "families.csv"
         rows.write_text(FAMILY_ROWS, encoding="utf-8")
         for spec in FAMILIES:
@@ -153,6 +177,15 @@ def record() -> dict:
                 encoding="utf-8")
             res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap)], env)
             out[f"aggregate refusal {name}"] = {
+                "exit": res.returncode, "sha256": _sha256(res.stderr)}
+        cap = Path(tmp) / "cardinality-3.json"
+        cap.write_text(json.dumps({"n": 3, "kind": "cardinality"}), encoding="utf-8")
+        for name, (order, text) in DATASET_REFUSALS.items():
+            rows = Path(tmp) / name
+            rows.write_text(text, encoding="utf-8")
+            res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap),
+                              "--order", order], env)
+            out[f"aggregate refusal dataset {name}"] = {
                 "exit": res.returncode, "sha256": _sha256(res.stderr)}
     for suite, flags in VERIFY_VARIANTS:
         res = _run(cli + ["verify", "--suite", suite, *flags], env)
