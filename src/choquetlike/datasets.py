@@ -131,14 +131,17 @@ def _dataset(kind: str, records, floats, build, named=None, blank=None) -> Datas
     element constructors' checks; it sets ``n`` and ``dim``. Later
     records are read ``CHUNK_ROWS`` at a time. ``floats(rows, n, dim)``
     gives the components of ``rows`` when each row holds ``n`` cells of
-    ``dim`` numbers, else None. If it gives them for a chunk and the
-    carrier's ``all_bounded`` holds, they go straight into the array: the
-    constructors would keep them as they are. Every other chunk is checked
-    row by row, each row as a chunk of one, and a row that fails is built
-    as row 0 is. A refused cell raises at once. The first misfit row (of
-    another length, or with a cell of another dimension or outside
-    [0, 1]) raises after the last row, so that a bad cell in any row is
-    named first; a wrong number of ids comes last."""
+    ``dim`` numbers, else None. When it gives None for a chunk of CSV
+    records, the chunk's empty records (its empty lines) are dropped and
+    it is asked once more; a ``blank`` record with text, such as `` , ``,
+    is left to the row-by-row check. If it gives the components of a
+    chunk and the carrier's ``all_bounded`` holds, they go straight into
+    the array: the constructors would keep them as they are. Every other
+    chunk is checked row by row, each row as a chunk of one, and a row that
+    fails is built as row 0 is. A refused cell raises at once. The first
+    misfit row (of another length, or with a cell of another dimension or
+    outside [0, 1]) raises after the last row, so that a bad cell in any
+    row is named first; a wrong number of ids comes last."""
     record = carrier(kind)
     bounded, all_bounded = record.bounded, record.all_bounded
     data = array("d")
@@ -146,6 +149,9 @@ def _dataset(kind: str, records, floats, build, named=None, blank=None) -> Datas
     error = None
     while chunk := list(islice(records, CHUNK_ROWS if count else 1)):
         vals = floats(chunk, n, dim) if n else None
+        if vals is None and n and blank is not None:
+            chunk = list(filter(None, chunk))
+            vals = floats(chunk, n, dim)
         if vals is not None and all_bounded(vals):
             count += len(chunk)
             if error is None:

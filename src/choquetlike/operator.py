@@ -52,9 +52,7 @@ from .errors import (
     BadParameter, KernelRangeError, KindMismatch, NotAdmissiblePermutation,
     TooManyTies, UnknownKernel, lookup, refuse_unknown_keys, spec_numbers,
 )
-from .order import (
-    AdmissibleOrder, Element, carrier, close, strict_chain, zero_element,
-)
+from .order import AdmissibleOrder, Element, carrier, close, strict_chain
 
 MAX_TIE_GROUP = 16
 
@@ -161,7 +159,7 @@ def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool,
     return kernel
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class AggregationInput:
     """One aggregation instance: inputs, capacity, order, and addition.
     A tuple of inputs is kept as given, any other iterable made a tuple;
@@ -190,8 +188,18 @@ class AggregationInput:
             raise KindMismatch("vector dimension does not match the order")
         if addop.kind != kind:
             raise KindMismatch("addition carrier does not match the inputs")
-        # Frozen, so the fields are set past ``__setattr__``, once.
-        self.__dict__.update(X=X, mu=mu, order=order, addop=addop)
+        # Frozen, so the fields are set past ``__setattr__``, through the
+        # slot descriptors bound below the class.
+        _SET_X(self, X)
+        _SET_MU(self, mu)
+        _SET_ORDER(self, order)
+        _SET_ADDOP(self, addop)
+
+
+_SET_X = AggregationInput.X.__set__
+_SET_MU = AggregationInput.mu.__set__
+_SET_ORDER = AggregationInput.order.__set__
+_SET_ADDOP = AggregationInput.addop.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +285,7 @@ def _eval_sorted(inp: AggregationInput, kernel: KernelL, sigma) -> Element:
     X, evaluate, plus = inp.X, kernel.evaluate, inp.addop.fn
     b = _tail_weights(inp.mu.values, sigma)
     prev = X[sigma[0]]
-    acc = evaluate(prev, zero_element(prev.kind, prev.dim), b[0], b[1])
+    acc = evaluate(prev, carrier(prev.kind).make((0.0,) * prev.dim), b[0], b[1])
     for i in range(1, len(sigma)):
         x = X[sigma[i]]
         acc = plus(acc, evaluate(x, prev, b[i], b[i + 1]))

@@ -60,7 +60,9 @@ def _check_component(v: float, what: str) -> float:
 
 
 # The element types check their components in their own ``__init__``
-# (``init=False``), so building an element costs one Python frame.
+# (``init=False``), so building an element costs one Python frame. Frozen,
+# they store their fields through the slot descriptors' ``__set__``, bound
+# once below each class (``_SET_VALUE`` and the like), past ``__setattr__``.
 @dataclass(frozen=True, slots=True, init=False)
 class Scalar:
     """A finite nonnegative real; ``kind`` is ``SCALAR`` and ``dim`` is 1."""
@@ -72,7 +74,7 @@ class Scalar:
     def __init__(self, value: float):
         if not (type(value) is float and 0.0 <= value < _INF):
             value = _check_component(value, "scalar value")
-        object.__setattr__(self, "value", value)
+        _SET_VALUE(self, value)
 
     @property
     def components(self) -> tuple[float, ...]:
@@ -84,6 +86,9 @@ class Scalar:
 
     def to_json(self):
         return self.value
+
+
+_SET_VALUE = Scalar.value.__set__
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -103,8 +108,8 @@ class Interval:
             upper = _check_component(upper, "interval upper endpoint")
             if upper < lower:
                 raise BadParameter(f"interval endpoints out of order: [{lower}, {upper}]")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        _SET_LOWER(self, lower)
+        _SET_UPPER(self, upper)
 
     @property
     def components(self) -> tuple[float, ...]:
@@ -122,6 +127,10 @@ class Interval:
         return [self.lower, self.upper]
 
 
+_SET_LOWER = Interval.lower.__set__
+_SET_UPPER = Interval.upper.__set__
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Vector:
     """A finite point of [0, inf)^k, k >= 1; ``kind`` is ``VECTOR`` and
@@ -136,7 +145,7 @@ class Vector:
             coords = tuple(_check_component(c, "vector coordinate") for c in coords)
             if not coords:
                 raise BadParameter("vector needs at least one coordinate")
-        object.__setattr__(self, "coords", coords)
+        _SET_COORDS(self, coords)
 
     @property
     def dim(self) -> int:
@@ -152,6 +161,9 @@ class Vector:
 
     def to_json(self):
         return list(self.coords)
+
+
+_SET_COORDS = Vector.coords.__set__
 
 
 Element = Union[Scalar, Interval, Vector]
@@ -356,21 +368,23 @@ class AlphaBeta(AdmissibleOrder):
             raise BadParameter("alpha and beta must differ")
         self.alpha = float(alpha)
         self.beta = float(beta)
-        # The alpha mix exactly as ``compare`` computes it, so lead
-        # differences are bit-identical to its first difference.
+        # 1 - alpha and 1 - beta, once, for ``compare``. ``lead`` is the
+        # alpha mix exactly as ``compare`` computes it, so lead differences
+        # are bit-identical to its first difference.
         a, ca = self.alpha, 1.0 - self.alpha
+        self._ca, self._cb = ca, 1.0 - self.beta
         self.lead = lambda c: ca * c[0] + a * c[1]
 
     def compare(self, x: Element, z: Element) -> int:
         if not isinstance(x, Interval) or not isinstance(z, Interval):
             raise KindMismatch("alpha-beta order compares intervals")
         # k_alpha inline: both operands and both mixes are already checked.
-        a = self.alpha
-        da = ((1.0 - a) * x.lower + a * x.upper) - ((1.0 - a) * z.lower + a * z.upper)
+        a, ca = self.alpha, self._ca
+        da = (ca * x.lower + a * x.upper) - (ca * z.lower + a * z.upper)
         if abs(da) > TOL:
             return -1 if da < 0 else 1
-        b = self.beta
-        db = ((1.0 - b) * x.lower + b * x.upper) - ((1.0 - b) * z.lower + b * z.upper)
+        b, cb = self.beta, self._cb
+        db = (cb * x.lower + b * x.upper) - (cb * z.lower + b * z.upper)
         if abs(db) > TOL:
             return -1 if db < 0 else 1
         return 0

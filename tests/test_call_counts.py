@@ -1,6 +1,7 @@
-"""A guard on the Python calls that building an element, aggregating one
-strict row, loading a capacity table, loading a CSV dataset and writing
-``aggregate`` records make. Each bound is the count the
+"""A guard on the Python calls that building an element or an
+``AggregationInput``, aggregating one strict row, folding one interval row
+along a permutation, loading a capacity table, loading a CSV dataset and
+writing ``aggregate`` records make. Each bound is the count the
 code reaches; a change that adds a frame to these paths fails here and
 states its cost."""
 
@@ -11,10 +12,11 @@ from array import array
 import pytest
 
 from choquetlike import (
-    AggregationInput, AlphaBeta, Capacity, Interval, Scalar, ScalarUsual, addition_for,
-    capacity_family, choquet_aggregate, kernel_catalog, parse_dataset,
+    AggregationInput, AlphaBeta, Capacity, Interval, PermutationSet, Scalar, ScalarUsual,
+    addition_for, capacity_family, choquet_aggregate, kernel_catalog, parse_dataset,
 )
 from choquetlike.cli import _records, _results_json
+from choquetlike.operator import _eval_sorted
 
 
 def calls_made(thunk) -> int:
@@ -43,6 +45,15 @@ def aggregating(row, order, kernel):
     return lambda: choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
 
 
+def folding(row, order, kernel):
+    """A thunk of the reference fold along the first admissible permutation
+    of ``row``, under a random capacity and the carrier's addition."""
+    mu = capacity_family("uniform-random", len(row), seed=3)
+    inp = AggregationInput(row, mu, order, addition_for(order.kind))
+    sigma = PermutationSet(row, order).first()
+    return lambda: _eval_sorted(inp, kernel, sigma)
+
+
 def writing(rows):
     """A thunk of the JSON text of ``rows`` scalar ``aggregate`` records,
     read from the arrays ``aggregate`` keeps."""
@@ -57,9 +68,14 @@ _RNG = random.Random(5)
 ROWS2048 = "".join(",".join(repr(_RNG.random()) for _ in range(5)) + "\n"
                    for _ in range(2048))
 XU = AlphaBeta(0.5, 1.0)
+# The arguments of one AggregationInput of 5 scalars.
+INPUT5 = (tuple(map(Scalar, (0.1, 0.5, 0.3, 0.9, 0.7))),
+          capacity_family("uniform-random", 5, seed=3), ScalarUsual(), addition_for("scalar"))
 # The JSON of a random table on 8 elements: 256 entries.
 TABLE8 = capacity_family("uniform-random", 8, seed=3).to_json()
-# The two strict rows have 5 inputs each, their leads far more than TOL apart.
+# The two strict rows have 5 inputs each, their leads far more than TOL apart;
+# the folded interval row has 4, and the double-spaced CSV a blank line after
+# every row.
 CASES = {  # id: (thunk, the most calls it may make)
     "scalar": (lambda: Scalar(0.5), 1),
     "interval": (lambda: Interval(0.2, 0.5), 1),
@@ -71,6 +87,12 @@ CASES = {  # id: (thunk, the most calls it may make)
         kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", XU)), 64),
     "table-n8": (lambda: Capacity.from_json(TABLE8), 52),
     "csv-load-2048": (lambda: parse_dataset(ROWS2048, "scalar"), 58),
+    "csv-load-2048-double-spaced": (
+        lambda: parse_dataset(ROWS2048.replace("\n", "\n\n"), "scalar"), 90),
+    "eval-sorted-interval": (folding(
+        tuple(Interval(lo, lo + 0.2) for lo in (0.4, 0.1, 0.7, 0.2)), XU,
+        kernel_catalog("delta-scale", "interval", XU)), 56),
+    "aggregation-input": (lambda: AggregationInput(*INPUT5), 1),
     "write-100": (writing(100), 104),
 }
 

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choquetlike import (
-    INTERVAL, SCALAR, TOL, VECTOR, BadParameter, GridSpec, Interval,
-    KernelRangeError, Scalar, Vector, addition_for, classical_kernel,
-    element_from_json, grid_elements, kernel_catalog, parse_dataset, scale_for,
-    zero_element,
+    INTERVAL, SCALAR, TOL, VECTOR, AggregationInput, BadParameter, GridSpec, Interval,
+    KernelRangeError, Scalar, ScalarUsual, Vector, addition_for, capacity_family,
+    classical_kernel, element_from_json, grid_elements, kernel_catalog, parse_dataset,
+    scale_for, zero_element,
 )
 from choquetlike.dissimilarity import projected_dissimilarity
 from choquetlike.operator import _validate_unit
@@ -150,6 +150,20 @@ def test_element_constructor_contract(kind):
         # ``replace`` builds through the same checks.
         with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
             dataclasses.replace(x, **dict(zip(fields, args)))
+
+
+def test_aggregation_input_contract():
+    """Slotted and frozen like the elements it holds: no ``__dict__``, no
+    assignment, and ``copy`` and ``replace`` go through its checks."""
+    inp = AggregationInput((Scalar(0.25), Scalar(0.5), Scalar(0.75)),
+                           capacity_family("uniform-random", 3, seed=3), ScalarUsual(),
+                           addition_for(SCALAR))
+    assert not hasattr(inp, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inp.X = inp.X[:2]
+    assert copy.copy(inp) == inp
+    with pytest.raises(BadParameter, match=r"^capacity is on \[2\] but there are 3 inputs$"):
+        dataclasses.replace(inp, mu=capacity_family("uniform-random", 2, seed=3))
 
 
 # Components at and around the edges of the bounded set: signed zeros,

@@ -161,6 +161,27 @@ _LONG_CASES = [
 ]
 
 
+def _blank_lines(line, blank):
+    """A CSV text of ``2 * CHUNK_ROWS + 3`` lines: empty at each index
+    ``r < 2 * CHUNK_ROWS + 2`` where ``blank(r)`` holds, else "0.25,0.5",
+    and ``line`` last."""
+    rows = ["" if blank(r) else "0.25,0.5" for r in range(2 * datasets.CHUNK_ROWS + 2)]
+    return "".join(row + "\n" for row in rows + [line]), "scalar"
+
+
+# Double-spaced CSV, with the empty line after each row or before it, and
+# empty lines at the first and last record of the first two chunks; each
+# with a clean last row, a bad cell, a short row, a blank row with text and
+# a value outside [0, 1].
+_BLANK_CASES = [
+    _blank_lines(line, blank)
+    for blank in (lambda r: r % 2, lambda r: not r % 2,
+                  lambda r: r in (1, datasets.CHUNK_ROWS, datasets.CHUNK_ROWS + 1,
+                                  2 * datasets.CHUNK_ROWS))
+    for line in ("0.25,0.5", "0.5,x", "0.5", " , ", "0.5,1.5")
+]
+
+
 def _with_examples(cases):
     """``hypothesis.example`` of each of ``cases``."""
     def wrap(test):
@@ -303,7 +324,7 @@ class TestDatasets:
     @example(('[[[0.1, 0.2]], [[0.1, NaN]], [[0.1, 0.2, 0.3]]]', "vector"))
     @example(('[[0.5, 0.25], [0.5, true]]', "scalar"))  # a bool in a later row
     @example(('{"rows": [[[0.1, 0.2]], [[0.3, 1e400]]], "ids": ["a"]}', "interval"))
-    @_with_examples(_LONG_CASES)
+    @_with_examples(_LONG_CASES + _BLANK_CASES)
     def test_streamed_load_equals_parse_and_the_reference(self, case):
         """``load_dataset`` streams the file and ``parse_dataset`` reads its
         text: both give the rows, ids and refusal messages of a whole-text

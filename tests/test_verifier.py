@@ -5,18 +5,20 @@ import itertools
 import json
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from choquetlike import (
     AdditionOp, AggregationInput, AlphaBeta, BOUNDED_SUM, GridSpec,
     BadParameter, HypothesisViolated, IV_PLUS, KernelL, KindMismatch, MIN_OP, PLUS, RunRecord,
-    Scalar, ScalarUsual, VV_PLUS, VV_SCALE, Vector, VectorLex, add, brute_force_wd,
+    Scalar, ScalarUsual, VV_PLUS, VV_SCALE, Vector, VectorLex, add, addition_for,
+    brute_force_monotonicity, brute_force_wd,
     capacity_battery, check_admissibility, check_aggregation, check_associativity,
     check_c1, check_cancellation, check_compatibility, check_delta_decomposition,
     check_jensen_f, check_monotonicity, check_wd, classical_kernel,
-    elements_equal, grid_elements, kernel_catalog, oracle_crosscheck, scale,
-    scale_for, zero_element,
+    elements_equal, grid_elements, kernel_catalog, oracle_crosscheck, parse_order,
+    scale, scale_for, zero_element,
 )
 from choquetlike.algebra import _Memo
 from choquetlike.reporting import run_law
@@ -497,6 +499,47 @@ class TestBruteForceAndOracle:
             AggregationInput((Scalar(0.5), Scalar(0.5)), mu, ScalarUsual(), PLUS),
             kernel)
         assert wd.passed == res.consistent  # both fail here
+
+
+SQ_DIFF = {"family": "delta-scale", "delta": "sq-diff"}
+# The brute-force sweeps of the laws crosscheck battery: (carrier, grid m,
+# kernel spec, law, n), each under the carrier's order of that battery.
+ORACLE_CASES = {
+    f"{law}-{kind}-m{m}-{'sq-diff' if spec is SQ_DIFF else spec}-n{n}": (
+        kind, m, spec, law, n)
+    for kind, m, spec, law, ns in (
+        ("scalar", 4, "delta-scale", "wd", (2, 3, 4)),
+        ("scalar", 4, SQ_DIFF, "wd", (2, 3, 4)),
+        ("interval", 2, "delta-scale", "wd", (2, 3, 4)),
+        ("interval", 2, SQ_DIFF, "wd", (2, 3, 4)),
+        ("scalar", 4, "delta-scale", "monotonicity", (3,)),
+        ("interval", 2, "delta-scale", "monotonicity", (3,)),
+    )
+    for n in ns
+}
+
+
+def oracle_report(kind, m, spec, law, n):
+    """The brute-force report of one battery case at seed 42, as JSON
+    without its ``elapsed``."""
+    order = parse_order("scalar" if kind == "scalar" else "ab:0.5:1")
+    brute_force = {"wd": brute_force_wd, "monotonicity": brute_force_monotonicity}[law]
+    report = brute_force(kernel_catalog(spec, kind, order), addition_for(kind), order,
+                         n, GridSpec(kind, m), 42)
+    payload = report.to_json()
+    del payload["elapsed"]
+    return payload
+
+
+class TestOracleGolden:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_brute_force_report_is_pinned(self, case):
+        """Verdict, ``checked`` and witness of each oracle sweep, as the
+        reference fold first gave them (data/oracle_golden.json)."""
+        golden = json.loads((Path(__file__).parent / "data"
+                             / "oracle_golden.json").read_text())
+        assert len(golden) == len(ORACLE_CASES) == 14
+        assert oracle_report(*ORACLE_CASES[case]) == golden[case]
 
 
 class TestReports:
