@@ -80,13 +80,23 @@ class Capacity:
 
     def relabel(self, pi: tuple[int, ...]) -> "Capacity":
         """Transported capacity mu_hat(C) = mu({pi(i) : i in C}) for a
-        0-based permutation pi of range(n)."""
+        0-based permutation pi of range(n). It is a capacity because mu is
+        one, so it is not checked again."""
         if sorted(pi) != list(range(self.n)):
             raise BadParameter("pi must be a permutation of range(n)")
         image = [0]  # image[mask]: the mask of {pi(i) : i in mask}, by doubling
         for p in pi:
             image += [m | 1 << p for m in image]
-        return Capacity(self.n, tuple(map(self.values.__getitem__, image)))
+        return Capacity._unchecked(self.n, tuple(map(self.values.__getitem__, image)))
+
+    @classmethod
+    def _unchecked(cls, n: int, values: tuple[float, ...]) -> "Capacity":
+        """The capacity of ``values``, a tuple that is one by construction,
+        built past ``__post_init__`` and its checks."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "n", n)
+        object.__setattr__(mu, "values", values)
+        return mu
 
     def to_json(self) -> dict:
         return {

@@ -19,7 +19,7 @@ import io
 import json
 from array import array
 from dataclasses import dataclass
-from itertools import chain, filterfalse, islice
+from itertools import chain, compress, islice
 from typing import Optional
 
 from .errors import BadParameter, DatasetFormatError, load_json, refuse_unknown_keys
@@ -33,9 +33,11 @@ class Dataset:
 
     The rows are kept as ``data``, one ``array('d')`` of their components,
     row after row: ``n * dim`` floats per row and no object per row.
-    Iterating builds the element tuple of one row at a time; ``rows``
-    builds all of them. ``named`` holds the file's ids, or None when the
-    rows are numbered from "0"; ``ids`` is the tuple of ids either way.
+    Iterating builds the element tuple of one row at a time, through the
+    carrier's ``elements``: one constructor call per cell and no other
+    Python frame. ``rows`` builds all of them. ``named`` holds the file's
+    ids, or None when the rows are numbered from "0"; ``ids`` is the tuple
+    of ids either way.
     ``parse_dataset`` and ``load_dataset`` build a dataset, and check every
     row as they do."""
 
@@ -49,10 +51,8 @@ class Dataset:
         return len(self.data) // (self.n * self.dim)
 
     def __iter__(self):
-        make, dim, data = carrier(self.kind).make, self.dim, self.data
-        width = self.n * dim
-        for start in range(0, len(data), width):
-            yield tuple(map(make, zip(*(iter(data[start:start + width]),) * dim)))
+        elements = carrier(self.kind).elements(iter(self.data), self.dim)
+        return zip(*(elements,) * self.n)
 
     @property
     def rows(self) -> tuple[tuple[Element, ...], ...]:
@@ -93,7 +93,7 @@ def _read(stream, kind: str) -> Dataset:
             reader = csv.reader(chain(head, stream))
             try:
                 return _dataset(kind, reader, _csv_floats, lambda c: Scalar(float(c)),
-                                blank=_blank)
+                                csv_lines=True)
             except csv.Error as exc:
                 raise DatasetFormatError(
                     f"bad CSV, line {reader.line_num}: {exc}") from exc
@@ -122,26 +122,26 @@ def _read(stream, kind: str) -> Dataset:
 CHUNK_ROWS = 256
 
 
-def _dataset(kind: str, records, floats, build, named=None, blank=None) -> Dataset:
+def _dataset(kind: str, records, floats, build, named=None, csv_lines=False) -> Dataset:
     """The dataset of the iterator ``records``, each record the list of
-    one row's cells; a record that ``blank`` holds for is skipped and not
-    counted.
+    one row's cells. With ``csv_lines``, the records are CSV lines, and a
+    blank one (each cell empty or whitespace) is skipped and not counted.
 
     Row 0 is read alone and built cell by cell by ``build``, with the
     element constructors' checks; it sets ``n`` and ``dim``. Later
     records are read ``CHUNK_ROWS`` at a time. ``floats(rows, n, dim)``
     gives the components of ``rows`` when each row holds ``n`` cells of
     ``dim`` numbers, else None. When it gives None for a chunk of CSV
-    records, the chunk's empty records (its empty lines) are dropped and
-    it is asked once more; a ``blank`` record with text, such as `` , ``,
-    is left to the row-by-row check. If it gives the components of a
-    chunk and the carrier's ``all_bounded`` holds, they go straight into
-    the array: the constructors would keep them as they are. Every other
-    chunk is checked row by row, each row as a chunk of one, and a row that
-    fails is built as row 0 is. A refused cell raises at once. The first
-    misfit row (of another length, or with a cell of another dimension or
-    outside [0, 1]) raises after the last row, so that a bad cell in any
-    row is named first; a wrong number of ids comes last."""
+    records, the chunk's empty records are dropped and it is asked once
+    more, and if it still gives None, so are its other blank records; each
+    drop is one C-level pass. If it gives the components of a chunk and the
+    carrier's ``all_bounded`` holds, they go straight into the array: the
+    constructors would keep them as they are. Every other chunk is checked
+    row by row, each row as a chunk of one, and a row that fails is built
+    as row 0 is. A refused cell raises at once. The first misfit row (of
+    another length, or with a cell of another dimension or outside [0, 1])
+    raises after the last row, so that a bad cell in any row is named
+    first; a wrong number of ids comes last."""
     record = carrier(kind)
     bounded, all_bounded = record.bounded, record.all_bounded
     data = array("d")
@@ -149,15 +149,18 @@ def _dataset(kind: str, records, floats, build, named=None, blank=None) -> Datas
     error = None
     while chunk := list(islice(records, CHUNK_ROWS if count else 1)):
         vals = floats(chunk, n, dim) if n else None
-        if vals is None and n and blank is not None:
-            chunk = list(filter(None, chunk))
-            vals = floats(chunk, n, dim)
+        if vals is None and csv_lines:
+            chunk = list(filter(None, chunk))  # empty lines, in one cheap pass
+            vals = floats(chunk, n, dim) if n else None
+            if vals is None:  # lines whose cells, joined, strip to nothing
+                chunk = list(compress(chunk, map(str.strip, map("".join, chunk))))
+                vals = floats(chunk, n, dim) if n else None
         if vals is not None and all_bounded(vals):
             count += len(chunk)
             if error is None:
                 data.extend(vals)
             continue
-        for cells in chunk if blank is None else filterfalse(blank, chunk):
+        for cells in chunk:
             r = count
             count += 1
             if type(cells) is not list:
@@ -213,11 +216,6 @@ def _misfit(r: int, els, n: int, dim: int, bounded) -> Optional[str]:
 
 
 _NUMBERS = {int, float}  # the types of a JSON number: a bool has its own
-
-
-def _blank(cells) -> bool:
-    """A CSV row with no text in any cell."""
-    return not any(map(str.strip, cells))
 
 
 def _csv_floats(rows, n, dim) -> Optional[array]:

@@ -243,7 +243,7 @@ class PermutationSet:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AggregateResult:
     """Operator value plus the consistency report across admissible
     permutations. ``value`` always comes from the lexicographically first
@@ -258,6 +258,23 @@ class AggregateResult:
     permutations: int
     checked: int
     witness: Optional[dict] = None
+
+    def __init__(self, value: Element, consistent: bool, permutations: int, checked: int,
+                 witness: Optional[dict] = None):
+        # Frozen, so the fields are set past ``__setattr__``, through the
+        # slot descriptors bound below the class.
+        _SET_VALUE(self, value)
+        _SET_CONSISTENT(self, consistent)
+        _SET_PERMUTATIONS(self, permutations)
+        _SET_CHECKED(self, checked)
+        _SET_WITNESS(self, witness)
+
+
+_SET_VALUE = AggregateResult.value.__set__
+_SET_CONSISTENT = AggregateResult.consistent.__set__
+_SET_PERMUTATIONS = AggregateResult.permutations.__set__
+_SET_CHECKED = AggregateResult.checked.__set__
+_SET_WITNESS = AggregateResult.witness.__set__
 
 
 def choquet_eval(inp: AggregationInput, kernel: KernelL,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from math import isnan
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import BadParameter, KindMismatch, lookup, spec_numbers
 from .reporting import LawReport, run_law
@@ -203,13 +203,17 @@ class Carrier(NamedTuple):
     interval endpoints in order, no NaN. ``make`` keeps such a ``c``.
     ``all_bounded(a)`` holds when ``bounded`` holds for every tuple of the
     nonempty ``array('d')`` ``a``, the tuples' components one after another,
-    and decides it in C-level passes. ``from_json`` reads a JSON dataset
+    and decides it in C-level passes. ``elements(floats, dim)`` yields the
+    elements of dimension ``dim`` whose components are the float iterator
+    ``floats`` one after another, each built by its constructor, with its
+    checks, and no Python frame besides. ``from_json`` reads a JSON dataset
     cell; ``constant`` is (c, ..., c)."""
 
     make: Callable[[tuple], Element]
     arity: int
     bounded: Callable[[tuple], bool]
     all_bounded: Callable[[array], bool]
+    elements: Callable[[Iterator[float], int], Iterator[Element]]
     from_json: Callable[[object], Element]
 
     def constant(self, c: float, dim: int) -> Element:
@@ -224,13 +228,14 @@ def _all_in_unit(a: array) -> bool:
 
 _CARRIERS = {
     SCALAR: Carrier(lambda c: Scalar(*c), 1, lambda c: 0.0 <= c[0] <= 1.0, _all_in_unit,
-                    _scalar_from_json),
+                    lambda it, dim: map(Scalar, it), _scalar_from_json),
     INTERVAL: Carrier(lambda c: Interval(*c), 2, lambda c: 0.0 <= c[0] <= c[1] <= 1.0,
                       lambda a: (_all_in_unit(a)
                                  and all(map(float.__le__, a[::2], a[1::2]))),
+                      lambda it, dim: itertools.starmap(Interval, zip(it, it)),
                       _interval_from_json),
     VECTOR: Carrier(Vector, 0, lambda c: all(0.0 <= a <= 1.0 for a in c), _all_in_unit,
-                    _vector_from_json),
+                    lambda it, dim: map(Vector, zip(*(it,) * dim)), _vector_from_json),
 }
 
 

@@ -1,7 +1,8 @@
-"""A guard on the Python calls that building an element or an
-``AggregationInput``, aggregating one strict row, folding one interval row
-along a permutation, loading a capacity table, loading a CSV dataset and
-writing ``aggregate`` records make. Each bound is the count the
+"""A guard on the Python calls that building an element, an
+``AggregationInput`` or an ``AggregateResult``, aggregating one strict row,
+folding one interval row along a permutation, loading a capacity table,
+loading a CSV dataset, iterating a dataset's rows and writing
+``aggregate`` records make. Each bound is the count the
 code reaches; a change that adds a frame to these paths fails here and
 states its cost."""
 
@@ -16,7 +17,7 @@ from choquetlike import (
     addition_for, capacity_family, choquet_aggregate, kernel_catalog, parse_dataset,
 )
 from choquetlike.cli import _records, _results_json
-from choquetlike.operator import _eval_sorted
+from choquetlike.operator import AggregateResult, _eval_sorted
 
 
 def calls_made(thunk) -> int:
@@ -63,6 +64,16 @@ def writing(rows):
     return lambda: "".join(_results_json(_records(*kept)))
 
 
+def iterating(text):
+    """A thunk of a walk over the rows of the scalar dataset in ``text``."""
+    ds = parse_dataset(text, "scalar")
+
+    def walk():
+        for _ in ds:
+            pass
+    return walk
+
+
 _RNG = random.Random(5)
 # 2,048 CSV rows of 5 scalars in [0, 1].
 ROWS2048 = "".join(",".join(repr(_RNG.random()) for _ in range(5)) + "\n"
@@ -71,11 +82,13 @@ XU = AlphaBeta(0.5, 1.0)
 # The arguments of one AggregationInput of 5 scalars.
 INPUT5 = (tuple(map(Scalar, (0.1, 0.5, 0.3, 0.9, 0.7))),
           capacity_family("uniform-random", 5, seed=3), ScalarUsual(), addition_for("scalar"))
+HALF = Scalar(0.5)
 # The JSON of a random table on 8 elements: 256 entries.
 TABLE8 = capacity_family("uniform-random", 8, seed=3).to_json()
 # The two strict rows have 5 inputs each, their leads far more than TOL apart;
-# the folded interval row has 4, and the double-spaced CSV a blank line after
-# every row.
+# the folded interval row has 4, the double-spaced CSV an empty line after
+# every row, and the space-lined CSV a line of one space after every row.
+# Iterating 2,048 rows of 5 scalars makes one call per element, plus four.
 CASES = {  # id: (thunk, the most calls it may make)
     "scalar": (lambda: Scalar(0.5), 1),
     "interval": (lambda: Interval(0.2, 0.5), 1),
@@ -89,10 +102,14 @@ CASES = {  # id: (thunk, the most calls it may make)
     "csv-load-2048": (lambda: parse_dataset(ROWS2048, "scalar"), 58),
     "csv-load-2048-double-spaced": (
         lambda: parse_dataset(ROWS2048.replace("\n", "\n\n"), "scalar"), 90),
+    "csv-load-2048-space-lines": (
+        lambda: parse_dataset(ROWS2048.replace("\n", "\n \n"), "scalar"), 105),
+    "iterate-2048": (iterating(ROWS2048), 2048 * 5 + 4),
     "eval-sorted-interval": (folding(
         tuple(Interval(lo, lo + 0.2) for lo in (0.4, 0.1, 0.7, 0.2)), XU,
         kernel_catalog("delta-scale", "interval", XU)), 56),
     "aggregation-input": (lambda: AggregationInput(*INPUT5), 1),
+    "aggregate-result": (lambda: AggregateResult(HALF, True, 1, 1), 1),
     "write-100": (writing(100), 104),
 }
 

@@ -1,5 +1,6 @@
 """Capacity construction, validation, families, and tail values."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ from choquetlike import (
     BadBoundary, BadParameter, Capacity, ChoquetlikeError, MissingSubset, NotMonotone,
     capacity_battery, capacity_family, capacity_from_table, tail_values,
 )
+from choquetlike import capacity
 from choquetlike.capacity import mask_to_subset
 
 
@@ -529,3 +531,15 @@ class TestSerializationAndRelabel:
         for _ in range(5):
             pi = tuple(rng.sample(range(n), n))
             assert hexes(mu.relabel(pi).values) == hexes(reference_relabel(mu, pi))
+
+    def test_relabel_does_not_check_again(self, monkeypatch):
+        """A relabelled capacity is one by construction: ``relabel`` builds
+        it without ``_validate``, as a frozen record of a tuple."""
+        mu = capacity_family("uniform-random", 4, seed=4)
+        calls = []
+        monkeypatch.setattr(capacity, "_validate", lambda *args: calls.append(args))
+        hat = mu.relabel((2, 0, 3, 1))
+        assert calls == [] and type(hat) is Capacity and type(hat.values) is tuple
+        assert hat == Capacity(4, list(hat.values)) and len(calls) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hat.values = mu.values

@@ -22,7 +22,7 @@ from choquetlike import (
     scale_for, zero_element,
 )
 from choquetlike.dissimilarity import projected_dissimilarity
-from choquetlike.operator import _validate_unit
+from choquetlike.operator import AggregateResult, _validate_unit
 from choquetlike.order import carrier, one_element
 
 UNKNOWN = "unknown carrier kind: 'bogus'"
@@ -166,6 +166,23 @@ def test_aggregation_input_contract():
         dataclasses.replace(inp, mu=capacity_family("uniform-random", 2, seed=3))
 
 
+def test_aggregate_result_contract():
+    """Slotted and frozen like ``AggregationInput``, with its fields set by
+    its own ``__init__``: ``witness`` defaults to None, and ``copy`` and
+    ``replace`` build equal records."""
+    res = AggregateResult(Scalar(0.5), True, 2, 1)
+    assert res.witness is None
+    assert repr(res) == ("AggregateResult(value=Scalar(value=0.5), consistent=True, "
+                         "permutations=2, checked=1, witness=None)")
+    assert not hasattr(res, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.checked = 2
+    assert copy.copy(res) == res and pickle.loads(pickle.dumps(res)) == res
+    witness = {"sigma_a": (0, 1), "sigma_b": (1, 0)}
+    changed = dataclasses.replace(res, consistent=False, witness=witness)
+    assert changed == AggregateResult(Scalar(0.5), False, 2, 1, witness) != res
+
+
 # Components at and around the edges of the bounded set: signed zeros,
 # values within TOL below 0, which the constructors refuse, values within
 # TOL above 1, which the kernels' range check keeps and ``bounded``
@@ -219,3 +236,42 @@ def test_all_bounded_is_bounded_of_every_tuple(kind, data):
     record = carrier(kind)
     flat = array("d", itertools.chain.from_iterable(tuples))
     assert record.all_bounded(flat) == all(map(record.bounded, tuples))
+
+
+def built(elements) -> tuple:
+    """``bits`` of the elements that ``elements`` yields, up to the first
+    it refuses, and that refusal's message, or None."""
+    out = []
+    try:
+        for x in elements:
+            out.append(x)
+    except BadParameter as exc:
+        return bits(out), str(exc)
+    return bits(out), None
+
+
+@pytest.mark.parametrize("kind,dim", [(SCALAR, 1), (INTERVAL, 2), (VECTOR, 1), (VECTOR, 3)])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_elements_is_make_on_each_tuple(kind, dim, data):
+    """``elements`` over a flat float iterator builds what ``make`` builds
+    from each tuple in turn, and refuses the first tuple ``make`` refuses,
+    with the constructor's message."""
+    tuples = data.draw(st.lists(st.tuples(*[components] * dim), max_size=6))
+    record = carrier(kind)
+    flat = iter(array("d", itertools.chain.from_iterable(tuples)))
+    assert built(record.elements(flat, dim)) == built(map(record.make, tuples))
+
+
+@pytest.mark.parametrize("kind,dim,floats,message", [
+    (SCALAR, 1, [0.5, -0.25], "scalar value must be nonnegative, got -0.25"),
+    (SCALAR, 1, [math.nan], "scalar value is NaN"),
+    (INTERVAL, 2, [0.1, 0.2, 0.5, 0.25], "interval endpoints out of order: [0.5, 0.25]"),
+    (INTERVAL, 2, [0.1, math.nan], "interval upper endpoint is NaN"),
+    (VECTOR, 3, [0.1, 0.2, 0.3, 0.4, -1.0, 0.6], "vector coordinate must be "
+                                                 "nonnegative, got -1.0"),
+    (VECTOR, 1, [math.nan], "vector coordinate is NaN"),
+])
+def test_elements_refuses_as_the_constructor_does(kind, dim, floats, message):
+    with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
+        list(carrier(kind).elements(iter(floats), dim))

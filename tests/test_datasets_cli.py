@@ -21,7 +21,7 @@ from choquetlike import (
 )
 from choquetlike.cli import _results_json, main
 from choquetlike.operator import AggregateResult
-from choquetlike.order import MAX_GRID
+from choquetlike.order import MAX_GRID, carrier
 from oracles import classical_choquet_increments, mu_lookup
 
 SQ_DIFF = '{"family": "delta-scale", "delta": "sq-diff"}'
@@ -161,24 +161,28 @@ _LONG_CASES = [
 ]
 
 
-def _blank_lines(line, blank):
-    """A CSV text of ``2 * CHUNK_ROWS + 3`` lines: empty at each index
+def _blank_lines(line, blank, spacer=""):
+    """A CSV text of ``2 * CHUNK_ROWS + 3`` lines: ``spacer`` at each index
     ``r < 2 * CHUNK_ROWS + 2`` where ``blank(r)`` holds, else "0.25,0.5",
     and ``line`` last."""
-    rows = ["" if blank(r) else "0.25,0.5" for r in range(2 * datasets.CHUNK_ROWS + 2)]
+    rows = [spacer if blank(r) else "0.25,0.5" for r in range(2 * datasets.CHUNK_ROWS + 2)]
     return "".join(row + "\n" for row in rows + [line]), "scalar"
 
 
+_LAST_LINES = ("0.25,0.5", "0.5,x", "0.5", " , ", "0.5,1.5")
 # Double-spaced CSV, with the empty line after each row or before it, and
-# empty lines at the first and last record of the first two chunks; each
-# with a clean last row, a bad cell, a short row, a blank row with text and
-# a value outside [0, 1].
+# empty lines at the first and last record of the first two chunks; then
+# CSV spaced by lines of one space and of `` , ``. Each with a clean last
+# row, a bad cell, a short row, a blank row with text and a value outside
+# [0, 1].
 _BLANK_CASES = [
-    _blank_lines(line, blank)
-    for blank in (lambda r: r % 2, lambda r: not r % 2,
-                  lambda r: r in (1, datasets.CHUNK_ROWS, datasets.CHUNK_ROWS + 1,
-                                  2 * datasets.CHUNK_ROWS))
-    for line in ("0.25,0.5", "0.5,x", "0.5", " , ", "0.5,1.5")
+    *(_blank_lines(line, blank)
+      for blank in (lambda r: r % 2, lambda r: not r % 2,
+                    lambda r: r in (1, datasets.CHUNK_ROWS, datasets.CHUNK_ROWS + 1,
+                                    2 * datasets.CHUNK_ROWS))
+      for line in _LAST_LINES),
+    *(_blank_lines(line, lambda r: r % 2, spacer)
+      for spacer in (" ", " , ") for line in _LAST_LINES),
 ]
 
 
@@ -346,6 +350,26 @@ class TestDatasets:
             read = path.read_text(encoding="utf-8")  # universal newlines, as open()
         assert loaded == _outcome(lambda: parse_dataset(read, kind))
         assert loaded == _reference(read, kind)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(_csv_texts(), _json_texts()))
+    def test_iteration_builds_each_row_from_its_components(self, case):
+        """Iterating a dataset gives, row by row, the elements that its
+        carrier's ``make`` builds from each cell's slice of ``data``."""
+        text, kind = case
+        try:
+            ds = parse_dataset(text, kind)
+        except DatasetFormatError:
+            return
+        make, width = carrier(kind).make, ds.n * ds.dim
+        expected = [[make(tuple(ds.data[at:at + ds.dim]))
+                     for at in range(start, start + width, ds.dim)]
+                    for start in range(0, len(ds.data), width)]
+        got = list(ds)
+        assert all(type(row) is tuple for row in got)
+        assert ([[(type(el), *map(float.hex, el.components)) for el in row] for row in got]
+                == [[(type(el), *map(float.hex, el.components)) for el in row]
+                    for row in expected])
 
     @pytest.mark.parametrize("text,line", [
         ("0.5,0.2\n0.5," + "1" * 200_000 + "\n", 2),  # past csv's field limit
