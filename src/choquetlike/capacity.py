@@ -344,11 +344,13 @@ def tail_values(mu: Capacity, sigma: tuple[int, ...]) -> tuple[float, ...]:
 
 def _tail_weights(values, sigma) -> list[float]:
     """``tail_values`` without its permutation check: ``values`` is the
-    capacity table and ``sigma`` must already be a permutation."""
-    n = len(sigma)
-    out = [0.0] * (n + 1)
-    mask = 0
-    for i in range(n - 1, -1, -1):
-        mask |= 1 << sigma[i]
-        out[i] = values[mask]
+    capacity table and ``sigma`` must already be a permutation. It walks
+    sigma forward, dropping each input from the tail as ``operator._fold``
+    does; the empty tail weighs 0.0, never ``values[0]``, which a table may
+    store as -0.0."""
+    tail = (1 << len(sigma)) - 1
+    out = [values[tail]]
+    for j in sigma:
+        tail ^= 1 << j
+        out.append(values[tail] if tail else 0.0)
     return out

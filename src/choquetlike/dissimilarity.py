@@ -32,11 +32,15 @@ from .reporting import LawReport, run_law
 class DissimilarityFn:
     """A dissimilarity ``fn`` of elements. ``term``, when given, is the
     same function on component tuples; the shipped dissimilarities are
-    defined by it, and ``fn`` lifts it."""
+    defined by it, and ``fn`` lifts it. ``projection``, set by
+    ``projected_dissimilarity``, is ``(lead, delta, width)``: the function
+    is the constant tuple ``(delta(lead(x), lead(z)),) * width`` of the
+    component tuples x and z, with ``width`` None when it is the inputs'."""
 
     name: str
     fn: Callable[[Element, Element], Element]
     term: Optional[Callable[[tuple, tuple], tuple]] = None
+    projection: Optional[tuple] = None
 
     def __call__(self, x: Element, z: Element) -> Element:
         return self.fn(x, z)
@@ -117,7 +121,10 @@ def projected_dissimilarity(spec, kind: str,
     most 1 in each component, since the shipped leads lie in [0, 1] there;
     so ``b-scale-d``, which scales d by a weight in [0, 1], stays in the
     bounded carrier. A custom order's lead or a callable delta carries no
-    such bound."""
+    such bound. The result exposes ``order.lead``, the delta and the width
+    (None when it is the input's) as its ``projection``: a ``b-scale-d``
+    kernel over a shipped delta and a fixed width reads each input through
+    that lead alone (see ``operator.KernelL``)."""
     delta, record = resolve_delta(spec), carrier(kind)
     if order is None and kind == SCALAR:
         order = ScalarUsual()
@@ -130,7 +137,7 @@ def projected_dissimilarity(spec, kind: str,
         return (delta(lead(xc), lead(zc)),) * (width or len(xc))
     named = isinstance(spec, str)
     return DissimilarityFn(spec if named else "custom", _on_elements(term, kind),
-                           term if named else None)
+                           term if named else None, (lead, delta, width))
 
 
 def _on_elements(term, kind: str) -> Callable[[Element, Element], Element]:

@@ -12,29 +12,34 @@ as L(current, previous, b1, b2) and may ignore any of its arguments.
 
 The same formula holds on every carrier, and the shipped kernels,
 additions and scalings work component by component. So each catalog
-kernel is defined once, on component tuples, and ``KernelL.evaluate``
-lifts it to elements. The two functions defined on elements, a custom
-kernel and an addition without ``term``, reach the tuples through one
-lift, ``_on_components``. ``choquet_aggregate`` folds each row with one
-fold, ``_fold``, on component tuples: it walks sigma, reads each tail
-weight from the capacity table as it drops an input from the tail (the
-empty tail weighs 0.0), checks every kernel term as ``evaluate`` checks
-its output, and makes one element of the sum per row. Strict rows,
-the first permutation of a tied row and the tie walk's candidates all
-take this fold. ``_eval_sorted`` folds on elements with the addition's
-``fn`` and stays the reference that ``choquet_eval`` and the brute-force
-oracles call.
+kernel is defined once, by its ``term``, and ``KernelL.evaluate`` lifts
+it to elements. A term reads each input through the kernel's ``view``:
+its component tuple (no view), or, for a ``b-scale-d`` kernel over a
+shipped delta on a carrier of fixed width, the one float of the tuple
+that the projected dissimilarity reads, its order's ``lead``. The two
+functions defined on elements, a custom kernel and an addition without
+``term``, reach the tuples through one lift, ``_on_components``.
+``choquet_aggregate`` folds each row with one fold, ``_fold``, on the
+inputs' views: it walks sigma, reads each tail weight from the capacity
+table as it drops an input from the tail (the empty tail weighs 0.0),
+checks every kernel term as ``evaluate`` checks its output, and makes
+one element of the sum per row. Strict rows, the first permutation of a
+tied row and the tie walk's candidates all take this fold.
+``_eval_sorted`` folds on elements with the addition's ``fn`` and stays
+the reference that ``choquet_eval`` and the brute-force oracles call.
 
 A row whose inputs are pairwise strictly ordered has one admissible
 permutation. ``choquet_aggregate`` reads each input's component tuple
-once, and both the fold and ``order.strict_chain`` take that list. It
-finds such rows from one float per tuple, the order's ``lead``: when the
-sorted leads are more than ``TOL`` apart, ``compare`` follows them, so
-their sort is the one chain ``PermutationSet`` would build, and the row
-is folded once along it. Every other row, tied or within ``TOL``, takes
-``PermutationSet``, which the oracles use too, and the tie walk, unless
-the kernel's family settles the row (see ``choquet_aggregate``); a row
-without ties walks to its one permutation.
+and its lead under the input order once. It finds such rows from the
+leads, by ``order.strict_chain``: when the sorted leads are more than
+``TOL`` apart, ``compare`` follows them, so their sort is the one chain
+``PermutationSet`` would build, and the row is folded once along it.
+Every other row, tied or within ``TOL``, takes ``PermutationSet``,
+which the oracles use too, and the tie walk, unless the kernel's family
+settles the row (see ``choquet_aggregate``); a row without ties walks to
+its one permutation. Either way, a kernel whose view is the input order's
+lead folds on those same keys, and any other view is applied to the row
+once.
 """
 
 from __future__ import annotations
@@ -70,19 +75,31 @@ class KernelL:
 
     A custom kernel, ``KernelL(fn, name)`` or ``f_difference_kernel(F)``,
     is ``fn`` alone. Only the catalog constructors set the other fields:
-    ``term``, the kernel on component tuples of carrier ``kind``, checked
-    as above, of which ``fn`` is the lift that ``evaluate`` calls as is;
-    ``tie_invariant``, the family's proof that the order inside a
+    ``view``, None or a function of a component tuple of carrier
+    ``kind``; ``term``, the kernel on the views of inputs of carrier
+    ``kind``, the component tuples themselves when ``view`` is None,
+    checked as above, of which ``fn`` is the lift that ``evaluate`` calls
+    as is; ``tie_invariant``, the family's proof that the order inside a
     group of identical tied inputs does not change the operator (see
     ``choquet_aggregate``); and ``reads_previous``, False for a family
     whose term never reads the previous input, which lets the tie walk
     of ``choquet_aggregate`` key its states by the placed set alone.
+
+    A ``b-scale-d`` kernel over a shipped delta, on a carrier of fixed
+    width (every scalar and interval order, and a vector order of fixed
+    ``dim``), has its order's ``lead`` as its view, the float through
+    which its projected dissimilarity reads an input: its term is
+    ``(b1 * delta(lead x, lead prev),) * width``. Every other catalog kernel
+    (``delta-scale``, ``affine-F``, ``b-scale-d`` over ``takac:``) reads
+    component tuples. A view that cannot read an input, the lead of a
+    vector order of more coordinates, raises ``KindMismatch``.
     """
 
     fn: Callable[[Element, Element, float, float], Element]
     name: str
-    term: Optional[Callable[[tuple, tuple, float, float], tuple]] = field(
+    term: Optional[Callable[[object, object, float, float], tuple]] = field(
         default=None, init=False)
+    view: Optional[Callable[[tuple], object]] = field(default=None, init=False)
     kind: Optional[str] = field(default=None, init=False)
     tie_invariant: bool = field(default=False, init=False)
     reads_previous: bool = field(default=True, init=False)
@@ -128,24 +145,44 @@ def _on_components(fn, kind: str, what: str):
     return lifted
 
 
+def _viewed(view, comps, name: str) -> list:
+    """``view`` of each component tuple in ``comps``, for the kernel
+    ``name``. A view that cannot read a tuple, the lead of a vector order
+    of more coordinates than it has, raises ``KindMismatch``."""
+    try:
+        return list(map(view, comps))
+    except IndexError:
+        raise KindMismatch(f"kernel {name!r} cannot read inputs of dimension "
+                           f"{len(comps[0])}") from None
+
+
 def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool,
-                      reads_previous: bool) -> KernelL:
-    """The catalog kernel defined on component tuples of carrier ``kind``
-    by ``term``. Its output goes through the carrier's constructor and
-    ``_validate_unit`` unless it is ``bounded``: both leave such a tuple as is."""
+                      reads_previous: bool, view=None) -> KernelL:
+    """The catalog kernel defined by ``term`` on carrier ``kind``. Without
+    a ``view``, ``term`` reads component tuples, and its output goes
+    through the carrier's constructor and ``_validate_unit`` unless it is
+    ``bounded``: both leave such a tuple as is. With one, ``term`` reads
+    each input's view and checks its own output alike."""
     record = carrier(kind)
     make, bounded = record.make, record.bounded
 
-    def checked(xc: tuple, pc: tuple, b1: float, b2: float) -> tuple:
-        c = term(xc, pc, b1, b2)
-        return c if bounded(c) else _validate_unit(make(c), name).components
+    if view is None:
+        def checked(xc: tuple, pc: tuple, b1: float, b2: float) -> tuple:
+            c = term(xc, pc, b1, b2)
+            return c if bounded(c) else _validate_unit(make(c), name).components
+        on_tuples = checked
+    else:
+        checked = term
+
+        def on_tuples(xc: tuple, pc: tuple, b1: float, b2: float) -> tuple:
+            return term(*_viewed(view, (xc, pc), name), b1, b2)
 
     def fn(x: Element, prev: Element, b1: float, b2: float) -> Element:
         if x.kind != kind:
             raise KindMismatch(f"kernel {name!r} is defined on {kind} inputs, "
                                f"got {x!r}")
         xc = x.components
-        c = checked(xc, prev.components, b1, b2)
+        c = on_tuples(xc, prev.components, b1, b2)
         if len(c) != len(xc):
             raise KindMismatch(f"kernel {name!r} produced {c!r} off the carrier "
                                f"of its input {x!r}")
@@ -153,6 +190,7 @@ def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool,
 
     kernel = KernelL(fn, name)
     object.__setattr__(kernel, "term", checked)
+    object.__setattr__(kernel, "view", view)
     object.__setattr__(kernel, "kind", kind)
     object.__setattr__(kernel, "tie_invariant", tie_invariant)
     object.__setattr__(kernel, "reads_previous", reads_previous)
@@ -313,47 +351,45 @@ def _eval_sorted(inp: AggregationInput, kernel: KernelL, sigma) -> Element:
     return acc
 
 
-def _fold(comps: list, sigma, values, term, plus) -> tuple:
-    """The operator along ``sigma`` on one row's component tuples ``comps``:
-    ``term(x, prev, b1, b2)`` for each input in turn, summed left to right
-    by ``plus``. Each tail weight b_i = mu({sigma(i), ..., sigma(n)}) is
-    read from the capacity table ``values`` as the walk drops sigma(i-1)
-    from the tail; the empty tail weighs 0.0, as in ``tail_values``, and
-    never ``values[0]``, which a table may store as -0.0."""
-    tail = (1 << len(comps)) - 1
-    b1, prev, acc = values[tail], (0.0,) * len(comps[0]), None
+def _fold(views: list, sigma, zero, values, term, plus) -> tuple:
+    """The operator along ``sigma`` on the views ``views`` of one row's
+    inputs, ``zero`` that of the least element: ``term(x, prev, b1, b2)``
+    for each input in turn, summed left to right by ``plus``. Each tail
+    weight b_i = mu({sigma(i), ..., sigma(n)}) is read from the capacity
+    table ``values`` as the walk drops sigma(i-1) from the tail; the empty
+    tail weighs 0.0, as in ``tail_values``, and never ``values[0]``, which
+    a table may store as -0.0."""
+    tail = (1 << len(views)) - 1
+    b1, prev, acc = values[tail], zero, None
     for j in sigma:
         tail ^= 1 << j
         b2 = values[tail] if tail else 0.0
-        x = comps[j]
+        x = views[j]
         t = term(x, prev, b1, b2)
         acc = t if acc is None else plus(acc, t)
         prev, b1 = x, b2
-    if len(acc) != len(prev):  # a vector kernel of another dimension
-        raise KindMismatch(f"the fold left the carrier of the inputs: {acc!r}")
     return acc
 
 
-def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus,
+def _tie_candidates(views: list, perms: PermutationSet, zero, values, term, plus,
                     reads_previous: bool = True):
     """``(sigma, value)`` for admissible permutations reaching every distinct
     value, by a walk over the states of each tie group in ``first()`` order.
     A state is the set of inputs placed so far, which fixes the tail
     weights ahead, with the last input placed when the kernel
     ``reads_previous``, as its term reads that input; inputs with equal
-    component tuples count as one. Prefixes of one state continue alike,
+    views count as one. Prefixes of one state continue alike,
     so the state keeps one per ``close`` partial sum. The first time a
     state holds two, both are completed in ``first()`` order and yielded
     at once with their ``_fold`` (the addition may still merge them);
     at the end, each full prefix kept that is neither of those two, with
     the walk's sum, which is ``_fold`` along the prefix bit for bit: the
     same terms, tail weights and order of additions. So no permutation is
-    yielded twice. The arguments after ``perms`` are ``_fold``'s, then
-    the kernel's ``reads_previous``."""
-    first, full = perms.first(), (1 << len(comps)) - 1
-    zero = (0.0,) * len(comps[0])
-    same = {}  # each input's stand-in: the first input equal to it
-    last = [same.setdefault(c, j) if reads_previous else None for j, c in enumerate(comps)]
+    yielded twice. ``views`` and the arguments after ``perms`` are
+    ``_fold``'s, then the kernel's ``reads_previous``."""
+    first, full = perms.first(), (1 << len(views)) - 1
+    same = {}  # each input's stand-in: the first input of an equal view
+    last = [same.setdefault(v, j) if reads_previous else None for j, v in enumerate(views)]
     states = {(0, None): [((), None)]}  # (placed mask, last) -> [(prefix, sum)]
     split = ()  # the permutations yielded when a state first holds two
     for group in perms.groups:
@@ -365,9 +401,9 @@ def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus,
                     rest = full ^ mask ^ 1 << j  # the tail after j: empty, it weighs 0
                     b2 = values[rest] if rest else 0.0
                     kept = reached.setdefault((mask | 1 << j, last[j]), [])
-                    x = comps[j]
+                    x = views[j]
                     for prefix, acc in entries:
-                        t = term(x, comps[prefix[-1]] if prefix else zero, b1, b2)
+                        t = term(x, views[prefix[-1]] if prefix else zero, b1, b2)
                         acc = t if acc is None else plus(acc, t)
                         if not any(close(acc, other) for _, other in kept):
                             kept.append((prefix + (j,), acc))
@@ -375,7 +411,8 @@ def _tie_candidates(comps: list, perms: PermutationSet, values, term, plus,
                                 split = [p + tuple(i for i in first if i not in p)
                                          for p, _ in kept]
                                 for sigma in split:
-                                    yield sigma, _fold(comps, sigma, values, term, plus)
+                                    yield sigma, _fold(views, sigma, zero, values, term,
+                                                       plus)
             states = reached
     yield from (entry for entries in states.values() for entry in entries
                 if entry[0] not in split)
@@ -412,7 +449,7 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     inputs: one per placed set, and per last input too when the kernel
     ``reads_previous``. While each state's sums stay ``close``, that is
     k * 2^(k-1) terms, or k + k * (k-1) * 2^(k-2) when the kernel
-    reads the previous input and the inputs are distinct (near ties
+    reads the previous input and the inputs' views are distinct (near ties
     within ``TOL``). Otherwise the values that ``_tie_candidates``
     yields are compared with the first permutation's until one differs
     (a row without ties yields ``first`` alone). The walk is exhaustive
@@ -421,24 +458,33 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     ``close`` to the first. Inconsistency is reported, never raised; the
     witness carries two permutations and their values. The value, bit
     for bit, is ``choquet_eval`` along the first permutation."""
-    X = inp.X
+    X, order = inp.X, inp.order
     comps = [x.components for x in X]
+    keys = list(map(order.lead, comps))
     perms = None
-    sigma = strict_chain(inp.order, comps)
+    sigma = strict_chain(keys)
     if sigma is None:
-        perms = PermutationSet(X, inp.order)
+        perms = PermutationSet(X, order)
         sigma = perms.first()
     kind = X[0].kind
     if kernel.kind not in (None, kind):
         raise KindMismatch(f"kernel {kernel.name!r} is defined on "
                            f"{kernel.kind} inputs, got {X[0]!r}")
+    view, zero = kernel.view, (0.0,) * len(comps[0])
+    if view is None:
+        views = comps
+    else:
+        views = keys if view is order.lead else _viewed(view, comps, kernel.name)
+        zero = view(zero)
     # A custom kernel or an addition without a component form is lifted
     # from elements.
     term = kernel.term or _on_components(kernel.evaluate, kind, f"kernel {kernel.name!r}")
     plus = inp.addop.term or _on_components(inp.addop.fn, kind,
                                             f"addition {inp.addop.name!r}")
     values, make = inp.mu.values, carrier(kind).make
-    base = _fold(comps, sigma, values, term, plus)
+    base = _fold(views, sigma, zero, values, term, plus)
+    if len(base) != len(comps[0]):  # a vector kernel of another dimension
+        raise KindMismatch(f"the fold left the carrier of the inputs: {base!r}")
     value = make(base)
     if perms is None:
         return AggregateResult(value, True, 1, 1)
@@ -448,7 +494,7 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
         raise TooManyTies(f"a tie group has more than {MAX_TIE_GROUP} inputs")
     witness = None
     checked = 0
-    walk = _tie_candidates(comps, perms, values, term, plus, kernel.reads_previous)
+    walk = _tie_candidates(views, perms, zero, values, term, plus, kernel.reads_previous)
     for checked, (other, v) in enumerate(walk, 1):
         if not close(v, base):
             witness = {"sigma_a": sigma, "value_a": value,
@@ -513,8 +559,23 @@ def b_scale_d_kernel(d: str, kind: str,
     to the previous input, for a dissimilarity spec string ``d`` resolved
     under ``order`` (see ``resolve_dissimilarity``). It is
     ``tie_invariant``: every shipped dissimilarity gives exactly 0 on
-    equal tuples."""
+    equal tuples. A projected d of fixed width reads each input through
+    its lead, the kernel's view (see ``KernelL``); its term sends a value
+    outside [0, 1] through the carrier's constructor and ``_validate_unit``."""
     dis = resolve_dissimilarity(d, kind, order)
+    name = f"b-scale-d({dis.name})"
+    if dis.projection is not None and dis.projection[2] is not None:
+        lead, delta, width = dis.projection
+        make = carrier(kind).make
+
+        def view_term(lx, lp, b1, b2):
+            if not 0.0 <= b1 <= 1.0:
+                unit_coefficient(b1)  # raises ScaleOutOfRange
+            c = (b1 * delta(lx, lp),) * width
+            return c if 0.0 <= c[0] <= 1.0 else _validate_unit(make(c), name).components
+
+        return _component_kernel(view_term, kind, name, tie_invariant=True,
+                                 reads_previous=True, view=lead)
     dterm, mul_term = dis.term, scale_for(kind).term
 
     def term(xc, pc, b1, b2):
@@ -523,8 +584,7 @@ def b_scale_d_kernel(d: str, kind: str,
             unit_coefficient(b1)  # raises ScaleOutOfRange
         return mul_term(b1, t)
 
-    return _component_kernel(term, kind, f"b-scale-d({dis.name})", tie_invariant=True,
-                             reads_previous=True)
+    return _component_kernel(term, kind, name, tie_invariant=True, reads_previous=True)
 
 
 def affine_f_kernel(C: str, D: str, kind: str) -> KernelL:

@@ -313,8 +313,11 @@ class AdmissibleOrder:
     ``d = lead(x.components) - lead(z.components)``, whenever
     ``abs(d) > TOL``, ``compare(x, z)`` is the sign of ``d``.
     ``strict_chain`` relies on this to order a row of inputs whose
-    leads are that far apart without calling ``compare``, and the
-    projected dissimilarities apply their scalar delta to it. Comparators
+    leads are that far apart without calling ``compare``. The projected
+    dissimilarities apply their scalar delta to the lead, and the
+    ``b-scale-d`` kernels over them read each input through it alone, so
+    ``choquet_aggregate`` computes each input's lead once per row and
+    gives the same keys to the chain and to such a kernel. Comparators
     are defined on the ambient set, not just the unit-bounded part, so
     sums produced by addition remain comparable. ``dim`` is the carrier
     dimension the order is defined on, or None for any.
@@ -412,19 +415,17 @@ class VectorLex(AdmissibleOrder):
         if sorted(priority) != list(range(len(priority))) or not priority:
             raise BadParameter("priority must be a permutation of 0..k-1")
         self.priority = priority
+        self.dim = len(priority)
         self.lead = itemgetter(priority[0])
-
-    @property
-    def dim(self) -> int:
-        return len(self.priority)
 
     def compare(self, x: Element, z: Element) -> int:
         if not isinstance(x, Vector) or not isinstance(z, Vector):
             raise KindMismatch("lexicographic order compares vectors")
-        if x.dim != self.dim or z.dim != self.dim:
+        xc, zc = x.coords, z.coords
+        if len(xc) != self.dim or len(zc) != self.dim:
             raise KindMismatch("vector dimension does not match the order")
         for i in self.priority:
-            d = x.coords[i] - z.coords[i]
+            d = xc[i] - zc[i]
             if abs(d) > TOL:
                 return -1 if d < 0 else 1
         return 0
@@ -433,14 +434,13 @@ class VectorLex(AdmissibleOrder):
         return "veclex:" + ",".join(str(i + 1) for i in self.priority)
 
 
-def strict_chain(order: AdmissibleOrder, comps) -> Optional[list[int]]:
-    """The indices of the component tuples ``comps`` in increasing order
-    when every two tuples' leads lie more than ``TOL`` apart, else None.
-    Float subtraction is monotone, so adjacent gaps above ``TOL`` put every
-    pair that far apart, and then ``compare`` follows the leads (the
-    ``lead`` contract of ``AdmissibleOrder``): the chain is the one
-    admissible permutation. A NaN gap (inf - inf) is not above ``TOL``."""
-    keys = list(map(order.lead, comps))
+def strict_chain(keys: list[float]) -> Optional[list[int]]:
+    """The indices of ``keys``, the order's leads of a row's component
+    tuples, in increasing order when every two keys lie more than ``TOL``
+    apart, else None. Float subtraction is monotone, so adjacent gaps above
+    ``TOL`` put every pair that far apart, and then ``compare`` follows the
+    leads (the ``lead`` contract of ``AdmissibleOrder``): the chain is the
+    one admissible permutation. A NaN gap (inf - inf) is not above ``TOL``."""
     chain = sorted(range(len(keys)), key=keys.__getitem__)
     for low, high in zip(chain, chain[1:]):
         if not keys[high] - keys[low] > TOL:

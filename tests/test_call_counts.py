@@ -97,7 +97,7 @@ CASES = {  # id: (thunk, the most calls it may make)
         kernel_catalog("delta-scale", "scalar")), 44),
     "interval-row": (aggregating(
         tuple(Interval(lo, lo + 0.1) for lo in (0.1, 0.5, 0.3, 0.8, 0.65)), XU,
-        kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", XU)), 64),
+        kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", XU)), 35),
     "table-n8": (lambda: Capacity.from_json(TABLE8), 52),
     "csv-load-2048": (lambda: parse_dataset(ROWS2048, "scalar"), 58),
     "csv-load-2048-double-spaced": (

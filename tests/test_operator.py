@@ -27,7 +27,9 @@ from choquetlike import (
 from choquetlike import operator as operator_module
 from choquetlike.algebra import MultiplicationOp
 from choquetlike.dissimilarity import _DELTAS, _MEANS
-from choquetlike.operator import _CARRIER_FNS, MAX_TIE_GROUP, _fold, _tie_candidates
+from choquetlike.operator import (
+    _CARRIER_FNS, MAX_TIE_GROUP, _eval_sorted, _fold, _tie_candidates,
+)
 from choquetlike.order import carrier
 from oracles import classical_choquet_increments, classical_choquet_mobius, mu_lookup
 
@@ -65,6 +67,20 @@ def _kernel(name, kind, order):
     if name == "b1-x":
         return _b1_kernel(kind)
     return kernel_catalog(_KERNEL_SPECS[name], kind, order)
+
+
+def _row_views(kernel, X):
+    """What a catalog kernel's term reads of the inputs ``X`` and of the
+    least element: its view of each component tuple, or the tuples."""
+    view = kernel.view or (lambda c: c)
+    return [view(x.components) for x in X], view((0.0,) * X[0].dim)
+
+
+def _on_tuples(kernel):
+    """A catalog kernel's term on component tuples: each read through its
+    view, if it has one."""
+    view = kernel.view or (lambda c: c)
+    return lambda xc, pc, b1, b2: kernel.term(view(xc), view(pc), b1, b2)
 
 
 class TestAdmissiblePermutations:
@@ -327,9 +343,11 @@ class TestTieWalk:
                 levels = [_random_element(rng, kind) for _ in range(rng.randint(1, 3))]
                 X = tuple(rng.choice(levels) for _ in range(n))
                 mu = capacity_family("uniform-random", n, seed=rng.randint(0, 9999))
-                comps, ops = [x.components for x in X], (mu.values, kernel.term, addop.term)
-                for sigma, value in _tie_candidates(comps, PermutationSet(X, order), *ops):
-                    folded = _fold(comps, sigma, *ops)
+                views, zero = _row_views(kernel, X)
+                ops = (mu.values, kernel.term, addop.term)
+                perms = PermutationSet(X, order)
+                for sigma, value in _tie_candidates(views, perms, zero, *ops):
+                    folded = _fold(views, sigma, zero, *ops)
                     assert list(map(float.hex, value)) == list(map(float.hex, folded))
                     drawn += 1
         assert drawn > 400, drawn
@@ -364,7 +382,7 @@ class TestTieWalk:
             return kernel.term(*args)
 
         comps = [x.components for x in X]
-        ops = (capacity_family("cardinality", k).values, term, PLUS.term)
+        ops = ((0.0,), capacity_family("cardinality", k).values, term, PLUS.term)
         values = [value for _, value in _tie_candidates(comps, perms, *ops)]
         assert len(values) == (1 if offset == 0.0 else k)
         assert len(calls) == (k << (k - 1) if offset == 0.0 else k + (k * (k - 1) << (k - 2)))
@@ -385,7 +403,7 @@ class TestTieWalk:
             return kernel.term(*args)
 
         comps = [x.components for x in X]
-        ops = (capacity_family("cardinality", k).values, term, PLUS.term)
+        ops = ((0.0,), capacity_family("cardinality", k).values, term, PLUS.term)
         values = [value for _, value in _tie_candidates(comps, perms, *ops, False)]
         assert len(values) == 1
         assert len(calls) == k << (k - 1)
@@ -395,7 +413,8 @@ class TestTieWalk:
         X = (Scalar(-0.0), Scalar(0.0))
         kernel = kernel_catalog("delta-scale", "scalar")
         comps = [x.components for x in X]
-        ops = (capacity_family("uniform-random", 2, seed=1).values, kernel.term, PLUS.term)
+        ops = ((0.0,), capacity_family("uniform-random", 2, seed=1).values, kernel.term,
+               PLUS.term)
         walk = list(_tie_candidates(comps, PermutationSet(X, ScalarUsual()), *ops))
         assert len(walk) == 1
 
@@ -719,10 +738,10 @@ class TestCertifiedTies:
             _bits(base), consistent, perms.count, 1)
         # The family's theorem in floats: the walk finds no value beyond TOL,
         # and draws one candidate, the ``checked`` it would have reported.
-        comps = [x.components for x in inp.X]
+        views, zero = _row_views(kernel, inp.X)
         ops = (inp.mu.values, kernel.term, inp.addop.term)
-        first = _fold(comps, perms.first(), *ops)
-        candidates = [value for _, value in _tie_candidates(comps, perms, *ops)]
+        first = _fold(views, perms.first(), zero, *ops)
+        candidates = [value for _, value in _tie_candidates(views, perms, zero, *ops)]
         assert len(candidates) == 1
         assert all(abs(a - b) <= TOL for a, b in zip(candidates[0], first))
 
@@ -832,6 +851,171 @@ class TestCertifiedTies:
             res = choquet_aggregate(inp, kernel)
         assert (res.consistent, res.permutations, res.checked) == (True, 2, 1)
         assert _bits(res.value) == _bits(choquet_eval(inp, kernel, (1, 0, 2)))
+
+
+class _MethodLead(ScalarUsual):
+    """The usual scalar order with ``lead`` a method: each access makes a
+    new bound method, so no kernel's view is the input order's lead."""
+
+    def lead(self, c):
+        return c[0]
+
+
+class _CountedLead(AlphaBeta):
+    """``ab:0.5:1`` whose ``lead`` counts its calls in ``calls``."""
+
+    def __init__(self):
+        super().__init__(0.5, 1.0)
+        mix, self.calls = self.lead, []
+
+        def lead(c):
+            self.calls.append(c)
+            return mix(c)
+        self.lead = lead
+
+
+def _copy_of(addop):
+    """The shipped addition ``addop`` without its component form: not
+    ``addition_for(kind)``, so every tied row it adds walks."""
+    return AdditionOp(f"{addop.name}-copy", addop.kind, addop.fn)
+
+
+# (kind, order factory, additions, component strategy); each order is
+# built twice per case, so a kernel can be built on another instance.
+_VIEW_CARRIERS = [
+    ("scalar", ScalarUsual, (PLUS, BOUNDED_SUM, MIN_OP), st.tuples(_unit)),
+    ("scalar", _MethodLead, (PLUS, BOUNDED_SUM), st.tuples(_unit)),
+    *(("interval", lambda a=a: AlphaBeta(a, 1.0), (IV_PLUS, _copy_of(IV_PLUS)),
+       st.tuples(_unit, _unit).map(sorted).map(tuple)) for a in (0.5, 0.0)),
+    *(("vector", lambda p=p: VectorLex(p), (VV_PLUS, _copy_of(VV_PLUS)),
+       st.tuples(_unit, _unit)) for p in ((0, 1), (1, 0))),
+]
+
+
+@st.composite
+def _view_cases(draw):
+    """A row for a ``b-scale-d`` kernel over a shipped delta: strict, tied
+    or within ``TOL`` of a tie, under an order whose lead the kernel's
+    view may or may not be."""
+    kind, new_order, additions, tuples = draw(st.sampled_from(_VIEW_CARRIERS))
+    order = new_order()
+    levels = draw(st.lists(tuples, min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(levels), min_size=2, max_size=6))
+    # A near tie: some tuples moved down by less than TOL.
+    shift = draw(st.sampled_from([0.0, 4e-13]))
+    rows = [tuple(max(0.0, c - shift) for c in t) if draw(st.booleans()) else t
+            for t in rows]
+    X = tuple(carrier(kind).make(t) for t in rows)
+    mu = capacity_family("uniform-random", len(X), seed=draw(st.integers(0, 9999)))
+    inp = AggregationInput(X, mu, order, draw(st.sampled_from(additions)))
+    d = draw(st.sampled_from(sorted(_DELTAS)))
+    kernel = kernel_catalog({"family": "b-scale-d", "d": d}, kind,
+                            draw(st.sampled_from([order, new_order()])))
+    return inp, kernel, d
+
+
+def _dissimilarity_fold(inp, d, sigma):
+    """The operator of ``b-scale-d(d)`` along sigma from the projected
+    dissimilarity on elements, which reads component tuples: b1 * d(x,
+    prev) per term, added by the input's addition."""
+    dis = resolve_dissimilarity(d, inp.X[0].kind, inp.order)
+    b, mul = tail_values(inp.mu, sigma), scale_for(inp.X[0].kind)
+    prev, acc = zero_element(inp.X[0].kind, inp.X[0].dim), None
+    for i, pos in enumerate(sigma):
+        term = scale(mul, b[i], dis(inp.X[pos], prev))
+        acc = term if acc is None else add(inp.addop, acc, term)
+        prev = inp.X[pos]
+    return acc
+
+
+class TestViewKernels:
+    """A ``b-scale-d`` kernel over a shipped delta reads each input's lead
+    alone; the aggregate on those views is, bit for bit, the reference
+    fold on elements and the projected dissimilarity's fold."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_view_cases())
+    def test_matches_the_reference_fold(self, case):
+        inp, kernel, d = case
+        assert kernel.view is not None
+        res = choquet_aggregate(inp, kernel)
+        perms = PermutationSet(inp.X, inp.order)
+        first = perms.first()
+        expected = _bits(_eval_sorted(inp, kernel, first))
+        assert _bits(res.value) == expected == _bits(_dissimilarity_fold(inp, d, first))
+        assert res.permutations == perms.count
+        if res.witness is not None:
+            w = res.witness
+            assert w["sigma_a"] == first
+            assert _bits(w["value_b"]) == _bits(_eval_sorted(inp, kernel, w["sigma_b"]))
+            assert not elements_equal(w["value_a"], w["value_b"])
+
+    @pytest.mark.parametrize("addop", [IV_PLUS, _copy_of(IV_PLUS)],
+                             ids=["certified", "walked"])
+    def test_tied_rows_are_walked_or_certified(self, addop, monkeypatch):
+        X = (Interval(0.2, 0.6), Interval(0.1, 0.3), Interval(0.2, 0.6))
+        inp = AggregationInput(X, capacity_family("uniform-random", 3, seed=5), XU, addop)
+        kernel = kernel_catalog({"family": "b-scale-d", "d": "sq-diff"}, "interval", XU)
+        calls, walk = [], operator_module._tie_candidates
+
+        def counted(views, perms, *ops):
+            calls.append(views)
+            return walk(views, perms, *ops)
+
+        monkeypatch.setattr(operator_module, "_tie_candidates", counted)
+        res = choquet_aggregate(inp, kernel)
+        assert (res.consistent, res.permutations) == (True, 2)
+        assert _bits(res.value) == _bits(_eval_sorted(inp, kernel, (1, 0, 2)))
+        # The walk reads the inputs' alpha mixes, not their tuples.
+        assert calls == ([] if addop is IV_PLUS else [[0.4, 0.2, 0.4]])
+
+    def test_each_input_lead_is_read_once_per_row(self):
+        order = _CountedLead()
+        X = tuple(Interval(lo, lo + 0.1) for lo in (0.1, 0.5, 0.3, 0.8, 0.65))
+        inp = AggregationInput(X, capacity_family("uniform-random", 5, seed=3), order,
+                               IV_PLUS)
+        kernel = kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", order)
+        assert kernel.view is order.lead
+        res = choquet_aggregate(inp, kernel)
+        # Once per input, and once for the least element.
+        assert order.calls == [x.components for x in X] + [(0.0, 0.0)]
+        assert _bits(res.value) == _bits(_eval_sorted(inp, kernel, (0, 2, 1, 4, 3)))
+
+    def test_which_kernels_take_a_view(self):
+        # A projected d of fixed width has its order's lead as the view; a
+        # takac d, or a vector order of any dimension, reads tuples.
+        class AnyDim(VectorLex):
+            """veclex:1,2 on vectors of any dimension."""
+
+            def __init__(self):
+                super().__init__((0, 1))
+                self.dim = None
+
+        method = _MethodLead()
+        assert method.lead is not method.lead
+        assert kernel_catalog("b-scale-d", "scalar", method).view == method.lead
+        assert kernel_catalog("b-scale-d", "interval", XU).view is XU.lead
+        assert kernel_catalog({"family": "b-scale-d", "d": "takac:0.5:max:abs-diff"},
+                              "interval", XU).view is None
+        assert kernel_catalog("b-scale-d", "vector", AnyDim()).view is None
+
+    def test_a_vector_order_of_another_dimension_is_refused(self):
+        # The kernel reads the third coordinate; the inputs have two.
+        kernel = kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "vector",
+                                VectorLex((2, 0, 1)))
+        X = (Vector((0.2, 0.4)), Vector((0.6, 0.1)))
+        inp = AggregationInput(X, capacity_family("cardinality", 2), VectorLex((0, 1)),
+                               VV_PLUS)
+        with pytest.raises(KindMismatch, match="cannot read inputs of dimension 2"):
+            choquet_aggregate(inp, kernel)
+        with pytest.raises(KindMismatch, match="cannot read inputs of dimension 2"):
+            kernel.evaluate(X[0], X[1], 1.0, 0.5)
+        # A view that reads them still leaves their carrier.
+        wide = kernel_catalog("b-scale-d", "vector", VectorLex((0, 1, 2)))
+        with pytest.raises(KindMismatch):
+            choquet_aggregate(inp, wide)
+        with pytest.raises(KindMismatch):
+            wide.evaluate(X[0], X[1], 1.0, 0.5)
 
 
 class TestEquivariance:
@@ -944,7 +1128,8 @@ class TestKernelCatalog:
         with pytest.raises(BadParameter, match="needs a callable"):
             KernelL(3, "x")
 
-    @pytest.mark.parametrize("field", ["term", "kind", "tie_invariant", "reads_previous"])
+    @pytest.mark.parametrize("field", ["term", "view", "kind", "tie_invariant",
+                                       "reads_previous"])
     def test_only_the_catalog_sets_the_component_fields(self, field):
         classical = classical_kernel("scalar")
         with pytest.raises(TypeError):
@@ -1147,7 +1332,7 @@ class TestCatalogStaysBounded:
         b2, b1 = sorted(data.draw(st.tuples(_grid_or_unit, _grid_or_unit)))
         t_c, t_d = data.draw(_scale_pairs)
         for spec in self.specs(kind, t_c, t_d):
-            out = kernel_catalog(spec, kind, self.ORDERS[kind]).term(x, prev, b1, b2)
+            out = _on_tuples(kernel_catalog(spec, kind, self.ORDERS[kind]))(x, prev, b1, b2)
             assert type(out) is tuple and carrier(kind).make(out).in_unit, spec
 
 
@@ -1200,13 +1385,14 @@ class TestComponentForms:
                     continue
                 built = self.CONSTRUCTORS[family](params, kind, order)
                 catalog = kernel_catalog(dict(params, family=family), kind, order)
-                assert ((built.name, built.kind, built.tie_invariant, built.reads_previous)
-                        == (catalog.name, catalog.kind, catalog.tie_invariant,
+                assert ((built.name, built.kind, built.view, built.tie_invariant,
+                         built.reads_previous)
+                        == (catalog.name, catalog.kind, catalog.view, catalog.tie_invariant,
                             catalog.reads_previous)), params
                 for xc, pc in itertools.product(tuples, repeat=2):
                     for b1, b2 in weights:
-                        assert ([c.hex() for c in built.term(xc, pc, b1, b2)]
-                                == [c.hex() for c in catalog.term(xc, pc, b1, b2)])
+                        assert ([c.hex() for c in _on_tuples(built)(xc, pc, b1, b2)]
+                                == [c.hex() for c in _on_tuples(catalog)(xc, pc, b1, b2)])
 
     def test_shipped_additions_and_scalings(self):
         shipped = [v for v in vars(algebra).values()

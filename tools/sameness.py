@@ -10,6 +10,10 @@ and records the sha256 of each stdout and its exit code.
 It runs ``aggregate`` on a fixed small dataset with tied rows under each
 capacity family spec and two kernels, one that certifies tied rows and one
 that walks them, and records the sha256 of its stdout and its exit code.
+It runs ``aggregate`` on a fixed small dataset per carrier, with strict,
+tied and nearly tied rows, under ``b-scale-d`` with each shipped delta,
+and with a ``takac:`` dissimilarity on intervals, and records the sha256
+of its stdout and its exit code.
 It runs ``aggregate`` on a fixed small dataset with each of a fixed set of
 malformed capacity tables, and on each of a fixed set of long malformed
 datasets whose first bad row lies past row 500, and records the sha256 of
@@ -59,6 +63,26 @@ FAMILIES = ({"kind": "cardinality"}, {"kind": "dirac", "i": 3}, {"kind": "top", 
 # ``delta-scale`` certifies tied rows; ``delta-scale(sq-diff)`` walks them.
 FAMILY_KERNELS = {"delta-scale": "delta-scale",
                   "delta-scale(sq-diff)": '{"family": "delta-scale", "delta": "sq-diff"}'}
+# Per carrier: an order and a dataset on 4 inputs with a strict row, a
+# row of two exact ties, a row whose ties lie within TOL, and an all-tied
+# row; each runs under ``b-scale-d`` with each of ``B_SCALE_D``'s d.
+_NEAR = 0.3 + 4e-13
+CARRIER_ROWS = {
+    "scalar": ("scalar", "rows.csv",
+               f"0.1,0.7,0.4,0.9\n0.5,0.2,0.5,0.8\n0.3,{_NEAR!r},0.6,0.3\n0.4,0.4,0.4,0.4\n"),
+    "interval": ("ab:0.5:1", "rows.json", json.dumps([
+        [[0.1, 0.2], [0.5, 0.9], [0.3, 0.4], [0.0, 0.7]],
+        [[0.2, 0.6], [0.1, 0.3], [0.2, 0.6], [0.7, 0.8]],
+        [[0.3, 0.5], [_NEAR, 0.5], [0.6, 0.9], [0.3, 0.5]],
+        [[0.4, 0.6]] * 4])),
+    "vector": ("veclex:2,1", "rows.json", json.dumps([
+        [[0.1, 0.2], [0.5, 0.9], [0.3, 0.4], [0.0, 0.7]],
+        [[0.2, 0.6], [0.1, 0.3], [0.2, 0.6], [0.7, 0.8]],
+        [[0.5, 0.3], [0.5, _NEAR], [0.6, 0.9], [0.5, 0.3]],
+        [[0.4, 0.6]] * 4])),
+}
+B_SCALE_D = ("abs-diff", "difference", "sq-diff", "capped-double")
+TAKAC = "takac:0.5:max:abs-diff"
 # A row of each capacity table's arity for the refusals below.
 REFUSAL_ROWS = {3: "0.2,0.5,0.9\n0.25,0.5,0.75\n", 8: "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8\n"}
 # A capacity table on {1, 2, 3}, and the ways a table is refused: each
@@ -166,6 +190,18 @@ def record() -> dict:
                 res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap),
                                   "--kernel", kernel], env)
                 out[f"aggregate family {spec['kind']}{given} {name}"] = {
+                    "exit": res.returncode, "sha256": _sha256(res.stdout)}
+        cap = Path(tmp) / "uniform-4.json"
+        cap.write_text(json.dumps({"n": 4, "kind": "uniform-random", "seed": 1}),
+                       encoding="utf-8")
+        for kind, (order, name, text) in CARRIER_ROWS.items():
+            rows = Path(tmp) / f"{kind}-{name}"
+            rows.write_text(text, encoding="utf-8")
+            for d in B_SCALE_D + (TAKAC,) * (kind == "interval"):
+                res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap),
+                                  "--order", order, "--kernel",
+                                  json.dumps({"family": "b-scale-d", "d": d})], env)
+                out[f"aggregate {kind} b-scale-d({d})"] = {
                     "exit": res.returncode, "sha256": _sha256(res.stdout)}
         for name, entries in REFUSALS.items():
             n = max(max(subset, default=0) for subset, _ in entries)
