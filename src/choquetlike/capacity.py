@@ -5,7 +5,10 @@ n at 24; verification workloads stay at n <= 6. The cap bounds time as
 well as memory: a table holds 2^n values, and reading and checking it
 takes a few passes over them. Capacities are immutable, and taken
 exactly: correctly rounded parsing keeps a table monotone in its JSON text
-monotone as floats.
+monotone as floats. A table, in JSON or as (subset, value) pairs, is taken
+by one reader, ``_pair_values``, in C-level passes; ``_table_entry`` and
+``_first_bad_pair`` read entries one by one only to name the fault of a
+table it refuses.
 
 ``_planes`` is the one walk over the subset lattice: checking a table,
 explaining its first fault and building ``uniform-random`` all read it.
@@ -18,7 +21,7 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import gt, itemgetter, le
+from operator import gt, itemgetter, le, ne
 
 from .errors import (
     BadBoundary, BadParameter, MissingSubset, NotMonotone, json_number,
@@ -122,61 +125,67 @@ class Capacity:
             complete = obj.get("complete", False)
             if not isinstance(complete, bool):
                 raise BadParameter(f"'complete' must be true or false, got {complete!r}")
-            values = _entry_values(n, entries)
-            if values is None:  # refused: the entry-by-entry reading raises the error
-                return capacity_from_table(n, [_table_entry(e) for e in entries], complete)
-            return _from_values(n, values, complete)
+            try:  # each entry an object of a subset and a value, in C-level passes
+                subsets = list(map(itemgetter("subset"), entries))
+                values = list(map(itemgetter("value"), entries))
+            except (KeyError, TypeError):
+                subsets = values = None
+            shaped = subsets is not None and {*map(len, entries)} <= {2}
+            given = _pair_values(n, subsets, values) if shaped else None
+            if given is None:  # refused: name the first fault
+                for entry in entries:
+                    _table_entry(entry)
+                _first_bad_pair(n, subsets, values)
+            return _from_values(n, given, complete)
         params = {k: v for k, v in obj.items() if k not in ("n", "kind")}
         return capacity_family(kind, n, **params)
 
 
-def _table_entry(entry) -> tuple[list, float]:
-    """The (subset, value) pair of one capacity table entry."""
+def _table_entry(entry) -> None:
+    """Raise the fault of one JSON capacity table entry, if it has one: it
+    is an object of a ``subset`` list of element numbers and a ``value``
+    number, and nothing else."""
     if not (isinstance(entry, dict) and isinstance(entry.get("subset"), list)
             and all(isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= MAX_N
                     for i in entry["subset"])):
         raise BadParameter(f"capacity entry {entry!r} needs a list of element "
                            f"numbers (1 to {MAX_N}) as subset")
     refuse_unknown_keys(entry, ("subset", "value"), "capacity entry")
-    return entry["subset"], json_number(entry, "value")
+    json_number(entry, "value")
 
 
-def _entry_values(n: int, entries: list):
-    """The values of a table's JSON ``entries`` by mask, None where no
-    entry gives one, read in one pass. Each entry must be a dict of a
-    ``subset`` list of distinct element numbers in 1..n and a finite
-    ``value`` that is no bool, and two entries of one subset must agree.
-    Returns None instead when ``n`` or some entry fails that: such a
-    table is refused, and ``_table_entry`` and ``capacity_from_table``
-    raise its error."""
-    if not 1 <= n <= MAX_N:
+def _pair_values(n: int, subsets: list, values: list):
+    """The values of a table's entries, given as the lists ``subsets`` and
+    ``values``, as a dict from mask to float, read in C-level passes. None
+    instead when ``n`` lies outside 1..MAX_N or some entry is refused: a
+    subset that is no list of distinct element numbers in 1..n (ints, no
+    bools), a value that is no int or float in the float range (a NaN
+    passes, for ``_validate`` to refuse), or two values of one subset that
+    differ. ``_first_bad_pair`` names the fault."""
+    if not (1 <= n <= MAX_N and {*map(type, subsets)} <= {list}
+            and _NUMBER_TYPES.issuperset(map(type, values))
+            and not any(map(gt, map(abs, values), repeat(_FLOAT_MAX)))):
         return None
-    size = 1 << n
-    values = [None] * size
-    bit = _BIT.__getitem__
-    for entry in entries:
-        if not isinstance(entry, dict) or len(entry) != 2:
-            return None
-        subset, value = entry.get("subset"), entry.get("value")
-        if (not isinstance(subset, list) or isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
-            return None
-        try:
-            mask = sum(map(bit, subset))
-        except (KeyError, TypeError):  # an element outside 1..MAX_N
-            return None
-        if mask >= size or mask.bit_count() != len(subset):  # outside 1..n, or repeated
-            return None
-        value = float(value)
-        if values[mask] is not None and values[mask] != value:
-            return None
-        values[mask] = value
-    # ``_BIT`` also maps True and 1.0, which are no element numbers.
-    kinds = set(map(type, chain.from_iterable(map(itemgetter("subset"), entries))))
-    if bool in kinds or not all(issubclass(k, int) for k in kinds):
+    kinds = {*map(type, chain.from_iterable(subsets))}  # ``_BIT`` also maps True and 1.0
+    if bool in kinds or not all(map(issubclass, kinds, repeat(int))):
         return None
-    return values
+    try:
+        masks = list(map(sum, map(map, repeat(_BIT.__getitem__), subsets)))
+    except KeyError:  # an element outside 1..MAX_N
+        return None
+    values = list(map(float, values))
+    given = dict(zip(masks, values))
+    # A mask past bit n - 1 holds an element above n, and one of fewer
+    # bits than its subset has items repeats one. Each value differs from
+    # its subset's last unless it is the last, which differs from itself
+    # only as a NaN.
+    if (max(masks, default=0) >> n
+            or any(map(ne, map(int.bit_count, masks), map(len, subsets)))
+            or len(given) < len(masks) and (
+                sum(map(ne, map(given.__getitem__, masks), values))
+                > sum(map(ne, given.values(), given.values())))):
+        return None
+    return given
 
 
 def _validate(n: int, values) -> None:
@@ -240,7 +249,7 @@ def _first_fault(n: int, values) -> None:
 
 def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:
     """Build a capacity from (subset, value) pairs; subsets are 1-based
-    element lists.
+    element lists, each read once, as a list.
 
     By default every one of the 2^n subsets must be assigned. With
     ``complete=True`` missing subsets receive the maximal monotone
@@ -248,46 +257,52 @@ def capacity_from_table(n: int, entries, complete: bool = False) -> Capacity:
     supersets (the full set counts as given with value 1). Silent
     completion hides modeling errors, so it is strictly opt-in.
     """
+    subsets, values = [], []
+    for subset, value in entries:
+        subsets.append(list(subset))
+        values.append(value)
+    given = _pair_values(n, subsets, values)
+    if given is None:
+        _first_bad_pair(n, subsets, values)
+    return _from_values(n, given, complete)
+
+
+def _first_bad_pair(n: int, subsets: list, values: list) -> None:
+    """Raise the first fault, in entry order, of a table on ``n`` elements
+    whose ``subsets`` and ``values`` ``_pair_values`` refused."""
     if not (1 <= n <= MAX_N):
         raise BadParameter(f"n must lie in 1..{MAX_N}, got {n}")
-    size = 1 << n
-    values = [None] * size
-    for subset, value in entries:
+    given = {}
+    for subset, value in zip(subsets, values):
         mask = _subset_mask(subset, n)
         if type(value) not in _NUMBER_TYPES or abs(value) > _FLOAT_MAX:
             raise BadParameter(f"capacity value for subset {sorted(subset)} must be an "
                                f"int or a float in the float range, got {value!r}")
-        if values[mask] is not None and values[mask] != value:
+        if mask in given and given[mask] != float(value):
             raise BadParameter(f"conflicting values for subset {sorted(subset)}")
-        values[mask] = float(value)
-    return _from_values(n, values, complete)
+        given[mask] = float(value)
 
 
-def _from_values(n: int, values: list, complete: bool) -> Capacity:
-    """The capacity of ``values`` by mask, None where no entry gives one,
-    completed as ``capacity_from_table`` says."""
+def _from_values(n: int, given: dict, complete: bool) -> Capacity:
+    """The capacity of the values ``given`` by mask, completed as
+    ``capacity_from_table`` says."""
     size = 1 << n
-    full = size - 1
+    ext = repeat(None)
     if complete:
-        given = {mask: v for mask, v in enumerate(values) if v is not None}
-        given.setdefault(full, 1.0)
-        given.setdefault(0, 0.0)
+        given = {0: 0.0, size - 1: 1.0, **given}
         # Smallest given value over supersets, computed by sweeping masks
         # from the full set downward one removed element at a time. Not by
         # ``_planes``: ``min`` keeps the first of two equal zeros, so another
         # order would change which of 0.0 and -0.0 an entry gets.
-        ext = [float("inf")] * size
-        for mask, v in given.items():
-            ext[mask] = v
+        ext = list(map(given.get, range(size), repeat(float("inf"))))
         for mask in range(size - 1, -1, -1):
             for i in range(n):
-                if mask >> i & 1:
-                    continue
-                ext[mask] = min(ext[mask], ext[mask | 1 << i])
-        values = [given.get(mask, ext[mask]) for mask in range(size)]
-    elif None in values:
+                if not mask >> i & 1:
+                    ext[mask] = min(ext[mask], ext[mask | 1 << i])
+    values = tuple(map(given.get, range(size), ext))
+    if None in values:
         raise MissingSubset(f"no value for subset {mask_to_subset(values.index(None))}")
-    return Capacity(n, tuple(values))
+    return Capacity(n, values)
 
 
 def capacity_family(kind: str, n: int, **params) -> Capacity:

@@ -9,7 +9,9 @@ intervals: a JSON object's ``"kind"``, if present, must equal it.
 
 CSV rows are read from the file a chunk of ``CHUNK_ROWS`` at a time;
 JSON is parsed whole. Either way rows are checked a chunk at a time and
-kept as one array of floats (``Dataset``).
+kept as one array of floats (``Dataset``). A chunk is taken only by a
+check of its floats in a few C-level passes; the element constructors run
+only on a chunk it refuses, to name the fault.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def _read(stream, kind: str) -> Dataset:
 
 
 # Rows are checked this many at a time, past row 0: a chunk of rows is
-# read, and is checked in a few C-level passes when it is clean.
+# read, and is taken or refused whole.
 CHUNK_ROWS = 256
 
 
@@ -127,59 +129,53 @@ def _dataset(kind: str, records, floats, build, named=None, csv_lines=False) -> 
     one row's cells. With ``csv_lines``, the records are CSV lines, and a
     blank one (each cell empty or whitespace) is skipped and not counted.
 
-    Row 0 is read alone and built cell by cell by ``build``, with the
-    element constructors' checks; it sets ``n`` and ``dim``. Later
-    records are read ``CHUNK_ROWS`` at a time. ``floats(rows, n, dim)``
-    gives the components of ``rows`` when each row holds ``n`` cells of
-    ``dim`` numbers, else None. When it gives None for a chunk of CSV
-    records, the chunk's empty records are dropped and it is asked once
-    more, and if it still gives None, so are its other blank records; each
-    drop is one C-level pass. If it gives the components of a chunk and the
-    carrier's ``all_bounded`` holds, they go straight into the array: the
-    constructors would keep them as they are. Every other chunk is checked
-    row by row, each row as a chunk of one, and a row that fails is built
-    as row 0 is. A refused cell raises at once. The first misfit row (of
-    another length, or with a cell of another dimension or outside [0, 1])
-    raises after the last row, so that a bad cell in any row is named
-    first; a wrong number of ids comes last."""
+    Row 0 is read alone and sets the shape: ``n`` is its number of cells,
+    and ``dim`` the carrier's arity, or for vectors the length of its
+    first cell. Later records are read ``CHUNK_ROWS`` at a time.
+    ``floats(rows, n, dim)`` gives the components of ``rows`` when each
+    row holds ``n`` cells of ``dim`` numbers, else None. A chunk, row 0
+    included, is taken only when it gives components and the carrier's
+    ``all_bounded`` holds; they go straight into the array, as the
+    constructors would keep them. When a chunk of CSV records gives no
+    components, its empty records are dropped and it is asked once more,
+    and if it still gives none, so are its other blank records; each drop
+    is one C-level pass. A chunk that is not taken is refused, and its
+    rows are built cell by cell by ``build``, with the element
+    constructors' checks, only to name the fault. A refused cell raises at
+    once. The first misfit row (empty as row 0, of another length, or with
+    a cell of another dimension or outside [0, 1]) raises after the last
+    row, so that a bad cell in any row is named first; a wrong number of
+    ids comes last."""
     record = carrier(kind)
-    bounded, all_bounded = record.bounded, record.all_bounded
+    arity, bounded, all_bounded = record.arity, record.bounded, record.all_bounded
     data = array("d")
     n = dim = count = 0
     error = None
     while chunk := list(islice(records, CHUNK_ROWS if count else 1)):
-        vals = floats(chunk, n, dim) if n else None
-        if vals is None and csv_lines:
+        if not count:
+            first = chunk[0]
+            n = len(first) if type(first) is list else 0
+            dim = arity or (len(first[0]) if n and type(first[0]) is list else 0)
+        vals = floats(chunk, n, dim)
+        if not vals and csv_lines:
             chunk = list(filter(None, chunk))  # empty lines, in one cheap pass
-            vals = floats(chunk, n, dim) if n else None
-            if vals is None:  # lines whose cells, joined, strip to nothing
+            vals = floats(chunk, n, dim)
+            if not vals:  # lines whose cells, joined, strip to nothing
                 chunk = list(compress(chunk, map(str.strip, map("".join, chunk))))
-                vals = floats(chunk, n, dim) if n else None
-        if vals is not None and all_bounded(vals):
+                vals = floats(chunk, n, dim)
+        if vals and all_bounded(vals):
             count += len(chunk)
             if error is None:
                 data.extend(vals)
             continue
         for cells in chunk:
-            r = count
-            count += 1
             if type(cells) is not list:
                 raise DatasetFormatError(
-                    f"row {r} (0-based): {cells!r} is not a list of cells")
-            vals = floats([cells], n, dim) if n else None
-            if vals is not None and all_bounded(vals):
-                if error is None:
-                    data.extend(vals)
-                continue
-            els = _elements(r, cells, build)
-            if r == 0:
-                n, dim = len(els), els[0].dim if els else 0
-                if not els:
-                    error = "row 0 has no elements"
+                    f"row {count} (0-based): {cells!r} is not a list of cells")
+            els = _elements(count, cells, build)
             if error is None:
-                error = _misfit(r, els, n, dim, bounded)
-                if error is None:
-                    data.extend(chain.from_iterable(el.components for el in els))
+                error = _misfit(count, els, n, dim, bounded)
+            count += 1
     if not count:
         raise DatasetFormatError("dataset has no rows")
     if error is not None:
@@ -203,7 +199,10 @@ def _elements(r: int, cells, build) -> list[Element]:
 
 def _misfit(r: int, els, n: int, dim: int, bounded) -> Optional[str]:
     """Why row ``r``'s elements do not fit a dataset of ``n`` elements of
-    dimension ``dim`` that satisfy ``bounded``, or None if they do."""
+    dimension ``dim`` that satisfy ``bounded``, or None if they do. No
+    dataset has ``n`` 0: that row 0 has no elements is its first misfit."""
+    if not n:
+        return "row 0 has no elements"
     if len(els) != n:
         return f"row {r} (0-based): {len(els)} cells where row 0 has {n}"
     for c, el in enumerate(els):

@@ -71,7 +71,8 @@ class KernelL:
     ``KernelRangeError``; none is snapped. ``evaluate`` also checks that
     the output lies on the carrier of the current input (same ``kind``
     and ``dim``) and raises ``KindMismatch`` otherwise, so a fold over
-    kernel outputs needs no further carrier checks.
+    kernel outputs needs no further carrier checks. A catalog kernel
+    refuses a previous input off that carrier alike.
 
     A custom kernel, ``KernelL(fn, name)`` or ``f_difference_kernel(F)``,
     is ``fn`` alone. Only the catalog constructors set the other fields:
@@ -163,8 +164,7 @@ def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool,
     through the carrier's constructor and ``_validate_unit`` unless it is
     ``bounded``: both leave such a tuple as is. With one, ``term`` reads
     each input's view and checks its own output alike."""
-    record = carrier(kind)
-    make, bounded = record.make, record.bounded
+    make, arity, bounded, *_ = carrier(kind)
 
     if view is None:
         def checked(xc: tuple, pc: tuple, b1: float, b2: float) -> tuple:
@@ -181,8 +181,12 @@ def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool,
         if x.kind != kind:
             raise KindMismatch(f"kernel {name!r} is defined on {kind} inputs, "
                                f"got {x!r}")
-        xc = x.components
-        c = on_tuples(xc, prev.components, b1, b2)
+        xc, pc = x.components, prev.components
+        # Two inputs of one kind differ in width only where no arity is fixed.
+        if prev.kind != kind or not arity and len(pc) != len(xc):
+            raise KindMismatch(f"kernel {name!r} got the previous input {prev!r} off "
+                               f"the carrier of its input {x!r}")
+        c = on_tuples(xc, pc, b1, b2)
         if len(c) != len(xc):
             raise KindMismatch(f"kernel {name!r} produced {c!r} off the carrier "
                                f"of its input {x!r}")

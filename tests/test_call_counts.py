@@ -1,11 +1,13 @@
 """A guard on the Python calls that building an element, an
 ``AggregationInput`` or an ``AggregateResult``, aggregating one strict row,
 folding one interval row along a permutation, loading a capacity table,
-loading a CSV dataset, iterating a dataset's rows and writing
+loading a CSV or a JSON dataset, iterating a dataset's rows and writing
 ``aggregate`` records make. Each bound is the count the
 code reaches; a change that adds a frame to these paths fails here and
 states its cost."""
 
+import gc
+import json
 import random
 import sys
 from array import array
@@ -64,6 +66,22 @@ def writing(rows):
     return lambda: "".join(_results_json(_records(*kept)))
 
 
+def loading_json(text, kind):
+    """A thunk of ``parse_dataset`` on the JSON ``text``, run with the
+    collector off: the parse keeps every row's lists, so collections run
+    during the count, and a ``gc.callbacks`` entry (hypothesis adds one)
+    would make Python calls that depend on what ran before."""
+    def load():
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            parse_dataset(text, kind)
+        finally:
+            if enabled:
+                gc.enable()
+    return load
+
+
 def iterating(text):
     """A thunk of a walk over the rows of the scalar dataset in ``text``."""
     ds = parse_dataset(text, "scalar")
@@ -78,6 +96,9 @@ _RNG = random.Random(5)
 # 2,048 CSV rows of 5 scalars in [0, 1].
 ROWS2048 = "".join(",".join(repr(_RNG.random()) for _ in range(5)) + "\n"
                    for _ in range(2048))
+# The JSON of 2,048 rows of 5 intervals in [0, 1].
+INTERVALS2048 = json.dumps([[sorted((_RNG.random(), _RNG.random())) for _ in range(5)]
+                            for _ in range(2048)])
 XU = AlphaBeta(0.5, 1.0)
 # The arguments of one AggregationInput of 5 scalars.
 INPUT5 = (tuple(map(Scalar, (0.1, 0.5, 0.3, 0.9, 0.7))),
@@ -104,6 +125,7 @@ CASES = {  # id: (thunk, the most calls it may make)
         lambda: parse_dataset(ROWS2048.replace("\n", "\n\n"), "scalar"), 90),
     "csv-load-2048-space-lines": (
         lambda: parse_dataset(ROWS2048.replace("\n", "\n \n"), "scalar"), 105),
+    "json-load-2048-interval": (loading_json(INTERVALS2048, "interval"), 48),
     "iterate-2048": (iterating(ROWS2048), 2048 * 5 + 4),
     "eval-sorted-interval": (folding(
         tuple(Interval(lo, lo + 0.2) for lo in (0.4, 0.1, 0.7, 0.2)), XU,

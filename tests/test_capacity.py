@@ -313,6 +313,10 @@ class TestBulkValidation:
         assert outcome(lambda: Capacity(n, values)) == want
         entries = [{"subset": mask_to_subset(m), "value": v} for m, v in enumerate(values)]
         assert outcome(lambda: Capacity.from_json({"n": n, "entries": entries})) == want
+        # Subsets as lists, tuples and one-shot iterators alike.
+        for make in (list, tuple, iter):
+            pairs = [(make(mask_to_subset(m)), v) for m, v in enumerate(values)]
+            assert outcome(lambda: capacity_from_table(n, pairs)) == want
 
     @pytest.mark.parametrize("at", ["early", "late"])
     def test_the_scan_finds_an_early_and_a_late_fault(self, at):
@@ -377,11 +381,49 @@ class TestBulkValidation:
          BadParameter, "capacity value out of [0, 1]: nan"),
         ({"n": 2, "complete": True, "entries": [{"subset": [1], "value": math.nan}]},
          BadParameter, "capacity value out of [0, 1]: nan"),
-    ], ids=["missing-subset", "n-above-the-cap", "nan-value", "nan-value-completed"])
+        ({"n": 25, "entries": [*BASE, {"subset": [0], "value": 0.3}]}, BadParameter,
+         "capacity entry {'subset': [0], 'value': 0.3} needs a list of element numbers "
+         "(1 to 24) as subset"),
+        ({"n": 2, "complete": True,
+          "entries": [BASE[0], {"subset": [1], "value": math.nan}, *BASE[2:]]},
+         BadParameter, "capacity value out of [0, 1]: nan"),
+    ], ids=["missing-subset", "n-above-the-cap", "nan-value", "nan-value-completed",
+            "malformed-entry-n25", "nan-value-complete-table"])
     def test_other_table_refusals_keep_their_message(self, obj, error, message):
         with pytest.raises(error) as exc:
             Capacity.from_json(obj)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("make", [list, tuple, iter])
+    def test_each_subset_is_read_once(self, make):
+        # A one-shot iterator is read once, as a list: its refusal names
+        # its items, and a valid one is taken.
+        pairs = [((), 0), ((1,), 0.5), ((2,), 0.5), ((1, 2), 1)]
+        mu = capacity_from_table(2, [(make(s), v) for s, v in pairs])
+        assert mu.values == (0.0, 0.5, 0.5, 1.0)
+        with pytest.raises(BadParameter) as exc:
+            capacity_from_table(2, [(make(s), v) for s, v in [*pairs, ((2, 2), 0.5)]])
+        assert str(exc.value) == "subset [2, 2] lists element 2 twice"
+        # A NaN value is read, completed or not, and refused by the range check.
+        with_nan = [pairs[0], ((1,), math.nan), *pairs[2:]]
+        for complete in (False, True):
+            with pytest.raises(BadParameter) as exc:
+                capacity_from_table(2, [(make(s), v) for s, v in with_nan], complete)
+            assert str(exc.value) == "capacity value out of [0, 1]: nan"
+
+    def test_a_valid_table_is_read_in_bulk_alone(self, monkeypatch):
+        # Only a refused table reaches the per-entry code, which names
+        # the fault.
+        def refused(*args):
+            raise AssertionError("a valid table reached the per-entry code")
+        monkeypatch.setattr(capacity, "_table_entry", refused)
+        monkeypatch.setattr(capacity, "_first_bad_pair", refused)
+        for n in (1, 3, 8):
+            mu = capacity_family("uniform-random", n, seed=n)
+            assert Capacity.from_json(mu.to_json()) == mu
+            pairs = [(mask_to_subset(m), v) for m, v in enumerate(mu.values)]
+            assert capacity_from_table(n, pairs + pairs[1:2]) == mu
+            assert capacity_from_table(n, pairs[1:2], complete=True).n == n
 
     def test_completion_reads_entries_in_bulk(self):
         mu = Capacity.from_json({"n": 2, "complete": True, "entries": [

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from choquetlike import (
     BadParameter, Capacity, DatasetFormatError, GridSpec, Interval, Scalar, Vector,
     capacity_family, cli, datasets, dissimilarity, element_from_json, kernel_catalog,
-    load_dataset, parse_dataset, verifier,
+    load_dataset, order, parse_dataset, verifier,
 )
 from choquetlike.cli import _results_json, main
 from choquetlike.operator import AggregateResult
@@ -328,6 +328,18 @@ class TestDatasets:
     @example(('[[[0.1, 0.2]], [[0.1, NaN]], [[0.1, 0.2, 0.3]]]', "vector"))
     @example(('[[0.5, 0.25], [0.5, true]]', "scalar"))  # a bool in a later row
     @example(('{"rows": [[[0.1, 0.2]], [[0.3, 1e400]]], "ids": ["a"]}', "interval"))
+    # Faults of row 0, which sets the shape: no cells (named after a bad
+    # cell in a later row), cells of mixed dimensions, and a refused cell
+    # after blank and whitespace-only lines.
+    @example(("[[], [0.5, 0.5]]", "scalar"))
+    @example(("[[], [0.5, -0.5], [0.5]]", "scalar"))
+    @example(('{"rows": [[], []], "ids": ["a"]}', "interval"))
+    @example(("[[[0.1, 0.2], [0.3]], [[0.1, 0.2], [0.3, 0.4]]]", "vector"))
+    @example(("[[[0.1], [0.2, 0.3]], [[0.1], [0.2, 1.5]]]", "vector"))
+    @example(("[[[]], [[0.5]]]", "vector"))
+    @example(("\n \n , \n\t\n0.5,-0.5\n0.5,0.5\n", "scalar"))
+    @example(("\r\n\r\n0.5,x\r\n", "scalar"))
+    @example(("\n \n0.5,1.5\n0.5\n", "scalar"))
     @_with_examples(_LONG_CASES + _BLANK_CASES)
     def test_streamed_load_equals_parse_and_the_reference(self, case):
         """``load_dataset`` streams the file and ``parse_dataset`` reads its
@@ -350,6 +362,25 @@ class TestDatasets:
             read = path.read_text(encoding="utf-8")  # universal newlines, as open()
         assert loaded == _outcome(lambda: parse_dataset(read, kind))
         assert loaded == _reference(read, kind)
+
+    def test_a_valid_dataset_is_taken_in_bulk_alone(self, monkeypatch):
+        # Only a refused chunk reaches the element constructors, which name
+        # the fault; row 0 is taken like any other row.
+        def refused(*args):
+            raise AssertionError("a valid dataset reached the per-row code")
+        monkeypatch.setattr(datasets, "_elements", refused)
+        for kind in ("scalar", "interval", "vector"):
+            monkeypatch.setitem(order._CARRIERS, kind,
+                                carrier(kind)._replace(from_json=refused))
+        for text, kind, shape in (
+                ("\n \n0.25,0.5\n\n , \n0.5,1\n", "scalar", (2, 1, 2)),
+                ("[[0.25, 0.5, 0]]", "scalar", (3, 1, 1)),
+                ('{"ids": ["a"], "rows": [[[0.1, 0.2], [0.3, 0.4]]]}', "interval", (2, 2, 1)),
+                ("[[[0.1, 0.2, 0.3]], [[0.5, 0.5, 0.5]]]", "vector", (1, 3, 2))):
+            ds = parse_dataset(text, kind)
+            assert (ds.n, ds.dim, len(ds)) == shape
+        long_rows = [[[0.25, 0.5], [0.0, 1.0]]] * (2 * datasets.CHUNK_ROWS + 3)
+        assert len(parse_dataset(json.dumps(long_rows), "interval")) == len(long_rows)
 
     @settings(deadline=None, max_examples=200)
     @given(st.one_of(_csv_texts(), _json_texts()))

@@ -999,6 +999,23 @@ class TestViewKernels:
                               "interval", XU).view is None
         assert kernel_catalog("b-scale-d", "vector", AnyDim()).view is None
 
+    def test_a_previous_input_off_the_carrier_is_refused(self):
+        # Of another dimension, or of another kind of the same width.
+        cases = [
+            (kernel_catalog("b-scale-d", "vector", VectorLex((0, 1))),
+             Vector((0.2, 0.4)), Vector((0.1, 0.2, 0.3))),
+            (kernel_catalog("delta-scale", "vector"), Vector((0.2, 0.4)), Vector((0.1,))),
+            (kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", XU),
+             Interval(0.2, 0.4), Vector((0.1, 0.2))),
+            (kernel_catalog("delta-scale", "interval", XU), Interval(0.2, 0.4),
+             Vector((0.1, 0.2))),
+            (kernel_catalog("b-scale-d", "scalar"), Scalar(0.2), Vector((0.1,))),
+        ]
+        for kernel, x, prev in cases:
+            with pytest.raises(KindMismatch, match="got the previous input"):
+                kernel.evaluate(x, prev, 1.0, 0.5)
+            kernel.evaluate(x, x, 1.0, 0.5)
+
     def test_a_vector_order_of_another_dimension_is_refused(self):
         # The kernel reads the third coordinate; the inputs have two.
         kernel = kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "vector",

@@ -15,9 +15,10 @@ tied and nearly tied rows, under ``b-scale-d`` with each shipped delta,
 and with a ``takac:`` dissimilarity on intervals, and records the sha256
 of its stdout and its exit code.
 It runs ``aggregate`` on a fixed small dataset with each of a fixed set of
-malformed capacity tables, and on each of a fixed set of long malformed
-datasets whose first bad row lies past row 500, and records the sha256 of
-its stderr, the error record, and its exit code.
+malformed capacity tables, and on each of a fixed set of malformed
+datasets, long ones whose first bad row lies past row 500 and ones whose
+row 0 is refused, and records the sha256 of its stderr, the error record,
+and its exit code.
 It runs ``verify --suite all`` at the default grid, ``--grid 2``, ``--grid
 3``, ``--n 4 --grid 2`` and ``--format csv --grid 2``, and ``verify --suite
 appendix-c`` at ``--grid 2`` to ``16``, and records each output's sha256 with
@@ -84,7 +85,8 @@ CARRIER_ROWS = {
 B_SCALE_D = ("abs-diff", "difference", "sq-diff", "capped-double")
 TAKAC = "takac:0.5:max:abs-diff"
 # A row of each capacity table's arity for the refusals below.
-REFUSAL_ROWS = {3: "0.2,0.5,0.9\n0.25,0.5,0.75\n", 8: "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8\n"}
+REFUSAL_ROWS = {3: "0.2,0.5,0.9\n0.25,0.5,0.75\n", 8: "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8\n",
+                25: ",".join(["0.5"] * 25) + "\n"}
 # A capacity table on {1, 2, 3}, and the ways a table is refused: each
 # entry is the table's entries after the change. The last is a cardinality
 # table on 8 elements whose first fault, mu({5}) > mu({5, 6}), lies in bit
@@ -99,13 +101,23 @@ REFUSALS = {
     "repeated-element": [*_ENTRIES, ([2, 2], 0.35)],
     "nan-value": [*_ENTRIES[:3], ([3], float("nan")), *_ENTRIES[4:]],
     "bool-element": [*_ENTRIES, ([True], 0.1)],
+    # An entry refused as an entry is named before an earlier repeat, and
+    # before an n above the cap.
+    "repeat-then-bool": [*_ENTRIES, ([2, 2], 0.35), ([False], 0)],
+    "malformed-entry-n25": [*_ENTRIES, ([0], 0.3)],
     "late-fault-n8": [(s, 0.1 if s == [5, 6] else len(s) / 8) for s in (
         [i + 1 for i in range(8) if mask >> i & 1] for mask in range(256))],
 }
-# Long datasets refused by a row far from the first, each with its order
+# The table's n where it is not its largest element; the dataset has as
+# many inputs, so that the table itself is read.
+REFUSAL_N = {"malformed-entry-n25": 25}
+# Datasets refused by a row far from the first, each with its order
 # flag: a NaN cell in row 900 after a short row 600 (the cell is named
 # first), a cell above 1 in row 500 (named after the last row), and a
-# reversed interval in row 700, column 2.
+# reversed interval in row 700, column 2. Then datasets refused by row 0:
+# no cells, before a bad cell in row 500 (the cell is named first); vector
+# cells of mixed dimensions; a negative cell after blank and
+# whitespace-only lines.
 _LONG = 1000
 DATASET_REFUSALS = {
     "late-nan-cell.csv": ("scalar", "".join(
@@ -117,6 +129,11 @@ DATASET_REFUSALS = {
     "late-reversed.json": ("ab:0.5:1", json.dumps([
         [[0.1, 0.2], [0.3, 0.5], [0.6, 0.4] if r == 700 else [r % 4 / 8, 0.75]]
         for r in range(_LONG)])),
+    "empty-row0.json": ("scalar", json.dumps(
+        [[], *([[0.25, 0.5, 0.75]] * 499), [0.25, -0.5, 0.75], [0.5, 0.5, 0.5]])),
+    "mixed-dim-row0.json": ("veclex:1,2", json.dumps(
+        [[[0.1, 0.2], [0.3], [0.4, 0.5]], [[0.1, 0.2]] * 3])),
+    "blank-lines-bad-row0.csv": ("scalar", "\n \n , \n\t\n0.5,-0.5,0.5\n0.25,0.5,0.75\n"),
 }
 # A report's own ``elapsed`` line in ``verify``'s JSON (two-space indent).
 ELAPSED_LINE = re.compile(rb'^    "elapsed": [^\r\n]*(\r?\n|$)', re.MULTILINE)
@@ -204,13 +221,13 @@ def record() -> dict:
                 out[f"aggregate {kind} b-scale-d({d})"] = {
                     "exit": res.returncode, "sha256": _sha256(res.stdout)}
         for name, entries in REFUSALS.items():
-            n = max(max(subset, default=0) for subset, _ in entries)
+            n = REFUSAL_N.get(name) or max(max(subset, default=0) for subset, _ in entries)
             rows = Path(tmp) / f"refusals-{n}.csv"
             rows.write_text(REFUSAL_ROWS[n], encoding="utf-8")
             cap = Path(tmp) / f"{name}.json"
-            cap.write_text(json.dumps({"n": n, "kind": "table", "entries": [
-                {"subset": subset, "value": value} for subset, value in entries]}),
-                encoding="utf-8")
+            table = {"n": n, "kind": "table", "entries": [
+                {"subset": subset, "value": value} for subset, value in entries]}
+            cap.write_text(json.dumps(table), encoding="utf-8")
             res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap)], env)
             out[f"aggregate refusal {name}"] = {
                 "exit": res.returncode, "sha256": _sha256(res.stderr)}
