@@ -28,7 +28,7 @@ from .dissimilarity import (
     takac_counterexample,
 )
 from .errors import BadParameter, ChoquetlikeError, json_number, load_json
-from .operator import AggregationInput, choquet_aggregate, kernel_catalog
+from .operator import choquet_aggregate, kernel_catalog
 from .order import (
     INTERVAL, SCALAR, VECTOR, AlphaBeta, GridSpec, ScalarUsual, VectorLex,
     check_admissibility, parse_order,
@@ -105,8 +105,8 @@ def cmd_aggregate(args) -> int:
     # permutation count and two flags. A count is an int of any size: a
     # certified row of 21 tied inputs has 21! > 2^63 permutations.
     values, perms, consistent, in_k = array("d"), [], bytearray(), bytearray()
-    for row in ds:
-        res = choquet_aggregate(AggregationInput(row, mu, order, addop), kernel)
+    for inp in ds.inputs(mu, order, addop):
+        res = choquet_aggregate(inp, kernel)
         value = res.value
         values.extend(value.components)
         in_k.append(value.in_unit)

@@ -20,11 +20,13 @@ import csv
 import io
 import json
 from array import array
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from typing import Optional
+from itertools import chain, compress, islice, repeat
+from typing import Iterator, Optional
 
 from .errors import BadParameter, DatasetFormatError, load_json, refuse_unknown_keys
+from .operator import AggregationInput
 from .order import SCALAR, Element, Scalar, carrier
 
 
@@ -56,6 +58,29 @@ class Dataset:
         elements = carrier(self.kind).elements(iter(self.data), self.dim)
         return zip(*(elements,) * self.n)
 
+    def inputs(self, mu, order, addop) -> Iterator[AggregationInput]:
+        """Each row as ``AggregationInput(row, mu, order, addop)``. Row 0
+        goes through the constructor, with every check and refusal it
+        makes. The checks read only what all rows share, ``n`` elements of
+        ``kind`` and ``dim``, so later rows are bound ``BIND_ROWS`` at a
+        time, past them: the inputs are made and their fields set through
+        the slot descriptors in C-level passes, one Python call per chunk."""
+        rows = iter(self)
+        first = [AggregationInput(row, mu, order, addop) for row in islice(rows, 1)]
+        shared = ((AggregationInput.mu.__set__, mu), (AggregationInput.order.__set__, order),
+                  (AggregationInput.addop.__set__, addop))
+
+        def bound(chunk: list) -> list:
+            k = len(chunk)
+            inps = list(map(object.__new__, repeat(AggregationInput, k)))
+            deque(map(AggregationInput.X.__set__, inps, chunk), 0)
+            for setter, value in shared:
+                deque(map(setter, inps, repeat(value, k)), 0)
+            return inps
+
+        chunks = iter(lambda: list(islice(rows, BIND_ROWS)), [])
+        return chain(first, chain.from_iterable(map(bound, chunks)))
+
     @property
     def rows(self) -> tuple[tuple[Element, ...], ...]:
         return tuple(self)
@@ -63,6 +88,13 @@ class Dataset:
     @property
     def ids(self) -> tuple[str, ...]:
         return self.named if self.named is not None else tuple(map(str, range(len(self))))
+
+
+# Rows are bound to inputs this many at a time. A chunk keeps about n + 2
+# objects per row alive that the garbage collector tracks (the row, its
+# elements and its input): at most 26 * 24 = 624 at n = MAX_N, under the
+# collector's first threshold (700), so binding adds no collections.
+BIND_ROWS = 24
 
 
 def parse_dataset(text: str, kind: str) -> Dataset:

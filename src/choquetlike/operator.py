@@ -13,18 +13,20 @@ as L(current, previous, b1, b2) and may ignore any of its arguments.
 The same formula holds on every carrier, and the shipped kernels,
 additions and scalings work component by component. So each catalog
 kernel is defined once, by its ``term``, and ``KernelL.evaluate`` lifts
-it to elements. A term reads each input through the kernel's ``view``:
+it to elements. Each term checks its own output, as ``evaluate`` checks
+a custom kernel's. A term reads each input through the kernel's ``view``:
 its component tuple (no view), or, for a ``b-scale-d`` kernel over a
 shipped delta on a carrier of fixed width, the one float of the tuple
-that the projected dissimilarity reads, its order's ``lead``. The two
+that the projected dissimilarity reads, its order's ``lead``; such a
+kernel reads the least element's view once, when it is built. The two
 functions defined on elements, a custom kernel and an addition without
 ``term``, reach the tuples through one lift, ``_on_components``.
 ``choquet_aggregate`` folds each row with one fold, ``_fold``, on the
 inputs' views: it walks sigma, reads each tail weight from the capacity
 table as it drops an input from the tail (the empty tail weighs 0.0),
-checks every kernel term as ``evaluate`` checks its output, and makes
-one element of the sum per row. Strict rows, the first permutation of a
-tied row and the tie walk's candidates all take this fold.
+and makes one element of the sum per row, by the kernel's ``make``.
+Strict rows, the first permutation of a tied row and the tie walk's
+candidates all take this fold.
 ``_eval_sorted`` folds on elements with the addition's ``fn`` and stays
 the reference that ``choquet_eval`` and the brute-force oracles call.
 
@@ -77,10 +79,12 @@ class KernelL:
     A custom kernel, ``KernelL(fn, name)`` or ``f_difference_kernel(F)``,
     is ``fn`` alone. Only the catalog constructors set the other fields:
     ``view``, None or a function of a component tuple of carrier
-    ``kind``; ``term``, the kernel on the views of inputs of carrier
-    ``kind``, the component tuples themselves when ``view`` is None,
-    checked as above, of which ``fn`` is the lift that ``evaluate`` calls
-    as is; ``tie_invariant``, the family's proof that the order inside a
+    ``kind``; ``zero``, the view of the least element, computed when the
+    kernel is built; ``make``, the carrier's constructor; ``term``, the
+    kernel on the views of inputs of carrier ``kind``, the component
+    tuples themselves when ``view`` is None, which checks its own output
+    as above, of which ``fn`` is the lift that ``evaluate`` calls as is;
+    ``tie_invariant``, the family's proof that the order inside a
     group of identical tied inputs does not change the operator (see
     ``choquet_aggregate``); and ``reads_previous``, False for a family
     whose term never reads the previous input, which lets the tie walk
@@ -101,7 +105,9 @@ class KernelL:
     term: Optional[Callable[[object, object, float, float], tuple]] = field(
         default=None, init=False)
     view: Optional[Callable[[tuple], object]] = field(default=None, init=False)
+    zero: object = field(default=None, init=False)
     kind: Optional[str] = field(default=None, init=False)
+    make: Optional[Callable[[tuple], Element]] = field(default=None, init=False)
     tie_invariant: bool = field(default=False, init=False)
     reads_previous: bool = field(default=True, init=False)
 
@@ -157,23 +163,25 @@ def _viewed(view, comps, name: str) -> list:
                            f"{len(comps[0])}") from None
 
 
+def _kept(c: tuple, kind: str, name: str) -> tuple:
+    """The output ``c`` of the catalog kernel ``name`` on carrier ``kind``
+    when a component of it is not at most 1: kept as it is when it is
+    ``in_unit``, else refused by ``_validate_unit``, or by the carrier's
+    constructor for a value no element takes."""
+    return _validate_unit(carrier(kind).make(c), name).components
+
+
 def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool,
-                      reads_previous: bool, view=None) -> KernelL:
-    """The catalog kernel defined by ``term`` on carrier ``kind``. Without
-    a ``view``, ``term`` reads component tuples, and its output goes
-    through the carrier's constructor and ``_validate_unit`` unless it is
-    ``bounded``: both leave such a tuple as is. With one, ``term`` reads
-    each input's view and checks its own output alike."""
-    make, arity, bounded, *_ = carrier(kind)
-
-    if view is None:
-        def checked(xc: tuple, pc: tuple, b1: float, b2: float) -> tuple:
-            c = term(xc, pc, b1, b2)
-            return c if bounded(c) else _validate_unit(make(c), name).components
-        on_tuples = checked
-    else:
-        checked = term
-
+                      reads_previous: bool, view=None, zero=None) -> KernelL:
+    """The catalog kernel defined by ``term`` on carrier ``kind``: on
+    component tuples, or with a ``view``, on each input's view, ``zero``
+    being the view of the least element. ``term`` checks its own output:
+    its components are nonnegative, and an interval's endpoints in order,
+    by construction, so it is kept when its carrier's ``peak`` is at most
+    1 and goes through ``_kept`` otherwise."""
+    make, arity, *_ = carrier(kind)
+    on_tuples = term
+    if view is not None:
         def on_tuples(xc: tuple, pc: tuple, b1: float, b2: float) -> tuple:
             return term(*_viewed(view, (xc, pc), name), b1, b2)
 
@@ -193,11 +201,10 @@ def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool,
         return make(c)
 
     kernel = KernelL(fn, name)
-    object.__setattr__(kernel, "term", checked)
-    object.__setattr__(kernel, "view", view)
-    object.__setattr__(kernel, "kind", kind)
-    object.__setattr__(kernel, "tie_invariant", tie_invariant)
-    object.__setattr__(kernel, "reads_previous", reads_previous)
+    for attr, value in (("term", term), ("view", view), ("zero", zero), ("kind", kind),
+                        ("make", make), ("tie_invariant", tie_invariant),
+                        ("reads_previous", reads_previous)):
+        object.__setattr__(kernel, attr, value)
     return kernel
 
 
@@ -205,7 +212,8 @@ def _component_kernel(term, kind: str, name: str, *, tie_invariant: bool,
 class AggregationInput:
     """One aggregation instance: inputs, capacity, order, and addition.
     A tuple of inputs is kept as given, any other iterable made a tuple;
-    the checks run in ``__init__`` (``init=False``), one frame per row."""
+    the checks run in ``__init__`` (``init=False``), one frame per row.
+    ``Dataset.inputs`` binds a dataset's later rows past them."""
 
     X: tuple[Element, ...]
     mu: Capacity
@@ -470,22 +478,23 @@ def choquet_aggregate(inp: AggregationInput, kernel: KernelL) -> AggregateResult
     if sigma is None:
         perms = PermutationSet(X, order)
         sigma = perms.first()
-    kind = X[0].kind
-    if kernel.kind not in (None, kind):
-        raise KindMismatch(f"kernel {kernel.name!r} is defined on "
-                           f"{kernel.kind} inputs, got {X[0]!r}")
-    view, zero = kernel.view, (0.0,) * len(comps[0])
+    kind, make, view = X[0].kind, kernel.make, kernel.view
+    if kernel.kind != kind:
+        if kernel.kind is not None:
+            raise KindMismatch(f"kernel {kernel.name!r} is defined on "
+                               f"{kernel.kind} inputs, got {X[0]!r}")
+        make = carrier(kind).make  # a custom kernel
     if view is None:
-        views = comps
+        views, zero = comps, (0.0,) * len(comps[0])
     else:
         views = keys if view is order.lead else _viewed(view, comps, kernel.name)
-        zero = view(zero)
+        zero = kernel.zero
     # A custom kernel or an addition without a component form is lifted
     # from elements.
     term = kernel.term or _on_components(kernel.evaluate, kind, f"kernel {kernel.name!r}")
     plus = inp.addop.term or _on_components(inp.addop.fn, kind,
                                             f"addition {inp.addop.name!r}")
-    values, make = inp.mu.values, carrier(kind).make
+    values = inp.mu.values
     base = _fold(views, sigma, zero, values, term, plus)
     if len(base) != len(comps[0]):  # a vector kernel of another dimension
         raise KindMismatch(f"the fold left the carrier of the inputs: {base!r}")
@@ -539,15 +548,17 @@ def delta_scale_kernel(delta: str, kind: str) -> KernelL:
     is the classical Choquet integrand lifted to the carrier; it and
     ``abs-diff`` telescope, so they are ``tie_invariant``."""
     delta_fn, mul = lookup(_DELTAS, delta, "scalar dissimilarity"), scale_for(kind).term
+    name, peak = f"delta-scale({delta})", carrier(kind).peak
 
     def term(xc, pc, b1, b2):
         c = delta_fn(b1, b2)
         if not 0.0 <= c <= 1.0:
             unit_coefficient(c)  # raises ScaleOutOfRange
-        return mul(c, xc)
+        out = mul(c, xc)
+        return out if peak(out) <= 1.0 else _kept(out, kind, name)
 
-    return _component_kernel(term, kind, f"delta-scale({delta})",
-                             tie_invariant=delta_fn is delta_abs, reads_previous=False)
+    return _component_kernel(term, kind, name, tie_invariant=delta_fn is delta_abs,
+                             reads_previous=False)
 
 
 def f_difference_kernel(F: Callable[[Element, float], Element]) -> KernelL:
@@ -564,29 +575,30 @@ def b_scale_d_kernel(d: str, kind: str,
     under ``order`` (see ``resolve_dissimilarity``). It is
     ``tie_invariant``: every shipped dissimilarity gives exactly 0 on
     equal tuples. A projected d of fixed width reads each input through
-    its lead, the kernel's view (see ``KernelL``); its term sends a value
-    outside [0, 1] through the carrier's constructor and ``_validate_unit``."""
+    its lead, the kernel's view (see ``KernelL``), and the least element's
+    view is its lead of ``width`` zeros, read once."""
     dis = resolve_dissimilarity(d, kind, order)
     name = f"b-scale-d({dis.name})"
     if dis.projection is not None and dis.projection[2] is not None:
         lead, delta, width = dis.projection
-        make = carrier(kind).make
 
         def view_term(lx, lp, b1, b2):
             if not 0.0 <= b1 <= 1.0:
                 unit_coefficient(b1)  # raises ScaleOutOfRange
             c = (b1 * delta(lx, lp),) * width
-            return c if 0.0 <= c[0] <= 1.0 else _validate_unit(make(c), name).components
+            return c if c[0] <= 1.0 else _kept(c, kind, name)
 
         return _component_kernel(view_term, kind, name, tie_invariant=True,
-                                 reads_previous=True, view=lead)
-    dterm, mul_term = dis.term, scale_for(kind).term
+                                 reads_previous=True, view=lead,
+                                 zero=lead((0.0,) * width))
+    dterm, mul_term, peak = dis.term, scale_for(kind).term, carrier(kind).peak
 
     def term(xc, pc, b1, b2):
         t = dterm(xc, pc)
         if not 0.0 <= b1 <= 1.0:
             unit_coefficient(b1)  # raises ScaleOutOfRange
-        return mul_term(b1, t)
+        out = mul_term(b1, t)
+        return out if peak(out) <= 1.0 else _kept(out, kind, name)
 
     return _component_kernel(term, kind, name, tie_invariant=True, reads_previous=True)
 
@@ -602,12 +614,14 @@ def affine_f_kernel(C: str, D: str, kind: str) -> KernelL:
     (C_fn, c_C), (D_fn, c_D) = resolve_carrier_fn(C), resolve_carrier_fn(D)
     if c_C + c_D > 1.0:
         raise KernelRangeError(f"kernel {name!r} can leave the bounded carrier")
+    peak = carrier(kind).peak
 
     def term(xc, pc, b1, b2):
         a = b1 - b2
         if not 0.0 <= a <= 1.0:
             unit_coefficient(a)  # raises ScaleOutOfRange
-        return tuple([a * c + e for c, e in zip(C_fn(xc), D_fn(xc))])
+        out = tuple([a * c + e for c, e in zip(C_fn(xc), D_fn(xc))])
+        return out if peak(out) <= 1.0 else _kept(out, kind, name)
 
     return _component_kernel(term, kind, name, tie_invariant=True, reads_previous=False)
 

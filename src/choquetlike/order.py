@@ -207,7 +207,8 @@ class Carrier(NamedTuple):
     elements of dimension ``dim`` whose components are the float iterator
     ``floats`` one after another, each built by its constructor, with its
     checks, and no Python frame besides. ``from_json`` reads a JSON dataset
-    cell; ``constant`` is (c, ..., c)."""
+    cell; ``peak(c)`` is the largest component of a tuple ``c`` whose
+    interval endpoints are in order; ``constant`` is (c, ..., c)."""
 
     make: Callable[[tuple], Element]
     arity: int
@@ -215,6 +216,7 @@ class Carrier(NamedTuple):
     all_bounded: Callable[[array], bool]
     elements: Callable[[Iterator[float], int], Iterator[Element]]
     from_json: Callable[[object], Element]
+    peak: Callable[[tuple], float]
 
     def constant(self, c: float, dim: int) -> Element:
         return self.make((c,) * (self.arity or dim))
@@ -228,14 +230,14 @@ def _all_in_unit(a: array) -> bool:
 
 _CARRIERS = {
     SCALAR: Carrier(lambda c: Scalar(*c), 1, lambda c: 0.0 <= c[0] <= 1.0, _all_in_unit,
-                    lambda it, dim: map(Scalar, it), _scalar_from_json),
+                    lambda it, dim: map(Scalar, it), _scalar_from_json, itemgetter(0)),
     INTERVAL: Carrier(lambda c: Interval(*c), 2, lambda c: 0.0 <= c[0] <= c[1] <= 1.0,
                       lambda a: (_all_in_unit(a)
                                  and all(map(float.__le__, a[::2], a[1::2]))),
                       lambda it, dim: itertools.starmap(Interval, zip(it, it)),
-                      _interval_from_json),
+                      _interval_from_json, itemgetter(1)),
     VECTOR: Carrier(Vector, 0, lambda c: all(0.0 <= a <= 1.0 for a in c), _all_in_unit,
-                    lambda it, dim: map(Vector, zip(*(it,) * dim)), _vector_from_json),
+                    lambda it, dim: map(Vector, zip(*(it,) * dim)), _vector_from_json, max),
 }
 
 
@@ -437,14 +439,19 @@ class VectorLex(AdmissibleOrder):
 def strict_chain(keys: list[float]) -> Optional[list[int]]:
     """The indices of ``keys``, the order's leads of a row's component
     tuples, in increasing order when every two keys lie more than ``TOL``
-    apart, else None. Float subtraction is monotone, so adjacent gaps above
-    ``TOL`` put every pair that far apart, and then ``compare`` follows the
-    leads (the ``lead`` contract of ``AdmissibleOrder``): the chain is the
-    one admissible permutation. A NaN gap (inf - inf) is not above ``TOL``."""
+    apart, else None. The gaps are tested in one pass over the sorted
+    keys, each against the one before it. Float subtraction is monotone,
+    so adjacent gaps above ``TOL`` put every pair that far apart, and then
+    ``compare`` follows the leads (the ``lead`` contract of
+    ``AdmissibleOrder``): the chain is the one admissible permutation. A
+    NaN gap (inf - inf) is not above ``TOL``."""
     chain = sorted(range(len(keys)), key=keys.__getitem__)
-    for low, high in zip(chain, chain[1:]):
-        if not keys[high] - keys[low] > TOL:
+    low = None
+    for i in chain:
+        high = keys[i]
+        if low is not None and not high - low > TOL:
             return None
+        low = high
     return chain
 
 

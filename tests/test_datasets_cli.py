@@ -7,6 +7,7 @@ import math
 import random
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -15,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choquetlike import (
-    BadParameter, Capacity, DatasetFormatError, GridSpec, Interval, Scalar, Vector,
-    capacity_family, cli, datasets, dissimilarity, element_from_json, kernel_catalog,
-    load_dataset, order, parse_dataset, verifier,
+    AggregationInput, AlphaBeta, BadParameter, Capacity, ChoquetlikeError,
+    DatasetFormatError, GridSpec, Interval, KindMismatch, Scalar, ScalarUsual, Vector,
+    VectorLex, addition_for, capacity_family, cli, datasets, dissimilarity,
+    element_from_json, kernel_catalog, load_dataset, order, parse_dataset, verifier,
 )
 from choquetlike.cli import _results_json, main
 from choquetlike.operator import AggregateResult
@@ -193,6 +195,35 @@ def _with_examples(cases):
             test = example(case)(test)
         return test
     return wrap
+
+
+@st.composite
+def _bindings(draw):
+    """A dataset of 1 to 3 * BIND_ROWS + 2 rows, a capacity and an order
+    for it: mostly of its arity and dimension, sometimes of others."""
+    kind = draw(st.sampled_from(["scalar", "interval", "vector"]))
+    n, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    if kind == "scalar":
+        cell, order = rng.random, ScalarUsual()
+    elif kind == "interval":
+        cell, order = (lambda: sorted((rng.random(), rng.random()))), AlphaBeta(0.5, 1.0)
+    else:
+        cell = lambda: [rng.random() for _ in range(dim)]
+        order = VectorLex(tuple(range(draw(st.sampled_from([dim, dim, 2])))))
+    rows = [[cell() for _ in range(n)]
+            for _ in range(draw(st.integers(1, 3 * datasets.BIND_ROWS + 2)))]
+    mu = capacity_family("cardinality", draw(st.sampled_from([n, n, n % 4 + 1])))
+    return parse_dataset(json.dumps(rows), kind), mu, order
+
+
+def _refusal(call):
+    """The type and text of what ``call()`` raises, or None."""
+    try:
+        call()
+    except ChoquetlikeError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 class TestDatasets:
@@ -401,6 +432,45 @@ class TestDatasets:
         assert ([[(type(el), *map(float.hex, el.components)) for el in row] for row in got]
                 == [[(type(el), *map(float.hex, el.components)) for el in row]
                     for row in expected])
+
+    @settings(deadline=None, max_examples=100)
+    @given(_bindings())
+    def test_binding_rows_gives_each_rows_input(self, case):
+        """``inputs`` gives, field by field, ``AggregationInput(row, mu,
+        order, addop)`` of every row, or refuses as its constructor does."""
+        ds, mu, order = case
+        addop = addition_for(ds.kind)
+        refusal = _refusal(lambda: [AggregationInput(row, mu, order, addop) for row in ds])
+        assert _refusal(lambda: ds.inputs(mu, order, addop)) == refusal
+        if refusal is not None:
+            return
+        got = list(ds.inputs(mu, order, addop))
+        assert len(got) == len(ds)
+        for inp, row in zip(got, ds):
+            expected = AggregationInput(row, mu, order, addop)
+            assert type(inp) is AggregationInput and type(inp.X) is tuple
+            assert ([(type(el), *map(float.hex, el.components)) for el in inp.X]
+                    == [(type(el), *map(float.hex, el.components)) for el in expected.X])
+            assert inp.mu is mu and inp.order is order and inp.addop is addop
+
+    def test_a_dataset_without_rows_binds_no_inputs(self):
+        ds = datasets.Dataset("scalar", 2, 1, array("d"))
+        assert list(ds.inputs(capacity_family("cardinality", 2), ScalarUsual(),
+                              addition_for("scalar"))) == []
+
+    @pytest.mark.parametrize("text,kind,order,n,refusal", [
+        ("0.5\n0.25\n", "scalar", ScalarUsual(), 1,
+         (BadParameter, "aggregation needs at least two inputs")),
+        (json.dumps([[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]] * 30), "vector",
+         VectorLex((0, 1)), 2, (KindMismatch, "vector dimension does not match the order")),
+        ("0.5,0.25\n" * 30, "scalar", ScalarUsual(), 3,
+         (BadParameter, "capacity is on [3] but there are 2 inputs")),
+    ], ids=["one-column", "3d-vectors-under-veclex:1,2", "capacity-of-another-arity"])
+    def test_binding_refuses_as_row_0s_constructor(self, text, kind, order, n, refusal):
+        ds, mu = parse_dataset(text, kind), capacity_family("cardinality", n)
+        addop = addition_for(kind)
+        assert _refusal(lambda: AggregationInput(ds.rows[0], mu, order, addop)) == refusal
+        assert _refusal(lambda: ds.inputs(mu, order, addop)) == refusal
 
     @pytest.mark.parametrize("text,line", [
         ("0.5,0.2\n0.5," + "1" * 200_000 + "\n", 2),  # past csv's field limit

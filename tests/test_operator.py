@@ -976,10 +976,36 @@ class TestViewKernels:
                                IV_PLUS)
         kernel = kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", order)
         assert kernel.view is order.lead
+        order.calls.clear()  # the least element's, read when the kernel is built
         res = choquet_aggregate(inp, kernel)
-        # Once per input, and once for the least element.
-        assert order.calls == [x.components for x in X] + [(0.0, 0.0)]
+        # Once per input.
+        assert order.calls == [x.components for x in X]
         assert _bits(res.value) == _bits(_eval_sorted(inp, kernel, (0, 2, 1, 4, 3)))
+
+    def test_the_least_elements_view_is_read_once_per_kernel(self):
+        order = _CountedLead()
+        kernel = kernel_catalog({"family": "b-scale-d", "d": "abs-diff"}, "interval", order)
+        assert order.calls == [(0.0, 0.0)] and kernel.zero == 0.0
+        rows = [tuple(Interval(lo, lo + 0.1) for lo in los)
+                for los in ((0.1, 0.5, 0.3), (0.6, 0.2, 0.4), (0.35, 0.05, 0.7))]
+        inps = [AggregationInput(X, capacity_family("uniform-random", 3, seed=3), order,
+                                 IV_PLUS) for X in rows]
+        values = [choquet_aggregate(inp, kernel).value for inp in inps]
+        assert order.calls == [(0.0, 0.0)] + [x.components for X in rows for x in X]
+        assert list(map(_bits, values)) == [
+            _bits(_eval_sorted(inp, kernel, PermutationSet(inp.X, order).first()))
+            for inp in inps]
+
+    def test_a_vector_views_least_element_has_the_orders_width(self):
+        counted = []
+
+        class Counted(VectorLex):
+            def __init__(self):
+                super().__init__((1, 0))
+                self.lead = lambda c: counted.append(c) or c[1]
+
+        kernel = kernel_catalog("b-scale-d", "vector", Counted())
+        assert counted == [(0.0, 0.0)] and kernel.zero == 0.0
 
     def test_which_kernels_take_a_view(self):
         # A projected d of fixed width has its order's lead as the view; a
@@ -1290,6 +1316,38 @@ class TestKernelCatalog:
         inp = scalar_input((0.2, 0.7), capacity_family("cardinality", 2))
         with pytest.raises(KernelRangeError):
             choquet_aggregate(inp, above)
+
+    @pytest.mark.parametrize("spec", [
+        "delta-scale", "b-scale-d", {"family": "affine-F", "C": "identity", "D": "zero"}],
+        ids=["delta-scale", "b-scale-d", "affine-F"])
+    @pytest.mark.parametrize("kind,order", [
+        ("scalar", ScalarUsual()), ("interval", XU), ("vector", VectorLex((1, 0))),
+        ("vector", None)], ids=["scalar", "interval", "vector", "vector-any-dim"])
+    def test_each_catalog_term_checks_its_output_above_one(self, spec, kind, order):
+        # Inputs above 1 reach a term only from Python. Each of these terms
+        # gives its input back at b1 = 1, b2 = 0 after the least element:
+        # within TOL above 1 it is kept bit for bit, beyond it is refused.
+        # (A takac term stays in [0, 1] on any inputs.)
+        if order is None:  # veclex:2,1 on vectors of any dimension: b-scale-d reads tuples
+            order = VectorLex((1, 0))
+            order.dim = None
+        kernel, make = kernel_catalog(spec, kind, order), carrier(kind).make
+        dim = 1 if kind == "scalar" else 2
+        zero = zero_element(kind, dim)
+        for v in (1.0 + TOL / 2, 1.0 + TOL, 1.0 + 5e-10, 1.5):
+            x = make((v,) * dim)
+            if v <= 1.0 + TOL:
+                assert [c.hex() for c in kernel.evaluate(x, zero, 1.0, 0.0).components] == [
+                    v.hex()] * dim
+                assert [c.hex() for c in _on_tuples(kernel)(
+                    x.components, zero.components, 1.0, 0.0)] == [v.hex()] * dim
+            else:
+                refusal = re.escape(f"kernel {kernel.name!r} produced {x!r} outside the "
+                                    f"bounded carrier")
+                with pytest.raises(KernelRangeError, match=f"^{refusal}$"):
+                    kernel.evaluate(x, zero, 1.0, 0.0)
+                with pytest.raises(KernelRangeError, match=f"^{refusal}$"):
+                    _on_tuples(kernel)(x.components, zero.components, 1.0, 0.0)
 
     def test_input_validation(self):
         mu = capacity_family("cardinality", 2)

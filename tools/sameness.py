@@ -12,13 +12,14 @@ capacity family spec and two kernels, one that certifies tied rows and one
 that walks them, and records the sha256 of its stdout and its exit code.
 It runs ``aggregate`` on a fixed small dataset per carrier, with strict,
 tied and nearly tied rows, under ``b-scale-d`` with each shipped delta,
-and with a ``takac:`` dissimilarity on intervals, and records the sha256
-of its stdout and its exit code.
+with a ``takac:`` dissimilarity on intervals, and under
+``affine-F(scale:0.7,scale:0.1)``, and records the sha256 of its stdout
+and its exit code.
 It runs ``aggregate`` on a fixed small dataset with each of a fixed set of
 malformed capacity tables, and on each of a fixed set of malformed
 datasets, long ones whose first bad row lies past row 500 and ones whose
-row 0 is refused, and records the sha256 of its stderr, the error record,
-and its exit code.
+row 0 is refused, on loading or as an aggregation input, and records the
+sha256 of its stderr, the error record, and its exit code.
 It runs ``verify --suite all`` at the default grid, ``--grid 2``, ``--grid
 3``, ``--n 4 --grid 2`` and ``--format csv --grid 2``, and ``verify --suite
 appendix-c`` at ``--grid 2`` to ``16``, and records each output's sha256 with
@@ -84,6 +85,7 @@ CARRIER_ROWS = {
 }
 B_SCALE_D = ("abs-diff", "difference", "sq-diff", "capped-double")
 TAKAC = "takac:0.5:max:abs-diff"
+AFFINE = {"family": "affine-F", "C": "scale:0.7", "D": "scale:0.1"}
 # A row of each capacity table's arity for the refusals below.
 REFUSAL_ROWS = {3: "0.2,0.5,0.9\n0.25,0.5,0.75\n", 8: "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8\n",
                 25: ",".join(["0.5"] * 25) + "\n"}
@@ -134,6 +136,14 @@ DATASET_REFUSALS = {
     "mixed-dim-row0.json": ("veclex:1,2", json.dumps(
         [[[0.1, 0.2], [0.3], [0.4, 0.5]], [[0.1, 0.2]] * 3])),
     "blank-lines-bad-row0.csv": ("scalar", "\n \n , \n\t\n0.5,-0.5,0.5\n0.25,0.5,0.75\n"),
+}
+# Datasets that load but whose row 0 is refused as an aggregation input,
+# each with its order flag and a capacity of its arity: one column, and
+# vectors of 3 coordinates under a 2-coordinate order.
+INPUT_REFUSALS = {
+    "one-column.csv": ("scalar", "0.5\n0.25\n", 1),
+    "3d-vectors.json": ("veclex:1,2", json.dumps([[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]] * 2),
+                        2),
 }
 # A report's own ``elapsed`` line in ``verify``'s JSON (two-space indent).
 ELAPSED_LINE = re.compile(rb'^    "elapsed": [^\r\n]*(\r?\n|$)', re.MULTILINE)
@@ -220,6 +230,10 @@ def record() -> dict:
                                   json.dumps({"family": "b-scale-d", "d": d})], env)
                 out[f"aggregate {kind} b-scale-d({d})"] = {
                     "exit": res.returncode, "sha256": _sha256(res.stdout)}
+            res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap),
+                              "--order", order, "--kernel", json.dumps(AFFINE)], env)
+            out[f"aggregate {kind} affine-F({AFFINE['C']},{AFFINE['D']})"] = {
+                "exit": res.returncode, "sha256": _sha256(res.stdout)}
         for name, entries in REFUSALS.items():
             n = REFUSAL_N.get(name) or max(max(subset, default=0) for subset, _ in entries)
             rows = Path(tmp) / f"refusals-{n}.csv"
@@ -239,6 +253,15 @@ def record() -> dict:
             res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap),
                               "--order", order], env)
             out[f"aggregate refusal dataset {name}"] = {
+                "exit": res.returncode, "sha256": _sha256(res.stderr)}
+        for name, (order, text, n) in INPUT_REFUSALS.items():
+            rows = Path(tmp) / name
+            rows.write_text(text, encoding="utf-8")
+            cap = Path(tmp) / f"cardinality-{n}.json"
+            cap.write_text(json.dumps({"n": n, "kind": "cardinality"}), encoding="utf-8")
+            res = _run(cli + ["aggregate", "--input", str(rows), "--capacity", str(cap),
+                              "--order", order], env)
+            out[f"aggregate refusal input {name}"] = {
                 "exit": res.returncode, "sha256": _sha256(res.stderr)}
     for suite, flags in VERIFY_VARIANTS:
         res = _run(cli + ["verify", "--suite", suite, *flags], env)
